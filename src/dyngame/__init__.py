@@ -8,7 +8,7 @@ monitors) and a JSON/CSV command-line front end.
 """
 
 from . import (feedback_nash, feedback_stackelberg, lqr, numerics,
-               openloop_nash, openloop_stackelberg, verify)
+               openloop_nash, openloop_stackelberg, solvers, verify)
 from .errors import (DefinitenessError, DynGameError, InvalidGameError,
                      SingularSystemError)
 from .game import (AffineLaw, GameSpec, Player, StageData, Trajectory,
@@ -26,6 +26,6 @@ __all__ = [
     "feedback_stackelberg", "fold_player_controls", "game_from_dict",
     "game_to_dict", "load_game", "lqr", "make_stage", "numerics",
     "openloop_nash", "openloop_stackelberg", "reorder_players", "rollout",
-    "save_game", "single_player_view", "stage_cost", "total_cost",
+    "save_game", "single_player_view", "solvers", "stage_cost", "total_cost",
     "truncate", "validate", "verify",
 ]

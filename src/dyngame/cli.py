@@ -21,11 +21,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, feedback_nash, feedback_stackelberg, lqr, verify
-from . import openloop_nash, openloop_stackelberg
+from . import __version__, verify
 from .errors import DynGameError, InvalidGameError, SingularSystemError
-from .game import GameSpec, Trajectory, reorder_players, rollout, validate
+from .game import (GameSpec, Trajectory, initial_state, reorder_players, require_valid,
+                   rollout, validate)
 from .gameio import GameFormatError, load_game
+from .solvers import OPEN_LOOP, SOLVERS
 
 log = logging.getLogger("dyngame")
 
@@ -33,10 +34,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
-
-SOLVERS = ("lqr", "feedback-nash", "feedback-stackelberg",
-           "openloop-nash", "openloop-stackelberg")
-OPEN_LOOP_SOLVERS = ("openloop-nash", "openloop-stackelberg")
 
 
 def main(argv=None) -> int:
@@ -80,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, solver=True, x0=True, out=True, leader=True):
         p.add_argument("--game", required=True, help="path to the JSON game definition")
         if solver:
-            p.add_argument("--solver", choices=SOLVERS, default="feedback-nash")
+            p.add_argument("--solver", choices=tuple(SOLVERS), default="feedback-nash")
         if x0:
             p.add_argument("--x0", help="initial state: comma-separated values or a file path")
         if out:
@@ -135,11 +132,7 @@ def _parse_x0(arg: str | None, spec: GameSpec, required: bool) -> np.ndarray | N
             values = [float(v) for v in text.replace(",", " ").split()]
     else:
         values = [float(v) for v in arg.split(",") if v.strip()]
-    x0 = np.asarray(values, dtype=float).ravel()
-    if x0.shape != (spec.state_dim,):
-        raise InvalidGameError(
-            f"--x0 has {x0.size} entries, the game needs {spec.state_dim}")
-    return x0
+    return initial_state(spec, np.asarray(values, dtype=float).ravel())
 
 
 def _load_and_validate(args) -> GameSpec:
@@ -151,37 +144,17 @@ def _load_and_validate(args) -> GameSpec:
                 f"--leader must be in 1..{spec.n_players}, got {leader}")
         order = [leader - 1] + [i for i in range(spec.n_players) if i != leader - 1]
         spec = reorder_players(spec, order)
-    report = validate(spec, tol=args.tol)
-    if not report.ok:
-        raise InvalidGameError(
-            "game failed validation:\n  " + "\n  ".join(report.messages()),
-            violations=report.messages())
+    require_valid(spec, tol=args.tol)
     return spec
 
 
 def _solve(spec: GameSpec, solver: str, x0: np.ndarray | None):
-    """Dispatch to a solver; returns (solution, trajectory-or-None, pattern)."""
-    if solver == "lqr":
-        if spec.n_players != 1:
-            raise InvalidGameError("the lqr solver requires a single-player game")
-        sol = lqr.solve_control(spec)
-        traj = rollout(spec, sol.laws, x0) if x0 is not None else None
-        return sol, traj, verify.FEEDBACK
-    if solver == "feedback-nash":
-        sol = feedback_nash.solve(spec)
-        traj = rollout(spec, sol.laws, x0) if x0 is not None else None
-        return sol, traj, verify.FEEDBACK
-    if solver == "feedback-stackelberg":
-        sol = feedback_stackelberg.solve(spec)
-        traj = rollout(spec, sol.laws, x0) if x0 is not None else None
-        return sol, traj, verify.FEEDBACK
-    if solver == "openloop-nash":
-        sol = openloop_nash.solve(spec, x0)
-        return sol, sol.trajectory, verify.OPEN_LOOP
-    if solver == "openloop-stackelberg":
-        sol = openloop_stackelberg.solve(spec, x0)
-        return sol, sol.trajectory, verify.OPEN_LOOP
-    raise InvalidGameError(f"unknown solver {solver!r}")
+    """Run a solver; returns (solution, trajectory-or-None)."""
+    row = SOLVERS[solver]
+    sol = row.solve(spec, x0)
+    if row.pattern == OPEN_LOOP:
+        return sol, sol.trajectory
+    return sol, (rollout(spec, sol.laws, x0) if x0 is not None else None)
 
 
 def cmd_validate(args) -> int:
@@ -198,8 +171,8 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _load_and_validate(args)
-    x0 = _parse_x0(args.x0, spec, required=args.solver in OPEN_LOOP_SOLVERS)
-    sol, traj, _ = _solve(spec, args.solver, x0)
+    x0 = _parse_x0(args.x0, spec, required=SOLVERS[args.solver].pattern == OPEN_LOOP)
+    sol, traj = _solve(spec, args.solver, x0)
 
     if args.format == "csv":
         if traj is None:
@@ -218,9 +191,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_and_validate(args)
     x0 = _parse_x0(args.x0, spec, required=True)
-    sol, traj, _ = _solve(spec, args.solver, x0)
-    if traj is None:
-        traj = rollout(spec, sol.laws, x0)
+    _, traj = _solve(spec, args.solver, x0)
     out = (_trajectory_csv(spec, traj) if args.format == "csv"
            else _dumps({"solver": args.solver, "x0": x0.tolist(),
                         "trajectory": _trajectory_doc(spec, traj)}))
@@ -230,12 +201,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_and_validate(args)
-    open_loop = args.solver in OPEN_LOOP_SOLVERS
-    x0 = _parse_x0(args.x0, spec, required=open_loop)
+    pattern = SOLVERS[args.solver].pattern
+    x0 = _parse_x0(args.x0, spec, required=pattern == OPEN_LOOP)
     if x0 is None:
         x0 = np.ones(spec.state_dim)
         log.info("no --x0 given; verifying feedback solution from all-ones state")
-    sol, _, pattern = _solve(spec, args.solver, x0)
+    sol, _ = _solve(spec, args.solver, x0)
     report = verify.run_verification(
         spec, sol, pattern, solver_name=args.solver, x0=x0,
         samples=args.samples, fd_step=args.fd_step, seed=args.seed)
@@ -251,30 +222,20 @@ def cmd_compare(args) -> int:
     spec = _load_and_validate(args)
     x0 = _parse_x0(args.x0, spec, required=True)
 
-    applicable = ["feedback-nash", "openloop-nash"]
-    if spec.n_players == 1:
-        zero_targets = all(
-            not np.any(st.x_target[0]) and not np.any(st.u_target[0][0])
-            for st in spec.stages)
-        if zero_targets:
-            applicable.insert(0, "lqr")
-    else:
-        applicable += ["feedback-stackelberg", "openloop-stackelberg"]
-
     rows = {}
     skipped = {}
-    for name in applicable:
+    # Nash columns first, then Stackelberg.
+    for name in sorted(SOLVERS, key=lambda name: SOLVERS[name].stackelberg):
         try:
-            if name == "feedback-stackelberg":
-                # needs PSD leader cross weights; re-validate for that shape
-                bad = validate(spec, tol=args.tol, for_stackelberg=True)
-                if not bad.ok:
-                    skipped[name] = "; ".join(bad.messages())
-                    continue
-            sol, traj, _ = _solve(spec, name, x0)
-            if traj is None:
-                traj = rollout(spec, sol.laws, x0)
-            rows[name] = traj
+            rows[name] = _solve(spec, name, x0)[1]
+        except InvalidGameError as exc:
+            # A solver whose own validation gate is stricter than the CLI's
+            # (feedback Stackelberg needs PSD leader cross weights) is
+            # listed with the violations; one whose game class excludes
+            # this game (lqr on several players or with cost targets,
+            # Stackelberg on one player) is left out.
+            if exc.violations:
+                skipped[name] = "; ".join(exc.violations)
         except SingularSystemError as exc:
             skipped[name] = str(exc)
 

@@ -29,7 +29,7 @@ from .numerics import solve_dense
 
 
 @dataclass(frozen=True)
-class StageFeedbackSolution:
+class FeedbackNashSolution:
     """Per-stage affine laws plus each player's value coefficients.
 
     ``gains[t][i]`` is P_t^i with u_t^i = -P_t^i x_t - offsets[t][i]; the
@@ -63,10 +63,6 @@ class StageFeedbackSolution:
         return float(0.5 * x @ W @ x + self.zeta[player, t] @ x + self.n_const[player, t])
 
 
-class FeedbackNashSolution(StageFeedbackSolution):
-    pass
-
-
 def stacked_stage_operator(B, Z_next, R, idx) -> np.ndarray:
     """Block operator of the coupled stage first-order conditions.
 
@@ -83,6 +79,25 @@ def stacked_stage_operator(B, Z_next, R, idx) -> np.ndarray:
             blocks.append(blk)
         rows.append(np.hstack(blocks))
     return np.vstack(rows)
+
+
+def gain_rhs(st, Z_next, idx, F) -> np.ndarray:
+    """Gain right-hand sides B^i' Z^i F of the stage first-order conditions
+    of players ``idx``, stacked, for the state map F the players face."""
+    return np.vstack([st.B[i].T @ Z_next[i] @ F for i in idx])
+
+
+def stage_rhs(st, Z_next, zeta_next, idx, F, d) -> np.ndarray:
+    """Gain and offset right-hand sides of the stage first-order conditions
+    of players ``idx``, packed as [rows B^i' Z^i F | column
+    B^i'(Z^i d + zeta^i - Q^i xt^i) - R^ii ut^ii], for state map F and
+    drift d."""
+    offsets = np.concatenate([
+        st.B[i].T @ (Z_next[i] @ d + zeta_next[i] - st.Q[i] @ st.x_target[i])
+        - st.R[i][i] @ st.u_target[i][i]
+        for i in idx
+    ])
+    return np.hstack([gain_rhs(st, Z_next, idx, F), offsets[:, None]])
 
 
 def _split(stacked: np.ndarray, dims) -> list[np.ndarray]:
@@ -117,14 +132,9 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
         st = spec.stages[t]
         Z_next = [Z[i, t + 1] for i in range(n)]
         C = stacked_stage_operator(st.B, Z_next, st.R, all_players)
-        rhs_gain = np.vstack([st.B[i].T @ Z_next[i] @ st.A for i in range(n)])
-        rhs_off = np.concatenate([
-            st.B[i].T @ (Z_next[i] @ st.s + zeta[i, t + 1] - st.Q[i] @ st.x_target[i])
-            - st.R[i][i] @ st.u_target[i][i]
-            for i in range(n)
-        ])
         try:
-            sol = solve_dense(C, np.hstack([rhs_gain, rhs_off[:, None]]),
+            sol = solve_dense(C, stage_rhs(st, Z_next, zeta[:, t + 1], all_players,
+                                           st.A, st.s),
                               context=f"stage {t} stacked Nash gain/offset system")
         except SingularSystemError as exc:
             raise SingularSystemError(
@@ -243,7 +253,7 @@ def solve_alt(spec: GameSpec) -> FeedbackNashSolution:
                                 Z=Z, zeta=zeta, n_const=n_const)
 
 
-def law_deviation(a: FeedbackNashSolution, b: StageFeedbackSolution) -> float:
+def law_deviation(a: FeedbackNashSolution, b: FeedbackNashSolution) -> float:
     """Max entrywise gap between two solutions' laws (gains and offsets)."""
     worst = 0.0
     for laws_a, laws_b in zip(a.laws, b.laws):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
-from .feedback_nash import (StageFeedbackSolution, _split, _update_quadratics,
-                            stacked_stage_operator)
+from .feedback_nash import (FeedbackNashSolution, _split, _update_quadratics, gain_rhs,
+                            stacked_stage_operator, stage_rhs)
 from .game import GameSpec, require_valid
 from .numerics import solve_dense
 
@@ -49,7 +49,7 @@ class ReactionCoefficients:
 
 
 @dataclass(frozen=True)
-class FeedbackStackelbergSolution(StageFeedbackSolution):
+class FeedbackStackelbergSolution(FeedbackNashSolution):
     reactions: ReactionCoefficients = None
 
     def stage_reaction(self, t: int, x: np.ndarray, u_leader: np.ndarray) -> list[np.ndarray]:
@@ -94,16 +94,10 @@ def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
 
         # Follower reaction coefficients: one operator, three right-hand sides.
         C = stacked_stage_operator(st.B, Z_next, st.R, followers)
-        rhs_rbar = np.vstack([-(st.B[i].T @ Z_next[i] @ st.B[0]) for i in followers])
-        rhs_W = np.vstack([-(st.B[i].T @ Z_next[i] @ st.A) for i in followers])
-        rhs_w = np.concatenate([
-            -(st.B[i].T @ (Z_next[i] @ st.s + zeta[i, t + 1] - st.Q[i] @ st.x_target[i])
-              - st.R[i][i] @ st.u_target[i][i])
-            for i in followers
-        ])
+        rhs = np.hstack([gain_rhs(st, Z_next, followers, st.B[0]),
+                         stage_rhs(st, Z_next, zeta[:, t + 1], followers, st.A, st.s)])
         try:
-            packed = solve_dense(C, np.hstack([rhs_rbar, rhs_W, rhs_w[:, None]]),
-                                 context=f"stage {t} follower reaction system")
+            packed = solve_dense(C, -rhs, context=f"stage {t} follower reaction system")
         except SingularSystemError as exc:
             raise SingularSystemError(
                 "the follower stage systems admit no unique optimal response "
@@ -133,14 +127,8 @@ def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
 
         # Follower gains/offsets from their first-order systems at the
         # leader's law (reaction identity left as a cross-check).
-        rhs_Pf = np.vstack([st.B[i].T @ Z_next[i] @ (st.A - st.B[0] @ P1) for i in followers])
-        rhs_af = np.concatenate([
-            st.B[i].T @ (Z_next[i] @ (st.s - st.B[0] @ a1) + zeta[i, t + 1]
-                         - st.Q[i] @ st.x_target[i])
-            - st.R[i][i] @ st.u_target[i][i]
-            for i in followers
-        ])
-        packed_f = solve_dense(C, np.hstack([rhs_Pf, rhs_af[:, None]]),
+        packed_f = solve_dense(C, stage_rhs(st, Z_next, zeta[:, t + 1], followers,
+                                            st.A - st.B[0] @ P1, st.s - st.B[0] @ a1),
                                context=f"stage {t} follower gain/offset system")
         fblocks = _split(packed_f, fdims)
         P = [P1] + [blk[:, :p] for blk in fblocks]

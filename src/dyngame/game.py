@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError
-from .numerics import SYMMETRY_RTOL, classify_definiteness
+from .numerics import SYMMETRY_RTOL, asymmetry, classify_definiteness
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -44,8 +44,8 @@ def _repair_symmetry(M: np.ndarray) -> np.ndarray:
     report it instead of silently rewriting the game.
     """
     if M.ndim == 2 and M.shape[0] == M.shape[1]:
-        gap = np.abs(M - M.T).max(initial=0.0)
-        if 0.0 < gap <= SYMMETRY_RTOL * (1.0 + np.abs(M).max(initial=0.0)):
+        gap, too_large = asymmetry(M, SYMMETRY_RTOL)
+        if 0.0 < gap and not too_large:
             return 0.5 * (M + M.T)
     return M
 
@@ -276,8 +276,8 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
 
 
 def _check_sym_def(M, loc, need, tol, add):
-    gap = np.abs(M - M.T).max(initial=0.0)
-    if gap > tol * (1.0 + np.abs(M).max(initial=0.0)):
+    gap, too_large = asymmetry(M, tol)
+    if too_large:
         add(loc, f"not symmetric (max asymmetry {gap:.2e})")
         return
     if need is None:
@@ -374,6 +374,17 @@ def total_cost(spec: GameSpec, traj: Trajectory, player: int) -> float:
     )
 
 
+def initial_state(spec: GameSpec, x0) -> np.ndarray:
+    """``x0`` as a float vector, checked to be finite and of the game's
+    state dimension."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (spec.state_dim,):
+        raise InvalidGameError(f"x0 has shape {x0.shape}, expected {(spec.state_dim,)}")
+    if not np.all(np.isfinite(x0)):
+        raise InvalidGameError(f"x0 must be finite, got {x0.tolist()}")
+    return x0
+
+
 def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     """Simulate the state equation under laws or explicit control sequences.
 
@@ -381,9 +392,7 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     (:class:`AffineLaw`, evaluated at the realized x_t) or player-major
     explicit sequences ``controls[i]`` of shape (T, m_i).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.state_dim,):
-        raise InvalidGameError(f"x0 has shape {x0.shape}, expected {(spec.state_dim,)}")
+    x0 = initial_state(spec, x0)
     T, n = spec.horizon, spec.n_players
 
     by_law = _is_lawset(laws_or_controls)
@@ -451,6 +460,25 @@ def truncate(spec: GameSpec, start: int) -> GameSpec:
                     players=spec.players, stages=spec.stages[start:])
 
 
+def _player_subgame(spec: GameSpec, keep, drifts=None) -> GameSpec:
+    """The game restricted to players ``keep``, in that order, every cost
+    block kept; ``drifts[t]`` replaces stage t's drift when given."""
+    stages = tuple(
+        StageData(
+            A=st.A,
+            B=tuple(st.B[i] for i in keep),
+            s=st.s if drifts is None else drifts[t],
+            Q=tuple(st.Q[i] for i in keep),
+            R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
+            x_target=tuple(st.x_target[i] for i in keep),
+            u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep),
+        )
+        for t, st in enumerate(spec.stages)
+    )
+    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
+                    players=tuple(spec.players[i] for i in keep), stages=stages)
+
+
 def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> GameSpec:
     """Freeze one player's control sequence into the drift and drop the player.
 
@@ -466,19 +494,8 @@ def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> G
             f"controls have shape {controls.shape}, expected {(spec.horizon, m)}"
         )
     keep = [i for i in range(spec.n_players) if i != player]
-    stages = []
-    for t, st in enumerate(spec.stages):
-        stages.append(StageData(
-            A=st.A,
-            B=tuple(st.B[i] for i in keep),
-            s=st.s + st.B[player] @ controls[t],
-            Q=tuple(st.Q[i] for i in keep),
-            R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
-            x_target=tuple(st.x_target[i] for i in keep),
-            u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep),
-        ))
-    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
-                    players=tuple(spec.players[i] for i in keep), stages=tuple(stages))
+    drifts = [st.s + st.B[player] @ controls[t] for t, st in enumerate(spec.stages)]
+    return _player_subgame(spec, keep, drifts)
 
 
 def reorder_players(spec: GameSpec, order) -> GameSpec:
@@ -488,31 +505,10 @@ def reorder_players(spec: GameSpec, order) -> GameSpec:
     if sorted(order) != list(range(spec.n_players)):
         raise InvalidGameError(
             f"order must be a permutation of 0..{spec.n_players - 1}, got {order}")
-    stages = []
-    for st in spec.stages:
-        stages.append(StageData(
-            A=st.A,
-            B=tuple(st.B[i] for i in order),
-            s=st.s,
-            Q=tuple(st.Q[i] for i in order),
-            R=tuple(tuple(st.R[i][j] for j in order) for i in order),
-            x_target=tuple(st.x_target[i] for i in order),
-            u_target=tuple(tuple(st.u_target[i][j] for j in order) for i in order),
-        ))
-    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
-                    players=tuple(spec.players[i] for i in order), stages=tuple(stages))
+    return _player_subgame(spec, order)
 
 
 def single_player_view(spec: GameSpec, player: int) -> GameSpec:
     """The one-player control problem a player faces when all other control
     channels are absent (B^j = 0 is the caller's responsibility to check)."""
-    stages = [
-        StageData(
-            A=st.A, B=(st.B[player],), s=st.s, Q=(st.Q[player],),
-            R=((st.R[player][player],),), x_target=(st.x_target[player],),
-            u_target=((st.u_target[player][player],),),
-        )
-        for st in spec.stages
-    ]
-    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
-                    players=(spec.players[player],), stages=tuple(stages))
+    return _player_subgame(spec, [player])

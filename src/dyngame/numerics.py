@@ -79,13 +79,20 @@ def _condition_estimate(A: np.ndarray) -> float:
         return float("inf")
 
 
+def asymmetry(M: np.ndarray, rtol: float) -> tuple[float, bool]:
+    """Max entrywise gap |M - M'| of a square M, and whether it exceeds the
+    relative tolerance ``rtol * (1 + max|M|)``."""
+    gap = np.abs(M - M.T).max(initial=0.0)
+    return gap, bool(gap > rtol * (1.0 + np.abs(M).max(initial=0.0)))
+
+
 def symmetrize(M: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
     """Return (M + M') / 2 if M is symmetric within ``rtol``, else raise."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidGameError(f"{name} must be square, got shape {M.shape}")
-    gap = np.abs(M - M.T).max(initial=0.0)
-    if gap > rtol * (1.0 + np.abs(M).max(initial=0.0)):
+    gap, too_large = asymmetry(M, rtol)
+    if too_large:
         raise InvalidGameError(f"{name} is not symmetric (max asymmetry {gap:.2e})")
     return 0.5 * (M + M.T)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .game import AffineLaw, GameSpec, Trajectory, require_valid, rollout
+from .game import AffineLaw, GameSpec, Trajectory, initial_state, require_valid, rollout
 from .numerics import solve_dense
 
 
@@ -42,10 +42,6 @@ class OpenLoopNashSolution:
     phi: np.ndarray                     # (T, p)
     gains: tuple[tuple[np.ndarray, ...], ...]    # [t][i] (m_i, p)
     offsets: tuple[tuple[np.ndarray, ...], ...]  # [t][i] (m_i,)
-
-    @property
-    def controls(self) -> tuple[np.ndarray, ...]:
-        return self.trajectory.controls
 
     @property
     def laws(self) -> list[list[AffineLaw]]:
@@ -67,7 +63,7 @@ class OpenLoopNashSolution:
 def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
     """Unique open-loop Nash equilibrium from the initial state x0."""
     require_valid(spec)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = initial_state(spec, x0)
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
 
     M = np.empty((n, T + 1, p, p))

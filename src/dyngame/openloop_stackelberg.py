@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
-from .game import GameSpec, Trajectory, require_valid, rollout
+from .feedback_stackelberg import _require_two_player_lq
+from .game import AffineLaw, GameSpec, Trajectory, initial_state, require_valid, rollout
 from .numerics import solve_dense
 
 
@@ -97,6 +98,23 @@ class OpenLoopStackelbergSolution:
     lv: np.ndarray                  # (T+1, p)
     stages: tuple[StageMaps, ...]
 
+    @property
+    def laws(self) -> list[list[AffineLaw]]:
+        """Path laws in the unified u = G x + g convention: G is the path gain
+        on x_t and g folds in the multiplier terms at their path values, so
+        the laws reproduce the equilibrium controls along the equilibrium
+        path only."""
+        nf = self.mu.shape[0]
+        out = []
+        for t, sm in enumerate(self.stages):
+            mu_t = self.mu[:, t]
+            row = [AffineLaw(sm.P1x, sm.alpha1 + sum(sm.P1mu[j] @ mu_t[j] for j in range(nf)))]
+            row += [AffineLaw(sm.Pix[k], sm.alphai[k]
+                              + sum(sm.Pimu[k][j] @ mu_t[j] for j in range(nf)))
+                    for k in range(nf)]
+            out.append(row)
+        return out
+
     def transition_residual(self) -> float:
         """Max gap of the stored (x, mu) paths against the affine maps."""
         worst = 0.0
@@ -124,11 +142,10 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     require_valid(spec)
     if spec.n_players < 2:
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = initial_state(spec, x0)
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
     nf = n - 1
     followers = list(range(1, n))
-    fdims = [spec.control_dims[i] for i in followers]
 
     Mx = np.empty((nf, T + 1, p, p))
     Mmu = np.zeros((nf, nf, T + 1, p, p))
@@ -505,18 +522,3 @@ def crosscheck_two_player_lq(spec: GameSpec, x0: np.ndarray) -> float:
         x, mu = c["Phix"] @ x + c["Phimu"] @ mu, c["Psix"] @ x + c["Psimu"] @ mu
         worst = max(worst, np.abs(x - main.trajectory.states[t + 1]).max(initial=0.0))
     return float(worst)
-
-
-def _require_two_player_lq(spec: GameSpec) -> None:
-    if spec.n_players != 2:
-        raise InvalidGameError("cross-check requires exactly two players")
-    for t, st in enumerate(spec.stages):
-        if np.any(st.s):
-            raise InvalidGameError(f"stage {t}: cross-check requires zero drift")
-        for i in range(2):
-            if np.any(st.x_target[i]) or any(np.any(u) for u in st.u_target[i]):
-                raise InvalidGameError(f"stage {t}: cross-check requires zero targets")
-            if not np.allclose(st.R[i][i], np.eye(spec.control_dims[i]), atol=1e-12):
-                raise InvalidGameError(
-                    f"stage {t}: cross-check requires identity own-control weights"
-                )

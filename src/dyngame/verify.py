@@ -16,18 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import feedback_nash, feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg
+from . import openloop_nash, solvers
 from .errors import InvalidGameError
-from .feedback_nash import StageFeedbackSolution
-from .feedback_stackelberg import FeedbackStackelbergSolution
-from .game import (GameSpec, fold_player_controls, rollout, stage_cost,
-                   truncate)
+from .feedback_nash import FeedbackNashSolution
+from .game import AffineLaw, GameSpec, fold_player_controls, rollout, stage_cost, truncate
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
-
-OPEN_LOOP = "open-loop"
-FEEDBACK = "feedback"
+from .numerics import asymmetry
+from .solvers import FEEDBACK, OPEN_LOOP
 
 # Default acceptance thresholds for the assembled report.
 STATIONARITY_TOL = 1e-6
@@ -55,14 +52,25 @@ def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-def _check_pattern(solution, pattern: str) -> None:
-    is_ol = isinstance(solution, (OpenLoopNashSolution, OpenLoopStackelbergSolution))
-    if pattern == OPEN_LOOP and not is_ol:
-        raise InvalidGameError("open-loop pattern given a feedback solution")
-    if pattern == FEEDBACK and is_ol:
-        raise InvalidGameError("feedback pattern given an open-loop solution")
+def _solver_row(solution, pattern: str) -> solvers.Solver:
+    """The table row of the solver behind ``solution``, checked against the
+    information pattern the caller names."""
     if pattern not in (OPEN_LOOP, FEEDBACK):
         raise InvalidGameError(f"unknown information pattern {pattern!r}")
+    row = solvers.solver_of(solution)
+    if row.pattern != pattern:
+        raise InvalidGameError(f"pattern {pattern!r} given a solution of pattern {row.pattern!r}")
+    return row
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidGameError(f"{name} must be finite and > 0, got {value}")
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise InvalidGameError(f"samples must be >= 1, got {samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +90,24 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
     Stackelberg leader differentiated through the followers' stage
     reactions.
     """
-    _check_pattern(solution, pattern)
+    row = _solver_row(solution, pattern)
+    _require_positive("finite-difference step", h)
     if pattern == OPEN_LOOP:
-        return _stationarity_open_loop(spec, solution, h)
-    return _stationarity_feedback(spec, solution, h, x0)
+        return _stationarity_open_loop(spec, solution, h, row.stackelberg)
+    return _stationarity_feedback(spec, solution, h, x0, row.stackelberg)
 
 
-def _stationarity_open_loop(spec, sol, h):
+def _stationarity_open_loop(spec, sol, h, stackelberg):
     T, n = spec.horizon, spec.n_players
     controls = [u.copy() for u in sol.trajectory.controls]
     x0 = sol.x0
-    is_stackelberg = isinstance(sol, OpenLoopStackelbergSolution)
 
     out: dict[int, float] = {}
     for i in range(n):
-        if is_stackelberg and i == 0:
+        if stackelberg and i == 0:
             def cost(u_flat):
-                u1 = u_flat.reshape(T, spec.control_dims[0])
-                reduced = fold_player_controls(spec, 0, u1)
-                reaction = openloop_nash.solve(reduced, x0)
-                full = [u1] + [reaction.trajectory.controls[k] for k in range(n - 1)]
-                return rollout(spec, full, x0).total_costs[0]
+                return leader_cost_open_loop(
+                    spec, u_flat.reshape(T, spec.control_dims[0]), x0)
         else:
             def cost(u_flat, i=i):
                 us = [controls[j] if j != i else u_flat.reshape(T, spec.control_dims[i])
@@ -113,41 +118,42 @@ def _stationarity_open_loop(spec, sol, h):
     return out
 
 
-def _tail_cost(spec, laws, t, x, player, stage_controls):
-    """Cost of stages t..T-1 from pre-decision state x, with stage-t
-    controls given explicitly and later stages played by the laws."""
-    st = spec.stages[t]
-    x_next = st.A @ x + st.s
-    for j in range(spec.n_players):
-        x_next = x_next + st.B[j] @ stage_controls[j]
-    total = stage_cost(spec, player, t, x_next, stage_controls)
-    xx = x_next
-    for tau in range(t + 1, spec.horizon):
+def _played_cost(spec, player, t, x, controls_at):
+    """Player's cost of stages t..T-1 from pre-decision state x, with every
+    player's stage-tau controls given by ``controls_at(tau, x_tau)``."""
+    total = 0.0
+    for tau in range(t, spec.horizon):
         st = spec.stages[tau]
-        us = [laws[tau][j](xx) for j in range(spec.n_players)]
-        x_after = st.A @ xx + st.s
+        us = controls_at(tau, x)
+        x_next = st.A @ x + st.s
         for j in range(spec.n_players):
-            x_after = x_after + st.B[j] @ us[j]
-        total += stage_cost(spec, player, tau, x_after, us)
-        xx = x_after
+            x_next = x_next + st.B[j] @ us[j]
+        total += stage_cost(spec, player, tau, x_next, us)
+        x = x_next
     return total
 
 
-def _stationarity_feedback(spec, sol, h, x0):
+def _tail_cost(spec, laws, t, x, player, stage_controls):
+    """Cost of stages t..T-1 from pre-decision state x, with stage-t
+    controls given explicitly and later stages played by the laws."""
+    return _played_cost(spec, player, t, x, lambda tau, xx: stage_controls if tau == t
+                        else [law(xx) for law in laws[tau]])
+
+
+def _stationarity_feedback(spec, sol, h, x0, stackelberg):
     if x0 is None:
         raise InvalidGameError("feedback stationarity needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
     T, n = spec.horizon, spec.n_players
     laws = sol.laws
     states = rollout(spec, laws, x0).states
-    is_stackelberg = isinstance(sol, FeedbackStackelbergSolution)
 
     out = {i: 0.0 for i in range(n)}
     for t in range(T):
         x = states[t]
         base = [laws[t][j](x) for j in range(n)]
         for i in range(n):
-            if is_stackelberg and i == 0:
+            if stackelberg and i == 0:
                 def cost(u1, t=t, x=x):
                     us = [np.asarray(u1)] + sol.stage_reaction(t, x, u1)
                     return _tail_cost(spec, laws, t, x, 0, us)
@@ -174,7 +180,9 @@ def deviation_gap(spec: GameSpec, solution, pattern: str, player: int,
     feedback perturbs the player's law coefficients and re-rolls the
     trajectory (all other players keep acting through their laws).
     """
-    _check_pattern(solution, pattern)
+    _solver_row(solution, pattern)
+    _require_samples(samples)
+    _require_positive("magnitude", magnitude)
     rng = _rng(seed)
     if pattern == OPEN_LOOP:
         return _deviation_open_loop(spec, solution, player, samples, magnitude, rng)
@@ -187,27 +195,36 @@ def _unit(rng, shape):
     return d if norm == 0 else d / norm
 
 
+def _sequence_perturbations(u, samples, magnitude, rng):
+    """``samples`` random perturbations of a control sequence, each of norm
+    ``magnitude`` times the sequence's norm (at least 1)."""
+    scale = magnitude * max(1.0, np.linalg.norm(u))
+    for _ in range(samples):
+        yield u + scale * _unit(rng, u.shape)
+
+
+def _law_perturbations(laws, samples, magnitude, rng):
+    """``samples`` random perturbations of one player's stage laws: one
+    unit direction over all gain and offset entries per sample, scaled by
+    ``magnitude`` times the largest gain entry (at least 1)."""
+    T = len(laws)
+    m, p = laws[0].G.shape
+    scale = magnitude * max(1.0, max(np.abs(l.G).max(initial=0.0) for l in laws))
+    for _ in range(samples):
+        flat = _unit(rng, T * (m * p + m)) * scale
+        dG = flat[:T * m * p].reshape(T, m, p)
+        dg = flat[T * m * p:].reshape(T, m)
+        yield [AffineLaw(l.G + dG[t], l.g + dg[t]) for t, l in enumerate(laws)]
+
+
 def _deviation_open_loop(spec, sol, player, samples, magnitude, rng):
     controls = sol.trajectory.controls
     base_cost = sol.trajectory.total_costs[player]
-    scale = magnitude * max(1.0, np.linalg.norm(controls[player]))
     worst = np.inf
-    for _ in range(samples):
-        delta = scale * _unit(rng, controls[player].shape)
-        us = [controls[j] if j != player else controls[player] + delta
-              for j in range(spec.n_players)]
+    for dev in _sequence_perturbations(controls[player], samples, magnitude, rng):
+        us = [controls[j] if j != player else dev for j in range(spec.n_players)]
         worst = min(worst, rollout(spec, us, sol.x0).total_costs[player] - base_cost)
     return float(worst)
-
-
-def _perturbed_laws(laws, player, dG, dg):
-    out = []
-    for t, stage in enumerate(laws):
-        row = list(stage)
-        law = row[player]
-        row[player] = type(law)(law.G + dG[t], law.g + dg[t])
-        out.append(row)
-    return out
 
 
 def _deviation_feedback(spec, sol, player, samples, magnitude, rng, x0):
@@ -216,16 +233,10 @@ def _deviation_feedback(spec, sol, player, samples, magnitude, rng, x0):
     x0 = np.asarray(x0, dtype=float)
     laws = sol.laws
     base_cost = rollout(spec, laws, x0).total_costs[player]
-    T, p, m = spec.horizon, spec.state_dim, spec.control_dims[player]
-    law_norm = max(1.0, max(np.abs(l[player].G).max(initial=0.0) for l in laws))
-    scale = magnitude * law_norm
     worst = np.inf
-    for _ in range(samples):
-        flat = _unit(rng, T * (m * p + m)) * scale
-        dG = flat[:T * m * p].reshape(T, m, p)
-        dg = flat[T * m * p:].reshape(T, m)
-        dev_cost = rollout(spec, _perturbed_laws(laws, player, dG, dg), x0).total_costs[player]
-        worst = min(worst, dev_cost - base_cost)
+    for dev in _law_perturbations([l[player] for l in laws], samples, magnitude, rng):
+        dev_laws = [row[:player] + [d] + row[player + 1:] for row, d in zip(laws, dev)]
+        worst = min(worst, rollout(spec, dev_laws, x0).total_costs[player] - base_cost)
     return float(worst)
 
 
@@ -240,14 +251,13 @@ def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
     deviated leader law is played with followers reacting stagewise
     through the solution's reaction maps.
     """
-    _check_pattern(solution, pattern)
+    if not _solver_row(solution, pattern).stackelberg:
+        raise InvalidGameError("leader gap needs a Stackelberg solution")
+    _require_samples(samples)
+    _require_positive("magnitude", magnitude)
     rng = _rng(seed)
     if pattern == OPEN_LOOP:
-        if not isinstance(solution, OpenLoopStackelbergSolution):
-            raise InvalidGameError("leader gap needs a Stackelberg solution")
         return _leader_gap_open_loop(spec, solution, samples, magnitude, rng)
-    if not isinstance(solution, FeedbackStackelbergSolution):
-        raise InvalidGameError("leader gap needs a Stackelberg solution")
     return _leader_gap_feedback(spec, solution, samples, magnitude, rng, x0)
 
 
@@ -266,47 +276,30 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
 def _leader_gap_open_loop(spec, sol, samples, magnitude, rng):
     u1 = sol.trajectory.controls[0]
     base = leader_cost_open_loop(spec, u1, sol.x0)
-    scale = magnitude * max(1.0, np.linalg.norm(u1))
     worst = np.inf
-    for _ in range(samples):
-        delta = scale * _unit(rng, u1.shape)
-        worst = min(worst, leader_cost_open_loop(spec, u1 + delta, sol.x0) - base)
+    for dev in _sequence_perturbations(u1, samples, magnitude, rng):
+        worst = min(worst, leader_cost_open_loop(spec, dev, sol.x0) - base)
     return float(worst)
 
 
 def _leader_cost_feedback(spec, sol, leader_laws, x0):
     """Leader's realized cost when it plays ``leader_laws`` and followers
     react stagewise through the solution's reaction maps."""
-    x = np.asarray(x0, dtype=float)
-    total = 0.0
-    for t in range(spec.horizon):
-        st = spec.stages[t]
+    def controls_at(t, x):
         u1 = leader_laws[t](x)
-        us = [u1] + sol.stage_reaction(t, x, u1)
-        x_next = st.A @ x + st.s
-        for j in range(spec.n_players):
-            x_next = x_next + st.B[j] @ us[j]
-        total += stage_cost(spec, 0, t, x_next, us)
-        x = x_next
-    return total
+        return [u1] + sol.stage_reaction(t, x, u1)
+    return _played_cost(spec, 0, 0, np.asarray(x0, dtype=float), controls_at)
 
 
 def _leader_gap_feedback(spec, sol, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback leader gap needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
-    laws = sol.laws
-    base_laws = [l[0] for l in laws]
+    base_laws = [l[0] for l in sol.laws]
     base = _leader_cost_feedback(spec, sol, base_laws, x0)
-    T, p, m = spec.horizon, spec.state_dim, spec.control_dims[0]
-    scale = magnitude * max(1.0, max(np.abs(l.G).max(initial=0.0) for l in base_laws))
     worst = np.inf
-    for _ in range(samples):
-        flat = _unit(rng, T * (m * p + m)) * scale
-        dG = flat[:T * m * p].reshape(T, m, p)
-        dg = flat[T * m * p:].reshape(T, m)
-        dev_laws = [type(l)(l.G + dG[t], l.g + dg[t]) for t, l in enumerate(base_laws)]
-        worst = min(worst, _leader_cost_feedback(spec, sol, dev_laws, x0) - base)
+    for dev in _law_perturbations(base_laws, samples, magnitude, rng):
+        worst = min(worst, _leader_cost_feedback(spec, sol, dev, x0) - base)
     return float(worst)
 
 
@@ -332,67 +325,48 @@ class TimeConsistency:
 
 
 def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
-    _check_pattern(solution, pattern)
-    if isinstance(solution, ControlSolution):
-        return _tc_control(spec, solution)
-    if isinstance(solution, FeedbackStackelbergSolution):
-        return _tc_feedback(spec, solution, feedback_stackelberg.solve)
-    if isinstance(solution, StageFeedbackSolution):
-        return _tc_feedback(spec, solution, feedback_nash.solve)
-    if isinstance(solution, OpenLoopStackelbergSolution):
-        return _tc_open_loop_stackelberg(spec, solution)
-    return _tc_open_loop_nash(spec, solution)
-
-
-def _tc_control(spec, sol):
+    """Re-solve every tail game (stages s..T-1, s >= 1) with the solver that
+    produced ``solution`` and measure how far its laws (feedback) or
+    controls (open loop, re-solved from the on-path state x_s) drift from
+    the solution's tail."""
+    row = _solver_row(solution, pattern)
     worst = 0.0
-    for s in range(1, spec.horizon):
-        tail = lqr.solve_control(truncate(spec, s))
-        for dt in range(spec.horizon - s):
-            worst = max(worst,
-                        np.abs(tail.gains[dt] - sol.gains[s + dt]).max(initial=0.0),
-                        np.abs(tail.offsets[dt] - sol.offsets[s + dt]).max(initial=0.0))
-    return TimeConsistency(verdict="STC", tail_deviation=float(worst))
+    if pattern == FEEDBACK:
+        laws = solution.laws
+        for s in range(1, spec.horizon):
+            tail = row.solve(truncate(spec, s), None)
+            worst = max(worst, _law_gap(tail.laws, laws[s:]))
+        return TimeConsistency(verdict="STC", tail_deviation=float(worst))
 
-
-def _tc_feedback(spec, sol, solver):
-    worst = 0.0
-    for s in range(1, spec.horizon):
-        tail = solver(truncate(spec, s))
-        for dt in range(spec.horizon - s):
-            for i in range(spec.n_players):
-                worst = max(worst,
-                            np.abs(tail.gains[dt][i] - sol.gains[s + dt][i]).max(initial=0.0),
-                            np.abs(tail.offsets[dt][i] - sol.offsets[s + dt][i]).max(initial=0.0))
-    return TimeConsistency(verdict="STC", tail_deviation=float(worst))
-
-
-def _tc_open_loop_nash(spec, sol):
-    worst = 0.0
-    for s in range(1, spec.horizon):
-        tail = openloop_nash.solve(truncate(spec, s), sol.trajectory.states[s])
-        for i in range(spec.n_players):
-            worst = max(worst, np.abs(tail.trajectory.controls[i]
-                                      - sol.trajectory.controls[i][s:]).max(initial=0.0))
-    return TimeConsistency(verdict="WTC", tail_deviation=float(worst))
-
-
-def _tc_open_loop_stackelberg(spec, sol):
-    worst_inherit = 0.0
-    worst_reset = 0.0
+    traj = solution.trajectory
+    reset = None if row.resume is None else 0.0
     for s in range(1, spec.horizon):
         tail_spec = truncate(spec, s)
-        x_s = sol.trajectory.states[s]
-        inherit = openloop_stackelberg.solve(tail_spec, x_s, initial_mu=sol.mu[:, s])
-        reset = openloop_stackelberg.solve(tail_spec, x_s)
-        for i in range(spec.n_players):
-            tail_u = sol.trajectory.controls[i][s:]
-            worst_inherit = max(worst_inherit,
-                                np.abs(inherit.trajectory.controls[i] - tail_u).max(initial=0.0))
-            worst_reset = max(worst_reset,
-                              np.abs(reset.trajectory.controls[i] - tail_u).max(initial=0.0))
-    return TimeConsistency(verdict="WTC", tail_deviation=float(worst_inherit),
-                           mu_reset_deviation=float(worst_reset))
+        tail_u = [u[s:] for u in traj.controls]
+        plain = _control_gap(row.solve(tail_spec, traj.states[s]), tail_u)
+        if row.resume is None:
+            worst = max(worst, plain)
+        else:
+            worst = max(worst, _control_gap(row.resume(tail_spec, solution, s), tail_u))
+            reset = max(reset, plain)
+    return TimeConsistency(verdict="WTC", tail_deviation=float(worst),
+                           mu_reset_deviation=None if reset is None else float(reset))
+
+
+def _law_gap(laws_a, laws_b) -> float:
+    """Max entrywise gap between two stage-major law sequences."""
+    worst = 0.0
+    for row_a, row_b in zip(laws_a, laws_b):
+        for a, b in zip(row_a, row_b):
+            worst = max(worst, np.abs(a.G - b.G).max(initial=0.0),
+                        np.abs(a.g - b.g).max(initial=0.0))
+    return worst
+
+
+def _control_gap(tail, controls) -> float:
+    """Max entrywise gap between a tail solution's controls and ``controls``."""
+    return max(np.abs(u - v).max(initial=0.0)
+               for u, v in zip(tail.trajectory.controls, controls))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +408,7 @@ def definiteness_monitor(solution) -> DefinitenessLog:
     entries: list[MonitorEntry] = []
 
     def record(mat, stage, name, asserted):
-        sym_gap = np.abs(mat - mat.T).max(initial=0.0)
-        symmetric = bool(sym_gap <= 1e-9 * (1.0 + np.abs(mat).max(initial=0.0)))
+        symmetric = not asymmetry(mat, 1e-9)[1]
         eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
         entries.append(MonitorEntry(stage=stage, name=name, min_eigenvalue=eig,
                                     symmetric=symmetric, asserted=bool(asserted and symmetric)))
@@ -443,7 +416,7 @@ def definiteness_monitor(solution) -> DefinitenessLog:
     if isinstance(solution, ControlSolution):
         for t in range(solution.Z.shape[0]):
             record(solution.Z[t], t, "Z", asserted=True)
-    elif isinstance(solution, StageFeedbackSolution):
+    elif isinstance(solution, FeedbackNashSolution):
         n, horizon = solution.Z.shape[0], solution.Z.shape[1] - 1
         for i in range(n):
             for t in range(horizon + 1):
@@ -526,8 +499,7 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
     """Run the full oracle battery on one solution and collect a report."""
     report = VerificationReport(solver=solver_name, pattern=pattern, seed=seed,
                                 samples=samples, fd_step=fd_step, magnitude=magnitude)
-    is_stackelberg = isinstance(
-        solution, (FeedbackStackelbergSolution, OpenLoopStackelbergSolution))
+    is_stackelberg = _solver_row(solution, pattern).stackelberg
 
     report.stationarity = stationarity(spec, solution, pattern, h=fd_step, x0=x0)
     for i, r in report.stationarity.items():

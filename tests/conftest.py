@@ -7,6 +7,8 @@ which keeps every value-matrix recursion inside the PSD cone (and is what
 the Stackelberg solvers require of the leader anyway).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ def random_game(seed, n_players=None, state_dim=None, horizon=None,
         stages = tuple(stage for _ in range(T))
     players = tuple(Player(control_dim=m, name=f"P{i + 1}") for i, m in enumerate(dims))
     return GameSpec(horizon=T, state_dim=p, players=players, stages=stages)
+
+
+def strict_json(text):
+    """Parse JSON, refusing the non-standard constants NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def random_x0(seed, spec) -> np.ndarray:

@@ -7,7 +7,7 @@ from dyngame import cli
 from dyngame.game import constant_game
 from dyngame.gameio import save_game
 
-from conftest import random_game, scalar_unit_lqr, scalar_unit_two_player
+from conftest import random_game, scalar_unit_lqr, scalar_unit_two_player, strict_json
 
 
 @pytest.fixture
@@ -102,6 +102,39 @@ def test_x0_dimension_checked(unit_game_path):
                      "--solver", "openloop-nash", "--x0", "1,2"]) == 1
 
 
+def test_solve_openloop_stackelberg_path_laws(tmp_path):
+    from dyngame.game import AffineLaw, rollout
+    spec = random_game(811, n_players=3, state_dim=2, horizon=4)
+    path = tmp_path / "g3.json"
+    save_game(spec, path)
+    x0 = [0.7, -0.4]
+    out = tmp_path / "ols.json"
+    assert cli.main(["solve", "--game", str(path), "--solver", "openloop-stackelberg",
+                     "--x0=" + ",".join(map(str, x0)), "--out", str(out)]) == 0
+    doc = strict_json(out.read_text())
+    laws = [[AffineLaw(np.array(law["G"]), np.array(law["g"])) for law in stage]
+            for stage in doc["laws"]]
+    traj = rollout(spec, laws, np.array(x0))
+    for i, u in enumerate(doc["trajectory"]["controls"]):
+        assert np.abs(traj.controls[i] - np.array(u)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"],
+                                   ["--fd-step", "0"]])
+def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, flags):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--game", unit_game_path, "--solver", "feedback-nash",
+                     "--x0", "1", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_simulate_nan_x0_is_input_error(unit_game_path, tmp_path):
+    out = tmp_path / "t.json"
+    assert cli.main(["simulate", "--game", unit_game_path, "--solver", "feedback-nash",
+                     "--x0", "nan", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_verify_passes_on_unit_game(unit_game_path, tmp_path):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--game", unit_game_path,
@@ -125,12 +158,13 @@ def test_verify_runs_end_to_end(tmp_path):
 
 
 def test_solver_singularity_exits_2(unit_game_path, monkeypatch):
+    from dyngame import feedback_nash
     from dyngame.errors import SingularSystemError
 
     def explode(spec):
         raise SingularSystemError("no unique equilibrium", context="stage 0")
 
-    monkeypatch.setattr(cli.feedback_nash, "solve", explode)
+    monkeypatch.setattr(feedback_nash, "solve", explode)
     assert cli.main(["solve", "--game", unit_game_path,
                      "--solver", "feedback-nash"]) == 2
 

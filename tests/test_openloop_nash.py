@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from dyngame import feedback_nash, lqr, openloop_nash
-from dyngame.errors import SingularSystemError
+from dyngame.errors import InvalidGameError, SingularSystemError
 from dyngame.game import constant_game, rollout, truncate
 
 from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
@@ -17,6 +17,12 @@ def test_scalar_unit_instance():
     assert sol.trajectory.states[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert sol.Phi[0][0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert sol.transition_residual() <= 1e-10
+
+
+@pytest.mark.parametrize("x0", [np.array([1.0, 2.0]), np.array([np.nan])])
+def test_bad_x0_is_input_error(x0):
+    with pytest.raises(InvalidGameError, match="x0"):
+        openloop_nash.solve(scalar_unit_two_player(), x0)
 
 
 def test_pure_control_targets():

@@ -176,6 +176,40 @@ class TestLeaderGap:
             verify.leader_gap(spec, nash, verify.OPEN_LOOP)
 
 
+class TestSettingsWithoutEvidence:
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_deviation_samples_below_one_rejected(self, samples):
+        spec = scalar_unit_two_player()
+        sol = openloop_nash.solve(spec, np.array([1.0]))
+        with pytest.raises(InvalidGameError, match="samples"):
+            verify.deviation_gap(spec, sol, verify.OPEN_LOOP, player=0, samples=samples)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_leader_samples_below_one_rejected(self, samples):
+        spec = scalar_unit_two_player()
+        x0 = np.array([1.0])
+        sol = feedback_stackelberg.solve(spec)
+        with pytest.raises(InvalidGameError, match="samples"):
+            verify.run_verification(spec, sol, verify.FEEDBACK, "feedback-stackelberg",
+                                    x0=x0, samples=5, leader_samples=samples)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
+    def test_fd_step_must_be_finite_and_positive(self, h):
+        spec = scalar_unit_two_player()
+        sol = feedback_nash.solve(spec)
+        with pytest.raises(InvalidGameError, match="finite-difference step"):
+            verify.stationarity(spec, sol, verify.FEEDBACK, h=h, x0=np.array([1.0]))
+
+    @pytest.mark.parametrize("magnitude", [0.0, -1e-3])
+    def test_magnitude_must_be_positive(self, magnitude):
+        spec = scalar_unit_two_player()
+        ol = openloop_stackelberg.solve(spec, np.array([1.0]))
+        with pytest.raises(InvalidGameError, match="magnitude"):
+            verify.deviation_gap(spec, ol, verify.OPEN_LOOP, player=1, magnitude=magnitude)
+        with pytest.raises(InvalidGameError, match="magnitude"):
+            verify.leader_gap(spec, ol, verify.OPEN_LOOP, magnitude=magnitude)
+
+
 class TestTimeConsistency:
     def test_feedback_nash_is_stc(self):
         spec = random_game(611, n_players=2, horizon=4)
