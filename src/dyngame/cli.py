@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output file (default: stdout)")
             p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="validation tolerance (symmetry/definiteness)")
+                       help="symmetry/definiteness tolerance of this command's own "
+                            "validation step; every solver re-checks the game at 1e-9")
         if leader:
             p.add_argument("--leader", type=int, default=None, metavar="I",
                            help="reorder players so 1-based player I moves first "

@@ -304,7 +304,13 @@ def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = Fal
 
 @dataclass(frozen=True)
 class AffineLaw:
-    """Stage decision rule u = G x + g."""
+    """Affine decision rule u = G x + g.
+
+    A stage rule has G (m, p) and g (m,).  One player's rules over the
+    whole horizon stack into G (T, m, p) and g (T, m), and S sampled
+    sequences of them into G (S, T, m, p) and g (S, T, m); the
+    player-major form of :func:`rollout` takes those.
+    """
 
     G: np.ndarray
     g: np.ndarray
@@ -317,9 +323,26 @@ class AffineLaw:
         return self.G @ np.asarray(x, dtype=float) + self.g
 
 
+def law_sequences(laws) -> list[AffineLaw]:
+    """Stage-major laws ``laws[t][i]`` as one law sequence per player,
+    gains (T, m_i, p) and offsets (T, m_i)."""
+    n = len(laws[0])
+    if any(len(row) != n for row in laws):
+        raise InvalidGameError("every stage must hold one law per player")
+    try:
+        return [AffineLaw(np.array([row[i].G for row in laws]), np.array([row[i].g for row in laws]))
+                for i in range(n)]
+    except ValueError as exc:
+        raise InvalidGameError(f"the stage laws of one player differ in shape: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """States x_0..x_T, per-player controls u_0..u_{T-1}, and realized costs."""
+    """States x_0..x_T, per-player controls u_0..u_{T-1}, and realized costs.
+
+    A batch of S trajectories from :func:`rollout` puts a leading sample
+    axis on every field.
+    """
 
     states: np.ndarray               # (T+1, p)
     controls: tuple[np.ndarray, ...]  # per player, (T, m_i)
@@ -334,7 +357,7 @@ class Trajectory:
 
     @property
     def horizon(self) -> int:
-        return self.states.shape[0] - 1
+        return self.states.shape[-2] - 1
 
 
 def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -> float:
@@ -364,7 +387,7 @@ def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -
 
 def total_cost(spec: GameSpec, traj: Trajectory, player: int) -> float:
     """Stage-additive total cost of one player along a trajectory."""
-    if traj.horizon != spec.horizon or traj.states.shape[1] != spec.state_dim:
+    if traj.states.shape != (spec.horizon + 1, spec.state_dim):
         raise InvalidGameError(
             f"trajectory shape {traj.states.shape} inconsistent with the game"
         )
@@ -389,55 +412,85 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     """Simulate the state equation under laws or explicit control sequences.
 
     ``laws_or_controls`` is either stage-major laws ``laws[t][i]``
-    (:class:`AffineLaw`, evaluated at the realized x_t) or player-major
-    explicit sequences ``controls[i]`` of shape (T, m_i).
+    (:class:`AffineLaw` stage rules, evaluated at the realized x_t) or
+    player-major, one entry per player: an explicit control sequence of
+    shape (T, m_i), or an :class:`AffineLaw` holding the player's rules for
+    every stage, gains (T, m_i, p) and offsets (T, m_i).
+
+    Any player-major array may carry a leading sample axis, (S, T, m_i) or
+    (S, T, m_i, p); arrays without one are shared by all samples.  Then S
+    trajectories from the same x0 are rolled out together and every field
+    of the returned :class:`Trajectory` has a leading axis S.  Stage costs
+    are evaluated for all stages and samples in one pass after the state
+    loop.
     """
     x0 = initial_state(spec, x0)
-    T, n = spec.horizon, spec.n_players
+    T = spec.horizon
+    players, S = _player_major(spec, laws_or_controls)
 
-    by_law = _is_lawset(laws_or_controls)
-    if by_law:
-        laws = laws_or_controls
-        if len(laws) != T:
-            raise InvalidGameError(f"expected laws for {T} stages, got {len(laws)}")
-    else:
-        controls = [np.atleast_2d(np.asarray(u, dtype=float)) for u in laws_or_controls]
-        if len(controls) != n:
-            raise InvalidGameError(f"expected {n} control sequences, got {len(controls)}")
-        for i, u in enumerate(controls):
-            if u.shape != (T, spec.control_dims[i]):
-                raise InvalidGameError(
-                    f"control sequence {i} has shape {u.shape}, "
-                    f"expected {(T, spec.control_dims[i])}"
-                )
+    states = np.empty((S or 1, T + 1, spec.state_dim))
+    states[:, 0] = x0
+    x = states[:, 0]
+    played = [np.empty((S or 1, T, m)) for m in spec.control_dims]
+    for t, st in enumerate(spec.stages):
+        x_next = x @ st.A.T + st.s
+        for i, (GT, g, U) in enumerate(players):
+            if GT is None:
+                u = U[..., t, :]
+            else:
+                u = (x[:, None, :] @ GT[..., t, :, :])[:, 0] + g[..., t, :]
+            played[i][:, t] = u
+            x_next += u @ st.B[i].T
+        states[:, t + 1] = x = x_next
 
-    states = np.empty((T + 1, spec.state_dim))
-    states[0] = x0
-    played = [np.empty((T, m)) for m in spec.control_dims]
-    costs = np.empty((n, T))
-    for t in range(T):
-        st = spec.stages[t]
-        if by_law:
-            us = [np.atleast_1d(np.asarray(laws[t][i](states[t]), dtype=float)) for i in range(n)]
-        else:
-            us = [controls[i][t] for i in range(n)]
-        x_next = st.A @ states[t] + st.s
-        for i in range(n):
-            played[i][t] = us[i]
-            x_next = x_next + st.B[i] @ us[i]
-        states[t + 1] = x_next
-        # Same formula as stage_cost, evaluated inline (this is the hot loop
-        # of every sampling oracle).
-        for i in range(n):
-            dx = x_next - st.x_target[i]
-            c = 0.5 * (dx @ st.Q[i] @ dx)
-            for j in range(n):
-                du = us[j] - st.u_target[i][j]
-                c += 0.5 * (du @ st.R[i][j] @ du)
-            costs[i, t] = c
-
+    costs = _stage_costs(spec, states, played)
+    if S is None:
+        states, played, costs = states[0], [u[0] for u in played], costs[0]
     return Trajectory(states=states, controls=tuple(played),
-                      stage_costs=costs, total_costs=costs.sum(axis=1))
+                      stage_costs=costs, total_costs=costs.sum(axis=-1))
+
+
+def _player_major(spec: GameSpec, laws_or_controls):
+    """Per player ``(G', g, None)`` for a law sequence, with the gains
+    transposed to (..., T, p, m), or ``(None, None, U)`` for a control
+    sequence, checked against the game; and the common sample count (None
+    when no array has a sample axis)."""
+    T, p, n = spec.horizon, spec.state_dim, spec.n_players
+    if len(spec.stages) != T:
+        raise InvalidGameError(f"expected {T} stages, got {len(spec.stages)}")
+    if _is_lawset(laws_or_controls):
+        if len(laws_or_controls) != T:
+            raise InvalidGameError(f"expected laws for {T} stages, got {len(laws_or_controls)}")
+        entries = law_sequences(laws_or_controls)
+    else:
+        entries = list(laws_or_controls)
+    if len(entries) != n:
+        raise InvalidGameError(f"expected {n} control sequences or law sequences, got {len(entries)}")
+
+    counts = set()
+
+    def checked(arr, shape, what):
+        if arr.shape not in (shape, arr.shape[:1] + shape):
+            raise InvalidGameError(f"{what} has shape {arr.shape}, expected {shape} "
+                                   f"or (samples, {', '.join(map(str, shape))})")
+        if arr.ndim > len(shape):
+            counts.add(arr.shape[0])
+        return arr
+
+    players = []
+    for i, (entry, m) in enumerate(zip(entries, spec.control_dims)):
+        if isinstance(entry, AffineLaw):
+            players.append((np.swapaxes(checked(entry.G, (T, m, p), f"law sequence {i} gains"), -1, -2),
+                            checked(entry.g, (T, m), f"law sequence {i} offsets"), None))
+        else:
+            U = np.atleast_2d(np.asarray(entry, dtype=float))
+            players.append((None, None, checked(U, (T, m), f"control sequence {i}")))
+    if len(counts) > 1:
+        raise InvalidGameError(f"players give different sample counts {sorted(counts)}")
+    S = counts.pop() if counts else None
+    if S == 0:
+        raise InvalidGameError("a sample axis must hold at least one sample")
+    return players, S
 
 
 def _is_lawset(obj) -> bool:
@@ -446,6 +499,22 @@ def _is_lawset(obj) -> bool:
     except (TypeError, IndexError, KeyError):
         return False
     return isinstance(first, AffineLaw)
+
+
+def _stage_costs(spec: GameSpec, states: np.ndarray, controls) -> np.ndarray:
+    """Every player's stage costs (S, n, T) along S trajectories, all
+    stages at once; the formula of :func:`stage_cost`."""
+    n, stages = spec.n_players, spec.stages
+
+    def quadratic(d, W):  # 1/2 d' W d per sample, player and stage
+        return 0.5 * np.einsum("sntk,ntkl,sntl->snt", d, W, d)
+
+    costs = quadratic(states[:, None, 1:] - np.array([[st.x_target[i] for st in stages] for i in range(n)]),
+                      np.array([[st.Q[i] for st in stages] for i in range(n)]))
+    for j, u in enumerate(controls):
+        costs += quadratic(u[:, None] - np.array([[st.u_target[i][j] for st in stages] for i in range(n)]),
+                           np.array([[st.R[i][j] for st in stages] for i in range(n)]))
+    return costs
 
 
 # ---------------------------------------------------------------------------

@@ -189,11 +189,21 @@ def _check_list(value, pointer, n):
     return value
 
 
-def _as_matrix(value, pointer, rows, cols, square=False):
+def _as_finite(value, pointer, kind):
+    """``value`` as a float array whose entries are all finite: JSON's
+    ``NaN``/``Infinity`` and numbers beyond the float range are refused."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GameFormatError(pointer, f"not a numeric matrix: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GameFormatError(pointer, f"not a numeric {kind}: {exc}") from exc
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise GameFormatError(pointer, f"entries must be finite numbers, got {bad[0]}")
+    return arr
+
+
+def _as_matrix(value, pointer, rows, cols, square=False):
+    arr = _as_finite(value, pointer, "matrix")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2:
@@ -206,10 +216,7 @@ def _as_matrix(value, pointer, rows, cols, square=False):
 
 
 def _as_vector(value, pointer, length):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GameFormatError(pointer, f"not a numeric vector: {exc}") from exc
+    arr = _as_finite(value, pointer, "vector")
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.shape[0] != length:

@@ -33,7 +33,8 @@ def solve_dense(A: np.ndarray, B: np.ndarray, context: str | None = None) -> np.
 
     Raises :class:`SingularSystemError` (naming ``context``) when a pivot
     falls below ``PIVOT_RTOL * ||A||`` or the solution fails the residual
-    bound ``||AX - B|| <= RESIDUAL_RTOL * (1 + ||A|| ||X||)``.
+    bound ``||AX - B|| <= RESIDUAL_RTOL * (1 + ||A|| ||X||)``, which a
+    NaN in ``B`` or ``X`` fails too.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -61,7 +62,7 @@ def solve_dense(A: np.ndarray, B: np.ndarray, context: str | None = None) -> np.
 
     residual = np.abs(A @ X - B).max(initial=0.0)
     bound = RESIDUAL_RTOL * (1.0 + norm_A * np.abs(X).max(initial=0.0))
-    if residual > bound:
+    if not residual <= bound:  # also refuses a NaN residual
         cond = _condition_estimate(A)
         raise SingularSystemError(
             f"solution residual {residual:.2e} exceeds bound {bound:.2e} "

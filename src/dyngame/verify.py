@@ -8,6 +8,11 @@ internal recursion of the solver under test to certify itself.
 Randomness is reproducible across platforms: all sampling uses numpy's
 PCG64 generator (64-bit state) seeded explicitly, via
 ``np.random.Generator(np.random.PCG64(seed))``.
+
+The sampling checks run batched: every deviation, leader-gap and
+finite-difference sample of one check goes through a single rollout over
+a sample axis.  Only the open-loop Stackelberg leader's checks, whose
+objective re-solves the followers' game, still take one solve per sample.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import AffineLaw, GameSpec, fold_player_controls, rollout, stage_cost, truncate
+from .game import AffineLaw, GameSpec, fold_player_controls, law_sequences, rollout, truncate
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -88,7 +93,8 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
     Feedback: per-stage derivatives of the cost-to-go along the
     equilibrium path, other players acting through their laws, with the
     Stackelberg leader differentiated through the followers' stage
-    reactions.
+    reactions.  All probes of one call share one rollout, except the
+    open-loop Stackelberg leader's.
     """
     row = _solver_row(solution, pattern)
     _require_positive("finite-difference step", h)
@@ -99,71 +105,70 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
 
 def _stationarity_open_loop(spec, sol, h, stackelberg):
     T, n = spec.horizon, spec.n_players
-    controls = [u.copy() for u in sol.trajectory.controls]
+    controls = list(sol.trajectory.controls)
     x0 = sol.x0
 
     out: dict[int, float] = {}
-    for i in range(n):
-        if stackelberg and i == 0:
-            def cost(u_flat):
-                return leader_cost_open_loop(
-                    spec, u_flat.reshape(T, spec.control_dims[0]), x0)
-        else:
-            def cost(u_flat, i=i):
-                us = [controls[j] if j != i else u_flat.reshape(T, spec.control_dims[i])
-                      for j in range(n)]
-                return rollout(spec, us, x0).total_costs[i]
-        grad = central_gradient(cost, controls[i].ravel(), h)
-        out[i] = float(np.abs(grad).max(initial=0.0))
+    if stackelberg:
+        # The leader's objective re-solves the followers' game per probe.
+        def cost(u_flat):
+            return leader_cost_open_loop(spec, u_flat.reshape(T, spec.control_dims[0]), x0)
+        out[0] = float(np.abs(central_gradient(cost, controls[0].ravel(), h)).max(initial=0.0))
+
+    # Every other player: one rollout over a +h/-h sample pair per control
+    # entry, the other players' sequences held fixed.
+    players = range(1 if stackelberg else 0, n)
+    who = np.concatenate([np.full(controls[i].size, i) for i in players])
+    entry = np.concatenate([np.arange(controls[i].size) for i in players])
+    P = who.size
+    for i in players:
+        probe = np.flatnonzero(who == i)
+        batch = np.repeat(controls[i][None], 2 * P, axis=0).reshape(2 * P, -1)
+        batch[probe, entry[probe]] += h
+        batch[probe + P, entry[probe]] -= h
+        controls[i] = batch.reshape(2 * P, *controls[i].shape)
+    f = rollout(spec, controls, x0).total_costs[np.arange(2 * P), np.tile(who, 2)]
+    grad = (f[:P] - f[P:]) / (2.0 * h)
+    for i in players:
+        out[i] = float(np.abs(grad[who == i]).max(initial=0.0))
     return out
-
-
-def _played_cost(spec, player, t, x, controls_at):
-    """Player's cost of stages t..T-1 from pre-decision state x, with every
-    player's stage-tau controls given by ``controls_at(tau, x_tau)``."""
-    total = 0.0
-    for tau in range(t, spec.horizon):
-        st = spec.stages[tau]
-        us = controls_at(tau, x)
-        x_next = st.A @ x + st.s
-        for j in range(spec.n_players):
-            x_next = x_next + st.B[j] @ us[j]
-        total += stage_cost(spec, player, tau, x_next, us)
-        x = x_next
-    return total
-
-
-def _tail_cost(spec, laws, t, x, player, stage_controls):
-    """Cost of stages t..T-1 from pre-decision state x, with stage-t
-    controls given explicitly and later stages played by the laws."""
-    return _played_cost(spec, player, t, x, lambda tau, xx: stage_controls if tau == t
-                        else [law(xx) for law in laws[tau]])
 
 
 def _stationarity_feedback(spec, sol, h, x0, stackelberg):
     if x0 is None:
         raise InvalidGameError("feedback stationarity needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
-    T, n = spec.horizon, spec.n_players
-    laws = sol.laws
-    states = rollout(spec, laws, x0).states
+    T, n, dims = spec.horizon, spec.n_players, spec.control_dims
+    laws = law_sequences(sol.laws)
 
-    out = {i: 0.0 for i in range(n)}
-    for t in range(T):
-        x = states[t]
-        base = [laws[t][j](x) for j in range(n)]
-        for i in range(n):
-            if stackelberg and i == 0:
-                def cost(u1, t=t, x=x):
-                    us = [np.asarray(u1)] + sol.stage_reaction(t, x, u1)
-                    return _tail_cost(spec, laws, t, x, 0, us)
-            else:
-                def cost(ui, t=t, x=x, i=i, base=base):
-                    us = [base[j] if j != i else np.asarray(ui) for j in range(n)]
-                    return _tail_cost(spec, laws, t, x, i, us)
-            grad = central_gradient(cost, base[i], h)
-            out[i] = max(out[i], float(np.abs(grad).max(initial=0.0)))
-    return out
+    # One +h/-h sample pair per (stage t, player i, control entry k): the
+    # stage-t control of player i moves by +-h e_k, every other stage-t
+    # control and every later stage follows the laws, and the residual
+    # differentiates player i's cost of stages t..T-1.  Stages before t
+    # follow the laws too, so each sample reaches the on-path x_t.
+    probes = np.array([(t, i, k) for t in range(T) for i in range(n) for k in range(dims[i])])
+    P = len(probes)
+    t_of, i_of, k_of = np.tile(probes, (2, 1)).T  # samples P.. repeat the probes
+    step = np.repeat([h, -h], P)
+    G = [law.G for law in laws]
+    g = [np.repeat(law.g[None], 2 * P, axis=0) for law in laws]
+    for i in range(n):
+        rows = np.flatnonzero(i_of == i)
+        g[i][rows, t_of[rows], k_of[rows]] += step[rows]
+    if stackelberg:
+        # A moved leader control meets the followers' stage reactions:
+        # their stage-t laws become W + rbar G1, w + rbar (g1 +- h e_k).
+        folded = _leader_played(_reactions(sol), AffineLaw(G[0], g[0]))
+        at = ((i_of == 0)[:, None] & (np.arange(T) == t_of[:, None]))[:, :, None]
+        for k in range(1, n):
+            G[k] = np.where(at[..., None], folded[k].G, G[k])
+            g[k] = np.where(at, folded[k].g, g[k])
+
+    costs = rollout(spec, [AffineLaw(Gi, gi) for Gi, gi in zip(G, g)], x0).stage_costs
+    tail = np.where(np.arange(T) >= t_of[:, None], costs[np.arange(2 * P), i_of], 0.0)
+    f = tail.sum(axis=1)
+    grad = np.abs(f[:P] - f[P:]) / (2.0 * h)
+    return {i: float(grad[i_of[:P] == i].max(initial=0.0)) for i in range(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -189,55 +194,55 @@ def deviation_gap(spec: GameSpec, solution, pattern: str, player: int,
     return _deviation_feedback(spec, solution, player, samples, magnitude, rng, x0)
 
 
-def _unit(rng, shape):
-    d = rng.standard_normal(shape)
-    norm = np.linalg.norm(d)
-    return d if norm == 0 else d / norm
+def _unit_rows(rng, samples, size):
+    """``samples`` random unit directions of length ``size``, one per row.
+
+    One draw of shape (samples, size) gives the same numbers, bit for bit,
+    as ``samples`` draws of ``size`` in turn, and each row's norm is its
+    own dot product, as ``np.linalg.norm`` computes it for that row alone,
+    so the sample set of a seed does not depend on the batching.
+    """
+    d = rng.standard_normal((samples, size))
+    norm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    return d / np.where(norm == 0, 1.0, norm)[:, None]
 
 
 def _sequence_perturbations(u, samples, magnitude, rng):
-    """``samples`` random perturbations of a control sequence, each of norm
-    ``magnitude`` times the sequence's norm (at least 1)."""
+    """``samples`` random perturbations of a control sequence, (samples,
+    T, m), each of norm ``magnitude`` times the sequence's norm (at least
+    1)."""
     scale = magnitude * max(1.0, np.linalg.norm(u))
-    for _ in range(samples):
-        yield u + scale * _unit(rng, u.shape)
+    return u + scale * _unit_rows(rng, samples, u.size).reshape(samples, *u.shape)
 
 
-def _law_perturbations(laws, samples, magnitude, rng):
-    """``samples`` random perturbations of one player's stage laws: one
-    unit direction over all gain and offset entries per sample, scaled by
-    ``magnitude`` times the largest gain entry (at least 1)."""
-    T = len(laws)
-    m, p = laws[0].G.shape
-    scale = magnitude * max(1.0, max(np.abs(l.G).max(initial=0.0) for l in laws))
-    for _ in range(samples):
-        flat = _unit(rng, T * (m * p + m)) * scale
-        dG = flat[:T * m * p].reshape(T, m, p)
-        dg = flat[T * m * p:].reshape(T, m)
-        yield [AffineLaw(l.G + dG[t], l.g + dg[t]) for t, l in enumerate(laws)]
+def _law_perturbations(law, samples, magnitude, rng):
+    """``samples`` random perturbations of one player's law sequence, as a
+    law sequence with a sample axis: one unit direction over all gain and
+    offset entries per sample, scaled by ``magnitude`` times the largest
+    gain entry (at least 1)."""
+    G, g = law.G, law.g
+    scale = magnitude * max(1.0, np.abs(G).max(initial=0.0))
+    flat = _unit_rows(rng, samples, G.size + g.size) * scale
+    return AffineLaw(G + flat[:, :G.size].reshape(samples, *G.shape),
+                     g + flat[:, G.size:].reshape(samples, *g.shape))
 
 
 def _deviation_open_loop(spec, sol, player, samples, magnitude, rng):
-    controls = sol.trajectory.controls
-    base_cost = sol.trajectory.total_costs[player]
-    worst = np.inf
-    for dev in _sequence_perturbations(controls[player], samples, magnitude, rng):
-        us = [controls[j] if j != player else dev for j in range(spec.n_players)]
-        worst = min(worst, rollout(spec, us, sol.x0).total_costs[player] - base_cost)
-    return float(worst)
+    controls = list(sol.trajectory.controls)
+    controls[player] = _sequence_perturbations(controls[player], samples, magnitude, rng)
+    costs = rollout(spec, controls, sol.x0).total_costs[:, player]
+    return float((costs - sol.trajectory.total_costs[player]).min())
 
 
 def _deviation_feedback(spec, sol, player, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback deviation sampling needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
-    laws = sol.laws
+    laws = law_sequences(sol.laws)
     base_cost = rollout(spec, laws, x0).total_costs[player]
-    worst = np.inf
-    for dev in _law_perturbations([l[player] for l in laws], samples, magnitude, rng):
-        dev_laws = [row[:player] + [d] + row[player + 1:] for row, d in zip(laws, dev)]
-        worst = min(worst, rollout(spec, dev_laws, x0).total_costs[player] - base_cost)
-    return float(worst)
+    laws[player] = _law_perturbations(laws[player], samples, magnitude, rng)
+    costs = rollout(spec, laws, x0).total_costs[:, player]
+    return float((costs - base_cost).min())
 
 
 def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
@@ -282,25 +287,32 @@ def _leader_gap_open_loop(spec, sol, samples, magnitude, rng):
     return float(worst)
 
 
-def _leader_cost_feedback(spec, sol, leader_laws, x0):
-    """Leader's realized cost when it plays ``leader_laws`` and followers
-    react stagewise through the solution's reaction maps."""
-    def controls_at(t, x):
-        u1 = leader_laws[t](x)
-        return [u1] + sol.stage_reaction(t, x, u1)
-    return _played_cost(spec, 0, 0, np.asarray(x0, dtype=float), controls_at)
+def _reactions(sol):
+    """The followers' stage reaction maps r = W x + rbar u_leader + w as
+    one (W, rbar, w) sequence triple per follower, stacked over stages."""
+    r = sol.reactions
+    return [tuple(np.array([stage[k] for stage in seq]) for seq in (r.W, r.rbar, r.w))
+            for k in range(len(r.W[0]))]
+
+
+def _leader_played(reactions, leader):
+    """Every player's law sequence when the leader plays ``leader`` and
+    each follower reacts stagewise through its reaction map, which folds
+    into the follower law W + rbar G1, w + rbar g1."""
+    return [leader] + [AffineLaw(W + rbar @ leader.G, w + (rbar @ leader.g[..., None])[..., 0])
+                       for W, rbar, w in reactions]
 
 
 def _leader_gap_feedback(spec, sol, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback leader gap needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
-    base_laws = [l[0] for l in sol.laws]
-    base = _leader_cost_feedback(spec, sol, base_laws, x0)
-    worst = np.inf
-    for dev in _law_perturbations(base_laws, samples, magnitude, rng):
-        worst = min(worst, _leader_cost_feedback(spec, sol, dev, x0) - base)
-    return float(worst)
+    reactions = _reactions(sol)
+    leader = law_sequences(sol.laws)[0]
+    base = rollout(spec, _leader_played(reactions, leader), x0).total_costs[0]
+    deviated = _law_perturbations(leader, samples, magnitude, rng)
+    costs = rollout(spec, _leader_played(reactions, deviated), x0).total_costs[:, 0]
+    return float((costs - base).min())
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,16 @@ def test_malformed_json_is_input_error(tmp_path):
     assert cli.main(["validate", "--game", str(path)]) == 1
 
 
+def test_nan_drift_is_input_error(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"horizon": 2, "state_dim": 2, "players": [{"control_dim": 1}], '
+                    '"stage": {"A": [[1, 0], [0, 1]], "B": [[[1], [0]]], "s": [NaN, 0], '
+                    '"Q": [[[1, 0], [0, 1]]], "R": [[[[1]]]]}}')
+    out = tmp_path / "o.json"
+    assert cli.main(["solve", "--game", str(path), "--x0", "1,1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_solve_feedback_nash_values(unit_game_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli.main(["solve", "--game", unit_game_path, "--solver", "feedback-nash",

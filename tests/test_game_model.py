@@ -230,6 +230,21 @@ class TestJsonRoundTrip:
         with pytest.raises(GameFormatError, match="/stage/Q/0"):
             game_from_dict(doc)
 
+    @pytest.mark.parametrize("field, text", [
+        ("s", '[NaN, 0]'), ("s", '[0, -Infinity]'), ("A", '[[1e999, 0], [0, 1]]'),
+        ("A", '[[1' + '0' * 400 + ', 0], [0, 1]]'), ("Q", '[[[1, 0], [0, Infinity]]]'),
+    ], ids=["nan", "minus-infinity", "float-overflow", "int-overflow", "infinity"])
+    def test_non_finite_numbers_rejected_with_pointer(self, tmp_path, field, text):
+        stage = {"A": "[[1, 0], [0, 1]]", "B": "[[[1], [0]]]", "s": "[0, 0]",
+                 "Q": "[[[1, 0], [0, 1]]]", "R": "[[[[1]]]]"}
+        stage[field] = text
+        body = ", ".join(f'"{k}": {v}' for k, v in stage.items())
+        path = tmp_path / "game.json"
+        path.write_text('{"horizon": 2, "state_dim": 2, "players": [{"control_dim": 1}], '
+                        f'"stage": {{{body}}}}}')
+        with pytest.raises(GameFormatError, match=f"/stage/{field}"):
+            load_game(path)
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -36,6 +36,11 @@ class TestSolveDense:
         with pytest.raises(InvalidGameError):
             solve_dense(np.ones((2, 3)), np.ones(2))
 
+    def test_nan_right_hand_side_raises(self):
+        # a NaN residual must fail the residual bound, not slip past it
+        with pytest.raises(SingularSystemError, match="residual"):
+            solve_dense(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([np.nan, 1.0]))
+
 
 class TestClassifyDefiniteness:
     def test_identity_pd(self):
