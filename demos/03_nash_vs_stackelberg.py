@@ -44,4 +44,4 @@ for u1 in (0.0, -0.2, -0.4):
 from dyngame import truncate
 tail = feedback_nash.solve(truncate(game, 3))
 print("\ntail re-solve gain gap at stage 3:",
-      np.abs(tail.gains[0][0] - nash.gains[3][0]).max())
+      np.abs(tail.laws[0].G[0] - nash.laws[0].G[3]).max())

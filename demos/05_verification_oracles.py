@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from dyngame import feedback_nash, verify
+from dyngame import AffineLaw, feedback_nash, verify
 from dyngame import constant_game
 
 game = constant_game(
@@ -31,9 +31,10 @@ print(json.dumps({k: report.as_dict()[k] for k in
                  indent=2))
 
 # Corrupt player 1's stage-0 gain and run the same battery.
-bad_gains = ((sol.gains[0][0] + 0.25, sol.gains[0][1]),) + sol.gains[1:]
+G = sol.laws[0].G.copy()
+G[0] -= 0.25
 bad = feedback_nash.FeedbackNashSolution(
-    spec=game, gains=bad_gains, offsets=sol.offsets,
+    spec=game, laws=(AffineLaw(G, sol.laws[0].g), sol.laws[1]),
     Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const)
 
 bad_report = verify.run_verification(game, bad, verify.FEEDBACK, "feedback-nash",

@@ -2,7 +2,8 @@
 
 Subcommands: ``validate``, ``solve``, ``simulate``, ``verify``,
 ``compare``.  Exit codes: 0 success, 1 validation or input failure,
-2 solver failure (singular system), 3 verification failure.
+2 numerical failure (a singular system, or a result that is not finite),
+3 verification failure.  No output holds NaN or Infinity.
 
 Logging level comes from the DYNGAME_LOG environment variable
 (error | info | debug).  Reports are written as JSON (sorted keys, so
@@ -41,7 +42,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A result that overflows is refused as not finite when it is
+        # written, so numpy's floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except GameFormatError as exc:
         log.error("invalid game file: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
@@ -124,16 +128,20 @@ def _parse_x0(arg: str | None, spec: GameSpec, required: bool) -> np.ndarray | N
         if required:
             raise InvalidGameError("--x0 is required for open-loop solvers")
         return None
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            values = json.loads(text)
-        except json.JSONDecodeError:
-            values = [float(v) for v in text.replace(",", " ").split()]
-    else:
-        values = [float(v) for v in arg.split(",") if v.strip()]
-    return initial_state(spec, np.asarray(values, dtype=float).ravel())
+    try:
+        if os.path.exists(arg):
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            try:
+                values = json.loads(text)
+            except json.JSONDecodeError:
+                values = [float(v) for v in text.replace(",", " ").split()]
+        else:
+            values = [float(v) for v in arg.split(",") if v.strip()]
+        x0 = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise InvalidGameError(f"--x0 must be a list of numbers: {exc}") from exc
+    return initial_state(spec, x0)
 
 
 def _load_and_validate(args) -> GameSpec:
@@ -228,7 +236,7 @@ def cmd_compare(args) -> int:
     # Nash columns first, then Stackelberg.
     for name in sorted(SOLVERS, key=lambda name: SOLVERS[name].stackelberg):
         try:
-            rows[name] = _solve(spec, name, x0)[1]
+            rows[name] = _finite(_solve(spec, name, x0)[1])
         except InvalidGameError as exc:
             # A solver whose own validation gate is stricter than the CLI's
             # (feedback Stackelberg needs PSD leader cross weights) is
@@ -287,15 +295,28 @@ def _print_comparison(spec, rows, skipped):
 # Serialization helpers
 
 
+NOT_FINITE = "the result is not finite (NaN or Infinity)"
+
+
+def _finite(traj: Trajectory) -> Trajectory:
+    """``traj``, refused as a numerical failure when a state, control or
+    cost is not finite."""
+    if not all(np.isfinite(a).all() for a in (traj.states, traj.stage_costs, *traj.controls)):
+        raise SingularSystemError(NOT_FINITE)
+    return traj
+
+
 def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SingularSystemError(NOT_FINITE) from exc
 
 
 def _laws_doc(laws):
-    return [
-        [{"G": law.G.tolist(), "g": law.g.tolist()} for law in stage]
-        for stage in laws
-    ]
+    """The per-player law sequences in the stage-major layout ``[t][i]``."""
+    return [[{"G": law.G[t].tolist(), "g": law.g[t].tolist()} for law in laws]
+            for t in range(len(laws[0].g))]
 
 
 def _trajectory_doc(spec, traj: Trajectory):
@@ -308,6 +329,7 @@ def _trajectory_doc(spec, traj: Trajectory):
 
 
 def _trajectory_csv(spec, traj: Trajectory) -> str:
+    _finite(traj)
     cols = ["t"]
     cols += [f"x{k}" for k in range(spec.state_dim)]
     for i in range(spec.n_players):

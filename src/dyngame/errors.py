@@ -22,7 +22,8 @@ class DefinitenessError(DynGameError, ValueError):
 
 
 class SingularSystemError(DynGameError, ArithmeticError):
-    """A dense linear system was singular (or numerically rank deficient).
+    """A numerical failure: a dense linear system was singular (or
+    numerically rank deficient), or a result came out NaN or infinite.
 
     ``context`` names the system being solved so solver failures point at
     the originating equation (e.g. the stacked stage gain system).

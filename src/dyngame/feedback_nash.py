@@ -30,25 +30,17 @@ from .numerics import solve_dense
 
 @dataclass(frozen=True)
 class FeedbackNashSolution:
-    """Per-stage affine laws plus each player's value coefficients.
+    """Each player's law sequence plus value coefficients.
 
-    ``gains[t][i]`` is P_t^i with u_t^i = -P_t^i x_t - offsets[t][i]; the
-    reported laws negate into the unified u = G x + g convention.
+    ``laws[i]`` holds player i's rules u_t^i = G_t^i x_t + g_t^i, the
+    negated P_t^i and alpha_t^i of the recursion's u = -P x - alpha.
     """
 
     spec: GameSpec
-    gains: tuple[tuple[np.ndarray, ...], ...]    # [t][i] (m_i, p)
-    offsets: tuple[tuple[np.ndarray, ...], ...]  # [t][i] (m_i,)
+    laws: tuple[AffineLaw, ...]  # per player, G (T, m_i, p), g (T, m_i)
     Z: np.ndarray        # (n, T+1, p, p)
     zeta: np.ndarray     # (n, T+1, p)
     n_const: np.ndarray  # (n, T+1)
-
-    @property
-    def laws(self) -> list[list[AffineLaw]]:
-        return [
-            [AffineLaw(-P, -a) for P, a in zip(stage_P, stage_a)]
-            for stage_P, stage_a in zip(self.gains, self.offsets)
-        ]
 
     def value(self, x0: np.ndarray, player: int) -> float:
         """Equilibrium cost of one player from the initial state."""
@@ -125,8 +117,8 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
         Z[i, T] = spec.stages[T - 1].Q[i]
 
     all_players = list(range(n))
-    gains: list[tuple[np.ndarray, ...]] = [None] * T
-    offsets: list[tuple[np.ndarray, ...]] = [None] * T
+    G = [np.empty((T, m, p)) for m in dims]
+    g = [np.empty((T, m)) for m in dims]
 
     for t in range(T - 1, -1, -1):
         st = spec.stages[t]
@@ -147,12 +139,12 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
         blocks = _split(sol, dims)
         P = [blk[:, :p] for blk in blocks]
         alpha = [blk[:, p] for blk in blocks]
-        gains[t] = tuple(P)
-        offsets[t] = tuple(alpha)
+        for i in all_players:
+            G[i][t], g[i][t] = -P[i], -alpha[i]
 
         _update_quadratics(spec, t, P, alpha, Z, zeta, n_const)
 
-    return FeedbackNashSolution(spec=spec, gains=tuple(gains), offsets=tuple(offsets),
+    return FeedbackNashSolution(spec=spec, laws=tuple(map(AffineLaw, G, g)),
                                 Z=Z, zeta=zeta, n_const=n_const)
 
 
@@ -186,79 +178,3 @@ def _update_quadratics(spec, t, P, alpha, Z, zeta, n_const):
                      + sum(st.u_target[i][j] @ st.R[i][j] @ st.u_target[i][j]
                            for j in range(n)))
         )
-
-
-def solve_alt(spec: GameSpec) -> FeedbackNashSolution:
-    """Same equilibrium through the direct-law formulation.
-
-    Solves for the laws u = G x + g directly (no sign flip), propagating
-    H (= Z) and the shifted linear coefficient h instead of zeta.  A pure
-    renaming of :func:`solve` algebraically; kept as an independent code
-    path so the two can be compared as a regression check.
-    """
-    require_valid(spec)
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    dims = spec.control_dims
-
-    H = np.empty((n, T + 1, p, p))
-    h = np.zeros((n, T + 1, p))
-    for i in range(n):
-        H[i, T] = spec.stages[T - 1].Q[i]
-        h[i, T] = spec.stages[T - 1].Q[i] @ spec.stages[T - 1].x_target[i]
-
-    # Value constants are not part of the rewrite; rebuilt with the shared
-    # closed-loop update so the returned object still evaluates values.
-    Z = np.empty((n, T + 1, p, p))
-    zeta = np.zeros((n, T + 1, p))
-    n_const = np.zeros((n, T + 1))
-    for i in range(n):
-        Z[i, T] = spec.stages[T - 1].Q[i]
-
-    all_players = list(range(n))
-    gains: list[tuple[np.ndarray, ...]] = [None] * T
-    offsets: list[tuple[np.ndarray, ...]] = [None] * T
-
-    for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        H_next = [H[i, t + 1] for i in range(n)]
-        C = stacked_stage_operator(st.B, H_next, st.R, all_players)
-        rhs_G = np.vstack([-(st.B[i].T @ H_next[i] @ st.A) for i in range(n)])
-        v = [st.B[i].T @ (H_next[i] @ st.s - h[i, t + 1]) - st.R[i][i] @ st.u_target[i][i]
-             for i in range(n)]
-        rhs_g = np.concatenate([-v[i] for i in range(n)])
-        sol = solve_dense(C, np.hstack([rhs_G, rhs_g[:, None]]),
-                          context=f"stage {t} direct-law system")
-        blocks = _split(sol, dims)
-        G = [blk[:, :p] for blk in blocks]
-        g = [blk[:, p] for blk in blocks]
-        gains[t] = tuple(-Gi for Gi in G)
-        offsets[t] = tuple(-gi for gi in g)
-
-        K = st.A + sum(st.B[j] @ G[j] for j in range(n))
-        k_vec = st.s + sum(st.B[j] @ g[j] for j in range(n))
-        for i in range(n):
-            Ht = (K.T @ H_next[i] @ K
-                  + sum(G[j].T @ st.R[i][j] @ G[j] for j in range(n))
-                  + spec.prev_state_weight(t, i))
-            H[i, t] = 0.5 * (Ht + Ht.T)
-            prev_xt = (spec.stages[t - 1].x_target[i] if t > 0 else np.zeros(p))
-            h[i, t] = (spec.prev_state_weight(t, i) @ prev_xt
-                       - K.T @ (H_next[i] @ k_vec - h[i, t + 1])
-                       + sum(G[j].T @ st.R[i][j] @ (st.u_target[i][j] - g[j])
-                             for j in range(n)))
-
-        _update_quadratics(spec, t, [-Gi for Gi in G], [-gi for gi in g], Z, zeta, n_const)
-
-    return FeedbackNashSolution(spec=spec, gains=tuple(gains), offsets=tuple(offsets),
-                                Z=Z, zeta=zeta, n_const=n_const)
-
-
-def law_deviation(a: FeedbackNashSolution, b: FeedbackNashSolution) -> float:
-    """Max entrywise gap between two solutions' laws (gains and offsets)."""
-    worst = 0.0
-    for laws_a, laws_b in zip(a.laws, b.laws):
-        for la, lb in zip(laws_a, laws_b):
-            worst = max(worst,
-                        np.abs(la.G - lb.G).max(initial=0.0),
-                        np.abs(la.g - lb.g).max(initial=0.0))
-    return float(worst)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InvalidGameError, SingularSystemError
 from .feedback_nash import (FeedbackNashSolution, _split, _update_quadratics, gain_rhs,
                             stacked_stage_operator, stage_rhs)
-from .game import GameSpec, require_valid
+from .game import AffineLaw, GameSpec, require_valid
 from .numerics import solve_dense
 
 
@@ -38,14 +38,15 @@ from .numerics import solve_dense
 class ReactionCoefficients:
     """Stagewise follower reaction maps r^i = W^i x + rbar^i u_leader + w^i.
 
-    Indexed ``[t][i]`` with i = 0 the *first follower* (player 1 of the
-    game).  ``rbar`` is the sensitivity of follower i's stage reaction to
-    the leader's stage control.
+    One array per follower, stacked over stages and indexed ``[k][t]``
+    with k = 0 the *first follower* (player 1 of the game).  ``rbar`` is
+    the sensitivity of follower k's stage reaction to the leader's stage
+    control.
     """
 
-    W: tuple[tuple[np.ndarray, ...], ...]     # (m_i, p)
-    rbar: tuple[tuple[np.ndarray, ...], ...]  # (m_i, m_leader)
-    w: tuple[tuple[np.ndarray, ...], ...]     # (m_i,)
+    W: tuple[np.ndarray, ...]     # (T, m_k, p)
+    rbar: tuple[np.ndarray, ...]  # (T, m_k, m_leader)
+    w: tuple[np.ndarray, ...]     # (T, m_k)
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,9 @@ class FeedbackStackelbergSolution(FeedbackNashSolution):
         given equilibrium continuation from stage t+1 on."""
         x = np.asarray(x, dtype=float)
         u_leader = np.atleast_1d(np.asarray(u_leader, dtype=float))
-        return [
-            self.reactions.W[t][i] @ x + self.reactions.rbar[t][i] @ u_leader
-            + self.reactions.w[t][i]
-            for i in range(self.spec.n_players - 1)
-        ]
+        r = self.reactions
+        return [r.W[k][t] @ x + r.rbar[k][t] @ u_leader + r.w[k][t]
+                for k in range(self.spec.n_players - 1)]
 
 
 def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
@@ -82,11 +81,11 @@ def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
     for i in range(n):
         Z[i, T] = spec.stages[T - 1].Q[i]
 
-    gains: list[tuple[np.ndarray, ...]] = [None] * T
-    offsets: list[tuple[np.ndarray, ...]] = [None] * T
-    W_all: list[tuple[np.ndarray, ...]] = [None] * T
-    rbar_all: list[tuple[np.ndarray, ...]] = [None] * T
-    w_all: list[tuple[np.ndarray, ...]] = [None] * T
+    G = [np.empty((T, m, p)) for m in dims]
+    g = [np.empty((T, m)) for m in dims]
+    W_all = [np.empty((T, m, p)) for m in fdims]
+    rbar_all = [np.empty((T, m, m1)) for m in fdims]
+    w_all = [np.empty((T, m)) for m in fdims]
 
     for t in range(T - 1, -1, -1):
         st = spec.stages[t]
@@ -107,7 +106,8 @@ def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
         rbar = [blk[:, :m1] for blk in blocks]
         W = [blk[:, m1:m1 + p] for blk in blocks]
         w = [blk[:, m1 + p] for blk in blocks]
-        rbar_all[t], W_all[t], w_all[t] = tuple(rbar), tuple(W), tuple(w)
+        for k in range(n - 1):
+            rbar_all[k][t], W_all[k][t], w_all[k][t] = rbar[k], W[k], w[k]
 
         # Leader stage optimization through the reaction map.
         Bbar = st.B[0] + sum(st.B[i] @ rbar[k] for k, i in enumerate(followers))
@@ -133,92 +133,26 @@ def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
         fblocks = _split(packed_f, fdims)
         P = [P1] + [blk[:, :p] for blk in fblocks]
         alpha = [a1] + [blk[:, p] for blk in fblocks]
-        gains[t] = tuple(P)
-        offsets[t] = tuple(alpha)
+        for i in range(n):
+            G[i][t], g[i][t] = -P[i], -alpha[i]
 
         _update_quadratics(spec, t, P, alpha, Z, zeta, n_const)
 
     return FeedbackStackelbergSolution(
-        spec=spec, gains=tuple(gains), offsets=tuple(offsets),
+        spec=spec, laws=tuple(map(AffineLaw, G, g)),
         Z=Z, zeta=zeta, n_const=n_const,
         reactions=ReactionCoefficients(W=tuple(W_all), rbar=tuple(rbar_all), w=tuple(w_all)),
     )
 
 
 def reaction_consistency(sol: FeedbackStackelbergSolution) -> float:
-    """Max violation of P^i = -W^i + rbar^i P_leader (and the offset analog)."""
+    """Max violation of G^i = W^i + rbar^i G_leader (and the offset analog),
+    i.e. P^i = -W^i + rbar^i P_leader in the recursion's signs."""
+    leader, r = sol.laws[0], sol.reactions
     worst = 0.0
-    for t in range(sol.spec.horizon):
-        P1, a1 = sol.gains[t][0], sol.offsets[t][0]
-        for k in range(sol.spec.n_players - 1):
-            P_pred = -sol.reactions.W[t][k] + sol.reactions.rbar[t][k] @ P1
-            a_pred = -sol.reactions.w[t][k] + sol.reactions.rbar[t][k] @ a1
-            worst = max(worst,
-                        np.abs(P_pred - sol.gains[t][k + 1]).max(initial=0.0),
-                        np.abs(a_pred - sol.offsets[t][k + 1]).max(initial=0.0))
+    for k, law in enumerate(sol.laws[1:]):
+        G_pred = r.W[k] + r.rbar[k] @ leader.G
+        g_pred = r.w[k] + (r.rbar[k] @ leader.g[..., None])[..., 0]
+        worst = max(worst, np.abs(G_pred - law.G).max(initial=0.0),
+                    np.abs(g_pred - law.g).max(initial=0.0))
     return float(worst)
-
-
-def crosscheck_two_player_lq(spec: GameSpec) -> float:
-    """Two-player linear-quadratic cross-check via push-through closed forms.
-
-    Requires n = 2, zero drift and targets, and identity own-control
-    weights.  The leader gain is then expressible in closed form with the
-    push-through inverse identities (no reaction coefficients appear);
-    returns the max gain deviation from :func:`solve`.  This guards the
-    exact closed-form expression, which is easy to get wrong.
-    """
-    _require_two_player_lq(spec)
-    main = solve(spec)
-    T, p = spec.horizon, spec.state_dim
-
-    n = 2
-    L = np.empty((n, T + 1, p, p))
-    for i in range(n):
-        L[i, T] = spec.stages[T - 1].Q[i]
-
-    worst = 0.0
-    for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        A, B1, B2 = st.A, st.B[0], st.B[1]
-        R12 = st.R[0][1]
-        L1, L2 = L[0, t + 1], L[1, t + 1]
-        m2 = B2.shape[1]
-
-        # Push-through forms: with E = (I + B2 B2' L2)^{-1},
-        # B1 + B2 rbar = E B1 and A + B2 W = E A.
-        E = np.linalg.inv(np.eye(p) + B2 @ B2.T @ L2)
-        core = np.linalg.inv(np.eye(m2) + B2.T @ L2 @ B2)
-        cross = L2 @ B2 @ core @ R12 @ core @ B2.T @ L2
-        S1 = np.linalg.solve(
-            B1.T @ E.T @ L1 @ E @ B1 + B1.T @ cross @ B1 + np.eye(B1.shape[1]),
-            B1.T @ (E.T @ L1 @ E + cross) @ A,
-        )
-        S2 = np.linalg.solve(np.eye(m2) + B2.T @ L2 @ B2,
-                             B2.T @ L2 @ (A - B1 @ S1))
-
-        worst = max(worst,
-                    np.abs(S1 - main.gains[t][0]).max(initial=0.0),
-                    np.abs(S2 - main.gains[t][1]).max(initial=0.0))
-
-        F = A - B1 @ S1 - B2 @ S2
-        for i, (Si, Sj, Rij) in enumerate(((S1, S2, st.R[0][1]), (S2, S1, st.R[1][0]))):
-            Lt = (F.T @ L[i, t + 1] @ F + Si.T @ Si + Sj.T @ Rij @ Sj
-                  + spec.prev_state_weight(t, i))
-            L[i, t] = 0.5 * (Lt + Lt.T)
-    return float(worst)
-
-
-def _require_two_player_lq(spec: GameSpec) -> None:
-    if spec.n_players != 2:
-        raise InvalidGameError("cross-check requires exactly two players")
-    for t, st in enumerate(spec.stages):
-        if np.any(st.s):
-            raise InvalidGameError(f"stage {t}: cross-check requires zero drift")
-        for i in range(2):
-            if np.any(st.x_target[i]) or any(np.any(u) for u in st.u_target[i]):
-                raise InvalidGameError(f"stage {t}: cross-check requires zero targets")
-            if not np.allclose(st.R[i][i], np.eye(spec.control_dims[i]), atol=1e-12):
-                raise InvalidGameError(
-                    f"stage {t}: cross-check requires identity own-control weights"
-                )

@@ -16,9 +16,10 @@ Conventions used throughout the package:
   with per-player state targets ``xt_i`` and per-pair control targets
   ``ut_ij``.  No cost is charged on the initial state.
 
-* All reported decision rules use the single convention ``u = G x + g``
-  (:class:`AffineLaw`); solvers whose natural recursions produce
-  ``u = -P x - alpha`` negate on output.
+* All reported decision rules use the single convention ``u = G x + g``,
+  stored per player as one :class:`AffineLaw` over the whole horizon;
+  solvers whose natural recursions produce ``u = -P x - alpha`` negate
+  as they fill it.
 """
 
 from __future__ import annotations
@@ -304,36 +305,20 @@ def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = Fal
 
 @dataclass(frozen=True)
 class AffineLaw:
-    """Affine decision rule u = G x + g.
+    """One player's affine decision rules u_t = G_t x_t + g_t over the horizon.
 
-    A stage rule has G (m, p) and g (m,).  One player's rules over the
-    whole horizon stack into G (T, m, p) and g (T, m), and S sampled
-    sequences of them into G (S, T, m, p) and g (S, T, m); the
-    player-major form of :func:`rollout` takes those.
+    Gains G (T, m, p) and offsets g (T, m); S sampled sequences of them
+    carry a leading sample axis, G (S, T, m, p) and g (S, T, m).  Every
+    solution stores one law sequence per player, and :func:`rollout` plays
+    them.
     """
 
     G: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "G", _freeze(np.atleast_2d(np.asarray(self.G, dtype=float))))
-        object.__setattr__(self, "g", _freeze(np.atleast_1d(np.asarray(self.g, dtype=float))))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.G @ np.asarray(x, dtype=float) + self.g
-
-
-def law_sequences(laws) -> list[AffineLaw]:
-    """Stage-major laws ``laws[t][i]`` as one law sequence per player,
-    gains (T, m_i, p) and offsets (T, m_i)."""
-    n = len(laws[0])
-    if any(len(row) != n for row in laws):
-        raise InvalidGameError("every stage must hold one law per player")
-    try:
-        return [AffineLaw(np.array([row[i].G for row in laws]), np.array([row[i].g for row in laws]))
-                for i in range(n)]
-    except ValueError as exc:
-        raise InvalidGameError(f"the stage laws of one player differ in shape: {exc}") from exc
+        object.__setattr__(self, "G", _freeze(self.G))
+        object.__setattr__(self, "g", _freeze(self.g))
 
 
 @dataclass(frozen=True)
@@ -411,13 +396,11 @@ def initial_state(spec: GameSpec, x0) -> np.ndarray:
 def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     """Simulate the state equation under laws or explicit control sequences.
 
-    ``laws_or_controls`` is either stage-major laws ``laws[t][i]``
-    (:class:`AffineLaw` stage rules, evaluated at the realized x_t) or
-    player-major, one entry per player: an explicit control sequence of
-    shape (T, m_i), or an :class:`AffineLaw` holding the player's rules for
-    every stage, gains (T, m_i, p) and offsets (T, m_i).
+    ``laws_or_controls`` holds one entry per player: an explicit control
+    sequence of shape (T, m_i), or an :class:`AffineLaw` law sequence,
+    gains (T, m_i, p) and offsets (T, m_i), evaluated at the realized x_t.
 
-    Any player-major array may carry a leading sample axis, (S, T, m_i) or
+    Any entry may carry a leading sample axis, (S, T, m_i) or
     (S, T, m_i, p); arrays without one are shared by all samples.  Then S
     trajectories from the same x0 are rolled out together and every field
     of the returned :class:`Trajectory` has a leading axis S.  Stage costs
@@ -458,12 +441,7 @@ def _player_major(spec: GameSpec, laws_or_controls):
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
     if len(spec.stages) != T:
         raise InvalidGameError(f"expected {T} stages, got {len(spec.stages)}")
-    if _is_lawset(laws_or_controls):
-        if len(laws_or_controls) != T:
-            raise InvalidGameError(f"expected laws for {T} stages, got {len(laws_or_controls)}")
-        entries = law_sequences(laws_or_controls)
-    else:
-        entries = list(laws_or_controls)
+    entries = list(laws_or_controls)
     if len(entries) != n:
         raise InvalidGameError(f"expected {n} control sequences or law sequences, got {len(entries)}")
 
@@ -483,7 +461,10 @@ def _player_major(spec: GameSpec, laws_or_controls):
             players.append((np.swapaxes(checked(entry.G, (T, m, p), f"law sequence {i} gains"), -1, -2),
                             checked(entry.g, (T, m), f"law sequence {i} offsets"), None))
         else:
-            U = np.atleast_2d(np.asarray(entry, dtype=float))
+            try:
+                U = np.atleast_2d(np.asarray(entry, dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise InvalidGameError(f"control sequence {i} is not a numeric array: {exc}") from exc
             players.append((None, None, checked(U, (T, m), f"control sequence {i}")))
     if len(counts) > 1:
         raise InvalidGameError(f"players give different sample counts {sorted(counts)}")
@@ -491,14 +472,6 @@ def _player_major(spec: GameSpec, laws_or_controls):
     if S == 0:
         raise InvalidGameError("a sample axis must hold at least one sample")
     return players, S
-
-
-def _is_lawset(obj) -> bool:
-    try:
-        first = obj[0][0]
-    except (TypeError, IndexError, KeyError):
-        return False
-    return isinstance(first, AffineLaw)
 
 
 def _stage_costs(spec: GameSpec, states: np.ndarray, controls) -> np.ndarray:

@@ -11,10 +11,6 @@ cost-to-go Hessian of stage t+1; consequently Z_T equals the last stage's
 Q and the optimal value from x_0 is exactly 1/2 x0'Z_0 x0 + zeta_0'x0 + n_0
 (no stage weight is ever charged on x_0).
 
-The module also provides an algebraically equivalent "pre-multiplied"
-formulation (gain built from (R + B'SB)^{-1} B' directly) used purely as a
-cross-check; the two code paths must agree to machine precision.
-
 Zero cost targets are required here; games with targets are handled by the
 n-player feedback Nash solver, which reduces to this problem for n = 1.
 """
@@ -32,22 +28,18 @@ from .numerics import solve_dense
 
 @dataclass(frozen=True)
 class ControlSolution:
-    """Backward-recursion output: per-stage gains and value coefficients.
+    """Backward-recursion output: the player's law sequence and value
+    coefficients.
 
     Laws are reported as u = G x + g; internally the recursion produces
     u = -P x - alpha, so G = -P and g = -alpha.
     """
 
     spec: GameSpec
-    gains: tuple[np.ndarray, ...]     # P_t, (m, p), t = 0..T-1
-    offsets: tuple[np.ndarray, ...]   # alpha_t, (m,)
+    laws: tuple[AffineLaw]            # one, G (T, m, p), g (T, m)
     Z: np.ndarray                     # (T+1, p, p)
     zeta: np.ndarray                  # (T+1, p)
     n_const: np.ndarray               # (T+1,)
-
-    @property
-    def laws(self) -> list[list[AffineLaw]]:
-        return [[AffineLaw(-P, -a)] for P, a in zip(self.gains, self.offsets)]
 
     def value(self, x0: np.ndarray) -> float:
         """Optimal cost from the initial state."""
@@ -88,8 +80,8 @@ def solve_control(spec: GameSpec) -> ControlSolution:
     zeta = np.zeros((T + 1, p))
     n_const = np.zeros(T + 1)
     Z[T] = spec.stages[T - 1].Q[0]
-    gains: list[np.ndarray] = [None] * T
-    offsets: list[np.ndarray] = [None] * T
+    G = np.empty((T, m, p))
+    g = np.empty((T, m))
 
     for t in range(T - 1, -1, -1):
         st = spec.stages[t]
@@ -98,8 +90,7 @@ def solve_control(spec: GameSpec) -> ControlSolution:
         P = solve_dense(H, B.T @ Z[t + 1] @ A, context=f"stage {t} control gain")
         alpha = solve_dense(H, B.T @ (Z[t + 1] @ s + zeta[t + 1]),
                             context=f"stage {t} control offset")
-        gains[t] = P
-        offsets[t] = alpha
+        G[t], g[t] = -P, -alpha
 
         F = A - B @ P
         d = s - B @ alpha
@@ -109,47 +100,5 @@ def solve_control(spec: GameSpec) -> ControlSolution:
         n_const[t] = (n_const[t + 1] + 0.5 * d @ Z[t + 1] @ d
                       + zeta[t + 1] @ d + 0.5 * alpha @ R @ alpha)
 
-    return ControlSolution(spec=spec, gains=tuple(gains), offsets=tuple(offsets),
+    return ControlSolution(spec=spec, laws=(AffineLaw(G, g),),
                            Z=Z, zeta=zeta, n_const=n_const)
-
-
-def crosscheck_premultiplied(spec: GameSpec) -> float:
-    """Max deviation between the main laws and the pre-multiplied rewrite.
-
-    The rewrite factors the gain as (R + B'SB)^{-1} B' applied to S A and
-    to (S s + sigma); it is the same algebra in a different grouping and a
-    regression guard for the value-recursion constants.  Expected ~1e-12.
-    """
-    main = solve_control(spec)
-    T, p = spec.horizon, spec.state_dim
-
-    S = np.empty((T + 1, p, p))
-    sigma = np.zeros((T + 1, p))
-    q_const = np.zeros(T + 1)
-    S[T] = spec.stages[T - 1].Q[0]
-
-    worst = 0.0
-    for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        A, B, s, R = st.A, st.B[0], st.s, st.R[0][0]
-        # Pre-multiplied kernel: K = (R + B'SB)^{-1} B'
-        K = solve_dense(R + B.T @ S[t + 1] @ B, B.T, context=f"stage {t} rewrite kernel")
-        P = K @ S[t + 1] @ A
-        alpha = K @ (S[t + 1] @ s + sigma[t + 1])
-
-        G_dev = np.abs((-P) - main.laws[t][0].G).max(initial=0.0)
-        g_dev = np.abs((-alpha) - main.laws[t][0].g).max(initial=0.0)
-        worst = max(worst, G_dev, g_dev)
-
-        F = A - B @ P
-        d = s - B @ alpha
-        St = F.T @ S[t + 1] @ F + P.T @ R @ P + spec.prev_state_weight(t, 0)
-        S[t] = 0.5 * (St + St.T)
-        sigma[t] = F.T @ (sigma[t + 1] + S[t + 1] @ d) + P.T @ R @ alpha
-        q_const[t] = (q_const[t + 1] + 0.5 * d @ S[t + 1] @ d
-                      + sigma[t + 1] @ d + 0.5 * alpha @ R @ alpha)
-
-    worst = max(worst, np.abs(S[0] - main.Z[0]).max(initial=0.0),
-                np.abs(sigma[0] - main.zeta[0]).max(initial=0.0),
-                abs(q_const[0] - main.n_const[0]))
-    return float(worst)

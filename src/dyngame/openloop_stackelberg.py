@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
-from .feedback_stackelberg import _require_two_player_lq
 from .game import AffineLaw, GameSpec, Trajectory, initial_state, require_valid, rollout
 from .numerics import solve_dense
 
@@ -89,6 +88,11 @@ class OpenLoopStackelbergSolution:
     x0: np.ndarray
     initial_mu: np.ndarray          # (n-1, p), zeros for a fresh solve
     trajectory: Trajectory
+    # Per player path laws, G (T, m_i, p), g (T, m_i): G is the path gain
+    # on x_t and g folds in the multiplier terms at their path values, so
+    # the laws reproduce the equilibrium controls along the equilibrium
+    # path only.
+    laws: tuple[AffineLaw, ...]
     mu: np.ndarray                  # (n-1, T+1, p) multiplier paths
     Mx: np.ndarray                  # (n-1, T+1, p, p)
     Mmu: np.ndarray                 # (n-1, n-1, T+1, p, p)
@@ -97,23 +101,6 @@ class OpenLoopStackelbergSolution:
     Lmu: np.ndarray                 # (n-1, T+1, p, p)
     lv: np.ndarray                  # (T+1, p)
     stages: tuple[StageMaps, ...]
-
-    @property
-    def laws(self) -> list[list[AffineLaw]]:
-        """Path laws in the unified u = G x + g convention: G is the path gain
-        on x_t and g folds in the multiplier terms at their path values, so
-        the laws reproduce the equilibrium controls along the equilibrium
-        path only."""
-        nf = self.mu.shape[0]
-        out = []
-        for t, sm in enumerate(self.stages):
-            mu_t = self.mu[:, t]
-            row = [AffineLaw(sm.P1x, sm.alpha1 + sum(sm.P1mu[j] @ mu_t[j] for j in range(nf)))]
-            row += [AffineLaw(sm.Pix[k], sm.alphai[k]
-                              + sum(sm.Pimu[k][j] @ mu_t[j] for j in range(nf)))
-                    for k in range(nf)]
-            out.append(row)
-        return out
 
     def transition_residual(self) -> float:
         """Max gap of the stored (x, mu) paths against the affine maps."""
@@ -170,7 +157,10 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
                 f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
             )
 
-    # Forward pass over the extended state (x, mu^1..mu^nf).
+    # Forward pass over the extended state (x, mu^1..mu^nf); the path laws
+    # take the multiplier terms at their path values.
+    G = [np.empty((T, m, p)) for m in spec.control_dims]
+    g = [np.empty((T, m)) for m in spec.control_dims]
     controls = [np.empty((T, m)) for m in spec.control_dims]
     mu = np.empty((nf, T + 1, p))
     mu[:, 0] = mu0
@@ -178,11 +168,11 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     for t in range(T):
         sm = maps[t]
         mu_t = mu[:, t]
-        u0 = sm.P1x @ x + sm.alpha1 + sum(sm.P1mu[j] @ mu_t[j] for j in range(nf))
-        controls[0][t] = u0
-        for k in range(nf):
-            controls[followers[k]][t] = (sm.Pix[k] @ x + sm.alphai[k]
-                                         + sum(sm.Pimu[k][j] @ mu_t[j] for j in range(nf)))
+        path_gains = [(sm.P1x, sm.alpha1, sm.P1mu)] + list(zip(sm.Pix, sm.alphai, sm.Pimu))
+        for i, (Px, alpha, Pmu) in enumerate(path_gains):
+            mu_terms = sum(Pmu[j] @ mu_t[j] for j in range(nf))
+            G[i][t], g[i][t] = Px, alpha + mu_terms
+            controls[i][t] = Px @ x + alpha + mu_terms
         x_next = sm.Phix @ x + sm.phiv + sum(sm.Phimu[j] @ mu_t[j] for j in range(nf))
         for k in range(nf):
             mu[k, t + 1] = (sm.Psix[k] @ x + sm.psiv[k]
@@ -191,7 +181,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
 
     traj = rollout(spec, controls, x0)
     return OpenLoopStackelbergSolution(
-        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, mu=mu,
+        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj,
+        laws=tuple(map(AffineLaw, G, g)), mu=mu,
         Mx=Mx, Mmu=Mmu, mv=mv, Lx=Lx, Lmu=Lmu, lv=lv, stages=tuple(maps),
     )
 
@@ -456,69 +447,3 @@ def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
     for k in range(nf):
         mx("follower_costate", pco[k, T])
     return res
-
-
-def crosscheck_two_player_lq(spec: GameSpec, x0: np.ndarray) -> float:
-    """Two-player linear-quadratic cross-check with identity own weights.
-
-    With one follower the stacked cocontrol system collapses to inverting
-    B2'(Q2 + Lmu)B2 + I - R12 B2' Mmu B2, and every coefficient map has a
-    closed scalar-block form.  Runs the whole specialized recursion and
-    forward pass independently; returns the max control/state deviation
-    from :func:`solve`.
-    """
-    _require_two_player_lq(spec)
-    main = solve(spec, x0)
-    T, p = spec.horizon, spec.state_dim
-    m2 = spec.control_dims[1]
-
-    MxS = spec.stages[T - 1].Q[1].copy()
-    MmuS = np.zeros((p, p))
-    LxS = spec.stages[T - 1].Q[0].copy()
-    LmuS = np.zeros((p, p))
-
-    seq = []
-    for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        A, B1, B2, R12, Q1, Q2 = st.A, st.B[0], st.B[1], st.R[0][1], st.Q[0], st.Q[1]
-        core = B2.T @ (Q2 + LmuS) @ B2 + np.eye(m2) - R12 @ B2.T @ MmuS @ B2
-        Nx = -np.linalg.solve(core, B2.T @ LxS - R12 @ B2.T @ MxS)
-        Nmu = -np.linalg.solve(core, (B2.T @ (Q2 + LmuS) - R12 @ B2.T @ MmuS) @ A)
-        Tx = -B2.T @ (MxS + MmuS @ B2 @ Nx)
-        Tmu = -B2.T @ MmuS @ (A + B2 @ Nmu)
-        Wx = -B1.T @ (LxS + (LmuS + Q2) @ B2 @ Nx)
-        Wmu = -B1.T @ ((LmuS + Q2) @ A + (LmuS + Q2) @ B2 @ Nmu)
-        E = np.eye(p) - B1 @ Wx - B2 @ Tx
-        Phix = np.linalg.solve(E, A)
-        Phimu = np.linalg.solve(E, B1 @ Wmu + B2 @ Tmu)
-        Psix = B2 @ Nx @ Phix
-        Psimu = A + B2 @ (Nx @ Phimu + Nmu)
-
-        seq.append({
-            "P1x": Wx @ Phix, "P1mu": Wx @ Phimu + Wmu,
-            "P2x": Tx @ Phix, "P2mu": Tx @ Phimu + Tmu,
-            "Phix": Phix, "Phimu": Phimu, "Psix": Psix, "Psimu": Psimu,
-        })
-
-        Mx_new = spec.prev_state_weight(t, 1) + A.T @ (MxS @ Phix + MmuS @ Psix)
-        Mmu_new = A.T @ (MxS @ Phimu + MmuS @ Psimu)
-        Lx_new = spec.prev_state_weight(t, 0) + A.T @ (LxS @ Phix + LmuS @ Psix
-                                                       + Q2 @ B2 @ Nx @ Phix)
-        Lmu_new = A.T @ (LxS @ Phimu + LmuS @ Psimu + Q2 @ A
-                         + Q2 @ B2 @ (Nx @ Phimu + Nmu))
-        MxS, MmuS, LxS, LmuS = Mx_new, Mmu_new, Lx_new, Lmu_new
-
-    seq.reverse()
-    x = np.asarray(x0, dtype=float).copy()
-    mu = np.zeros(p)
-    worst = 0.0
-    for t in range(T):
-        c = seq[t]
-        u1 = c["P1x"] @ x + c["P1mu"] @ mu
-        u2 = c["P2x"] @ x + c["P2mu"] @ mu
-        worst = max(worst,
-                    np.abs(u1 - main.trajectory.controls[0][t]).max(initial=0.0),
-                    np.abs(u2 - main.trajectory.controls[1][t]).max(initial=0.0))
-        x, mu = c["Phix"] @ x + c["Phimu"] @ mu, c["Psix"] @ x + c["Psimu"] @ mu
-        worst = max(worst, np.abs(x - main.trajectory.states[t + 1]).max(initial=0.0))
-    return float(worst)

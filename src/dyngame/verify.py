@@ -24,7 +24,7 @@ import numpy as np
 from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import AffineLaw, GameSpec, fold_player_controls, law_sequences, rollout, truncate
+from .game import AffineLaw, GameSpec, fold_player_controls, rollout, truncate
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -139,7 +139,7 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
         raise InvalidGameError("feedback stationarity needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
     T, n, dims = spec.horizon, spec.n_players, spec.control_dims
-    laws = law_sequences(sol.laws)
+    laws = sol.laws
 
     # One +h/-h sample pair per (stage t, player i, control entry k): the
     # stage-t control of player i moves by +-h e_k, every other stage-t
@@ -158,7 +158,7 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
     if stackelberg:
         # A moved leader control meets the followers' stage reactions:
         # their stage-t laws become W + rbar G1, w + rbar (g1 +- h e_k).
-        folded = _leader_played(_reactions(sol), AffineLaw(G[0], g[0]))
+        folded = _leader_played(sol.reactions, AffineLaw(G[0], g[0]))
         at = ((i_of == 0)[:, None] & (np.arange(T) == t_of[:, None]))[:, :, None]
         for k in range(1, n):
             G[k] = np.where(at[..., None], folded[k].G, G[k])
@@ -238,7 +238,7 @@ def _deviation_feedback(spec, sol, player, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback deviation sampling needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
-    laws = law_sequences(sol.laws)
+    laws = list(sol.laws)
     base_cost = rollout(spec, laws, x0).total_costs[player]
     laws[player] = _law_perturbations(laws[player], samples, magnitude, rng)
     costs = rollout(spec, laws, x0).total_costs[:, player]
@@ -287,31 +287,23 @@ def _leader_gap_open_loop(spec, sol, samples, magnitude, rng):
     return float(worst)
 
 
-def _reactions(sol):
-    """The followers' stage reaction maps r = W x + rbar u_leader + w as
-    one (W, rbar, w) sequence triple per follower, stacked over stages."""
-    r = sol.reactions
-    return [tuple(np.array([stage[k] for stage in seq]) for seq in (r.W, r.rbar, r.w))
-            for k in range(len(r.W[0]))]
-
-
 def _leader_played(reactions, leader):
     """Every player's law sequence when the leader plays ``leader`` and
-    each follower reacts stagewise through its reaction map, which folds
-    into the follower law W + rbar G1, w + rbar g1."""
+    each follower reacts stagewise through its reaction map
+    r = W x + rbar u_leader + w, which folds into the follower law
+    W + rbar G1, w + rbar g1."""
     return [leader] + [AffineLaw(W + rbar @ leader.G, w + (rbar @ leader.g[..., None])[..., 0])
-                       for W, rbar, w in reactions]
+                       for W, rbar, w in zip(reactions.W, reactions.rbar, reactions.w)]
 
 
 def _leader_gap_feedback(spec, sol, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback leader gap needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
-    reactions = _reactions(sol)
-    leader = law_sequences(sol.laws)[0]
-    base = rollout(spec, _leader_played(reactions, leader), x0).total_costs[0]
+    leader = sol.laws[0]
+    base = rollout(spec, _leader_played(sol.reactions, leader), x0).total_costs[0]
     deviated = _law_perturbations(leader, samples, magnitude, rng)
-    costs = rollout(spec, _leader_played(reactions, deviated), x0).total_costs[:, 0]
+    costs = rollout(spec, _leader_played(sol.reactions, deviated), x0).total_costs[:, 0]
     return float((costs - base).min())
 
 
@@ -344,10 +336,9 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
     row = _solver_row(solution, pattern)
     worst = 0.0
     if pattern == FEEDBACK:
-        laws = solution.laws
         for s in range(1, spec.horizon):
             tail = row.solve(truncate(spec, s), None)
-            worst = max(worst, _law_gap(tail.laws, laws[s:]))
+            worst = max(worst, _law_gap(tail.laws, solution.laws, s))
         return TimeConsistency(verdict="STC", tail_deviation=float(worst))
 
     traj = solution.trajectory
@@ -365,14 +356,12 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
                            mu_reset_deviation=None if reset is None else float(reset))
 
 
-def _law_gap(laws_a, laws_b) -> float:
-    """Max entrywise gap between two stage-major law sequences."""
-    worst = 0.0
-    for row_a, row_b in zip(laws_a, laws_b):
-        for a, b in zip(row_a, row_b):
-            worst = max(worst, np.abs(a.G - b.G).max(initial=0.0),
-                        np.abs(a.g - b.g).max(initial=0.0))
-    return worst
+def _law_gap(tail_laws, laws, s) -> float:
+    """Max entrywise gap between tail law sequences and stages s.. of
+    ``laws``."""
+    return max(max(np.abs(a.G - b.G[s:]).max(initial=0.0),
+                   np.abs(a.g - b.g[s:]).max(initial=0.0))
+               for a, b in zip(tail_laws, laws))
 
 
 def _control_gap(tail, controls) -> float:
@@ -403,7 +392,7 @@ class DefinitenessLog:
         return all(e.min_eigenvalue >= PSD_TOL for e in self.entries if e.asserted)
 
     def violations(self) -> list[MonitorEntry]:
-        return [e for e in self.entries if e.asserted and e.min_eigenvalue < PSD_TOL]
+        return [e for e in self.entries if e.asserted and not e.min_eigenvalue >= PSD_TOL]
 
 
 def definiteness_monitor(solution) -> DefinitenessLog:
@@ -515,7 +504,7 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
 
     report.stationarity = stationarity(spec, solution, pattern, h=fd_step, x0=x0)
     for i, r in report.stationarity.items():
-        if r > STATIONARITY_TOL:
+        if not r <= STATIONARITY_TOL:
             report.failures.append(
                 f"stationarity residual of player {i} is {r:.3e} > {STATIONARITY_TOL:.0e}")
 
@@ -525,7 +514,7 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
         gap = deviation_gap(spec, solution, pattern, i, samples=samples,
                             magnitude=magnitude, seed=seed + i, x0=x0)
         report.deviation_gaps[i] = gap
-        if gap < DEVIATION_TOL:
+        if not gap >= DEVIATION_TOL:
             report.failures.append(
                 f"player {i} improved by {-gap:.3e} under a sampled deviation")
 
@@ -533,14 +522,14 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
         report.leader_gap = leader_gap(spec, solution, pattern,
                                        samples=leader_samples, magnitude=magnitude,
                                        seed=seed + spec.n_players, x0=x0)
-        if report.leader_gap < DEVIATION_TOL:
+        if not report.leader_gap >= DEVIATION_TOL:
             report.failures.append(
                 f"leader improved by {-report.leader_gap:.3e} under a sampled deviation")
 
     report.time_consistency = time_consistency(spec, solution, pattern)
     tc = report.time_consistency
     tol = STC_TOL if tc.verdict == "STC" else WTC_TOL
-    if tc.tail_deviation > tol:
+    if not tc.tail_deviation <= tol:
         report.failures.append(
             f"{tc.verdict} tail deviation {tc.tail_deviation:.3e} > {tol:.0e}")
 

@@ -86,6 +86,11 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def act(law, t, x) -> np.ndarray:
+    """The stage-t control of a law sequence at state x, u = G_t x + g_t."""
+    return law.G[t] @ np.asarray(x, dtype=float) + law.g[t]
+
+
 def random_x0(seed, spec) -> np.ndarray:
     return rng_for(seed ^ 0x5EED).standard_normal(spec.state_dim)
 

@@ -18,6 +18,7 @@ from dyngame import (feedback_nash, feedback_stackelberg, lqr, numerics,
                      openloop_nash, openloop_stackelberg, verify)
 from dyngame.game import rollout, single_player_view
 
+import reference_formulations as ref
 from conftest import psd_matrix, random_game, random_x0, rng_for, \
     scalar_unit_lqr, scalar_unit_two_player
 
@@ -123,14 +124,14 @@ def test_criterion_1_scalar_closed_forms(announce):
 
         spec2 = scalar_unit_two_player()
         nash = feedback_nash.solve(spec2)
-        assert abs(nash.laws[0][0].G[0, 0] + 1.0 / 3.0) <= tol
-        assert abs(nash.laws[0][1].G[0, 0] + 1.0 / 3.0) <= tol
+        assert abs(nash.laws[0].G[0][0, 0] + 1.0 / 3.0) <= tol
+        assert abs(nash.laws[1].G[0][0, 0] + 1.0 / 3.0) <= tol
         assert abs(nash.value(x0, 0) - 1.0 / 9.0) <= tol
         assert abs(nash.value(x0, 1) - 1.0 / 9.0) <= tol
 
         stack = feedback_stackelberg.solve(spec2)
-        assert abs(stack.laws[0][0].G[0, 0] + 0.2) <= tol
-        assert abs(stack.laws[0][1].G[0, 0] + 0.4) <= tol
+        assert abs(stack.laws[0].G[0][0, 0] + 0.2) <= tol
+        assert abs(stack.laws[1].G[0][0, 0] + 0.4) <= tol
 
         ol_nash = openloop_nash.solve(spec2, x0)
         for i in range(2):
@@ -149,7 +150,7 @@ def test_criterion_1_scalar_closed_forms(announce):
                           - fb_stack_traj.controls[i]).max() <= tol
 
         ctrl = lqr.solve_control(scalar_unit_lqr())
-        assert abs(ctrl.laws[0][0].G[0, 0] + 0.5) <= tol
+        assert abs(ctrl.laws[0].G[0][0, 0] + 0.5) <= tol
         assert abs(ctrl.value(x0) - 0.25) <= tol
 
 
@@ -166,8 +167,8 @@ def test_criterion_2_reduction_identities(announce, single_player_family,
             nash = feedback_nash.solve(spec)
             ctrl = lqr.solve_control(spec)
             for t in range(spec.horizon):
-                assert np.abs(nash.laws[t][0].G - ctrl.laws[t][0].G).max() <= 1e-10
-                assert np.abs(nash.laws[t][0].g - ctrl.laws[t][0].g).max() <= 1e-10
+                assert np.abs(nash.laws[0].G[t] - ctrl.laws[0].G[t]).max() <= 1e-10
+                assert np.abs(nash.laws[0].g[t] - ctrl.laws[0].g[t]).max() <= 1e-10
 
         # followers without input channels leave the leader with its own
         # single-player problem, in both information patterns
@@ -176,8 +177,8 @@ def test_criterion_2_reduction_identities(announce, single_player_family,
             solo_fb = feedback_nash.solve(solo)
             fb = feedback_stackelberg.solve(spec)
             for t in range(spec.horizon):
-                assert np.abs(fb.laws[t][0].G - solo_fb.laws[t][0].G).max() <= 1e-9
-                assert np.abs(fb.laws[t][0].g - solo_fb.laws[t][0].g).max() <= 1e-9
+                assert np.abs(fb.laws[0].G[t] - solo_fb.laws[0].G[t]).max() <= 1e-9
+                assert np.abs(fb.laws[0].g[t] - solo_fb.laws[0].g[t]).max() <= 1e-9
             ol = openloop_stackelberg.solve(spec, x0)
             solo_ol = openloop_nash.solve(solo, x0)
             assert np.abs(ol.trajectory.controls[0]
@@ -188,17 +189,17 @@ def test_criterion_2_reduction_identities(announce, single_player_family,
             fb = feedback_nash.solve(spec)
             for t in range(spec.horizon):
                 for i in range(spec.n_players):
-                    assert np.abs(fb.offsets[t][i]).max(initial=0.0) <= 1e-12
+                    assert np.abs(fb.laws[i].g[t]).max(initial=0.0) <= 1e-12
             ol = openloop_nash.solve(spec, x0)
             for t in range(spec.horizon):
                 for i in range(spec.n_players):
-                    assert np.abs(ol.offsets[t][i]).max(initial=0.0) <= 1e-12
+                    assert np.abs(ol.laws[i].g[t]).max(initial=0.0) <= 1e-12
             if spec.n_players >= 2:
                 fs = feedback_stackelberg.solve(spec)
                 os_ = openloop_stackelberg.solve(spec, x0)
                 for t in range(spec.horizon):
                     for i in range(spec.n_players):
-                        assert np.abs(fs.offsets[t][i]).max(initial=0.0) <= 1e-12
+                        assert np.abs(fs.laws[i].g[t]).max(initial=0.0) <= 1e-12
                     assert np.abs(os_.stages[t].alpha1).max(initial=0.0) <= 1e-12
                     for a in os_.stages[t].alphai:
                         assert np.abs(a).max(initial=0.0) <= 1e-12
@@ -215,18 +216,18 @@ def test_criterion_3_cross_notation_equivalences(announce, general_family,
                      "(regression for the corrected closed forms)"):
         for spec, x0 in general_family:
             a = feedback_nash.solve(spec)
-            b = feedback_nash.solve_alt(spec)
-            assert feedback_nash.law_deviation(a, b) <= 1e-10
+            b = ref.feedback_nash_solve_alt(spec)
+            assert ref.law_deviation(a, b) <= 1e-10
             c = openloop_nash.solve(spec, x0)
-            d = openloop_nash.solve_alt(spec, x0)
-            assert openloop_nash.control_deviation(c, d) <= 1e-10
+            d = ref.openloop_nash_solve_alt(spec, x0)
+            assert ref.control_deviation(c, d) <= 1e-10
 
         for spec, _ in single_player_family:
-            assert lqr.crosscheck_premultiplied(spec) <= 1e-10
+            assert ref.lqr_crosscheck_premultiplied(spec) <= 1e-10
 
         for spec, x0 in two_player_lq_family:
-            assert feedback_stackelberg.crosscheck_two_player_lq(spec) <= 1e-10
-            assert openloop_stackelberg.crosscheck_two_player_lq(spec, x0) <= 1e-10
+            assert ref.feedback_stackelberg_crosscheck_two_player_lq(spec) <= 1e-10
+            assert ref.openloop_stackelberg_crosscheck_two_player_lq(spec, x0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

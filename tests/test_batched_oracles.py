@@ -16,7 +16,7 @@ import pytest
 
 from dyngame import game, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import AffineLaw, law_sequences, rollout, stage_cost, total_cost
+from dyngame.game import AffineLaw, rollout, stage_cost, total_cost
 from dyngame.solvers import OPEN_LOOP, SOLVERS, solver_of
 
 import reference_formulations as ref
@@ -78,7 +78,7 @@ class TestRolloutSampleAxis:
         spec, sol, x0 = solved("feedback-nash", seed)
         rng = rng_for(seed)
         S, T, p = 7, spec.horizon, spec.state_dim
-        laws = law_sequences(sol.laws)
+        laws = sol.laws
         # player 0 gets per-sample gains and offsets, the last player
         # per-sample explicit controls; any player between keeps its laws.
         G0 = laws[0].G + 0.1 * rng.standard_normal((S,) + laws[0].G.shape)
@@ -104,13 +104,6 @@ class TestRolloutSampleAxis:
                                            rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(batch.total_costs[s], one.total_costs, rtol=1e-13)
 
-    def test_player_major_laws_match_stage_major(self):
-        spec, sol, x0 = solved("feedback-stackelberg", 9)
-        a = rollout(spec, sol.laws, x0)
-        b = rollout(spec, law_sequences(sol.laws), x0)
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.total_costs, b.total_costs)
-
     def test_mismatched_sample_counts_rejected(self):
         spec = random_game(2, n_players=2, horizon=3, control_dims=[1, 2])
         x0 = np.zeros(spec.state_dim)
@@ -134,11 +127,12 @@ class TestRolloutSampleAxis:
         with pytest.raises(InvalidGameError):
             rollout(spec, bad(spec.state_dim), np.zeros(spec.state_dim))
 
-    def test_stage_laws_of_differing_shapes_rejected(self):
-        spec = random_game(4, n_players=1, horizon=2, state_dim=2, control_dims=[1])
-        laws = [[AffineLaw(np.zeros((1, 2)), np.zeros(1))],
-                [AffineLaw(np.zeros((1, 3)), np.zeros(1))]]
-        with pytest.raises(InvalidGameError):
+    def test_stage_major_laws_are_input_errors(self):
+        # laws[t][i] is not a per-player entry; with T = n it even has the
+        # right length
+        spec = random_game(4, n_players=2, horizon=2, state_dim=2, control_dims=[1, 1])
+        laws = [[AffineLaw(np.zeros((1, 2)), np.zeros(1))] * 2] * 2
+        with pytest.raises(InvalidGameError, match="not a numeric array"):
             rollout(spec, laws, np.zeros(2))
 
 
@@ -157,12 +151,11 @@ def test_sampled_directions_are_bit_identical(solver, seed):
             loop = np.array(list(ref.sequence_perturbations(u, 9, 1e-3, verify._rng(seed))))
             np.testing.assert_array_equal(batched, loop)
         else:
-            law = law_sequences(sol.laws)[player]
+            law = sol.laws[player]
             batched = verify._law_perturbations(law, 9, 1e-3, verify._rng(seed))
-            loop = list(ref.law_perturbations([l[player] for l in sol.laws], 9, 1e-3,
-                                              verify._rng(seed)))
-            np.testing.assert_array_equal(batched.G, [[l.G for l in dev] for dev in loop])
-            np.testing.assert_array_equal(batched.g, [[l.g for l in dev] for dev in loop])
+            loop = list(ref.law_perturbations(law, 9, 1e-3, verify._rng(seed)))
+            np.testing.assert_array_equal(batched.G, [dev.G for dev in loop])
+            np.testing.assert_array_equal(batched.g, [dev.g for dev in loop])
 
 
 def test_unit_rows_match_sequential_draws():
@@ -202,9 +195,9 @@ def test_batched_stationarity_sees_a_shifted_feedback_law():
     # A corrupted offset of the second player at one stage must show in
     # that player's residual exactly as in the loop reference.
     spec, sol, x0 = solved("feedback-stackelberg", 17)
-    offsets = [list(o) for o in sol.offsets]
-    offsets[1][1] = offsets[1][1] + 0.05
-    bad = type(sol)(spec=spec, gains=sol.gains, offsets=tuple(tuple(o) for o in offsets),
+    g = sol.laws[1].g.copy()
+    g[1] -= 0.05
+    bad = type(sol)(spec=spec, laws=(sol.laws[0], AffineLaw(sol.laws[1].G, g)) + sol.laws[2:],
                     Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const, reactions=sol.reactions)
     batched = verify.stationarity(spec, bad, verify.FEEDBACK, h=1e-5, x0=x0)
     loop = ref.stationarity(spec, bad, 1e-5, x0)

@@ -122,8 +122,10 @@ def test_solve_openloop_stackelberg_path_laws(tmp_path):
     assert cli.main(["solve", "--game", str(path), "--solver", "openloop-stackelberg",
                      "--x0=" + ",".join(map(str, x0)), "--out", str(out)]) == 0
     doc = strict_json(out.read_text())
-    laws = [[AffineLaw(np.array(law["G"]), np.array(law["g"])) for law in stage]
-            for stage in doc["laws"]]
+    # the JSON layout is stage-major, doc["laws"][t][i]
+    laws = [AffineLaw(np.array([stage[i]["G"] for stage in doc["laws"]]),
+                      np.array([stage[i]["g"] for stage in doc["laws"]]))
+            for i in range(spec.n_players)]
     traj = rollout(spec, laws, np.array(x0))
     for i, u in enumerate(doc["trajectory"]["controls"]):
         assert np.abs(traj.controls[i] - np.array(u)).max() <= 1e-12
@@ -276,7 +278,7 @@ def test_leader_flag_reorders_players(tmp_path):
     swapped = reorder_players(spec, [1, 0])
     sol = feedback_stackelberg.solve(swapped)
     assert doc2["laws"][0][0]["G"][0][0] == pytest.approx(
-        sol.laws[0][0].G[0, 0], abs=1e-12)
+        sol.laws[0].G[0][0, 0], abs=1e-12)
     assert cli.main(["solve", "--game", str(path), "--solver",
                      "feedback-stackelberg", "--x0", "1", "--leader", "5"]) == 1
 
@@ -289,3 +291,55 @@ def test_round_trip_parse_write(tmp_path):
     loaded = load_game(path)
     save_game(loaded, tmp_path / "rt2.json")
     assert (tmp_path / "rt.json").read_bytes() == (tmp_path / "rt2.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Non-finite results and non-numeric input
+
+
+def overflowing_game(n_players, A, T):
+    """A scalar game whose state grows as A^t with no reason to steer it
+    (Q = 0), so the rollout overflows to inf and then NaN."""
+    R = [[[[1.0 if i == j else 0.0]] for j in range(n_players)] for i in range(n_players)]
+    return constant_game(A=[[A]], B=[[[1e-8]]] * n_players, Q=[[[0.0]]] * n_players,
+                         R=R, T=T)
+
+
+@pytest.mark.parametrize("command,solver,n_players,A,T,flags", [
+    ("simulate", "lqr", 1, 10.0, 400, []),
+    ("simulate", "lqr", 1, 10.0, 400, ["--format", "csv"]),
+    # the horizon is short so that the time-consistency re-solves stay
+    # cheap; the state still overflows, 1e10^31 > 1.8e308
+    ("verify", "feedback-nash", 2, 1e10, 40, []),
+])
+def test_non_finite_result_exits_2(tmp_path, capsys, command, solver, n_players, A, T, flags):
+    path = tmp_path / "overflow.json"
+    save_game(overflowing_game(n_players, A, T), path)
+    out = tmp_path / "out"
+    assert cli.main([command, "--game", str(path), "--solver", solver, "--x0", "1",
+                     *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x0_text,as_file", [("abc", False), ('{"a": 1}', True)])
+def test_non_numeric_x0_is_input_error(unit_game_path, tmp_path, capsys, x0_text, as_file):
+    x0 = x0_text
+    if as_file:
+        x0 = str(tmp_path / "x0.json")
+        (tmp_path / "x0.json").write_text(x0_text)
+    assert cli.main(["solve", "--game", unit_game_path, "--x0", x0]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--x0" in err and "Traceback" not in err
+
+
+def test_compare_skips_non_finite_results(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    save_game(overflowing_game(1, 10.0, 400), path)
+    out = tmp_path / "cmp.json"
+    assert cli.main(["compare", "--game", str(path), "--x0", "1", "--out", str(out)]) == 0
+    doc = strict_json(out.read_text())
+    assert doc["results"] == {}
+    assert set(doc["skipped"]) == {"lqr", "feedback-nash", "openloop-nash"}
+    assert capsys.readouterr().out == "no solver produced a solution\n"

@@ -5,14 +5,15 @@ from dyngame import feedback_nash, lqr
 from dyngame.errors import SingularSystemError
 from dyngame.game import GameSpec, constant_game, rollout, stage_cost, truncate
 
-from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
+import reference_formulations as ref
+from conftest import act, random_game, random_x0, rng_for, scalar_unit_two_player
 
 
 def test_symmetric_unit_instance_gains():
     # simultaneous first-order conditions: (x0 + u1 + u2) + u_i = 0 by symmetry
     sol = feedback_nash.solve(scalar_unit_two_player())
-    assert sol.laws[0][0].G[0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert sol.laws[0][1].G[0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert sol.laws[0].G[0][0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert sol.laws[1].G[0][0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 def test_symmetric_unit_instance_values():
@@ -29,8 +30,8 @@ def test_single_player_matches_lqr():
     nash = feedback_nash.solve(spec)
     ctrl = lqr.solve_control(spec)
     for t in range(spec.horizon):
-        assert np.abs(nash.laws[t][0].G - ctrl.laws[t][0].G).max() <= 1e-10
-        assert np.abs(nash.laws[t][0].g - ctrl.laws[t][0].g).max() <= 1e-10
+        assert np.abs(nash.laws[0].G[t] - ctrl.laws[0].G[t]).max() <= 1e-10
+        assert np.abs(nash.laws[0].g[t] - ctrl.laws[0].g[t]).max() <= 1e-10
     x0 = random_x0(201, spec)
     assert nash.value(x0, 0) == pytest.approx(ctrl.value(x0), rel=1e-10)
 
@@ -45,7 +46,7 @@ def test_pure_control_targets_are_tracked():
     sol = feedback_nash.solve(spec)
     traj = rollout(spec, sol.laws, np.array([5.0]))
     for i in range(2):
-        assert np.allclose(sol.laws[0][i].G, 0.0, atol=1e-14)
+        assert np.allclose(sol.laws[i].G[0], 0.0, atol=1e-14)
         assert np.allclose(traj.controls[i], ut[i], atol=1e-13)
 
 
@@ -66,7 +67,7 @@ def test_stagewise_best_response():
     h = 1e-4
     for t in range(spec.horizon):
         x = rng.standard_normal(spec.state_dim)
-        base = [sol.laws[t][j](x) for j in range(2)]
+        base = [act(sol.laws[j], t, x) for j in range(2)]
         for i in range(2):
             def tail(ui):
                 us = [base[j] if j != i else ui for j in range(2)]
@@ -88,8 +89,8 @@ def test_strong_time_consistency():
         tail = feedback_nash.solve(truncate(spec, s))
         for dt in range(spec.horizon - s):
             for i in range(2):
-                assert np.abs(tail.gains[dt][i] - sol.gains[s + dt][i]).max() <= 1e-10
-                assert np.abs(tail.offsets[dt][i] - sol.offsets[s + dt][i]).max() <= 1e-10
+                assert np.abs(tail.laws[i].G[dt] - sol.laws[i].G[s + dt]).max() <= 1e-10
+                assert np.abs(tail.laws[i].g[dt] - sol.laws[i].g[s + dt]).max() <= 1e-10
 
 
 def test_cost_scaling_invariance():
@@ -108,7 +109,7 @@ def test_cost_scaling_invariance():
     scaled = GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
                       players=spec.players, stages=tuple(stages))
     sol2 = feedback_nash.solve(scaled)
-    assert feedback_nash.law_deviation(sol, sol2) <= 1e-9
+    assert ref.law_deviation(sol, sol2) <= 1e-9
 
 
 def test_singular_stage_reported_with_stage_index():
@@ -130,20 +131,20 @@ class TestDirectLawRewrite:
     def test_scalar_instance(self):
         spec = scalar_unit_two_player()
         a = feedback_nash.solve(spec)
-        b = feedback_nash.solve_alt(spec)
-        assert feedback_nash.law_deviation(a, b) <= 1e-12
+        b = ref.feedback_nash_solve_alt(spec)
+        assert ref.law_deviation(a, b) <= 1e-12
 
     @pytest.mark.parametrize("seed,n", [(21, 3), (22, 1)])
     def test_random_instances(self, seed, n):
         spec = random_game(seed, n_players=n, state_dim=2)
         a = feedback_nash.solve(spec)
-        b = feedback_nash.solve_alt(spec)
-        assert feedback_nash.law_deviation(a, b) <= 1e-10
+        b = ref.feedback_nash_solve_alt(spec)
+        assert ref.law_deviation(a, b) <= 1e-10
 
     def test_values_agree_too(self):
         spec = random_game(211, n_players=2)
         a = feedback_nash.solve(spec)
-        b = feedback_nash.solve_alt(spec)
+        b = ref.feedback_nash_solve_alt(spec)
         x0 = random_x0(211, spec)
         for i in range(2):
             assert a.value(x0, i) == pytest.approx(b.value(x0, i), rel=1e-9)

@@ -6,7 +6,8 @@ from dyngame import feedback_nash, feedback_stackelberg, lqr
 from dyngame.errors import InvalidGameError
 from dyngame.game import constant_game, rollout, stage_cost, truncate
 
-from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
+import reference_formulations as ref
+from conftest import act, random_game, random_x0, rng_for, scalar_unit_two_player
 
 
 def bilevel_scalar_oracle(x0=1.0):
@@ -29,8 +30,8 @@ def test_scalar_unit_instance_against_bilevel_oracle():
     assert u2_star == pytest.approx(-0.4, abs=1e-6)
 
     sol = feedback_stackelberg.solve(scalar_unit_two_player())
-    assert sol.laws[0][0].G[0, 0] == pytest.approx(-0.2, abs=1e-12)
-    assert sol.laws[0][1].G[0, 0] == pytest.approx(-0.4, abs=1e-12)
+    assert sol.laws[0].G[0][0, 0] == pytest.approx(-0.2, abs=1e-12)
+    assert sol.laws[1].G[0][0, 0] == pytest.approx(-0.4, abs=1e-12)
     assert sol.reactions.rbar[0][0][0, 0] == pytest.approx(-0.5, abs=1e-12)
     assert sol.reactions.W[0][0][0, 0] == pytest.approx(-0.5, abs=1e-12)
     # leader's value 0.1 x0^2
@@ -64,7 +65,7 @@ def test_uncontrollable_follower_reduces_to_lqr_leader():
                          R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=1,
                          u_target=[[np.zeros(1), np.zeros(1)], [np.zeros(1), ut22]])
     sol = feedback_stackelberg.solve(spec)
-    assert sol.laws[0][0].G[0, 0] == pytest.approx(-0.5, abs=1e-12)
+    assert sol.laws[0].G[0][0, 0] == pytest.approx(-0.5, abs=1e-12)
     traj = rollout(spec, sol.laws, np.array([1.0]))
     assert np.allclose(traj.controls[1], ut22, atol=1e-13)
 
@@ -74,7 +75,7 @@ def test_linear_quadratic_gives_zero_offsets():
     sol = feedback_stackelberg.solve(spec)
     for t in range(spec.horizon):
         for i in range(2):
-            assert np.abs(sol.offsets[t][i]).max(initial=0.0) <= 1e-12
+            assert np.abs(sol.laws[i].g[t]).max(initial=0.0) <= 1e-12
 
 
 def test_reaction_consistency_identities():
@@ -122,7 +123,7 @@ def test_leader_stagewise_optimality():
             xn = st.A @ x + st.s + sum(st.B[j] @ us[j] for j in range(2))
             return stage_cost(spec, 0, t, xn, us) + sol.cost_to_go(t + 1, xn, 0)
 
-        u1_eq = sol.laws[t][0](x)
+        u1_eq = act(sol.laws[0], t, x)
         base = leader_tail(u1_eq)
         for k in range(m1):
             for sign in (+1.0, -1.0):
@@ -138,7 +139,7 @@ def test_strong_time_consistency():
         tail = feedback_stackelberg.solve(truncate(spec, s))
         for dt in range(spec.horizon - s):
             for i in range(2):
-                assert np.abs(tail.gains[dt][i] - sol.gains[s + dt][i]).max() <= 1e-10
+                assert np.abs(tail.laws[i].G[dt] - sol.laws[i].G[s + dt]).max() <= 1e-10
 
 
 def test_requires_two_players_and_psd_cross_weights():
@@ -162,30 +163,30 @@ def test_value_equals_rollout():
 class TestTwoPlayerLqCrossCheck:
     def test_scalar_unit_instance(self):
         spec = scalar_unit_two_player()
-        assert feedback_stackelberg.crosscheck_two_player_lq(spec) <= 1e-12
+        assert ref.feedback_stackelberg_crosscheck_two_player_lq(spec) <= 1e-12
         # the closed form reproduces the 0.2 leader gain
         sol = feedback_stackelberg.solve(spec)
-        assert sol.gains[0][0][0, 0] == pytest.approx(0.2, abs=1e-12)
+        assert sol.laws[0].G[0][0, 0] == pytest.approx(-0.2, abs=1e-12)
 
     @pytest.mark.parametrize("seed,p,T", [(31, 2, 3), (32, 1, 5)])
     def test_random_instances(self, seed, p, T):
         spec = random_game(seed, n_players=2, state_dim=p, horizon=T,
                            control_dims=[1, 1], affine=False, targets=False,
                            identity_own_weights=True)
-        assert feedback_stackelberg.crosscheck_two_player_lq(spec) <= 1e-10
+        assert ref.feedback_stackelberg_crosscheck_two_player_lq(spec) <= 1e-10
 
     def test_uncontrollable_follower(self):
         spec = constant_game(A=[[1.0]], B=[[[1.0]], [[0.0]]],
                              Q=[[[1.0]], [[1.0]]],
                              R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=2)
-        assert feedback_stackelberg.crosscheck_two_player_lq(spec) <= 1e-12
+        assert ref.feedback_stackelberg_crosscheck_two_player_lq(spec) <= 1e-12
 
     def test_rejects_nonidentity_weights(self):
         spec = constant_game(A=[[1.0]], B=[[[1.0]], [[1.0]]],
                              Q=[[[1.0]], [[1.0]]],
                              R=[[[[2.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=1)
         with pytest.raises(InvalidGameError):
-            feedback_stackelberg.crosscheck_two_player_lq(spec)
+            ref.feedback_stackelberg_crosscheck_two_player_lq(spec)
 
 
 def test_leadership_advantage_on_unit_instance():

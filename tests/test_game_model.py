@@ -113,7 +113,7 @@ class TestRollout:
         ut = np.array([0.4])
         spec = constant_game(A=[[1.0]], B=[[[1.0]]], Q=[[[1.0]]], R=[[[[1.0]]]],
                              T=3, u_target=[[ut]])
-        laws = [[AffineLaw(np.zeros((1, 1)), ut)] for _ in range(3)]
+        laws = [AffineLaw(np.zeros((3, 1, 1)), np.tile(ut, (3, 1)))]
         traj = rollout(spec, laws, np.array([0.0]))
         assert np.allclose(traj.controls[0], ut)
 

@@ -6,13 +6,14 @@ from dyngame import lqr
 from dyngame.errors import InvalidGameError
 from dyngame.game import constant_game, rollout, stage_cost
 
-from conftest import random_game, random_x0, rng_for, scalar_unit_lqr
+import reference_formulations as ref
+from conftest import act, random_game, random_x0, rng_for, scalar_unit_lqr
 
 
 def test_scalar_unit_instance():
     # one-step calculus: min_u 1/2 (1+u)^2 + 1/2 u^2 at u = -1/2, value 1/4
     sol = lqr.solve_control(scalar_unit_lqr())
-    assert sol.laws[0][0].G[0, 0] == pytest.approx(-0.5, abs=1e-12)
+    assert sol.laws[0].G[0][0, 0] == pytest.approx(-0.5, abs=1e-12)
     assert sol.value(np.array([1.0])) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -20,8 +21,8 @@ def test_zero_state_cost_gives_zero_control():
     spec = constant_game(A=[[1.3]], B=[[[1.0]]], Q=[[[0.0]]], R=[[[[1.0]]]], T=4)
     sol = lqr.solve_control(spec)
     for t in range(4):
-        assert np.allclose(sol.laws[t][0].G, 0.0)
-        assert np.allclose(sol.laws[t][0].g, 0.0)
+        assert np.allclose(sol.laws[0].G[t], 0.0)
+        assert np.allclose(sol.laws[0].g[t], 0.0)
     assert sol.value(np.array([2.0])) == 0.0
 
 
@@ -55,7 +56,7 @@ def test_bellman_consistency():
     rng = rng_for(104)
     for t in range(spec.horizon):
         x = rng.standard_normal(spec.state_dim)
-        u = sol.laws[t][0](x)
+        u = act(sol.laws[0], t, x)
         st = spec.stages[t]
         x_next = st.A @ x + st.B[0] @ u + st.s
         lhs = sol.cost_to_go(t, x)
@@ -92,10 +93,10 @@ def test_rejects_multiplayer_and_targets():
 
 class TestPremultipliedCrossCheck:
     def test_scalar_instance(self):
-        assert lqr.crosscheck_premultiplied(scalar_unit_lqr()) <= 1e-12
+        assert ref.lqr_crosscheck_premultiplied(scalar_unit_lqr()) <= 1e-12
 
     @pytest.mark.parametrize("seed,p,m,T", [(11, 2, 1, 3), (12, 3, 2, 5)])
     def test_random_instances(self, seed, p, m, T):
         spec = random_game(seed, n_players=1, state_dim=p, control_dims=[m],
                            horizon=T, targets=False)
-        assert lqr.crosscheck_premultiplied(spec) <= 1e-12
+        assert ref.lqr_crosscheck_premultiplied(spec) <= 1e-12

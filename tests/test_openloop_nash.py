@@ -6,6 +6,7 @@ from dyngame import feedback_nash, lqr, openloop_nash
 from dyngame.errors import InvalidGameError, SingularSystemError
 from dyngame.game import constant_game, rollout, truncate
 
+import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
 
 
@@ -148,21 +149,21 @@ class TestShiftedCostateRewrite:
         spec = scalar_unit_two_player()
         x0 = np.array([1.0])
         a = openloop_nash.solve(spec, x0)
-        b = openloop_nash.solve_alt(spec, x0)
-        assert openloop_nash.control_deviation(a, b) <= 1e-12
+        b = ref.openloop_nash_solve_alt(spec, x0)
+        assert ref.control_deviation(a, b) <= 1e-12
 
     @pytest.mark.parametrize("seed,n,p,T", [(42, 3, 2, 4), (43, 1, 2, 3)])
     def test_random_instances(self, seed, n, p, T):
         spec = random_game(seed, n_players=n, state_dim=p, horizon=T)
         x0 = random_x0(seed, spec)
         a = openloop_nash.solve(spec, x0)
-        b = openloop_nash.solve_alt(spec, x0)
-        assert openloop_nash.control_deviation(a, b) <= 1e-10
+        b = ref.openloop_nash_solve_alt(spec, x0)
+        assert ref.control_deviation(a, b) <= 1e-10
 
     def test_costate_coefficients_match(self):
         spec = random_game(415, n_players=2)
         x0 = random_x0(415, spec)
         a = openloop_nash.solve(spec, x0)
-        b = openloop_nash.solve_alt(spec, x0)
+        b = ref.openloop_nash_solve_alt(spec, x0)
         assert np.abs(a.M - b.M).max() <= 1e-9
         assert np.abs(a.m - b.m).max() <= 1e-9

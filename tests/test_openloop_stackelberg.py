@@ -7,6 +7,7 @@ from dyngame.errors import InvalidGameError
 from dyngame.game import constant_game, fold_player_controls, rollout, truncate
 from dyngame.verify import leader_cost_open_loop
 
+import reference_formulations as ref
 from conftest import random_game, random_x0, scalar_unit_two_player
 
 
@@ -149,7 +150,7 @@ def test_rejects_bad_initial_mu_shape():
 class TestTwoPlayerLqCrossCheck:
     def test_scalar_unit_instance(self):
         spec = scalar_unit_two_player()
-        assert openloop_stackelberg.crosscheck_two_player_lq(spec, np.array([1.0])) <= 1e-12
+        assert ref.openloop_stackelberg_crosscheck_two_player_lq(spec, np.array([1.0])) <= 1e-12
 
     @pytest.mark.parametrize("seed,p,T", [(51, 2, 3), (52, 1, 5)])
     def test_random_instances(self, seed, p, T):
@@ -157,7 +158,7 @@ class TestTwoPlayerLqCrossCheck:
                            control_dims=[1, 1], affine=False, targets=False,
                            identity_own_weights=True)
         x0 = random_x0(seed, spec)
-        assert openloop_stackelberg.crosscheck_two_player_lq(spec, x0) <= 1e-10
+        assert ref.openloop_stackelberg_crosscheck_two_player_lq(spec, x0) <= 1e-10
 
     def test_collapsed_operator_matches_stacked_system(self):
         # with one follower the stacked operator IS the collapsed matrix

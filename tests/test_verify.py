@@ -4,7 +4,8 @@ import pytest
 from dyngame import (feedback_nash, feedback_stackelberg, openloop_nash,
                      openloop_stackelberg, verify)
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, Player, StageData, constant_game
+from dyngame.game import AffineLaw, GameSpec, Player, StageData, constant_game
+from dyngame.solvers import SOLVERS
 
 from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
 
@@ -40,9 +41,8 @@ class TestStationarity:
             states=sol.trajectory.states, controls=tuple(shifted),
             stage_costs=sol.trajectory.stage_costs,
             total_costs=sol.trajectory.total_costs)
-        bad = type(sol)(spec=spec, x0=sol.x0, trajectory=shifted_traj,
-                        M=sol.M, m=sol.m, Phi=sol.Phi, phi=sol.phi,
-                        gains=sol.gains, offsets=sol.offsets)
+        bad = type(sol)(spec=spec, x0=sol.x0, trajectory=shifted_traj, laws=sol.laws,
+                        M=sol.M, m=sol.m, Phi=sol.Phi, phi=sol.phi)
         res = verify.stationarity(spec, bad, verify.OPEN_LOOP, h=1e-5)
         assert res[0] >= 0.05
         assert res[0] == pytest.approx(0.2, rel=1e-4)
@@ -57,8 +57,7 @@ class TestStationarity:
             spec=spec, x0=x0, trajectory=traj,
             M=np.zeros((2, 3, 1, 1)), m=np.zeros((2, 3, 1)),
             Phi=np.zeros((2, 1, 1)), phi=np.zeros((2, 1)),
-            gains=((np.zeros((1, 1)),) * 2,) * 2,
-            offsets=((np.zeros(1),) * 2,) * 2)
+            laws=(AffineLaw(np.zeros((2, 1, 1)), np.zeros((2, 1))),) * 2)
         res = verify.stationarity(spec, sol, verify.OPEN_LOOP, h=1e-5)
         assert max(res.values()) == 0.0
 
@@ -104,10 +103,9 @@ class TestDeviationGap:
     def test_corrupted_gain_detected(self):
         spec = scalar_unit_two_player()
         sol = feedback_nash.solve(spec)
-        bad_gains = ((sol.gains[0][0] - 0.2, sol.gains[0][1]),)
+        bad_laws = (AffineLaw(sol.laws[0].G + 0.2, sol.laws[0].g), sol.laws[1])
         bad = feedback_nash.FeedbackNashSolution(
-            spec=spec, gains=bad_gains, offsets=sol.offsets,
-            Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const)
+            spec=spec, laws=bad_laws, Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const)
         gap = verify.deviation_gap(spec, bad, verify.FEEDBACK, player=0,
                                    samples=100, magnitude=1e-2, seed=61,
                                    x0=np.array([1.0]))
@@ -122,8 +120,7 @@ class TestDeviationGap:
             spec=spec, x0=x0, trajectory=traj,
             M=np.zeros((2, 3, 1, 1)), m=np.zeros((2, 3, 1)),
             Phi=np.zeros((2, 1, 1)), phi=np.zeros((2, 1)),
-            gains=((np.zeros((1, 1)),) * 2,) * 2,
-            offsets=((np.zeros(1),) * 2,) * 2)
+            laws=(AffineLaw(np.zeros((2, 1, 1)), np.zeros((2, 1))),) * 2)
         gap = verify.deviation_gap(spec, sol, verify.OPEN_LOOP, player=0,
                                    samples=25, magnitude=1e-2, seed=0)
         assert gap == 0.0
@@ -311,13 +308,27 @@ class TestRunVerification:
         json.dumps(doc)
         assert doc["passed"] is True
 
+    @pytest.mark.parametrize("name", ["feedback-nash", "feedback-stackelberg"])
+    def test_nan_evidence_fails(self, name):
+        # Q = 0 leaves the state x_t = 1e10^t unsteered; it overflows at
+        # t = 31, so every residual and gap below is NaN, and a NaN must
+        # fail its gate rather than slip past a comparison.
+        spec = constant_game(A=[[1e10]], B=[[[1e-8]], [[1e-8]]], Q=[[[0.0]], [[0.0]]],
+                             R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=40)
+        sol = SOLVERS[name].solve(spec, None)
+        with np.errstate(all="ignore"):
+            rep = verify.run_verification(spec, sol, verify.FEEDBACK, name, x0=np.ones(1))
+        assert np.isnan(list(rep.stationarity.values())).all()
+        assert np.isnan(list(rep.deviation_gaps.values())).all()
+        assert rep.passed is False
+        assert len(rep.failures) >= 4
+
     def test_report_flags_corrupted_solution(self):
         spec = scalar_unit_two_player()
         sol = feedback_nash.solve(spec)
-        bad_gains = ((sol.gains[0][0] + 0.2, sol.gains[0][1]),)
+        bad_laws = (AffineLaw(sol.laws[0].G - 0.2, sol.laws[0].g), sol.laws[1])
         bad = feedback_nash.FeedbackNashSolution(
-            spec=spec, gains=bad_gains, offsets=sol.offsets,
-            Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const)
+            spec=spec, laws=bad_laws, Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const)
         rep = verify.run_verification(spec, bad, verify.FEEDBACK,
                                       "feedback-nash", x0=np.array([1.0]),
                                       samples=50, seed=2)
