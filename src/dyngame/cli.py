@@ -259,11 +259,13 @@ def cmd_compare(args) -> int:
             "skipped": skipped,
         }
         _write(args.out, _dumps(doc))
-    _print_comparison(spec, rows, skipped)
+    _print_comparison(spec, rows)
+    for name, reason in skipped.items():
+        print(f"skipped {name}: {reason}")
     return EXIT_OK
 
 
-def _print_comparison(spec, rows, skipped):
+def _print_comparison(spec, rows):
     names = list(rows)
     if not names:
         print("no solver produced a solution")
@@ -287,8 +289,6 @@ def _print_comparison(spec, rows, skipped):
                 vals = ",".join(f"{v:.6g}" for v in rows[name].controls[i][t])
                 line += vals.rjust(24)
             print(line)
-    for name, reason in skipped.items():
-        print(f"skipped {name}: {reason}")
 
 
 # ---------------------------------------------------------------------------

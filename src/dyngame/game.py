@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError
-from .numerics import SYMMETRY_RTOL, asymmetry, classify_definiteness
+from .numerics import SYMMETRY_RTOL, asymmetry
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -193,12 +193,20 @@ class ValidationReport:
 
 
 def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> ValidationReport:
-    """Check dimensions, symmetry and definiteness of a game definition.
+    """Check dimensions, finiteness, symmetry and definiteness of a game
+    definition.
 
-    Returns every violation found (violations are data, not exceptions).
-    ``for_stackelberg`` additionally requires the first player's cross
-    control weights R^{1j} to be positive semidefinite, which the feedback
-    Stackelberg solver needs for a convex leader stage problem.
+    Returns every violation found (violations are data, not exceptions),
+    stage by stage and, within a stage, in the order A, B, s, Q, R,
+    x_target, u_target.  ``for_stackelberg`` additionally requires the
+    first player's cross control weights R^{1j} to be positive
+    semidefinite, which the feedback Stackelberg solver needs for a convex
+    leader stage problem.
+
+    The shapes of each distinct StageData object are checked once, however
+    many stages share it.  Every other check runs on stacks: the correctly
+    shaped arrays of one field (say Q^i, or R^{ij}) across those objects
+    are tested together, one ``eigvalsh`` call per stack.
     """
     out: list[Violation] = []
 
@@ -223,71 +231,97 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
     if out:
         return ValidationReport(tuple(out))
 
-    for t, st in enumerate(spec.stages):
-        loc = f"stages/{t}"
-        if st.A.shape != (p, p):
-            add(f"{loc}/A", f"expected shape {(p, p)}, got {st.A.shape}")
-        if len(st.B) != n:
-            add(f"{loc}/B", f"expected {n} control matrices, got {len(st.B)}")
-        else:
-            for j, b in enumerate(st.B):
-                if b.shape != (p, dims[j]):
-                    add(f"{loc}/B/{j}", f"expected shape {(p, dims[j])}, got {b.shape}")
-        if st.s.shape != (p,):
-            add(f"{loc}/s", f"expected shape {(p,)}, got {st.s.shape}")
-        if len(st.Q) != n:
-            add(f"{loc}/Q", f"expected {n} state weights, got {len(st.Q)}")
-        else:
-            for i, q in enumerate(st.Q):
-                qloc = f"{loc}/Q/{i}"
-                if q.shape != (p, p):
-                    add(qloc, f"expected shape {(p, p)}, got {q.shape}")
-                    continue
-                _check_sym_def(q, qloc, "PSD", tol, add)
-        if len(st.R) != n or any(len(row) != n for row in st.R):
-            add(f"{loc}/R", f"expected an {n}x{n} table of control weights")
-        else:
-            for i, row in enumerate(st.R):
-                for j, r in enumerate(row):
-                    rloc = f"{loc}/R/{i}/{j}"
-                    if r.shape != (dims[j], dims[j]):
-                        add(rloc, f"expected shape {(dims[j], dims[j])}, got {r.shape}")
-                        continue
-                    if i == j:
-                        _check_sym_def(r, rloc, "PD", tol, add)
-                    elif for_stackelberg and i == 0:
-                        _check_sym_def(r, rloc, "PSD", tol, add)
-                    else:
-                        _check_sym_def(r, rloc, None, tol, add)
-        if len(st.x_target) != n:
-            add(f"{loc}/x_target", f"expected {n} state targets, got {len(st.x_target)}")
-        else:
-            for i, x in enumerate(st.x_target):
-                if x.shape != (p,):
-                    add(f"{loc}/x_target/{i}", f"expected shape {(p,)}, got {x.shape}")
-        if len(st.u_target) != n or any(len(row) != n for row in st.u_target):
-            add(f"{loc}/u_target", f"expected an {n}x{n} table of control targets")
-        else:
-            for i, row in enumerate(st.u_target):
-                for j, u in enumerate(row):
-                    if u.shape != (dims[j],):
-                        add(f"{loc}/u_target/{i}/{j}",
-                            f"expected shape {(dims[j],)}, got {u.shape}")
+    distinct = list({id(st): st for st in spec.stages}.values())
+    found: list[tuple] = []  # (distinct stage, order in the stage, location, message)
+
+    def held(order, field, what):
+        """The distinct stages whose ``field`` holds one array per player,
+        or one per ordered pair for the tables R and u_target; the others
+        are reported at ``field``."""
+        table = field in ("R", "u_target")
+        ks = []
+        for k, st in enumerate(distinct):
+            arrays = getattr(st, field)
+            if tuple(map(len, arrays)) == (n,) * n if table else len(arrays) == n:
+                ks.append(k)
+            else:
+                found.append((k, order, field, f"expected an {n}x{n} {what}" if table
+                              else f"expected {n} {what}, got {len(arrays)}"))
+        return ks
+
+    def check(order, loc, ks, arrays, shape, need=None):
+        """Check one entry of a field across the distinct stages ``ks``."""
+        good = [a.shape == shape for a in arrays]
+        if not all(good):
+            found.extend((k, order, loc, f"expected shape {shape}, got {a.shape}")
+                         for k, a, ok in zip(ks, arrays, good) if not ok)
+            ks = [k for k, ok in zip(ks, good) if ok]
+            arrays = [a for a, ok in zip(arrays, good) if ok]
+        if arrays:
+            found.extend((ks[j], order, loc, message)
+                         for j, message in _stack_violations(np.array(arrays), need, tol))
+
+    everyone = range(len(distinct))
+    check((0,), "A", everyone, [st.A for st in distinct], (p, p))
+    ks = held((1,), "B", "control matrices")
+    for j in range(n):
+        check((1, j), f"B/{j}", ks, [distinct[k].B[j] for k in ks], (p, dims[j]))
+    check((2,), "s", everyone, [st.s for st in distinct], (p,))
+    ks = held((3,), "Q", "state weights")
+    for i in range(n):
+        check((3, i), f"Q/{i}", ks, [distinct[k].Q[i] for k in ks], (p, p), "PSD")
+    ks = held((4,), "R", "table of control weights")
+    for i in range(n):
+        for j in range(n):
+            need = "PD" if i == j else "PSD" if for_stackelberg and i == 0 else "symmetric"
+            check((4, i, j), f"R/{i}/{j}", ks, [distinct[k].R[i][j] for k in ks],
+                  (dims[j], dims[j]), need)
+    ks = held((5,), "x_target", "state targets")
+    for i in range(n):
+        check((5, i), f"x_target/{i}", ks, [distinct[k].x_target[i] for k in ks], (p,))
+    ks = held((6,), "u_target", "table of control targets")
+    for i in range(n):
+        for j in range(n):
+            check((6, i, j), f"u_target/{i}/{j}", ks, [distinct[k].u_target[i][j] for k in ks],
+                  (dims[j],))
+
+    if found:
+        by_stage: dict[int, list] = {}
+        for k, _, loc, message in sorted(found, key=lambda f: f[:2]):
+            by_stage.setdefault(k, []).append((loc, message))
+        index = {id(st): k for k, st in enumerate(distinct)}
+        for t, st in enumerate(spec.stages):
+            for loc, message in by_stage.get(index[id(st)], ()):
+                add(f"stages/{t}/{loc}", message)
     return ValidationReport(tuple(out))
 
 
-def _check_sym_def(M, loc, need, tol, add):
-    gap, too_large = asymmetry(M, tol)
-    if too_large:
-        add(loc, f"not symmetric (max asymmetry {gap:.2e})")
-        return
+def _stack_violations(M: np.ndarray, need: str | None, tol: float):
+    """``(k, message)`` for each array ``M[k]`` of a stack (K, ...) that
+    fails requirement ``need``: None (finite only), "symmetric", "PSD" or
+    "PD".  A non-finite array is tested no further, an asymmetric one is
+    not tested for definiteness."""
+    finite = np.isfinite(M).reshape(len(M), -1).all(axis=1)
+    for k in np.flatnonzero(~finite):
+        yield k, "not finite"
     if need is None:
         return
-    d = classify_definiteness(0.5 * (M + M.T), tol=tol)
-    if need == "PD" and d.classification != "PD":
-        add(loc, f"not positive definite (min eigenvalue {d.min_eigenvalue:.3e})")
-    elif need == "PSD" and not d.is_psd:
-        add(loc, f"not positive semidefinite (min eigenvalue {d.min_eigenvalue:.3e})")
+    keep = np.flatnonzero(finite)
+    F = M[keep]
+    gap = np.abs(F - F.swapaxes(1, 2)).max(axis=(1, 2))
+    asymmetric = gap > tol * (1.0 + np.abs(F).max(axis=(1, 2)))
+    for k in np.flatnonzero(asymmetric):
+        yield keep[k], f"not symmetric (max asymmetry {gap[k]:.2e})"
+    if need == "symmetric":
+        return
+    keep, F = keep[~asymmetric], F[~asymmetric]
+    min_eig = np.linalg.eigvalsh(0.5 * (F + F.swapaxes(1, 2))).min(axis=1)
+    if need == "PD":
+        failed, what = ~(min_eig > tol), "positive definite"
+    else:  # PD or PSD, as classify_definiteness has it, which differs for tol < 0
+        failed, what = ~((min_eig > tol) | (min_eig >= -tol)), "positive semidefinite"
+    for k in np.flatnonzero(failed):
+        yield keep[k], f"not {what} (min eigenvalue {min_eig[k]:.3e})"
 
 
 def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> None:

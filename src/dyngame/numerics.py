@@ -1,18 +1,21 @@
 """Dense linear algebra helpers: solves, definiteness tests, self-check identities.
 
-Everything here is a thin, contract-enforcing wrapper around numpy/scipy
-dense routines.  Matrices at the intended scale are tiny (state and control
-dimensions of a few tens at most), so a direct LU solve with partial
-pivoting is used throughout; no iterative refinement.
+Everything here is a thin, contract-enforcing wrapper around numpy and
+LAPACK dense routines.  Matrices at the intended scale are tiny (state and
+control dimensions of a few tens at most), so a direct LU solve with
+partial pivoting is used throughout; no iterative refinement.  The solve
+calls LAPACK's ``dgetrf``/``dgetrs`` through ``scipy.linalg.lapack``: the
+routines behind ``scipy.linalg.lu_factor``/``lu_solve``, without those
+functions' per-call argument handling, which at these sizes costs several
+times the factorisation itself.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import DefinitenessError, InvalidGameError, SingularSystemError
 
@@ -46,10 +49,10 @@ def solve_dense(A: np.ndarray, B: np.ndarray, context: str | None = None) -> np.
         )
 
     norm_A = np.abs(A).max(initial=0.0)
-    with warnings.catch_warnings():
-        # exact singularity is detected below via the pivot threshold
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    # dgetrf reports an exact zero pivot through its status, which the pivot
+    # threshold below covers; an empty A, which it would refuse as an
+    # illegal argument, has no pivot and fails that threshold too.
+    lu, piv, _ = dgetrf(A) if A.size else (A, None, 0)
     min_pivot = np.abs(np.diag(lu)).min(initial=np.inf)
     if not np.isfinite(min_pivot) or min_pivot <= PIVOT_RTOL * max(norm_A, 1e-300):
         cond = _condition_estimate(A)
@@ -58,7 +61,7 @@ def solve_dense(A: np.ndarray, B: np.ndarray, context: str | None = None) -> np.
             context=context,
             cond_estimate=cond,
         )
-    X = scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    X, _ = dgetrs(lu, piv, B)
 
     residual = np.abs(A @ X - B).max(initial=0.0)
     bound = RESIDUAL_RTOL * (1.0 + norm_A * np.abs(X).max(initial=0.0))

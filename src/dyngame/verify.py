@@ -493,6 +493,13 @@ class VerificationReport:
         }
 
 
+def _failure(value: float, name: str, message: str) -> str:
+    """``message`` for a value that failed its gate; for a NaN or infinite
+    value, which compares as no number does, the plain fact that ``name``
+    is not finite."""
+    return message if np.isfinite(value) else f"{name} is not finite"
+
+
 def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
                      x0: np.ndarray | None = None, samples: int = 100,
                      leader_samples: int = 50, fd_step: float = 1e-5,
@@ -505,8 +512,9 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
     report.stationarity = stationarity(spec, solution, pattern, h=fd_step, x0=x0)
     for i, r in report.stationarity.items():
         if not r <= STATIONARITY_TOL:
-            report.failures.append(
-                f"stationarity residual of player {i} is {r:.3e} > {STATIONARITY_TOL:.0e}")
+            report.failures.append(_failure(
+                r, f"stationarity residual of player {i}",
+                f"stationarity residual of player {i} is {r:.3e} > {STATIONARITY_TOL:.0e}"))
 
     for i in range(spec.n_players):
         if is_stackelberg and i == 0:
@@ -515,23 +523,26 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
                             magnitude=magnitude, seed=seed + i, x0=x0)
         report.deviation_gaps[i] = gap
         if not gap >= DEVIATION_TOL:
-            report.failures.append(
-                f"player {i} improved by {-gap:.3e} under a sampled deviation")
+            report.failures.append(_failure(
+                gap, f"deviation gap of player {i}",
+                f"player {i} improved by {-gap:.3e} under a sampled deviation"))
 
     if is_stackelberg:
         report.leader_gap = leader_gap(spec, solution, pattern,
                                        samples=leader_samples, magnitude=magnitude,
                                        seed=seed + spec.n_players, x0=x0)
         if not report.leader_gap >= DEVIATION_TOL:
-            report.failures.append(
-                f"leader improved by {-report.leader_gap:.3e} under a sampled deviation")
+            report.failures.append(_failure(
+                report.leader_gap, "leader gap",
+                f"leader improved by {-report.leader_gap:.3e} under a sampled deviation"))
 
     report.time_consistency = time_consistency(spec, solution, pattern)
     tc = report.time_consistency
     tol = STC_TOL if tc.verdict == "STC" else WTC_TOL
     if not tc.tail_deviation <= tol:
-        report.failures.append(
-            f"{tc.verdict} tail deviation {tc.tail_deviation:.3e} > {tol:.0e}")
+        report.failures.append(_failure(
+            tc.tail_deviation, f"{tc.verdict} tail deviation",
+            f"{tc.verdict} tail deviation {tc.tail_deviation:.3e} > {tol:.0e}"))
 
     report.definiteness = definiteness_monitor(solution)
     for e in report.definiteness.violations():

@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Two kinds live here.  The per-sample loop formulations of the sampling
+Three kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -13,6 +13,10 @@ feedback Nash by the direct-law recursion, open-loop Nash by the shifted
 costate coefficients, single-player control by the pre-multiplied kernel,
 and both two-player linear-quadratic Stackelberg solutions by closed
 forms.  Each must agree with its library solver to roundoff.
+
+The per-matrix game validation checks every stage and every matrix on its
+own, as the library did before it checked stacks; its violations must equal
+the library's exactly.
 """
 
 import numpy as np
@@ -21,8 +25,9 @@ from dyngame import feedback_stackelberg, lqr, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
 from dyngame.feedback_nash import (FeedbackNashSolution, _split, _update_quadratics,
                                    stacked_stage_operator)
-from dyngame.game import AffineLaw, require_valid, rollout, stage_cost
-from dyngame.numerics import solve_dense
+from dyngame.game import (AffineLaw, ValidationReport, Violation, require_valid, rollout,
+                          stage_cost)
+from dyngame.numerics import asymmetry, classify_definiteness, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import OPEN_LOOP, solver_of
 
@@ -498,3 +503,114 @@ def openloop_stackelberg_crosscheck_two_player_lq(spec, x0) -> float:
         x, mu = c["Phix"] @ x + c["Phimu"] @ mu, c["Psix"] @ x + c["Psimu"] @ mu
         worst = max(worst, np.abs(x - main.trajectory.states[t + 1]).max(initial=0.0))
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix game validation
+
+
+def validate(spec, tol=1e-9, for_stackelberg=False) -> ValidationReport:
+    """:func:`dyngame.game.validate` as a loop over stages and matrices:
+    every stage is checked on its own, even where stages share one
+    StageData object, and each weight gets its own symmetry test and
+    ``classify_definiteness`` call."""
+    out = []
+
+    def add(loc, msg):
+        out.append(Violation(loc, msg))
+
+    def finite(arr, loc):
+        if not np.isfinite(arr).all():
+            add(loc, "not finite")
+            return False
+        return True
+
+    n = spec.n_players
+    p = spec.state_dim
+    dims = spec.control_dims
+    if spec.horizon < 1:
+        add("horizon", f"must be >= 1, got {spec.horizon}")
+    if p < 1:
+        add("state_dim", f"must be >= 1, got {p}")
+    if n < 1:
+        add("players", "at least one player is required")
+    for i, m in enumerate(dims):
+        if m < 1:
+            add(f"players/{i}/control_dim", f"must be >= 1, got {m}")
+    if len(spec.stages) != spec.horizon:
+        add("stages", f"expected {spec.horizon} stages, got {len(spec.stages)}")
+        return ValidationReport(tuple(out))
+    if out:
+        return ValidationReport(tuple(out))
+
+    for t, st in enumerate(spec.stages):
+        loc = f"stages/{t}"
+        if st.A.shape != (p, p):
+            add(f"{loc}/A", f"expected shape {(p, p)}, got {st.A.shape}")
+        else:
+            finite(st.A, f"{loc}/A")
+        if len(st.B) != n:
+            add(f"{loc}/B", f"expected {n} control matrices, got {len(st.B)}")
+        else:
+            for j, b in enumerate(st.B):
+                if b.shape != (p, dims[j]):
+                    add(f"{loc}/B/{j}", f"expected shape {(p, dims[j])}, got {b.shape}")
+                else:
+                    finite(b, f"{loc}/B/{j}")
+        if st.s.shape != (p,):
+            add(f"{loc}/s", f"expected shape {(p,)}, got {st.s.shape}")
+        else:
+            finite(st.s, f"{loc}/s")
+        if len(st.Q) != n:
+            add(f"{loc}/Q", f"expected {n} state weights, got {len(st.Q)}")
+        else:
+            for i, q in enumerate(st.Q):
+                qloc = f"{loc}/Q/{i}"
+                if q.shape != (p, p):
+                    add(qloc, f"expected shape {(p, p)}, got {q.shape}")
+                elif finite(q, qloc):
+                    _check_sym_def(q, qloc, "PSD", tol, add)
+        if len(st.R) != n or any(len(row) != n for row in st.R):
+            add(f"{loc}/R", f"expected an {n}x{n} table of control weights")
+        else:
+            for i, row in enumerate(st.R):
+                for j, r in enumerate(row):
+                    rloc = f"{loc}/R/{i}/{j}"
+                    if r.shape != (dims[j], dims[j]):
+                        add(rloc, f"expected shape {(dims[j], dims[j])}, got {r.shape}")
+                    elif finite(r, rloc):
+                        need = "PD" if i == j else "PSD" if for_stackelberg and i == 0 else None
+                        _check_sym_def(r, rloc, need, tol, add)
+        if len(st.x_target) != n:
+            add(f"{loc}/x_target", f"expected {n} state targets, got {len(st.x_target)}")
+        else:
+            for i, x in enumerate(st.x_target):
+                if x.shape != (p,):
+                    add(f"{loc}/x_target/{i}", f"expected shape {(p,)}, got {x.shape}")
+                else:
+                    finite(x, f"{loc}/x_target/{i}")
+        if len(st.u_target) != n or any(len(row) != n for row in st.u_target):
+            add(f"{loc}/u_target", f"expected an {n}x{n} table of control targets")
+        else:
+            for i, row in enumerate(st.u_target):
+                for j, u in enumerate(row):
+                    if u.shape != (dims[j],):
+                        add(f"{loc}/u_target/{i}/{j}",
+                            f"expected shape {(dims[j],)}, got {u.shape}")
+                    else:
+                        finite(u, f"{loc}/u_target/{i}/{j}")
+    return ValidationReport(tuple(out))
+
+
+def _check_sym_def(M, loc, need, tol, add):
+    gap, too_large = asymmetry(M, tol)
+    if too_large:
+        add(loc, f"not symmetric (max asymmetry {gap:.2e})")
+        return
+    if need is None:
+        return
+    d = classify_definiteness(0.5 * (M + M.T), tol=tol)
+    if need == "PD" and d.classification != "PD":
+        add(loc, f"not positive definite (min eigenvalue {d.min_eigenvalue:.3e})")
+    elif need == "PSD" and not d.is_psd:
+        add(loc, f"not positive semidefinite (min eigenvalue {d.min_eigenvalue:.3e})")

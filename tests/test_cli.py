@@ -342,4 +342,8 @@ def test_compare_skips_non_finite_results(tmp_path, capsys):
     doc = strict_json(out.read_text())
     assert doc["results"] == {}
     assert set(doc["skipped"]) == {"lqr", "feedback-nash", "openloop-nash"}
-    assert capsys.readouterr().out == "no solver produced a solution\n"
+    assert capsys.readouterr().out == (
+        "no solver produced a solution\n"
+        "skipped lqr: the result is not finite (NaN or Infinity)\n"
+        "skipped feedback-nash: the result is not finite (NaN or Infinity)\n"
+        "skipped openloop-nash: the result is not finite (NaN or Infinity)\n")

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dyngame.errors import DefinitenessError, InvalidGameError, SingularSystemError
 from dyngame.numerics import (classify_definiteness, pushthrough_residuals,
@@ -35,6 +38,32 @@ class TestSolveDense:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidGameError):
             solve_dense(np.ones((2, 3)), np.ones(2))
+
+    @pytest.mark.parametrize("rhs", ["matrix", "vector", "read-only"])
+    def test_matches_scipy_lu_bit_for_bit(self, rhs):
+        # solve_dense calls the LAPACK routines behind lu_factor/lu_solve
+        # directly, so the solution must be identical, not merely close
+        rng = rng_for(11)
+        for _ in range(50):
+            q = int(rng.integers(1, 12))
+            A = rng.standard_normal((q, q)) + 2 * np.eye(q)
+            B = rng.standard_normal(q) if rhs == "vector" else rng.standard_normal((q, 3))
+            if rhs == "read-only":
+                A.flags.writeable = B.flags.writeable = False
+            expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), B)
+            X = solve_dense(A, B)
+            assert X.shape == B.shape
+            assert np.array_equal(X, expected)
+
+    def test_exact_zero_pivot_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="singular"):
+                solve_dense(np.zeros((2, 2)), np.ones(2))
+
+    def test_empty_system_is_singular(self):
+        with pytest.raises(SingularSystemError, match="singular"):
+            solve_dense(np.zeros((0, 0)), np.zeros(0))
 
     def test_nan_right_hand_side_raises(self):
         # a NaN residual must fail the residual bound, not slip past it

@@ -1,0 +1,256 @@
+"""Game validation over stacks of stage data.
+
+``validate`` checks the shapes of each distinct StageData object once and
+runs the finiteness, symmetry and definiteness checks on stacks of one
+field across the stages.  These tests pin its violations, entry for entry
+and word for word, to the per-matrix loop in ``reference_formulations``
+over a seeded family of malformed games, check that non-finite data is an
+input error, and guard that the number of eigenvalue calls does not grow
+with the horizon.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dyngame import feedback_nash
+from dyngame.errors import InvalidGameError
+from dyngame.game import GameSpec, validate
+
+import reference_formulations as ref
+from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
+
+
+def _player(st, rng):
+    return int(rng.integers(len(st.Q)))
+
+
+def _replace_in(items, index, value):
+    return items[:index] + (value,) + items[index + 1:]
+
+
+def _replace_weight(st, i, j, R_ij):
+    return replace(st, R=_replace_in(st.R, i, _replace_in(st.R[i], j, R_ij)))
+
+
+def _bad_shapes(st, rng):
+    """One wrong shape or count in every field of the stage."""
+    i = _player(st, rng)
+    n, p = len(st.Q), st.A.shape[0]
+    field = ("A", "B", "B/i", "s", "Q", "Q/i", "R", "R/i", "R/i/j", "x_target",
+             "x_target/i", "u_target", "u_target/i/j")[int(rng.integers(13))]
+    j = int(rng.integers(n))
+    m = st.R[j][j].shape[0]
+    if field == "A":
+        return replace(st, A=np.eye(p + 1))
+    if field == "B":
+        return replace(st, B=st.B[:-1])
+    if field == "B/i":
+        return replace(st, B=_replace_in(st.B, i, np.ones((p, st.B[i].shape[1] + 1))))
+    if field == "s":
+        return replace(st, s=np.zeros(p + 1))
+    if field == "Q":
+        return replace(st, Q=st.Q + (np.eye(p),))
+    if field == "Q/i":
+        return replace(st, Q=_replace_in(st.Q, i, np.eye(p)[:, :-1] if p > 1 else np.eye(2)))
+    if field == "R":
+        return replace(st, R=st.R[:-1])
+    if field == "R/i":
+        return replace(st, R=_replace_in(st.R, i, st.R[i][:-1]))
+    if field == "R/i/j":
+        return _replace_weight(st, i, j, np.eye(m + 1))
+    if field == "x_target":
+        return replace(st, x_target=st.x_target + (np.zeros(p),))
+    if field == "x_target/i":
+        return replace(st, x_target=_replace_in(st.x_target, i, np.zeros(p + 1)))
+    if field == "u_target":
+        return replace(st, u_target=st.u_target[:-1])
+    return replace(st, u_target=_replace_in(
+        st.u_target, i, _replace_in(st.u_target[i], j, np.zeros(m + 2))))
+
+
+def _asymmetric(st, rng):
+    """Q^i or R^{ij} asymmetric by 1e-7 (beyond tol 1e-9 only) or 1e-3."""
+    n = len(st.Q)
+    weights = [("Q", i, None, Q) for i, Q in enumerate(st.Q) if len(Q) > 1]
+    weights += [("R", i, j, st.R[i][j]) for i in range(n) for j in range(n) if len(st.R[i][j]) > 1]
+    if not weights:  # every weight is a scalar
+        return _indefinite_state_weight(st, rng)
+    field, i, j, M = weights[int(rng.integers(len(weights)))]
+    M = M.copy()
+    M[0, -1] += (1e-7, 1e-3)[int(rng.integers(2))] * (1 + np.abs(M).max())
+    if field == "Q":
+        return replace(st, Q=_replace_in(st.Q, i, M))
+    return _replace_weight(st, i, j, M)
+
+
+def _indefinite_state_weight(st, rng):
+    """Q^i with its smallest eigenvalue moved to -5e-7 (below -1e-9 only)
+    or well below zero."""
+    i = _player(st, rng)
+    Q = st.Q[i]
+    target = (-5e-7, -float(rng.uniform(0.01, 2.0)))[int(rng.integers(2))]
+    return replace(st, Q=_replace_in(
+        st.Q, i, Q + (target - np.linalg.eigvalsh(Q).min()) * np.eye(len(Q))))
+
+
+def _singular_own_weight(st, rng):
+    """R^{ii} positive semidefinite but singular, or indefinite."""
+    i = _player(st, rng)
+    m = st.R[i][i].shape[0]
+    R = (np.zeros((m, m)), -psd_matrix(rng, m, shift=0.1))[int(rng.integers(2))]
+    return _replace_weight(st, i, i, R)
+
+
+def _indefinite_leader_cross_weight(st, rng):
+    """R^{1j}, j > 1, indefinite: a violation under ``for_stackelberg`` only."""
+    n = len(st.Q)
+    if n == 1:
+        return _singular_own_weight(st, rng)
+    j = 1 + int(rng.integers(n - 1))
+    m = st.R[0][j].shape[0]
+    return _replace_weight(st, 0, j, -psd_matrix(rng, m, shift=0.1))
+
+
+def _non_finite(st, rng):
+    """NaN or Inf in one entry of one array."""
+    value = (np.nan, np.inf, -np.inf)[int(rng.integers(3))]
+    field = ("A", "B", "s", "Q", "R", "x_target", "u_target")[int(rng.integers(7))]
+    i = _player(st, rng)
+    j = int(rng.integers(len(st.Q)))
+
+    def spoiled(arr):
+        arr = arr.copy()
+        arr.flat[int(rng.integers(arr.size))] = value
+        return arr
+
+    if field in ("A", "s"):
+        return replace(st, **{field: spoiled(getattr(st, field))})
+    if field in ("B", "Q", "x_target"):
+        arrays = getattr(st, field)
+        return replace(st, **{field: _replace_in(arrays, i, spoiled(arrays[i]))})
+    if field == "R":
+        return _replace_weight(st, i, j, spoiled(st.R[i][j]))
+    return replace(st, u_target=_replace_in(
+        st.u_target, i, _replace_in(st.u_target[i], j, spoiled(st.u_target[i][j]))))
+
+
+MALFORMATIONS = (_bad_shapes, _asymmetric, _indefinite_state_weight, _singular_own_weight,
+                 _indefinite_leader_cross_weight, _non_finite)
+
+
+def malformed_game(seed) -> GameSpec:
+    """A random game, broadcast or time-varying, with one to four
+    malformations.  A spoiled stage of a broadcast game is sometimes the
+    shared object itself, so its violations repeat at every stage."""
+    rng = rng_for(seed)
+    spec = random_game(seed, horizon=int(rng.integers(2, 6)), time_varying=bool(seed % 2))
+    stages = list(spec.stages)
+    for _ in range(int(rng.integers(1, 5))):
+        t = int(rng.integers(len(stages)))
+        old = stages[t]
+        try:
+            # building a stage with Inf in a weight warns in its symmetry repair
+            with np.errstate(invalid="ignore"):
+                new = MALFORMATIONS[int(rng.integers(len(MALFORMATIONS)))](old, rng)
+        except IndexError:  # an earlier malformation removed what this one changes
+            continue
+        if rng.integers(2):
+            stages = [new if st is old else st for st in stages]
+        else:
+            stages[t] = new
+    return replace(spec, stages=tuple(stages))
+
+
+FAMILY = range(120)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("for_stackelberg", [False, True])
+def test_violations_equal_the_per_matrix_loop(tol, for_stackelberg):
+    kinds = set()
+    for seed in FAMILY:
+        spec = malformed_game(seed)
+        report = validate(spec, tol=tol, for_stackelberg=for_stackelberg)
+        assert report.violations == ref.validate(spec, tol=tol,
+                                                 for_stackelberg=for_stackelberg).violations
+        kinds.update(v.message.split(" (")[0].split(",")[0] for v in report.violations)
+        # one stage reports a location at most once: a repeat is a shared
+        # StageData object reported at each of its stages
+        located = [(v.location.split("/", 2)[-1], v.message) for v in report.violations]
+        if len(set(located)) < len(located):
+            kinds.add("repeated")
+    # the family reaches every kind of violation
+    assert {"not finite", "not symmetric", "not positive semidefinite",
+            "not positive definite", "expected shape", "repeated"} <= kinds
+    assert any(k.startswith("expected an ") for k in kinds)  # a wrong table
+    assert any(k.split()[1].isdigit() for k in kinds if k.startswith("expected "))  # a wrong count
+
+
+def test_tolerance_and_leader_mode_change_the_family_verdicts():
+    """The family has violations that only the tighter tolerance and only
+    the Stackelberg mode report, so both comparisons above test them."""
+    def count(tol, for_stackelberg):
+        return sum(len(validate(malformed_game(seed), tol=tol,
+                                for_stackelberg=for_stackelberg).violations)
+                   for seed in FAMILY)
+    assert count(1e-9, False) > count(1e-6, False)
+    assert count(1e-9, True) > count(1e-9, False)
+
+
+def test_shared_stage_violations_repeat_at_every_stage():
+    spec = scalar_unit_two_player(T=4)
+    st = spec.stages[0]
+    bad = _replace_weight(st, 1, 1, np.array([[0.0]]))
+    messages = validate(replace(spec, stages=(bad,) * 4)).messages()
+    assert messages == [f"stages/{t}/R/1/1: not positive definite (min eigenvalue 0.000e+00)"
+                        for t in range(4)]
+
+
+@pytest.mark.parametrize("field, location", [("s", "s"), ("Q", "Q/0"), ("B", "B/1")])
+def test_non_finite_stage_data_is_an_input_error(field, location):
+    spec = scalar_unit_two_player(T=3)
+    st = spec.stages[0]
+    if field == "s":
+        bad = replace(st, s=np.array([np.nan]))
+    elif field == "Q":
+        bad = replace(st, Q=(np.array([[np.nan]]), st.Q[1]))
+    else:
+        bad = replace(st, B=(st.B[0], np.array([[np.inf]])))
+    spec = replace(spec, stages=(st, bad, st))
+    assert validate(spec).messages() == [f"stages/1/{location}: not finite"]
+    with pytest.raises(InvalidGameError, match="not finite"):
+        feedback_nash.solve(spec)
+
+
+def _eigvalsh_calls(monkeypatch, spec, **kwargs):
+    """Batch sizes of every ``np.linalg.eigvalsh`` call one validate makes."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kw):
+        sizes.append(1 if np.ndim(a) == 2 else len(a))
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert validate(spec, **kwargs).ok
+    monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalue_calls_depend_on_players_not_horizon(monkeypatch, n):
+    for time_varying in (False, True):
+        short, long = (random_game(7, n_players=n, horizon=T, time_varying=time_varying)
+                       for T in (5, 50))
+        calls_short = _eigvalsh_calls(monkeypatch, short)
+        calls_long = _eigvalsh_calls(monkeypatch, long)
+        # one call per Q^i and per R^{ii}, whatever the horizon
+        assert len(calls_short) == len(calls_long) == 2 * n
+        # a broadcast StageData is checked once, a time-varying game per stage
+        assert calls_long == [50 if time_varying else 1] * (2 * n)
+    if n > 1:
+        leader = _eigvalsh_calls(monkeypatch, random_game(7, n_players=n, horizon=50),
+                                 for_stackelberg=True)
+        assert len(leader) == 3 * n - 1

@@ -322,6 +322,21 @@ class TestRunVerification:
         assert np.isnan(list(rep.deviation_gaps.values())).all()
         assert rep.passed is False
         assert len(rep.failures) >= 4
+        # a NaN fails its gate as a value that is not finite, not as a number
+        followers = [1] if name == "feedback-stackelberg" else [0, 1]
+        assert rep.failures == (
+            [f"stationarity residual of player {i} is not finite" for i in (0, 1)]
+            + [f"deviation gap of player {i} is not finite" for i in followers]
+            + (["leader gap is not finite"] if name == "feedback-stackelberg" else []))
+
+    def test_nan_tail_deviation_fails_as_not_finite(self, monkeypatch):
+        spec = scalar_unit_two_player(T=2)
+        sol = feedback_nash.solve(spec)
+        monkeypatch.setattr(verify, "time_consistency",
+                            lambda *args: verify.TimeConsistency("STC", float("nan")))
+        rep = verify.run_verification(spec, sol, verify.FEEDBACK, "feedback-nash",
+                                      x0=np.ones(1), samples=10)
+        assert rep.failures == ["STC tail deviation is not finite"]
 
     def test_report_flags_corrupted_solution(self):
         spec = scalar_unit_two_player()
