@@ -41,13 +41,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _repair_symmetry(M: np.ndarray) -> np.ndarray:
     """Average away asymmetry within the repair tolerance, else leave as-is.
 
-    Anything beyond the tolerance is left untouched so that validation can
-    report it instead of silently rewriting the game.
+    Anything beyond the tolerance, and any matrix that is not finite, is
+    left untouched so that validation can report it instead of silently
+    rewriting the game.  The halves are summed, not the entries, so finite
+    weights near the float range do not overflow.
     """
-    if M.ndim == 2 and M.shape[0] == M.shape[1]:
+    if M.ndim == 2 and M.shape[0] == M.shape[1] and np.isfinite(M).all():
         gap, too_large = asymmetry(M, SYMMETRY_RTOL)
         if 0.0 < gap and not too_large:
-            return 0.5 * (M + M.T)
+            return 0.5 * M + 0.5 * M.T
     return M
 
 
@@ -300,7 +302,9 @@ def _stack_violations(M: np.ndarray, need: str | None, tol: float):
     """``(k, message)`` for each array ``M[k]`` of a stack (K, ...) that
     fails requirement ``need``: None (finite only), "symmetric", "PSD" or
     "PD".  A non-finite array is tested no further, an asymmetric one is
-    not tested for definiteness."""
+    not tested for definiteness.  The symmetric part sums halves, so finite
+    entries near the float range do not overflow; a smallest eigenvalue
+    that is still not finite is reported as such, not printed as a number."""
     finite = np.isfinite(M).reshape(len(M), -1).all(axis=1)
     for k in np.flatnonzero(~finite):
         yield k, "not finite"
@@ -315,13 +319,14 @@ def _stack_violations(M: np.ndarray, need: str | None, tol: float):
     if need == "symmetric":
         return
     keep, F = keep[~asymmetric], F[~asymmetric]
-    min_eig = np.linalg.eigvalsh(0.5 * (F + F.swapaxes(1, 2))).min(axis=1)
+    min_eig = np.linalg.eigvalsh(0.5 * F + 0.5 * F.swapaxes(1, 2)).min(axis=1)
     if need == "PD":
         failed, what = ~(min_eig > tol), "positive definite"
     else:  # PD or PSD, as classify_definiteness has it, which differs for tol < 0
         failed, what = ~((min_eig > tol) | (min_eig >= -tol)), "positive semidefinite"
     for k in np.flatnonzero(failed):
-        yield keep[k], f"not {what} (min eigenvalue {min_eig[k]:.3e})"
+        shown = f"{min_eig[k]:.3e}" if np.isfinite(min_eig[k]) else "not finite"
+        yield keep[k], f"not {what} (min eigenvalue {shown})"
 
 
 def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> None:
@@ -427,7 +432,8 @@ def initial_state(spec: GameSpec, x0) -> np.ndarray:
     return x0
 
 
-def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
+def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray,
+            drifts: np.ndarray | None = None) -> Trajectory:
     """Simulate the state equation under laws or explicit control sequences.
 
     ``laws_or_controls`` holds one entry per player: an explicit control
@@ -437,20 +443,26 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     Any entry may carry a leading sample axis, (S, T, m_i) or
     (S, T, m_i, p); arrays without one are shared by all samples.  Then S
     trajectories from the same x0 are rolled out together and every field
-    of the returned :class:`Trajectory` has a leading axis S.  Stage costs
-    are evaluated for all stages and samples in one pass after the state
-    loop.
+    of the returned :class:`Trajectory` has a leading axis S.  ``drifts``
+    (S, T, p), when given, replaces the stage drifts s_t, one sequence per
+    sample (see :func:`drift_samples`).  Stage costs are evaluated for all
+    stages and samples in one pass after the state loop.
     """
     x0 = initial_state(spec, x0)
     T = spec.horizon
     players, S = _player_major(spec, laws_or_controls)
+    if drifts is not None:
+        drifts = drift_samples(spec, drifts)
+        if S not in (None, len(drifts)):
+            raise InvalidGameError(f"players give {S} samples but drifts give {len(drifts)}")
+        S = len(drifts)
 
     states = np.empty((S or 1, T + 1, spec.state_dim))
     states[:, 0] = x0
     x = states[:, 0]
     played = [np.empty((S or 1, T, m)) for m in spec.control_dims]
     for t, st in enumerate(spec.stages):
-        x_next = x @ st.A.T + st.s
+        x_next = x @ st.A.T + (st.s if drifts is None else drifts[:, t])
         for i, (GT, g, U) in enumerate(players):
             if GT is None:
                 u = U[..., t, :]
@@ -508,6 +520,25 @@ def _player_major(spec: GameSpec, laws_or_controls):
     return players, S
 
 
+def drift_samples(spec: GameSpec, drifts: np.ndarray | None = None) -> np.ndarray:
+    """S drift sequences (S, T, p) for the game's stages, checked to be
+    finite and of that shape with S >= 1; without ``drifts``, the game's
+    own stage drifts as the one sample."""
+    T, p = spec.horizon, spec.state_dim
+    if drifts is None:
+        return np.array([st.s for st in spec.stages])[None]
+    try:
+        drifts = np.asarray(drifts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidGameError(f"drifts are not a numeric array: {exc}") from exc
+    if drifts.ndim != 3 or drifts.shape[1:] != (T, p) or len(drifts) == 0:
+        raise InvalidGameError(f"drifts have shape {drifts.shape}, expected (samples, {T}, {p}) "
+                               "with at least one sample")
+    if not np.isfinite(drifts).all():
+        raise InvalidGameError("drifts must be finite")
+    return drifts
+
+
 def _stage_costs(spec: GameSpec, states: np.ndarray, controls) -> np.ndarray:
     """Every player's stage costs (S, n, T) along S trajectories, all
     stages at once; the formula of :func:`stage_cost`."""
@@ -538,19 +569,24 @@ def truncate(spec: GameSpec, start: int) -> GameSpec:
 
 def _player_subgame(spec: GameSpec, keep, drifts=None) -> GameSpec:
     """The game restricted to players ``keep``, in that order, every cost
-    block kept; ``drifts[t]`` replaces stage t's drift when given."""
-    stages = tuple(
-        StageData(
+    block kept; ``drifts[t]`` replaces stage t's drift when given.  Without
+    drifts, stages that share one StageData object share its restriction."""
+    def restricted(st, s):
+        return StageData(
             A=st.A,
             B=tuple(st.B[i] for i in keep),
-            s=st.s if drifts is None else drifts[t],
+            s=s,
             Q=tuple(st.Q[i] for i in keep),
             R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
             x_target=tuple(st.x_target[i] for i in keep),
             u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep),
         )
-        for t, st in enumerate(spec.stages)
-    )
+
+    if drifts is None:
+        built = {key: restricted(st, st.s) for key, st in {id(st): st for st in spec.stages}.items()}
+        stages = tuple(built[id(st)] for st in spec.stages)
+    else:
+        stages = tuple(restricted(st, drifts[t]) for t, st in enumerate(spec.stages))
     return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
                     players=tuple(spec.players[i] for i in keep), stages=stages)
 
@@ -564,14 +600,39 @@ def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> G
     cost values but not the remaining players' equilibrium controls.
     """
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    m = spec.control_dims[player]
-    if controls.shape != (spec.horizon, m):
-        raise InvalidGameError(
-            f"controls have shape {controls.shape}, expected {(spec.horizon, m)}"
-        )
-    keep = [i for i in range(spec.n_players) if i != player]
-    drifts = [st.s + st.B[player] @ controls[t] for t, st in enumerate(spec.stages)]
-    return _player_subgame(spec, keep, drifts)
+    if controls.ndim != 2:
+        raise InvalidGameError(f"controls have shape {controls.shape}, expected "
+                               f"{(spec.horizon, spec.control_dims[player])}")
+    return _player_subgame(spec, _others(spec, player), folded_drifts(spec, player, controls))
+
+
+def drop_player(spec: GameSpec, player: int) -> GameSpec:
+    """The game of every player but one, with its stage drifts unchanged.
+
+    Paired with :func:`folded_drifts`, whose sequences replace those drifts
+    (``drifts`` of :func:`dyngame.openloop_nash.solve`), it is
+    :func:`fold_player_controls` for many frozen sequences at once.
+    """
+    return _player_subgame(spec, _others(spec, player))
+
+
+def folded_drifts(spec: GameSpec, player: int, controls: np.ndarray) -> np.ndarray:
+    """Stage drifts ``s_t + B_t^player u_t`` with one player's control
+    sequence u (T, m) folded in, (T, p); S sequences (S, T, m) give S drift
+    sequences (S, T, p)."""
+    controls = np.asarray(controls, dtype=float)
+    shape = (spec.horizon, spec.control_dims[player])
+    if controls.ndim not in (2, 3) or controls.shape[-2:] != shape:
+        raise InvalidGameError(f"controls have shape {controls.shape}, expected {shape} "
+                               f"or (samples, {', '.join(map(str, shape))})")
+    B = np.array([st.B[player] for st in spec.stages])
+    return drift_samples(spec)[0] + np.einsum("tpm,...tm->...tp", B, controls)
+
+
+def _others(spec: GameSpec, player: int) -> list[int]:
+    if not 0 <= player < spec.n_players:
+        raise InvalidGameError(f"player {player} outside [0, {spec.n_players})")
+    return [i for i in range(spec.n_players) if i != player]
 
 
 def reorder_players(spec: GameSpec, order) -> GameSpec:

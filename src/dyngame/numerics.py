@@ -91,14 +91,14 @@ def asymmetry(M: np.ndarray, rtol: float) -> tuple[float, bool]:
 
 
 def symmetrize(M: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
-    """Return (M + M') / 2 if M is symmetric within ``rtol``, else raise."""
+    """Return M/2 + M'/2 if M is symmetric within ``rtol``, else raise."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidGameError(f"{name} must be square, got shape {M.shape}")
     gap, too_large = asymmetry(M, rtol)
     if too_large:
         raise InvalidGameError(f"{name} is not symmetric (max asymmetry {gap:.2e})")
-    return 0.5 * (M + M.T)
+    return 0.5 * M + 0.5 * M.T
 
 
 @dataclass(frozen=True)

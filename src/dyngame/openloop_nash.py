@@ -28,12 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .game import AffineLaw, GameSpec, Trajectory, initial_state, require_valid, rollout
+from .game import (AffineLaw, GameSpec, Trajectory, drift_samples, initial_state,
+                   require_valid, rollout)
 from .numerics import solve_dense
 
 
 @dataclass(frozen=True)
 class OpenLoopNashSolution:
+    """One equilibrium; or, from a solve with ``drifts``, S of them, whose
+    drift-dependent fields (the law offsets, the trajectory, ``m`` and
+    ``phi``) carry a leading sample axis S while the rest is shared."""
+
     spec: GameSpec
     x0: np.ndarray
     trajectory: Trajectory
@@ -43,44 +48,47 @@ class OpenLoopNashSolution:
     Phi: np.ndarray                     # (T, p, p)
     phi: np.ndarray                     # (T, p)
 
-    def transition_residual(self) -> float:
-        """Max gap between the stored states and the (Phi, phi) recursion."""
-        x = self.trajectory.states
-        worst = 0.0
-        for t in range(self.spec.horizon):
-            worst = max(worst, np.abs(x[t + 1] - (self.Phi[t] @ x[t] + self.phi[t])).max(initial=0.0))
-        return float(worst)
 
+def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> OpenLoopNashSolution:
+    """Unique open-loop Nash equilibrium from the initial state x0.
 
-def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
-    """Unique open-loop Nash equilibrium from the initial state x0."""
+    ``drifts`` (S, T, p) solves S games at once: the given game with its
+    stage drifts replaced by each drift sequence in turn.  The drift
+    enters only the affine parts -- m, phi, the offsets and the path --
+    and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one LU
+    of D per stage) serves all S games, whose drift columns share that
+    LU's right-hand side with A.  Without ``drifts`` the same sweep runs
+    on the game's own drifts as its one sample.
+    """
     require_valid(spec)
     x0 = initial_state(spec, x0)
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
+    s = drift_samples(spec, drifts)
+    T, p, n, S = spec.horizon, spec.state_dim, spec.n_players, len(s)
 
     M = np.empty((n, T + 1, p, p))
-    m = np.zeros((n, T + 1, p))
+    m = np.zeros((S, n, T + 1, p))
     for i in range(n):
         M[i, T] = spec.stages[T - 1].Q[i]
     Phi = np.empty((T, p, p))
-    phi = np.empty((T, p))
+    phi = np.empty((S, T, p))
+    G = [np.empty((T, mm, p)) for mm in spec.control_dims]
+    g = [np.empty((S, T, mm)) for mm in spec.control_dims]
 
-    # Backward pass: transition pair and costate coefficients.  The
-    # R^jj factorizations are kept for the forward pass.
-    Rinv_Bt = [[None] * n for _ in range(T)]
+    # Backward pass: transition pair, costate coefficients and path laws.
+    # Affine quantities are rows, one per sample.
     for t in range(T - 1, -1, -1):
         st = spec.stages[t]
         D = np.eye(p)
-        drift = st.s.copy()
+        drift = s[:, t]
+        Rinv_Bt = []
         for j in range(n):
             RinvBt = solve_dense(st.R[j][j], st.B[j].T, context=f"stage {t} control weight R^{j}{j}")
-            Rinv_Bt[t][j] = RinvBt
+            Rinv_Bt.append(RinvBt)
             D = D + st.B[j] @ RinvBt @ M[j, t + 1]
-            drift = drift - st.B[j] @ (
-                RinvBt @ (m[j, t + 1] - st.Q[j] @ st.x_target[j]) - st.u_target[j][j]
-            )
+            drift = drift - ((m[:, j, t + 1] - st.Q[j] @ st.x_target[j]) @ RinvBt.T
+                             - st.u_target[j][j]) @ st.B[j].T
         try:
-            packed = solve_dense(D, np.hstack([st.A, drift[:, None]]),
+            packed = solve_dense(D, np.hstack([st.A, drift.T]),
                                  context=f"stage {t} open-loop transition operator")
         except SingularSystemError as exc:
             raise SingularSystemError(
@@ -89,31 +97,31 @@ def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
                 context=f"stage {t}", cond_estimate=exc.cond_estimate,
             ) from exc
         Phi[t] = packed[:, :p]
-        phi[t] = packed[:, p]
+        phi[:, t] = packed[:, p:].T
         for i in range(n):
+            # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
+            # feeds both m_t and the path offset of player i.
+            c = phi[:, t] @ M[i, t + 1].T + m[:, i, t + 1] - st.Q[i] @ st.x_target[i]
+            G[i][t] = -Rinv_Bt[i] @ M[i, t + 1] @ Phi[t]
+            g[i][:, t] = st.u_target[i][i] - c @ Rinv_Bt[i].T
             # M is symmetric only for n = 1: the transition operator mixes
             # all players' costate matrices, so no symmetrization here.
             M[i, t] = spec.prev_state_weight(t, i) + st.A.T @ M[i, t + 1] @ Phi[t]
-            m[i, t] = st.A.T @ (M[i, t + 1] @ phi[t] + m[i, t + 1]
-                                - st.Q[i] @ st.x_target[i])
+            m[:, i, t] = c @ st.A
 
-    # Forward pass: path laws and explicit controls.
-    G = [np.empty((T, mm, p)) for mm in spec.control_dims]
-    g = [np.empty((T, mm)) for mm in spec.control_dims]
-    controls = [np.empty((T, mm)) for mm in spec.control_dims]
-    x = x0.copy()
+    # Forward pass: the explicit controls along each path.
+    controls = [np.empty((S, T, mm)) for mm in spec.control_dims]
+    x = np.repeat(x0[None], S, axis=0)
     for t in range(T):
-        st = spec.stages[t]
         for i in range(n):
-            RinvBt = Rinv_Bt[t][i]
-            P = RinvBt @ M[i, t + 1] @ Phi[t]
-            a = RinvBt @ (M[i, t + 1] @ phi[t] + m[i, t + 1]
-                          - st.Q[i] @ st.x_target[i]) - st.u_target[i][i]
-            G[i][t], g[i][t] = -P, -a
-            controls[i][t] = -P @ x - a
-        x = Phi[t] @ x + phi[t]
+            controls[i][:, t] = x @ G[i][t].T + g[i][:, t]
+        x = x @ Phi[t].T + phi[:, t]
 
-    traj = rollout(spec, controls, x0)
+    if drifts is None:
+        m, phi, g, controls = m[0], phi[0], [gi[0] for gi in g], [u[0] for u in controls]
+        traj = rollout(spec, controls, x0)
+    else:
+        traj = rollout(spec, controls, x0, drifts=s)
     return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
                                 laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
 

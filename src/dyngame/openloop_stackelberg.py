@@ -102,22 +102,6 @@ class OpenLoopStackelbergSolution:
     lv: np.ndarray                  # (T+1, p)
     stages: tuple[StageMaps, ...]
 
-    def transition_residual(self) -> float:
-        """Max gap of the stored (x, mu) paths against the affine maps."""
-        worst = 0.0
-        x = self.trajectory.states
-        for t, sm in enumerate(self.stages):
-            x_pred = sm.Phix @ x[t] + sm.phiv
-            for j in range(self.mu.shape[0]):
-                x_pred = x_pred + sm.Phimu[j] @ self.mu[j, t]
-            worst = max(worst, np.abs(x[t + 1] - x_pred).max(initial=0.0))
-            for i in range(self.mu.shape[0]):
-                mu_pred = sm.Psix[i] @ x[t] + sm.psiv[i]
-                for j in range(self.mu.shape[0]):
-                    mu_pred = mu_pred + sm.Psimu[i][j] @ self.mu[j, t]
-                worst = max(worst, np.abs(self.mu[i, t + 1] - mu_pred).max(initial=0.0))
-        return float(worst)
-
 
 def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) -> OpenLoopStackelbergSolution:
     """Open-loop Stackelberg equilibrium with player 0 as leader.

@@ -11,8 +11,14 @@ PCG64 generator (64-bit state) seeded explicitly, via
 
 The sampling checks run batched: every deviation, leader-gap and
 finite-difference sample of one check goes through a single rollout over
-a sample axis.  Only the open-loop Stackelberg leader's checks, whose
-objective re-solves the followers' game, still take one solve per sample.
+a sample axis.  The open-loop Stackelberg leader's checks, whose objective
+re-solves the followers' game for each leader sequence, batch that
+re-solve too: the followers' games of all samples differ only in their
+drifts, so one drift-batched :func:`dyngame.openloop_nash.solve` answers
+all of them (see :func:`leader_cost_open_loop`).  The feedback
+stationarity check rolls its probes out in chunks of at most
+``_FEEDBACK_ROWS`` sample-stages, which bounds its memory at long horizons
+and leaves each probe's arithmetic as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import AffineLaw, GameSpec, fold_player_controls, rollout, truncate
+from .game import AffineLaw, GameSpec, drop_player, folded_drifts, rollout, truncate
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -37,6 +43,11 @@ DEVIATION_TOL = -1e-8
 STC_TOL = 1e-10
 WTC_TOL = 1e-9
 PSD_TOL = -1e-9
+
+#: Sample-stage rows the feedback stationarity check rolls out at once.
+#: Its memory grows with samples times stages, and its samples with the
+#: horizon, so the probes go through in chunks under this budget.
+_FEEDBACK_ROWS = 8192
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -93,8 +104,10 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
     Feedback: per-stage derivatives of the cost-to-go along the
     equilibrium path, other players acting through their laws, with the
     Stackelberg leader differentiated through the followers' stage
-    reactions.  All probes of one call share one rollout, except the
-    open-loop Stackelberg leader's.
+    reactions.  All probes of one call share one rollout (feedback: one
+    per chunk of ``_FEEDBACK_ROWS`` sample-stages); the open-loop
+    Stackelberg leader's 2*T*m probes share one drift-batched re-solve of
+    the followers' game and one rollout of the full game.
     """
     row = _solver_row(solution, pattern)
     _require_positive("finite-difference step", h)
@@ -104,16 +117,22 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
 
 
 def _stationarity_open_loop(spec, sol, h, stackelberg):
-    T, n = spec.horizon, spec.n_players
+    n = spec.n_players
     controls = list(sol.trajectory.controls)
     x0 = sol.x0
 
     out: dict[int, float] = {}
     if stackelberg:
-        # The leader's objective re-solves the followers' game per probe.
-        def cost(u_flat):
-            return leader_cost_open_loop(spec, u_flat.reshape(T, spec.control_dims[0]), x0)
-        out[0] = float(np.abs(central_gradient(cost, controls[0].ravel(), h)).max(initial=0.0))
+        # The leader's objective re-solves the followers' game: one batched
+        # re-solve over a +h/-h sample pair per leader control entry, with
+        # central_gradient's arithmetic.
+        u = controls[0]
+        P = u.size
+        batch = np.repeat(u.reshape(1, P), 2 * P, axis=0)
+        batch[np.arange(P), np.arange(P)] += h
+        batch[np.arange(P) + P, np.arange(P)] -= h
+        f = leader_cost_open_loop(spec, batch.reshape(2 * P, *u.shape), x0)
+        out[0] = float(np.abs((f[:P] - f[P:]) / (2.0 * h)).max(initial=0.0))
 
     # Every other player: one rollout over a +h/-h sample pair per control
     # entry, the other players' sequences held fixed.
@@ -139,7 +158,6 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
         raise InvalidGameError("feedback stationarity needs an initial state x0")
     x0 = np.asarray(x0, dtype=float)
     T, n, dims = spec.horizon, spec.n_players, spec.control_dims
-    laws = sol.laws
 
     # One +h/-h sample pair per (stage t, player i, control entry k): the
     # stage-t control of player i moves by +-h e_k, every other stage-t
@@ -147,6 +165,18 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
     # differentiates player i's cost of stages t..T-1.  Stages before t
     # follow the laws too, so each sample reaches the on-path x_t.
     probes = np.array([(t, i, k) for t in range(T) for i in range(n) for k in range(dims[i])])
+    chunk = max(1, _FEEDBACK_ROWS // (2 * T))
+    grad = np.concatenate([_feedback_probe_gradients(spec, sol, h, x0, stackelberg,
+                                                     probes[c:c + chunk])
+                           for c in range(0, len(probes), chunk)])
+    return {i: float(grad[probes[:, 1] == i].max(initial=0.0)) for i in range(n)}
+
+
+def _feedback_probe_gradients(spec, sol, h, x0, stackelberg, probes):
+    """|central difference| of each (t, i, k) probe, its +h and -h samples
+    rolled out together."""
+    T, n = spec.horizon, spec.n_players
+    laws = sol.laws
     P = len(probes)
     t_of, i_of, k_of = np.tile(probes, (2, 1)).T  # samples P.. repeat the probes
     step = np.repeat([h, -h], P)
@@ -167,8 +197,7 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
     costs = rollout(spec, [AffineLaw(Gi, gi) for Gi, gi in zip(G, g)], x0).stage_costs
     tail = np.where(np.arange(T) >= t_of[:, None], costs[np.arange(2 * P), i_of], 0.0)
     f = tail.sum(axis=1)
-    grad = np.abs(f[:P] - f[P:]) / (2.0 * h)
-    return {i: float(grad[i_of[:P] == i].max(initial=0.0)) for i in range(n)}
+    return np.abs(f[:P] - f[P:]) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +281,10 @@ def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
     re-best-responding.
 
     Open loop: each deviated leader sequence is folded into the drift and
-    the followers' open-loop Nash game is re-solved.  Feedback: the
-    deviated leader law is played with followers reacting stagewise
-    through the solution's reaction maps.
+    the followers' open-loop Nash game is re-solved; the base sequence and
+    all samples share one drift-batched re-solve and one rollout.
+    Feedback: the deviated leader law is played with followers reacting
+    stagewise through the solution's reaction maps.
     """
     if not _solver_row(solution, pattern).stackelberg:
         raise InvalidGameError("leader gap needs a Stackelberg solution")
@@ -266,25 +296,30 @@ def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
     return _leader_gap_feedback(spec, solution, samples, magnitude, rng, x0)
 
 
-def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) -> float:
+def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) -> float | np.ndarray:
     """Leader's cost for a committed sequence, followers re-best-responding
     (their open-loop Nash game with the leader's controls folded into the
-    drift)."""
-    u_leader = np.atleast_2d(np.asarray(u_leader, dtype=float))
-    reduced = fold_player_controls(spec, 0, u_leader)
-    reaction = openloop_nash.solve(reduced, x0)
-    full = [u_leader] + [reaction.trajectory.controls[k]
-                         for k in range(spec.n_players - 1)]
-    return float(rollout(spec, full, x0).total_costs[0])
+    drift).
+
+    ``u_leader`` is one sequence (T, m), whose cost is a float, or S of
+    them (S, T, m), whose costs are an (S,) array.  The followers' games of
+    all S sequences share every matrix and differ only in their drifts
+    s_t + B_t^0 u_t, so the followers' game is built once and one
+    drift-batched open-loop Nash solve answers all S of them; one rollout
+    of the full game then prices every sequence.
+    """
+    u = np.atleast_2d(np.asarray(u_leader, dtype=float))
+    batch = u if u.ndim == 3 else u[None]
+    reaction = openloop_nash.solve(drop_player(spec, 0), x0, drifts=folded_drifts(spec, 0, batch))
+    costs = rollout(spec, [batch, *reaction.trajectory.controls], x0).total_costs[:, 0]
+    return costs if u.ndim == 3 else float(costs[0])
 
 
 def _leader_gap_open_loop(spec, sol, samples, magnitude, rng):
     u1 = sol.trajectory.controls[0]
-    base = leader_cost_open_loop(spec, u1, sol.x0)
-    worst = np.inf
-    for dev in _sequence_perturbations(u1, samples, magnitude, rng):
-        worst = min(worst, leader_cost_open_loop(spec, dev, sol.x0) - base)
-    return float(worst)
+    costs = leader_cost_open_loop(
+        spec, np.concatenate([u1[None], _sequence_perturbations(u1, samples, magnitude, rng)]), sol.x0)
+    return float((costs[1:] - costs[0]).min())
 
 
 def _leader_played(reactions, leader):

@@ -1,11 +1,14 @@
 """Alternate formulations kept only to cross-check the library.
 
-Three kinds live here.  The per-sample loop formulations of the sampling
+Four kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
 axis.  Costs come from :func:`dyngame.game.stage_cost`, stage by stage, so
-they do not share the batched rollout's vectorised cost pass.
+they do not share the batched rollout's vectorised cost pass.  The
+open-loop Stackelberg leader's cost folds each leader sequence into the
+drift on its own and re-solves the followers' game once per sample or
+probe, as the library did before it batched those re-solves over drifts.
 
 The independent solver formulations (criterion 3 of the acceptance suite)
 re-derive each equilibrium through another grouping of the same algebra:
@@ -17,16 +20,19 @@ forms.  Each must agree with its library solver to roundoff.
 The per-matrix game validation checks every stage and every matrix on its
 own, as the library did before it checked stacks; its violations must equal
 the library's exactly.
+
+The transition residuals check that an open-loop solution's stored path
+follows its own affine transition maps; nothing in the library needs them.
 """
 
 import numpy as np
 
-from dyngame import feedback_stackelberg, lqr, openloop_stackelberg, verify
+from dyngame import feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
 from dyngame.feedback_nash import (FeedbackNashSolution, _split, _update_quadratics,
                                    stacked_stage_operator)
-from dyngame.game import (AffineLaw, ValidationReport, Violation, require_valid, rollout,
-                          stage_cost)
+from dyngame.game import (AffineLaw, ValidationReport, Violation, fold_player_controls,
+                          require_valid, rollout, stage_cost)
 from dyngame.numerics import asymmetry, classify_definiteness, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import OPEN_LOOP, solver_of
@@ -90,8 +96,7 @@ def _stationarity_open_loop(spec, sol, h, stackelberg):
     for i in range(n):
         if stackelberg and i == 0:
             def cost(u_flat):
-                return verify.leader_cost_open_loop(
-                    spec, u_flat.reshape(T, spec.control_dims[0]), sol.x0)
+                return leader_cost_open_loop(spec, u_flat.reshape(T, spec.control_dims[0]), sol.x0)
         else:
             def cost(u_flat, i=i):
                 us = [controls[j] if j != i else u_flat.reshape(T, spec.control_dims[i])
@@ -143,6 +148,23 @@ def deviation_gap(spec, sol, player, samples, magnitude, seed, x0=None):
     return float(worst)
 
 
+def leader_cost_open_loop(spec, u_leader, x0):
+    """Leader's cost for one committed sequence: the sequence folded into
+    the drift, the followers' open-loop Nash game re-solved for it alone."""
+    reaction = openloop_nash.solve(fold_player_controls(spec, 0, u_leader), x0)
+    return float(rollout(spec, [u_leader, *reaction.trajectory.controls], x0).total_costs[0])
+
+
+def leader_gap_open_loop(spec, sol, samples, magnitude, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u1 = sol.trajectory.controls[0]
+    base = leader_cost_open_loop(spec, u1, sol.x0)
+    worst = np.inf
+    for dev in sequence_perturbations(u1, samples, magnitude, rng):
+        worst = min(worst, leader_cost_open_loop(spec, dev, sol.x0) - base)
+    return float(worst)
+
+
 def leader_cost_feedback(spec, sol, leader_law, x0):
     """Leader's realized cost when it plays ``leader_law`` and followers
     react stagewise through the solution's reaction maps."""
@@ -180,6 +202,34 @@ def control_deviation(a, b) -> float:
         for ua, ub in zip(a.trajectory.controls, b.trajectory.controls)
     )
     return float(max(worst, np.abs(a.trajectory.states - b.trajectory.states).max(initial=0.0)))
+
+
+def openloop_nash_transition_residual(sol) -> float:
+    """Max gap between an open-loop Nash solution's stored states and its
+    (Phi, phi) recursion."""
+    x = sol.trajectory.states
+    worst = 0.0
+    for t in range(sol.spec.horizon):
+        worst = max(worst, np.abs(x[t + 1] - (sol.Phi[t] @ x[t] + sol.phi[t])).max(initial=0.0))
+    return float(worst)
+
+
+def openloop_stackelberg_transition_residual(sol) -> float:
+    """Max gap of an open-loop Stackelberg solution's stored (x, mu) paths
+    against its per-stage affine maps."""
+    worst = 0.0
+    x = sol.trajectory.states
+    for t, sm in enumerate(sol.stages):
+        x_pred = sm.Phix @ x[t] + sm.phiv
+        for j in range(sol.mu.shape[0]):
+            x_pred = x_pred + sm.Phimu[j] @ sol.mu[j, t]
+        worst = max(worst, np.abs(x[t + 1] - x_pred).max(initial=0.0))
+        for i in range(sol.mu.shape[0]):
+            mu_pred = sm.Psix[i] @ x[t] + sm.psiv[i]
+            for j in range(sol.mu.shape[0]):
+                mu_pred = mu_pred + sm.Psimu[i][j] @ sol.mu[j, t]
+            worst = max(worst, np.abs(sol.mu[i, t + 1] - mu_pred).max(initial=0.0))
+    return float(worst)
 
 
 def feedback_nash_solve_alt(spec) -> FeedbackNashSolution:
@@ -609,8 +659,9 @@ def _check_sym_def(M, loc, need, tol, add):
         return
     if need is None:
         return
-    d = classify_definiteness(0.5 * (M + M.T), tol=tol)
+    d = classify_definiteness(0.5 * M + 0.5 * M.T, tol=tol)
+    shown = f"{d.min_eigenvalue:.3e}" if np.isfinite(d.min_eigenvalue) else "not finite"
     if need == "PD" and d.classification != "PD":
-        add(loc, f"not positive definite (min eigenvalue {d.min_eigenvalue:.3e})")
+        add(loc, f"not positive definite (min eigenvalue {shown})")
     elif need == "PSD" and not d.is_psd:
-        add(loc, f"not positive semidefinite (min eigenvalue {d.min_eigenvalue:.3e})")
+        add(loc, f"not positive semidefinite (min eigenvalue {shown})")

@@ -179,9 +179,12 @@ def test_batched_oracles_match_loop_reference(solver, seed):
         loop = ref.deviation_gap(spec, sol, player, 20, 1e-3, seed + player, x0)
         assert abs(batched - loop) <= GAP_ATOL * (1 + abs(J[player])), (player, batched, loop)
 
-    if row.stackelberg and row.pattern != OPEN_LOOP:
+    if row.stackelberg:
         batched = verify.leader_gap(spec, sol, row.pattern, samples=20, seed=seed, x0=x0)
-        loop = ref.leader_gap_feedback(spec, sol, 20, 1e-3, seed, x0)
+        if row.pattern == OPEN_LOOP:
+            loop = ref.leader_gap_open_loop(spec, sol, 20, 1e-3, seed)
+        else:
+            loop = ref.leader_gap_feedback(spec, sol, 20, 1e-3, seed, x0)
         assert abs(batched - loop) <= GAP_ATOL * (1 + abs(J[0])), (batched, loop)
 
     batched = verify.stationarity(spec, sol, row.pattern, h=1e-5, x0=x0)
@@ -240,9 +243,31 @@ def test_rollout_calls_do_not_grow_with_samples(solver, monkeypatch):
         verify.deviation_gap(spec, sol, row.pattern, player, samples=samples, x0=x0)
         counts[samples] = len(calls)
     assert counts[5] == counts[50] >= 1, counts
-    if row.stackelberg and row.pattern != OPEN_LOOP:
+    if row.stackelberg:
         for samples in (5, 50):
             calls.clear()
             verify.leader_gap(spec, sol, row.pattern, samples=samples, x0=x0)
             counts[samples] = len(calls)
         assert counts[5] == counts[50] >= 1, counts
+
+
+# ---------------------------------------------------------------------------
+# The feedback stationarity's chunked sample axis
+
+
+@pytest.mark.parametrize("solver", ["feedback-nash", "feedback-stackelberg"])
+def test_chunked_feedback_stationarity_is_bit_identical(solver, monkeypatch):
+    # At T = 40 the 2*T*4 probe samples times T stages exceed the row
+    # budget, so the probes go through in more than one chunk.
+    T = 40
+    spec = random_game(11, n_players=3, state_dim=2, control_dims=[1, 2, 1], horizon=T,
+                       time_varying=True)
+    x0 = random_x0(11, spec)
+    sol = SOLVERS[solver].solve(spec, x0)
+    rows = 2 * T * 4 * T
+    assert rows > verify._FEEDBACK_ROWS
+    chunked = verify.stationarity(spec, sol, verify.FEEDBACK, x0=x0)
+    monkeypatch.setattr(verify, "_FEEDBACK_ROWS", rows)
+    whole = verify.stationarity(spec, sol, verify.FEEDBACK, x0=x0)
+    assert chunked == whole
+    assert max(whole.values()) < 1e-6

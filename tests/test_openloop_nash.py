@@ -17,7 +17,7 @@ def test_scalar_unit_instance():
         assert sol.trajectory.controls[i][0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert sol.trajectory.states[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert sol.Phi[0][0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert sol.transition_residual() <= 1e-10
+    assert ref.openloop_nash_transition_residual(sol) <= 1e-10
 
 
 @pytest.mark.parametrize("x0", [np.array([1.0, 2.0]), np.array([np.nan])])

@@ -15,7 +15,7 @@ def test_scalar_unit_instance():
     sol = openloop_stackelberg.solve(scalar_unit_two_player(), np.array([1.0]))
     assert sol.trajectory.controls[0][0, 0] == pytest.approx(-0.2, abs=1e-12)
     assert sol.trajectory.controls[1][0, 0] == pytest.approx(-0.4, abs=1e-12)
-    assert sol.transition_residual() <= 1e-10
+    assert ref.openloop_stackelberg_transition_residual(sol) <= 1e-10
 
 
 def test_boundary_conditions_exact():

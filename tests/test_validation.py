@@ -9,6 +9,7 @@ input error, and guard that the number of eigenvalue calls does not grow
 with the horizon.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -151,9 +152,7 @@ def malformed_game(seed) -> GameSpec:
         t = int(rng.integers(len(stages)))
         old = stages[t]
         try:
-            # building a stage with Inf in a weight warns in its symmetry repair
-            with np.errstate(invalid="ignore"):
-                new = MALFORMATIONS[int(rng.integers(len(MALFORMATIONS)))](old, rng)
+            new = MALFORMATIONS[int(rng.integers(len(MALFORMATIONS)))](old, rng)
         except IndexError:  # an earlier malformation removed what this one changes
             continue
         if rng.integers(2):
@@ -222,6 +221,36 @@ def test_non_finite_stage_data_is_an_input_error(field, location):
     assert validate(spec).messages() == [f"stages/1/{location}: not finite"]
     with pytest.raises(InvalidGameError, match="not finite"):
         feedback_nash.solve(spec)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_building_a_stage_with_non_finite_weights_is_silent(value):
+    spec = random_game(3, n_players=2, state_dim=2, horizon=2)
+    st = spec.stages[0]
+    Q, R = st.Q[1].copy(), st.R[0][0].copy()
+    Q[0, 1] = R[0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = replace(st, Q=(st.Q[0], Q), R=((R,) + st.R[0][1:],) + st.R[1:])
+        messages = validate(replace(spec, stages=(st, bad))).messages()
+    assert messages == ["stages/1/Q/1: not finite", "stages/1/R/0/0: not finite"]
+
+
+@pytest.mark.parametrize("weight, shown", [
+    # the symmetric part of M + M' overflows here, its halves do not
+    ([[1e308, 1e308], [1e308, 1.0]], "-6.180e+307"),
+    # a finite matrix whose smallest eigenvalue overflows
+    ([[-1.7e308, -1.7e308], [-1.7e308, -1.7e308]], "not finite"),
+])
+def test_weights_near_the_float_range_report_no_nan_eigenvalue(weight, shown):
+    spec = random_game(3, n_players=2, state_dim=2, horizon=1)
+    st = spec.stages[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = replace(spec, stages=(replace(st, Q=(np.array(weight), st.Q[1])),))
+        messages = validate(spec).messages()
+    assert messages == [f"stages/0/Q/0: not positive semidefinite (min eigenvalue {shown})"]
+    assert messages == ref.validate(spec).messages()
 
 
 def _eigvalsh_calls(monkeypatch, spec, **kwargs):
