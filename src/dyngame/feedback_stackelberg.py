@@ -143,16 +143,3 @@ def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
         Z=Z, zeta=zeta, n_const=n_const,
         reactions=ReactionCoefficients(W=tuple(W_all), rbar=tuple(rbar_all), w=tuple(w_all)),
     )
-
-
-def reaction_consistency(sol: FeedbackStackelbergSolution) -> float:
-    """Max violation of G^i = W^i + rbar^i G_leader (and the offset analog),
-    i.e. P^i = -W^i + rbar^i P_leader in the recursion's signs."""
-    leader, r = sol.laws[0], sol.reactions
-    worst = 0.0
-    for k, law in enumerate(sol.laws[1:]):
-        G_pred = r.W[k] + r.rbar[k] @ leader.G
-        g_pred = r.w[k] + (r.rbar[k] @ leader.g[..., None])[..., 0]
-        worst = max(worst, np.abs(G_pred - law.G).max(initial=0.0),
-                    np.abs(g_pred - law.g).max(initial=0.0))
-    return float(worst)

@@ -97,23 +97,6 @@ class StageData:
         )
 
 
-def make_stage(A, B, Q, R, s=None, x_target=None, u_target=None) -> StageData:
-    """Build a StageData, filling omitted drift/targets with zeros."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    p = A.shape[0]
-    B = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in B)
-    n = len(B)
-    dims = [b.shape[1] for b in B]
-    if s is None:
-        s = np.zeros(p)
-    if x_target is None:
-        x_target = tuple(np.zeros(p) for _ in range(n))
-    if u_target is None:
-        u_target = tuple(tuple(np.zeros(dims[j]) for j in range(n)) for _ in range(n))
-    return StageData(A=A, B=B, s=np.asarray(s, dtype=float), Q=tuple(Q), R=tuple(tuple(r for r in row) for row in R),
-                     x_target=tuple(x_target), u_target=tuple(tuple(u for u in row) for row in u_target))
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """A finite-horizon affine-quadratic game.
@@ -156,14 +139,24 @@ class GameSpec:
 
 def constant_game(A, B, Q, R, T, s=None, x_target=None, u_target=None,
                   names=None) -> GameSpec:
-    """GameSpec with one StageData broadcast to all T stages."""
-    stage = make_stage(A, B, Q, R, s=s, x_target=x_target, u_target=u_target)
-    n = len(stage.B)
+    """GameSpec with one StageData broadcast to all T stages, filling
+    omitted drift/targets with zeros."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in B)
+    p, n = A.shape[0], len(B)
+    dims = [b.shape[1] for b in B]
+    if s is None:
+        s = np.zeros(p)
+    if x_target is None:
+        x_target = [np.zeros(p)] * n
+    if u_target is None:
+        u_target = [[np.zeros(m) for m in dims]] * n
     if names is None:
         names = [f"P{i + 1}" for i in range(n)]
-    players = tuple(Player(control_dim=stage.B[i].shape[1], name=names[i]) for i in range(n))
-    return GameSpec(horizon=T, state_dim=stage.A.shape[0], players=players,
-                    stages=tuple(stage for _ in range(T)))
+    stage = StageData(A=A, B=B, s=s, Q=tuple(Q), R=tuple(tuple(row) for row in R),
+                      x_target=tuple(x_target), u_target=tuple(tuple(row) for row in u_target))
+    players = tuple(Player(control_dim=m, name=names[i]) for i, m in enumerate(dims))
+    return GameSpec(horizon=T, state_dim=p, players=players, stages=(stage,) * T)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +295,11 @@ def _stack_violations(M: np.ndarray, need: str | None, tol: float):
     """``(k, message)`` for each array ``M[k]`` of a stack (K, ...) that
     fails requirement ``need``: None (finite only), "symmetric", "PSD" or
     "PD".  A non-finite array is tested no further, an asymmetric one is
-    not tested for definiteness.  The symmetric part sums halves, so finite
-    entries near the float range do not overflow; a smallest eigenvalue
-    that is still not finite is reported as such, not printed as a number."""
+    not tested for definiteness.  The asymmetry gap, as in
+    :func:`dyngame.numerics.asymmetry`, and the symmetric part are formed
+    from halves, so finite entries near the float range do not overflow; a
+    smallest eigenvalue that is still not finite is reported as such, not
+    printed as a number."""
     finite = np.isfinite(M).reshape(len(M), -1).all(axis=1)
     for k in np.flatnonzero(~finite):
         yield k, "not finite"
@@ -312,10 +307,10 @@ def _stack_violations(M: np.ndarray, need: str | None, tol: float):
         return
     keep = np.flatnonzero(finite)
     F = M[keep]
-    gap = np.abs(F - F.swapaxes(1, 2)).max(axis=(1, 2))
-    asymmetric = gap > tol * (1.0 + np.abs(F).max(axis=(1, 2)))
+    half = np.abs(0.5 * F - 0.5 * F.swapaxes(1, 2)).max(axis=(1, 2))
+    asymmetric = half > 0.5 * tol * (1.0 + np.abs(F).max(axis=(1, 2)))
     for k in np.flatnonzero(asymmetric):
-        yield keep[k], f"not symmetric (max asymmetry {gap[k]:.2e})"
+        yield keep[k], f"not symmetric (max asymmetry {2.0 * float(half[k]):.2e})"
     if need == "symmetric":
         return
     keep, F = keep[~asymmetric], F[~asymmetric]

@@ -87,9 +87,10 @@ def solve_control(spec: GameSpec) -> ControlSolution:
         st = spec.stages[t]
         A, B, s, R = st.A, st.B[0], st.s, st.R[0][0]
         H = R + B.T @ Z[t + 1] @ B                      # stage Hessian, PD
-        P = solve_dense(H, B.T @ Z[t + 1] @ A, context=f"stage {t} control gain")
-        alpha = solve_dense(H, B.T @ (Z[t + 1] @ s + zeta[t + 1]),
-                            context=f"stage {t} control offset")
+        packed = solve_dense(H, np.hstack([B.T @ Z[t + 1] @ A,
+                                           (B.T @ (Z[t + 1] @ s + zeta[t + 1]))[:, None]]),
+                             context=f"stage {t} control gain/offset system")
+        P, alpha = packed[:, :p], packed[:, p]
         G[t], g[t] = -P, -alpha
 
         F = A - B @ P

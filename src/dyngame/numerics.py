@@ -1,4 +1,4 @@
-"""Dense linear algebra helpers: solves, definiteness tests, self-check identities.
+"""Dense linear algebra helpers: solves, symmetry and definiteness tests.
 
 Everything here is a thin, contract-enforcing wrapper around numpy and
 LAPACK dense routines.  Matrices at the intended scale are tiny (state and
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .errors import DefinitenessError, InvalidGameError, SingularSystemError
+from .errors import InvalidGameError, SingularSystemError
 
 #: Relative pivot threshold below which a system is reported singular.
 PIVOT_RTOL = 1e-12
@@ -85,9 +85,13 @@ def _condition_estimate(A: np.ndarray) -> float:
 
 def asymmetry(M: np.ndarray, rtol: float) -> tuple[float, bool]:
     """Max entrywise gap |M - M'| of a square M, and whether it exceeds the
-    relative tolerance ``rtol * (1 + max|M|)``."""
-    gap = np.abs(M - M.T).max(initial=0.0)
-    return gap, bool(gap > rtol * (1.0 + np.abs(M).max(initial=0.0)))
+    relative tolerance ``rtol * (1 + max|M|)``.
+
+    The gap is formed from halves, 0.5 M - 0.5 M', and doubled as a Python
+    float: finite weights of opposite sign near the float range do not
+    overflow, and a gap past that range reads inf."""
+    half = np.abs(0.5 * M - 0.5 * M.T).max(initial=0.0)
+    return 2.0 * float(half), bool(half > 0.5 * rtol * (1.0 + np.abs(M).max(initial=0.0)))
 
 
 def symmetrize(M: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
@@ -131,41 +135,3 @@ def classify_definiteness(M: np.ndarray, tol: float = 1e-9) -> Definiteness:
     else:
         cls = "indefinite"
     return Definiteness(cls, min_eig)
-
-
-def pushthrough_residuals(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
-    """Max-norm residuals of the two push-through inverse identities.
-
-        r1:  I - A B (I + B'AB)^{-1} B'   vs  (I + A B B')^{-1}
-        r2:  I - B (I + B'AB)^{-1} B' A   vs  (I + B B' A)^{-1}
-
-    Both vanish identically for positive definite A; the returned residuals
-    serve as a numerical self-test and should be ~1e-10 or smaller for
-    well-conditioned inputs.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    d = classify_definiteness(A)
-    if d.classification != "PD":
-        raise DefinitenessError(
-            f"push-through identities require a positive definite matrix, "
-            f"got {d.classification} (min eigenvalue {d.min_eigenvalue:.2e})"
-        )
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise InvalidGameError(
-            f"second factor must be {A.shape[0]}xr, got shape {B.shape}"
-        )
-
-    q = A.shape[0]
-    I_q = np.eye(q)
-    I_r = np.eye(B.shape[1])
-    core = I_r + B.T @ A @ B
-
-    lhs1 = I_q - A @ B @ solve_dense(core, B.T, context="push-through core")
-    rhs1 = np.linalg.inv(I_q + A @ B @ B.T)
-    r1 = float(np.abs(lhs1 - rhs1).max(initial=0.0))
-
-    lhs2 = I_q - B @ solve_dense(core, B.T @ A, context="push-through core")
-    rhs2 = np.linalg.inv(I_q + B @ B.T @ A)
-    r2 = float(np.abs(lhs2 - rhs2).max(initial=0.0))
-    return r1, r2

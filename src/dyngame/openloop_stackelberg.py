@@ -5,19 +5,24 @@ its own costate lambda, one multiplier sequence mu^i per follower (paired
 with the follower's adjoint recursion) and one cocontrol sequence v^i per
 follower (paired with the follower's stationarity condition).  mu runs
 *forward* (mu_0^i = 0) while the costates run backward; expressing the
-backward quantities as affine functions of the joint (x, mu^2..mu^n)
-vector turns the whole system into a single backward induction:
+backward quantities as affine functions of the extended state
+z = (x, mu^1..mu^{n-1}), of dimension n*p, turns the whole system into a
+single backward induction (Basar and Olsder, *Dynamic Noncooperative Game
+Theory*, 2nd ed., SIAM 1999, section 7.2):
 
-  - follower costates:  p_t^i  = (M_t^ix - W_t^i) x_t + sum_j M_t^ij_mu mu_t^j + m_t^i
-  - leader costate:     la_t   = (L_t^x - W_t^0) x_t + sum_j L_t^j_mu  mu_t^j + l_t
-  - cocontrols:         v_t^i  = N_t^ix x_{t+1} + sum_j N_t^ij_mu mu_t^j + n_t^i
+  - costates:    (lambda_t, p_t^1..p_t^{n-1}) = (K_t - W_t) z_t + k_t
+  - cocontrols:  v_t = N_t (x_{t+1}, mu_t) + nv_t
+  - extended state and controls:  z_{t+1} = Xi_t z_t + xi_t,  u_t = P_t z_t + alpha_t
 
-(W_t here is the state weight absorbed into the quadratic blocks, as in
-the other solvers.)  Per stage the unknown cocontrol coefficient families
-{N^ix}, {N^ij_mu}, {n^i} share one stacked block operator, so a single
-factorization serves all of them.  The forward pass advances the extended
-state (x, mu^2..mu^n) jointly, which avoids ever inverting the state
-transition map.
+K_t (n*p, n*p) stacks the leader's costate rows first, then each
+follower's; W_t carries each player's stage-(t-1) state weight on its
+x block, absorbed into K as in the other solvers.  The followers enter
+every stage as one stacked block: B_f = blockdiag(B^i), their inputs side
+by side Bh_f = [B^1 .. B^{n-1}], the leader's weights on their
+stationarity directions K_f = blockdiag(R^{0i} (R^{ii})^-1 B^i') and
+A_f = blockdiag(A).  One factorization gives all cocontrol coefficients,
+one gives the state transition, and the forward pass advances z jointly,
+which avoids ever inverting the state transition map.
 
 The equilibrium is *not* strongly time consistent: re-solving a truncated
 game with multipliers reset to zero generally changes the tail.  The tail
@@ -34,8 +39,8 @@ coefficients of every later stage expressed as functions of the forward
 ones, an elimination whose size grows with the horizon and which is not
 implementable as a stagewise sweep.  That formulation is therefore
 documented here but deliberately not implemented; the affine ansatz in
-the *joint* (x, mu) vector used above turns the same optimality system
-into the single backward induction implemented by :func:`solve`.
+the joint (x, mu) vector turns the same optimality system into the single
+backward induction implemented by :func:`solve`.
 """
 
 from __future__ import annotations
@@ -50,57 +55,33 @@ from .numerics import solve_dense
 
 
 @dataclass(frozen=True)
-class StageMaps:
-    """Per-stage coefficient maps of the backward pass (followers indexed
-    0..n-2 for players 1..n-1).
-
-    N: cocontrol maps (on x_{t+1} and mu_t); T/W: follower/leader control
-    maps (on x_{t+1} and mu_t); Phi/phi: state transition (on x_t, mu_t);
-    Psi/psi: multiplier transition; P/alpha: path gains (on x_t, mu_t).
-    """
-
-    Nx: tuple[np.ndarray, ...]
-    Nmu: tuple[tuple[np.ndarray, ...], ...]
-    nv: tuple[np.ndarray, ...]
-    Tx: tuple[np.ndarray, ...]
-    Tmu: tuple[tuple[np.ndarray, ...], ...]
-    tv: tuple[np.ndarray, ...]
-    Wx: np.ndarray
-    Wmu: tuple[np.ndarray, ...]
-    wv: np.ndarray
-    Phix: np.ndarray
-    Phimu: tuple[np.ndarray, ...]
-    phiv: np.ndarray
-    Psix: tuple[np.ndarray, ...]
-    Psimu: tuple[tuple[np.ndarray, ...], ...]
-    psiv: tuple[np.ndarray, ...]
-    P1x: np.ndarray
-    P1mu: tuple[np.ndarray, ...]
-    alpha1: np.ndarray
-    Pix: tuple[np.ndarray, ...]
-    Pimu: tuple[tuple[np.ndarray, ...], ...]
-    alphai: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class OpenLoopStackelbergSolution:
     spec: GameSpec
     x0: np.ndarray
     initial_mu: np.ndarray          # (n-1, p), zeros for a fresh solve
     trajectory: Trajectory
-    # Per player path laws, G (T, m_i, p), g (T, m_i): G is the path gain
-    # on x_t and g folds in the multiplier terms at their path values, so
-    # the laws reproduce the equilibrium controls along the equilibrium
-    # path only.
+    # Per player path laws, G (T, m_i, p), g (T, m_i): G is the x block of
+    # the path gain P and g = alpha + P_mu mu_t at the path values, so the
+    # laws reproduce the equilibrium controls along the equilibrium path
+    # only.
     laws: tuple[AffineLaw, ...]
     mu: np.ndarray                  # (n-1, T+1, p) multiplier paths
-    Mx: np.ndarray                  # (n-1, T+1, p, p)
-    Mmu: np.ndarray                 # (n-1, n-1, T+1, p, p)
-    mv: np.ndarray                  # (n-1, T+1, p)
-    Lx: np.ndarray                  # (T+1, p, p)
-    Lmu: np.ndarray                 # (n-1, T+1, p, p)
-    lv: np.ndarray                  # (T+1, p)
-    stages: tuple[StageMaps, ...]
+    K: np.ndarray                   # (T+1, n*p, n*p) costate coefficients
+    k: np.ndarray                   # (T+1, n*p) costate offsets
+    N: np.ndarray                   # (T, sum of follower m_i, n*p) cocontrol maps
+    nv: np.ndarray                  # (T, sum of follower m_i) cocontrol offsets
+    Xi: np.ndarray                  # (T, n*p, n*p) extended-state transitions
+    xi: np.ndarray                  # (T, n*p)
+    alpha: np.ndarray               # (T, sum m_i) path offsets, u_t = P_t z_t + alpha_t
+
+
+def _blockdiag(blocks) -> np.ndarray:
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) -> OpenLoopStackelbergSolution:
@@ -115,23 +96,7 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
     x0 = initial_state(spec, x0)
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    nf = n - 1
-    followers = list(range(1, n))
-
-    Mx = np.empty((nf, T + 1, p, p))
-    Mmu = np.zeros((nf, nf, T + 1, p, p))
-    mv = np.zeros((nf, T + 1, p))
-    Lx = np.empty((T + 1, p, p))
-    Lmu = np.zeros((nf, T + 1, p, p))
-    lv = np.zeros((T + 1, p))
-    for k, i in enumerate(followers):
-        Mx[k, T] = spec.stages[T - 1].Q[i]
-    Lx[T] = spec.stages[T - 1].Q[0]
-
-    maps: list[StageMaps] = [None] * T
-    for t in range(T - 1, -1, -1):
-        maps[t] = _backward_stage(spec, t, Mx, Mmu, mv, Lx, Lmu, lv)
-
+    nf, d = n - 1, n * p
     if initial_mu is None:
         mu0 = np.zeros((nf, p))
     else:
@@ -140,249 +105,123 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
             raise InvalidGameError(
                 f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
             )
+    dims = spec.control_dims
+    m0, M = dims[0], sum(dims)
 
-    # Forward pass over the extended state (x, mu^1..mu^nf); the path laws
-    # take the multiplier terms at their path values.
-    G = [np.empty((T, m, p)) for m in spec.control_dims]
-    g = [np.empty((T, m)) for m in spec.control_dims]
-    controls = [np.empty((T, m)) for m in spec.control_dims]
-    mu = np.empty((nf, T + 1, p))
-    mu[:, 0] = mu0
-    x = x0.copy()
+    # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
+    K = np.zeros((T + 1, d, d))
+    k = np.zeros((T + 1, d))
+    N = np.empty((T, M - m0, d + 1))
+    Xi = np.empty((T, d, d + 1))
+    P = np.empty((T, M, d + 1))
+    K[T, :, :p] = np.vstack(spec.stages[T - 1].Q)
+
+    for t in range(T - 1, -1, -1):
+        st = spec.stages[t]
+        A = st.A
+        # Kb, kb: the next costate coefficients with the leader's weights on
+        # the followers' states and every player's state target folded in.
+        Kb = K[t + 1].copy()
+        Kb[:p, p:] += np.hstack(st.Q[1:])
+        kb = k[t + 1] - np.concatenate([Q @ xt for Q, xt in zip(st.Q, st.x_target)])
+        RinvBt = [solve_dense(st.R[i][i], st.B[i].T,
+                              context=f"stage {t} {'leader' if i == 0 else 'follower'} weight")
+                  for i in range(n)]
+        B_all = np.hstack(st.B)
+        B_f = _blockdiag(st.B[1:])
+        A_f = _blockdiag([A] * nf)
+
+        # Cocontrols: with J = [Bh_f' | -K_f] and H = J Kb,
+        # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
+        J = np.hstack([B_all[:, m0:].T,
+                       -_blockdiag([st.R[0][i] @ RinvBt[i] for i in range(1, n)])])
+        H = J @ Kb
+        C = _blockdiag([st.R[i][i] for i in range(1, n)]) + H[:, p:] @ B_f
+        u_own = np.concatenate([st.u_target[i][i] for i in range(n)])
+        du = _blockdiag(st.R[0][1:]) @ (u_own[m0:] - np.concatenate(st.u_target[0][1:]))
+        rhs = np.hstack([H[:, :p], H[:, p:] @ A_f, (J @ kb + du)[:, None]])
+        try:
+            N[t] = solve_dense(C, -rhs, context=f"stage {t} stacked cocontrol system")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the stacked cocontrol coefficient systems admit no unique solution "
+                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
+
+        # Every control as one map of (x_{t+1}, mu_t), offsets last.
+        Cy = np.hstack([Kb[:, :p], Kb[:, p:] @ A_f, kb[:, None]]) + Kb[:, p:] @ (B_f @ N[t])
+        U = -_blockdiag(RinvBt) @ Cy
+        U[:, d] += u_own
+
+        # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
+        E = np.eye(p) - B_all @ U[:, :p]
+        try:
+            Phi = solve_dense(E, np.hstack([A, B_all @ U[:, p:d], (B_all @ U[:, d] + st.s)[:, None]]),
+                              context=f"stage {t} state transition operator")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the state transition operator I - B U_x is singular "
+                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
+
+        # Controls and cocontrols as maps of (z_t, 1), then the z transition.
+        UN = np.vstack([U, N[t]])
+        path = UN[:, :p] @ Phi
+        path[:, p:] += UN[:, p:]
+        P[t] = path[:M]
+        Xi[t, :p] = Phi
+        Xi[t, p:] = B_f @ path[M:]
+        Xi[t, p:, p:d] += A_f
+
+        # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x blocks.
+        KX = Kb @ Xi[t]
+        KX[:, d] += kb
+        KX = _blockdiag([A.T] * n) @ KX
+        K[t], k[t] = KX[:, :d], KX[:, d]
+        if t > 0:
+            K[t, :, :p] += np.vstack(spec.stages[t - 1].Q)
+
+    z = np.empty((T + 1, d))
+    z[0, :p], z[0, p:] = x0, mu0.ravel()
     for t in range(T):
-        sm = maps[t]
-        mu_t = mu[:, t]
-        path_gains = [(sm.P1x, sm.alpha1, sm.P1mu)] + list(zip(sm.Pix, sm.alphai, sm.Pimu))
-        for i, (Px, alpha, Pmu) in enumerate(path_gains):
-            mu_terms = sum(Pmu[j] @ mu_t[j] for j in range(nf))
-            G[i][t], g[i][t] = Px, alpha + mu_terms
-            controls[i][t] = Px @ x + alpha + mu_terms
-        x_next = sm.Phix @ x + sm.phiv + sum(sm.Phimu[j] @ mu_t[j] for j in range(nf))
-        for k in range(nf):
-            mu[k, t + 1] = (sm.Psix[k] @ x + sm.psiv[k]
-                            + sum(sm.Psimu[k][j] @ mu_t[j] for j in range(nf)))
-        x = x_next
-
+        z[t + 1] = Xi[t, :, :d] @ z[t] + Xi[t, :, d]
+    u = np.einsum("tij,tj->ti", P[:, :, :d], z[:T]) + P[:, :, d]
+    g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
+    splits = np.cumsum(dims[:-1])
+    controls = np.split(u, splits, axis=1)
+    laws = tuple(AffineLaw(G, gi) for G, gi in zip(np.split(P[:, :, :p], splits, axis=1),
+                                                  np.split(g, splits, axis=1)))
     traj = rollout(spec, controls, x0)
     return OpenLoopStackelbergSolution(
-        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj,
-        laws=tuple(map(AffineLaw, G, g)), mu=mu,
-        Mx=Mx, Mmu=Mmu, mv=mv, Lx=Lx, Lmu=Lmu, lv=lv, stages=tuple(maps),
+        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, laws=laws,
+        mu=z[:, p:].reshape(T + 1, nf, p).transpose(1, 0, 2),
+        K=K, k=k, N=N[:, :, :d], nv=N[:, :, d], Xi=Xi[:, :, :d], xi=Xi[:, :, d],
+        alpha=P[:, :, d],
     )
-
-
-def _backward_stage(spec, t, Mx, Mmu, mv, Lx, Lmu, lv) -> StageMaps:
-    """One backward step: cocontrol systems, control maps, transitions,
-    then the costate coefficient updates (written into the arrays)."""
-    st = spec.stages[t]
-    p = spec.state_dim
-    n = spec.n_players
-    nf = n - 1
-    followers = list(range(1, n))
-    fdims = [spec.control_dims[i] for i in followers]
-    A, s = st.A, st.s
-
-    nxt = t + 1
-    # Per follower i: K_i = R^{leader,i} (R^ii)^{-1} B^i', the weight the
-    # leader's cost places on follower i's stationarity direction.
-    K = []
-    RinvBt = []
-    for k, i in enumerate(followers):
-        rb = solve_dense(st.R[i][i], st.B[i].T, context=f"stage {t} follower weight")
-        RinvBt.append(rb)
-        K.append(st.R[0][i] @ rb)
-
-    # Stacked cocontrol operator; one factorization, 2 + nf right-hand families.
-    C_rows = []
-    for k, i in enumerate(followers):
-        row = []
-        for l, j in enumerate(followers):
-            blk = (st.B[i].T @ (st.Q[j] + Lmu[l, nxt]) @ st.B[j]
-                   - K[k] @ Mmu[k, l, nxt] @ st.B[j])
-            if k == l:
-                blk = blk + st.R[i][i]
-            row.append(blk)
-        C_rows.append(np.hstack(row))
-    C = np.vstack(C_rows)
-
-    rhs_x = np.vstack([K[k] @ Mx[k, nxt] - st.B[i].T @ Lx[nxt]
-                       for k, i in enumerate(followers)])
-    rhs_mu = [
-        np.vstack([
-            (K[k] @ Mmu[k, m, nxt] - st.B[i].T @ Lmu[m, nxt] - st.B[i].T @ st.Q[followers[m]]) @ A
-            for k, i in enumerate(followers)
-        ])
-        for m in range(nf)
-    ]
-    rhs_c = np.concatenate([
-        st.B[i].T @ (st.Q[0] @ st.x_target[0] - lv[nxt])
-        - st.R[0][i] @ (-RinvBt[k] @ (mv[k, nxt] - st.Q[i] @ st.x_target[i])
-                        + st.u_target[i][i] - st.u_target[0][i])
-        for k, i in enumerate(followers)
-    ])
-    try:
-        packed = solve_dense(C, np.hstack([rhs_x] + rhs_mu + [rhs_c[:, None]]),
-                             context=f"stage {t} stacked cocontrol system")
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            "the stacked cocontrol coefficient systems admit no unique solution "
-            f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-        ) from exc
-    blocks = np.split(packed, np.cumsum(fdims[:-1]), axis=0)
-    Nx = [blk[:, :p] for blk in blocks]
-    Nmu = [[blk[:, p * (1 + m):p * (2 + m)] for m in range(nf)] for blk in blocks]
-    nv = [blk[:, p * (1 + nf)] for blk in blocks]
-
-    # Follower control maps (on x_{t+1} and mu_t).
-    Tx, Tmu, tv = [], [], []
-    for k, i in enumerate(followers):
-        Tx.append(-RinvBt[k] @ (Mx[k, nxt]
-                                + sum(Mmu[k, l, nxt] @ st.B[j] @ Nx[l]
-                                      for l, j in enumerate(followers))))
-        Tmu.append([
-            -RinvBt[k] @ (Mmu[k, m, nxt] @ A
-                          + sum(Mmu[k, l, nxt] @ st.B[j] @ Nmu[l][m]
-                                for l, j in enumerate(followers)))
-            for m in range(nf)
-        ])
-        tv.append(-RinvBt[k] @ (sum(Mmu[k, l, nxt] @ st.B[j] @ nv[l]
-                                    for l, j in enumerate(followers))
-                                + mv[k, nxt] - st.Q[i] @ st.x_target[i])
-                  + st.u_target[i][i])
-
-    # Leader control map.
-    Rl_invBt = solve_dense(st.R[0][0], st.B[0].T, context=f"stage {t} leader weight")
-    Wx = -Rl_invBt @ (Lx[nxt] + sum((Lmu[l, nxt] + st.Q[j]) @ st.B[j] @ Nx[l]
-                                    for l, j in enumerate(followers)))
-    Wmu = [
-        -Rl_invBt @ ((Lmu[m, nxt] + st.Q[followers[m]]) @ A
-                     + sum((Lmu[l, nxt] + st.Q[j]) @ st.B[j] @ Nmu[l][m]
-                           for l, j in enumerate(followers)))
-        for m in range(nf)
-    ]
-    wv = (-Rl_invBt @ (lv[nxt] - st.Q[0] @ st.x_target[0]
-                       + sum((Lmu[l, nxt] + st.Q[j]) @ st.B[j] @ nv[l]
-                             for l, j in enumerate(followers)))
-          + st.u_target[0][0])
-
-    # State transition: make x_{t+1} explicit in the control maps.
-    E = np.eye(p) - st.B[0] @ Wx - sum(st.B[j] @ Tx[l] for l, j in enumerate(followers))
-    rhs_phi_mu = [st.B[0] @ Wmu[m] + sum(st.B[j] @ Tmu[l][m] for l, j in enumerate(followers))
-                  for m in range(nf)]
-    rhs_phi_c = st.B[0] @ wv + sum(st.B[j] @ tv[l] for l, j in enumerate(followers)) + s
-    try:
-        packed = solve_dense(E, np.hstack([A] + rhs_phi_mu + [rhs_phi_c[:, None]]),
-                             context=f"stage {t} state transition operator")
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            "the state transition operator I - B^0 W^x - sum_j B^j T^jx is singular "
-            f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-        ) from exc
-    Phix = packed[:, :p]
-    Phimu = [packed[:, p * (1 + m):p * (2 + m)] for m in range(nf)]
-    phiv = packed[:, p * (1 + nf)]
-
-    # Multiplier transition.
-    Psix, Psimu, psiv = [], [], []
-    for k, i in enumerate(followers):
-        Psix.append(st.B[i] @ Nx[k] @ Phix)
-        row = []
-        for m in range(nf):
-            blk = st.B[i] @ (Nx[k] @ Phimu[m] + Nmu[k][m])
-            if m == k:
-                blk = blk + A
-            row.append(blk)
-        Psimu.append(row)
-        psiv.append(st.B[i] @ (Nx[k] @ phiv + nv[k]))
-
-    # Costate coefficient updates.
-    for k, i in enumerate(followers):
-        Mx[k, t] = (spec.prev_state_weight(t, i)
-                    + A.T @ (Mx[k, nxt] @ Phix
-                             + sum(Mmu[k, l, nxt] @ Psix[l] for l in range(nf))))
-        for m in range(nf):
-            Mmu[k, m, t] = A.T @ (Mx[k, nxt] @ Phimu[m]
-                                  + sum(Mmu[k, l, nxt] @ Psimu[l][m] for l in range(nf)))
-        mv[k, t] = A.T @ (Mx[k, nxt] @ phiv
-                          + sum(Mmu[k, l, nxt] @ psiv[l] for l in range(nf))
-                          + mv[k, nxt] - st.Q[i] @ st.x_target[i])
-    Lx[t] = (spec.prev_state_weight(t, 0)
-             + A.T @ (Lx[nxt] @ Phix
-                      + sum(Lmu[l, nxt] @ Psix[l] for l in range(nf))
-                      + sum(st.Q[j] @ st.B[j] @ Nx[l] @ Phix for l, j in enumerate(followers))))
-    for m in range(nf):
-        Lmu[m, t] = A.T @ (Lx[nxt] @ Phimu[m]
-                           + sum(Lmu[l, nxt] @ Psimu[l][m] for l in range(nf))
-                           + st.Q[followers[m]] @ A
-                           + sum(st.Q[j] @ st.B[j] @ (Nx[l] @ Phimu[m] + Nmu[l][m])
-                                 for l, j in enumerate(followers)))
-    lv[t] = A.T @ (Lx[nxt] @ phiv
-                   + sum(Lmu[l, nxt] @ psiv[l] for l in range(nf))
-                   + lv[nxt] - st.Q[0] @ st.x_target[0]
-                   + sum(st.Q[j] @ st.B[j] @ (Nx[l] @ phiv + nv[l])
-                         for l, j in enumerate(followers)))
-
-    # Path gains (controls as functions of x_t and mu_t).
-    P1x = Wx @ Phix
-    P1mu = [Wx @ Phimu[m] + Wmu[m] for m in range(nf)]
-    alpha1 = Wx @ phiv + wv
-    Pix = [Tx[k] @ Phix for k in range(nf)]
-    Pimu = [[Tx[k] @ Phimu[m] + Tmu[k][m] for m in range(nf)] for k in range(nf)]
-    alphai = [Tx[k] @ phiv + tv[k] for k in range(nf)]
-
-    return StageMaps(
-        Nx=tuple(Nx), Nmu=tuple(tuple(r) for r in Nmu), nv=tuple(nv),
-        Tx=tuple(Tx), Tmu=tuple(tuple(r) for r in Tmu), tv=tuple(tv),
-        Wx=Wx, Wmu=tuple(Wmu), wv=wv,
-        Phix=Phix, Phimu=tuple(Phimu), phiv=phiv,
-        Psix=tuple(Psix), Psimu=tuple(tuple(r) for r in Psimu), psiv=tuple(psiv),
-        P1x=P1x, P1mu=tuple(P1mu), alpha1=alpha1,
-        Pix=tuple(Pix), Pimu=tuple(tuple(r) for r in Pimu), alphai=tuple(alphai),
-    )
-
-
-def costate_reconstruction(sol: OpenLoopStackelbergSolution):
-    """Multipliers along the path: leader costate lambda_0..lambda_T,
-    follower costates p_0..p_T, and cocontrols v_0..v_{T-1}.
-
-    lambda_T and p_T^i are exactly zero by the terminal conditions.
-    """
-    spec = sol.spec
-    T, p, nf = spec.horizon, spec.state_dim, spec.n_players - 1
-    followers = list(range(1, spec.n_players))
-    x = sol.trajectory.states
-
-    lam = np.empty((T + 1, p))
-    pco = np.empty((nf, T + 1, p))
-    for t in range(T + 1):
-        lam[t] = (sol.Lx[t] - spec.prev_state_weight(t, 0)) @ x[t] + sol.lv[t]
-        for j in range(nf):
-            lam[t] = lam[t] + sol.Lmu[j, t] @ sol.mu[j, t]
-        for k, i in enumerate(followers):
-            pco[k, t] = (sol.Mx[k, t] - spec.prev_state_weight(t, i)) @ x[t] + sol.mv[k, t]
-            for j in range(nf):
-                pco[k, t] = pco[k, t] + sol.Mmu[k, j, t] @ sol.mu[j, t]
-
-    v = [np.empty((T, m)) for m in (spec.control_dims[i] for i in followers)]
-    for t, sm in enumerate(sol.stages):
-        for k in range(nf):
-            v[k][t] = sm.Nx[k] @ x[t + 1] + sm.nv[k]
-            for j in range(nf):
-                v[k][t] = v[k][t] + sm.Nmu[k][j] @ sol.mu[j, t]
-    return lam, pco, tuple(v)
 
 
 def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
     """Max-norm residuals of the leader's minimum-principle system along
     the path: stationarity of both sides, costate and multiplier
-    recursions, cocontrol consistency, and the state equation."""
+    recursions, cocontrol consistency, and the state equation.
+
+    The multipliers are read off the stacked coefficients at the path
+    values: costates (K_t - W_t) z_t + k_t, so lambda_T and p_T^i vanish
+    exactly, and cocontrols v_t = N_t (x_{t+1}, mu_t) + nv_t.
+    """
     spec = sol.spec
-    T, n = spec.horizon, spec.n_players
-    nf = n - 1
-    followers = list(range(1, n))
+    T, p, n = spec.horizon, spec.state_dim, spec.n_players
     x = sol.trajectory.states
     u = sol.trajectory.controls
-    lam, pco, v = costate_reconstruction(sol)
+    z = np.hstack([x, sol.mu.transpose(1, 0, 2).reshape(T + 1, -1)])
+    W = np.zeros_like(sol.K)
+    for t in range(1, T + 1):
+        W[t, :, :p] = np.vstack(spec.stages[t - 1].Q)
+    costates = (np.einsum("tij,tj->ti", sol.K - W, z) + sol.k).reshape(T + 1, n, p)
+    lam, pco = costates[:, 0], costates[:, 1:].transpose(1, 0, 2)
+    y = np.hstack([x[1:], z[:T, p:]])
+    v = np.split(np.einsum("tij,tj->ti", sol.N, y) + sol.nv,
+                 np.cumsum(spec.control_dims[1:-1]), axis=1)
 
     res = {k: 0.0 for k in ("leader_stationarity", "cocontrol", "leader_costate",
                             "multiplier", "follower_stationarity",
@@ -391,6 +230,7 @@ def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
     def mx(key, val):
         res[key] = max(res[key], float(np.abs(val).max(initial=0.0)))
 
+    followers = list(range(1, n))
     for t in range(T):
         st = spec.stages[t]
         dx0 = x[t + 1] - st.x_target[0]
@@ -403,8 +243,8 @@ def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
         mx("leader_stationarity", g1)
 
         for k, i in enumerate(followers):
-            qv_others = sum((qv[l] for l in range(nf) if l != k),
-                            start=np.zeros(spec.state_dim))
+            qv_others = sum((qv[l] for l in range(n - 1) if l != k),
+                            start=np.zeros(p))
             gi = (st.B[i].T @ (st.Q[0] @ dx0 + lam[t + 1])
                   + st.R[0][i] @ (u[i][t] - st.u_target[0][i])
                   + st.B[i].T @ sum(qmu)
@@ -428,6 +268,5 @@ def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
            x[t + 1] - (st.A @ x[t] + st.s + sum(st.B[j] @ u[j][t] for j in range(n))))
 
     mx("leader_costate", lam[T])
-    for k in range(nf):
-        mx("follower_costate", pco[k, T])
+    mx("follower_costate", pco[:, T])
     return res

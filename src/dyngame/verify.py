@@ -463,11 +463,11 @@ def definiteness_monitor(solution) -> DefinitenessLog:
             for t in range(horizon + 1):
                 record(solution.M[i, t], t, f"M[{i}]", asserted=(n == 1))
     elif isinstance(solution, OpenLoopStackelbergSolution):
-        nf, horizon = solution.Mx.shape[0], solution.Mx.shape[1] - 1
-        for t in range(horizon + 1):
-            record(solution.Lx[t], t, "L_x", asserted=False)
-            for k in range(nf):
-                record(solution.Mx[k, t], t, f"M_x[{k}]", asserted=False)
+        p = solution.spec.state_dim
+        for t, K_t in enumerate(solution.K):
+            record(K_t[:p, :p], t, "L_x", asserted=False)
+            for k in range(1, solution.spec.n_players):
+                record(K_t[k * p:(k + 1) * p, :p], t, f"M_x[{k - 1}]", asserted=False)
     else:
         raise InvalidGameError(f"cannot monitor solution type {type(solution).__name__}")
     return DefinitenessLog(entries=tuple(entries))

@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Four kinds live here.  The per-sample loop formulations of the sampling
+Six kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -21,18 +21,29 @@ The per-matrix game validation checks every stage and every matrix on its
 own, as the library did before it checked stacks; its violations must equal
 the library's exactly.
 
+The per-follower open-loop Stackelberg solver is the library's solver as
+it was before it moved to the stacked (x, mu) layout: the same backward
+induction with every coefficient split into per-follower blocks and
+per-follower sums.  Every control, multiplier and costate block of the
+library's solution must equal it to roundoff.
+
 The transition residuals check that an open-loop solution's stored path
-follows its own affine transition maps; nothing in the library needs them.
+follows its own affine transition maps, and the self-check identities
+(push-through inverses, feedback Stackelberg reaction consistency) test
+algebra the solvers rely on; nothing in the library needs them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from dyngame import feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg, verify
-from dyngame.errors import InvalidGameError
+from dyngame.errors import DefinitenessError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import (FeedbackNashSolution, _split, _update_quadratics,
                                    stacked_stage_operator)
-from dyngame.game import (AffineLaw, ValidationReport, Violation, fold_player_controls,
-                          require_valid, rollout, stage_cost)
+from dyngame.game import (AffineLaw, GameSpec, Trajectory, ValidationReport, Violation,
+                          fold_player_controls, initial_state, require_valid, rollout,
+                          stage_cost)
 from dyngame.numerics import asymmetry, classify_definiteness, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import OPEN_LOOP, solver_of
@@ -216,19 +227,12 @@ def openloop_nash_transition_residual(sol) -> float:
 
 def openloop_stackelberg_transition_residual(sol) -> float:
     """Max gap of an open-loop Stackelberg solution's stored (x, mu) paths
-    against its per-stage affine maps."""
+    against its extended-state transitions z_{t+1} = Xi_t z_t + xi_t."""
+    T = sol.spec.horizon
+    z = np.hstack([sol.trajectory.states, sol.mu.transpose(1, 0, 2).reshape(T + 1, -1)])
     worst = 0.0
-    x = sol.trajectory.states
-    for t, sm in enumerate(sol.stages):
-        x_pred = sm.Phix @ x[t] + sm.phiv
-        for j in range(sol.mu.shape[0]):
-            x_pred = x_pred + sm.Phimu[j] @ sol.mu[j, t]
-        worst = max(worst, np.abs(x[t + 1] - x_pred).max(initial=0.0))
-        for i in range(sol.mu.shape[0]):
-            mu_pred = sm.Psix[i] @ x[t] + sm.psiv[i]
-            for j in range(sol.mu.shape[0]):
-                mu_pred = mu_pred + sm.Psimu[i][j] @ sol.mu[j, t]
-            worst = max(worst, np.abs(sol.mu[i, t + 1] - mu_pred).max(initial=0.0))
+    for t in range(T):
+        worst = max(worst, np.abs(z[t + 1] - (sol.Xi[t] @ z[t] + sol.xi[t])).max(initial=0.0))
     return float(worst)
 
 
@@ -556,6 +560,303 @@ def openloop_stackelberg_crosscheck_two_player_lq(spec, x0) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Per-follower open-loop Stackelberg solver
+
+
+@dataclass(frozen=True)
+class StageMaps:
+    """Per-stage coefficient maps of the backward pass (followers indexed
+    0..n-2 for players 1..n-1).
+
+    N: cocontrol maps (on x_{t+1} and mu_t); T/W: follower/leader control
+    maps (on x_{t+1} and mu_t); Phi/phi: state transition (on x_t, mu_t);
+    Psi/psi: multiplier transition; P/alpha: path gains (on x_t, mu_t).
+    """
+
+    Nx: tuple[np.ndarray, ...]
+    Nmu: tuple[tuple[np.ndarray, ...], ...]
+    nv: tuple[np.ndarray, ...]
+    Tx: tuple[np.ndarray, ...]
+    Tmu: tuple[tuple[np.ndarray, ...], ...]
+    tv: tuple[np.ndarray, ...]
+    Wx: np.ndarray
+    Wmu: tuple[np.ndarray, ...]
+    wv: np.ndarray
+    Phix: np.ndarray
+    Phimu: tuple[np.ndarray, ...]
+    phiv: np.ndarray
+    Psix: tuple[np.ndarray, ...]
+    Psimu: tuple[tuple[np.ndarray, ...], ...]
+    psiv: tuple[np.ndarray, ...]
+    P1x: np.ndarray
+    P1mu: tuple[np.ndarray, ...]
+    alpha1: np.ndarray
+    Pix: tuple[np.ndarray, ...]
+    Pimu: tuple[tuple[np.ndarray, ...], ...]
+    alphai: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class PerFollowerStackelbergSolution:
+    spec: GameSpec
+    x0: np.ndarray
+    initial_mu: np.ndarray          # (n-1, p), zeros for a fresh solve
+    trajectory: Trajectory
+    # Per player path laws, G (T, m_i, p), g (T, m_i): G is the path gain
+    # on x_t and g folds in the multiplier terms at their path values, so
+    # the laws reproduce the equilibrium controls along the equilibrium
+    # path only.
+    laws: tuple[AffineLaw, ...]
+    mu: np.ndarray                  # (n-1, T+1, p) multiplier paths
+    Mx: np.ndarray                  # (n-1, T+1, p, p)
+    Mmu: np.ndarray                 # (n-1, n-1, T+1, p, p)
+    mv: np.ndarray                  # (n-1, T+1, p)
+    Lx: np.ndarray                  # (T+1, p, p)
+    Lmu: np.ndarray                 # (n-1, T+1, p, p)
+    lv: np.ndarray                  # (T+1, p)
+    stages: tuple[StageMaps, ...]
+
+
+def openloop_stackelberg_per_follower(spec: GameSpec, x0: np.ndarray,
+                                      initial_mu: np.ndarray | None = None) -> PerFollowerStackelbergSolution:
+    """Open-loop Stackelberg equilibrium with player 0 as leader.
+
+    ``initial_mu`` sets the followers' adjoined multipliers at stage 0;
+    zero is the equilibrium condition for a whole game, while a tail
+    re-solve inherits the multipliers reached at the truncation stage.
+    """
+    require_valid(spec)
+    if spec.n_players < 2:
+        raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
+    x0 = initial_state(spec, x0)
+    T, p, n = spec.horizon, spec.state_dim, spec.n_players
+    nf = n - 1
+    followers = list(range(1, n))
+
+    Mx = np.empty((nf, T + 1, p, p))
+    Mmu = np.zeros((nf, nf, T + 1, p, p))
+    mv = np.zeros((nf, T + 1, p))
+    Lx = np.empty((T + 1, p, p))
+    Lmu = np.zeros((nf, T + 1, p, p))
+    lv = np.zeros((T + 1, p))
+    for k, i in enumerate(followers):
+        Mx[k, T] = spec.stages[T - 1].Q[i]
+    Lx[T] = spec.stages[T - 1].Q[0]
+
+    maps: list[StageMaps] = [None] * T
+    for t in range(T - 1, -1, -1):
+        maps[t] = _backward_stage(spec, t, Mx, Mmu, mv, Lx, Lmu, lv)
+
+    if initial_mu is None:
+        mu0 = np.zeros((nf, p))
+    else:
+        mu0 = np.atleast_2d(np.asarray(initial_mu, dtype=float))
+        if mu0.shape != (nf, p):
+            raise InvalidGameError(
+                f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
+            )
+
+    # Forward pass over the extended state (x, mu^1..mu^nf); the path laws
+    # take the multiplier terms at their path values.
+    G = [np.empty((T, m, p)) for m in spec.control_dims]
+    g = [np.empty((T, m)) for m in spec.control_dims]
+    controls = [np.empty((T, m)) for m in spec.control_dims]
+    mu = np.empty((nf, T + 1, p))
+    mu[:, 0] = mu0
+    x = x0.copy()
+    for t in range(T):
+        sm = maps[t]
+        mu_t = mu[:, t]
+        path_gains = [(sm.P1x, sm.alpha1, sm.P1mu)] + list(zip(sm.Pix, sm.alphai, sm.Pimu))
+        for i, (Px, alpha, Pmu) in enumerate(path_gains):
+            mu_terms = sum(Pmu[j] @ mu_t[j] for j in range(nf))
+            G[i][t], g[i][t] = Px, alpha + mu_terms
+            controls[i][t] = Px @ x + alpha + mu_terms
+        x_next = sm.Phix @ x + sm.phiv + sum(sm.Phimu[j] @ mu_t[j] for j in range(nf))
+        for k in range(nf):
+            mu[k, t + 1] = (sm.Psix[k] @ x + sm.psiv[k]
+                            + sum(sm.Psimu[k][j] @ mu_t[j] for j in range(nf)))
+        x = x_next
+
+    traj = rollout(spec, controls, x0)
+    return PerFollowerStackelbergSolution(
+        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj,
+        laws=tuple(map(AffineLaw, G, g)), mu=mu,
+        Mx=Mx, Mmu=Mmu, mv=mv, Lx=Lx, Lmu=Lmu, lv=lv, stages=tuple(maps),
+    )
+
+
+def _backward_stage(spec, t, Mx, Mmu, mv, Lx, Lmu, lv) -> StageMaps:
+    """One backward step: cocontrol systems, control maps, transitions,
+    then the costate coefficient updates (written into the arrays)."""
+    st = spec.stages[t]
+    p = spec.state_dim
+    n = spec.n_players
+    nf = n - 1
+    followers = list(range(1, n))
+    fdims = [spec.control_dims[i] for i in followers]
+    A, s = st.A, st.s
+
+    nxt = t + 1
+    # Per follower i: K_i = R^{leader,i} (R^ii)^{-1} B^i', the weight the
+    # leader's cost places on follower i's stationarity direction.
+    K = []
+    RinvBt = []
+    for k, i in enumerate(followers):
+        rb = solve_dense(st.R[i][i], st.B[i].T, context=f"stage {t} follower weight")
+        RinvBt.append(rb)
+        K.append(st.R[0][i] @ rb)
+
+    # Stacked cocontrol operator; one factorization, 2 + nf right-hand families.
+    C_rows = []
+    for k, i in enumerate(followers):
+        row = []
+        for l, j in enumerate(followers):
+            blk = (st.B[i].T @ (st.Q[j] + Lmu[l, nxt]) @ st.B[j]
+                   - K[k] @ Mmu[k, l, nxt] @ st.B[j])
+            if k == l:
+                blk = blk + st.R[i][i]
+            row.append(blk)
+        C_rows.append(np.hstack(row))
+    C = np.vstack(C_rows)
+
+    rhs_x = np.vstack([K[k] @ Mx[k, nxt] - st.B[i].T @ Lx[nxt]
+                       for k, i in enumerate(followers)])
+    rhs_mu = [
+        np.vstack([
+            (K[k] @ Mmu[k, m, nxt] - st.B[i].T @ Lmu[m, nxt] - st.B[i].T @ st.Q[followers[m]]) @ A
+            for k, i in enumerate(followers)
+        ])
+        for m in range(nf)
+    ]
+    rhs_c = np.concatenate([
+        st.B[i].T @ (st.Q[0] @ st.x_target[0] - lv[nxt])
+        - st.R[0][i] @ (-RinvBt[k] @ (mv[k, nxt] - st.Q[i] @ st.x_target[i])
+                        + st.u_target[i][i] - st.u_target[0][i])
+        for k, i in enumerate(followers)
+    ])
+    try:
+        packed = solve_dense(C, np.hstack([rhs_x] + rhs_mu + [rhs_c[:, None]]),
+                             context=f"stage {t} stacked cocontrol system")
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            "the stacked cocontrol coefficient systems admit no unique solution "
+            f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+        ) from exc
+    blocks = np.split(packed, np.cumsum(fdims[:-1]), axis=0)
+    Nx = [blk[:, :p] for blk in blocks]
+    Nmu = [[blk[:, p * (1 + m):p * (2 + m)] for m in range(nf)] for blk in blocks]
+    nv = [blk[:, p * (1 + nf)] for blk in blocks]
+
+    # Follower control maps (on x_{t+1} and mu_t).
+    Tx, Tmu, tv = [], [], []
+    for k, i in enumerate(followers):
+        Tx.append(-RinvBt[k] @ (Mx[k, nxt]
+                                + sum(Mmu[k, l, nxt] @ st.B[j] @ Nx[l]
+                                      for l, j in enumerate(followers))))
+        Tmu.append([
+            -RinvBt[k] @ (Mmu[k, m, nxt] @ A
+                          + sum(Mmu[k, l, nxt] @ st.B[j] @ Nmu[l][m]
+                                for l, j in enumerate(followers)))
+            for m in range(nf)
+        ])
+        tv.append(-RinvBt[k] @ (sum(Mmu[k, l, nxt] @ st.B[j] @ nv[l]
+                                    for l, j in enumerate(followers))
+                                + mv[k, nxt] - st.Q[i] @ st.x_target[i])
+                  + st.u_target[i][i])
+
+    # Leader control map.
+    Rl_invBt = solve_dense(st.R[0][0], st.B[0].T, context=f"stage {t} leader weight")
+    Wx = -Rl_invBt @ (Lx[nxt] + sum((Lmu[l, nxt] + st.Q[j]) @ st.B[j] @ Nx[l]
+                                    for l, j in enumerate(followers)))
+    Wmu = [
+        -Rl_invBt @ ((Lmu[m, nxt] + st.Q[followers[m]]) @ A
+                     + sum((Lmu[l, nxt] + st.Q[j]) @ st.B[j] @ Nmu[l][m]
+                           for l, j in enumerate(followers)))
+        for m in range(nf)
+    ]
+    wv = (-Rl_invBt @ (lv[nxt] - st.Q[0] @ st.x_target[0]
+                       + sum((Lmu[l, nxt] + st.Q[j]) @ st.B[j] @ nv[l]
+                             for l, j in enumerate(followers)))
+          + st.u_target[0][0])
+
+    # State transition: make x_{t+1} explicit in the control maps.
+    E = np.eye(p) - st.B[0] @ Wx - sum(st.B[j] @ Tx[l] for l, j in enumerate(followers))
+    rhs_phi_mu = [st.B[0] @ Wmu[m] + sum(st.B[j] @ Tmu[l][m] for l, j in enumerate(followers))
+                  for m in range(nf)]
+    rhs_phi_c = st.B[0] @ wv + sum(st.B[j] @ tv[l] for l, j in enumerate(followers)) + s
+    try:
+        packed = solve_dense(E, np.hstack([A] + rhs_phi_mu + [rhs_phi_c[:, None]]),
+                             context=f"stage {t} state transition operator")
+    except SingularSystemError as exc:
+        raise SingularSystemError(
+            "the state transition operator I - B^0 W^x - sum_j B^j T^jx is singular "
+            f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+        ) from exc
+    Phix = packed[:, :p]
+    Phimu = [packed[:, p * (1 + m):p * (2 + m)] for m in range(nf)]
+    phiv = packed[:, p * (1 + nf)]
+
+    # Multiplier transition.
+    Psix, Psimu, psiv = [], [], []
+    for k, i in enumerate(followers):
+        Psix.append(st.B[i] @ Nx[k] @ Phix)
+        row = []
+        for m in range(nf):
+            blk = st.B[i] @ (Nx[k] @ Phimu[m] + Nmu[k][m])
+            if m == k:
+                blk = blk + A
+            row.append(blk)
+        Psimu.append(row)
+        psiv.append(st.B[i] @ (Nx[k] @ phiv + nv[k]))
+
+    # Costate coefficient updates.
+    for k, i in enumerate(followers):
+        Mx[k, t] = (spec.prev_state_weight(t, i)
+                    + A.T @ (Mx[k, nxt] @ Phix
+                             + sum(Mmu[k, l, nxt] @ Psix[l] for l in range(nf))))
+        for m in range(nf):
+            Mmu[k, m, t] = A.T @ (Mx[k, nxt] @ Phimu[m]
+                                  + sum(Mmu[k, l, nxt] @ Psimu[l][m] for l in range(nf)))
+        mv[k, t] = A.T @ (Mx[k, nxt] @ phiv
+                          + sum(Mmu[k, l, nxt] @ psiv[l] for l in range(nf))
+                          + mv[k, nxt] - st.Q[i] @ st.x_target[i])
+    Lx[t] = (spec.prev_state_weight(t, 0)
+             + A.T @ (Lx[nxt] @ Phix
+                      + sum(Lmu[l, nxt] @ Psix[l] for l in range(nf))
+                      + sum(st.Q[j] @ st.B[j] @ Nx[l] @ Phix for l, j in enumerate(followers))))
+    for m in range(nf):
+        Lmu[m, t] = A.T @ (Lx[nxt] @ Phimu[m]
+                           + sum(Lmu[l, nxt] @ Psimu[l][m] for l in range(nf))
+                           + st.Q[followers[m]] @ A
+                           + sum(st.Q[j] @ st.B[j] @ (Nx[l] @ Phimu[m] + Nmu[l][m])
+                                 for l, j in enumerate(followers)))
+    lv[t] = A.T @ (Lx[nxt] @ phiv
+                   + sum(Lmu[l, nxt] @ psiv[l] for l in range(nf))
+                   + lv[nxt] - st.Q[0] @ st.x_target[0]
+                   + sum(st.Q[j] @ st.B[j] @ (Nx[l] @ phiv + nv[l])
+                         for l, j in enumerate(followers)))
+
+    # Path gains (controls as functions of x_t and mu_t).
+    P1x = Wx @ Phix
+    P1mu = [Wx @ Phimu[m] + Wmu[m] for m in range(nf)]
+    alpha1 = Wx @ phiv + wv
+    Pix = [Tx[k] @ Phix for k in range(nf)]
+    Pimu = [[Tx[k] @ Phimu[m] + Tmu[k][m] for m in range(nf)] for k in range(nf)]
+    alphai = [Tx[k] @ phiv + tv[k] for k in range(nf)]
+
+    return StageMaps(
+        Nx=tuple(Nx), Nmu=tuple(tuple(r) for r in Nmu), nv=tuple(nv),
+        Tx=tuple(Tx), Tmu=tuple(tuple(r) for r in Tmu), tv=tuple(tv),
+        Wx=Wx, Wmu=tuple(Wmu), wv=wv,
+        Phix=Phix, Phimu=tuple(Phimu), phiv=phiv,
+        Psix=tuple(Psix), Psimu=tuple(tuple(r) for r in Psimu), psiv=tuple(psiv),
+        P1x=P1x, P1mu=tuple(P1mu), alpha1=alpha1,
+        Pix=tuple(Pix), Pimu=tuple(tuple(r) for r in Pimu), alphai=tuple(alphai),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Per-matrix game validation
 
 
@@ -665,3 +966,58 @@ def _check_sym_def(M, loc, need, tol, add):
         add(loc, f"not positive definite (min eigenvalue {shown})")
     elif need == "PSD" and not d.is_psd:
         add(loc, f"not positive semidefinite (min eigenvalue {shown})")
+
+
+# ---------------------------------------------------------------------------
+# Self-check identities
+
+
+def pushthrough_residuals(A, B) -> tuple[float, float]:
+    """Max-norm residuals of the two push-through inverse identities.
+
+        r1:  I - A B (I + B'AB)^{-1} B'   vs  (I + A B B')^{-1}
+        r2:  I - B (I + B'AB)^{-1} B' A   vs  (I + B B' A)^{-1}
+
+    Both vanish identically for positive definite A; the returned residuals
+    serve as a numerical self-test and should be ~1e-10 or smaller for
+    well-conditioned inputs.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    d = classify_definiteness(A)
+    if d.classification != "PD":
+        raise DefinitenessError(
+            f"push-through identities require a positive definite matrix, "
+            f"got {d.classification} (min eigenvalue {d.min_eigenvalue:.2e})"
+        )
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise InvalidGameError(
+            f"second factor must be {A.shape[0]}xr, got shape {B.shape}"
+        )
+
+    q = A.shape[0]
+    I_q = np.eye(q)
+    I_r = np.eye(B.shape[1])
+    core = I_r + B.T @ A @ B
+
+    lhs1 = I_q - A @ B @ solve_dense(core, B.T, context="push-through core")
+    rhs1 = np.linalg.inv(I_q + A @ B @ B.T)
+    r1 = float(np.abs(lhs1 - rhs1).max(initial=0.0))
+
+    lhs2 = I_q - B @ solve_dense(core, B.T @ A, context="push-through core")
+    rhs2 = np.linalg.inv(I_q + B @ B.T @ A)
+    r2 = float(np.abs(lhs2 - rhs2).max(initial=0.0))
+    return r1, r2
+
+
+def reaction_consistency(sol) -> float:
+    """Max violation of G^i = W^i + rbar^i G_leader (and the offset analog),
+    i.e. P^i = -W^i + rbar^i P_leader in the recursion's signs."""
+    leader, r = sol.laws[0], sol.reactions
+    worst = 0.0
+    for k, law in enumerate(sol.laws[1:]):
+        G_pred = r.W[k] + r.rbar[k] @ leader.G
+        g_pred = r.w[k] + (r.rbar[k] @ leader.g[..., None])[..., 0]
+        worst = max(worst, np.abs(G_pred - law.G).max(initial=0.0),
+                    np.abs(g_pred - law.g).max(initial=0.0))
+    return float(worst)

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg
 
 from dyngame.errors import DefinitenessError, InvalidGameError, SingularSystemError
-from dyngame.numerics import (classify_definiteness, pushthrough_residuals,
-                              solve_dense, symmetrize)
+from dyngame.numerics import classify_definiteness, solve_dense, symmetrize
 
 from conftest import psd_matrix, rng_for
+from reference_formulations import pushthrough_residuals
 
 
 class TestSolveDense:

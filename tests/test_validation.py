@@ -17,7 +17,7 @@ import pytest
 
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, validate
+from dyngame.game import GameSpec, constant_game, validate
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -251,6 +251,19 @@ def test_weights_near_the_float_range_report_no_nan_eigenvalue(weight, shown):
         messages = validate(spec).messages()
     assert messages == [f"stages/0/Q/0: not positive semidefinite (min eigenvalue {shown})"]
     assert messages == ref.validate(spec).messages()
+
+
+def test_opposite_weights_near_the_float_range_are_asymmetric_without_overflow():
+    # M - M' overflows for these finite entries; the gap of the halves does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = constant_game(A=[[1.0, 0.0], [0.0, 1.0]], B=[[[1.0], [0.0]]],
+                             Q=[[[1.0, 1e308], [-1e308, 1.0]]], R=[[[[1.0]]]], T=2)
+        messages = validate(spec).messages()
+        assert messages == ref.validate(spec).messages()
+    assert len(messages) == 2
+    assert all(m.startswith(f"stages/{t}/Q/0: not symmetric")
+               for t, m in enumerate(messages))
 
 
 def _eigvalsh_calls(monkeypatch, spec, **kwargs):
