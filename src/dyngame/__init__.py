@@ -9,8 +9,7 @@ monitors) and a JSON/CSV command-line front end.
 
 from . import (feedback_nash, feedback_stackelberg, lqr, numerics,
                openloop_nash, openloop_stackelberg, solvers, verify)
-from .errors import (DefinitenessError, DynGameError, InvalidGameError,
-                     SingularSystemError)
+from .errors import DynGameError, InvalidGameError, SingularSystemError
 from .game import (AffineLaw, GameSpec, Player, StageData, Trajectory,
                    constant_game, fold_player_controls, reorder_players,
                    rollout, single_player_view, stage_cost, total_cost,
@@ -20,7 +19,7 @@ from .gameio import GameFormatError, game_from_dict, game_to_dict, load_game, sa
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineLaw", "DefinitenessError", "DynGameError", "GameFormatError",
+    "AffineLaw", "DynGameError", "GameFormatError",
     "GameSpec", "InvalidGameError", "Player", "SingularSystemError",
     "StageData", "Trajectory", "constant_game", "feedback_nash",
     "feedback_stackelberg", "fold_player_controls", "game_from_dict",

@@ -17,10 +17,6 @@ class InvalidGameError(DynGameError, ValueError):
         self.violations = list(violations)
 
 
-class DefinitenessError(DynGameError, ValueError):
-    """A matrix failed a required definiteness precondition."""
-
-
 class SingularSystemError(DynGameError, ArithmeticError):
     """A numerical failure: a dense linear system was singular (or
     numerically rank deficient), or a result came out NaN or infinite.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .game import AffineLaw, GameSpec, require_valid
+from .game import AffineLaw, GameSpec, StageArrays, require_valid
 from .numerics import solve_dense
 
 
@@ -55,45 +55,25 @@ class FeedbackNashSolution:
         return float(0.5 * x @ W @ x + self.zeta[player, t] @ x + self.n_const[player, t])
 
 
-def stacked_stage_operator(B, Z_next, R, idx) -> np.ndarray:
-    """Block operator of the coupled stage first-order conditions.
+def stage_system(view: StageArrays, t: int, Z: np.ndarray, zeta: np.ndarray):
+    """The stage-t first-order conditions of all players, C [P | alpha] =
+    rhs, given every player's next-stage coefficients Z (n, p, p) and zeta
+    (n, p).  With B'Z_own the rows B^i' Z^i of each player i,
 
-    Row block i, column block j (players restricted to ``idx``):
-    R^ii on the diagonal plus B^i' Z^i B^j everywhere.
+        C   = blockdiag(R^ii) + B'Z_own B,
+        rhs = [B'Z_own A | B'Z_own s + B^i'(zeta^i - Q^i xt^i) - R^ii ut^ii].
     """
-    rows = []
-    for i in idx:
-        blocks = []
-        for j in idx:
-            blk = B[i].T @ Z_next[i] @ B[j]
-            if i == j:
-                blk = blk + R[i][i]
-            blocks.append(blk)
-        rows.append(np.hstack(blocks))
-    return np.vstack(rows)
+    B = view.B[t]
+    BZ = view.own(B.T @ Z)
+    R_own = view.own(view.R[t])
+    rhs = BZ @ np.column_stack([view.A[t], view.s[t]])
+    rhs[:, -1] += view.own((zeta - _Qxt(view, t)) @ B) - R_own @ view.own(view.ut[t])
+    return BZ @ B + R_own, rhs
 
 
-def gain_rhs(st, Z_next, idx, F) -> np.ndarray:
-    """Gain right-hand sides B^i' Z^i F of the stage first-order conditions
-    of players ``idx``, stacked, for the state map F the players face."""
-    return np.vstack([st.B[i].T @ Z_next[i] @ F for i in idx])
-
-
-def stage_rhs(st, Z_next, zeta_next, idx, F, d) -> np.ndarray:
-    """Gain and offset right-hand sides of the stage first-order conditions
-    of players ``idx``, packed as [rows B^i' Z^i F | column
-    B^i'(Z^i d + zeta^i - Q^i xt^i) - R^ii ut^ii], for state map F and
-    drift d."""
-    offsets = np.concatenate([
-        st.B[i].T @ (Z_next[i] @ d + zeta_next[i] - st.Q[i] @ st.x_target[i])
-        - st.R[i][i] @ st.u_target[i][i]
-        for i in idx
-    ])
-    return np.hstack([gain_rhs(st, Z_next, idx, F), offsets[:, None]])
-
-
-def _split(stacked: np.ndarray, dims) -> list[np.ndarray]:
-    return np.split(stacked, np.cumsum(dims[:-1]), axis=0)
+def _Qxt(view: StageArrays, t: int) -> np.ndarray:
+    """Every player's Q^i xt^i at stage t, (n, p)."""
+    return np.einsum("ipq,iq->ip", view.Q[t], view.xt[t])
 
 
 def solve(spec: GameSpec) -> FeedbackNashSolution:
@@ -107,27 +87,14 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
     index and a condition estimate.
     """
     require_valid(spec)
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    dims = spec.control_dims
-
-    Z = np.empty((n, T + 1, p, p))
-    zeta = np.zeros((n, T + 1, p))
-    n_const = np.zeros((n, T + 1))
-    for i in range(n):
-        Z[i, T] = spec.stages[T - 1].Q[i]
-
-    all_players = list(range(n))
-    G = [np.empty((T, m, p)) for m in dims]
-    g = [np.empty((T, m)) for m in dims]
-
+    view = StageArrays.of(spec)
+    Z, zeta, n_const = terminal_values(view)
+    T, p, M = view.B.shape
+    PA = np.empty((T, M, p + 1))  # [P | alpha] of every player's rows
     for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        Z_next = [Z[i, t + 1] for i in range(n)]
-        C = stacked_stage_operator(st.B, Z_next, st.R, all_players)
+        C, rhs = stage_system(view, t, Z[:, t + 1], zeta[:, t + 1])
         try:
-            sol = solve_dense(C, stage_rhs(st, Z_next, zeta[:, t + 1], all_players,
-                                           st.A, st.s),
-                              context=f"stage {t} stacked Nash gain/offset system")
+            PA[t] = solve_dense(C, rhs, context=f"stage {t} stacked Nash gain/offset system")
         except SingularSystemError as exc:
             raise SingularSystemError(
                 "the stage first-order conditions admit no unique solution, so the "
@@ -136,45 +103,45 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
                 context=f"stage {t}",
                 cond_estimate=exc.cond_estimate,
             ) from exc
-        blocks = _split(sol, dims)
-        P = [blk[:, :p] for blk in blocks]
-        alpha = [blk[:, p] for blk in blocks]
-        for i in all_players:
-            G[i][t], g[i][t] = -P[i], -alpha[i]
-
-        _update_quadratics(spec, t, P, alpha, Z, zeta, n_const)
-
-    return FeedbackNashSolution(spec=spec, laws=tuple(map(AffineLaw, G, g)),
+        update_values(view, t, PA[t], Z, zeta, n_const)
+    return FeedbackNashSolution(spec=spec, laws=laws_of(view, PA),
                                 Z=Z, zeta=zeta, n_const=n_const)
 
 
-def _update_quadratics(spec, t, P, alpha, Z, zeta, n_const):
-    """Closed-loop update of every player's Z, zeta, n at stage t.
+def terminal_values(view: StageArrays):
+    """Value coefficients Z (n, T+1, p, p), zeta (n, T+1, p) and n (n, T+1),
+    with Z_T the last stage's Q."""
+    T, n, p = view.Q.shape[:3]
+    Z = np.empty((n, T + 1, p, p))
+    Z[:, T] = view.Q[T - 1]
+    return Z, np.zeros((n, T + 1, p)), np.zeros((n, T + 1))
+
+
+def laws_of(view: StageArrays, PA: np.ndarray) -> tuple[AffineLaw, ...]:
+    """Each player's laws G = -P, g = -alpha from the stacked stage laws
+    u_t = -[P_t | alpha_t] (x_t, 1), PA (T, M, p+1)."""
+    return tuple(AffineLaw(-PA[:, b, :-1], -PA[:, b, -1]) for b in view.blocks)
+
+
+def update_values(view: StageArrays, t: int, PA: np.ndarray, Z, zeta, n_const) -> None:
+    """Closed-loop update of every player's Z, zeta, n at stage t under the
+    stacked stage law u = -PA (x, 1).
 
     Shared by the Nash and Stackelberg solvers: once the stage gains of
     all players are known, the value coefficients update identically.
+    Player i's stage cost-to-go is a quadratic in (x, 1) whose matrix,
+    with x_{t+1} = [F | d](x, 1), is [F | d]' Z^i [F | d] + PA' R^i PA.
     """
-    st = spec.stages[t]
-    n = spec.n_players
-    F = st.A - sum(st.B[j] @ P[j] for j in range(n))
-    d = st.s - sum(st.B[j] @ alpha[j] for j in range(n))
-    for i in range(n):
-        Zn, zn = Z[i, t + 1], zeta[i, t + 1]
-        xt, Qi = st.x_target[i], st.Q[i]
-        Zt = (F.T @ Zn @ F
-              + sum(P[j].T @ st.R[i][j] @ P[j] for j in range(n))
-              + spec.prev_state_weight(t, i))
-        Z[i, t] = 0.5 * (Zt + Zt.T)
-        zeta[i, t] = (F.T @ (zn + Zn @ d - Qi @ xt)
-                      + sum(P[j].T @ st.R[i][j] @ (alpha[j] + st.u_target[i][j])
-                            for j in range(n)))
-        n_const[i, t] = (
-            n_const[i, t + 1]
-            + 0.5 * d @ Zn @ d + zn @ d
-            + 0.5 * sum(alpha[j] @ st.R[i][j] @ alpha[j] for j in range(n))
-            - xt @ Qi @ d
-            + sum(st.u_target[i][j] @ st.R[i][j] @ alpha[j] for j in range(n))
-            + 0.5 * (xt @ Qi @ xt
-                     + sum(st.u_target[i][j] @ st.R[i][j] @ st.u_target[i][j]
-                           for j in range(n)))
-        )
+    p = PA.shape[1] - 1
+    Fd = np.column_stack([view.A[t], view.s[t]]) - view.B[t] @ PA
+    Qxt = _Qxt(view, t)
+    R_ut = np.einsum("ikl,il->ik", view.R[t], view.ut[t])
+    Zn, zn = Z[:, t + 1], zeta[:, t + 1]
+    quad = Fd.T @ Zn @ Fd + PA.T @ view.R[t] @ PA
+    lin = (zn - Qxt) @ Fd + R_ut @ PA
+    Zt = quad[:, :p, :p] + (view.Q[t - 1] if t else 0.0)
+    Z[:, t] = 0.5 * (Zt + Zt.swapaxes(1, 2))
+    zeta[:, t] = quad[:, :p, p] + lin[:, :p]
+    n_const[:, t] = (n_const[:, t + 1] + 0.5 * quad[:, p, p] + lin[:, p]
+                     + 0.5 * (np.einsum("ip,ip->i", view.xt[t], Qxt)
+                              + np.einsum("ik,ik->i", view.ut[t], R_ut)))

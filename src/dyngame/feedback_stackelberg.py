@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
-from .feedback_nash import (FeedbackNashSolution, _split, _update_quadratics, gain_rhs,
-                            stacked_stage_operator, stage_rhs)
-from .game import AffineLaw, GameSpec, require_valid
+from .feedback_nash import (FeedbackNashSolution, laws_of, stage_system, terminal_values,
+                            update_values)
+from .game import GameSpec, StageArrays, require_valid
 from .numerics import solve_dense
 
 
@@ -64,82 +64,60 @@ class FeedbackStackelbergSolution(FeedbackNashSolution):
 
 
 def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
-    """Unique feedback Stackelberg equilibrium with player 0 as leader."""
+    """Unique feedback Stackelberg equilibrium with player 0 as leader.
+
+    Per stage, the followers' rows f of the stacked Nash system
+    C [P | alpha] = rhs give the reactions, C_ff [rbar | W | w] =
+    -[C_f0 | rhs_f].  Every control is then u = E u_leader + Y (x, 1) with
+    E = [I; rbar] and Y = [0; W | w], and the leader solves
+    E'HE [P | alpha]_leader = E'(B'Z^0 [A | s] + H Y + offsets), with
+    H = B'Z^0 B + R^0 its Hessian in all controls.
+    """
     require_valid(spec, for_stackelberg=True)
     if spec.n_players < 2:
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
 
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    dims = spec.control_dims
-    followers = list(range(1, n))
-    fdims = [dims[i] for i in followers]
-    m1 = dims[0]
-
-    Z = np.empty((n, T + 1, p, p))
-    zeta = np.zeros((n, T + 1, p))
-    n_const = np.zeros((n, T + 1))
-    for i in range(n):
-        Z[i, T] = spec.stages[T - 1].Q[i]
-
-    G = [np.empty((T, m, p)) for m in dims]
-    g = [np.empty((T, m)) for m in dims]
-    W_all = [np.empty((T, m, p)) for m in fdims]
-    rbar_all = [np.empty((T, m, m1)) for m in fdims]
-    w_all = [np.empty((T, m)) for m in fdims]
+    view = StageArrays.of(spec)
+    Z, zeta, n_const = terminal_values(view)
+    T, p, M = view.B.shape
+    m0 = view.blocks[0].stop
+    f = slice(m0, M)
+    PA = np.empty((T, M, p + 1))
+    react = np.empty((T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
 
     for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        Z_next = [Z[i, t + 1] for i in range(n)]
-
+        Zn, zn = Z[:, t + 1], zeta[:, t + 1]
+        C, rhs = stage_system(view, t, Zn, zn)
         # Follower reaction coefficients: one operator, three right-hand sides.
-        C = stacked_stage_operator(st.B, Z_next, st.R, followers)
-        rhs = np.hstack([gain_rhs(st, Z_next, followers, st.B[0]),
-                         stage_rhs(st, Z_next, zeta[:, t + 1], followers, st.A, st.s)])
         try:
-            packed = solve_dense(C, -rhs, context=f"stage {t} follower reaction system")
+            react[t] = solve_dense(C[f, f], -np.hstack([C[f, :m0], rhs[f]]),
+                                   context=f"stage {t} follower reaction system")
         except SingularSystemError as exc:
             raise SingularSystemError(
                 "the follower stage systems admit no unique optimal response "
                 f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
             ) from exc
-        blocks = _split(packed, fdims)
-        rbar = [blk[:, :m1] for blk in blocks]
-        W = [blk[:, m1:m1 + p] for blk in blocks]
-        w = [blk[:, m1 + p] for blk in blocks]
-        for k in range(n - 1):
-            rbar_all[k][t], W_all[k][t], w_all[k][t] = rbar[k], W[k], w[k]
 
         # Leader stage optimization through the reaction map.
-        Bbar = st.B[0] + sum(st.B[i] @ rbar[k] for k, i in enumerate(followers))
-        Lam = (Bbar.T @ Z_next[0] @ Bbar + st.R[0][0]
-               + sum(rbar[k].T @ st.R[0][i] @ rbar[k] for k, i in enumerate(followers)))
-        A_eff = st.A + sum(st.B[i] @ W[k] for k, i in enumerate(followers))
-        s_eff = st.s + sum(st.B[i] @ w[k] for k, i in enumerate(followers))
-        rhs_P1 = (Bbar.T @ Z_next[0] @ A_eff
-                  + sum(rbar[k].T @ st.R[0][i] @ W[k] for k, i in enumerate(followers)))
-        rhs_a1 = (Bbar.T @ (Z_next[0] @ s_eff + zeta[0, t + 1] - st.Q[0] @ st.x_target[0])
-                  + sum(rbar[k].T @ st.R[0][i] @ (w[k] - st.u_target[0][i])
-                        for k, i in enumerate(followers))
-                  - st.R[0][0] @ st.u_target[0][0])
-        leader = solve_dense(Lam, np.hstack([rhs_P1, rhs_a1[:, None]]),
-                             context=f"stage {t} leader system")
-        P1, a1 = leader[:, :p], leader[:, p]
+        E = np.vstack([np.eye(m0), react[t, :, :m0]])
+        Y = np.vstack([np.zeros((m0, p + 1)), react[t, :, m0:]])
+        B, R0 = view.B[t], view.R[t, 0]
+        BZ = B.T @ Zn[0]
+        H = BZ @ B + R0
+        lin = BZ @ np.column_stack([view.A[t], view.s[t]]) + H @ Y
+        lin[:, p] += (zn[0] - view.Q[t, 0] @ view.xt[t, 0]) @ B - R0 @ view.ut[t, 0]
+        PA[t, :m0] = solve_dense(E.T @ H @ E, E.T @ lin, context=f"stage {t} leader system")
 
         # Follower gains/offsets from their first-order systems at the
         # leader's law (reaction identity left as a cross-check).
-        packed_f = solve_dense(C, stage_rhs(st, Z_next, zeta[:, t + 1], followers,
-                                            st.A - st.B[0] @ P1, st.s - st.B[0] @ a1),
+        PA[t, f] = solve_dense(C[f, f], rhs[f] - C[f, :m0] @ PA[t, :m0],
                                context=f"stage {t} follower gain/offset system")
-        fblocks = _split(packed_f, fdims)
-        P = [P1] + [blk[:, :p] for blk in fblocks]
-        alpha = [a1] + [blk[:, p] for blk in fblocks]
-        for i in range(n):
-            G[i][t], g[i][t] = -P[i], -alpha[i]
+        update_values(view, t, PA[t], Z, zeta, n_const)
 
-        _update_quadratics(spec, t, P, alpha, Z, zeta, n_const)
-
+    rows = [slice(b.start - m0, b.stop - m0) for b in view.blocks[1:]]
     return FeedbackStackelbergSolution(
-        spec=spec, laws=tuple(map(AffineLaw, G, g)),
-        Z=Z, zeta=zeta, n_const=n_const,
-        reactions=ReactionCoefficients(W=tuple(W_all), rbar=tuple(rbar_all), w=tuple(w_all)),
+        spec=spec, laws=laws_of(view, PA), Z=Z, zeta=zeta, n_const=n_const,
+        reactions=ReactionCoefficients(W=tuple(react[:, r, m0:m0 + p] for r in rows),
+                                       rbar=tuple(react[:, r, :m0] for r in rows),
+                                       w=tuple(react[:, r, -1] for r in rows)),
     )

@@ -25,6 +25,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -121,9 +122,6 @@ class GameSpec:
     @property
     def control_dims(self) -> tuple[int, ...]:
         return tuple(pl.control_dim for pl in self.players)
-
-    def stage(self, t: int) -> StageData:
-        return self.stages[t]
 
     def prev_state_weight(self, t: int, player: int) -> np.ndarray:
         """Weight charged on x_t, i.e. stage t-1's Q; zero at t = 0.
@@ -317,7 +315,7 @@ def _stack_violations(M: np.ndarray, need: str | None, tol: float):
     min_eig = np.linalg.eigvalsh(0.5 * F + 0.5 * F.swapaxes(1, 2)).min(axis=1)
     if need == "PD":
         failed, what = ~(min_eig > tol), "positive definite"
-    else:  # PD or PSD, as classify_definiteness has it, which differs for tol < 0
+    else:  # PSD, or PD: for tol < 0 the PD bound is the looser one
         failed, what = ~((min_eig > tol) | (min_eig >= -tol)), "positive semidefinite"
     for k in np.flatnonzero(failed):
         shown = f"{min_eig[k]:.3e}" if np.isfinite(min_eig[k]) else "not finite"
@@ -331,6 +329,104 @@ def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = Fal
             "game definition failed validation:\n  " + "\n  ".join(report.messages()),
             violations=report.messages(),
         )
+
+
+# ---------------------------------------------------------------------------
+# Stacked stage arrays
+
+
+@dataclass(frozen=True)
+class StageArrays:
+    """The stages of a game as arrays stacked over stages and players.
+
+    Each stage of the equilibrium recursions is one block system over all
+    players, so the solvers and :func:`rollout` read the game in this
+    layout, while :class:`StageData` stays the input, validation and file
+    format.  With M = sum m_i control rows, player i's rows at
+    ``blocks[i]``:
+
+    * ``A`` (T, p, p), ``B`` (T, p, M), ``s`` (T, p): the dynamics, B^i in
+      player i's columns;
+    * ``Q`` (T, n, p, p), ``xt`` (T, n, p): player i's state weight and
+      target;
+    * ``R`` (T, n, M, M): player i's weights on all controls, block
+      diagonal in the R^{ij}; ``ut`` (T, n, M): player i's targets for all
+      controls.
+
+    Build it with :meth:`of` wherever it is read: a view stored on every
+    GameSpec would live as long as each game does.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    s: np.ndarray
+    Q: np.ndarray
+    xt: np.ndarray
+    R: np.ndarray
+    ut: np.ndarray
+    blocks: tuple[slice, ...]
+    owner: np.ndarray  # (M,) the player of each control row
+
+    @classmethod
+    def of(cls, spec: GameSpec) -> StageArrays:
+        """The view of ``spec``, stacked field by field across the distinct
+        StageData objects, as :func:`validate` checks them.  An entry that
+        is missing or misshapen raises InvalidGameError naming its stage
+        and field."""
+        T, p, n, dims = spec.horizon, spec.state_dim, spec.n_players, spec.control_dims
+        if T < 1 or n < 1 or len(spec.stages) != T:
+            raise InvalidGameError(f"expected T = {T} >= 1 stages and n = {n} >= 1 players")
+        keys: dict[int, int] = {}
+        at = [keys.setdefault(id(st), len(keys)) for st in spec.stages]
+        distinct = list({id(st): st for st in spec.stages}.values())
+        blocks = tuple(slice(a - m, a) for a, m in zip(accumulate(dims), dims))
+        M, K = sum(dims), len(distinct)
+
+        def stack(loc, shape, get, count=1):
+            """``get(st, i)`` for i < count from each distinct stage,
+            stacked (K, count, *shape)."""
+            try:
+                stacked = np.array([get(st, i) for st in distinct for i in range(count)])
+            except (IndexError, ValueError):  # a missing entry, or shapes that differ
+                stacked = None
+            if stacked is None or stacked.shape[1:] != shape:
+                for k, st in enumerate(distinct):
+                    for i in range(count):
+                        try:
+                            got = f"shape {get(st, i).shape}"
+                        except IndexError:
+                            got = "no entry"
+                        if got != f"shape {shape}":
+                            raise InvalidGameError(f"stages/{at.index(k)}/{loc(i)}: "
+                                                   f"expected shape {shape}, got {got}")
+            return stacked.reshape((K, count) + shape)
+
+        fields = dict(
+            A=stack(lambda i: "A", (p, p), lambda st, i: st.A)[:, 0],
+            B=np.concatenate([stack(lambda i: f"B/{j}", (p, m), lambda st, i: st.B[j])[:, 0]
+                              for j, m in enumerate(dims)], axis=2),
+            s=stack(lambda i: "s", (p,), lambda st, i: st.s)[:, 0],
+            Q=stack(lambda i: f"Q/{i}", (p, p), lambda st, i: st.Q[i], n),
+            xt=stack(lambda i: f"x_target/{i}", (p,), lambda st, i: st.x_target[i], n),
+            R=np.zeros((K, n, M, M)),
+            ut=np.zeros((K, n, M)))
+        for j, (b, m) in enumerate(zip(blocks, dims)):
+            fields["R"][:, :, b, b] = stack(lambda i: f"R/{i}/{j}", (m, m),
+                                            lambda st, i: st.R[i][j], n)
+            fields["ut"][:, :, b] = stack(lambda i: f"u_target/{i}/{j}", (m,),
+                                          lambda st, i: st.u_target[i][j], n)
+        for name, arr in fields.items():
+            if K < T:  # stages that share one StageData share its entries
+                fields[name] = arr = arr.take(at, axis=0)
+            arr.flags.writeable = False
+        owner = np.repeat(np.arange(n), dims)
+        owner.flags.writeable = False
+        return cls(**fields, blocks=blocks, owner=owner)
+
+    def own(self, X: np.ndarray) -> np.ndarray:
+        """Each control row of its own player: row k of ``X[owner[k]]`` for
+        X (n, M, ...), giving (M, ...)."""
+        return X[self.owner, np.arange(len(self.owner))]
 
 
 # ---------------------------------------------------------------------------
@@ -444,44 +540,38 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray,
     stages and samples in one pass after the state loop.
     """
     x0 = initial_state(spec, x0)
-    T = spec.horizon
-    players, S = _player_major(spec, laws_or_controls)
+    view = StageArrays.of(spec)
+    GT, g, S = _stacked_rules(spec, laws_or_controls)
+    s = view.s
     if drifts is not None:
-        drifts = drift_samples(spec, drifts)
-        if S not in (None, len(drifts)):
-            raise InvalidGameError(f"players give {S} samples but drifts give {len(drifts)}")
-        S = len(drifts)
+        s = drift_samples(spec, drifts)
+        if S not in (None, len(s)):
+            raise InvalidGameError(f"players give {S} samples but drifts give {len(s)}")
+        S = len(s)
 
-    states = np.empty((S or 1, T + 1, spec.state_dim))
+    states = np.empty((S or 1, spec.horizon + 1, spec.state_dim))
     states[:, 0] = x0
     x = states[:, 0]
-    played = [np.empty((S or 1, T, m)) for m in spec.control_dims]
-    for t, st in enumerate(spec.stages):
-        x_next = x @ st.A.T + (st.s if drifts is None else drifts[:, t])
-        for i, (GT, g, U) in enumerate(players):
-            if GT is None:
-                u = U[..., t, :]
-            else:
-                u = (x[:, None, :] @ GT[..., t, :, :])[:, 0] + g[..., t, :]
-            played[i][:, t] = u
-            x_next += u @ st.B[i].T
-        states[:, t + 1] = x = x_next
+    u = np.empty((S or 1, spec.horizon, g.shape[-1]))
+    for t in range(spec.horizon):
+        u[:, t] = g[..., t, :]
+        if GT is not None:
+            u[:, t] += (x[:, None, :] @ GT[..., t, :, :])[:, 0]
+        states[:, t + 1] = x = x @ view.A[t].T + s[..., t, :] + u[:, t] @ view.B[t].T
 
-    costs = _stage_costs(spec, states, played)
+    costs = _stage_costs(view, states, u)
     if S is None:
-        states, played, costs = states[0], [u[0] for u in played], costs[0]
-    return Trajectory(states=states, controls=tuple(played),
+        states, u, costs = states[0], u[0], costs[0]
+    return Trajectory(states=states, controls=tuple(u[..., b] for b in view.blocks),
                       stage_costs=costs, total_costs=costs.sum(axis=-1))
 
 
-def _player_major(spec: GameSpec, laws_or_controls):
-    """Per player ``(G', g, None)`` for a law sequence, with the gains
-    transposed to (..., T, p, m), or ``(None, None, U)`` for a control
-    sequence, checked against the game; and the common sample count (None
-    when no array has a sample axis)."""
+def _stacked_rules(spec: GameSpec, laws_or_controls):
+    """The players' rules u_t = x_t GT_t + g_t over all M control rows,
+    each entry checked against the game: gains GT (..., T, p, M), zero for
+    a control sequence and None for all sequences, offsets (..., T, M),
+    and the common sample count (None when no array has a sample axis)."""
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    if len(spec.stages) != T:
-        raise InvalidGameError(f"expected {T} stages, got {len(spec.stages)}")
     entries = list(laws_or_controls)
     if len(entries) != n:
         raise InvalidGameError(f"expected {n} control sequences or law sequences, got {len(entries)}")
@@ -496,32 +586,39 @@ def _player_major(spec: GameSpec, laws_or_controls):
             counts.add(arr.shape[0])
         return arr
 
-    players = []
+    GT, g = [], []
     for i, (entry, m) in enumerate(zip(entries, spec.control_dims)):
         if isinstance(entry, AffineLaw):
-            players.append((np.swapaxes(checked(entry.G, (T, m, p), f"law sequence {i} gains"), -1, -2),
-                            checked(entry.g, (T, m), f"law sequence {i} offsets"), None))
+            GT.append(np.swapaxes(checked(entry.G, (T, m, p), f"law sequence {i} gains"), -1, -2))
+            g.append(checked(entry.g, (T, m), f"law sequence {i} offsets"))
         else:
             try:
                 U = np.atleast_2d(np.asarray(entry, dtype=float))
             except (TypeError, ValueError) as exc:
                 raise InvalidGameError(f"control sequence {i} is not a numeric array: {exc}") from exc
-            players.append((None, None, checked(U, (T, m), f"control sequence {i}")))
+            GT.append(np.zeros((T, p, m)))
+            g.append(checked(U, (T, m), f"control sequence {i}"))
     if len(counts) > 1:
         raise InvalidGameError(f"players give different sample counts {sorted(counts)}")
     S = counts.pop() if counts else None
     if S == 0:
         raise InvalidGameError("a sample axis must hold at least one sample")
-    return players, S
+    laws = any(isinstance(entry, AffineLaw) for entry in entries)
+    return _side_by_side(GT) if laws else None, _side_by_side(g), S
 
 
-def drift_samples(spec: GameSpec, drifts: np.ndarray | None = None) -> np.ndarray:
+def _side_by_side(arrays):
+    """Arrays joined along their last axis, any missing sample axis
+    broadcast."""
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    return np.concatenate([a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
+                           for a in arrays], axis=-1)
+
+
+def drift_samples(spec: GameSpec, drifts: np.ndarray) -> np.ndarray:
     """S drift sequences (S, T, p) for the game's stages, checked to be
-    finite and of that shape with S >= 1; without ``drifts``, the game's
-    own stage drifts as the one sample."""
+    finite and of that shape with S >= 1."""
     T, p = spec.horizon, spec.state_dim
-    if drifts is None:
-        return np.array([st.s for st in spec.stages])[None]
     try:
         drifts = np.asarray(drifts, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -534,20 +631,16 @@ def drift_samples(spec: GameSpec, drifts: np.ndarray | None = None) -> np.ndarra
     return drifts
 
 
-def _stage_costs(spec: GameSpec, states: np.ndarray, controls) -> np.ndarray:
-    """Every player's stage costs (S, n, T) along S trajectories, all
-    stages at once; the formula of :func:`stage_cost`."""
-    n, stages = spec.n_players, spec.stages
+def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Every player's stage costs (S, n, T) along S trajectories, states
+    (S, T+1, p) and stacked controls (S, T, M), all stages at once; the
+    formula of :func:`stage_cost`."""
+    def halved_forms(d, W):  # 1/2 d'Wd, the sample axis moved inside: one product per W
+        d = np.moveaxis(d, 0, 2)
+        return 0.5 * np.einsum("tisk,tisk->sit", d @ W, d)
 
-    def quadratic(d, W):  # 1/2 d' W d per sample, player and stage
-        return 0.5 * np.einsum("sntk,ntkl,sntl->snt", d, W, d)
-
-    costs = quadratic(states[:, None, 1:] - np.array([[st.x_target[i] for st in stages] for i in range(n)]),
-                      np.array([[st.Q[i] for st in stages] for i in range(n)]))
-    for j, u in enumerate(controls):
-        costs += quadratic(u[:, None] - np.array([[st.u_target[i][j] for st in stages] for i in range(n)]),
-                           np.array([[st.R[i][j] for st in stages] for i in range(n)]))
-    return costs
+    return (halved_forms(states[:, 1:, None] - view.xt, view.Q)
+            + halved_forms(u[:, :, None] - view.ut, view.R))
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +713,8 @@ def folded_drifts(spec: GameSpec, player: int, controls: np.ndarray) -> np.ndarr
     if controls.ndim not in (2, 3) or controls.shape[-2:] != shape:
         raise InvalidGameError(f"controls have shape {controls.shape}, expected {shape} "
                                f"or (samples, {', '.join(map(str, shape))})")
-    B = np.array([st.B[player] for st in spec.stages])
-    return drift_samples(spec)[0] + np.einsum("tpm,...tm->...tp", B, controls)
+    view = StageArrays.of(spec)
+    return view.s + np.einsum("tpm,...tm->...tp", view.B[:, :, view.blocks[player]], controls)
 
 
 def _others(spec: GameSpec, player: int) -> list[int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError
-from .game import AffineLaw, GameSpec, require_valid
+from .game import AffineLaw, GameSpec, StageArrays, require_valid
 from .numerics import solve_dense
 
 
@@ -57,35 +57,31 @@ class ControlSolution:
         return float(0.5 * x @ W @ x + self.zeta[t] @ x + self.n_const[t])
 
 
-def _require_lqr_shape(spec: GameSpec) -> None:
+def solve_control(spec: GameSpec) -> ControlSolution:
+    """Optimal affine feedback for the one-player game with zero targets."""
+    require_valid(spec)
     if spec.n_players != 1:
         raise InvalidGameError(
             f"single-player control requires exactly one player, got {spec.n_players}"
         )
-    for t, st in enumerate(spec.stages):
-        if np.any(st.x_target[0]) or np.any(st.u_target[0][0]):
-            raise InvalidGameError(
-                f"stage {t} has nonzero cost targets; solve the n=1 game with "
-                "the feedback Nash solver instead"
-            )
-
-
-def solve_control(spec: GameSpec) -> ControlSolution:
-    """Optimal affine feedback for the one-player game with zero targets."""
-    require_valid(spec)
-    _require_lqr_shape(spec)
-    T, p, m = spec.horizon, spec.state_dim, spec.control_dims[0]
+    view = StageArrays.of(spec)
+    targeted = np.flatnonzero(view.xt.any(axis=(1, 2)) | view.ut.any(axis=(1, 2)))
+    if targeted.size:
+        raise InvalidGameError(
+            f"stage {targeted[0]} has nonzero cost targets; solve the n=1 game with "
+            "the feedback Nash solver instead"
+        )
+    T, p, m = view.B.shape
 
     Z = np.empty((T + 1, p, p))
     zeta = np.zeros((T + 1, p))
     n_const = np.zeros(T + 1)
-    Z[T] = spec.stages[T - 1].Q[0]
+    Z[T] = view.Q[T - 1, 0]
     G = np.empty((T, m, p))
     g = np.empty((T, m))
 
     for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        A, B, s, R = st.A, st.B[0], st.s, st.R[0][0]
+        A, B, s, R = view.A[t], view.B[t], view.s[t], view.R[t, 0]
         H = R + B.T @ Z[t + 1] @ B                      # stage Hessian, PD
         packed = solve_dense(H, np.hstack([B.T @ Z[t + 1] @ A,
                                            (B.T @ (Z[t + 1] @ s + zeta[t + 1]))[:, None]]),
@@ -95,7 +91,7 @@ def solve_control(spec: GameSpec) -> ControlSolution:
 
         F = A - B @ P
         d = s - B @ alpha
-        Zt = F.T @ Z[t + 1] @ F + P.T @ R @ P + spec.prev_state_weight(t, 0)
+        Zt = F.T @ Z[t + 1] @ F + P.T @ R @ P + (view.Q[t - 1, 0] if t else 0.0)
         Z[t] = 0.5 * (Zt + Zt.T)
         zeta[t] = F.T @ (zeta[t + 1] + Z[t + 1] @ d) + P.T @ R @ alpha
         n_const[t] = (n_const[t + 1] + 0.5 * d @ Z[t + 1] @ d

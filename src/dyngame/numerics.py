@@ -1,4 +1,4 @@
-"""Dense linear algebra helpers: solves, symmetry and definiteness tests.
+"""Dense linear algebra helpers: solves and symmetry tests.
 
 Everything here is a thin, contract-enforcing wrapper around numpy and
 LAPACK dense routines.  Matrices at the intended scale are tiny (state and
@@ -11,8 +11,6 @@ times the factorisation itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -92,46 +90,3 @@ def asymmetry(M: np.ndarray, rtol: float) -> tuple[float, bool]:
     overflow, and a gap past that range reads inf."""
     half = np.abs(0.5 * M - 0.5 * M.T).max(initial=0.0)
     return 2.0 * float(half), bool(half > 0.5 * rtol * (1.0 + np.abs(M).max(initial=0.0)))
-
-
-def symmetrize(M: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
-    """Return M/2 + M'/2 if M is symmetric within ``rtol``, else raise."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidGameError(f"{name} must be square, got shape {M.shape}")
-    gap, too_large = asymmetry(M, rtol)
-    if too_large:
-        raise InvalidGameError(f"{name} is not symmetric (max asymmetry {gap:.2e})")
-    return 0.5 * M + 0.5 * M.T
-
-
-@dataclass(frozen=True)
-class Definiteness:
-    """Classification of a symmetric matrix by its smallest eigenvalue."""
-
-    classification: str  # "PD", "PSD" or "indefinite"
-    min_eigenvalue: float
-
-    @property
-    def is_psd(self) -> bool:
-        return self.classification in ("PD", "PSD")
-
-
-def classify_definiteness(M: np.ndarray, tol: float = 1e-9) -> Definiteness:
-    """Classify a (repairably) symmetric matrix as PD / PSD / indefinite.
-
-    PD requires the smallest eigenvalue to exceed ``tol``; PSD requires it
-    to be at least ``-tol``.  Non-symmetric input beyond the repair
-    tolerance is an error.
-    """
-    M = symmetrize(M)
-    if M.shape[0] == 0:
-        raise InvalidGameError("cannot classify an empty matrix")
-    min_eig = float(np.linalg.eigvalsh(M).min())
-    if min_eig > tol:
-        cls = "PD"
-    elif min_eig >= -tol:
-        cls = "PSD"
-    else:
-        cls = "indefinite"
-    return Definiteness(cls, min_eig)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .game import (AffineLaw, GameSpec, Trajectory, drift_samples, initial_state,
-                   require_valid, rollout)
+from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, drift_samples,
+                   initial_state, require_valid, rollout)
 from .numerics import solve_dense
 
 
@@ -62,33 +62,33 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
     """
     require_valid(spec)
     x0 = initial_state(spec, x0)
-    s = drift_samples(spec, drifts)
-    T, p, n, S = spec.horizon, spec.state_dim, spec.n_players, len(s)
+    view = StageArrays.of(spec)
+    s = view.s[None] if drifts is None else drift_samples(spec, drifts)
+    T, p, M = view.B.shape
+    n, S = spec.n_players, len(s)
 
-    M = np.empty((n, T + 1, p, p))
+    Mc = np.empty((n, T + 1, p, p))
+    Mc[:, T] = view.Q[T - 1]
     m = np.zeros((S, n, T + 1, p))
-    for i in range(n):
-        M[i, T] = spec.stages[T - 1].Q[i]
     Phi = np.empty((T, p, p))
     phi = np.empty((S, T, p))
-    G = [np.empty((T, mm, p)) for mm in spec.control_dims]
-    g = [np.empty((S, T, mm)) for mm in spec.control_dims]
+    G = np.empty((T, M, p))
+    g = np.empty((S, T, M))
 
     # Backward pass: transition pair, costate coefficients and path laws.
-    # Affine quantities are rows, one per sample.
+    # Affine quantities are rows, one per sample; control rows are stacked
+    # over players, each row k acting through its own player's costate.
     for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        D = np.eye(p)
-        drift = s[:, t]
-        Rinv_Bt = []
-        for j in range(n):
-            RinvBt = solve_dense(st.R[j][j], st.B[j].T, context=f"stage {t} control weight R^{j}{j}")
-            Rinv_Bt.append(RinvBt)
-            D = D + st.B[j] @ RinvBt @ M[j, t + 1]
-            drift = drift - ((m[:, j, t + 1] - st.Q[j] @ st.x_target[j]) @ RinvBt.T
-                             - st.u_target[j][j]) @ st.B[j].T
+        A, B = view.A[t], view.B[t]
+        Rinv_Bt = np.vstack([solve_dense(view.R[t, j, b, b], B[:, b].T,
+                                         context=f"stage {t} control weight R^{j}{j}")
+                             for j, b in enumerate(view.blocks)])
+        RBM = view.own(Rinv_Bt @ Mc[:, t + 1])
+        ut = view.own(view.ut[t])
+        c_next = m[:, :, t + 1] - np.einsum("ipq,iq->ip", view.Q[t], view.xt[t])
+        drift = s[:, t] - (np.einsum("kp,skp->sk", Rinv_Bt, c_next[:, view.owner]) - ut) @ B.T
         try:
-            packed = solve_dense(D, np.hstack([st.A, drift.T]),
+            packed = solve_dense(np.eye(p) + B @ RBM, np.hstack([A, drift.T]),
                                  context=f"stage {t} open-loop transition operator")
         except SingularSystemError as exc:
             raise SingularSystemError(
@@ -98,32 +98,29 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
             ) from exc
         Phi[t] = packed[:, :p]
         phi[:, t] = packed[:, p:].T
-        for i in range(n):
-            # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
-            # feeds both m_t and the path offset of player i.
-            c = phi[:, t] @ M[i, t + 1].T + m[:, i, t + 1] - st.Q[i] @ st.x_target[i]
-            G[i][t] = -Rinv_Bt[i] @ M[i, t + 1] @ Phi[t]
-            g[i][:, t] = st.u_target[i][i] - c @ Rinv_Bt[i].T
-            # M is symmetric only for n = 1: the transition operator mixes
-            # all players' costate matrices, so no symmetrization here.
-            M[i, t] = spec.prev_state_weight(t, i) + st.A.T @ M[i, t + 1] @ Phi[t]
-            m[:, i, t] = c @ st.A
+        # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
+        # feeds both m_t and the path offsets.
+        c = np.einsum("ipq,sq->sip", Mc[:, t + 1], phi[:, t]) + c_next
+        G[t] = -RBM @ Phi[t]
+        g[:, t] = ut - np.einsum("kp,skp->sk", Rinv_Bt, c[:, view.owner])
+        # M is symmetric only for n = 1: the transition operator mixes
+        # all players' costate matrices, so no symmetrization here.
+        Mc[:, t] = (view.Q[t - 1] if t else 0.0) + A.T @ Mc[:, t + 1] @ Phi[t]
+        m[:, :, t] = c @ A
 
     # Forward pass: the explicit controls along each path.
-    controls = [np.empty((S, T, mm)) for mm in spec.control_dims]
+    u = np.empty((S, T, M))
     x = np.repeat(x0[None], S, axis=0)
     for t in range(T):
-        for i in range(n):
-            controls[i][:, t] = x @ G[i][t].T + g[i][:, t]
+        u[:, t] = x @ G[t].T + g[:, t]
         x = x @ Phi[t].T + phi[:, t]
 
     if drifts is None:
-        m, phi, g, controls = m[0], phi[0], [gi[0] for gi in g], [u[0] for u in controls]
-        traj = rollout(spec, controls, x0)
-    else:
-        traj = rollout(spec, controls, x0, drifts=s)
+        m, phi, g, u = m[0], phi[0], g[0], u[0]
+    traj = rollout(spec, [u[..., b] for b in view.blocks], x0, drifts=drifts)
     return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
-                                laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
+                                laws=tuple(AffineLaw(G[:, b], g[..., b]) for b in view.blocks),
+                                M=Mc, m=m, Phi=Phi, phi=phi)
 
 
 def costates(sol: OpenLoopNashSolution) -> np.ndarray:
@@ -133,14 +130,9 @@ def costates(sol: OpenLoopNashSolution) -> np.ndarray:
     absorbed into M_t^i; p_T^i = 0 exactly.  The backward adjoint
     recursion holds along the trajectory (see :func:`kkt_residuals`).
     """
-    spec = sol.spec
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    out = np.empty((n, T + 1, p))
-    x = sol.trajectory.states
-    for i in range(n):
-        for t in range(T + 1):
-            out[i, t] = (sol.M[i, t] - spec.prev_state_weight(t, i)) @ x[t] + sol.m[i, t]
-    return out
+    Q = StageArrays.of(sol.spec).Q
+    W = np.concatenate([np.zeros_like(Q[:1]), Q]).swapaxes(0, 1)
+    return np.einsum("itpq,tq->itp", sol.M - W, sol.trajectory.states) + sol.m
 
 
 def kkt_residuals(sol: OpenLoopNashSolution) -> dict[str, float]:
@@ -150,23 +142,19 @@ def kkt_residuals(sol: OpenLoopNashSolution) -> dict[str, float]:
     * ``stationarity``:  R^ii(u_t^i - ut_ii) + B^i'[Q^i(x_{t+1}* - xt_i) + p_{t+1}^i] = 0
     * ``state``:         x_{t+1}* = A x_t* + sum B u + s
     """
-    spec = sol.spec
-    T, n = spec.horizon, spec.n_players
+    view = StageArrays.of(sol.spec)
     x = sol.trajectory.states
-    u = sol.trajectory.controls
-    pvec = costates(sol)
-
-    res_adj = res_stat = res_state = 0.0
-    for t in range(T):
-        st = spec.stages[t]
-        x_next = st.A @ x[t] + st.s + sum(st.B[j] @ u[j][t] for j in range(n))
-        res_state = max(res_state, np.abs(x_next - x[t + 1]).max(initial=0.0))
-        for i in range(n):
-            dx = x[t + 1] - st.x_target[i]
-            adj = st.A.T @ (pvec[i, t + 1] + st.Q[i] @ dx)
-            res_adj = max(res_adj, np.abs(pvec[i, t] - adj).max(initial=0.0))
-            grad = (st.R[i][i] @ (u[i][t] - st.u_target[i][i])
-                    + st.B[i].T @ (st.Q[i] @ dx + pvec[i, t + 1]))
-            res_stat = max(res_stat, np.abs(grad).max(initial=0.0))
-    return {"adjoint": float(res_adj), "stationarity": float(res_stat),
-            "state": float(res_state)}
+    u = np.concatenate(sol.trajectory.controls, axis=-1)
+    pvec = costates(sol).swapaxes(0, 1)  # (T+1, n, p)
+    # Every player's costate p_{t+1} + Q_t (x_{t+1} - xt), (T, n, p).
+    lam = pvec[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
+    rows = np.arange(len(view.owner))
+    grad = (np.einsum("tkl,tl->tk", view.R[:, view.owner, rows], u - view.ut[:, view.owner, rows])
+            + np.einsum("tpk,tkp->tk", view.B, lam[:, view.owner]))
+    res = {
+        "adjoint": pvec[:-1] - np.einsum("tqp,tiq->tip", view.A, lam),
+        "stationarity": grad,
+        "state": x[1:] - (np.einsum("tpq,tq->tp", view.A, x[:-1]) + view.s
+                          + np.einsum("tpk,tk->tp", view.B, u)),
+    }
+    return {key: float(np.abs(r).max(initial=0.0)) for key, r in res.items()}

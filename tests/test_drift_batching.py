@@ -182,3 +182,30 @@ def test_one_follower_solve_per_leader_check(seed, monkeypatch):
     calls.clear()
     verify.stationarity(spec, sol, verify.OPEN_LOOP)
     assert len(calls) == 1
+
+
+def count_rollouts(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rollout(*args, **kwargs)
+
+    for module in (openloop_nash, verify):
+        monkeypatch.setattr(module, "rollout", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", (17, 42))
+def test_one_state_loop_per_leader_check(seed, monkeypatch):
+    """The followers' re-solve rolls out the full game's paths, so the
+    leader is priced on them without a rollout of its own."""
+    spec, sol, x0 = stackelberg(seed)
+    calls = count_rollouts(monkeypatch)
+    for samples in (5, 50):
+        calls.clear()
+        verify.leader_gap(spec, sol, verify.OPEN_LOOP, samples=samples)
+        assert len(calls) == 1, (samples, len(calls))
+    calls.clear()
+    verify.stationarity(spec, sol, verify.OPEN_LOOP)
+    assert len(calls) == 2  # the leader's probes, then every follower's

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dyngame.errors import DefinitenessError, InvalidGameError, SingularSystemError
-from dyngame.numerics import classify_definiteness, solve_dense, symmetrize
+from dyngame.errors import InvalidGameError, SingularSystemError
+from dyngame.numerics import solve_dense
 
 from conftest import psd_matrix, rng_for
-from reference_formulations import pushthrough_residuals
+from reference_formulations import (DefinitenessError, classify_definiteness,
+                                    pushthrough_residuals, symmetrize)
 
 
 class TestSolveDense:
