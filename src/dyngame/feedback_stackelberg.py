@@ -7,7 +7,7 @@ backward:
     decompose as r^i = W^i x + rbar^i u_leader + w^i.  The three
     coefficient families solve block systems sharing one left-hand
     operator (the follower sub-block of the stacked Nash operator), so a
-    single factorization serves all three.
+    single factorization serves all three, and step 3 too.
 2.  The leader minimizes its stage cost-to-go through that reaction map;
     its stage Hessian is PD whenever the leader's cross control weights
     are PSD, so the leader solve cannot go singular for validated games.
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
-from .feedback_nash import (FeedbackNashSolution, laws_of, stage_system, terminal_values,
-                            update_values)
+from .feedback_nash import (FeedbackNashSolution, StageTerms, laws_of, stage_system,
+                            terminal_values, update_values)
 from .game import GameSpec, StageArrays, require_valid
-from .numerics import solve_dense
+from .numerics import factor, solve_dense
 
 
 @dataclass(frozen=True)
@@ -64,60 +64,81 @@ class FeedbackStackelbergSolution(FeedbackNashSolution):
 
 
 def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
-    """Unique feedback Stackelberg equilibrium with player 0 as leader.
+    """Unique feedback Stackelberg equilibrium with player 0 as leader:
+    the one lane of :func:`sweep` that starts at stage 0."""
+    require_valid(spec, for_stackelberg=True)
+    if spec.n_players < 2:
+        raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
+    view = StageArrays.of(spec)
+    PA, Z, zeta, n_const, react = sweep(view, [0])
+    m0, p = view.blocks[0].stop, spec.state_dim
+    rows = [slice(b.start - m0, b.stop - m0) for b in view.blocks[1:]]
+    react = react[0]
+    return FeedbackStackelbergSolution(
+        spec=spec, laws=laws_of(view, PA[0]), Z=Z[0], zeta=zeta[0], n_const=n_const[0],
+        reactions=ReactionCoefficients(W=tuple(react[:, r, m0:m0 + p] for r in rows),
+                                       rbar=tuple(react[:, r, :m0] for r in rows),
+                                       w=tuple(react[:, r, -1] for r in rows)),
+    )
+
+
+def sweep(view: StageArrays, starts):
+    """The backward sweeps of the tail games from the stages ``starts``,
+    one lane each, as :func:`dyngame.feedback_nash.sweep`, whose outputs
+    it returns followed by every lane's follower reactions [rbar | W | w]
+    (L, T, M - m_0, m_0 + p + 1).
 
     Per stage, the followers' rows f of the stacked Nash system
     C [P | alpha] = rhs give the reactions, C_ff [rbar | W | w] =
     -[C_f0 | rhs_f].  Every control is then u = E u_leader + Y (x, 1) with
     E = [I; rbar] and Y = [0; W | w], and the leader solves
     E'HE [P | alpha]_leader = E'(B'Z^0 [A | s] + H Y + offsets), with
-    H = B'Z^0 B + R^0 its Hessian in all controls.
+    H = B'Z^0 B + R^0 its Hessian in all controls.  The followers' gains
+    then solve C_ff P_f = rhs_f - C_f0 P_leader with the same LU of C_ff.
     """
-    require_valid(spec, for_stackelberg=True)
-    if spec.n_players < 2:
-        raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
-
-    view = StageArrays.of(spec)
-    Z, zeta, n_const = terminal_values(view)
+    starts, begin, end = view.lanes(starts)
+    L = len(starts)
+    terms = StageTerms.of(view)
+    Z, zeta, n_const = terminal_values(view, L)
     T, p, M = view.B.shape
     m0 = view.blocks[0].stop
     f = slice(m0, M)
-    PA = np.empty((T, M, p + 1))
-    react = np.empty((T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
+    PA = np.zeros((L, T, M, p + 1))
+    react = np.zeros((L, T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
 
-    for t in range(T - 1, -1, -1):
-        Zn, zn = Z[:, t + 1], zeta[:, t + 1]
-        C, rhs = stage_system(view, t, Zn, zn)
-        # Follower reaction coefficients: one operator, three right-hand sides.
-        try:
-            react[t] = solve_dense(C[f, f], -np.hstack([C[f, :m0], rhs[f]]),
-                                   context=f"stage {t} follower reaction system")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the follower stage systems admit no unique optimal response "
-                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
-
-        # Leader stage optimization through the reaction map.
-        E = np.vstack([np.eye(m0), react[t, :, :m0]])
-        Y = np.vstack([np.zeros((m0, p + 1)), react[t, :, m0:]])
+    for t in range(T - 1, starts[0] - 1, -1):
+        a = end[t]
+        Zn, zn = Z[:a, :, t + 1], zeta[:a, :, t + 1]
+        C, rhs = stage_system(view, terms, t, Zn, zn)
         B, R0 = view.B[t], view.R[t, 0]
-        BZ = B.T @ Zn[0]
+        BZ = B.T @ Zn[:, 0]
         H = BZ @ B + R0
-        lin = BZ @ np.column_stack([view.A[t], view.s[t]]) + H @ Y
-        lin[:, p] += (zn[0] - view.Q[t, 0] @ view.xt[t, 0]) @ B - R0 @ view.ut[t, 0]
-        PA[t, :m0] = solve_dense(E.T @ H @ E, E.T @ lin, context=f"stage {t} leader system")
+        lin = BZ @ terms.As[t]
+        offset = (((zn[:, 0] - view.Q[t, 0] @ view.xt[t, 0])[:, None] @ B)[:, 0]
+                  - R0 @ view.ut[t, 0])
+        for lane in range(a):
+            # Follower reaction coefficients: one operator, three right-hand sides.
+            try:
+                C_ff = factor(C[lane, f, f], context=f"stage {t} follower reaction system")
+                react[lane, t] = C_ff.solve(-np.hstack([C[lane, f, :m0], rhs[lane, f]]),
+                                            context=f"stage {t} follower reaction system")
+            except SingularSystemError as exc:
+                raise SingularSystemError(
+                    "the follower stage systems admit no unique optimal response "
+                    f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+                ) from exc
 
-        # Follower gains/offsets from their first-order systems at the
-        # leader's law (reaction identity left as a cross-check).
-        PA[t, f] = solve_dense(C[f, f], rhs[f] - C[f, :m0] @ PA[t, :m0],
-                               context=f"stage {t} follower gain/offset system")
-        update_values(view, t, PA[t], Z, zeta, n_const)
+            # Leader stage optimization through the reaction map.
+            E = np.vstack([np.eye(m0), react[lane, t, :, :m0]])
+            Y = np.vstack([np.zeros((m0, p + 1)), react[lane, t, :, m0:]])
+            lin_l = lin[lane] + H[lane] @ Y
+            lin_l[:, p] += offset[lane]
+            PA[lane, t, :m0] = solve_dense(E.T @ H[lane] @ E, E.T @ lin_l,
+                                           context=f"stage {t} leader system")
 
-    rows = [slice(b.start - m0, b.stop - m0) for b in view.blocks[1:]]
-    return FeedbackStackelbergSolution(
-        spec=spec, laws=laws_of(view, PA), Z=Z, zeta=zeta, n_const=n_const,
-        reactions=ReactionCoefficients(W=tuple(react[:, r, m0:m0 + p] for r in rows),
-                                       rbar=tuple(react[:, r, :m0] for r in rows),
-                                       w=tuple(react[:, r, -1] for r in rows)),
-    )
+            # Follower gains/offsets from their first-order systems at the
+            # leader's law (reaction identity left as a cross-check).
+            PA[lane, t, f] = C_ff.solve(rhs[lane, f] - C[lane, f, :m0] @ PA[lane, t, :m0],
+                                        context=f"stage {t} follower gain/offset system")
+        update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
+    return PA, Z, zeta, n_const, react

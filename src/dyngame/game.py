@@ -423,10 +423,33 @@ class StageArrays:
         owner.flags.writeable = False
         return cls(**fields, blocks=blocks, owner=owner)
 
-    def own(self, X: np.ndarray) -> np.ndarray:
+    def own(self, X: np.ndarray, lead: int = 0) -> np.ndarray:
         """Each control row of its own player: row k of ``X[owner[k]]`` for
-        X (n, M, ...), giving (M, ...)."""
-        return X[self.owner, np.arange(len(self.owner))]
+        X (n, M, ...), giving (M, ...); after ``lead`` leading axes, X
+        (..., n, M, ...) gives (..., M, ...), C-contiguous as without them,
+        so that each lane's matrices meet the same products."""
+        rows = X[(slice(None),) * lead + (self.owner, np.arange(len(self.owner)))]
+        return np.ascontiguousarray(rows) if lead else rows
+
+    def lanes(self, starts) -> tuple[np.ndarray, list[int], list[int]]:
+        """The lanes of a backward sweep over this view, one per tail game.
+
+        Lane l solves the tail game of stages ``starts[l]``..T-1, reading
+        the same stage rows as every other lane, aligned at the terminal
+        stage.  ``starts`` must be ascending (a start may repeat), so the
+        lanes that include stage t are a prefix.  Returns the starts and
+        two lists by stage t, ``begin`` and ``end``: lanes ``begin[t]`` to
+        ``end[t] - 1`` start at t, and lanes 0 to ``end[t] - 1`` include it.
+        """
+        T = len(self.A)
+        starts = np.asarray(starts)
+        if (starts.ndim != 1 or not len(starts) or starts.dtype.kind not in "iu"
+                or starts[0] < 0 or starts[-1] >= T or (np.diff(starts) < 0).any()):
+            raise InvalidGameError(f"lane starts must be ascending stages in [0, {T}), "
+                                   f"got {starts.tolist()}")
+        stages = np.arange(T)
+        return (starts, np.searchsorted(starts, stages, side="left").tolist(),
+                np.searchsorted(starts, stages, side="right").tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +580,36 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray,
         u[:, t] = g[..., t, :]
         if GT is not None:
             u[:, t] += (x[:, None, :] @ GT[..., t, :, :])[:, 0]
-        states[:, t + 1] = x = x @ view.A[t].T + s[..., t, :] + u[:, t] @ view.B[t].T
+        states[:, t + 1] = x = _advance(view, t, x, s, u[:, t])
+    return _priced(view, states, u, S is not None)
 
+
+def sequence_path(view: StageArrays, x0: np.ndarray, u: np.ndarray, s: np.ndarray,
+                  batched: bool) -> Trajectory:
+    """The trajectory of S stacked control sequences u (S, T, M) from x0,
+    with the drifts s, (T, p) or one sequence per sample (S, T, p): the
+    states of :func:`rollout`'s state equation, priced as it prices them.
+    Without ``batched``, S is 1 and the trajectory has no sample axis.
+    """
+    states = np.empty((len(u), u.shape[1] + 1, len(x0)))
+    states[:, 0] = x0
+    x = states[:, 0]
+    for t in range(u.shape[1]):
+        states[:, t + 1] = x = _advance(view, t, x, s, u[:, t])
+    return _priced(view, states, u, batched)
+
+
+def _advance(view: StageArrays, t: int, x: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The state equation at stage t for states x (S, p), drifts s (T, p)
+    or (S, T, p) and stacked controls u (S, M)."""
+    return x @ view.A[t].T + s[..., t, :] + u @ view.B[t].T
+
+
+def _priced(view: StageArrays, states: np.ndarray, u: np.ndarray, batched: bool) -> Trajectory:
+    """The Trajectory of states (S, T+1, p) and stacked controls (S, T, M),
+    with their stage costs; without ``batched`` that of the one sample."""
     costs = _stage_costs(view, states, u)
-    if S is None:
+    if not batched:
         states, u, costs = states[0], u[0], costs[0]
     return Trajectory(states=states, controls=tuple(u[..., b] for b in view.blocks),
                       stage_costs=costs, total_costs=costs.sum(axis=-1))

@@ -71,31 +71,54 @@ def solve_control(spec: GameSpec) -> ControlSolution:
             f"stage {targeted[0]} has nonzero cost targets; solve the n=1 game with "
             "the feedback Nash solver instead"
         )
+    G, g, Z, zeta, n_const = sweep(view, [0])
+    return ControlSolution(spec=spec, laws=(AffineLaw(G[0], g[0]),),
+                           Z=Z[0], zeta=zeta[0], n_const=n_const[0])
+
+
+def sweep(view: StageArrays, starts):
+    """The backward recursions of the tail problems from the stages
+    ``starts``, one lane each (see :meth:`StageArrays.lanes`), in one pass
+    over the stages of a validated one-player view with zero targets.
+
+    Every lane owns its law, G (L, T, m, p) and g (L, T, m), zero before
+    its start, and its coefficients Z (L, T+1, p, p), zeta (L, T+1, p) and
+    n (L, T+1), and solves its own stage systems.
+    """
+    starts, begin, end = view.lanes(starts)
+    L = len(starts)
     T, p, m = view.B.shape
 
-    Z = np.empty((T + 1, p, p))
-    zeta = np.zeros((T + 1, p))
-    n_const = np.zeros(T + 1)
-    Z[T] = view.Q[T - 1, 0]
-    G = np.empty((T, m, p))
-    g = np.empty((T, m))
+    Z = np.empty((L, T + 1, p, p))
+    zeta = np.zeros((L, T + 1, p))
+    n_const = np.zeros((L, T + 1))
+    Z[:, T] = view.Q[T - 1, 0]
+    G = np.zeros((L, T, m, p))
+    g = np.zeros((L, T, m))
 
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, starts[0] - 1, -1):
+        a = end[t]
         A, B, s, R = view.A[t], view.B[t], view.s[t], view.R[t, 0]
-        H = R + B.T @ Z[t + 1] @ B                      # stage Hessian, PD
-        packed = solve_dense(H, np.hstack([B.T @ Z[t + 1] @ A,
-                                           (B.T @ (Z[t + 1] @ s + zeta[t + 1]))[:, None]]),
-                             context=f"stage {t} control gain/offset system")
-        P, alpha = packed[:, :p], packed[:, p]
-        G[t], g[t] = -P, -alpha
+        Zn, zn = Z[:a, t + 1], zeta[:a, t + 1]
+        H = R + B.T @ Zn @ B                      # stage Hessian, PD
+        rhs = np.concatenate([B.T @ Zn @ A, B.T @ (Zn @ s[:, None] + zn[..., None])], axis=2)
+        packed = np.empty((a, m, p + 1))
+        for lane in range(a):
+            packed[lane] = solve_dense(H[lane], rhs[lane],
+                                       context=f"stage {t} control gain/offset system")
+        P, alpha = packed[..., :p], packed[..., p]
+        G[:a, t], g[:a, t] = -P, -alpha
 
         F = A - B @ P
-        d = s - B @ alpha
-        Zt = F.T @ Z[t + 1] @ F + P.T @ R @ P + (view.Q[t - 1, 0] if t else 0.0)
-        Z[t] = 0.5 * (Zt + Zt.T)
-        zeta[t] = F.T @ (zeta[t + 1] + Z[t + 1] @ d) + P.T @ R @ alpha
-        n_const[t] = (n_const[t + 1] + 0.5 * d @ Z[t + 1] @ d
-                      + zeta[t + 1] @ d + 0.5 * alpha @ R @ alpha)
-
-    return ControlSolution(spec=spec, laws=(AffineLaw(G, g),),
-                           Z=Z, zeta=zeta, n_const=n_const)
+        d = s - (B @ alpha[..., None])[..., 0]
+        PT, dr, ar = P.swapaxes(1, 2), d[:, None], alpha[:, None]  # rows (a, 1, .)
+        Zt = F.swapaxes(1, 2) @ Zn @ F + PT @ R @ P
+        if t:  # absorbs the stage t-1 weight, except where a lane starts
+            Zt[:begin[t]] += view.Q[t - 1, 0]
+        Z[:a, t] = 0.5 * (Zt + Zt.swapaxes(1, 2))
+        zeta[:a, t] = (F.swapaxes(1, 2) @ (zn + (Zn @ d[..., None])[..., 0])[..., None]
+                       + PT @ R @ alpha[..., None])[..., 0]
+        n_const[:a, t] = (n_const[:a, t + 1] + (0.5 * dr @ Zn @ d[..., None])[:, 0, 0]
+                          + (zn[:, None] @ d[..., None])[:, 0, 0]
+                          + (0.5 * ar @ R @ alpha[..., None])[:, 0, 0])
+    return G, g, Z, zeta, n_const

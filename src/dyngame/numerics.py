@@ -7,13 +7,16 @@ partial pivoting is used throughout; no iterative refinement.  The solve
 calls LAPACK's ``dgetrf``/``dgetrs`` through ``scipy.linalg.lapack``: the
 routines behind ``scipy.linalg.lu_factor``/``lu_solve``, without those
 functions' per-call argument handling, which at these sizes costs several
-times the factorisation itself.
+times the factorisation itself.  ``scipy.linalg`` is imported on the first
+factorisation, not with this module: it is about half the import time of
+the command line, which validating a game never needs.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InvalidGameError, SingularSystemError
 
@@ -35,43 +38,79 @@ def solve_dense(A: np.ndarray, B: np.ndarray, context: str | None = None) -> np.
     Raises :class:`SingularSystemError` (naming ``context``) when a pivot
     falls below ``PIVOT_RTOL * ||A||`` or the solution fails the residual
     bound ``||AX - B|| <= RESIDUAL_RTOL * (1 + ||A|| ||X||)``, which a
-    NaN in ``B`` or ``X`` fails too.
+    NaN in ``B`` or ``X`` fails too.  It is :func:`factor` followed by
+    :meth:`LU.solve`.
     """
+    return factor(A, context).solve(B, context)
+
+
+class LU:
+    """The partial-pivoting LU factorisation of a square matrix A whose
+    pivots passed the singularity test of :func:`factor`.  Each
+    :meth:`solve` reuses it and checks its own residual."""
+
+    __slots__ = ("A", "norm", "_lu", "_piv")
+
+    def __init__(self, A: np.ndarray, norm: float, lu: np.ndarray, piv: np.ndarray):
+        self.A, self.norm, self._lu, self._piv = A, norm, lu, piv
+
+    def solve(self, B: np.ndarray, context: str | None = None) -> np.ndarray:
+        """X with A @ X = B, refused as in :func:`solve_dense` when it fails
+        the residual bound."""
+        B = np.asarray(B, dtype=float)
+        if B.shape[0] != self.A.shape[0]:
+            raise InvalidGameError(
+                f"right-hand side has {B.shape[0]} rows, expected {self.A.shape[0]}"
+            )
+        X, _ = _lapack()[1](self._lu, self._piv, B)
+
+        residual = np.abs(self.A @ X - B).max(initial=0.0)
+        bound = RESIDUAL_RTOL * (1.0 + self.norm * np.abs(X).max(initial=0.0))
+        if not residual <= bound:  # also refuses a NaN residual
+            cond = _condition_estimate(self.A)
+            raise SingularSystemError(
+                f"solution residual {residual:.2e} exceeds bound {bound:.2e} "
+                f"(cond ~ {cond:.2e})",
+                context=context,
+                cond_estimate=cond,
+            )
+        return X
+
+
+def factor(A: np.ndarray, context: str | None = None) -> LU:
+    """The LU factorisation of a square A, one ``dgetrf``; raises
+    :class:`SingularSystemError` (naming ``context``) when a pivot falls
+    below ``PIVOT_RTOL * ||A||``."""
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidGameError(f"solve_dense needs a square matrix, got shape {A.shape}")
-    if B.shape[0] != A.shape[0]:
-        raise InvalidGameError(
-            f"right-hand side has {B.shape[0]} rows, expected {A.shape[0]}"
-        )
 
-    norm_A = np.abs(A).max(initial=0.0)
+    norm_A = float(np.abs(A).max(initial=0.0))
     # dgetrf reports an exact zero pivot through its status, which the pivot
     # threshold below covers; an empty A, which it would refuse as an
     # illegal argument, has no pivot and fails that threshold too.
-    lu, piv, _ = dgetrf(A) if A.size else (A, None, 0)
-    min_pivot = np.abs(np.diag(lu)).min(initial=np.inf)
-    if not np.isfinite(min_pivot) or min_pivot <= PIVOT_RTOL * max(norm_A, 1e-300):
+    lu, piv, _ = _lapack()[0](A) if A.size else (A, None, 0)
+    min_pivot = float(np.abs(lu.diagonal()).min(initial=np.inf))
+    if not math.isfinite(min_pivot) or min_pivot <= PIVOT_RTOL * max(norm_A, 1e-300):
         cond = _condition_estimate(A)
         raise SingularSystemError(
             f"matrix is singular to working precision (cond ~ {cond:.2e})",
             context=context,
             cond_estimate=cond,
         )
-    X, _ = dgetrs(lu, piv, B)
+    return LU(A, norm_A, lu, piv)
 
-    residual = np.abs(A @ X - B).max(initial=0.0)
-    bound = RESIDUAL_RTOL * (1.0 + norm_A * np.abs(X).max(initial=0.0))
-    if not residual <= bound:  # also refuses a NaN residual
-        cond = _condition_estimate(A)
-        raise SingularSystemError(
-            f"solution residual {residual:.2e} exceeds bound {bound:.2e} "
-            f"(cond ~ {cond:.2e})",
-            context=context,
-            cond_estimate=cond,
-        )
-    return X
+
+_LAPACK: tuple = ()
+
+
+def _lapack() -> tuple:
+    """LAPACK's (dgetrf, dgetrs), imported on the first call."""
+    global _LAPACK
+    if not _LAPACK:
+        from scipy.linalg.lapack import dgetrf, dgetrs
+        _LAPACK = (dgetrf, dgetrs)
+    return _LAPACK
 
 
 def _condition_estimate(A: np.ndarray) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, drift_samples,
-                   initial_state, require_valid, rollout)
+                   initial_state, require_valid, sequence_path)
 from .numerics import solve_dense
 
 
@@ -58,69 +58,107 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
     and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one LU
     of D per stage) serves all S games, whose drift columns share that
     LU's right-hand side with A.  Without ``drifts`` the same sweep runs
-    on the game's own drifts as its one sample.
+    on the game's own drifts as its one sample.  This is the one lane of
+    :func:`sweep` that starts at stage 0; its path is priced as
+    :func:`dyngame.game.rollout` prices it.
     """
     require_valid(spec)
     x0 = initial_state(spec, x0)
     view = StageArrays.of(spec)
     s = view.s[None] if drifts is None else drift_samples(spec, drifts)
-    T, p, M = view.B.shape
-    n, S = spec.n_players, len(s)
+    u, Mc, m, Phi, phi, G, g = (a[0] for a in sweep(view, [0], x0[None], s))
+    if drifts is None:
+        m, phi, g = m[0], phi[0], g[0]
+    traj = sequence_path(view, x0, u, s, drifts is not None)
+    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
+                                laws=tuple(AffineLaw(G[:, b], g[..., b]) for b in view.blocks),
+                                M=Mc, m=m, Phi=Phi, phi=phi)
 
-    Mc = np.empty((n, T + 1, p, p))
-    Mc[:, T] = view.Q[T - 1]
-    m = np.zeros((S, n, T + 1, p))
-    Phi = np.empty((T, p, p))
-    phi = np.empty((S, T, p))
-    G = np.empty((T, M, p))
-    g = np.empty((S, T, M))
+
+def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
+    """The tail games from the stages ``starts``, one lane each (see
+    :meth:`StageArrays.lanes`), solved in one pass over the stages of a
+    validated game's view, each lane from its own initial state
+    ``x_starts[l]`` and under each of the S drift sequences s (S, T, p).
+
+    Every lane owns its sweep and its forward pass and returns, zero
+    before its start: the controls u (L, S, T, M), M (L, n, T+1, p, p),
+    m (L, S, n, T+1, p), Phi (L, T, p, p), phi (L, S, T, p) and the path
+    laws G (L, T, M, p), g (L, S, T, M).  Lanes share the stage data and
+    what is computed from it alone, the R^jj solves; every system that
+    reads a lane's coefficients is solved for that lane.
+    """
+    starts, begin, end = view.lanes(starts)
+    T, p, M = view.B.shape
+    n, L, S = view.Q.shape[1], len(starts), len(s)
+
+    Mc = np.zeros((L, n, T + 1, p, p))
+    Mc[:, :, T] = view.Q[T - 1]
+    m = np.zeros((L, S, n, T + 1, p))
+    Phi = np.zeros((L, T, p, p))
+    phi = np.zeros((L, S, T, p))
+    G = np.zeros((L, T, M, p))
+    g = np.zeros((L, S, T, M))
+
+    Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
+    ut_own = view.own(view.ut, lead=1)
 
     # Backward pass: transition pair, costate coefficients and path laws.
     # Affine quantities are rows, one per sample; control rows are stacked
     # over players, each row k acting through its own player's costate.
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, starts[0] - 1, -1):
+        a = end[t]
         A, B = view.A[t], view.B[t]
         Rinv_Bt = np.vstack([solve_dense(view.R[t, j, b, b], B[:, b].T,
                                          context=f"stage {t} control weight R^{j}{j}")
                              for j, b in enumerate(view.blocks)])
-        RBM = view.own(Rinv_Bt @ Mc[:, t + 1])
-        ut = view.own(view.ut[t])
-        c_next = m[:, :, t + 1] - np.einsum("ipq,iq->ip", view.Q[t], view.xt[t])
-        drift = s[:, t] - (np.einsum("kp,skp->sk", Rinv_Bt, c_next[:, view.owner]) - ut) @ B.T
-        try:
-            packed = solve_dense(np.eye(p) + B @ RBM, np.hstack([A, drift.T]),
-                                 context=f"stage {t} open-loop transition operator")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
-                f"so no unique open-loop Nash equilibrium exists ({exc})",
-                context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
-        Phi[t] = packed[:, :p]
-        phi[:, t] = packed[:, p:].T
+        RBM = view.own(Rinv_Bt @ Mc[:a, :, t + 1], lead=1)
+        ut = ut_own[t]
+        c_next = m[:a, :, :, t + 1] - Qxt[t]
+        drift = s[:, t] - (_by_row(Rinv_Bt, c_next, view.owner) - ut) @ B.T
+        for lane in range(a):
+            try:
+                packed = solve_dense(np.eye(p) + B @ RBM[lane], np.hstack([A, drift[lane].T]),
+                                     context=f"stage {t} open-loop transition operator")
+            except SingularSystemError as exc:
+                raise SingularSystemError(
+                    "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
+                    f"so no unique open-loop Nash equilibrium exists ({exc})",
+                    context=f"stage {t}", cond_estimate=exc.cond_estimate,
+                ) from exc
+            Phi[lane, t] = packed[:, :p]
+            phi[lane, :, t] = packed[:, p:].T
         # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
         # feeds both m_t and the path offsets.
-        c = np.einsum("ipq,sq->sip", Mc[:, t + 1], phi[:, t]) + c_next
-        G[t] = -RBM @ Phi[t]
-        g[:, t] = ut - np.einsum("kp,skp->sk", Rinv_Bt, c[:, view.owner])
+        c = np.einsum("aipq,asq->asip", Mc[:a, :, t + 1], phi[:a, :, t]) + c_next
+        G[:a, t] = -RBM @ Phi[:a, t]
+        g[:a, :, t] = ut - _by_row(Rinv_Bt, c, view.owner)
         # M is symmetric only for n = 1: the transition operator mixes
-        # all players' costate matrices, so no symmetrization here.
-        Mc[:, t] = (view.Q[t - 1] if t else 0.0) + A.T @ Mc[:, t + 1] @ Phi[t]
-        m[:, :, t] = c @ A
+        # all players' costate matrices, so no symmetrization here.  A lane
+        # that starts at t charges no weight on its initial state.
+        Mc[:a, :, t] = A.T @ Mc[:a, :, t + 1] @ Phi[:a, t, None]
+        if t:
+            Mc[:begin[t], :, t] += view.Q[t - 1]
+        m[:a, :, :, t] = c @ A
 
     # Forward pass: the explicit controls along each path.
-    u = np.empty((S, T, M))
-    x = np.repeat(x0[None], S, axis=0)
-    for t in range(T):
-        u[:, t] = x @ G[t].T + g[:, t]
-        x = x @ Phi[t].T + phi[:, t]
+    u = np.zeros((L, S, T, M))
+    x = np.zeros((L, S, p))
+    for t in range(starts[0], T):
+        a = end[t]
+        if begin[t] < a:
+            x[begin[t]:a] = x_starts[begin[t]:a, None]
+        u[:a, :, t] = x[:a] @ G[:a, t].swapaxes(1, 2) + g[:a, :, t]
+        x[:a] = x[:a] @ Phi[:a, t].swapaxes(1, 2) + phi[:a, :, t]
+    return u, Mc, m, Phi, phi, G, g
 
-    if drifts is None:
-        m, phi, g, u = m[0], phi[0], g[0], u[0]
-    traj = rollout(spec, [u[..., b] for b in view.blocks], x0, drifts=drifts)
-    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
-                                laws=tuple(AffineLaw(G[:, b], g[..., b]) for b in view.blocks),
-                                M=Mc, m=m, Phi=Phi, phi=phi)
+
+def _by_row(Rinv_Bt: np.ndarray, c: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Each control row k of R^-1 B' times its own player's costate offset,
+    (a, S, M) from c (a, S, n, p).  Every lane's rows are laid out as in a
+    lone lane, so that each lane meets the same products."""
+    own = np.ascontiguousarray(c.swapaxes(1, 2)[:, owner]).swapaxes(1, 2)
+    return np.einsum("kp,askp->ask", Rinv_Bt, own)
 
 
 def costates(sol: OpenLoopNashSolution) -> np.ndarray:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidGameError, SingularSystemError
 from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
-                   rollout)
+                   sequence_path)
 from .numerics import solve_dense
 
 
@@ -90,6 +90,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     ``initial_mu`` sets the followers' adjoined multipliers at stage 0;
     zero is the equilibrium condition for a whole game, while a tail
     re-solve inherits the multipliers reached at the truncation stage.
+    This is the one lane of :func:`sweep` that starts at stage 0; its path
+    is priced as :func:`dyngame.game.rollout` prices it.
     """
     require_valid(spec)
     if spec.n_players < 2:
@@ -106,26 +108,56 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
                 f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
             )
     view = StageArrays.of(spec)
-    M = view.B.shape[2]
+    u, z, K, k, N, Xi, P = (a[0] for a in sweep(view, [0], np.hstack([x0, mu0.ravel()])[None]))
+    g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
+    laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)
+    traj = sequence_path(view, x0, u[None], view.s, False)
+    return OpenLoopStackelbergSolution(
+        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, laws=laws,
+        mu=z[:, p:].reshape(T + 1, nf, p).transpose(1, 0, 2),
+        K=K, k=k, N=N[:, :, :d], nv=N[:, :, d], Xi=Xi[:, :, :d], xi=Xi[:, :, d],
+        alpha=P[:, :, d],
+    )
+
+
+def sweep(view: StageArrays, starts, z_starts: np.ndarray):
+    """The tail games from the stages ``starts``, one lane each (see
+    :meth:`StageArrays.lanes`), solved in one pass over the stages of a
+    validated game's view, each lane from its own initial extended state
+    ``z_starts[l]`` = (x, mu^1..mu^{n-1}) at its start.
+
+    Every lane owns its sweep and its forward pass and returns, zero
+    before its start: the controls u (L, T, M), the extended path z
+    (L, T+1, n*p), the costate coefficients K (L, T+1, n*p, n*p) and k,
+    and the maps with their offsets in a last column, N | nv, Xi | xi and
+    P | alpha.  Lanes share the stage data and what is computed from it
+    alone; every system that reads a lane's coefficients is solved for
+    that lane.
+    """
+    starts, begin, end = view.lanes(starts)
+    T, p, M = view.B.shape
+    n = view.Q.shape[1]
+    nf, d, L = n - 1, n * p, len(starts)
     m0 = view.blocks[0].stop
     fowner = view.owner[m0:] - 1
 
     # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
-    K = np.zeros((T + 1, d, d))
-    k = np.zeros((T + 1, d))
-    N = np.empty((T, M - m0, d + 1))
-    Xi = np.empty((T, d, d + 1))
-    P = np.empty((T, M, d + 1))
-    K[T, :, :p] = view.Q[T - 1].reshape(d, p)
+    K = np.zeros((L, T + 1, d, d))
+    k = np.zeros((L, T + 1, d))
+    N = np.zeros((L, T, M - m0, d + 1))
+    Xi = np.zeros((L, T, d, d + 1))
+    P = np.zeros((L, T, M, d + 1))
+    K[:, T, :, :p] = view.Q[T - 1].reshape(d, p)
 
-    for t in range(T - 1, -1, -1):
+    for t in range(T - 1, starts[0] - 1, -1):
+        a = end[t]
         A, B = view.A[t], view.B[t]
         R0f = view.R[t, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
         # Kb, kb: the next costate coefficients with the leader's weights on
         # the followers' states and every player's state target folded in.
-        Kb = K[t + 1].copy()
-        Kb[:p, p:] += np.hstack(view.Q[t, 1:])
-        kb = k[t + 1] - np.einsum("ipq,iq->ip", view.Q[t], view.xt[t]).ravel()
+        Kb = K[:a, t + 1].copy()
+        Kb[:, :p, p:] += np.hstack(view.Q[t, 1:])
+        kb = k[:a, t + 1] - np.einsum("ipq,iq->ip", view.Q[t], view.xt[t]).ravel()
         RinvBt = np.vstack([solve_dense(view.R[t, i, b, b], B[:, b].T,
                                         context=f"stage {t} {'leader' if i == 0 else 'follower'} weight")
                             for i, b in enumerate(view.blocks)])
@@ -136,65 +168,68 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
         # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
         J = np.hstack([B[:, m0:].T, -_by_owner(R0f @ RinvBt[m0:], fowner, nf)])
         H = J @ Kb
-        C = view.own(view.R[t])[m0:, m0:] + H[:, p:] @ B_f
+        C = view.own(view.R[t])[m0:, m0:] + H[..., p:] @ B_f
         u_own = view.own(view.ut[t])
         du = R0f @ (u_own[m0:] - view.ut[t, 0, m0:])
-        rhs = np.hstack([H[:, :p], H[:, p:] @ A_f, (J @ kb + du)[:, None]])
-        try:
-            N[t] = solve_dense(C, -rhs, context=f"stage {t} stacked cocontrol system")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the stacked cocontrol coefficient systems admit no unique solution "
-                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
+        rhs = np.concatenate([H[..., :p], H[..., p:] @ A_f, J @ kb[..., None] + du[:, None]],
+                             axis=2)
+        for lane in range(a):
+            try:
+                N[lane, t] = solve_dense(C[lane], -rhs[lane],
+                                         context=f"stage {t} stacked cocontrol system")
+            except SingularSystemError as exc:
+                raise SingularSystemError(
+                    "the stacked cocontrol coefficient systems admit no unique solution "
+                    f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+                ) from exc
 
         # Every control as one map of (x_{t+1}, mu_t), offsets last.
-        Cy = np.hstack([Kb[:, :p], Kb[:, p:] @ A_f, kb[:, None]]) + Kb[:, p:] @ (B_f @ N[t])
+        Cy = (np.concatenate([Kb[..., :p], Kb[..., p:] @ A_f, kb[..., None]], axis=2)
+              + Kb[..., p:] @ (B_f @ N[:a, t]))
         U = -_by_owner(RinvBt, view.owner, n) @ Cy
-        U[:, d] += u_own
+        U[..., d] += u_own
 
         # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
-        E = np.eye(p) - B @ U[:, :p]
-        try:
-            Phi = solve_dense(E, np.hstack([A, B @ U[:, p:d], (B @ U[:, d] + view.s[t])[:, None]]),
-                              context=f"stage {t} state transition operator")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the state transition operator I - B U_x is singular "
-                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
+        E = np.eye(p) - B @ U[..., :p]
+        Phi = np.empty((a, p, d + 1))
+        for lane in range(a):
+            try:
+                Phi[lane] = solve_dense(E[lane], np.hstack([A, B @ U[lane, :, p:d],
+                                                            (B @ U[lane, :, d] + view.s[t])[:, None]]),
+                                        context=f"stage {t} state transition operator")
+            except SingularSystemError as exc:
+                raise SingularSystemError(
+                    "the state transition operator I - B U_x is singular "
+                    f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+                ) from exc
 
         # Controls and cocontrols as maps of (z_t, 1), then the z transition.
-        UN = np.vstack([U, N[t]])
-        path = UN[:, :p] @ Phi
-        path[:, p:] += UN[:, p:]
-        P[t] = path[:M]
-        Xi[t, :p] = Phi
-        Xi[t, p:] = B_f @ path[M:]
-        Xi[t, p:, p:d] += A_f
+        UN = np.concatenate([U, N[:a, t]], axis=1)
+        path = UN[..., :p] @ Phi
+        path[..., p:] += UN[..., p:]
+        P[:a, t] = path[:, :M]
+        Xi[:a, t, :p] = Phi
+        Xi[:a, t, p:] = B_f @ path[:, M:]
+        Xi[:a, t, p:, p:d] += A_f
 
-        # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x blocks.
-        KX = Kb @ Xi[t]
-        KX[:, d] += kb
-        KX = (A.T @ KX.reshape(n, p, d + 1)).reshape(d, d + 1)
-        K[t], k[t] = KX[:, :d], KX[:, d]
+        # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x
+        # blocks, except in a lane that starts at t.
+        KX = Kb @ Xi[:a, t]
+        KX[..., d] += kb
+        KX = (A.T @ KX.reshape(a, n, p, d + 1)).reshape(a, d, d + 1)
+        K[:a, t], k[:a, t] = KX[..., :d], KX[..., d]
         if t > 0:
-            K[t, :, :p] += view.Q[t - 1].reshape(d, p)
+            K[:begin[t], t, :, :p] += view.Q[t - 1].reshape(d, p)
 
-    z = np.empty((T + 1, d))
-    z[0, :p], z[0, p:] = x0, mu0.ravel()
-    for t in range(T):
-        z[t + 1] = Xi[t, :, :d] @ z[t] + Xi[t, :, d]
-    u = np.einsum("tij,tj->ti", P[:, :, :d], z[:T]) + P[:, :, d]
-    g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
-    laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)
-    traj = rollout(spec, [u[:, b] for b in view.blocks], x0)
-    return OpenLoopStackelbergSolution(
-        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, laws=laws,
-        mu=z[:, p:].reshape(T + 1, nf, p).transpose(1, 0, 2),
-        K=K, k=k, N=N[:, :, :d], nv=N[:, :, d], Xi=Xi[:, :, :d], xi=Xi[:, :, d],
-        alpha=P[:, :, d],
-    )
+    # Forward pass: every lane's extended path from its own start.
+    z = np.zeros((L, T + 1, d))
+    for t in range(starts[0], T):
+        a = end[t]
+        if begin[t] < a:
+            z[begin[t]:a, t] = z_starts[begin[t]:a]
+        z[:a, t + 1] = (Xi[:a, t, :, :d] @ z[:a, t, :, None])[..., 0] + Xi[:a, t, :, d]
+    u = np.einsum("ltij,ltj->lti", P[:, :, :, :d], z[:, :T]) + P[:, :, :, d]
+    return u, z, K, k, N, Xi, P
 
 
 def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:

@@ -7,13 +7,17 @@ the verification oracles take every fact about a solver from this table;
 a new solver is registered by adding one row.
 
 Each entry point looks its solver up as a module attribute when called,
-so a function patched onto the solver module is the one that runs.
+so a function patched onto the solver module is the one that runs.  A
+solver's ``solve`` is the one lane of its ``sweep`` that starts at stage
+0, and ``tails`` the lanes that start later.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from . import feedback_nash, feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg
 from .errors import InvalidGameError
@@ -28,27 +32,61 @@ class Solver:
     solution: type         # exact type returned by ``solve``
     pattern: str           # FEEDBACK or OPEN_LOOP
     stackelberg: bool      # player 0 leads
-    # (tail_spec, solution, s) -> re-solve of the tail from stage s that
-    # also inherits the solution's stage-s state beyond x_s; None when the
-    # tail is re-solved by ``solve`` alone.
-    resume: Callable | None = None
+    # (view, solution, starts) -> {name: rows}: the tail games from the
+    # ascending stages ``starts`` re-solved as the lanes of one sweep over
+    # ``view``, the stacked view of the solution's validated game.  Rows
+    # are by absolute stage: each lane's laws [G | g] (L, T, M, p+1) for
+    # a feedback solver, its controls (L, T, M) for an open-loop one,
+    # each re-solved from the solution's state at the lane's start.
+    # "tail" holds the re-solves; for open-loop Stackelberg, which
+    # inherits the solution's multipliers there, "reset" holds the same
+    # tails with the multipliers reset to zero.
+    tails: Callable
+
+
+def _feedback_tails(view, sol, starts):
+    return {"tail": -feedback_nash.sweep(view, starts)[0]}
+
+
+def _stackelberg_tails(view, sol, starts):
+    return {"tail": -feedback_stackelberg.sweep(view, starts)[0]}
+
+
+def _lqr_tails(view, sol, starts):
+    G, g = lqr.sweep(view, starts)[:2]
+    return {"tail": np.concatenate([G, g[..., None]], axis=-1)}
+
+
+def _openloop_nash_tails(view, sol, starts):
+    x = sol.trajectory.states[starts]
+    return {"tail": openloop_nash.sweep(view, starts, x, view.s[None])[0][:, 0]}
+
+
+def _openloop_stackelberg_tails(view, sol, starts):
+    # Lanes 2j and 2j+1 both start at starts[j]: one with the solution's
+    # multipliers there, one with them reset to zero.
+    x = sol.trajectory.states[starts]
+    mu = sol.mu[:, starts].swapaxes(0, 1).reshape(len(starts), -1)
+    z = np.stack([np.hstack([x, mu]), np.hstack([x, np.zeros_like(mu)])], axis=1)
+    u = openloop_stackelberg.sweep(view, np.repeat(starts, 2), z.reshape(2 * len(starts), -1))[0]
+    return {"tail": u[0::2], "reset": u[1::2]}
 
 
 SOLVERS: dict[str, Solver] = {
     "lqr": Solver(lambda spec, x0: lqr.solve_control(spec),
-                  lqr.ControlSolution, FEEDBACK, False),
+                  lqr.ControlSolution, FEEDBACK, False, _lqr_tails),
     "feedback-nash": Solver(lambda spec, x0: feedback_nash.solve(spec),
-                            feedback_nash.FeedbackNashSolution, FEEDBACK, False),
+                            feedback_nash.FeedbackNashSolution, FEEDBACK, False,
+                            _feedback_tails),
     "feedback-stackelberg": Solver(lambda spec, x0: feedback_stackelberg.solve(spec),
                                    feedback_stackelberg.FeedbackStackelbergSolution,
-                                   FEEDBACK, True),
+                                   FEEDBACK, True, _stackelberg_tails),
     "openloop-nash": Solver(lambda spec, x0: openloop_nash.solve(spec, x0),
-                            openloop_nash.OpenLoopNashSolution, OPEN_LOOP, False),
-    "openloop-stackelberg": Solver(
-        lambda spec, x0: openloop_stackelberg.solve(spec, x0),
-        openloop_stackelberg.OpenLoopStackelbergSolution, OPEN_LOOP, True,
-        resume=lambda spec, sol, s: openloop_stackelberg.solve(
-            spec, sol.trajectory.states[s], initial_mu=sol.mu[:, s])),
+                            openloop_nash.OpenLoopNashSolution, OPEN_LOOP, False,
+                            _openloop_nash_tails),
+    "openloop-stackelberg": Solver(lambda spec, x0: openloop_stackelberg.solve(spec, x0),
+                                   openloop_stackelberg.OpenLoopStackelbergSolution,
+                                   OPEN_LOOP, True, _openloop_stackelberg_tails),
 }
 
 

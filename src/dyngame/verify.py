@@ -31,7 +31,7 @@ from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
 from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, drop_player, folded_drifts,
-                   rollout, truncate)
+                   require_valid, rollout, truncate)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -45,9 +45,11 @@ STC_TOL = 1e-10
 WTC_TOL = 1e-9
 PSD_TOL = -1e-9
 
-#: Sample-stage rows the feedback stationarity check rolls out at once.
-#: Its memory grows with samples times stages, and its samples with the
-#: horizon, so the probes go through in chunks under this budget.
+#: Sample-stage rows the feedback stationarity check rolls out at once,
+#: and p x p coefficient blocks of tail-stages the time-consistency check
+#: sweeps at once.  Their memory grows with samples (or tails) times
+#: stages, and those with the horizon, so both go through in chunks under
+#: this budget.
 _FEEDBACK_ROWS = 8192
 
 
@@ -371,42 +373,44 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
     """Re-solve every tail game (stages s..T-1, s >= 1) with the solver that
     produced ``solution`` and measure how far its laws (feedback) or
     controls (open loop, re-solved from the on-path state x_s) drift from
-    the solution's tail."""
+    the solution's tail.
+
+    The tails are the lanes of one sweep of the solver (see
+    :meth:`dyngame.game.StageArrays.lanes`), one call per chunk of at most
+    ``_FEEDBACK_ROWS`` coefficient blocks, on one view of the game validated
+    once: validity holds stage by stage, so stages 1..T-1 being valid
+    covers every tail.  Lanes share the stage data, never a computed row,
+    so each tail is its own solve, compared with the solution's rows from
+    its start on.
+    """
     row = _solver_row(solution, pattern)
-    worst = 0.0
-    if pattern == FEEDBACK:
-        for s in range(1, spec.horizon):
-            tail = row.solve(truncate(spec, s), None)
-            worst = max(worst, _law_gap(tail.laws, solution.laws, s))
-        return TimeConsistency(verdict="STC", tail_deviation=float(worst))
-
-    traj = solution.trajectory
-    reset = None if row.resume is None else 0.0
-    for s in range(1, spec.horizon):
-        tail_spec = truncate(spec, s)
-        tail_u = [u[s:] for u in traj.controls]
-        plain = _control_gap(row.solve(tail_spec, traj.states[s]), tail_u)
-        if row.resume is None:
-            worst = max(worst, plain)
+    T = spec.horizon
+    gaps: dict[str, list[float]] = {"tail": [], "reset": []}
+    if T > 1:
+        # Open-loop Stackelberg validates as a plain game, like its solver.
+        require_valid(truncate(spec, 1), for_stackelberg=row.stackelberg and pattern == FEEDBACK)
+        view = StageArrays.of(spec)
+        if pattern == FEEDBACK:
+            ref = np.concatenate([np.concatenate([law.G, law.g[..., None]], axis=-1)
+                                  for law in solution.laws], axis=1)
         else:
-            worst = max(worst, _control_gap(row.resume(tail_spec, solution, s), tail_u))
-            reset = max(reset, plain)
-    return TimeConsistency(verdict="WTC", tail_deviation=float(worst),
-                           mu_reset_deviation=None if reset is None else float(reset))
-
-
-def _law_gap(tail_laws, laws, s) -> float:
-    """Max entrywise gap between tail law sequences and stages s.. of
-    ``laws``."""
-    return max(max(np.abs(a.G - b.G[s:]).max(initial=0.0),
-                   np.abs(a.g - b.g[s:]).max(initial=0.0))
-               for a, b in zip(tail_laws, laws))
-
-
-def _control_gap(tail, controls) -> float:
-    """Max entrywise gap between a tail solution's controls and ``controls``."""
-    return max(np.abs(u - v).max(initial=0.0)
-               for u, v in zip(tail.trajectory.controls, controls))
+            ref = np.concatenate(solution.trajectory.controls, axis=-1)
+        # A tail holds per stage one p x p value or costate block per player;
+        # open-loop Stackelberg holds (n p)^2 on its extended state, in two
+        # lanes per start.  The row budget counts these blocks.
+        n = spec.n_players
+        blocks = 2 * n * n if row.stackelberg and pattern == OPEN_LOOP else n
+        per_call = max(1, _FEEDBACK_ROWS // (T * blocks))
+        for first in range(1, T, per_call):
+            starts = np.arange(first, min(first + per_call, T))
+            own = np.arange(T) >= starts[:, None]  # each lane's stages
+            for name, rows in row.tails(view, solution, starts).items():
+                gaps[name].append(np.abs(rows - ref)[own].max(initial=0.0))
+    worst = {name: float(np.max(found, initial=0.0)) for name, found in gaps.items()}
+    if pattern == FEEDBACK:
+        return TimeConsistency(verdict="STC", tail_deviation=worst["tail"])
+    return TimeConsistency(verdict="WTC", tail_deviation=worst["tail"],
+                           mu_reset_deviation=worst["reset"] if row.stackelberg else None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ the Stackelberg solvers require of the leader anyway).
 """
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dyngame import feedback_nash, feedback_stackelberg, game, lqr, openloop_nash, openloop_stackelberg
 from dyngame.game import GameSpec, Player, StageData, constant_game
 
 
@@ -124,3 +127,35 @@ def announce(capsys):
                 print(f"[criterion {number}] {status} - {description}")
 
     return _announce
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """A Counter of calls, by name, into ``game.validate``,
+    ``StageArrays.of`` and every solver entry point (each solver's solve
+    function and its lane ``sweep``), wherever the library refers to them."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    targets = {"game.validate": game.validate, "lqr.solve_control": lqr.solve_control}
+    for mod in (feedback_nash, feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg):
+        short = mod.__name__.rsplit(".", 1)[1]
+        targets[f"{short}.sweep"] = mod.sweep
+        if mod is not lqr:
+            targets[f"{short}.solve"] = mod.solve
+    modules = [mod for name, mod in list(sys.modules.items())
+               if mod is not None and (name == "dyngame" or name.startswith("dyngame."))]
+    for name, fn in targets.items():
+        wrapper = counting(name, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(game.StageArrays, "of",
+                        classmethod(counting("StageArrays.of", game.StageArrays.of.__func__)))
+    return counts

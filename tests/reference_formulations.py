@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Seven kinds live here.  The per-sample loop formulations of the sampling
+Eight kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -36,6 +36,12 @@ entries and every value update summed player by player.  The library's
 laws, value coefficients, reactions and open-loop paths must equal them
 to roundoff.
 
+The per-tail time-consistency check re-solves each tail game on its own,
+with the solver's own entry point on the truncated game, as the library
+did before it swept all tails as the lanes of one call.  Every lane must
+equal its tail solve bit for bit for the feedback solvers and to roundoff
+for the open-loop ones.
+
 The transition residuals check that an open-loop solution's stored path
 follows its own affine transition maps, and the self-check identities
 (push-through inverses, feedback Stackelberg reaction consistency) test
@@ -54,10 +60,10 @@ from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
 from dyngame.game import (AffineLaw, GameSpec, Trajectory, ValidationReport, Violation,
                           drift_samples, fold_player_controls, initial_state, require_valid,
-                          rollout, stage_cost)
+                          rollout, stage_cost, truncate)
 from dyngame.numerics import SYMMETRY_RTOL, asymmetry, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
-from dyngame.solvers import OPEN_LOOP, solver_of
+from dyngame.solvers import FEEDBACK, OPEN_LOOP, solver_of
 
 from conftest import act
 
@@ -204,6 +210,48 @@ def leader_gap_feedback(spec, sol, samples, magnitude, seed, x0):
     for dev in law_perturbations(base_law, samples, magnitude, rng):
         worst = min(worst, leader_cost_feedback(spec, sol, dev, x0) - base)
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# Per-tail time consistency
+
+
+def tail_solution(spec, solution, s, reset=False):
+    """The tail game of stages s..T-1 solved on its own by the solver that
+    produced ``solution``: open loop from the solution's state x_s, and
+    for open-loop Stackelberg with the solution's multipliers there, or
+    with zero multipliers when ``reset``."""
+    row = solver_of(solution)
+    tail = truncate(spec, s)
+    if row.pattern == FEEDBACK:
+        return row.solve(tail, None)
+    x = solution.trajectory.states[s]
+    if row.stackelberg and not reset:
+        return openloop_stackelberg.solve(tail, x, initial_mu=solution.mu[:, s])
+    return row.solve(tail, x)
+
+
+def time_consistency(spec, solution, pattern):
+    """The time-consistency check as a loop of separate tail solves."""
+    row = solver_of(solution)
+    worst = 0.0
+    if pattern == FEEDBACK:
+        for s in range(1, spec.horizon):
+            worst = max(worst, float(np.max([
+                max(np.abs(a.G - b.G[s:]).max(initial=0.0), np.abs(a.g - b.g[s:]).max(initial=0.0))
+                for a, b in zip(tail_solution(spec, solution, s).laws, solution.laws)])))
+        return verify.TimeConsistency(verdict="STC", tail_deviation=worst)
+
+    def gap(tail, s):
+        return float(np.max([np.abs(u - v[s:]).max(initial=0.0)
+                             for u, v in zip(tail.trajectory.controls, solution.trajectory.controls)]))
+
+    reset = 0.0 if row.stackelberg else None
+    for s in range(1, spec.horizon):
+        worst = max(worst, gap(tail_solution(spec, solution, s), s))
+        if row.stackelberg:
+            reset = max(reset, gap(tail_solution(spec, solution, s, reset=True), s))
+    return verify.TimeConsistency(verdict="WTC", tail_deviation=worst, mu_reset_deviation=reset)
 
 
 # ---------------------------------------------------------------------------

@@ -214,19 +214,19 @@ def test_batched_stationarity_sees_a_shifted_feedback_law():
 
 
 def count_rollouts(monkeypatch):
-    """Count calls into ``game.rollout`` from anywhere in the library."""
+    """Count calls into ``game.rollout``, and into ``game.sequence_path``,
+    which walks an open-loop solver's path, from anywhere in the library."""
     calls = []
-    original = game.rollout
+    for original in (game.rollout, game.sequence_path):
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and (name == "dyngame" or name.startswith("dyngame.")):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+        for name, mod in list(sys.modules.items()):
+            if mod is not None and (name == "dyngame" or name.startswith("dyngame.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
     return calls
 
 

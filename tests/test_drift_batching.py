@@ -16,7 +16,7 @@ import pytest
 
 from dyngame import openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import drop_player, fold_player_controls, folded_drifts, rollout
+from dyngame.game import drop_player, fold_player_controls, folded_drifts, rollout, sequence_path
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
@@ -184,24 +184,28 @@ def test_one_follower_solve_per_leader_check(seed, monkeypatch):
     assert len(calls) == 1
 
 
-def count_rollouts(monkeypatch):
+def count_state_loops(monkeypatch):
+    """Count the state loops of the open-loop leader checks: the paths the
+    followers' re-solve forms, and the oracles' own rollouts."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rollout(*args, **kwargs)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return counted
 
-    for module in (openloop_nash, verify):
-        monkeypatch.setattr(module, "rollout", counted)
+    monkeypatch.setattr(openloop_nash, "sequence_path", counting(sequence_path))
+    monkeypatch.setattr(verify, "rollout", counting(rollout))
     return calls
 
 
 @pytest.mark.parametrize("seed", (17, 42))
 def test_one_state_loop_per_leader_check(seed, monkeypatch):
-    """The followers' re-solve rolls out the full game's paths, so the
-    leader is priced on them without a rollout of its own."""
+    """The followers' re-solve walks the full game's paths, so the leader
+    is priced on them without a rollout of its own."""
     spec, sol, x0 = stackelberg(seed)
-    calls = count_rollouts(monkeypatch)
+    calls = count_state_loops(monkeypatch)
     for samples in (5, 50):
         calls.clear()
         verify.leader_gap(spec, sol, verify.OPEN_LOOP, samples=samples)

@@ -1,0 +1,195 @@
+"""The time-consistency check's tail games, swept as the lanes of one call.
+
+Every lane must equal the separate solve of its tail game in
+``reference_formulations``: bit for bit for the feedback solvers, to
+roundoff for the open-loop ones.  A check makes one validation, one
+stacked view and one sweep, whatever the horizon, and a corrupted
+solution fails its gate by the size of the corruption.
+"""
+
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg,
+                     verify)
+from dyngame.errors import InvalidGameError
+from dyngame.game import AffineLaw, StageArrays, Trajectory
+from dyngame.solvers import FEEDBACK, OPEN_LOOP, SOLVERS, solver_of
+
+import reference_formulations as ref
+from conftest import random_game, random_x0
+
+ROOT = Path(__file__).resolve().parent.parent
+PLAYERS = {"lqr": 1, "feedback-nash": 2, "feedback-stackelberg": 3,
+           "openloop-nash": 2, "openloop-stackelberg": 3}
+
+
+def solved(solver, T, time_varying=False, seed=5):
+    n = PLAYERS[solver]
+    spec = random_game(seed + T, n_players=n, state_dim=2, control_dims=[1, 2, 1][:n],
+                       horizon=T, time_varying=time_varying, targets=solver != "lqr")
+    x0 = random_x0(seed, spec)
+    return spec, SOLVERS[solver].solve(spec, x0), x0
+
+
+def stacked_rows(sol):
+    """A tail solution's laws [G | g] (T, M, p+1) or controls (T, M)."""
+    if solver_of(sol).pattern == FEEDBACK:
+        return np.concatenate([np.concatenate([law.G, law.g[..., None]], axis=-1)
+                               for law in sol.laws], axis=1)
+    return np.concatenate(sol.trajectory.controls, axis=-1)
+
+
+def lane_coefficients(solver, view, sol, starts):
+    """Each tail lane's value or costate coefficients, by the name of the
+    solution field that holds them, with the stage axis of one lane."""
+    if solver == "lqr":
+        Z, zeta, n_const = lqr.sweep(view, starts)[2:]
+        return {"Z": (Z, 0), "zeta": (zeta, 0), "n_const": (n_const, 0)}
+    if solver in ("feedback-nash", "feedback-stackelberg"):
+        module = feedback_nash if solver == "feedback-nash" else feedback_stackelberg
+        Z, zeta, n_const = module.sweep(view, starts)[1:4]
+        return {"Z": (Z, 1), "zeta": (zeta, 1), "n_const": (n_const, 1)}
+    x = sol.trajectory.states[starts]
+    if solver == "openloop-nash":
+        M, m = openloop_nash.sweep(view, starts, x, view.s[None])[1:3]
+        return {"M": (M, 1), "m": (m[:, 0], 1)}
+    mu = sol.mu[:, starts].swapaxes(0, 1).reshape(len(starts), -1)
+    K, k = openloop_stackelberg.sweep(view, starts, np.hstack([x, mu]))[2:4]
+    return {"K": (K, 0), "k": (k, 0)}
+
+
+@pytest.mark.parametrize("time_varying", [False, True], ids=["broadcast", "time-varying"])
+@pytest.mark.parametrize("T", [1, 2, 6, 12, 40])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_each_lane_equals_its_tail_solve(solver, T, time_varying):
+    row = SOLVERS[solver]
+    spec, sol, _ = solved(solver, T, time_varying)
+    if T > 1:
+        starts = np.arange(1, T)
+        view = StageArrays.of(spec)
+        lanes = row.tails(view, sol, starts)
+        assert set(lanes) == ({"tail", "reset"} if solver == "openloop-stackelberg" else {"tail"})
+        coefficients = lane_coefficients(solver, view, sol, starts)
+        for l, s in enumerate(starts):
+            tails = {name: ref.tail_solution(spec, sol, s, reset=name == "reset") for name in lanes}
+            pairs = [(lanes[name][l, s:], stacked_rows(tail)) for name, tail in tails.items()]
+            assert not any(lanes[name][l, :s].any() for name in lanes)
+            # Each lane's own coefficients, with no weight on its initial state.
+            pairs += [(np.take(X[l], np.arange(s, T + 1), axis=axis), getattr(tails["tail"], name))
+                      for name, (X, axis) in coefficients.items()]
+            for lane, expected in pairs:
+                if row.pattern == FEEDBACK:
+                    assert np.array_equal(lane, expected), s
+                else:
+                    assert np.all(np.abs(lane - expected) <= 1e-12 * (1 + np.abs(expected))), s
+
+    if T > 12:  # the lanes above cover it; the loop would repeat every tail solve
+        return
+    lanes, loop = (verify.time_consistency(spec, sol, row.pattern),
+                   ref.time_consistency(spec, sol, row.pattern))
+    assert lanes.verdict == loop.verdict
+    if row.pattern == FEEDBACK:
+        assert lanes == loop
+    else:
+        scale = 1e-12 * (1 + max(np.abs(u).max() for u in sol.trajectory.controls))
+        assert abs(lanes.tail_deviation - loop.tail_deviation) <= scale
+        if loop.mu_reset_deviation is None:
+            assert lanes.mu_reset_deviation is None
+        else:
+            assert abs(lanes.mu_reset_deviation - loop.mu_reset_deviation) <= scale
+
+
+@pytest.mark.parametrize("T", [1, 2, 6, 12])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_one_validate_view_and_sweep_per_check(solver, T, layer_calls):
+    row = SOLVERS[solver]
+    spec, sol, _ = solved(solver, T)
+    layer_calls.clear()
+    tc = verify.time_consistency(spec, sol, row.pattern)
+    if T == 1:
+        assert not +layer_calls
+        assert tc.tail_deviation == 0.0
+    else:
+        sweep = f"{solver.replace('-', '_')}.sweep"
+        assert layer_calls == {"game.validate": 1, "StageArrays.of": 1, sweep: 1}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_chunked_lanes_give_the_same_check(solver, monkeypatch, layer_calls):
+    row = SOLVERS[solver]
+    spec, sol, _ = solved(solver, 12, time_varying=True)
+    whole = verify.time_consistency(spec, sol, row.pattern)
+    monkeypatch.setattr(verify, "_FEEDBACK_ROWS", 1)  # one tail per sweep
+    layer_calls.clear()
+    assert verify.time_consistency(spec, sol, row.pattern) == whole
+    assert sum(n for name, n in layer_calls.items() if name.endswith(".sweep")) == 11
+
+
+@pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
+def test_corrupted_feedback_law_fails_stc(solver):
+    spec, sol, x0 = solved(solver, 6, time_varying=True)
+    laws = list(sol.laws)
+    G = laws[-1].G.copy()
+    G[3, 0, 1] += 1e-6
+    laws[-1] = AffineLaw(G, laws[-1].g)
+    bad = replace(sol, laws=tuple(laws))
+    tc = verify.time_consistency(spec, bad, FEEDBACK)
+    assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+    report = verify.run_verification(spec, bad, FEEDBACK, solver, x0=x0, samples=5,
+                                     leader_samples=5)
+    assert any(f.startswith("STC tail deviation") for f in report.failures), report.failures
+
+
+def test_nan_law_fails_stc():
+    # a NaN gap must not vanish in the maximum over the tails
+    spec, sol, x0 = solved("feedback-nash", 6)
+    laws = list(sol.laws)
+    G = laws[1].G.copy()
+    G[3, 0, 0] = np.nan
+    laws[1] = AffineLaw(G, laws[1].g)
+    bad = replace(sol, laws=tuple(laws))
+    assert np.isnan(verify.time_consistency(spec, bad, FEEDBACK).tail_deviation)
+
+
+@pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
+def test_corrupted_open_loop_control_fails_wtc(solver):
+    spec, sol, x0 = solved(solver, 6, time_varying=True)
+    traj = sol.trajectory
+    controls = list(traj.controls)
+    u = controls[-1].copy()
+    u[4, 0] += 1e-6
+    controls[-1] = u
+    bad = replace(sol, trajectory=Trajectory(states=traj.states, controls=tuple(controls),
+                                             stage_costs=traj.stage_costs,
+                                             total_costs=traj.total_costs))
+    tc = verify.time_consistency(spec, bad, OPEN_LOOP)
+    assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+    report = verify.run_verification(spec, bad, OPEN_LOOP, solver, x0=x0, samples=5,
+                                     leader_samples=5)
+    assert any(f.startswith("WTC tail deviation") for f in report.failures), report.failures
+
+
+def test_lane_starts_must_be_ascending_stages():
+    view = StageArrays.of(random_game(3, n_players=2, horizon=4))
+    for bad in ([], [2, 1], [0, 4], [-1], [0.5]):
+        with pytest.raises(InvalidGameError, match="lane starts"):
+            view.lanes(bad)
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import dyngame.cli", []),
+    ("from dyngame import cli; print(cli.main(['validate', '--game', "
+     f"{str(ROOT / 'tests' / 'golden' / 'two_player.json')!r}]))", ["0"]),
+], ids=["import", "validate"])
+def test_cold_start_without_scipy(code, expected):
+    done = subprocess.run([sys.executable, "-c", f"import sys; {code}; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-len(expected) - 1:] == expected + ["False"], done.stdout
