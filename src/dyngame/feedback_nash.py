@@ -121,7 +121,8 @@ def sweep(view: StageArrays, starts):
     -PA_t (x_t, 1), and value coefficients ``Z`` (L, n, T+1, p, p),
     ``zeta`` (L, n, T+1, p) and ``n`` (L, n, T+1), defined from its own
     start on (the laws are zero before it), and solves its own stage
-    systems: lanes share the stage data, never a computed row.
+    systems, all lanes' systems of a stage in one stacked call: lanes share
+    the stage data, never a computed row.
     """
     starts, begin, end = view.lanes(starts)
     terms = StageTerms.of(view)
@@ -131,18 +132,16 @@ def sweep(view: StageArrays, starts):
     for t in range(T - 1, starts[0] - 1, -1):
         a = end[t]
         C, rhs = stage_system(view, terms, t, Z[:a, :, t + 1], zeta[:a, :, t + 1])
-        for lane in range(a):
-            try:
-                PA[lane, t] = solve_dense(C[lane], rhs[lane],
-                                          context=f"stage {t} stacked Nash gain/offset system")
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    "the stage first-order conditions admit no unique solution, so the "
-                    "game has no unique feedback Nash equilibrium in affine strategies "
-                    f"({exc})",
-                    context=f"stage {t}",
-                    cond_estimate=exc.cond_estimate,
-                ) from exc
+        try:
+            PA[:a, t] = solve_dense(C, rhs, context=f"stage {t} stacked Nash gain/offset system")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the stage first-order conditions admit no unique solution, so the "
+                "game has no unique feedback Nash equilibrium in affine strategies "
+                f"({exc})",
+                context=f"stage {t}",
+                cond_estimate=exc.cond_estimate,
+            ) from exc
         update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
     return PA, Z, zeta, n_const
 

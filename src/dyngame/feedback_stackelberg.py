@@ -95,6 +95,8 @@ def sweep(view: StageArrays, starts):
     E'HE [P | alpha]_leader = E'(B'Z^0 [A | s] + H Y + offsets), with
     H = B'Z^0 B + R^0 its Hessian in all controls.  The followers' gains
     then solve C_ff P_f = rhs_f - C_f0 P_leader with the same LU of C_ff.
+    Each of these systems is solved for all lanes of a stage in one stacked
+    call, one stacked factorisation of C_ff serving both follower solves.
     """
     starts, begin, end = view.lanes(starts)
     L = len(starts)
@@ -105,6 +107,14 @@ def sweep(view: StageArrays, starts):
     f = slice(m0, M)
     PA = np.zeros((L, T, M, p + 1))
     react = np.zeros((L, T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
+    # Every lane's E = [I; rbar] and Y = [0; W | w], their followers' rows
+    # filled in stage by stage.
+    E = np.zeros((L, M, m0))
+    E[:, :m0] = np.eye(m0)
+    Y = np.zeros((L, M, p + 1))
+    # The leader's Q^0 xt^0 and R^0 ut^0 at every stage.
+    Qxt0 = (view.Q[:, 0] @ view.xt[:, 0, :, None])[..., 0]
+    Rut0 = (view.R[:, 0] @ view.ut[:, 0, :, None])[..., 0]
 
     for t in range(T - 1, starts[0] - 1, -1):
         a = end[t]
@@ -114,31 +124,28 @@ def sweep(view: StageArrays, starts):
         BZ = B.T @ Zn[:, 0]
         H = BZ @ B + R0
         lin = BZ @ terms.As[t]
-        offset = (((zn[:, 0] - view.Q[t, 0] @ view.xt[t, 0])[:, None] @ B)[:, 0]
-                  - R0 @ view.ut[t, 0])
-        for lane in range(a):
-            # Follower reaction coefficients: one operator, three right-hand sides.
-            try:
-                C_ff = factor(C[lane, f, f], context=f"stage {t} follower reaction system")
-                react[lane, t] = C_ff.solve(-np.hstack([C[lane, f, :m0], rhs[lane, f]]),
-                                            context=f"stage {t} follower reaction system")
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    "the follower stage systems admit no unique optimal response "
-                    f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-                ) from exc
+        offset = ((zn[:, 0] - Qxt0[t])[:, None] @ B)[:, 0] - Rut0[t]
+        # Follower reaction coefficients: one operator, three right-hand sides.
+        try:
+            C_ff = factor(C[:, f, f], context=f"stage {t} follower reaction system")
+            react[:a, t] = C_ff.solve(-np.concatenate([C[:, f, :m0], rhs[:, f]], axis=2),
+                                      context=f"stage {t} follower reaction system")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the follower stage systems admit no unique optimal response "
+                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
 
-            # Leader stage optimization through the reaction map.
-            E = np.vstack([np.eye(m0), react[lane, t, :, :m0]])
-            Y = np.vstack([np.zeros((m0, p + 1)), react[lane, t, :, m0:]])
-            lin_l = lin[lane] + H[lane] @ Y
-            lin_l[:, p] += offset[lane]
-            PA[lane, t, :m0] = solve_dense(E.T @ H[lane] @ E, E.T @ lin_l,
-                                           context=f"stage {t} leader system")
+        # Leader stage optimization through the reaction map.
+        E[:a, f], Y[:a, f] = react[:a, t, :, :m0], react[:a, t, :, m0:]
+        lin_l = lin + H @ Y[:a]
+        lin_l[..., p] += offset
+        Et = E[:a].swapaxes(1, 2)
+        PA[:a, t, :m0] = solve_dense(Et @ H @ E[:a], Et @ lin_l, context=f"stage {t} leader system")
 
-            # Follower gains/offsets from their first-order systems at the
-            # leader's law (reaction identity left as a cross-check).
-            PA[lane, t, f] = C_ff.solve(rhs[lane, f] - C[lane, f, :m0] @ PA[lane, t, :m0],
-                                        context=f"stage {t} follower gain/offset system")
+        # Follower gains/offsets from their first-order systems at the
+        # leader's law (reaction identity left as a cross-check).
+        PA[:a, t, f] = C_ff.solve(rhs[:, f] - C[:, f, :m0] @ PA[:a, t, :m0],
+                                  context=f"stage {t} follower gain/offset system")
         update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
     return PA, Z, zeta, n_const, react

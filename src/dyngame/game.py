@@ -366,6 +366,7 @@ class StageArrays:
     ut: np.ndarray
     blocks: tuple[slice, ...]
     owner: np.ndarray  # (M,) the player of each control row
+    rows: np.ndarray   # (M,) the control rows 0..M-1
 
     @classmethod
     def of(cls, spec: GameSpec) -> StageArrays:
@@ -419,16 +420,16 @@ class StageArrays:
             if K < T:  # stages that share one StageData share its entries
                 fields[name] = arr = arr.take(at, axis=0)
             arr.flags.writeable = False
-        owner = np.repeat(np.arange(n), dims)
-        owner.flags.writeable = False
-        return cls(**fields, blocks=blocks, owner=owner)
+        owner, rows = np.repeat(np.arange(n), dims), np.arange(M)
+        owner.flags.writeable = rows.flags.writeable = False
+        return cls(**fields, blocks=blocks, owner=owner, rows=rows)
 
     def own(self, X: np.ndarray, lead: int = 0) -> np.ndarray:
         """Each control row of its own player: row k of ``X[owner[k]]`` for
         X (n, M, ...), giving (M, ...); after ``lead`` leading axes, X
         (..., n, M, ...) gives (..., M, ...), C-contiguous as without them,
         so that each lane's matrices meet the same products."""
-        rows = X[(slice(None),) * lead + (self.owner, np.arange(len(self.owner)))]
+        rows = X[(slice(None),) * lead + (self.owner, self.rows)]
         return np.ascontiguousarray(rows) if lead else rows
 
     def lanes(self, starts) -> tuple[np.ndarray, list[int], list[int]]:

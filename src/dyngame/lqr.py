@@ -83,7 +83,8 @@ def sweep(view: StageArrays, starts):
 
     Every lane owns its law, G (L, T, m, p) and g (L, T, m), zero before
     its start, and its coefficients Z (L, T+1, p, p), zeta (L, T+1, p) and
-    n (L, T+1), and solves its own stage systems.
+    n (L, T+1), and solves its own stage systems, all lanes' systems of a
+    stage in one stacked call.
     """
     starts, begin, end = view.lanes(starts)
     L = len(starts)
@@ -102,10 +103,7 @@ def sweep(view: StageArrays, starts):
         Zn, zn = Z[:a, t + 1], zeta[:a, t + 1]
         H = R + B.T @ Zn @ B                      # stage Hessian, PD
         rhs = np.concatenate([B.T @ Zn @ A, B.T @ (Zn @ s[:, None] + zn[..., None])], axis=2)
-        packed = np.empty((a, m, p + 1))
-        for lane in range(a):
-            packed[lane] = solve_dense(H[lane], rhs[lane],
-                                       context=f"stage {t} control gain/offset system")
+        packed = solve_dense(H, rhs, context=f"stage {t} control gain/offset system")
         P, alpha = packed[..., :p], packed[..., p]
         G[:a, t], g[:a, t] = -P, -alpha
 

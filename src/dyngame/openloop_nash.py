@@ -85,8 +85,11 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
     before its start: the controls u (L, S, T, M), M (L, n, T+1, p, p),
     m (L, S, n, T+1, p), Phi (L, T, p, p), phi (L, S, T, p) and the path
     laws G (L, T, M, p), g (L, S, T, M).  Lanes share the stage data and
-    what is computed from it alone, the R^jj solves; every system that
-    reads a lane's coefficients is solved for that lane.
+    what is computed from it alone: the R^jj solves of :func:`own_inputs`,
+    one stacked solve per player over the stages, formed once before the
+    backward pass.  Every system that reads a lane's coefficients is still
+    solved for that lane, each stage's transition operators of all lanes
+    in one stacked call.
     """
     starts, begin, end = view.lanes(starts)
     T, p, M = view.B.shape
@@ -102,37 +105,36 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
 
     Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
     ut_own = view.own(view.ut, lead=1)
+    Rinv_Bt = own_inputs(view, starts[0])
 
     # Backward pass: transition pair, costate coefficients and path laws.
     # Affine quantities are rows, one per sample; control rows are stacked
     # over players, each row k acting through its own player's costate.
     for t in range(T - 1, starts[0] - 1, -1):
         a = end[t]
-        A, B = view.A[t], view.B[t]
-        Rinv_Bt = np.vstack([solve_dense(view.R[t, j, b, b], B[:, b].T,
-                                         context=f"stage {t} control weight R^{j}{j}")
-                             for j, b in enumerate(view.blocks)])
-        RBM = view.own(Rinv_Bt @ Mc[:a, :, t + 1], lead=1)
+        A, B, RB = view.A[t], view.B[t], Rinv_Bt[t]
+        RBM = view.own(RB @ Mc[:a, :, t + 1], lead=1)
         ut = ut_own[t]
         c_next = m[:a, :, :, t + 1] - Qxt[t]
-        drift = s[:, t] - (_by_row(Rinv_Bt, c_next, view.owner) - ut) @ B.T
-        for lane in range(a):
-            try:
-                packed = solve_dense(np.eye(p) + B @ RBM[lane], np.hstack([A, drift[lane].T]),
-                                     context=f"stage {t} open-loop transition operator")
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
-                    f"so no unique open-loop Nash equilibrium exists ({exc})",
-                    context=f"stage {t}", cond_estimate=exc.cond_estimate,
-                ) from exc
-            Phi[lane, t] = packed[:, :p]
-            phi[lane, :, t] = packed[:, p:].T
+        drift = s[:, t] - (_by_row(RB, c_next, view.owner) - ut) @ B.T
+        rhs = np.empty((a, p, p + S))
+        rhs[..., :p], rhs[..., p:] = A, drift.swapaxes(1, 2)
+        try:
+            packed = solve_dense(np.eye(p) + B @ RBM, rhs,
+                                 context=f"stage {t} open-loop transition operator")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
+                f"so no unique open-loop Nash equilibrium exists ({exc})",
+                context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
+        Phi[:a, t] = packed[..., :p]
+        phi[:a, :, t] = packed[..., p:].swapaxes(1, 2)
         # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
         # feeds both m_t and the path offsets.
         c = np.einsum("aipq,asq->asip", Mc[:a, :, t + 1], phi[:a, :, t]) + c_next
         G[:a, t] = -RBM @ Phi[:a, t]
-        g[:a, :, t] = ut - _by_row(Rinv_Bt, c, view.owner)
+        g[:a, :, t] = ut - _by_row(RB, c, view.owner)
         # M is symmetric only for n = 1: the transition operator mixes
         # all players' costate matrices, so no symmetrization here.  A lane
         # that starts at t charges no weight on its initial state.
@@ -151,6 +153,20 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
         u[:a, :, t] = x[:a] @ G[:a, t].swapaxes(1, 2) + g[:a, :, t]
         x[:a] = x[:a] @ Phi[:a, t].swapaxes(1, 2) + phi[:a, :, t]
     return u, Mc, m, Phi, phi, G, g
+
+
+def own_inputs(view: StageArrays, first: int = 0) -> np.ndarray:
+    """(R^ii)^-1 B^i' of every player i at every stage from ``first`` on,
+    stacked over the control rows, (T, M, p), zero before ``first``: one
+    stacked solve per player over the stages.  Of several stages whose R^ii
+    fails the solve's checks the last is reported, the one a backward sweep
+    reaches first."""
+    T, p, M = view.B.shape
+    out = np.zeros((T, p, M)).swapaxes(1, 2)  # each stage's block column-major, as LAPACK returns it
+    for i, b in enumerate(view.blocks):
+        out[first:, b] = solve_dense(view.R[first:, i, b, b], view.B[first:, :, b].swapaxes(1, 2),
+                                     context=lambda k, i=i: f"stage {first + k} control weight R^{i}{i}")
+    return out
 
 
 def _by_row(Rinv_Bt: np.ndarray, c: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -186,7 +202,7 @@ def kkt_residuals(sol: OpenLoopNashSolution) -> dict[str, float]:
     pvec = costates(sol).swapaxes(0, 1)  # (T+1, n, p)
     # Every player's costate p_{t+1} + Q_t (x_{t+1} - xt), (T, n, p).
     lam = pvec[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
-    rows = np.arange(len(view.owner))
+    rows = view.rows
     grad = (np.einsum("tkl,tl->tk", view.R[:, view.owner, rows], u - view.ut[:, view.owner, rows])
             + np.einsum("tpk,tkp->tk", view.B, lam[:, view.owner]))
     res = {

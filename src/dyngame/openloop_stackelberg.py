@@ -46,6 +46,7 @@ backward induction implemented by :func:`solve`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .errors import InvalidGameError, SingularSystemError
 from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
                    sequence_path)
 from .numerics import solve_dense
+from .openloop_nash import own_inputs
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,12 @@ class OpenLoopStackelbergSolution:
 
 
 def _by_owner(X: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
-    """The rows of X (rows, q) laid out block diagonally, (rows, k*q): row
-    r in column block ``owner[r]``, zeros elsewhere."""
-    out = np.zeros((len(X), k, X.shape[1]))
-    out[np.arange(len(X)), owner] = X
-    return out.reshape(len(X), k * X.shape[1])
+    """The rows of each X (..., rows, q) laid out block diagonally, (...,
+    rows, k*q): row r in column block ``owner[r]``, zeros elsewhere."""
+    rows, q = X.shape[-2:]
+    out = np.zeros(X.shape[:-1] + (k, q))
+    out[..., np.arange(rows), owner, :] = X
+    return out.reshape(X.shape[:-1] + (k * q,))
 
 
 def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) -> OpenLoopStackelbergSolution:
@@ -120,6 +123,44 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     )
 
 
+class StageTerms(NamedTuple):
+    """The terms of the open-loop Stackelberg recursion that read the stage
+    data alone, stacked over stages (the R^ii solves from the first lane's
+    start on, zero before it); every lane of a sweep shares them.  Mf
+    counts the followers' control rows and nf the followers."""
+
+    Qf: np.ndarray      # [Q^1 .. Q^{nf}], the followers' state weights side by side, (T, p, nf p)
+    Qxt: np.ndarray     # every player's Q^i xt^i, stacked, (T, n p)
+    A_f: np.ndarray     # blockdiag(A) over the followers, (T, nf p, nf p)
+    B_f: np.ndarray     # blockdiag(B^i) over the followers, (T, nf p, Mf)
+    J: np.ndarray       # [Bh_f' | -K_f], K_f = blockdiag(R^{0i} (R^ii)^-1 B^i'), (T, Mf, n p)
+    C_own: np.ndarray   # blockdiag(R^ii) over the followers, (T, Mf, Mf)
+    u_own: np.ndarray   # each control row's own target ut^ii, (T, M)
+    du: np.ndarray      # R^{0f} (ut^ff - ut^{0f}), (T, Mf)
+    U: np.ndarray       # -blockdiag((R^ii)^-1 B^i') over all players, (T, M, n p)
+
+    @classmethod
+    def of(cls, view: StageArrays, first: int) -> StageTerms:
+        T, p, M = view.B.shape
+        n = view.Q.shape[1]
+        nf, m0 = n - 1, view.blocks[0].stop
+        fowner = view.owner[m0:] - 1
+        RinvBt = own_inputs(view, first)
+        R0f = view.R[:, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
+        Bft = view.B[:, :, m0:].swapaxes(1, 2)
+        u_own = view.own(view.ut, lead=1)
+        return cls(
+            Qf=view.Q[:, 1:].transpose(0, 2, 1, 3).reshape(T, p, nf * p),
+            Qxt=np.einsum("tipq,tiq->tip", view.Q, view.xt).reshape(T, n * p),
+            A_f=np.einsum("lm,tab->tlamb", np.eye(nf), view.A).reshape(T, nf * p, nf * p),
+            B_f=_by_owner(Bft, fowner, nf).swapaxes(1, 2),
+            J=np.concatenate([Bft, -_by_owner(R0f @ RinvBt[:, m0:], fowner, nf)], axis=2),
+            C_own=view.own(view.R, lead=1)[:, m0:, m0:],
+            u_own=u_own,
+            du=(R0f @ (u_own[:, m0:] - view.ut[:, 0, m0:])[..., None])[..., 0],
+            U=-_by_owner(RinvBt, view.owner, n))
+
+
 def sweep(view: StageArrays, starts, z_starts: np.ndarray):
     """The tail games from the stages ``starts``, one lane each (see
     :meth:`StageArrays.lanes`), solved in one pass over the stages of a
@@ -131,15 +172,18 @@ def sweep(view: StageArrays, starts, z_starts: np.ndarray):
     (L, T+1, n*p), the costate coefficients K (L, T+1, n*p, n*p) and k,
     and the maps with their offsets in a last column, N | nv, Xi | xi and
     P | alpha.  Lanes share the stage data and what is computed from it
-    alone; every system that reads a lane's coefficients is solved for
-    that lane.
+    alone, the :class:`StageTerms` (the R^ii solves, one stacked solve per
+    player, and the follower block operators), formed once before the
+    backward pass.  Every system that reads a lane's coefficients is still
+    solved for that lane, each stage's systems of all lanes in one stacked
+    call.
     """
     starts, begin, end = view.lanes(starts)
     T, p, M = view.B.shape
     n = view.Q.shape[1]
-    nf, d, L = n - 1, n * p, len(starts)
+    d, L = n * p, len(starts)
     m0 = view.blocks[0].stop
-    fowner = view.owner[m0:] - 1
+    terms = StageTerms.of(view, starts[0])
 
     # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
     K = np.zeros((L, T + 1, d, d))
@@ -151,57 +195,45 @@ def sweep(view: StageArrays, starts, z_starts: np.ndarray):
 
     for t in range(T - 1, starts[0] - 1, -1):
         a = end[t]
-        A, B = view.A[t], view.B[t]
-        R0f = view.R[t, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
+        A, B, A_f, B_f, J = view.A[t], view.B[t], terms.A_f[t], terms.B_f[t], terms.J[t]
         # Kb, kb: the next costate coefficients with the leader's weights on
         # the followers' states and every player's state target folded in.
         Kb = K[:a, t + 1].copy()
-        Kb[:, :p, p:] += np.hstack(view.Q[t, 1:])
-        kb = k[:a, t + 1] - np.einsum("ipq,iq->ip", view.Q[t], view.xt[t]).ravel()
-        RinvBt = np.vstack([solve_dense(view.R[t, i, b, b], B[:, b].T,
-                                        context=f"stage {t} {'leader' if i == 0 else 'follower'} weight")
-                            for i, b in enumerate(view.blocks)])
-        B_f = _by_owner(B[:, m0:].T, fowner, nf).T
-        A_f = np.einsum("lm,ab->lamb", np.eye(nf), A).reshape(nf * p, nf * p)
+        Kb[:, :p, p:] += terms.Qf[t]
+        kb = k[:a, t + 1] - terms.Qxt[t]
 
         # Cocontrols: with J = [Bh_f' | -K_f] and H = J Kb,
         # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
-        J = np.hstack([B[:, m0:].T, -_by_owner(R0f @ RinvBt[m0:], fowner, nf)])
         H = J @ Kb
-        C = view.own(view.R[t])[m0:, m0:] + H[..., p:] @ B_f
-        u_own = view.own(view.ut[t])
-        du = R0f @ (u_own[m0:] - view.ut[t, 0, m0:])
-        rhs = np.concatenate([H[..., :p], H[..., p:] @ A_f, J @ kb[..., None] + du[:, None]],
-                             axis=2)
-        for lane in range(a):
-            try:
-                N[lane, t] = solve_dense(C[lane], -rhs[lane],
-                                         context=f"stage {t} stacked cocontrol system")
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    "the stacked cocontrol coefficient systems admit no unique solution "
-                    f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-                ) from exc
+        C = terms.C_own[t] + H[..., p:] @ B_f
+        rhs = np.concatenate([H[..., :p], H[..., p:] @ A_f,
+                              J @ kb[..., None] + terms.du[t][:, None]], axis=2)
+        try:
+            N[:a, t] = solve_dense(C, -rhs, context=f"stage {t} stacked cocontrol system")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the stacked cocontrol coefficient systems admit no unique solution "
+                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
 
         # Every control as one map of (x_{t+1}, mu_t), offsets last.
         Cy = (np.concatenate([Kb[..., :p], Kb[..., p:] @ A_f, kb[..., None]], axis=2)
               + Kb[..., p:] @ (B_f @ N[:a, t]))
-        U = -_by_owner(RinvBt, view.owner, n) @ Cy
-        U[..., d] += u_own
+        U = terms.U[t] @ Cy
+        U[..., d] += terms.u_own[t]
 
         # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
-        E = np.eye(p) - B @ U[..., :p]
-        Phi = np.empty((a, p, d + 1))
-        for lane in range(a):
-            try:
-                Phi[lane] = solve_dense(E[lane], np.hstack([A, B @ U[lane, :, p:d],
-                                                            (B @ U[lane, :, d] + view.s[t])[:, None]]),
-                                        context=f"stage {t} state transition operator")
-            except SingularSystemError as exc:
-                raise SingularSystemError(
-                    "the state transition operator I - B U_x is singular "
-                    f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-                ) from exc
+        rhs = np.empty((a, p, d + 1))
+        rhs[..., :p], rhs[..., p:d] = A, B @ U[..., p:d]
+        rhs[..., d:] = B @ U[..., d:] + view.s[t][:, None]
+        try:
+            Phi = solve_dense(np.eye(p) - B @ U[..., :p], rhs,
+                              context=f"stage {t} state transition operator")
+        except SingularSystemError as exc:
+            raise SingularSystemError(
+                "the state transition operator I - B U_x is singular "
+                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
+            ) from exc
 
         # Controls and cocontrols as maps of (z_t, 1), then the z transition.
         UN = np.concatenate([U, N[:a, t]], axis=1)
@@ -244,7 +276,7 @@ def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
     view = StageArrays.of(sol.spec)
     T, p, n = sol.spec.horizon, sol.spec.state_dim, sol.spec.n_players
     f = slice(view.blocks[0].stop, None)
-    rows = np.arange(len(view.owner))
+    rows = view.rows
     x = sol.trajectory.states
     u = np.concatenate(sol.trajectory.controls, axis=-1)
     mu = sol.mu.swapaxes(0, 1)  # (T+1, n-1, p)

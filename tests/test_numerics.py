@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dyngame.errors import InvalidGameError, SingularSystemError
-from dyngame.numerics import solve_dense
+from dyngame.numerics import factor, solve_dense
 
 from conftest import psd_matrix, rng_for
 from reference_formulations import (DefinitenessError, classify_definiteness,
@@ -70,6 +70,83 @@ class TestSolveDense:
         # a NaN residual must fail the residual bound, not slip past it
         with pytest.raises(SingularSystemError, match="residual"):
             solve_dense(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([np.nan, 1.0]))
+
+
+class TestStackedSolve:
+    """A stack A (N, k, k) solves each matrix on its own, and the pivot and
+    residual tests judge each matrix against its own norm."""
+
+    @staticmethod
+    def draw(seed, N, k, r):
+        rng = rng_for(seed)
+        return (rng.standard_normal((N, k, k)) + 2 * np.eye(k), rng.standard_normal((N, k, r)))
+
+    @pytest.mark.parametrize("k, r", [(1, 1), (3, 4), (6, 7), (9, 11)])
+    def test_stack_equals_each_matrix_bit_for_bit(self, k, r):
+        A, B = self.draw(k, 5, k, r)
+        X = solve_dense(A, B)
+        assert X.shape == B.shape
+        lu = factor(A)
+        assert np.array_equal(lu.solve(B), X)
+        X_vec = solve_dense(A, B[..., 0])
+        for i in range(len(A)):
+            assert np.array_equal(X[i], solve_dense(A[i], B[i]))
+            assert np.array_equal(X_vec[i], solve_dense(A[i], B[i, :, 0]))
+
+    @pytest.mark.parametrize("k, r", [(6, 7), (9, 11)])
+    def test_stack_of_one_equals_the_single_matrix_solve(self, k, r):
+        A, B = self.draw(k + 100, 1, k, r)
+        expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A[0]), B[0])
+        assert np.array_equal(solve_dense(A[0], B[0]), expected)
+        assert np.array_equal(solve_dense(A, B)[0], expected)
+        assert np.array_equal(factor(A[0]).solve(B[0]), expected)
+
+    def test_singular_to_its_own_norm_fails_beside_well_scaled_matrices(self):
+        # pivot 1e-33 against the matrix's own norm 1e-20; the others are I
+        A = np.stack([np.eye(2), np.diag([1e-20, 1e-33]), np.eye(2)])
+        with pytest.raises(SingularSystemError, match="matrix 1: matrix is singular"):
+            solve_dense(A, np.ones((3, 2)), context=lambda i: f"matrix {i}")
+        with pytest.raises(SingularSystemError, match="matrix 1: matrix is singular"):
+            factor(A, context=lambda i: f"matrix {i}")
+
+    def test_small_norm_matrix_passes_beside_one_of_norm_1e12(self):
+        # judged against the stack's largest norm, 1e-3 I would be singular
+        A = np.stack([1e12 * np.eye(3), 1e-3 * np.eye(3)])
+        B = np.ones((2, 3, 2))
+        X = solve_dense(A, B)
+        assert np.array_equal(X[0], np.full((3, 2), 1e-12))
+        assert np.array_equal(X[1], np.full((3, 2), 1e3))
+
+    def test_nan_in_one_right_hand_side_fails(self):
+        A, B = self.draw(3, 4, 3, 2)
+        B[2, 1, 0] = np.nan
+        with pytest.raises(SingularSystemError, match="lane 2: solution residual nan"):
+            solve_dense(A, B, context=lambda i: f"lane {i}")
+        with pytest.raises(SingularSystemError, match="lane 2: solution residual nan"):
+            factor(A).solve(B, context=lambda i: f"lane {i}")
+
+    def test_error_names_the_largest_failing_index(self):
+        A, B = self.draw(4, 6, 2, 1)
+        A[1] = A[4] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(SingularSystemError, match="stage 4:") as failed:
+            solve_dense(A, B, context=lambda t: f"stage {t}")
+        assert failed.value.context == "stage 4"
+        A, B = self.draw(5, 6, 2, 1)
+        B[0, 0] = B[3, 1] = np.nan
+        with pytest.raises(SingularSystemError, match="stage 3:"):
+            solve_dense(A, B, context=lambda t: f"stage {t}")
+
+    def test_a_string_context_names_the_stack(self):
+        A = np.stack([np.eye(2), np.ones((2, 2))])
+        with pytest.raises(SingularSystemError, match="stage 3 gain system"):
+            solve_dense(A, np.ones((2, 2)), context="stage 3 gain system")
+
+    def test_right_hand_sides_must_fit_the_stack(self):
+        A, B = self.draw(6, 3, 2, 2)
+        with pytest.raises(InvalidGameError, match="does not fit"):
+            solve_dense(A, B[:2])
+        with pytest.raises(InvalidGameError, match="does not fit"):
+            factor(A).solve(B[0])
 
 
 class TestClassifyDefiniteness:
