@@ -729,27 +729,12 @@ def _player_subgame(spec: GameSpec, keep, drifts=None) -> GameSpec:
                     players=tuple(spec.players[i] for i in keep), stages=stages)
 
 
-def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> GameSpec:
-    """Freeze one player's control sequence into the drift and drop the player.
-
-    The remaining players face the same dynamics with
-    ``s_t <- s_t + B_t^player u_t`` and keep their own cost blocks.  Cost
-    terms that depend only on the frozen sequence are dropped; they shift
-    cost values but not the remaining players' equilibrium controls.
-    """
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if controls.ndim != 2:
-        raise InvalidGameError(f"controls have shape {controls.shape}, expected "
-                               f"{(spec.horizon, spec.control_dims[player])}")
-    return _player_subgame(spec, _others(spec, player), folded_drifts(spec, player, controls))
-
-
 def drop_player(spec: GameSpec, player: int) -> GameSpec:
     """The game of every player but one, with its stage drifts unchanged.
 
     Paired with :func:`folded_drifts`, whose sequences replace those drifts
-    (``drifts`` of :func:`dyngame.openloop_nash.solve`), it is
-    :func:`fold_player_controls` for many frozen sequences at once.
+    (``drifts`` of :func:`dyngame.openloop_nash.solve`), it is the game the
+    others play against many frozen sequences of that player at once.
     """
     return _player_subgame(spec, _others(spec, player))
 

@@ -94,7 +94,7 @@ def game_from_dict(doc) -> GameSpec:
         if not isinstance(item, dict):
             raise GameFormatError(f"/players/{i}", "must be an object")
         m = item.get("control_dim")
-        if not isinstance(m, int) or m < 1:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise GameFormatError(f"/players/{i}/control_dim", "must be a positive integer")
         players.append(Player(control_dim=m, name=str(item.get("name", f"P{i + 1}"))))
     n = len(players)

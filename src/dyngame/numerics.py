@@ -10,20 +10,24 @@ right-hand sides B (N, k) or (N, k, r), and solves every matrix of the
 stack on its own: one LAPACK call per matrix, ``dgesv`` for
 :func:`solve_dense`, ``dgetrf`` and ``dgetrs`` for :func:`factor` and
 :meth:`LU.solve`.  These are the routines behind
-``scipy.linalg.lu_factor``/``lu_solve``, called through
-``scipy.linalg.lapack`` without those functions' per-call argument
-handling, which at these sizes costs several times the factorisation
-itself.  The pivot and residual tests then run once over the whole stack,
-each matrix judged against its own norm, so a badly scaled matrix neither
-hides nor condemns its neighbours.  A single matrix is the stack of one.
-``scipy.linalg`` is imported on the first factorisation, not with this
-module: it is about half the import time of the command line, which
-validating a game never needs.
+``scipy.linalg.lu_factor``/``lu_solve``, called without those functions'
+per-call argument handling, which at these sizes costs several times the
+factorisation itself.  The pivot and residual tests then run once over the
+whole stack, each matrix judged against its own norm, so a badly scaled
+matrix neither hides nor condemns its neighbours.  A single matrix is the
+stack of one.  The routines come from scipy's compiled wrapper
+``scipy.linalg._flapack``, loaded by file path on the first factorisation
+(:func:`_lapack`): it needs only numpy, while importing the
+``scipy.linalg`` package would take half of a cold ``dyngame solve``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from typing import Callable
 
 import numpy as np
@@ -175,15 +179,41 @@ def _name(context: Context, index: int) -> str | None:
 
 
 _LAPACK: tuple = ()
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _lapack() -> tuple:
-    """LAPACK's (dgetrf, dgetrs, dgesv), imported on the first call."""
+    """LAPACK's (dgetrf, dgetrs, dgesv) from ``scipy.linalg._flapack`` on
+    the first call: the module already imported, else its file loaded by
+    path and registered under its name, else (no file, or it fails to
+    load) the module imported through the ``scipy.linalg`` package."""
     global _LAPACK
     if not _LAPACK:
-        from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
-        _LAPACK = (dgetrf, dgetrs, dgesv)
+        flapack = sys.modules.get(_FLAPACK)
+        if flapack is None and (path := _flapack_file()):
+            try:
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                flapack = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(flapack)
+                sys.modules[_FLAPACK] = flapack
+            except (ImportError, OSError):
+                flapack = None
+        if flapack is None:
+            from scipy.linalg import _flapack as flapack
+        _LAPACK = (flapack.dgetrf, flapack.dgetrs, flapack.dgesv)
     return _LAPACK
+
+
+def _flapack_file() -> str | None:
+    """The path of scipy's ``linalg/_flapack`` extension, found without
+    importing scipy, or None."""
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
 
 
 def _condition_estimate(A: np.ndarray) -> float:

@@ -57,20 +57,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function, component-wise.
-
-    Truncation error is O(h^2); exact (up to roundoff) on quadratics.
-    """
-    z = np.asarray(z, dtype=float)
-    grad = np.empty_like(z)
-    for k in range(z.size):
-        zp = z.copy(); zp[k] += h
-        zm = z.copy(); zm[k] -= h
-        grad[k] = (f(zp) - f(zm)) / (2.0 * h)
-    return grad
-
-
 def _solver_row(solution, pattern: str) -> solvers.Solver:
     """The table row of the solver behind ``solution``, checked against the
     information pattern the caller names."""
@@ -127,8 +113,8 @@ def _stationarity_open_loop(spec, sol, h, stackelberg):
     out: dict[int, float] = {}
     if stackelberg:
         # The leader's objective re-solves the followers' game: one batched
-        # re-solve over a +h/-h sample pair per leader control entry, with
-        # central_gradient's arithmetic.
+        # re-solve over a +h/-h sample pair per leader control entry, each
+        # entry's difference (f(z+h e) - f(z-h e)) / 2h.
         u = controls[0]
         P = u.size
         batch = np.repeat(u.reshape(1, P), 2 * P, axis=0)

@@ -10,12 +10,17 @@ the Stackelberg solvers require of the leader anyway).
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dyngame import feedback_nash, feedback_stackelberg, game, lqr, openloop_nash, openloop_stackelberg
 from dyngame.game import GameSpec, Player, StageData, constant_game
+
+#: The committed golden games and the initial state each is run from.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_X0 = {"one_player": "0.5,-1", "two_player": "1,-0.5", "three_player": "-0.3,0.8"}
 
 
 def rng_for(seed: int) -> np.random.Generator:

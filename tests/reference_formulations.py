@@ -47,25 +47,57 @@ follows its own affine transition maps, and the self-check identities
 (push-through inverses, feedback Stackelberg reaction consistency) test
 algebra the solvers rely on; nothing in the library needs them, nor the
 definiteness classification and symmetrization they and the per-matrix
-validation use.
+validation use.  Nor does it need the central-difference gradient and the
+fold of one player's controls into the drift, which the loop formulations
+and their own tests use.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from dyngame import feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg, verify
+from dyngame import feedback_stackelberg, game, lqr, openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
 from dyngame.game import (AffineLaw, GameSpec, Trajectory, ValidationReport, Violation,
-                          drift_samples, fold_player_controls, initial_state, require_valid,
+                          drift_samples, folded_drifts, initial_state, require_valid,
                           rollout, stage_cost, truncate)
 from dyngame.numerics import SYMMETRY_RTOL, asymmetry, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, solver_of
 
 from conftest import act
+
+
+def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function, component-wise.
+
+    Truncation error is O(h^2); exact (up to roundoff) on quadratics.
+    """
+    z = np.asarray(z, dtype=float)
+    grad = np.empty_like(z)
+    for k in range(z.size):
+        zp = z.copy(); zp[k] += h
+        zm = z.copy(); zm[k] -= h
+        grad[k] = (f(zp) - f(zm)) / (2.0 * h)
+    return grad
+
+
+def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> GameSpec:
+    """Freeze one player's control sequence into the drift and drop the player.
+
+    The remaining players face the same dynamics with
+    ``s_t <- s_t + B_t^player u_t`` and keep their own cost blocks.  Cost
+    terms that depend only on the frozen sequence are dropped; they shift
+    cost values but not the remaining players' equilibrium controls.
+    """
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    if controls.ndim != 2:
+        raise InvalidGameError(f"controls have shape {controls.shape}, expected "
+                               f"{(spec.horizon, spec.control_dims[player])}")
+    return game._player_subgame(spec, game._others(spec, player),
+                                folded_drifts(spec, player, controls))
 
 
 def unit(rng, shape):
@@ -130,7 +162,7 @@ def _stationarity_open_loop(spec, sol, h, stackelberg):
                 us = [controls[j] if j != i else u_flat.reshape(T, spec.control_dims[i])
                       for j in range(n)]
                 return rollout(spec, us, sol.x0).total_costs[i]
-        grad = verify.central_gradient(cost, controls[i].ravel(), h)
+        grad = central_gradient(cost, controls[i].ravel(), h)
         out[i] = float(np.abs(grad).max(initial=0.0))
     return out
 
@@ -152,7 +184,7 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
                 def cost(ui, t=t, x=x, i=i, base=base):
                     us = [base[j] if j != i else np.asarray(ui) for j in range(n)]
                     return tail_cost(spec, laws, t, x, i, us)
-            grad = verify.central_gradient(cost, base[i], h)
+            grad = central_gradient(cost, base[i], h)
             out[i] = max(out[i], float(np.abs(grad).max(initial=0.0)))
     return out
 

@@ -353,7 +353,7 @@ def test_criterion_6_numerics_self_tests(announce):
             return float(np.exp(a @ v) + np.sin(v).sum())
 
         def err(h):
-            return np.abs(verify.central_gradient(f, z, h) - exact).max()
+            return np.abs(ref.central_gradient(f, z, h) - exact).max()
 
         ratio = err(1e-3) / err(5e-4)
         assert 3.5 <= ratio <= 4.5

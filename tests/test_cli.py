@@ -7,7 +7,7 @@ from dyngame import cli
 from dyngame.game import constant_game
 from dyngame.gameio import save_game
 
-from conftest import random_game, scalar_unit_lqr, scalar_unit_two_player, strict_json
+from conftest import GOLDEN, random_game, scalar_unit_lqr, scalar_unit_two_player, strict_json
 
 
 @pytest.fixture
@@ -55,6 +55,22 @@ def test_nan_drift_is_input_error(tmp_path):
     out = tmp_path / "o.json"
     assert cli.main(["solve", "--game", str(path), "--x0", "1,1", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("player", [0, 1])
+@pytest.mark.parametrize("command", ["validate", "solve", "verify", "compare"])
+def test_boolean_control_dim_is_input_error(tmp_path, capsys, command, player):
+    # JSON true is a Python int; a width of 1 (player 0) would even match
+    # the shapes of its matrices.
+    doc = json.loads((GOLDEN / "two_player.json").read_text())
+    doc["players"][player]["control_dim"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--game", str(path)] + ([] if command == "validate" else ["--x0", "1,-0.5"])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"/players/{player}/control_dim: must be a positive integer" in err
+    assert "Traceback" not in err
 
 
 def test_solve_feedback_nash_values(unit_game_path, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 
 from dyngame import openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import drop_player, fold_player_controls, folded_drifts, rollout, sequence_path
+from dyngame.game import drop_player, folded_drifts, rollout, sequence_path
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
@@ -79,7 +79,7 @@ def test_batched_solve_equals_separate_solves_on_folded_games(seed):
     U = rng_for(seed).standard_normal((4, spec.horizon, spec.control_dims[0]))
     batch = openloop_nash.solve(drop_player(spec, 0), x0, drifts=folded_drifts(spec, 0, U))
     for k in range(4):
-        assert_same_solution(batch, k, openloop_nash.solve(fold_player_controls(spec, 0, U[k]), x0))
+        assert_same_solution(batch, k, openloop_nash.solve(ref.fold_player_controls(spec, 0, U[k]), x0))
 
 
 def test_plain_solve_is_the_one_sample_of_its_own_drifts():

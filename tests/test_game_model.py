@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dyngame.errors import InvalidGameError
-from dyngame.game import (AffineLaw, constant_game, fold_player_controls,
-                          rollout, stage_cost, total_cost, truncate, validate)
+from dyngame.game import (AffineLaw, constant_game, rollout, stage_cost, total_cost, truncate,
+                          validate)
 from dyngame.gameio import (GameFormatError, game_from_dict, game_to_dict,
                             load_game, save_game)
 
+import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for, scalar_unit_lqr, scalar_unit_two_player
 
 
@@ -148,7 +149,7 @@ class TestTransformations:
         u1 = rng.standard_normal((spec.horizon, spec.control_dims[1]))
         x0 = random_x0(21, spec)
         full = rollout(spec, [u0, u1], x0)
-        reduced = fold_player_controls(spec, 0, u0)
+        reduced = ref.fold_player_controls(spec, 0, u0)
         red_traj = rollout(reduced, [u1], x0)
         assert np.allclose(red_traj.states, full.states, atol=1e-12)
 

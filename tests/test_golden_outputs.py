@@ -23,11 +23,9 @@ import pytest
 
 from dyngame import cli
 
-from conftest import strict_json
+from conftest import GOLDEN, GOLDEN_X0, strict_json
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = GOLDEN / "expected.json"
-GAMES = {"one_player": "0.5,-1", "two_player": "1,-0.5", "three_player": "-0.3,0.8"}
 COMMANDS = {"solve": [], "simulate": [], "verify": ["--seed", "3"]}
 SOLVER_NAMES = ("lqr", "feedback-nash", "feedback-stackelberg",
                 "openloop-nash", "openloop-stackelberg")
@@ -43,7 +41,7 @@ NOISE_KEYS = {"stationarity", "deviation_gaps", "leader_gap", "tail_deviation"}
 def run_case(key, out_dir):
     """Run one golden case; returns ``{"exit": code, "output": doc}``."""
     game, command, *solver = key.split("/")
-    argv = [command, "--game", str(GOLDEN / f"{game}.json"), f"--x0={GAMES[game]}"]
+    argv = [command, "--game", str(GOLDEN / f"{game}.json"), f"--x0={GOLDEN_X0[game]}"]
     out_path = None
     if command == "compare":
         out_path = Path(out_dir) / f"{game}-compare.json"
@@ -62,7 +60,7 @@ def run_case(key, out_dir):
 
 def all_keys():
     keys = []
-    for game in GAMES:
+    for game in GOLDEN_X0:
         keys += [f"{game}/{command}/{solver}" for command in COMMANDS
                  for solver in SOLVER_NAMES]
         keys.append(f"{game}/compare")
@@ -117,7 +115,7 @@ def test_table_entries_return_their_solution_type():
     from dyngame.gameio import load_game
 
     solved = set()
-    for game, x0 in GAMES.items():
+    for game, x0 in GOLDEN_X0.items():
         spec = load_game(GOLDEN / f"{game}.json")
         for name, row in solvers.SOLVERS.items():
             try:

@@ -1,13 +1,21 @@
+import subprocess
+import sys
 import warnings
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dyngame.errors import InvalidGameError, SingularSystemError
+from dyngame import numerics
+from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
+from dyngame.game import GameSpec
+from dyngame.gameio import load_game
 from dyngame.numerics import factor, solve_dense
+from dyngame.solvers import SOLVERS
 
-from conftest import psd_matrix, rng_for
+from conftest import GOLDEN, GOLDEN_X0, psd_matrix, rng_for
 from reference_formulations import (DefinitenessError, classify_definiteness,
                                     pushthrough_residuals, symmetrize)
 
@@ -147,6 +155,73 @@ class TestStackedSolve:
             solve_dense(A, B[:2])
         with pytest.raises(InvalidGameError, match="does not fit"):
             factor(A).solve(B[0])
+
+
+def arrays(obj, path=""):
+    """Every array a solution holds, as bytes, by its field path."""
+    if isinstance(obj, np.ndarray):
+        return {path: obj.tobytes()}
+    if isinstance(obj, (tuple, list)):
+        return {k: v for i, item in enumerate(obj) for k, v in arrays(item, f"{path}[{i}]").items()}
+    if is_dataclass(obj) and not isinstance(obj, GameSpec):
+        return {k: v for f in fields(obj) for k, v in arrays(getattr(obj, f.name),
+                                                             f"{path}.{f.name}").items()}
+    return {}
+
+
+def golden_solutions(monkeypatch):
+    """Every solver's solution of every golden game, or its refusal, with
+    LAPACK loaded afresh through ``numerics._lapack``."""
+    monkeypatch.setattr(numerics, "_LAPACK", ())
+    monkeypatch.delitem(sys.modules, numerics._FLAPACK, raising=False)
+    out = {}
+    for game, x0 in GOLDEN_X0.items():
+        spec = load_game(GOLDEN / f"{game}.json")
+        for name, row in SOLVERS.items():
+            try:
+                out[game, name] = arrays(row.solve(spec, np.array(x0.split(","), dtype=float)))
+            except DynGameError as exc:
+                out[game, name] = str(exc)
+    return out
+
+
+class TestLapackLoading:
+    """LAPACK comes from scipy's ``linalg/_flapack`` extension, loaded by
+    file path so that a solve does not import the ``scipy.linalg``
+    package; without that file it is imported through the package."""
+
+    @pytest.mark.parametrize("lookup", ["no file", "not loadable"])
+    def test_fallback_gives_bit_identical_solutions(self, monkeypatch, tmp_path, lookup):
+        by_path = golden_solutions(monkeypatch)
+        path = numerics._flapack_file()
+        assert sys.modules[numerics._FLAPACK].__file__ == path
+        bogus = tmp_path / Path(path).name
+        bogus.write_bytes(b"not a shared object")
+        monkeypatch.setattr(numerics, "_flapack_file",
+                            lambda: None if lookup == "no file" else str(bogus))
+        fallback = golden_solutions(monkeypatch)
+        assert sum(isinstance(v, dict) for v in fallback.values()) == 11
+        assert fallback == by_path
+        assert numerics._lapack()[2] is scipy.linalg.lapack.dgesv
+
+    def test_an_imported_module_is_used_without_a_lookup(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_LAPACK", ())
+        monkeypatch.setattr(numerics, "_flapack_file", lambda: pytest.fail("looked for the file"))
+        assert numerics._lapack()[2] is scipy.linalg.lapack.dgesv
+
+    @pytest.mark.parametrize("solve_first", [True, False], ids=["solve-then-import",
+                                                               "import-then-solve"])
+    def test_scipy_linalg_shares_the_loaded_module(self, solve_first):
+        solve = ("from dyngame import cli; cli.main(['solve', '--game', "
+                 f"{str(GOLDEN / 'two_player.json')!r}, '--x0=1,-0.5'])")
+        steps = [solve, "import scipy.linalg"] if solve_first else ["import scipy.linalg", solve]
+        done = subprocess.run(
+            [sys.executable, "-c", "; ".join(steps) + "; from dyngame import numerics; "
+             "print(scipy.linalg.lapack.dgesv is numerics._lapack()[2])"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(Path(numerics.__file__).parents[1]), "PATH": ""})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "True", done.stdout
 
 
 class TestClassifyDefiniteness:

@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 from dyngame import feedback_stackelberg, openloop_nash, openloop_stackelberg
 from dyngame.errors import InvalidGameError
-from dyngame.game import constant_game, fold_player_controls, rollout, truncate
+from dyngame.game import constant_game, rollout, truncate
 from dyngame.verify import leader_cost_open_loop
 
 import reference_formulations as ref
@@ -146,7 +146,7 @@ def test_followers_play_reduced_open_loop_nash():
     spec = random_game(507, n_players=3, state_dim=2)
     x0 = random_x0(507, spec)
     sol = openloop_stackelberg.solve(spec, x0)
-    reduced = fold_player_controls(spec, 0, sol.trajectory.controls[0])
+    reduced = ref.fold_player_controls(spec, 0, sol.trajectory.controls[0])
     reaction = openloop_nash.solve(reduced, x0)
     for k in range(2):
         assert np.abs(reaction.trajectory.controls[k]

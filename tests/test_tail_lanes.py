@@ -7,6 +7,7 @@ stacked view and one sweep, whatever the horizon, and a corrupted
 solution fails its gate by the size of the corruption.
 """
 
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,14 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg,
-                     verify)
+from dyngame import (cli, feedback_nash, feedback_stackelberg, lqr, openloop_nash,
+                     openloop_stackelberg, verify)
 from dyngame.errors import InvalidGameError
 from dyngame.game import AffineLaw, StageArrays, Trajectory
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, SOLVERS, solver_of
 
 import reference_formulations as ref
-from conftest import random_game, random_x0
+from conftest import GOLDEN, GOLDEN_X0, random_game, random_x0
 
 ROOT = Path(__file__).resolve().parent.parent
 PLAYERS = {"lqr": 1, "feedback-nash": 2, "feedback-stackelberg": 3,
@@ -182,14 +183,46 @@ def test_lane_starts_must_be_ascending_stages():
             view.lanes(bad)
 
 
-@pytest.mark.parametrize("code, expected", [
-    ("import dyngame.cli", []),
-    ("from dyngame import cli; print(cli.main(['validate', '--game', "
-     f"{str(ROOT / 'tests' / 'golden' / 'two_player.json')!r}]))", ["0"]),
-], ids=["import", "validate"])
-def test_cold_start_without_scipy(code, expected):
-    done = subprocess.run([sys.executable, "-c", f"import sys; {code}; print('scipy' in sys.modules)"],
-                          capture_output=True, text=True, timeout=60,
-                          env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
+def golden_runs(case, out_dir):
+    """The command lines of a cold-start case: none for ``import``, a
+    validate, or ``solve``/``verify --out`` of every solver on one golden
+    game (``<command>-<game>``), each writing into ``out_dir``."""
+    if case == "import":
+        return []
+    if case == "validate":
+        return [["validate", "--game", str(GOLDEN / "two_player.json")]]
+    command, game = case.split("-")
+    extra = ["--seed", "3"] if command == "verify" else []
+    return [[command, "--game", str(GOLDEN / f"{game}.json"), f"--x0={GOLDEN_X0[game]}",
+             "--solver", name, *extra, "--out", str(out_dir / f"{name}.json")] for name in SOLVERS]
+
+
+def outputs(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("case", ["import", "validate"] + [
+    f"{command}-{game}" for command in ("solve", "verify") for game in GOLDEN_X0])
+def test_cold_start_without_scipy(case, tmp_path, capsys):
+    # A fresh interpreter runs the case, then lists the scipy modules it
+    # imported: none but the LAPACK wrapper, loaded from its file by the
+    # first solve, not the scipy or scipy.linalg packages.
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir(), warm.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from dyngame import cli; "
+         f"print(json.dumps([cli.main(argv) for argv in {golden_runs(case, cold)!r}])); "
+         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-len(expected) - 1:] == expected + ["False"], done.stdout
+    *printed, codes, imported = done.stdout.splitlines()
+    solves = case not in ("import", "validate")
+    assert imported == str(["scipy.linalg._flapack"] if solves else []), done.stdout
+    # The same runs in this process, after scipy.linalg, give the same bytes.
+    import scipy.linalg  # noqa: F401
+    capsys.readouterr()
+    assert json.loads(codes) == [cli.main(argv) for argv in golden_runs(case, warm)]
+    assert printed == capsys.readouterr().out.splitlines()
+    assert outputs(cold) == outputs(warm)
+    assert len(outputs(cold)) == (sum(code == 0 for code in json.loads(codes)) if solves else 0)

@@ -7,6 +7,7 @@ from dyngame.errors import InvalidGameError
 from dyngame.game import AffineLaw, GameSpec, Player, StageData, constant_game
 from dyngame.solvers import SOLVERS
 
+import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
 
 
@@ -278,7 +279,7 @@ class TestStepHalving:
         exact = np.exp(a @ z) * a + np.cos(z)
 
         def err(h):
-            return np.abs(verify.central_gradient(f, z, h) - exact).max()
+            return np.abs(ref.central_gradient(f, z, h) - exact).max()
 
         ratio = err(1e-3) / err(5e-4)
         assert 3.5 <= ratio <= 4.5
@@ -290,7 +291,7 @@ class TestStepHalving:
             return float(0.5 * v @ H @ v)
 
         z = np.array([0.3, -0.7])
-        g = verify.central_gradient(f, z, 1e-5)
+        g = ref.central_gradient(f, z, 1e-5)
         assert np.abs(g - H @ z).max() <= 1e-10
 
 
