@@ -11,8 +11,8 @@ from . import (feedback_nash, feedback_stackelberg, lqr, numerics,
                openloop_nash, openloop_stackelberg, solvers, verify)
 from .errors import DynGameError, InvalidGameError, SingularSystemError
 from .game import (AffineLaw, GameSpec, Player, StageData, Trajectory,
-                   constant_game, reorder_players, rollout, single_player_view,
-                   stage_cost, total_cost, truncate, validate)
+                   constant_game, reorder_players, rollout, stage_cost, total_cost,
+                   truncate, validate)
 from .gameio import GameFormatError, game_from_dict, game_to_dict, load_game, save_game
 
 __version__ = "0.1.0"
@@ -24,6 +24,6 @@ __all__ = [
     "feedback_stackelberg", "game_from_dict", "game_to_dict", "load_game",
     "lqr", "numerics", "openloop_nash",
     "openloop_stackelberg", "reorder_players", "rollout", "save_game",
-    "single_player_view", "solvers", "stage_cost", "total_cost", "truncate",
+    "solvers", "stage_cost", "total_cost", "truncate",
     "validate", "verify",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``solve``, ``simulate``, ``verify``,
-``compare``.  Exit codes: 0 success, 1 validation or input failure,
-2 numerical failure (a singular system, or a result that is not finite),
-3 verification failure.  No output holds NaN or Infinity.
+``compare``.  Exit codes: 0 success, 1 validation or input failure, 2
+numerical failure (a singular system, a non-finite result, or ``compare``
+without a solution), 3 verification failure.  No output holds NaN or Infinity.
 
 Logging level comes from the DYNGAME_LOG environment variable
 (error | info | debug).  Reports are written as JSON (sorted keys, so
@@ -262,7 +262,7 @@ def cmd_compare(args) -> int:
     _print_comparison(spec, rows)
     for name, reason in skipped.items():
         print(f"skipped {name}: {reason}")
-    return EXIT_OK
+    return EXIT_OK if rows else EXIT_SOLVER
 
 
 def _print_comparison(spec, rows):

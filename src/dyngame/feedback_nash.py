@@ -105,8 +105,7 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
     index and a condition estimate.  This is the one lane of
     :func:`sweep` that starts at stage 0.
     """
-    require_valid(spec)
-    view = StageArrays.of(spec)
+    view = require_valid(spec)
     PA, Z, zeta, n_const = sweep(view, [0])
     return FeedbackNashSolution(spec=spec, laws=laws_of(view, PA[0]),
                                 Z=Z[0], zeta=zeta[0], n_const=n_const[0])

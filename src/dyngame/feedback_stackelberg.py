@@ -66,10 +66,9 @@ class FeedbackStackelbergSolution(FeedbackNashSolution):
 def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
     """Unique feedback Stackelberg equilibrium with player 0 as leader:
     the one lane of :func:`sweep` that starts at stage 0."""
-    require_valid(spec, for_stackelberg=True)
+    view = require_valid(spec, for_stackelberg=True)
     if spec.n_players < 2:
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
-    view = StageArrays.of(spec)
     PA, Z, zeta, n_const, react = sweep(view, [0])
     m0, p = view.blocks[0].stop, spec.state_dim
     rows = [slice(b.start - m0, b.stop - m0) for b in view.blocks[1:]]

@@ -24,7 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -172,7 +172,10 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The violations :func:`validate` found; with none, the game's checked view."""
+
     violations: tuple[Violation, ...]
+    view: StageArrays | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return not self.violations
@@ -191,144 +194,188 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
 
     Returns every violation found (violations are data, not exceptions),
     stage by stage and, within a stage, in the order A, B, s, Q, R,
-    x_target, u_target.  ``for_stackelberg`` additionally requires the
-    first player's cross control weights R^{1j} to be positive
-    semidefinite, which the feedback Stackelberg solver needs for a convex
-    leader stage problem.
-
-    The shapes of each distinct StageData object are checked once, however
-    many stages share it.  Every other check runs on stacks: the correctly
-    shaped arrays of one field (say Q^i, or R^{ij}) across those objects
-    are tested together, one ``eigvalsh`` call per stack.
+    x_target, u_target, and with none the game's checked view.
+    ``for_stackelberg`` additionally requires the first player's cross
+    control weights R^{1j} to be positive semidefinite, which the feedback
+    Stackelberg solver needs for a convex leader stage problem.  The checks
+    run on the stacks of :class:`_Stacks`, one ``eigvalsh`` call per weight.
     """
-    out: list[Violation] = []
+    stacks = _Stacks(spec, for_stackelberg)
+    for order, ok, need in stacks.checks:
+        stacks.found.extend((k, order(i), message) for k, i, message
+                            in _column_violations(stacks.columns[order(0)], ok, need, tol))
+    violations = stacks.violations()
+    return ValidationReport(violations, None if violations else stacks.view())
 
-    def add(loc, msg):
-        out.append(Violation(loc, msg))
 
-    n = spec.n_players
-    p = spec.state_dim
-    dims = spec.control_dims
-    if spec.horizon < 1:
-        add("horizon", f"must be >= 1, got {spec.horizon}")
-    if p < 1:
-        add("state_dim", f"must be >= 1, got {p}")
-    if n < 1:
-        add("players", "at least one player is required")
-    for i, m in enumerate(dims):
-        if m < 1:
-            add(f"players/{i}/control_dim", f"must be >= 1, got {m}")
-    if len(spec.stages) != spec.horizon:
-        add("stages", f"expected {spec.horizon} stages, got {len(spec.stages)}")
-        return ValidationReport(tuple(out))
-    if out:
-        return ValidationReport(tuple(out))
+_FIELDS = ("A", "B", "s", "Q", "R", "x_target", "u_target")
 
-    distinct = list({id(st): st for st in spec.stages}.values())
-    found: list[tuple] = []  # (distinct stage, order in the stage, location, message)
 
-    def held(order, field, what):
-        """The distinct stages whose ``field`` holds one array per player,
-        or one per ordered pair for the tables R and u_target; the others
-        are reported at ``field``."""
-        table = field in ("R", "u_target")
-        ks = []
-        for k, st in enumerate(distinct):
-            arrays = getattr(st, field)
-            if tuple(map(len, arrays)) == (n,) * n if table else len(arrays) == n:
-                ks.append(k)
+class _Stacks:
+    """A game's stage data stacked across its distinct StageData objects,
+    shapes checked as they are stacked, once however many stages share an
+    object: the one stacking behind :func:`validate` and :meth:`StageArrays.of`.
+
+    An entry's order in a stage, (0,) for A to (6, i, j) for u_target^{ij},
+    also names its location.  Entries of one shape stack as a column (K,
+    count, *shape) in ``columns``, keyed by the first entry's order, and
+    ``checks`` holds per column the entries' orders, which arrays had the
+    right shape and requirements.  ``found`` holds (distinct stage, order,
+    message) per wrong shape or count, ``header`` what stops the stacking.
+    """
+
+    def __init__(self, spec: GameSpec, for_stackelberg: bool = False):
+        n, p, dims = spec.n_players, spec.state_dim, spec.control_dims
+        self.dims, self.header, self.found, self.checks, self.columns = dims, [], [], [], {}
+        add = self.header.append
+        if spec.horizon < 1:
+            add(Violation("horizon", f"must be >= 1, got {spec.horizon}"))
+        if p < 1:
+            add(Violation("state_dim", f"must be >= 1, got {p}"))
+        if n < 1:
+            add(Violation("players", "at least one player is required"))
+        for i, m in enumerate(dims):
+            if m < 1:
+                add(Violation(f"players/{i}/control_dim", f"must be >= 1, got {m}"))
+        if len(spec.stages) != spec.horizon:
+            add(Violation("stages", f"expected {spec.horizon} stages, got {len(spec.stages)}"))
+        if self.header:
+            return
+
+        keys: dict[int, int] = {}
+        self.at = np.array([keys.setdefault(id(st), len(keys)) for st in spec.stages])
+        distinct = list({id(st): st for st in spec.stages}.values())
+
+        def held(order, what):
+            """Per distinct stage, whether the field of ``order`` holds an
+            array per player, or per ordered pair for the tables R, u_target."""
+            name, table = _FIELDS[order[0]], order[0] in (4, 6)
+            counts = [tuple(map(len, getattr(st, name))) if table else len(getattr(st, name))
+                      for st in distinct]
+            has = [count == ((n,) * n if table else n) for count in counts]
+            self.found.extend((k, order, f"expected an {n}x{n} {what}" if table
+                               else f"expected {n} {what}, got {counts[k]}")
+                              for k, ok in enumerate(has) if not ok)
+            return None if all(has) else has
+
+        def stack(order, shape, get, has=None, count=1, need=lambda i: None):
+            """Stack the entries ``get(st)`` of the distinct stages, entry i at
+            ``order(i)``, as a column; a misshapen array, reported, and those
+            of a stage without ``has`` stack as zeros, marked in ``ok``."""
+            rows = [get(st) if has is None or has[k] else None for k, st in enumerate(distinct)]
+            try:
+                column, ok = np.array([a for row in rows for a in row], dtype=float), None
+            except (TypeError, ValueError):  # a missing row, or arrays of several shapes
+                column = None
+            if column is not None and column.shape[1:] == shape:
+                column = column.reshape((len(rows), count) + shape)
             else:
-                found.append((k, order, field, f"expected an {n}x{n} {what}" if table
-                              else f"expected {n} {what}, got {len(arrays)}"))
-        return ks
+                ok = [[a.shape == shape for a in row] if row else [False] * count for row in rows]
+                self.found.extend((k, order(i), f"expected shape {shape}, got {a.shape}")
+                                  for k, row in enumerate(rows) if row
+                                  for i, a in enumerate(row) if not ok[k][i])
+                blank = np.zeros(shape)
+                column = np.array([[a if fit else blank for a, fit in zip(row, fits)] if row
+                                   else [blank] * count for row, fits in zip(rows, ok)])
+            self.columns[order(0)] = column
+            self.checks.append((order, ok, need))
 
-    def check(order, loc, ks, arrays, shape, need=None):
-        """Check one entry of a field across the distinct stages ``ks``."""
-        good = [a.shape == shape for a in arrays]
-        if not all(good):
-            found.extend((k, order, loc, f"expected shape {shape}, got {a.shape}")
-                         for k, a, ok in zip(ks, arrays, good) if not ok)
-            ks = [k for k, ok in zip(ks, good) if ok]
-            arrays = [a for a, ok in zip(arrays, good) if ok]
-        if arrays:
-            found.extend((ks[j], order, loc, message)
-                         for j, message in _stack_violations(np.array(arrays), need, tol))
-
-    everyone = range(len(distinct))
-    check((0,), "A", everyone, [st.A for st in distinct], (p, p))
-    ks = held((1,), "B", "control matrices")
-    for j in range(n):
-        check((1, j), f"B/{j}", ks, [distinct[k].B[j] for k in ks], (p, dims[j]))
-    check((2,), "s", everyone, [st.s for st in distinct], (p,))
-    ks = held((3,), "Q", "state weights")
-    for i in range(n):
-        check((3, i), f"Q/{i}", ks, [distinct[k].Q[i] for k in ks], (p, p), "PSD")
-    ks = held((4,), "R", "table of control weights")
-    for i in range(n):
+        stack(lambda i: (0,), (p, p), lambda st: (st.A,))
+        has = held((1,), "control matrices")
         for j in range(n):
-            need = "PD" if i == j else "PSD" if for_stackelberg and i == 0 else "symmetric"
-            check((4, i, j), f"R/{i}/{j}", ks, [distinct[k].R[i][j] for k in ks],
-                  (dims[j], dims[j]), need)
-    ks = held((5,), "x_target", "state targets")
-    for i in range(n):
-        check((5, i), f"x_target/{i}", ks, [distinct[k].x_target[i] for k in ks], (p,))
-    ks = held((6,), "u_target", "table of control targets")
-    for i in range(n):
+            stack(lambda i, j=j: (1, j), (p, dims[j]), lambda st, j=j: (st.B[j],), has)
+        stack(lambda i: (2,), (p,), lambda st: (st.s,))
+        stack(lambda i: (3, i), (p, p), lambda st: st.Q, held((3,), "state weights"), n,
+              lambda i: "PSD")
+        has = held((4,), "table of control weights")
         for j in range(n):
-            check((6, i, j), f"u_target/{i}/{j}", ks, [distinct[k].u_target[i][j] for k in ks],
-                  (dims[j],))
+            stack(lambda i, j=j: (4, i, j), (dims[j], dims[j]), lambda st, j=j: [r[j] for r in st.R],
+                  has, n, lambda i, j=j: "PD" if i == j else "PSD" if for_stackelberg and i == 0
+                  else "symmetric")
+        stack(lambda i: (5, i), (p,), lambda st: st.x_target, held((5,), "state targets"), n)
+        has = held((6,), "table of control targets")
+        for j in range(n):
+            stack(lambda i, j=j: (6, i, j), (dims[j],), lambda st, j=j: [u[j] for u in st.u_target],
+                  has, n)
 
-    if found:
+    def violations(self) -> tuple[Violation, ...]:
+        """The header's violations, or else every one found, at each stage
+        holding its StageData object, by stage and in entry order."""
+        if self.header or not self.found:
+            return tuple(self.header)
         by_stage: dict[int, list] = {}
-        for k, _, loc, message in sorted(found, key=lambda f: f[:2]):
+        for k, order, message in sorted(self.found, key=lambda f: f[:2]):
+            loc = "/".join([_FIELDS[order[0]], *map(str, order[1:])])
             by_stage.setdefault(k, []).append((loc, message))
-        index = {id(st): k for k, st in enumerate(distinct)}
-        for t, st in enumerate(spec.stages):
-            for loc, message in by_stage.get(index[id(st)], ()):
-                add(f"stages/{t}/{loc}", message)
-    return ValidationReport(tuple(out))
+        return tuple(Violation(f"stages/{t}/{loc}", message) for t, k in enumerate(self.at)
+                     for loc, message in by_stage.get(k, ()))
+
+    def view(self) -> StageArrays:
+        """The columns laid out over the T stages; for a game of right shapes."""
+        c, blocks, n = self.columns, _blocks(self.dims), len(self.dims)
+        K, M = len(c[(2,)]), sum(self.dims)
+        R, ut = np.zeros((K, n, M, M)), np.zeros((K, n, M))
+        for j, b in enumerate(blocks):
+            R[:, :, b, b], ut[:, :, b] = c[4, 0, j], c[6, 0, j]
+        fields = dict(A=c[(0,)][:, 0], B=np.concatenate([c[1, j][:, 0] for j in range(n)], axis=2),
+                      s=c[(2,)][:, 0], Q=c[3, 0], xt=c[5, 0], R=R, ut=ut)
+        if K < len(self.at):  # stages that share one StageData share its entries
+            fields = {name: arr.take(self.at, axis=0) for name, arr in fields.items()}
+        return StageArrays._laid_out(blocks, **fields)
 
 
-def _stack_violations(M: np.ndarray, need: str | None, tol: float):
-    """``(k, message)`` for each array ``M[k]`` of a stack (K, ...) that
-    fails requirement ``need``: None (finite only), "symmetric", "PSD" or
-    "PD".  A non-finite array is tested no further, an asymmetric one is
-    not tested for definiteness.  The asymmetry gap, as in
-    :func:`dyngame.numerics.asymmetry`, and the symmetric part are formed
-    from halves, so finite entries near the float range do not overflow; a
-    smallest eigenvalue that is still not finite is reported as such, not
-    printed as a number."""
-    finite = np.isfinite(M).reshape(len(M), -1).all(axis=1)
-    for k in np.flatnonzero(~finite):
-        yield k, "not finite"
-    if need is None:
+def _column_violations(C: np.ndarray, ok, need, tol: float):
+    """``(k, i, message)`` for each array ``C[k, i]`` of a column (K, count,
+    ...) of the right shape (``ok[k][i]``, all if None) that fails ``need(i)``:
+    None (finite only), "symmetric", "PSD" or "PD", tested on the whole
+    column but for one ``eigvalsh`` per entry.  A non-finite array is tested
+    no further, an asymmetric one not for definiteness.  The asymmetry gap (see
+    :func:`dyngame.numerics.asymmetry`) and the symmetric part are formed from
+    halves, which do not overflow; a non-finite smallest eigenvalue is shown so."""
+    ok = True if ok is None else np.array(ok, dtype=bool)
+    finite = np.isfinite(C).reshape(C.shape[:2] + (-1,)).all(axis=2)
+    for k, i in zip(*np.nonzero(ok & ~finite)):
+        yield k, i, "not finite"
+    needs = [need(i) for i in range(C.shape[1])]
+    if needs.count(None) == len(needs):
         return
-    keep = np.flatnonzero(finite)
-    F = M[keep]
-    half = np.abs(0.5 * F - 0.5 * F.swapaxes(1, 2)).max(axis=(1, 2))
-    asymmetric = half > 0.5 * tol * (1.0 + np.abs(F).max(axis=(1, 2)))
-    for k in np.flatnonzero(asymmetric):
-        yield keep[k], f"not symmetric (max asymmetry {2.0 * float(half[k]):.2e})"
-    if need == "symmetric":
-        return
-    keep, F = keep[~asymmetric], F[~asymmetric]
-    min_eig = np.linalg.eigvalsh(0.5 * F + 0.5 * F.swapaxes(1, 2)).min(axis=1)
-    if need == "PD":
-        failed, what = ~(min_eig > tol), "positive definite"
-    else:  # PSD, or PD: for tol < 0 the PD bound is the looser one
-        failed, what = ~((min_eig > tol) | (min_eig >= -tol)), "positive semidefinite"
-    for k in np.flatnonzero(failed):
-        shown = f"{min_eig[k]:.3e}" if np.isfinite(min_eig[k]) else "not finite"
-        yield keep[k], f"not {what} (min eigenvalue {shown})"
+    tested = ok & finite & np.array([what is not None for what in needs])
+    F = np.where(tested[:, :, None, None], C, 0.0)
+    half = np.abs(0.5 * F - 0.5 * F.swapaxes(2, 3)).max(axis=(2, 3))
+    asymmetric = tested & (half > 0.5 * tol * (1.0 + np.abs(F).max(axis=(2, 3))))
+    for k, i in zip(*np.nonzero(asymmetric)):
+        yield k, i, f"not symmetric (max asymmetry {2.0 * float(half[k, i]):.2e})"
+    for i, required in enumerate(needs):
+        if required not in ("PSD", "PD"):
+            continue
+        keep = np.flatnonzero(tested[:, i] & ~asymmetric[:, i])
+        min_eig = np.linalg.eigvalsh(0.5 * F[keep, i] + 0.5 * F[keep, i].swapaxes(1, 2)).min(axis=1)
+        if required == "PD":
+            failed, what = ~(min_eig > tol), "positive definite"
+        else:  # PSD, or PD: for tol < 0 the PD bound is the looser one
+            failed, what = ~((min_eig > tol) | (min_eig >= -tol)), "positive semidefinite"
+        for k in np.flatnonzero(failed):
+            shown = f"{min_eig[k]:.3e}" if np.isfinite(min_eig[k]) else "not finite"
+            yield keep[k], i, f"not {what} (min eigenvalue {shown})"
 
 
-def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> None:
+def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> StageArrays:
+    """The checked view of ``spec`` that :func:`validate` yields; a game
+    with any violation raises InvalidGameError listing them all."""
     report = validate(spec, tol=tol, for_stackelberg=for_stackelberg)
-    if not report.ok:
-        raise InvalidGameError(
-            "game definition failed validation:\n  " + "\n  ".join(report.messages()),
-            violations=report.messages(),
-        )
+    _refuse(report.violations)
+    return report.view
+
+
+def _refuse(violations) -> None:
+    if violations:
+        messages = [str(v) for v in violations]
+        raise InvalidGameError("game definition failed validation:\n  " + "\n  ".join(messages),
+                               violations=messages)
+
+
+def _blocks(dims) -> tuple[slice, ...]:  # each player's rows of the M = sum(dims) control rows
+    return tuple(slice(a - m, a) for a, m in zip(accumulate(dims), dims))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +388,8 @@ class StageArrays:
 
     Each stage of the equilibrium recursions is one block system over all
     players, so the solvers and :func:`rollout` read the game in this
-    layout, while :class:`StageData` stays the input, validation and file
-    format.  With M = sum m_i control rows, player i's rows at
-    ``blocks[i]``:
+    layout, while :class:`StageData` stays the input and file format.
+    With M = sum m_i control rows, player i's rows at ``blocks[i]``:
 
     * ``A`` (T, p, p), ``B`` (T, p, M), ``s`` (T, p): the dynamics, B^i in
       player i's columns;
@@ -353,8 +399,8 @@ class StageArrays:
       diagonal in the R^{ij}; ``ut`` (T, n, M): player i's targets for all
       controls.
 
-    Build it with :meth:`of` wherever it is read: a view stored on every
-    GameSpec would live as long as each game does.
+    :func:`require_valid` returns the checked view, :meth:`of` the unchecked
+    one; a view stored on every GameSpec would live as long as the game.
     """
 
     A: np.ndarray
@@ -370,59 +416,31 @@ class StageArrays:
 
     @classmethod
     def of(cls, spec: GameSpec) -> StageArrays:
-        """The view of ``spec``, stacked field by field across the distinct
-        StageData objects, as :func:`validate` checks them.  An entry that
-        is missing or misshapen raises InvalidGameError naming its stage
-        and field."""
-        T, p, n, dims = spec.horizon, spec.state_dim, spec.n_players, spec.control_dims
-        if T < 1 or n < 1 or len(spec.stages) != T:
-            raise InvalidGameError(f"expected T = {T} >= 1 stages and n = {n} >= 1 players")
-        keys: dict[int, int] = {}
-        at = [keys.setdefault(id(st), len(keys)) for st in spec.stages]
-        distinct = list({id(st): st for st in spec.stages}.values())
-        blocks = tuple(slice(a - m, a) for a, m in zip(accumulate(dims), dims))
-        M, K = sum(dims), len(distinct)
+        """The view of ``spec``, shapes checked and values not: a misshapen
+        game raises InvalidGameError with :func:`validate`'s shape violations."""
+        stacks = _Stacks(spec)
+        _refuse(stacks.violations())
+        return stacks.view()
 
-        def stack(loc, shape, get, count=1):
-            """``get(st, i)`` for i < count from each distinct stage,
-            stacked (K, count, *shape)."""
-            try:
-                stacked = np.array([get(st, i) for st in distinct for i in range(count)])
-            except (IndexError, ValueError):  # a missing entry, or shapes that differ
-                stacked = None
-            if stacked is None or stacked.shape[1:] != shape:
-                for k, st in enumerate(distinct):
-                    for i in range(count):
-                        try:
-                            got = f"shape {get(st, i).shape}"
-                        except IndexError:
-                            got = "no entry"
-                        if got != f"shape {shape}":
-                            raise InvalidGameError(f"stages/{at.index(k)}/{loc(i)}: "
-                                                   f"expected shape {shape}, got {got}")
-            return stacked.reshape((K, count) + shape)
-
-        fields = dict(
-            A=stack(lambda i: "A", (p, p), lambda st, i: st.A)[:, 0],
-            B=np.concatenate([stack(lambda i: f"B/{j}", (p, m), lambda st, i: st.B[j])[:, 0]
-                              for j, m in enumerate(dims)], axis=2),
-            s=stack(lambda i: "s", (p,), lambda st, i: st.s)[:, 0],
-            Q=stack(lambda i: f"Q/{i}", (p, p), lambda st, i: st.Q[i], n),
-            xt=stack(lambda i: f"x_target/{i}", (p,), lambda st, i: st.x_target[i], n),
-            R=np.zeros((K, n, M, M)),
-            ut=np.zeros((K, n, M)))
-        for j, (b, m) in enumerate(zip(blocks, dims)):
-            fields["R"][:, :, b, b] = stack(lambda i: f"R/{i}/{j}", (m, m),
-                                            lambda st, i: st.R[i][j], n)
-            fields["ut"][:, :, b] = stack(lambda i: f"u_target/{i}/{j}", (m,),
-                                          lambda st, i: st.u_target[i][j], n)
-        for name, arr in fields.items():
-            if K < T:  # stages that share one StageData share its entries
-                fields[name] = arr = arr.take(at, axis=0)
+    @classmethod
+    def _laid_out(cls, blocks, **fields) -> StageArrays:
+        """The view of ``fields``, made C-contiguous (a sweep's bits depend on it) and read-only."""
+        fields = {name: np.ascontiguousarray(arr) for name, arr in fields.items()}
+        owner = np.arange(len(blocks)).repeat([b.stop - b.start for b in blocks])
+        rows = np.arange(len(owner))
+        for arr in (*fields.values(), owner, rows):
             arr.flags.writeable = False
-        owner, rows = np.repeat(np.arange(n), dims), np.arange(M)
-        owner.flags.writeable = rows.flags.writeable = False
         return cls(**fields, blocks=blocks, owner=owner, rows=rows)
+
+    def select(self, players) -> StageArrays:
+        """The game of ``players`` alone, in that order: an index selection of
+        their blocks, whose principal sub-blocks keep plain validation's PD/PSD."""
+        keep = list(players)
+        cols = np.concatenate([self.rows[self.blocks[i]] for i in keep])
+        return self._laid_out(_blocks([self.blocks[i].stop - self.blocks[i].start for i in keep]),
+                              A=self.A, B=self.B[:, :, cols], s=self.s, Q=self.Q[:, keep],
+                              xt=self.xt[:, keep], R=self.R[:, keep][:, :, cols[:, None], cols],
+                              ut=self.ut[:, keep][:, :, cols])
 
     def own(self, X: np.ndarray, lead: int = 0) -> np.ndarray:
         """Each control row of its own player: row k of ``X[owner[k]]`` for
@@ -694,7 +712,7 @@ def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Game transformations used by oracles and time-consistency checks
+# Game transformations
 
 
 def truncate(spec: GameSpec, start: int) -> GameSpec:
@@ -705,57 +723,35 @@ def truncate(spec: GameSpec, start: int) -> GameSpec:
                     players=spec.players, stages=spec.stages[start:])
 
 
-def _player_subgame(spec: GameSpec, keep, drifts=None) -> GameSpec:
+def _player_subgame(spec: GameSpec, keep) -> GameSpec:
     """The game restricted to players ``keep``, in that order, every cost
-    block kept; ``drifts[t]`` replaces stage t's drift when given.  Without
-    drifts, stages that share one StageData object share its restriction."""
-    def restricted(st, s):
-        return StageData(
-            A=st.A,
+    block kept; stages that share a StageData object share its restriction."""
+    def restricted(st):
+        return replace(
+            st,
             B=tuple(st.B[i] for i in keep),
-            s=s,
             Q=tuple(st.Q[i] for i in keep),
             R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
             x_target=tuple(st.x_target[i] for i in keep),
             u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep),
         )
 
-    if drifts is None:
-        built = {key: restricted(st, st.s) for key, st in {id(st): st for st in spec.stages}.items()}
-        stages = tuple(built[id(st)] for st in spec.stages)
-    else:
-        stages = tuple(restricted(st, drifts[t]) for t, st in enumerate(spec.stages))
+    built = {key: restricted(st) for key, st in {id(st): st for st in spec.stages}.items()}
     return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
-                    players=tuple(spec.players[i] for i in keep), stages=stages)
+                    players=tuple(spec.players[i] for i in keep),
+                    stages=tuple(built[id(st)] for st in spec.stages))
 
 
-def drop_player(spec: GameSpec, player: int) -> GameSpec:
-    """The game of every player but one, with its stage drifts unchanged.
-
-    Paired with :func:`folded_drifts`, whose sequences replace those drifts
-    (``drifts`` of :func:`dyngame.openloop_nash.solve`), it is the game the
-    others play against many frozen sequences of that player at once.
-    """
-    return _player_subgame(spec, _others(spec, player))
-
-
-def folded_drifts(spec: GameSpec, player: int, controls: np.ndarray) -> np.ndarray:
-    """Stage drifts ``s_t + B_t^player u_t`` with one player's control
-    sequence u (T, m) folded in, (T, p); S sequences (S, T, m) give S drift
-    sequences (S, T, p)."""
+def folded_drifts(view: StageArrays, player: int, controls: np.ndarray) -> np.ndarray:
+    """Stage drifts ``s_t + B_t^player u_t`` of a game's view with one
+    player's control sequence u (T, m) folded in, (T, p); S sequences
+    (S, T, m) give S drift sequences (S, T, p)."""
     controls = np.asarray(controls, dtype=float)
-    shape = (spec.horizon, spec.control_dims[player])
+    shape = (len(view.A), len(view.rows[view.blocks[player]]))
     if controls.ndim not in (2, 3) or controls.shape[-2:] != shape:
         raise InvalidGameError(f"controls have shape {controls.shape}, expected {shape} "
                                f"or (samples, {', '.join(map(str, shape))})")
-    view = StageArrays.of(spec)
     return view.s + np.einsum("tpm,...tm->...tp", view.B[:, :, view.blocks[player]], controls)
-
-
-def _others(spec: GameSpec, player: int) -> list[int]:
-    if not 0 <= player < spec.n_players:
-        raise InvalidGameError(f"player {player} outside [0, {spec.n_players})")
-    return [i for i in range(spec.n_players) if i != player]
 
 
 def reorder_players(spec: GameSpec, order) -> GameSpec:
@@ -766,9 +762,3 @@ def reorder_players(spec: GameSpec, order) -> GameSpec:
         raise InvalidGameError(
             f"order must be a permutation of 0..{spec.n_players - 1}, got {order}")
     return _player_subgame(spec, order)
-
-
-def single_player_view(spec: GameSpec, player: int) -> GameSpec:
-    """The one-player control problem a player faces when all other control
-    channels are absent (B^j = 0 is the caller's responsibility to check)."""
-    return _player_subgame(spec, [player])

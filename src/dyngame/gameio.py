@@ -190,8 +190,9 @@ def _check_list(value, pointer, n):
 
 
 def _as_finite(value, pointer, kind):
-    """``value`` as a float array whose entries are all finite: JSON's
-    ``NaN``/``Infinity`` and numbers beyond the float range are refused."""
+    """``value`` as a float array of finite numbers: JSON's booleans and
+    strings, ``NaN``/``Infinity`` and numbers beyond the float range are refused."""
+    _require_numbers(value, pointer)
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -200,6 +201,15 @@ def _as_finite(value, pointer, kind):
     if bad.size:
         raise GameFormatError(pointer, f"entries must be finite numbers, got {bad[0]}")
     return arr
+
+
+def _require_numbers(value, pointer):
+    """Refuse a boolean or string among the entries of nested arrays."""
+    if isinstance(value, list) and not set(map(type, value)) <= {float, int}:
+        for item in value:
+            _require_numbers(item, pointer)
+    elif isinstance(value, (bool, str)):
+        raise GameFormatError(pointer, f"entries must be numbers, got {json.dumps(value)}")
 
 
 def _as_matrix(value, pointer, rows, cols, square=False):

@@ -59,12 +59,11 @@ class ControlSolution:
 
 def solve_control(spec: GameSpec) -> ControlSolution:
     """Optimal affine feedback for the one-player game with zero targets."""
-    require_valid(spec)
+    view = require_valid(spec)
     if spec.n_players != 1:
         raise InvalidGameError(
             f"single-player control requires exactly one player, got {spec.n_players}"
         )
-    view = StageArrays.of(spec)
     targeted = np.flatnonzero(view.xt.any(axis=(1, 2)) | view.ut.any(axis=(1, 2)))
     if targeted.size:
         raise InvalidGameError(

@@ -62,9 +62,8 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
     :func:`sweep` that starts at stage 0; its path is priced as
     :func:`dyngame.game.rollout` prices it.
     """
-    require_valid(spec)
+    view = require_valid(spec)
     x0 = initial_state(spec, x0)
-    view = StageArrays.of(spec)
     s = view.s[None] if drifts is None else drift_samples(spec, drifts)
     u, Mc, m, Phi, phi, G, g = (a[0] for a in sweep(view, [0], x0[None], s))
     if drifts is None:

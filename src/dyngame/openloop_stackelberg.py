@@ -96,7 +96,7 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     This is the one lane of :func:`sweep` that starts at stage 0; its path
     is priced as :func:`dyngame.game.rollout` prices it.
     """
-    require_valid(spec)
+    view = require_valid(spec)
     if spec.n_players < 2:
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
     x0 = initial_state(spec, x0)
@@ -110,7 +110,6 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
             raise InvalidGameError(
                 f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
             )
-    view = StageArrays.of(spec)
     u, z, K, k, N, Xi, P = (a[0] for a in sweep(view, [0], np.hstack([x0, mu0.ravel()])[None]))
     g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
     laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)

@@ -14,7 +14,7 @@ finite-difference sample of one check goes through a single rollout over
 a sample axis.  The open-loop Stackelberg leader's checks, whose objective
 re-solves the followers' game for each leader sequence, batch that
 re-solve too: the followers' games of all samples differ only in their
-drifts, so one drift-batched :func:`dyngame.openloop_nash.solve` answers
+drifts, so one drift-batched :func:`dyngame.openloop_nash.sweep` answers
 all of them (see :func:`leader_cost_open_loop`).  The feedback
 stationarity check rolls its probes out in chunks of at most
 ``_FEEDBACK_ROWS`` sample-stages, which bounds its memory at long horizons
@@ -30,8 +30,8 @@ import numpy as np
 from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, drop_player, folded_drifts,
-                   require_valid, rollout, truncate)
+from .game import (AffineLaw, GameSpec, _stage_costs, drift_samples, folded_drifts,
+                   initial_state, require_valid, rollout, sequence_path)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -293,17 +293,23 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     ``u_leader`` is one sequence (T, m), whose cost is a float, or S of
     them (S, T, m), whose costs are an (S,) array.  The followers' games of
     all S sequences share every matrix and differ only in their drifts
-    s_t + B_t^0 u_t, so the followers' game is built once and one
-    drift-batched open-loop Nash solve answers all S of them.  The leader's
-    controls enter that solve through the drift, so its paths are the full
-    game's paths, on which the leader's stage costs are then priced.
+    s_t + B_t^0 u_t, so one drift-batched open-loop Nash sweep on the
+    followers' blocks of the game's checked view answers all S of them.
+    The leader's controls enter it through the drift, so its paths are the
+    full game's paths, on which the same view prices the leader.
     """
+    view = require_valid(spec)
+    if spec.n_players < 2:
+        raise InvalidGameError("a leader cost needs a leader and at least one follower")
+    x0 = initial_state(spec, x0)
     u = np.atleast_2d(np.asarray(u_leader, dtype=float))
     batch = u if u.ndim == 3 else u[None]
-    path = openloop_nash.solve(drop_player(spec, 0), x0,
-                               drifts=folded_drifts(spec, 0, batch)).trajectory
+    s = drift_samples(spec, folded_drifts(view, 0, batch))
+    followers = view.select(range(1, spec.n_players))
+    path = sequence_path(followers, x0, openloop_nash.sweep(followers, [0], x0[None], s)[0][0],
+                         s, True)
     controls = np.concatenate([batch, *path.controls], axis=-1)
-    costs = _stage_costs(StageArrays.of(spec), path.states, controls)[:, 0].sum(axis=-1)
+    costs = _stage_costs(view, path.states, controls)[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
 
 
@@ -363,19 +369,17 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
 
     The tails are the lanes of one sweep of the solver (see
     :meth:`dyngame.game.StageArrays.lanes`), one call per chunk of at most
-    ``_FEEDBACK_ROWS`` coefficient blocks, on one view of the game validated
-    once: validity holds stage by stage, so stages 1..T-1 being valid
-    covers every tail.  Lanes share the stage data, never a computed row,
-    so each tail is its own solve, compared with the solution's rows from
-    its start on.
+    ``_FEEDBACK_ROWS`` coefficient blocks, on the checked view of one
+    validation, which covers every tail.  Lanes share the stage data, never
+    a computed row, so each tail is its own solve, compared with the
+    solution's rows from its start on.
     """
     row = _solver_row(solution, pattern)
     T = spec.horizon
     gaps: dict[str, list[float]] = {"tail": [], "reset": []}
     if T > 1:
         # Open-loop Stackelberg validates as a plain game, like its solver.
-        require_valid(truncate(spec, 1), for_stackelberg=row.stackelberg and pattern == FEEDBACK)
-        view = StageArrays.of(spec)
+        view = require_valid(spec, for_stackelberg=row.stackelberg and pattern == FEEDBACK)
         if pattern == FEEDBACK:
             ref = np.concatenate([np.concatenate([law.G, law.g[..., None]], axis=-1)
                                   for law in solution.laws], axis=1)

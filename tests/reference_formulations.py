@@ -47,12 +47,16 @@ follows its own affine transition maps, and the self-check identities
 (push-through inverses, feedback Stackelberg reaction consistency) test
 algebra the solvers rely on; nothing in the library needs them, nor the
 definiteness classification and symmetrization they and the per-matrix
-validation use.  Nor does it need the central-difference gradient and the
-fold of one player's controls into the drift, which the loop formulations
-and their own tests use.
+validation use.  Nor does it need the central-difference gradient, the
+fold of one player's controls into the drift, or the StageData rebuilds
+of a game for some of its players, which the loop formulations and their
+own tests use; the library selects players on its stage view instead.
+The drift-batched leader cost on the rebuilt followers' game is the
+library's form from before that selection, which the selection must equal
+bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +64,8 @@ from dyngame import feedback_stackelberg, game, lqr, openloop_nash, openloop_sta
 from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
-from dyngame.game import (AffineLaw, GameSpec, Trajectory, ValidationReport, Violation,
-                          drift_samples, folded_drifts, initial_state, require_valid,
+from dyngame.game import (AffineLaw, GameSpec, StageArrays, Trajectory, ValidationReport,
+                          Violation, drift_samples, folded_drifts, initial_state, require_valid,
                           rollout, stage_cost, truncate)
 from dyngame.numerics import SYMMETRY_RTOL, asymmetry, solve_dense
 from dyngame.openloop_nash import OpenLoopNashSolution
@@ -96,8 +100,22 @@ def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> G
     if controls.ndim != 2:
         raise InvalidGameError(f"controls have shape {controls.shape}, expected "
                                f"{(spec.horizon, spec.control_dims[player])}")
-    return game._player_subgame(spec, game._others(spec, player),
-                                folded_drifts(spec, player, controls))
+    others = drop_player(spec, player)
+    drifts = folded_drifts(StageArrays.of(spec), player, controls)
+    return replace(others, stages=tuple(replace(st, s=s) for st, s in zip(others.stages, drifts)))
+
+
+def drop_player(spec: GameSpec, player: int) -> GameSpec:
+    """The game of every player but one, rebuilt as StageData, its stage
+    drifts unchanged: the followers' game of the open-loop leader checks as
+    the library built it before it selected players on the stage view."""
+    return game._player_subgame(spec, [i for i in range(spec.n_players) if i != player])
+
+
+def single_player_view(spec: GameSpec, player: int) -> GameSpec:
+    """The one-player control problem a player faces when all other control
+    channels are absent (B^j = 0 is the caller's responsibility to check)."""
+    return game._player_subgame(spec, [player])
 
 
 def unit(rng, shape):
@@ -213,6 +231,22 @@ def leader_cost_open_loop(spec, u_leader, x0):
     the drift, the followers' open-loop Nash game re-solved for it alone."""
     reaction = openloop_nash.solve(fold_player_controls(spec, 0, u_leader), x0)
     return float(rollout(spec, [u_leader, *reaction.trajectory.controls], x0).total_costs[0])
+
+
+def leader_cost_on_rebuilt_game(spec, u_leader, x0):
+    """:func:`dyngame.verify.leader_cost_open_loop` as the library formed it
+    before it selected the followers on the game's stage view: the
+    followers' game rebuilt by :func:`drop_player` and solved, validation
+    included, by ``openloop_nash.solve`` with every leader sequence folded
+    into the drifts, and the leader priced on a second view of the game."""
+    u = np.atleast_2d(np.asarray(u_leader, dtype=float))
+    batch = u if u.ndim == 3 else u[None]
+    view = StageArrays.of(spec)
+    path = openloop_nash.solve(drop_player(spec, 0), x0,
+                               drifts=folded_drifts(view, 0, batch)).trajectory
+    controls = np.concatenate([batch, *path.controls], axis=-1)
+    costs = game._stage_costs(view, path.states, controls)[:, 0].sum(axis=-1)
+    return costs if u.ndim == 3 else float(costs[0])
 
 
 def leader_gap_open_loop(spec, sol, samples, magnitude, seed):

@@ -16,7 +16,7 @@ import pytest
 
 from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,
                      openloop_stackelberg, verify)
-from dyngame.game import rollout, single_player_view
+from dyngame.game import rollout
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, random_x0, rng_for, \
@@ -173,7 +173,7 @@ def test_criterion_2_reduction_identities(announce, single_player_family,
         # followers without input channels leave the leader with its own
         # single-player problem, in both information patterns
         for spec, x0 in frozen_follower_family:
-            solo = single_player_view(spec, 0)
+            solo = ref.single_player_view(spec, 0)
             solo_fb = feedback_nash.solve(solo)
             fb = feedback_stackelberg.solve(spec)
             for t in range(spec.horizon):

@@ -73,6 +73,26 @@ def test_boolean_control_dim_is_input_error(tmp_path, capsys, command, player):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, value, pointer, shown", [
+    (("A", 0, 1), True, "A", "true"),           # numpy would read it as 1.0
+    (("Q", 1, 0, 0), "0.5", "Q/1", '"0.5"'),    # numpy would parse it
+    (("x_target", 0, 1), False, "x_target/0", "false"),
+])
+def test_boolean_or_string_matrix_entry_is_input_error(tmp_path, capsys, entry, value, pointer,
+                                                       shown):
+    doc = json.loads((GOLDEN / "two_player.json").read_text())
+    target = doc["stages"][2]
+    for k in entry[:-1]:
+        target = target[k]
+    target[entry[-1]] = value
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--game", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"/stages/2/{pointer}: entries must be numbers, got {shown}" in err
+    assert "Traceback" not in err
+
+
 def test_solve_feedback_nash_values(unit_game_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli.main(["solve", "--game", unit_game_path, "--solver", "feedback-nash",
@@ -354,7 +374,7 @@ def test_compare_skips_non_finite_results(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     save_game(overflowing_game(1, 10.0, 400), path)
     out = tmp_path / "cmp.json"
-    assert cli.main(["compare", "--game", str(path), "--x0", "1", "--out", str(out)]) == 0
+    assert cli.main(["compare", "--game", str(path), "--x0", "1", "--out", str(out)]) == 2
     doc = strict_json(out.read_text())
     assert doc["results"] == {}
     assert set(doc["skipped"]) == {"lqr", "feedback-nash", "openloop-nash"}

@@ -2,9 +2,10 @@
 
 ``openloop_nash.solve(spec, x0, drifts)`` solves S games that differ only
 in their stage drifts with one matrix sweep.  ``verify.leader_cost_open_loop``
-uses it to price S leader sequences with one re-solve of the followers'
-game, and the open-loop Stackelberg leader gap and leader stationarity make
-one such call each.  These tests pin the batched solve to S separate
+runs the same drift-batched sweep on the followers' blocks of the game's
+checked view to price S leader sequences with one re-solve, and the
+open-loop Stackelberg leader gap and leader stationarity make one such call
+each.  These tests pin the batched solve to S separate
 solves, the leader checks to the per-sample fold-and-solve loop in
 ``reference_formulations``, and the number of solves per check.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from dyngame import openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import drop_player, folded_drifts, rollout, sequence_path
+from dyngame.game import StageArrays, folded_drifts, rollout, sequence_path
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
@@ -77,7 +78,8 @@ def test_batched_solve_equals_separate_solves_on_folded_games(seed):
     spec = random_game(seed, n_players=2 + seed % 2, time_varying=True)
     x0 = random_x0(seed, spec)
     U = rng_for(seed).standard_normal((4, spec.horizon, spec.control_dims[0]))
-    batch = openloop_nash.solve(drop_player(spec, 0), x0, drifts=folded_drifts(spec, 0, U))
+    batch = openloop_nash.solve(ref.drop_player(spec, 0), x0,
+                                drifts=folded_drifts(StageArrays.of(spec), 0, U))
     for k in range(4):
         assert_same_solution(batch, k, openloop_nash.solve(ref.fold_player_controls(spec, 0, U[k]), x0))
 
@@ -160,14 +162,15 @@ def test_leader_checks_match_the_per_sample_loop(seed):
 
 
 def count_solves(monkeypatch):
+    """Count the followers' re-solves: each is one open-loop Nash sweep."""
     calls = []
-    original = openloop_nash.solve
+    original = openloop_nash.sweep
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(openloop_nash, "solve", counted)
+    monkeypatch.setattr(openloop_nash, "sweep", counted)
     return calls
 
 
@@ -195,7 +198,7 @@ def count_state_loops(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(openloop_nash, "sequence_path", counting(sequence_path))
+    monkeypatch.setattr(verify, "sequence_path", counting(sequence_path))
     monkeypatch.setattr(verify, "rollout", counting(rollout))
     return calls
 

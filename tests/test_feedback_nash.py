@@ -3,7 +3,7 @@ import pytest
 
 from dyngame import feedback_nash, lqr
 from dyngame.errors import SingularSystemError
-from dyngame.game import GameSpec, constant_game, rollout, stage_cost, truncate
+from dyngame.game import GameSpec, StageArrays, constant_game, rollout, stage_cost, truncate
 
 import reference_formulations as ref
 from conftest import act, random_game, random_x0, rng_for, scalar_unit_two_player
@@ -115,14 +115,15 @@ def test_cost_scaling_invariance():
 def test_singular_stage_reported_with_stage_index():
     # scalar 2-player stacked operator [[1 + z1, z1], [z2, 1 + z2]] has
     # determinant 1 + z1 + z2, which vanishes for Q = (1, -2) at T = 1.
-    # The indefinite Q would be caught by validation first, so bypass it to
-    # exercise the singularity path itself.
+    # The indefinite Q would be caught by validation first, so bypass it,
+    # with the unchecked view in place of the checked one, to exercise the
+    # singularity path itself.
     from unittest import mock
 
     spec = constant_game(A=[[1.0]], B=[[[1.0]], [[1.0]]],
                          Q=[[[1.0]], [[-2.0]]],
                          R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=1)
-    with mock.patch.object(feedback_nash, "require_valid"):
+    with mock.patch.object(feedback_nash, "require_valid", StageArrays.of):
         with pytest.raises(SingularSystemError, match="stage 0"):
             feedback_nash.solve(spec)
 

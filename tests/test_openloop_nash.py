@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 from dyngame import feedback_nash, lqr, openloop_nash
 from dyngame.errors import InvalidGameError, SingularSystemError
-from dyngame.game import constant_game, rollout, truncate
+from dyngame.game import StageArrays, constant_game, rollout, truncate
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
@@ -135,11 +135,12 @@ def test_single_stage_equals_feedback_nash():
 
 def test_singular_transition_operator_reported():
     # B (R)^'t B' M = -I makes I + sum B R^-1 B' M vanish; bypass validation
-    # (indefinite Q) to reach the transition solve.
+    # (indefinite Q), with the unchecked view in place of the checked one,
+    # to reach the transition solve.
     from unittest import mock
 
     spec = constant_game(A=[[1.0]], B=[[[1.0]]], Q=[[[-1.0]]], R=[[[[1.0]]]], T=1)
-    with mock.patch.object(openloop_nash, "require_valid"):
+    with mock.patch.object(openloop_nash, "require_valid", StageArrays.of):
         with pytest.raises(SingularSystemError, match="transition operator"):
             openloop_nash.solve(spec, np.array([1.0]))
 

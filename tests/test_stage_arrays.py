@@ -79,10 +79,10 @@ def test_rollout_refuses_a_misshapen_stage():
     bad = replace(spec, stages=(spec.stages[0], replace(st, B=(np.eye(2), st.B[1])),
                                 spec.stages[2]))
     controls = [np.zeros((3, 1)), np.zeros((3, 1))]
-    with pytest.raises(InvalidGameError, match=r"stages/1/B/0: expected shape \(2, 1\), got shape \(2, 2\)"):
+    with pytest.raises(InvalidGameError, match=r"stages/1/B/0: expected shape \(2, 1\), got \(2, 2\)"):
         rollout(bad, controls, np.zeros(2))
     short = replace(spec, stages=(spec.stages[0], replace(st, Q=st.Q[:1]), spec.stages[2]))
-    with pytest.raises(InvalidGameError, match="stages/1/Q/1: expected shape"):
+    with pytest.raises(InvalidGameError, match="stages/1/Q: expected 2 state weights, got 1"):
         rollout(short, controls, np.zeros(2))
 
 

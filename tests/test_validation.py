@@ -17,7 +17,7 @@ import pytest
 
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, constant_game, validate
+from dyngame.game import GameSpec, StageArrays, constant_game, validate
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -185,6 +185,23 @@ def test_violations_equal_the_per_matrix_loop(tol, for_stackelberg):
             "not positive definite", "expected shape", "repeated"} <= kinds
     assert any(k.startswith("expected an ") for k in kinds)  # a wrong table
     assert any(k.split()[1].isdigit() for k in kinds if k.startswith("expected "))  # a wrong count
+
+
+def test_the_unchecked_view_raises_the_shape_violations():
+    """``StageArrays.of`` stacks as ``validate`` does and refuses a game
+    with exactly ``validate``'s violations of shape and count."""
+    refused = 0
+    for seed in FAMILY:
+        spec = malformed_game(seed)
+        shapes = [m for m in validate(spec).messages() if ": expected " in m]
+        if shapes:
+            refused += 1
+            with pytest.raises(InvalidGameError) as info:
+                StageArrays.of(spec)
+            assert info.value.violations == shapes
+        else:
+            assert StageArrays.of(spec).A.shape == (spec.horizon, spec.state_dim, spec.state_dim)
+    assert 0 < refused < len(FAMILY)
 
 
 def test_tolerance_and_leader_mode_change_the_family_verdicts():
