@@ -1,13 +1,14 @@
 """Single-player affine-quadratic control: the n = 1 backbone.
 
 Solves a two-state tracking problem, confirms the quadratic value function
-against a realized rollout, and checks that the n-player feedback Nash
-solver, run on the same one-player game, finds the same laws.
+against a realized rollout, and checks the optimal path against the
+open-loop Nash solver, an independent formulation, run on the same
+one-player game.
 """
 
 import numpy as np
 
-from dyngame import constant_game, feedback_nash, lqr, rollout
+from dyngame import constant_game, lqr, openloop_nash, rollout
 
 # Inventory + backlog dynamics with a seasonal drift; one control channel.
 game = constant_game(
@@ -41,7 +42,9 @@ gap = sol.cost_to_go(t, x) - (stage_cost(game, 0, t, x_next, [u])
                               + sol.cost_to_go(t + 1, x_next))
 print(f"one-step value recursion gap at t={t}: {gap:.2e}")
 
-# For one player, feedback Nash is the same recursion; the laws agree to roundoff.
-nash = feedback_nash.solve(game).laws[0]
-print("law gap to feedback Nash:",
-      max(np.abs(nash.G - law.G).max(), np.abs(nash.g - law.g).max()))
+# The control solver is feedback Nash's recursion on one player.  The
+# open-loop Nash solver reaches the same optimal path through the costates.
+path = openloop_nash.solve(game, x0).trajectory
+print("path gap to open-loop Nash:",
+      max(np.abs(path.states - traj.states).max(),
+          np.abs(path.controls[0] - traj.controls[0]).max()))

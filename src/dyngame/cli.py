@@ -139,6 +139,8 @@ def _parse_x0(arg: str | None, spec: GameSpec, required: bool) -> np.ndarray | N
         else:
             values = [float(v) for v in arg.split(",") if v.strip()]
         x0 = np.asarray(values, dtype=float).ravel()
+    except OSError as exc:
+        raise InvalidGameError(f"cannot read --x0 file: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidGameError(f"--x0 must be a list of numbers: {exc}") from exc
     return initial_state(spec, x0)
@@ -348,8 +350,11 @@ def _trajectory_csv(spec, traj: Trajectory) -> str:
 
 def _write(path, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidGameError(f"cannot write --out file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

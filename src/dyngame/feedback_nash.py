@@ -12,9 +12,11 @@ through the closed loop.  The resulting laws are strongly time consistent:
 the recursion never reads the state, so the tail of a solution solves any
 truncated game.
 
-Index convention: Z_t absorbs the state weight charged on x_t by stage
-t-1 (see :mod:`dyngame.lqr`), so Z_T is the terminal-stage Q and the
-equilibrium cost from x_0 is 1/2 x0'Z_0 x0 + zeta_0'x0 + n_0.
+Index convention: Z_t combines the state weight charged on x_t by stage
+t-1 with the cost-to-go Hessian of stage t, so Z_T is the last stage's Q
+and, since no stage weight is ever charged on x_0, the equilibrium cost
+from x_0 is exactly 1/2 x0'Z_0 x0 + zeta_0'x0 + n_0.  For one player with
+zero cost targets this is single-player control (:mod:`dyngame.lqr`).
 """
 
 from __future__ import annotations

@@ -199,7 +199,10 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
     control weights R^{1j} to be positive semidefinite, which the feedback
     Stackelberg solver needs for a convex leader stage problem.  The checks
     run on the stacks of :class:`_Stacks`, one ``eigvalsh`` call per weight.
+    A NaN or infinite ``tol``, which would fail or pass every test, raises.
     """
+    if not np.isfinite(tol):
+        raise InvalidGameError(f"tol must be finite, got {tol}")
     stacks = _Stacks(spec, for_stackelberg)
     for order, ok, need in stacks.checks:
         stacks.found.extend((k, order(i), message) for k, i, message

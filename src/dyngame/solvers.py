@@ -52,11 +52,6 @@ def _stackelberg_tails(view, sol, starts):
     return {"tail": -feedback_stackelberg.sweep(view, starts)[0]}
 
 
-def _lqr_tails(view, sol, starts):
-    G, g = lqr.sweep(view, starts)[:2]
-    return {"tail": np.concatenate([G, g[..., None]], axis=-1)}
-
-
 def _openloop_nash_tails(view, sol, starts):
     x = sol.trajectory.states[starts]
     return {"tail": openloop_nash.sweep(view, starts, x, view.s[None])[0][:, 0]}
@@ -74,7 +69,7 @@ def _openloop_stackelberg_tails(view, sol, starts):
 
 SOLVERS: dict[str, Solver] = {
     "lqr": Solver(lambda spec, x0: lqr.solve_control(spec),
-                  lqr.ControlSolution, FEEDBACK, False, _lqr_tails),
+                  lqr.ControlSolution, FEEDBACK, False, _feedback_tails),
     "feedback-nash": Solver(lambda spec, x0: feedback_nash.solve(spec),
                             feedback_nash.FeedbackNashSolution, FEEDBACK, False,
                             _feedback_tails),

@@ -54,7 +54,14 @@ _FEEDBACK_ROWS = 8192
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_seed(seed)))
+
+
+def _seed(seed: int) -> int:
+    """``seed``, refused when negative, which PCG64 cannot take."""
+    if seed < 0:
+        raise InvalidGameError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _solver_row(solution, pattern: str) -> solvers.Solver:
@@ -538,7 +545,8 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
                      leader_samples: int = 50, fd_step: float = 1e-5,
                      magnitude: float = 1e-3, seed: int = 0) -> VerificationReport:
     """Run the full oracle battery on one solution and collect a report."""
-    report = VerificationReport(solver=solver_name, pattern=pattern, seed=seed,
+    # Checks draw from seed + i, so a negative seed could pass some of them.
+    report = VerificationReport(solver=solver_name, pattern=pattern, seed=_seed(seed),
                                 samples=samples, fd_step=fd_step, magnitude=magnitude)
     is_stackelberg = _solver_row(solution, pattern).stackelberg
 

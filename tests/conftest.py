@@ -148,11 +148,10 @@ def layer_calls(monkeypatch):
         return counted
 
     targets = {"game.validate": game.validate, "lqr.solve_control": lqr.solve_control}
-    for mod in (feedback_nash, feedback_stackelberg, lqr, openloop_nash, openloop_stackelberg):
+    for mod in (feedback_nash, feedback_stackelberg, openloop_nash, openloop_stackelberg):
         short = mod.__name__.rsplit(".", 1)[1]
         targets[f"{short}.sweep"] = mod.sweep
-        if mod is not lqr:
-            targets[f"{short}.solve"] = mod.solve
+        targets[f"{short}.solve"] = mod.solve
     modules = [mod for name, mod in list(sys.modules.items())
                if mod is not None and (name == "dyngame" or name.startswith("dyngame."))]
     for name, fn in targets.items():

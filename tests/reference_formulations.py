@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Eight kinds live here.  The per-sample loop formulations of the sampling
+Nine kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -16,6 +16,12 @@ feedback Nash by the direct-law recursion, open-loop Nash by the shifted
 costate coefficients, single-player control by the pre-multiplied kernel,
 and both two-player linear-quadratic Stackelberg solutions by closed
 forms.  Each must agree with its library solver to roundoff.
+
+The one-player control sweep is the hand-written n = 1 recursion that
+:func:`dyngame.lqr.solve_control` ran before it became the one-player lane
+of :func:`dyngame.feedback_nash.sweep`: the same algebra on the single
+player's blocks, with its own stage system.  Its laws, value coefficients
+and tail lanes must agree with the library's to roundoff.
 
 The per-matrix game validation checks every stage and every matrix on its
 own, as the library did before it checked stacks; its violations must equal
@@ -547,6 +553,52 @@ def lqr_crosscheck_premultiplied(spec) -> float:
                 np.abs(sigma[0] - main.zeta[0]).max(initial=0.0),
                 abs(q_const[0] - main.n_const[0]))
     return float(worst)
+
+
+def lqr_sweep(view: StageArrays, starts):
+    """The backward recursions of the tail problems from the stages
+    ``starts``, one lane each (see :meth:`StageArrays.lanes`), in one pass
+    over the stages of a validated one-player view with zero targets.
+
+    Every lane owns its law, G (L, T, m, p) and g (L, T, m), zero before
+    its start, and its coefficients Z (L, T+1, p, p), zeta (L, T+1, p) and
+    n (L, T+1), and solves its own stage systems, all lanes' systems of a
+    stage in one stacked call.
+    """
+    starts, begin, end = view.lanes(starts)
+    L = len(starts)
+    T, p, m = view.B.shape
+
+    Z = np.empty((L, T + 1, p, p))
+    zeta = np.zeros((L, T + 1, p))
+    n_const = np.zeros((L, T + 1))
+    Z[:, T] = view.Q[T - 1, 0]
+    G = np.zeros((L, T, m, p))
+    g = np.zeros((L, T, m))
+
+    for t in range(T - 1, starts[0] - 1, -1):
+        a = end[t]
+        A, B, s, R = view.A[t], view.B[t], view.s[t], view.R[t, 0]
+        Zn, zn = Z[:a, t + 1], zeta[:a, t + 1]
+        H = R + B.T @ Zn @ B                      # stage Hessian, PD
+        rhs = np.concatenate([B.T @ Zn @ A, B.T @ (Zn @ s[:, None] + zn[..., None])], axis=2)
+        packed = solve_dense(H, rhs, context=f"stage {t} control gain/offset system")
+        P, alpha = packed[..., :p], packed[..., p]
+        G[:a, t], g[:a, t] = -P, -alpha
+
+        F = A - B @ P
+        d = s - (B @ alpha[..., None])[..., 0]
+        PT, dr, ar = P.swapaxes(1, 2), d[:, None], alpha[:, None]  # rows (a, 1, .)
+        Zt = F.swapaxes(1, 2) @ Zn @ F + PT @ R @ P
+        if t:  # absorbs the stage t-1 weight, except where a lane starts
+            Zt[:begin[t]] += view.Q[t - 1, 0]
+        Z[:a, t] = 0.5 * (Zt + Zt.swapaxes(1, 2))
+        zeta[:a, t] = (F.swapaxes(1, 2) @ (zn + (Zn @ d[..., None])[..., 0])[..., None]
+                       + PT @ R @ alpha[..., None])[..., 0]
+        n_const[:a, t] = (n_const[:a, t + 1] + (0.5 * dr @ Zn @ d[..., None])[:, 0, 0]
+                          + (zn[:, None] @ d[..., None])[:, 0, 0]
+                          + (0.5 * ar @ R @ alpha[..., None])[:, 0, 0])
+    return G, g, Z, zeta, n_const
 
 
 def require_two_player_lq(spec) -> None:

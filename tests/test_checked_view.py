@@ -67,7 +67,7 @@ def test_each_solve_validates_once_and_stacks_no_second_view(solver, layer_calls
     x0 = random_x0(9, spec)
     layer_calls.clear()
     SOLVERS[solver].solve(spec, x0)
-    sweep = ENTRY[solver].split(".")[0] + ".sweep"
+    sweep = ("feedback_nash" if solver == "lqr" else ENTRY[solver].split(".")[0]) + ".sweep"
     assert layer_calls == {"game.validate": 1, ENTRY[solver]: 1, sweep: 1}
 
 

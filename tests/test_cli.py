@@ -370,6 +370,26 @@ def test_non_numeric_x0_is_input_error(unit_game_path, tmp_path, capsys, x0_text
     assert err.startswith("error:") and "--x0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["solve", "--x0", "{dir}"], "cannot read --x0 file"),
+    (["solve", "--x0=1,1", "--out", "{dir}/missing/o.json"], "cannot write --out file"),
+    (["verify", "--x0=1,1", "--out", "{dir}"], "cannot write --out file"),
+    (["verify", "--x0=1,1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["validate", "--tol", "nan"], "tol must be finite, got nan"),
+    (["validate", "--tol", "inf"], "tol must be finite, got inf"),
+], ids=["x0-directory", "out-missing-dir", "out-directory", "negative-seed", "tol-nan",
+        "tol-inf"])
+def test_bad_path_seed_or_tol_is_input_error(tmp_path, capsys, flags, message):
+    command, *rest = flags
+    argv = [command, "--game", str(GOLDEN / "one_player.json"),
+            *(arg.format(dir=tmp_path) for arg in rest)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "violation" not in captured.out
+
+
 def test_compare_skips_non_finite_results(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     save_game(overflowing_game(1, 10.0, 400), path)

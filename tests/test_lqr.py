@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from dyngame import lqr
+from dyngame import cli, feedback_nash, lqr
 from dyngame.errors import InvalidGameError
-from dyngame.game import constant_game, rollout, stage_cost
+from dyngame.game import StageArrays, constant_game, rollout, stage_cost
+from dyngame.gameio import save_game
+from dyngame.solvers import SOLVERS
 
 import reference_formulations as ref
 from conftest import act, random_game, random_x0, rng_for, scalar_unit_lqr
@@ -100,3 +104,52 @@ class TestPremultipliedCrossCheck:
         spec = random_game(seed, n_players=1, state_dim=p, control_dims=[m],
                            horizon=T, targets=False)
         assert ref.lqr_crosscheck_premultiplied(spec) <= 1e-12
+
+
+def one_player_games():
+    """Seeded one-player zero-target conftest games, one StageData broadcast
+    over the horizon or one per stage."""
+    for time_varying in (False, True):
+        for seed in range(40):
+            yield random_game(seed, n_players=1, targets=False, state_dim=3, horizon=8,
+                              time_varying=time_varying)
+
+
+def test_control_is_the_one_player_feedback_nash_solve():
+    for spec in one_player_games():
+        ctrl, nash = lqr.solve_control(spec), feedback_nash.solve(spec)
+        assert np.array_equal(ctrl.laws[0].G, nash.laws[0].G)
+        assert np.array_equal(ctrl.laws[0].g, nash.laws[0].g)
+        for name in ("Z", "zeta", "n_const"):
+            assert np.array_equal(getattr(ctrl, name), getattr(nash, name)[0]), name
+
+
+@pytest.mark.parametrize("time_varying", [False, True], ids=["broadcast", "time-varying"])
+def test_cli_lqr_and_feedback_nash_print_the_same_laws(time_varying, tmp_path, capsys):
+    spec = random_game(7, n_players=1, targets=False, state_dim=3, horizon=8,
+                       time_varying=time_varying)
+    path = tmp_path / "game.json"
+    save_game(spec, path)
+    docs = {}
+    for solver in ("lqr", "feedback-nash"):
+        assert cli.main(["solve", "--game", str(path), "--solver", solver]) == 0
+        docs[solver] = json.loads(capsys.readouterr().out)
+    assert docs["lqr"]["laws"] == docs["feedback-nash"]["laws"]
+
+
+def assert_close(lane, expected):
+    assert np.all(np.abs(lane - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_solve_and_tail_lanes_match_the_reference_recursion():
+    for spec in one_player_games():
+        view = StageArrays.of(spec)
+        T = spec.horizon
+        G, g, Z, zeta, n_const = ref.lqr_sweep(view, np.arange(T))
+        sol = lqr.solve_control(spec)
+        assert_close(sol.laws[0].G, G[0])
+        assert_close(sol.laws[0].g, g[0])
+        for name, X in (("Z", Z), ("zeta", zeta), ("n_const", n_const)):
+            assert_close(getattr(sol, name), X[0])
+        tails = SOLVERS["lqr"].tails(view, sol, np.arange(1, T))["tail"]
+        assert_close(tails, np.concatenate([G[1:], g[1:, ..., None]], axis=-1))

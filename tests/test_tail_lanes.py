@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyngame import (cli, feedback_nash, feedback_stackelberg, lqr, openloop_nash,
+from dyngame import (cli, feedback_nash, feedback_stackelberg, openloop_nash,
                      openloop_stackelberg, verify)
 from dyngame.errors import InvalidGameError
 from dyngame.game import AffineLaw, StageArrays, Trajectory
@@ -50,9 +50,9 @@ def stacked_rows(sol):
 def lane_coefficients(solver, view, sol, starts):
     """Each tail lane's value or costate coefficients, by the name of the
     solution field that holds them, with the stage axis of one lane."""
-    if solver == "lqr":
-        Z, zeta, n_const = lqr.sweep(view, starts)[2:]
-        return {"Z": (Z, 0), "zeta": (zeta, 0), "n_const": (n_const, 0)}
+    if solver == "lqr":  # feedback Nash's lanes, read on player axis 0
+        Z, zeta, n_const = feedback_nash.sweep(view, starts)[1:4]
+        return {"Z": (Z[:, 0], 0), "zeta": (zeta[:, 0], 0), "n_const": (n_const[:, 0], 0)}
     if solver in ("feedback-nash", "feedback-stackelberg"):
         module = feedback_nash if solver == "feedback-nash" else feedback_stackelberg
         Z, zeta, n_const = module.sweep(view, starts)[1:4]
@@ -118,7 +118,7 @@ def test_one_validate_view_and_sweep_per_check(solver, T, layer_calls):
         assert not +layer_calls
         assert tc.tail_deviation == 0.0
     else:
-        sweep = f"{solver.replace('-', '_')}.sweep"
+        sweep = "feedback_nash.sweep" if solver == "lqr" else f"{solver.replace('-', '_')}.sweep"
         assert layer_calls == {"game.validate": 1, sweep: 1}
 
 

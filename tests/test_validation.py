@@ -17,7 +17,7 @@ import pytest
 
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, StageArrays, constant_game, validate
+from dyngame.game import GameSpec, StageArrays, constant_game, require_valid, validate
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -213,6 +213,21 @@ def test_tolerance_and_leader_mode_change_the_family_verdicts():
                    for seed in FAMILY)
     assert count(1e-9, False) > count(1e-6, False)
     assert count(1e-9, True) > count(1e-9, False)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_non_finite_tolerance_is_refused(tol):
+    spec = scalar_unit_two_player()
+    with pytest.raises(InvalidGameError, match="tol must be finite"):
+        validate(spec, tol=tol)
+    with pytest.raises(InvalidGameError, match="tol must be finite"):
+        require_valid(spec, tol=tol)
+
+
+def test_negative_tolerance_is_not_refused():
+    # a negative tol is the looser definiteness bound
+    report = validate(scalar_unit_two_player(), tol=-1e-6)
+    assert not any("definite" in message for message in report.messages())
 
 
 def test_shared_stage_violations_repeat_at_every_stage():

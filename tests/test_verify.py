@@ -207,6 +207,19 @@ class TestSettingsWithoutEvidence:
         with pytest.raises(InvalidGameError, match="magnitude"):
             verify.leader_gap(spec, ol, verify.OPEN_LOOP, magnitude=magnitude)
 
+    def test_negative_seed_rejected(self):
+        spec = scalar_unit_two_player()
+        x0 = np.array([1.0])
+        ol = openloop_stackelberg.solve(spec, x0)
+        with pytest.raises(InvalidGameError, match="seed must be >= 0, got -1"):
+            verify.deviation_gap(spec, ol, verify.OPEN_LOOP, player=1, seed=-1)
+        with pytest.raises(InvalidGameError, match="seed must be >= 0, got -1"):
+            verify.leader_gap(spec, ol, verify.OPEN_LOOP, seed=-1)
+        # the follower and leader checks draw from seeds 0 and 1 here
+        with pytest.raises(InvalidGameError, match="seed must be >= 0, got -1"):
+            verify.run_verification(spec, ol, verify.OPEN_LOOP, "openloop-stackelberg",
+                                    x0=x0, samples=5, seed=-1)
+
 
 class TestTimeConsistency:
     def test_feedback_nash_is_stc(self):
