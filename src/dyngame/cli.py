@@ -47,15 +47,15 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except GameFormatError as exc:
-        log.error("invalid game file: %s", exc)
+        log.debug("invalid game file: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InvalidGameError as exc:
-        log.error("invalid input: %s", exc)
+        log.debug("invalid input: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SingularSystemError as exc:
-        log.error("solver failure: %s", exc)
+        log.debug("solver failure: %s", exc)
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except DynGameError as exc:

@@ -1421,7 +1421,7 @@ def validate(spec, tol=1e-9, for_stackelberg=False) -> ValidationReport:
 
 
 def _check_sym_def(M, loc, need, tol, add):
-    gap, too_large = asymmetry(M, tol)
+    gap, too_large = asymmetry(M, abs(tol))
     if too_large:
         add(loc, f"not symmetric (max asymmetry {gap:.2e})")
         return

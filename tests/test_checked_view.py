@@ -8,8 +8,19 @@ report's view to the unchecked ``StageArrays.of`` field for field, the
 player selection on the view to the view of the rebuilt game, and the
 leader cost on the selection to its former form on the rebuilt followers'
 game, bit for bit.
+
+``validate`` and ``StageArrays.of`` keep their results for the last game
+they saw, so a verification job stacks its game once, or twice for
+feedback Stackelberg's leader checks.  The memo tests pin that count, the
+reports under every tolerance and mode, a game seen again after another,
+the release of a collected game's view, and games validated on several
+threads at once.
 """
 
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -17,8 +28,8 @@ import pytest
 
 from dyngame import game, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import StageArrays, StageData, require_valid, validate
-from dyngame.solvers import SOLVERS
+from dyngame.game import StageArrays, StageData, constant_game, require_valid, validate
+from dyngame.solvers import OPEN_LOOP, SOLVERS
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
@@ -58,6 +69,134 @@ def stage_data_built(monkeypatch):
 
     monkeypatch.setattr(StageData, "__post_init__", counted)
     return built
+
+
+@pytest.fixture
+def stacks_built(monkeypatch):
+    """A list that grows by one for every game stacking (``game._Stacks``)."""
+    built = []
+    init = game._Stacks.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(game._Stacks, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_a_verification_job_stacks_its_game_once(solver, stacks_built):
+    """validate, solve and the whole oracle battery read one stacking;
+    feedback Stackelberg's leader-mode validation checks R^{0j} on a second."""
+    n = 1 if solver == "lqr" else 3
+    for time_varying in (False, True):
+        spec = random_game(31, n_players=n, horizon=4, time_varying=time_varying,
+                           targets=solver != "lqr")
+        x0 = random_x0(31, spec)
+        row = SOLVERS[solver]
+        stacks_built.clear()
+        assert validate(spec).ok
+        report = verify.run_verification(spec, row.solve(spec, x0), row.pattern, solver, x0=x0)
+        assert report.passed
+        assert len(stacks_built) == (2 if solver == "feedback-stackelberg" else 1)
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_a_solve_and_its_rollout_stack_the_game_once(solver, stacks_built):
+    n = 1 if solver == "lqr" else 3
+    spec = random_game(32, n_players=n, horizon=6, time_varying=True, targets=solver != "lqr")
+    x0 = random_x0(32, spec)
+    sol = SOLVERS[solver].solve(spec, x0)
+    game.rollout(spec, sol.trajectory.controls if SOLVERS[solver].pattern == OPEN_LOOP
+                 else sol.laws, x0)
+    assert len(stacks_built) == 1
+
+
+@pytest.mark.parametrize("stackelberg_first", [False, True])
+def test_the_leader_mode_report_is_its_own(stackelberg_first):
+    """An indefinite cross weight R^{01} passes plain validation and fails
+    the leader's PSD check, whichever of the two runs first."""
+    spec = constant_game(A=[[1.0]], B=[[[1.0]], [[1.0]]], Q=[[[1.0]], [[1.0]]],
+                         R=[[[[1.0]], [[-1.0]]], [[[0.0]], [[1.0]]]], T=2)
+    leader = [f"stages/{t}/R/0/1: not positive semidefinite (min eigenvalue -1.000e+00)"
+              for t in range(2)]
+    for for_stackelberg in ([True, False] if stackelberg_first else [False, True]):
+        report = validate(spec, for_stackelberg=for_stackelberg)
+        assert report.messages() == (leader if for_stackelberg else [])
+        assert report == ref.validate(spec, for_stackelberg=for_stackelberg)
+
+
+@pytest.mark.parametrize("loose_first", [False, True])
+def test_each_tolerance_gets_its_own_report(loose_first):
+    """A state weight of smallest eigenvalue -1e-8 fails tol = 1e-9 and
+    passes tol = 1e-7, whichever runs first."""
+    spec = constant_game(A=np.eye(2), B=[np.ones((2, 1))], Q=[np.diag([1.0, -1e-8])],
+                         R=[[np.eye(1)]], T=3)
+    for tol in ([1e-7, 1e-9] if loose_first else [1e-9, 1e-7]):
+        report = validate(spec, tol=tol)
+        assert report.ok == (tol == 1e-7), tol
+        assert report == ref.validate(spec, tol=tol)
+        assert report.ok or report.messages()[0].startswith(
+            "stages/0/Q/0: not positive semidefinite (min eigenvalue -1.000e-08)")
+
+
+def test_a_game_seen_again_after_another_gets_its_own_report():
+    a = constant_game(A=[[1.0]], B=[[[1.0]]], Q=[[[-1.0]]], R=[[[[1.0]]]], T=2)
+    b = random_game(33, n_players=2, horizon=3)
+    expected = {id(spec): ref.validate(spec) for spec in (a, b)}
+    for spec in (a, b, a, b):
+        assert validate(spec) == expected[id(spec)]
+    assert not validate(a).ok and validate(b).ok
+    assert StageArrays.of(b) is validate(b).view
+
+
+def test_a_collected_game_is_stacked_afresh_and_its_view_released(stacks_built):
+    spec = random_game(34, n_players=2, horizon=3)
+    view = StageArrays.of(spec)
+    assert validate(spec).view is view and require_valid(spec) is view
+    assert len(stacks_built) == 2  # the view, then the value checks
+    released = weakref.ref(view)
+    del spec, view
+    gc.collect()
+    again = random_game(34, n_players=2, horizon=3)  # may take the freed id
+    StageArrays.of(again)
+    assert len(stacks_built) == 3
+    assert released() is None
+
+
+def test_games_validated_and_rolled_out_on_threads_match_one_thread():
+    """Each thread validates and rolls out its own game; a memo shared by
+    the threads must never hand one thread another game's view."""
+    specs = [random_game(40 + k, n_players=1 + k % 3, state_dim=1 + k % 3, horizon=3 + k,
+                         time_varying=bool(k % 2)) for k in range(4)]
+    x0s = [random_x0(40 + k, spec) for k, spec in enumerate(specs)]
+    controls = [[rng_for(50 + k).standard_normal((spec.horizon, m)) for m in spec.control_dims]
+                for k, spec in enumerate(specs)]
+
+    def run(k):
+        report = validate(specs[k])
+        return report, game.rollout(specs[k], controls[k], x0s[k])
+
+    expected = [run(k) for k in range(4)]
+
+    def repeat(k):
+        for _ in range(50):
+            report, traj = run(k)
+            assert report == expected[k][0]
+            assert_same_view(report.view, expected[k][0].view)
+            assert np.array_equal(traj.states, expected[k][1].states)
+            assert np.array_equal(traj.stage_costs, expected[k][1].stage_costs)
+        return k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(repeat, k) for k in range(4)]
+            assert [f.result(timeout=120) for f in futures] == list(range(4))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,3 +406,18 @@ def test_compare_skips_non_finite_results(tmp_path, capsys):
         "skipped lqr: the result is not finite (NaN or Infinity)\n"
         "skipped feedback-nash: the result is not finite (NaN or Infinity)\n"
         "skipped openloop-nash: the result is not finite (NaN or Infinity)\n")
+
+
+@pytest.mark.parametrize("level, lines", [(None, 1), ("debug", 2)])
+def test_an_input_error_is_printed_once(tmp_path, level, lines):
+    """At the default log level an error reaches stderr as its one
+    ``error:`` line; DYNGAME_LOG=debug adds the log record."""
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1]), "PATH": ""}
+    if level:
+        env["DYNGAME_LOG"] = level
+    done = subprocess.run([sys.executable, "-m", "dyngame.cli", "solve", "--game",
+                           str(GOLDEN / "one_player.json"), "--x0", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 1
+    err = done.stderr.splitlines()
+    assert len(err) == lines and err[-1].startswith("error: cannot read --x0 file"), done.stderr

@@ -165,7 +165,7 @@ def malformed_game(seed) -> GameSpec:
 FAMILY = range(120)
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, -1e-6])
 @pytest.mark.parametrize("for_stackelberg", [False, True])
 def test_violations_equal_the_per_matrix_loop(tol, for_stackelberg):
     kinds = set()
@@ -225,9 +225,14 @@ def test_non_finite_tolerance_is_refused(tol):
 
 
 def test_negative_tolerance_is_not_refused():
-    # a negative tol is the looser definiteness bound
+    # a negative tol is the looser definiteness bound; symmetry is held to |tol|
     report = validate(scalar_unit_two_player(), tol=-1e-6)
-    assert not any("definite" in message for message in report.messages())
+    assert not any("definite" in message or "symmetric" in message
+                   for message in report.messages())
+    skewed = np.array([[1.0, 1e-3], [0.0, 1.0]])
+    spec = constant_game(A=np.eye(2), B=[np.ones((2, 1))], Q=[skewed], R=[[np.eye(1)]], T=1)
+    assert validate(spec, tol=-1e-6).messages() == [
+        "stages/0/Q/0: not symmetric (max asymmetry 1.00e-03)"]
 
 
 def test_shared_stage_violations_repeat_at_every_stage():
