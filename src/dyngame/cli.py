@@ -123,10 +123,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_x0(arg: str | None, spec: GameSpec, required: bool) -> np.ndarray | None:
+#: What needs ``--x0`` when an open-loop solver is asked for.
+_OPEN_LOOP_X0 = "for open-loop solvers: their controls are planned from it"
+
+
+def _parse_x0(arg: str | None, spec: GameSpec, required: str | None) -> np.ndarray | None:
+    """The initial state given by ``--x0``, or None when it is not given
+    and not ``required``, which names what needs it."""
     if arg is None:
         if required:
-            raise InvalidGameError("--x0 is required for open-loop solvers")
+            raise InvalidGameError(f"--x0 is required {required}")
         return None
     try:
         if os.path.exists(arg):
@@ -182,7 +188,8 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _load_and_validate(args)
-    x0 = _parse_x0(args.x0, spec, required=SOLVERS[args.solver].pattern == OPEN_LOOP)
+    x0 = _parse_x0(args.x0, spec, _OPEN_LOOP_X0 if SOLVERS[args.solver].pattern == OPEN_LOOP
+                   else None)
     sol, traj = _solve(spec, args.solver, x0)
 
     if args.format == "csv":
@@ -201,7 +208,7 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _load_and_validate(args)
-    x0 = _parse_x0(args.x0, spec, required=True)
+    x0 = _parse_x0(args.x0, spec, "to simulate: the trajectory starts from it")
     _, traj = _solve(spec, args.solver, x0)
     out = (_trajectory_csv(spec, traj) if args.format == "csv"
            else _dumps({"solver": args.solver, "x0": x0.tolist(),
@@ -213,7 +220,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     spec = _load_and_validate(args)
     pattern = SOLVERS[args.solver].pattern
-    x0 = _parse_x0(args.x0, spec, required=pattern == OPEN_LOOP)
+    x0 = _parse_x0(args.x0, spec, _OPEN_LOOP_X0 if pattern == OPEN_LOOP else None)
     if x0 is None:
         x0 = np.ones(spec.state_dim)
         log.info("no --x0 given; verifying feedback solution from all-ones state")
@@ -231,7 +238,7 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _load_and_validate(args)
-    x0 = _parse_x0(args.x0, spec, required=True)
+    x0 = _parse_x0(args.x0, spec, "to compare: every solver's trajectory starts from it")
 
     rows = {}
     skipped = {}

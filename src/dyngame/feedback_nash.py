@@ -26,9 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularSystemError
 from .game import AffineLaw, GameSpec, StageArrays, require_valid
-from .numerics import solve_dense
+from .numerics import Checks, Site
+
+#: The stacked gain and offset systems of all players, one per stage.
+GAINS = Site("stacked Nash gain/offset system",
+             "the stage first-order conditions admit no unique solution, so the game has "
+             "no unique feedback Nash equilibrium in affine strategies")
 
 
 @dataclass(frozen=True)
@@ -123,27 +127,20 @@ def sweep(view: StageArrays, starts):
     ``zeta`` (L, n, T+1, p) and ``n`` (L, n, T+1), defined from its own
     start on (the laws are zero before it), and solves its own stage
     systems, all lanes' systems of a stage in one stacked call: lanes share
-    the stage data, never a computed row.
+    the stage data, never a computed row.  Every stage solve is tested once
+    the stages are done (see :class:`dyngame.numerics.Checks`).
     """
     starts, begin, end = view.lanes(starts)
     terms = StageTerms.of(view)
     Z, zeta, n_const = terminal_values(view, len(starts))
     T, p, M = view.B.shape
     PA = np.zeros((len(starts), T, M, p + 1))
-    for t in range(T - 1, starts[0] - 1, -1):
-        a = end[t]
-        C, rhs = stage_system(view, terms, t, Z[:a, :, t + 1], zeta[:a, :, t + 1])
-        try:
-            PA[:a, t] = solve_dense(C, rhs, context=f"stage {t} stacked Nash gain/offset system")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the stage first-order conditions admit no unique solution, so the "
-                "game has no unique feedback Nash equilibrium in affine strategies "
-                f"({exc})",
-                context=f"stage {t}",
-                cond_estimate=exc.cond_estimate,
-            ) from exc
-        update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
+    with Checks.sweep(end[starts[0]:]) as checks:
+        for t in range(T - 1, starts[0] - 1, -1):
+            a = end[t]
+            C, rhs = stage_system(view, terms, t, Z[:a, :, t + 1], zeta[:a, :, t + 1])
+            PA[:a, t] = checks.solve(C, rhs, site=GAINS, stage=t)
+            update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
     return PA, Z, zeta, n_const
 
 

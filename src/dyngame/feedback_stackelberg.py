@@ -27,11 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGameError, SingularSystemError
+from .errors import InvalidGameError
 from .feedback_nash import (FeedbackNashSolution, StageTerms, laws_of, stage_system,
                             terminal_values, update_values)
 from .game import GameSpec, StageArrays, require_valid
-from .numerics import factor, solve_dense
+from .numerics import Checks, Site
+
+#: Each stage's systems: the followers' block C_ff, factored once for
+#: their reactions and their gains, and the leader's.
+REACTIONS = Site("follower reaction system",
+                 "the follower stage systems admit no unique optimal response")
+LEADER = Site("leader system")
+FOLLOWER_GAINS = Site("follower gain/offset system")
 
 
 @dataclass(frozen=True)
@@ -95,7 +102,8 @@ def sweep(view: StageArrays, starts):
     H = B'Z^0 B + R^0 its Hessian in all controls.  The followers' gains
     then solve C_ff P_f = rhs_f - C_f0 P_leader with the same LU of C_ff.
     Each of these systems is solved for all lanes of a stage in one stacked
-    call, one stacked factorisation of C_ff serving both follower solves.
+    call, one stacked factorisation of C_ff serving both follower solves,
+    and all are tested once the stages are done.
     """
     starts, begin, end = view.lanes(starts)
     L = len(starts)
@@ -115,36 +123,31 @@ def sweep(view: StageArrays, starts):
     Qxt0 = (view.Q[:, 0] @ view.xt[:, 0, :, None])[..., 0]
     Rut0 = (view.R[:, 0] @ view.ut[:, 0, :, None])[..., 0]
 
-    for t in range(T - 1, starts[0] - 1, -1):
-        a = end[t]
-        Zn, zn = Z[:a, :, t + 1], zeta[:a, :, t + 1]
-        C, rhs = stage_system(view, terms, t, Zn, zn)
-        B, R0 = view.B[t], view.R[t, 0]
-        BZ = B.T @ Zn[:, 0]
-        H = BZ @ B + R0
-        lin = BZ @ terms.As[t]
-        offset = ((zn[:, 0] - Qxt0[t])[:, None] @ B)[:, 0] - Rut0[t]
-        # Follower reaction coefficients: one operator, three right-hand sides.
-        try:
-            C_ff = factor(C[:, f, f], context=f"stage {t} follower reaction system")
+    with Checks.sweep(end[starts[0]:]) as checks:
+        for t in range(T - 1, starts[0] - 1, -1):
+            a = end[t]
+            Zn, zn = Z[:a, :, t + 1], zeta[:a, :, t + 1]
+            C, rhs = stage_system(view, terms, t, Zn, zn)
+            B, R0 = view.B[t], view.R[t, 0]
+            BZ = B.T @ Zn[:, 0]
+            H = BZ @ B + R0
+            lin = BZ @ terms.As[t]
+            offset = ((zn[:, 0] - Qxt0[t])[:, None] @ B)[:, 0] - Rut0[t]
+            # Follower reaction coefficients: one operator, three right-hand sides.
+            C_ff = checks.factor(C[:, f, f], site=REACTIONS, stage=t)
             react[:a, t] = C_ff.solve(-np.concatenate([C[:, f, :m0], rhs[:, f]], axis=2),
-                                      context=f"stage {t} follower reaction system")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the follower stage systems admit no unique optimal response "
-                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
+                                      site=REACTIONS, stage=t)
 
-        # Leader stage optimization through the reaction map.
-        E[:a, f], Y[:a, f] = react[:a, t, :, :m0], react[:a, t, :, m0:]
-        lin_l = lin + H @ Y[:a]
-        lin_l[..., p] += offset
-        Et = E[:a].swapaxes(1, 2)
-        PA[:a, t, :m0] = solve_dense(Et @ H @ E[:a], Et @ lin_l, context=f"stage {t} leader system")
+            # Leader stage optimization through the reaction map.
+            E[:a, f], Y[:a, f] = react[:a, t, :, :m0], react[:a, t, :, m0:]
+            lin_l = lin + H @ Y[:a]
+            lin_l[..., p] += offset
+            Et = E[:a].swapaxes(1, 2)
+            PA[:a, t, :m0] = checks.solve(Et @ H @ E[:a], Et @ lin_l, site=LEADER, stage=t)
 
-        # Follower gains/offsets from their first-order systems at the
-        # leader's law (reaction identity left as a cross-check).
-        PA[:a, t, f] = C_ff.solve(rhs[:, f] - C[:, f, :m0] @ PA[:a, t, :m0],
-                                  context=f"stage {t} follower gain/offset system")
-        update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
+            # Follower gains/offsets from their first-order systems at the
+            # leader's law (reaction identity left as a cross-check).
+            PA[:a, t, f] = C_ff.solve(rhs[:, f] - C[:, f, :m0] @ PA[:a, t, :m0],
+                                      site=FOLLOWER_GAINS, stage=t)
+            update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
     return PA, Z, zeta, n_const, react

@@ -12,23 +12,39 @@ stack on its own: one LAPACK call per matrix, ``dgesv`` for
 :meth:`LU.solve`.  These are the routines behind
 ``scipy.linalg.lu_factor``/``lu_solve``, called without those functions'
 per-call argument handling, which at these sizes costs several times the
-factorisation itself.  The pivot and residual tests then run once over the
-whole stack, each matrix judged against its own norm, so a badly scaled
-matrix neither hides nor condemns its neighbours.  A single matrix is the
-stack of one.  The routines come from scipy's compiled wrapper
-``scipy.linalg._flapack``, loaded by file path on the first factorisation
-(:func:`_lapack`): it needs only numpy, while importing the
-``scipy.linalg`` package would take half of a cold ``dyngame solve``.
+factorisation itself.  The pivot test and, after it, the residual test
+then judge each matrix against its own norm, so a badly scaled matrix
+neither hides nor condemns its neighbours.  A single matrix is the stack
+of one.
+
+When the tests run: a backward sweep solves each stage's systems with the
+bare LAPACK calls of a :class:`Checks`, and tests them after the stage
+loop, one stack per call site, or earlier when a site's capped stack is
+full.  The tests are a dozen numpy calls whatever the stack's size,
+several times the LAPACK call on a stage's small system (18 of the 22 us
+of a tested 9 x 9 solve with 11 right-hand sides, on a 2-vCPU x86-64
+host), so testing each stage as it is solved cost most of a sweep's solve
+time.  The bounds are the same, every system is tested, and a failure
+reports what testing each call at once would have: the first failing
+call in sweep order.  :func:`solve_dense`, :func:`factor` and the solves
+of its LU are a :class:`Checks` of one call, tested at once.
+
+The routines come from scipy's compiled wrapper ``scipy.linalg._flapack``,
+loaded by file path on the first factorisation (:func:`_lapack`): it needs
+only numpy, while importing the ``scipy.linalg`` package would take half
+of a cold ``dyngame solve``.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
-from typing import Callable
+import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,9 +61,26 @@ RESIDUAL_RTOL = 1e-10
 #: introduce last-bit asymmetry, which this absorbs.
 SYMMETRY_RTOL = 1e-9
 
+#: The bytes a call site's stack of systems may take in a :class:`Checks`;
+#: a full stack is tested before it takes more.
+_ROWS_BYTES = 1 << 17
+
+#: The floating-point event of each flag numpy passes an error callback,
+#: by its name in ``np.geterr()``.
+_EVENTS = {1: "divide", 2: "over", 4: "under", 8: "invalid"}
+
 #: What a failure names: the system being solved, or for a stack a function
 #: of the index of the failing matrix giving that name.
 Context = str | Callable[[int], str] | None
+
+
+class Site(NamedTuple):
+    """A call site of a backward sweep, which solves one stack of systems
+    per stage.  Its failure at stage t is named ``stage t <name>``; with a
+    ``reason`` it is reported as ``stage t: <reason> (<that failure>)``."""
+
+    name: str
+    reason: str | None = None
 
 
 def solve_dense(A: np.ndarray, B: np.ndarray, context: Context = None) -> np.ndarray:
@@ -63,115 +96,299 @@ def solve_dense(A: np.ndarray, B: np.ndarray, context: Context = None) -> np.nda
     failing a test it reports the one of largest index, the stage a
     backward sweep over a stack of stages would reach first.  ``context``
     may be a function of that index.  The result equals :func:`factor`
-    followed by :meth:`LU.solve` bit for bit.
+    followed by :meth:`LU.solve` bit for bit.  This is a :class:`Checks`
+    of one call, checked at once.
     """
-    A, stack, mats = _matrices(A)
-    B, rhs, sides = _right_sides(A, B)
-    gesv = _lapack()[2]
-    pivots, xs = [], []
-    for a, b in zip(mats, sides):
-        # An empty A has no pivot, which the pivot test refuses.
-        lu, _, x, _ = gesv(a, b) if a.size else (a, None, b, 0)
-        pivots.append(lu.diagonal())
-        xs.append(x)
-    norm = _check_pivots(stack, pivots, context)
-    return _check_residuals(stack, norm, xs, rhs, context).reshape(B.shape)
-
-
-class LU:
-    """The partial-pivoting LU factorisations of a square matrix, or of each
-    matrix of a stack, whose pivots passed the singularity test of
-    :func:`factor`.  Each :meth:`solve` reuses them and checks its own
-    residuals."""
-
-    __slots__ = ("A", "norm", "_factors")
-
-    def __init__(self, A: np.ndarray, norm: list[float], factors: list):
-        self.A, self.norm, self._factors = A, norm, factors
-
-    def solve(self, B: np.ndarray, context: Context = None) -> np.ndarray:
-        """X with A @ X = B, for each matrix of the stack, refused as in
-        :func:`solve_dense` when it fails the residual bound."""
-        B, rhs, sides = _right_sides(self.A, B)
-        getrs = _lapack()[1]
-        xs = [getrs(lu, piv, b)[0] for (lu, piv), b in zip(self._factors, sides)]
-        stack = self.A if self.A.ndim == 3 else self.A[None]
-        return _check_residuals(stack, self.norm, xs, rhs, context).reshape(B.shape)
+    checks = Checks()
+    X = checks.solve(A, B, context)
+    checks.check()
+    return X
 
 
 def factor(A: np.ndarray, context: Context = None) -> LU:
     """The LU factorisation of a square A, or of each matrix of a stack A
     (N, k, k), one ``dgetrf`` per matrix; raises
     :class:`SingularSystemError` as :func:`solve_dense` does when a pivot
-    of some A_i falls below ``PIVOT_RTOL * max|A_i|``."""
-    A, stack, mats = _matrices(A)
-    getrf = _lapack()[0]
-    factors, pivots = [], []
-    for a in mats:
-        lu, piv, _ = getrf(a) if a.size else (a, None, 0)
-        factors.append((lu, piv))
-        pivots.append(lu.diagonal())
-    norm = _check_pivots(stack, pivots, context)
-    return LU(A, norm, factors)
+    of some A_i falls below ``PIVOT_RTOL * max|A_i|``.  Each
+    :meth:`LU.solve` of the result is checked at once."""
+    checks = Checks()
+    lu = checks.factor(A, context)
+    checks.check()
+    return LU(lu.A, lu._stack, lu._factors, None)
+
+
+class LU:
+    """The partial-pivoting LU factorisations of a square matrix, or of each
+    matrix of a stack, made by :meth:`Checks.factor`.  Each :meth:`solve`
+    reuses them; its residuals are tested by the same :class:`Checks`, or at
+    once for an LU from :func:`factor`."""
+
+    __slots__ = ("A", "_stack", "_factors", "_checks")
+
+    def __init__(self, A: np.ndarray, stack: np.ndarray, factors: list, checks: Checks | None):
+        self.A, self._stack, self._factors, self._checks = A, stack, factors, checks
+
+    def solve(self, B: np.ndarray, context: Context = None, site: Site | None = None,
+              stage: int | None = None) -> np.ndarray:
+        """X with A @ X = B for each matrix of the stack, one ``dgetrs``
+        each, refused as in :func:`solve_dense` when it fails the residual
+        bound."""
+        checks = self._checks or Checks()
+        B, rhs = _right_sides(self.A, B)
+        rows, j = checks._record("lu", self._stack, rhs, context, site, stage)
+        getrs = _lapack()[1]
+        for i, (lu, piv), b in zip(range(j, j + len(rhs)), self._factors, rhs):
+            # A failed empty factorisation has no pivots; its refusal is due.
+            rows.X[i] = getrs(lu, piv, b)[0] if lu.size else b
+        if checks is not self._checks:
+            checks.check()
+        return rows.X[j:j + len(rhs)].reshape(B.shape)
+
+
+class Checks:
+    """The checked solves of one backward sweep, tested after its stage loop.
+
+    :meth:`solve`, :meth:`factor` and the :meth:`LU.solve` of its LUs call
+    the bare LAPACK routine at once and keep each system they solved;
+    :meth:`check` runs the pivot and residual tests of :func:`solve_dense`
+    over them, one stack per call site (the module docstring says why).  It
+    raises what the first failing call would have raised at once: its pivot
+    failure before its residual failure, and of several failing matrices of
+    its stack the one of largest index.  A sweep runs in :meth:`sweep`,
+    which calls :meth:`check` when the stage loop is done.
+
+    A call names its failure by ``context``, or as ``stage`` of a
+    :class:`Site`.  A site's calls share one preallocated stack of at most
+    ``rows`` systems, the most that site solves in the sweep, and at most
+    ``_ROWS_BYTES``; a full stack is tested, with every other call kept so
+    far, before it takes more.  Any other call is a stack of its own, which
+    keeps its arrays as given: do not write into them before the test.
+    """
+
+    __slots__ = ("rows", "_stacks", "_calls", "_modes", "_events")
+
+    def __init__(self, rows: int = 0):
+        self.rows = rows
+        self._stacks: dict = {}
+        self._calls: list = []  # per call: (context, site, stage, its first row)
+        self._modes: dict = {}  # np.geterr() outside the sweep
+        self._events: dict = {}  # per floating-point event: the calls made before its first
+
+    @classmethod
+    @contextlib.contextmanager
+    def sweep(cls, ends):
+        """The recorder of a backward sweep whose stages solve systems of
+        ``ends[0]``, ``ends[1]``, ... lanes, checked when the with-block
+        ends without an error.
+
+        Until then the sweep runs on what a failed solve left, so a
+        floating-point event is recorded instead of reported: :meth:`check`
+        reports those that testing each call at once would have met, all
+        of them if no call fails and else those before the first failing
+        call, as ``np.geterr()`` outside the sweep asks (a non-finite
+        solution itself fails the residual test)."""
+        checks = cls(sum(ends))
+        checks._modes = np.geterr()
+        with np.errstate(call=checks._record_event,
+                         **{event: "ignore" if mode == "ignore" else "call"
+                            for event, mode in checks._modes.items()}):
+            yield checks
+        checks.check()
+
+    def solve(self, A: np.ndarray, B: np.ndarray, context: Context = None,
+              site: Site | None = None, stage: int | None = None) -> np.ndarray:
+        """X with A @ X = B, as :func:`solve_dense` without its tests, one
+        ``dgesv`` per matrix of the stack.  The result is kept for the
+        tests: do not write into it, and copy it before the site's next
+        call."""
+        A, stack = _matrices(A)
+        B, rhs = _right_sides(A, B)
+        rows, j = self._record("solve", stack, rhs, context, site, stage)
+        gesv = _lapack()[2]
+        for i, a, b in zip(range(j, j + len(stack)), stack, rhs):
+            # An empty A has no pivot, which the pivot test refuses.
+            lu, _, x, _ = gesv(a, b) if a.size else (a, None, b, 0)
+            rows.diag[i] = lu.diagonal()
+            rows.X[i] = x
+        return rows.X[j:j + len(stack)].reshape(B.shape)
+
+    def factor(self, A: np.ndarray, context: Context = None, site: Site | None = None,
+               stage: int | None = None) -> LU:
+        """The LU factorisations of A, as :func:`factor` without its test,
+        one ``dgetrf`` per matrix of the stack."""
+        A, stack = _matrices(A)
+        rows, j = self._record("factor", stack, None, context, site, stage)
+        getrf = _lapack()[0]
+        factors = []
+        for i, a in zip(range(j, j + len(stack)), stack):
+            lu, piv, _ = getrf(a) if a.size else (a, None, 0)
+            factors.append((lu, piv))
+            rows.diag[i] = lu.diagonal()
+        return LU(A, stack, factors, self)
+
+    def _record(self, kind: str, stack: np.ndarray, rhs: np.ndarray | None, context: Context,
+                site: Site | None, stage: int | None):
+        """The stack of rows that keeps this call's systems, and its first
+        row, once the matrices and right-hand sides are written there."""
+        n, k = stack.shape[:2]
+        r = None if rhs is None else rhs.shape[2]
+        key = (kind, site) if site is not None else len(self._calls)
+        rows = self._stacks.get(key)
+        if rows is not None and (rows.A.shape[1], rows.r) != (k, r):
+            raise ValueError(f"{site}: systems of shape {stack.shape[1:]} and {r} right-hand "
+                             f"sides do not fit a stack of shape {rows.A.shape[1:]} and {rows.r}")
+        if rows is not None and rows.used + n > len(rows.A):
+            self._test()
+            if n > len(rows.A):
+                rows = None
+        if rows is None and site is None:
+            # Any other call is a stack of its own, kept as given.
+            rows = self._stacks[key] = _Rows(n, k, r, kind, stack, rhs)
+        elif rows is None:
+            # A site's stack holds the sweep's rows, or as many as fit in
+            # _ROWS_BYTES.
+            row_bytes = 8 * k * (k + 1 + 2 * (r or 0)) or 8
+            rows = self._stacks[key] = _Rows(max(n, min(self.rows, _ROWS_BYTES // row_bytes)),
+                                             k, r, kind)
+        j = rows.used
+        rows.used = j + n
+        rows.calls.append(len(self._calls))
+        rows.starts.append(j)
+        self._calls.append((context, site, stage, j))
+        if rows.A is not stack:
+            rows.A[j:j + n] = stack
+            if rhs is not None:
+                rows.B[j:j + n] = rhs
+        return rows, j
+
+    def check(self) -> None:
+        """Raise the :class:`SingularSystemError` of the first failing call,
+        if any call failed: the one test a sweep asks for, after its stage
+        loop.  The sweep's floating-point events that testing each call at
+        once would have met are reported first."""
+        self._test()
+        self._report(len(self._calls))
+
+    def _record_event(self, kind: str, flag: int) -> None:
+        self._events.setdefault((kind, _EVENTS[flag]), len(self._calls))
+
+    def _report(self, calls: int) -> None:
+        """Report each floating-point event first met within the first
+        ``calls`` calls, as the error mode outside the sweep asks: raised
+        for "raise", else warned."""
+        for (kind, event), made in self._events.items():
+            if made <= calls:
+                message = f"{kind} encountered in a backward sweep"
+                if self._modes[event] == "raise":
+                    raise FloatingPointError(message)
+                warnings.warn(message, RuntimeWarning)
+
+    def _test(self) -> None:
+        """Test every call not tested yet: raise the error of the first one
+        that fails, if any does, and else empty the stacks."""
+        first = None
+        with np.errstate(all="ignore"):
+            for rows in self._stacks.values():
+                failed = rows.first_failure()
+                if failed and (first is None or failed[0] < first[0]):
+                    first = failed + (rows,)
+        if first is not None:
+            self._report(first[0])
+            self._raise(*first)
+        self._stacks = {key: rows for key, rows in self._stacks.items() if isinstance(key, tuple)}
+        for rows in self._stacks.values():
+            rows.used = 0
+            rows.calls, rows.starts = [], []
+
+    def _raise(self, call: int, i: int, residual: tuple[float, float] | None, rows: _Rows):
+        """Raise the error of row i of ``rows``, kept by the given call."""
+        context, site, stage, j = self._calls[call]
+        cond = _condition_estimate(rows.A[i])
+        if residual is None:
+            message = f"matrix is singular to working precision (cond ~ {cond:.2e})"
+        else:
+            message = (f"solution residual {residual[0]:.2e} exceeds bound {residual[1]:.2e} "
+                       f"(cond ~ {cond:.2e})")
+        name = f"stage {stage} {site.name}" if site is not None else _name(context, i - j)
+        error = SingularSystemError(message, context=name, cond_estimate=cond)
+        if site is None or site.reason is None:
+            raise error
+        raise SingularSystemError(f"{site.reason} ({error})", context=f"stage {stage}",
+                                  cond_estimate=cond) from error
+
+
+class _Rows:
+    """The stack of the systems of one call site, preallocated, or of one
+    call, its matrices A and right-hand sides B as given: each matrix,
+    and as its kind has them, its right-hand side and solution, and its LU
+    pivots."""
+
+    __slots__ = ("A", "B", "X", "diag", "r", "used", "calls", "starts")
+
+    def __init__(self, n: int, k: int, r: int | None, kind: str, A=None, B=None):
+        self.A, self.r = np.empty((n, k, k)) if A is None else A, r
+        self.B = self.X = self.diag = None
+        if kind != "factor":
+            self.B, self.X = np.empty((n, k, r)) if B is None else B, np.empty((n, k, r))
+        if kind != "lu":
+            self.diag = np.empty((n, k))
+        self.used = 0
+        self.calls: list[int] = []   # the calls kept here, in order
+        self.starts: list[int] = []  # the first row of each
+
+    def first_failure(self):
+        """(call, row, residual) of the first call kept here that fails:
+        its row of largest index failing the pivot test, residual None,
+        or, if none of the call's rows does, its row of largest index
+        failing the residual test, residual (its residual, its bound)."""
+        n = self.used
+        A = self.A[:n]
+        norm = np.maximum.reduce(np.abs(A), axis=(1, 2), initial=0.0)
+        passed = singular = None
+        if self.diag is not None:
+            # An empty A has no pivot: inf fails, as does a NaN.  A pivot of
+            # a nonempty A is inf only if its norm is, which fails too.
+            pivot = np.minimum.reduce(np.abs(self.diag[:n]), axis=1, initial=np.inf)
+            passed = PIVOT_RTOL * np.maximum(norm, 1e-300) < pivot
+            if not A.shape[1]:
+                passed[:] = False
+            singular = ~passed
+        if self.X is not None:
+            X = self.X[:n]
+            R = A @ X
+            R -= self.B[:n]
+            residual = np.maximum.reduce(np.abs(R, out=R), axis=(1, 2), initial=0.0)
+            bound = RESIDUAL_RTOL * (1.0 + norm * np.maximum.reduce(np.abs(X), axis=(1, 2),
+                                                                     initial=0.0))
+            tight = residual <= bound
+            passed = tight if passed is None else passed & tight
+        if passed.all():
+            return None
+        c = bisect.bisect_right(self.starts, int(passed.argmin())) - 1
+        lo, hi = self.starts[c], (self.starts[c + 1] if c + 1 < len(self.starts) else n)
+        if singular is not None and singular[lo:hi].any():
+            return self.calls[c], lo + int(np.flatnonzero(singular[lo:hi])[-1]), None
+        i = lo + int(np.flatnonzero(~tight[lo:hi])[-1])
+        return self.calls[c], i, (float(residual[i]), float(bound[i]))
 
 
 def _matrices(A):
-    """A as a float array, as a stack (N, k, k), and as the sequence of its
-    matrices (a lone matrix itself, not a view of the stack)."""
+    """A as a float array, and as a stack (N, k, k)."""
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise InvalidGameError(
             f"solve_dense needs a square matrix or a stack of them, got shape {A.shape}")
-    return (A, A, A) if A.ndim == 3 else (A, A[None], (A,))
+    return A, (A if A.ndim == 3 else A[None])
 
 
 def _right_sides(A: np.ndarray, B):
-    """B as a float array, as a stack (N, k, r) fitting the stack of A, and
-    as one right-hand side per matrix of A."""
+    """B as a float array, and as a stack (N, k, r) fitting the stack of A."""
     B = np.asarray(B, dtype=float)
     if B.ndim not in (A.ndim - 1, A.ndim) or B.shape[:A.ndim - 1] != A.shape[:-1]:
         raise InvalidGameError(
             f"right-hand side of shape {B.shape} does not fit a system of shape {A.shape}")
-    if A.ndim == 3:
-        rhs = B if B.ndim == 3 else B[..., None]
-        return B, rhs, rhs
-    return B, (B if B.ndim == 2 else B[:, None])[None], (B,)
-
-
-def _check_pivots(stack: np.ndarray, pivots: list[np.ndarray], context: Context) -> list[float]:
-    """Each matrix's norm max|A_i|, once the smallest of every matrix's LU
-    pivots in ``pivots`` passed ``PIVOT_RTOL`` times it."""
-    norm = np.maximum.reduce(np.abs(stack), axis=(1, 2), initial=0.0).tolist()
-    diag = pivots[0][None] if len(pivots) == 1 else np.array(pivots).reshape(stack.shape[:2])
-    pivot = np.minimum.reduce(np.abs(diag), axis=1, initial=np.inf).tolist()
-    for i in range(len(norm) - 1, -1, -1):
-        # An empty A has no pivot: inf fails, as does a NaN.
-        if not PIVOT_RTOL * max(norm[i], 1e-300) < pivot[i] < math.inf:
-            cond = _condition_estimate(stack[i])
-            raise SingularSystemError(
-                f"matrix is singular to working precision (cond ~ {cond:.2e})",
-                context=_name(context, i), cond_estimate=cond)
-    return norm
-
-
-def _check_residuals(stack: np.ndarray, norm: list[float], xs: list[np.ndarray],
-                     rhs: np.ndarray, context: Context) -> np.ndarray:
-    """The solutions ``xs`` as one array shaped as ``rhs``, once none fails
-    the residual bound; a NaN residual fails it too."""
-    X = (xs[0] if len(xs) == 1 else np.array(xs)).reshape(rhs.shape)
-    R = stack @ X
-    R -= rhs
-    residual = np.maximum.reduce(np.abs(R, out=R), axis=(1, 2), initial=0.0).tolist()
-    size = np.maximum.reduce(np.abs(X), axis=(1, 2), initial=0.0).tolist()
-    for i in range(len(norm) - 1, -1, -1):
-        bound = RESIDUAL_RTOL * (1.0 + norm[i] * size[i])
-        if not residual[i] <= bound:
-            cond = _condition_estimate(stack[i])
-            raise SingularSystemError(
-                f"solution residual {residual[i]:.2e} exceeds bound {bound:.2e} "
-                f"(cond ~ {cond:.2e})",
-                context=_name(context, i), cond_estimate=cond)
-    return X
+    rhs = B if B.ndim == A.ndim else B[..., None]
+    return B, (rhs if A.ndim == 3 else rhs[None])
 
 
 def _name(context: Context, index: int) -> str | None:

@@ -27,10 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError
 from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, drift_samples,
                    initial_state, require_valid, sequence_path)
-from .numerics import solve_dense
+from .numerics import Checks, Site
+
+#: The transition operator D = I + sum_j B^j (R^jj)^-1 B^j' M^j, one per stage.
+TRANSITION = Site("open-loop transition operator",
+                  "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
+                  "so no unique open-loop Nash equilibrium exists")
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,8 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
     one stacked solve per player over the stages, formed once before the
     backward pass.  Every system that reads a lane's coefficients is still
     solved for that lane, each stage's transition operators of all lanes
-    in one stacked call.
+    in one stacked call, and every solve is tested once the backward pass
+    is done.
     """
     starts, begin, end = view.lanes(starts)
     T, p, M = view.B.shape
@@ -104,43 +109,37 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
 
     Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
     ut_own = view.own(view.ut, lead=1)
-    Rinv_Bt = own_inputs(view, starts[0])
+    with Checks.sweep(end[starts[0]:]) as checks:
+        Rinv_Bt = own_inputs(view, starts[0], checks)
 
-    # Backward pass: transition pair, costate coefficients and path laws.
-    # Affine quantities are rows, one per sample; control rows are stacked
-    # over players, each row k acting through its own player's costate.
-    for t in range(T - 1, starts[0] - 1, -1):
-        a = end[t]
-        A, B, RB = view.A[t], view.B[t], Rinv_Bt[t]
-        RBM = view.own(RB @ Mc[:a, :, t + 1], lead=1)
-        ut = ut_own[t]
-        c_next = m[:a, :, :, t + 1] - Qxt[t]
-        drift = s[:, t] - (_by_row(RB, c_next, view.owner) - ut) @ B.T
-        rhs = np.empty((a, p, p + S))
-        rhs[..., :p], rhs[..., p:] = A, drift.swapaxes(1, 2)
-        try:
-            packed = solve_dense(np.eye(p) + B @ RBM, rhs,
-                                 context=f"stage {t} open-loop transition operator")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the open-loop transition operator I + sum_j B R^-1 B' M is singular, "
-                f"so no unique open-loop Nash equilibrium exists ({exc})",
-                context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
-        Phi[:a, t] = packed[..., :p]
-        phi[:a, :, t] = packed[..., p:].swapaxes(1, 2)
-        # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
-        # feeds both m_t and the path offsets.
-        c = np.einsum("aipq,asq->asip", Mc[:a, :, t + 1], phi[:a, :, t]) + c_next
-        G[:a, t] = -RBM @ Phi[:a, t]
-        g[:a, :, t] = ut - _by_row(RB, c, view.owner)
-        # M is symmetric only for n = 1: the transition operator mixes
-        # all players' costate matrices, so no symmetrization here.  A lane
-        # that starts at t charges no weight on its initial state.
-        Mc[:a, :, t] = A.T @ Mc[:a, :, t + 1] @ Phi[:a, t, None]
-        if t:
-            Mc[:begin[t], :, t] += view.Q[t - 1]
-        m[:a, :, :, t] = c @ A
+        # Backward pass: transition pair, costate coefficients and path
+        # laws.  Affine quantities are rows, one per sample; control rows
+        # are stacked over players, each row k acting through its own
+        # player's costate.
+        for t in range(T - 1, starts[0] - 1, -1):
+            a = end[t]
+            A, B, RB = view.A[t], view.B[t], Rinv_Bt[t]
+            RBM = view.own(RB @ Mc[:a, :, t + 1], lead=1)
+            ut = ut_own[t]
+            c_next = m[:a, :, :, t + 1] - Qxt[t]
+            drift = s[:, t] - (_by_row(RB, c_next, view.owner) - ut) @ B.T
+            rhs = np.empty((a, p, p + S))
+            rhs[..., :p], rhs[..., p:] = A, drift.swapaxes(1, 2)
+            packed = checks.solve(np.eye(p) + B @ RBM, rhs, site=TRANSITION, stage=t)
+            Phi[:a, t] = packed[..., :p]
+            phi[:a, :, t] = packed[..., p:].swapaxes(1, 2)
+            # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
+            # feeds both m_t and the path offsets.
+            c = np.einsum("aipq,asq->asip", Mc[:a, :, t + 1], phi[:a, :, t]) + c_next
+            G[:a, t] = -RBM @ Phi[:a, t]
+            g[:a, :, t] = ut - _by_row(RB, c, view.owner)
+            # M is symmetric only for n = 1: the transition operator mixes
+            # all players' costate matrices, so no symmetrization here.  A
+            # lane that starts at t charges no weight on its initial state.
+            Mc[:a, :, t] = A.T @ Mc[:a, :, t + 1] @ Phi[:a, t, None]
+            if t:
+                Mc[:begin[t], :, t] += view.Q[t - 1]
+            m[:a, :, :, t] = c @ A
 
     # Forward pass: the explicit controls along each path.
     u = np.zeros((L, S, T, M))
@@ -154,17 +153,17 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
     return u, Mc, m, Phi, phi, G, g
 
 
-def own_inputs(view: StageArrays, first: int = 0) -> np.ndarray:
+def own_inputs(view: StageArrays, first: int, checks: Checks) -> np.ndarray:
     """(R^ii)^-1 B^i' of every player i at every stage from ``first`` on,
     stacked over the control rows, (T, M, p), zero before ``first``: one
-    stacked solve per player over the stages.  Of several stages whose R^ii
-    fails the solve's checks the last is reported, the one a backward sweep
-    reaches first."""
+    stacked solve per player over the stages, tested by the sweep's
+    ``checks``.  Of several stages whose R^ii fails the solve's tests the
+    last is reported, the one a backward sweep reaches first."""
     T, p, M = view.B.shape
     out = np.zeros((T, p, M)).swapaxes(1, 2)  # each stage's block column-major, as LAPACK returns it
     for i, b in enumerate(view.blocks):
-        out[first:, b] = solve_dense(view.R[first:, i, b, b], view.B[first:, :, b].swapaxes(1, 2),
-                                     context=lambda k, i=i: f"stage {first + k} control weight R^{i}{i}")
+        out[first:, b] = checks.solve(view.R[first:, i, b, b], view.B[first:, :, b].swapaxes(1, 2),
+                                      context=lambda k, i=i: f"stage {first + k} control weight R^{i}{i}")
     return out
 
 

@@ -50,11 +50,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidGameError, SingularSystemError
+from .errors import InvalidGameError
 from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
                    sequence_path)
-from .numerics import solve_dense
+from .numerics import Checks, Site
 from .openloop_nash import own_inputs
+
+#: Each stage's two systems: the followers' cocontrol maps, then the state
+#: transition operator.
+COCONTROLS = Site("stacked cocontrol system",
+                  "the stacked cocontrol coefficient systems admit no unique solution")
+TRANSITION = Site("state transition operator", "the state transition operator I - B U_x is singular")
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
 class StageTerms(NamedTuple):
     """The terms of the open-loop Stackelberg recursion that read the stage
     data alone, stacked over stages (the R^ii solves from the first lane's
-    start on, zero before it); every lane of a sweep shares them.  Mf
+    start on, zero before it, tested by ``checks`` as :func:`own_inputs`
+    tests them); every lane of a sweep shares them.  Mf
     counts the followers' control rows and nf the followers."""
 
     Qf: np.ndarray      # [Q^1 .. Q^{nf}], the followers' state weights side by side, (T, p, nf p)
@@ -139,12 +146,12 @@ class StageTerms(NamedTuple):
     U: np.ndarray       # -blockdiag((R^ii)^-1 B^i') over all players, (T, M, n p)
 
     @classmethod
-    def of(cls, view: StageArrays, first: int) -> StageTerms:
+    def of(cls, view: StageArrays, first: int, checks: Checks) -> StageTerms:
         T, p, M = view.B.shape
         n = view.Q.shape[1]
         nf, m0 = n - 1, view.blocks[0].stop
         fowner = view.owner[m0:] - 1
-        RinvBt = own_inputs(view, first)
+        RinvBt = own_inputs(view, first, checks)
         R0f = view.R[:, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
         Bft = view.B[:, :, m0:].swapaxes(1, 2)
         u_own = view.own(view.ut, lead=1)
@@ -175,14 +182,13 @@ def sweep(view: StageArrays, starts, z_starts: np.ndarray):
     player, and the follower block operators), formed once before the
     backward pass.  Every system that reads a lane's coefficients is still
     solved for that lane, each stage's systems of all lanes in one stacked
-    call.
+    call, and every solve is tested once the backward pass is done.
     """
     starts, begin, end = view.lanes(starts)
     T, p, M = view.B.shape
     n = view.Q.shape[1]
     d, L = n * p, len(starts)
     m0 = view.blocks[0].stop
-    terms = StageTerms.of(view, starts[0])
 
     # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
     K = np.zeros((L, T + 1, d, d))
@@ -192,65 +198,54 @@ def sweep(view: StageArrays, starts, z_starts: np.ndarray):
     P = np.zeros((L, T, M, d + 1))
     K[:, T, :, :p] = view.Q[T - 1].reshape(d, p)
 
-    for t in range(T - 1, starts[0] - 1, -1):
-        a = end[t]
-        A, B, A_f, B_f, J = view.A[t], view.B[t], terms.A_f[t], terms.B_f[t], terms.J[t]
-        # Kb, kb: the next costate coefficients with the leader's weights on
-        # the followers' states and every player's state target folded in.
-        Kb = K[:a, t + 1].copy()
-        Kb[:, :p, p:] += terms.Qf[t]
-        kb = k[:a, t + 1] - terms.Qxt[t]
+    with Checks.sweep(end[starts[0]:]) as checks:
+        terms = StageTerms.of(view, starts[0], checks)
+        for t in range(T - 1, starts[0] - 1, -1):
+            a = end[t]
+            A, B, A_f, B_f, J = view.A[t], view.B[t], terms.A_f[t], terms.B_f[t], terms.J[t]
+            # Kb, kb: the next costate coefficients with the leader's weights
+            # on the followers' states and every player's state target folded in.
+            Kb = K[:a, t + 1].copy()
+            Kb[:, :p, p:] += terms.Qf[t]
+            kb = k[:a, t + 1] - terms.Qxt[t]
 
-        # Cocontrols: with J = [Bh_f' | -K_f] and H = J Kb,
-        # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
-        H = J @ Kb
-        C = terms.C_own[t] + H[..., p:] @ B_f
-        rhs = np.concatenate([H[..., :p], H[..., p:] @ A_f,
-                              J @ kb[..., None] + terms.du[t][:, None]], axis=2)
-        try:
-            N[:a, t] = solve_dense(C, -rhs, context=f"stage {t} stacked cocontrol system")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the stacked cocontrol coefficient systems admit no unique solution "
-                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
+            # Cocontrols: with J = [Bh_f' | -K_f] and H = J Kb,
+            # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
+            H = J @ Kb
+            C = terms.C_own[t] + H[..., p:] @ B_f
+            rhs = np.concatenate([H[..., :p], H[..., p:] @ A_f,
+                                  J @ kb[..., None] + terms.du[t][:, None]], axis=2)
+            N[:a, t] = checks.solve(C, -rhs, site=COCONTROLS, stage=t)
 
-        # Every control as one map of (x_{t+1}, mu_t), offsets last.
-        Cy = (np.concatenate([Kb[..., :p], Kb[..., p:] @ A_f, kb[..., None]], axis=2)
-              + Kb[..., p:] @ (B_f @ N[:a, t]))
-        U = terms.U[t] @ Cy
-        U[..., d] += terms.u_own[t]
+            # Every control as one map of (x_{t+1}, mu_t), offsets last.
+            Cy = (np.concatenate([Kb[..., :p], Kb[..., p:] @ A_f, kb[..., None]], axis=2)
+                  + Kb[..., p:] @ (B_f @ N[:a, t]))
+            U = terms.U[t] @ Cy
+            U[..., d] += terms.u_own[t]
 
-        # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
-        rhs = np.empty((a, p, d + 1))
-        rhs[..., :p], rhs[..., p:d] = A, B @ U[..., p:d]
-        rhs[..., d:] = B @ U[..., d:] + view.s[t][:, None]
-        try:
-            Phi = solve_dense(np.eye(p) - B @ U[..., :p], rhs,
-                              context=f"stage {t} state transition operator")
-        except SingularSystemError as exc:
-            raise SingularSystemError(
-                "the state transition operator I - B U_x is singular "
-                f"({exc})", context=f"stage {t}", cond_estimate=exc.cond_estimate,
-            ) from exc
+            # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
+            rhs = np.empty((a, p, d + 1))
+            rhs[..., :p], rhs[..., p:d] = A, B @ U[..., p:d]
+            rhs[..., d:] = B @ U[..., d:] + view.s[t][:, None]
+            Phi = checks.solve(np.eye(p) - B @ U[..., :p], rhs, site=TRANSITION, stage=t)
 
-        # Controls and cocontrols as maps of (z_t, 1), then the z transition.
-        UN = np.concatenate([U, N[:a, t]], axis=1)
-        path = UN[..., :p] @ Phi
-        path[..., p:] += UN[..., p:]
-        P[:a, t] = path[:, :M]
-        Xi[:a, t, :p] = Phi
-        Xi[:a, t, p:] = B_f @ path[:, M:]
-        Xi[:a, t, p:, p:d] += A_f
+            # Controls and cocontrols as maps of (z_t, 1), then the z transition.
+            UN = np.concatenate([U, N[:a, t]], axis=1)
+            path = UN[..., :p] @ Phi
+            path[..., p:] += UN[..., p:]
+            P[:a, t] = path[:, :M]
+            Xi[:a, t, :p] = Phi
+            Xi[:a, t, p:] = B_f @ path[:, M:]
+            Xi[:a, t, p:, p:d] += A_f
 
-        # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x
-        # blocks, except in a lane that starts at t.
-        KX = Kb @ Xi[:a, t]
-        KX[..., d] += kb
-        KX = (A.T @ KX.reshape(a, n, p, d + 1)).reshape(a, d, d + 1)
-        K[:a, t], k[:a, t] = KX[..., :d], KX[..., d]
-        if t > 0:
-            K[:begin[t], t, :, :p] += view.Q[t - 1].reshape(d, p)
+            # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x
+            # blocks, except in a lane that starts at t.
+            KX = Kb @ Xi[:a, t]
+            KX[..., d] += kb
+            KX = (A.T @ KX.reshape(a, n, p, d + 1)).reshape(a, d, d + 1)
+            K[:a, t], k[:a, t] = KX[..., :d], KX[..., d]
+            if t > 0:
+                K[:begin[t], t, :, :p] += view.Q[t - 1].reshape(d, p)
 
     # Forward pass: every lane's extended path from its own start.
     z = np.zeros((L, T + 1, d))

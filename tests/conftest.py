@@ -10,6 +10,7 @@ the Stackelberg solvers require of the leader anyway).
 import json
 import sys
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,21 @@ def random_game(seed, n_players=None, state_dim=None, horizon=None,
         stages = tuple(stage for _ in range(T))
     players = tuple(Player(control_dim=m, name=f"P{i + 1}") for i, m in enumerate(dims))
     return GameSpec(horizon=T, state_dim=p, players=players, stages=stages)
+
+
+def arrays(obj, path=""):
+    """Every array an object holds, with its shape and bytes, by its field
+    path: two results are bit-identical when these are equal."""
+    if isinstance(obj, np.ndarray):
+        return {path: (obj.shape, obj.tobytes())}
+    if isinstance(obj, (tuple, list)):
+        return {k: v for i, item in enumerate(obj) for k, v in arrays(item, f"{path}[{i}]").items()}
+    if isinstance(obj, dict):
+        return {k: v for key, item in obj.items() for k, v in arrays(item, f"{path}.{key}").items()}
+    if is_dataclass(obj) and not isinstance(obj, GameSpec):
+        return {k: v for f in fields(obj) for k, v in arrays(getattr(obj, f.name),
+                                                             f"{path}.{f.name}").items()}
+    return {}
 
 
 def strict_json(text):

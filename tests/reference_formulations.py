@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Nine kinds live here.  The per-sample loop formulations of the sampling
+Ten kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -60,13 +60,22 @@ own tests use; the library selects players on its stage view instead.
 The drift-batched leader cost on the rebuilt followers' game is the
 library's form from before that selection, which the selection must equal
 bit for bit.
+
+The eager stage checks test each stage solve of a sweep when it is made,
+through :func:`dyngame.numerics.solve_dense` and
+:func:`dyngame.numerics.factor`, and wrap its failure as the sweeps did
+before they tested all their solves after the stage loop.  Installed in
+place of :class:`dyngame.numerics.Checks`, they must give every solution
+bit for bit and every failure word for word.
 """
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dyngame import feedback_stackelberg, game, lqr, openloop_nash, openloop_stackelberg, verify
+from dyngame import (feedback_stackelberg, game, lqr, numerics, openloop_nash,
+                     openloop_stackelberg, verify)
 from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
@@ -1539,3 +1548,50 @@ def classify_definiteness(M: np.ndarray, tol: float = 1e-9) -> Definiteness:
     else:
         cls = "indefinite"
     return Definiteness(cls, min_eig)
+
+
+class EagerChecks:
+    """A stand-in for :class:`dyngame.numerics.Checks` that tests every
+    call at once: each goes through :func:`dyngame.numerics.solve_dense`
+    or :func:`dyngame.numerics.factor`, and a call of a
+    :class:`dyngame.numerics.Site` is named and wrapped as the sweep's own
+    try/except did.  :meth:`check` has nothing left to test, and a
+    :meth:`sweep` leaves floating-point events to numpy's error mode."""
+
+    def __init__(self, rows: int = 0):
+        pass
+
+    @classmethod
+    def sweep(cls, ends):
+        return contextlib.nullcontext(cls())
+
+    def solve(self, A, B, context=None, site=None, stage=None):
+        return _at_once(lambda name: numerics.solve_dense(A, B, name), context, site, stage)
+
+    def factor(self, A, context=None, site=None, stage=None):
+        return _EagerLU(_at_once(lambda name: numerics.factor(A, name), context, site, stage))
+
+    def check(self) -> None:
+        pass
+
+
+class _EagerLU:
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, B, context=None, site=None, stage=None):
+        return _at_once(lambda name: self.lu.solve(B, name), context, site, stage)
+
+
+def _at_once(solve, context, site, stage):
+    """``solve(name)``, its failure named ``stage t <site name>`` for a
+    site's call and wrapped in the site's reason if it has one."""
+    if site is None:
+        return solve(context)
+    try:
+        return solve(f"stage {stage} {site.name}")
+    except SingularSystemError as exc:
+        if site.reason is None:
+            raise
+        raise SingularSystemError(f"{site.reason} ({exc})", context=f"stage {stage}",
+                                  cond_estimate=exc.cond_estimate) from exc

@@ -114,6 +114,19 @@ def test_solve_requires_x0_for_open_loop(unit_game_path):
                      "--solver", "openloop-nash"]) == 1
 
 
+@pytest.mark.parametrize("command, needs", [
+    ("simulate", "to simulate: the trajectory starts from it"),
+    ("compare", "to compare: every solver's trajectory starts from it"),
+])
+def test_missing_x0_names_what_needs_it(command, needs, capsys):
+    # simulate's default solver is feedback Nash, which solves without x0:
+    # what needs x0 is the trajectory, not an open-loop solver
+    assert cli.main([command, "--game", str(GOLDEN / "two_player.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --x0 is required {needs}\n"
+    assert "open-loop" not in captured.err and captured.out == ""
+
+
 def test_lqr_solver_requires_single_player(unit_game_path):
     assert cli.main(["solve", "--game", unit_game_path, "--solver", "lqr"]) == 1
 

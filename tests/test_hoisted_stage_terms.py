@@ -7,7 +7,6 @@ pin that layout; the ill-scaled R^ii game pins that the hoisted solve still
 fails where the backward sweep would: at the last failing stage.
 """
 
-import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -34,24 +33,36 @@ PER_SWEEP = {"lqr": 0, "feedback-nash": 0, "feedback-stackelberg": 0,
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """A Counter of calls into ``numerics.solve_dense`` and
-    ``numerics.factor``, one stacked factorisation each, wherever the
-    library refers to them."""
+    """A Counter of calls into ``numerics.Checks.solve`` and
+    ``numerics.Checks.factor``, one stacked factorisation each, which every
+    sweep makes and on which ``numerics.solve_dense`` and
+    ``numerics.factor`` are built."""
     counts = Counter()
-    modules = [mod for name, mod in list(sys.modules.items())
-               if mod is not None and name.startswith("dyngame.")]
-    for name in ("solve_dense", "factor"):
-        fn = getattr(numerics, name)
+    for name in ("solve", "factor"):
+        fn = getattr(numerics.Checks, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+        monkeypatch.setattr(numerics.Checks, name, counted)
     return counts
+
+
+@pytest.fixture
+def checks_run(monkeypatch):
+    """A Counter of ``numerics.Checks.check`` runs by recorder: a sweep
+    makes one recorder and asks for its test once, after its stage loop
+    (a full stack is tested earlier, inside the recorder)."""
+    runs = Counter()
+    check = numerics.Checks.check
+
+    def counted(self):
+        runs[self] += 1
+        return check(self)
+
+    monkeypatch.setattr(numerics.Checks, "check", counted)
+    return runs
 
 
 def game_for(solver, T, seed=7):
@@ -63,24 +74,29 @@ def game_for(solver, T, seed=7):
 
 @pytest.mark.parametrize("T", [1, 5, 12])
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_one_lane_solve_makes_one_stacked_call_per_stage_system(solver, T, dense_calls):
+def test_one_lane_solve_makes_one_stacked_call_per_stage_system(solver, T, dense_calls,
+                                                               checks_run):
     spec, x0 = game_for(solver, T)
     SOLVERS[solver].solve(spec, x0)
     # open-loop Nash: T + n, was T (n + 1); open-loop Stackelberg: 2T + n,
     # was T (n + 2)
     assert sum(dense_calls.values()) == PER_STAGE[solver] * T + PER_SWEEP[solver]
+    # one sweep, its solves tested once, the R^ii solves with the rest
+    assert list(checks_run.values()) == [1]
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_time_consistency_calls_do_not_grow_with_the_lanes(solver, dense_calls):
+def test_time_consistency_calls_do_not_grow_with_the_lanes(solver, dense_calls, checks_run):
     for T in (6, 18):
         spec, x0 = game_for(solver, T)
         row = SOLVERS[solver]
         sol = row.solve(spec, x0)
         dense_calls.clear()
+        checks_run.clear()
         verify.time_consistency(spec, sol, row.pattern)
         # one sweep over stages 1..T-1 holding T-1 lanes
         assert sum(dense_calls.values()) == PER_STAGE[solver] * (T - 1) + PER_SWEEP[solver]
+        assert list(checks_run.values()) == [1]
 
 
 def ill_scaled_weight_game():

@@ -1,7 +1,6 @@
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +9,11 @@ import scipy.linalg
 
 from dyngame import numerics
 from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
-from dyngame.game import GameSpec
 from dyngame.gameio import load_game
 from dyngame.numerics import factor, solve_dense
 from dyngame.solvers import SOLVERS
 
-from conftest import GOLDEN, GOLDEN_X0, psd_matrix, rng_for
+from conftest import GOLDEN, GOLDEN_X0, arrays, psd_matrix, rng_for
 from reference_formulations import (DefinitenessError, classify_definiteness,
                                     pushthrough_residuals, symmetrize)
 
@@ -155,18 +153,6 @@ class TestStackedSolve:
             solve_dense(A, B[:2])
         with pytest.raises(InvalidGameError, match="does not fit"):
             factor(A).solve(B[0])
-
-
-def arrays(obj, path=""):
-    """Every array a solution holds, as bytes, by its field path."""
-    if isinstance(obj, np.ndarray):
-        return {path: obj.tobytes()}
-    if isinstance(obj, (tuple, list)):
-        return {k: v for i, item in enumerate(obj) for k, v in arrays(item, f"{path}[{i}]").items()}
-    if is_dataclass(obj) and not isinstance(obj, GameSpec):
-        return {k: v for f in fields(obj) for k, v in arrays(getattr(obj, f.name),
-                                                             f"{path}.{f.name}").items()}
-    return {}
 
 
 def golden_solutions(monkeypatch):
