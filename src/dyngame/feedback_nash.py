@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import AffineLaw, GameSpec, StageArrays, require_valid
+from .game import AffineLaw, GameSpec, StageArrays, require_index, require_valid
 from .numerics import Checks, Site
 
 #: The stacked gain and offset systems of all players, one per stage.
@@ -51,12 +51,16 @@ class FeedbackNashSolution:
 
     def value(self, x0: np.ndarray, player: int) -> float:
         """Equilibrium cost of one player from the initial state."""
+        require_index("player", player, self.spec.n_players - 1)
         x0 = np.asarray(x0, dtype=float)
         return float(0.5 * x0 @ self.Z[player, 0] @ x0
                      + self.zeta[player, 0] @ x0 + self.n_const[player, 0])
 
     def cost_to_go(self, t: int, x: np.ndarray, player: int) -> float:
-        """Equilibrium cost of stages t..T-1 from pre-decision state x."""
+        """Equilibrium cost of stages t..T-1 from pre-decision state x;
+        0 at t = T."""
+        require_index("stage", t, self.spec.horizon)
+        require_index("player", player, self.spec.n_players - 1)
         x = np.asarray(x, dtype=float)
         W = self.Z[player, t] - self.spec.prev_state_weight(t, player)
         return float(0.5 * x @ W @ x + self.zeta[player, t] @ x + self.n_const[player, t])
@@ -148,7 +152,7 @@ def terminal_values(view: StageArrays, lanes: int):
     """Value coefficients of every lane, Z (L, n, T+1, p, p), zeta (L, n,
     T+1, p) and n (L, n, T+1), with Z_T the last stage's Q."""
     T, n, p = view.Q.shape[:3]
-    Z = np.empty((lanes, n, T + 1, p, p))
+    Z = np.zeros((lanes, n, T + 1, p, p))
     Z[:, :, T] = view.Q[T - 1]
     return Z, np.zeros((lanes, n, T + 1, p)), np.zeros((lanes, n, T + 1))
 

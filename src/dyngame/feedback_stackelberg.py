@@ -6,8 +6,9 @@ backward:
 1.  The followers' stagewise best responses to an arbitrary leader control
     decompose as r^i = W^i x + rbar^i u_leader + w^i.  The three
     coefficient families solve block systems sharing one left-hand
-    operator (the follower sub-block of the stacked Nash operator), so a
-    single factorization serves all three, and step 3 too.
+    operator C_ff (the follower sub-block of the stacked Nash operator),
+    so one solve with three right-hand-side families gives all three;
+    step 3 solves with C_ff once more.
 2.  The leader minimizes its stage cost-to-go through that reaction map;
     its stage Hessian is PD whenever the leader's cross control weights
     are PSD, so the leader solve cannot go singular for validated games.
@@ -33,8 +34,8 @@ from .feedback_nash import (FeedbackNashSolution, StageTerms, laws_of, stage_sys
 from .game import GameSpec, StageArrays, require_valid
 from .numerics import Checks, Site
 
-#: Each stage's systems: the followers' block C_ff, factored once for
-#: their reactions and their gains, and the leader's.
+#: Each stage's systems: the followers' block C_ff, solved once for their
+#: reactions and once for their gains, and the leader's.
 REACTIONS = Site("follower reaction system",
                  "the follower stage systems admit no unique optimal response")
 LEADER = Site("leader system")
@@ -100,10 +101,12 @@ def sweep(view: StageArrays, starts):
     E = [I; rbar] and Y = [0; W | w], and the leader solves
     E'HE [P | alpha]_leader = E'(B'Z^0 [A | s] + H Y + offsets), with
     H = B'Z^0 B + R^0 its Hessian in all controls.  The followers' gains
-    then solve C_ff P_f = rhs_f - C_f0 P_leader with the same LU of C_ff.
-    Each of these systems is solved for all lanes of a stage in one stacked
-    call, one stacked factorisation of C_ff serving both follower solves,
-    and all are tested once the stages are done.
+    then solve C_ff P_f = rhs_f - C_f0 P_leader.  Each of these three
+    systems is solved for all lanes of a stage in one stacked checked
+    call, and all are tested once the stages are done.  C_ff is thus
+    eliminated twice per stage and lane: the second elimination (6 x 6 for
+    two followers of three controls each) is cheap, it gives the same bits
+    as reusing the first, and it keeps one kind of checked call.
     """
     starts, begin, end = view.lanes(starts)
     L = len(starts)
@@ -134,9 +137,9 @@ def sweep(view: StageArrays, starts):
             lin = BZ @ terms.As[t]
             offset = ((zn[:, 0] - Qxt0[t])[:, None] @ B)[:, 0] - Rut0[t]
             # Follower reaction coefficients: one operator, three right-hand sides.
-            C_ff = checks.factor(C[:, f, f], site=REACTIONS, stage=t)
-            react[:a, t] = C_ff.solve(-np.concatenate([C[:, f, :m0], rhs[:, f]], axis=2),
-                                      site=REACTIONS, stage=t)
+            C_ff = C[:, f, f]
+            react[:a, t] = checks.solve(C_ff, -np.concatenate([C[:, f, :m0], rhs[:, f]], axis=2),
+                                        site=REACTIONS, stage=t)
 
             # Leader stage optimization through the reaction map.
             E[:a, f], Y[:a, f] = react[:a, t, :, :m0], react[:a, t, :, m0:]
@@ -147,7 +150,7 @@ def sweep(view: StageArrays, starts):
 
             # Follower gains/offsets from their first-order systems at the
             # leader's law (reaction identity left as a cross-check).
-            PA[:a, t, f] = C_ff.solve(rhs[:, f] - C[:, f, :m0] @ PA[:a, t, :m0],
-                                      site=FOLLOWER_GAINS, stage=t)
+            PA[:a, t, f] = checks.solve(C_ff, rhs[:, f] - C[:, f, :m0] @ PA[:a, t, :m0],
+                                        site=FOLLOWER_GAINS, stage=t)
             update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
     return PA, Z, zeta, n_const, react

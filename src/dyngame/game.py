@@ -557,6 +557,14 @@ class Trajectory:
         return self.states.shape[-2] - 1
 
 
+def require_index(name: str, value: int, last: int) -> None:
+    """Refuse ``value`` unless it is an integer in [0, last], naming that
+    range: a player or a stage of a game, where a negative index would
+    silently count from the end."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value <= last:
+        raise InvalidGameError(f"{name} {value} outside [0, {last}]")
+
+
 def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -> float:
     """Player's stage-t cost for next state ``x_next`` and everyone's controls."""
     if not 0 <= t < spec.horizon:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import feedback_nash
 from .errors import InvalidGameError
-from .game import AffineLaw, GameSpec, require_valid
+from .game import AffineLaw, GameSpec, require_index, require_valid
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class ControlSolution:
         """Optimal cost of stages t..T-1 from pre-decision state x.
 
         Subtracts the stage-(t-1) state weight folded into Z_t, turning the
-        recursion coefficient back into a plain value function.
+        recursion coefficient back into a plain value function; 0 at t = T.
         """
+        require_index("stage", t, self.spec.horizon)
         x = np.asarray(x, dtype=float)
         W = self.Z[t] - self.spec.prev_state_weight(t, 0)
         return float(0.5 * x @ W @ x + self.zeta[t] @ x + self.n_const[t])

@@ -2,17 +2,17 @@
 
 Everything here is a thin, contract-enforcing wrapper around numpy and
 LAPACK dense routines.  Matrices at the intended scale are tiny (state and
-control dimensions of a few tens at most), so a direct LU solve with
-partial pivoting is used throughout; no iterative refinement.
+control dimensions of a few tens at most), so a direct solve by Gaussian
+elimination with partial pivoting is used throughout; no iterative
+refinement.
 
-Each solve takes one square matrix or a stack of them, A (N, k, k) with
-right-hand sides B (N, k) or (N, k, r), and solves every matrix of the
-stack on its own: one LAPACK call per matrix, ``dgesv`` for
-:func:`solve_dense`, ``dgetrf`` and ``dgetrs`` for :func:`factor` and
-:meth:`LU.solve`.  These are the routines behind
-``scipy.linalg.lu_factor``/``lu_solve``, called without those functions'
-per-call argument handling, which at these sizes costs several times the
-factorisation itself.  The pivot test and, after it, the residual test
+There is one checked solve, :meth:`Checks.solve`.  It takes one square
+matrix or a stack of them, A (N, k, k) with right-hand sides B (N, k) or
+(N, k, r), and solves every matrix of the stack on its own with one
+LAPACK ``dgesv`` (elimination with partial pivoting to P A = L U, then
+the two triangular solves), the routine behind ``scipy.linalg.solve``,
+called without that function's per-call argument handling, which at
+these sizes costs several times the factorisation itself.  The pivot test and, after it, the residual test
 then judge each matrix against its own norm, so a badly scaled matrix
 neither hides nor condemns its neighbours.  A single matrix is the stack
 of one.
@@ -26,11 +26,11 @@ of a tested 9 x 9 solve with 11 right-hand sides, on a 2-vCPU x86-64
 host), so testing each stage as it is solved cost most of a sweep's solve
 time.  The bounds are the same, every system is tested, and a failure
 reports what testing each call at once would have: the first failing
-call in sweep order.  :func:`solve_dense`, :func:`factor` and the solves
-of its LU are a :class:`Checks` of one call, tested at once.
+call in sweep order.  To solve and test at once, make a :class:`Checks`
+of one call and :meth:`Checks.check` it.
 
-The routines come from scipy's compiled wrapper ``scipy.linalg._flapack``,
-loaded by file path on the first factorisation (:func:`_lapack`): it needs
+The routine comes from scipy's compiled wrapper ``scipy.linalg._flapack``,
+loaded by file path on the first solve (:func:`_lapack`): it needs
 only numpy, while importing the ``scipy.linalg`` package would take half
 of a cold ``dyngame solve``.
 """
@@ -53,7 +53,7 @@ from .errors import InvalidGameError, SingularSystemError
 #: Relative pivot threshold below which a system is reported singular.
 PIVOT_RTOL = 1e-12
 
-#: Relative residual bound guaranteed by solve_dense.
+#: Relative residual bound guaranteed by a checked solve.
 RESIDUAL_RTOL = 1e-10
 
 #: Symmetry repair tolerance: asymmetry up to this (relative) size is
@@ -83,75 +83,12 @@ class Site(NamedTuple):
     reason: str | None = None
 
 
-def solve_dense(A: np.ndarray, B: np.ndarray, context: Context = None) -> np.ndarray:
-    """Solve A @ X = B for a square A, or for each matrix of a stack A
-    (N, k, k) and its right-hand sides B (N, k) or (N, k, r), with
-    partial-pivoting LU, one ``dgesv`` per matrix.
-
-    Raises :class:`SingularSystemError` (naming ``context``) when a pivot
-    of some A_i falls below ``PIVOT_RTOL * max|A_i|`` or its solution fails
-    the residual bound ``||A_i X_i - B_i|| <= RESIDUAL_RTOL * (1 + ||A_i||
-    ||X_i||)``, which a NaN in B_i or X_i fails too.  The pivot test runs
-    over the whole stack before any residual is formed; of several matrices
-    failing a test it reports the one of largest index, the stage a
-    backward sweep over a stack of stages would reach first.  ``context``
-    may be a function of that index.  The result equals :func:`factor`
-    followed by :meth:`LU.solve` bit for bit.  This is a :class:`Checks`
-    of one call, checked at once.
-    """
-    checks = Checks()
-    X = checks.solve(A, B, context)
-    checks.check()
-    return X
-
-
-def factor(A: np.ndarray, context: Context = None) -> LU:
-    """The LU factorisation of a square A, or of each matrix of a stack A
-    (N, k, k), one ``dgetrf`` per matrix; raises
-    :class:`SingularSystemError` as :func:`solve_dense` does when a pivot
-    of some A_i falls below ``PIVOT_RTOL * max|A_i|``.  Each
-    :meth:`LU.solve` of the result is checked at once."""
-    checks = Checks()
-    lu = checks.factor(A, context)
-    checks.check()
-    return LU(lu.A, lu._stack, lu._factors, None)
-
-
-class LU:
-    """The partial-pivoting LU factorisations of a square matrix, or of each
-    matrix of a stack, made by :meth:`Checks.factor`.  Each :meth:`solve`
-    reuses them; its residuals are tested by the same :class:`Checks`, or at
-    once for an LU from :func:`factor`."""
-
-    __slots__ = ("A", "_stack", "_factors", "_checks")
-
-    def __init__(self, A: np.ndarray, stack: np.ndarray, factors: list, checks: Checks | None):
-        self.A, self._stack, self._factors, self._checks = A, stack, factors, checks
-
-    def solve(self, B: np.ndarray, context: Context = None, site: Site | None = None,
-              stage: int | None = None) -> np.ndarray:
-        """X with A @ X = B for each matrix of the stack, one ``dgetrs``
-        each, refused as in :func:`solve_dense` when it fails the residual
-        bound."""
-        checks = self._checks or Checks()
-        B, rhs = _right_sides(self.A, B)
-        rows, j = checks._record("lu", self._stack, rhs, context, site, stage)
-        getrs = _lapack()[1]
-        for i, (lu, piv), b in zip(range(j, j + len(rhs)), self._factors, rhs):
-            # A failed empty factorisation has no pivots; its refusal is due.
-            rows.X[i] = getrs(lu, piv, b)[0] if lu.size else b
-        if checks is not self._checks:
-            checks.check()
-        return rows.X[j:j + len(rhs)].reshape(B.shape)
-
-
 class Checks:
     """The checked solves of one backward sweep, tested after its stage loop.
 
-    :meth:`solve`, :meth:`factor` and the :meth:`LU.solve` of its LUs call
-    the bare LAPACK routine at once and keep each system they solved;
-    :meth:`check` runs the pivot and residual tests of :func:`solve_dense`
-    over them, one stack per call site (the module docstring says why).  It
+    :meth:`solve` calls the bare LAPACK routine at once and keeps each
+    system it solved; :meth:`check` runs the pivot and residual tests over
+    them, one stack per call site (the module docstring says why).  It
     raises what the first failing call would have raised at once: its pivot
     failure before its residual failure, and of several failing matrices of
     its stack the one of largest index.  A sweep runs in :meth:`sweep`,
@@ -161,8 +98,7 @@ class Checks:
     :class:`Site`.  A site's calls share one preallocated stack of at most
     ``rows`` systems, the most that site solves in the sweep, and at most
     ``_ROWS_BYTES``; a full stack is tested, with every other call kept so
-    far, before it takes more.  Any other call is a stack of its own, which
-    keeps its arrays as given: do not write into them before the test.
+    far, before it takes more.  Any other call is a stack of its own.
     """
 
     __slots__ = ("rows", "_stacks", "_calls", "_modes", "_events")
@@ -197,42 +133,31 @@ class Checks:
 
     def solve(self, A: np.ndarray, B: np.ndarray, context: Context = None,
               site: Site | None = None, stage: int | None = None) -> np.ndarray:
-        """X with A @ X = B, as :func:`solve_dense` without its tests, one
-        ``dgesv`` per matrix of the stack.  The result is kept for the
-        tests: do not write into it, and copy it before the site's next
-        call."""
+        """X with A @ X = B, one ``dgesv`` per matrix of the stack, refused
+        by :meth:`check` with :class:`SingularSystemError` (naming
+        ``context``, a name or a function of the failing matrix's index)
+        when a pivot of some A_i falls below ``PIVOT_RTOL * max|A_i|`` or
+        its solution fails the residual bound ``||A_i X_i - B_i|| <=
+        RESIDUAL_RTOL * (1 + ||A_i|| ||X_i||)``, which a NaN in B_i or X_i
+        fails too.  The result is kept for the tests: do not write into
+        it, and copy it before the site's next call."""
         A, stack = _matrices(A)
         B, rhs = _right_sides(A, B)
-        rows, j = self._record("solve", stack, rhs, context, site, stage)
-        gesv = _lapack()[2]
+        rows, j = self._record(stack, rhs, context, site, stage)
+        gesv = _lapack()
         for i, a, b in zip(range(j, j + len(stack)), stack, rhs):
             # An empty A has no pivot, which the pivot test refuses.
-            lu, _, x, _ = gesv(a, b) if a.size else (a, None, b, 0)
-            rows.diag[i] = lu.diagonal()
+            u, _, x, _ = gesv(a, b) if a.size else (a, None, b, 0)
+            rows.diag[i] = u.diagonal()
             rows.X[i] = x
         return rows.X[j:j + len(stack)].reshape(B.shape)
 
-    def factor(self, A: np.ndarray, context: Context = None, site: Site | None = None,
-               stage: int | None = None) -> LU:
-        """The LU factorisations of A, as :func:`factor` without its test,
-        one ``dgetrf`` per matrix of the stack."""
-        A, stack = _matrices(A)
-        rows, j = self._record("factor", stack, None, context, site, stage)
-        getrf = _lapack()[0]
-        factors = []
-        for i, a in zip(range(j, j + len(stack)), stack):
-            lu, piv, _ = getrf(a) if a.size else (a, None, 0)
-            factors.append((lu, piv))
-            rows.diag[i] = lu.diagonal()
-        return LU(A, stack, factors, self)
-
-    def _record(self, kind: str, stack: np.ndarray, rhs: np.ndarray | None, context: Context,
-                site: Site | None, stage: int | None):
+    def _record(self, stack: np.ndarray, rhs: np.ndarray, context: Context, site: Site | None,
+                stage: int | None):
         """The stack of rows that keeps this call's systems, and its first
         row, once the matrices and right-hand sides are written there."""
-        n, k = stack.shape[:2]
-        r = None if rhs is None else rhs.shape[2]
-        key = (kind, site) if site is not None else len(self._calls)
+        (n, k), r = stack.shape[:2], rhs.shape[2]
+        key = site if site is not None else len(self._calls)
         rows = self._stacks.get(key)
         if rows is not None and (rows.A.shape[1], rows.r) != (k, r):
             raise ValueError(f"{site}: systems of shape {stack.shape[1:]} and {r} right-hand "
@@ -241,24 +166,19 @@ class Checks:
             self._test()
             if n > len(rows.A):
                 rows = None
-        if rows is None and site is None:
-            # Any other call is a stack of its own, kept as given.
-            rows = self._stacks[key] = _Rows(n, k, r, kind, stack, rhs)
-        elif rows is None:
+        if rows is None:
             # A site's stack holds the sweep's rows, or as many as fit in
-            # _ROWS_BYTES.
-            row_bytes = 8 * k * (k + 1 + 2 * (r or 0)) or 8
-            rows = self._stacks[key] = _Rows(max(n, min(self.rows, _ROWS_BYTES // row_bytes)),
-                                             k, r, kind)
+            # _ROWS_BYTES; any other call is a stack of its own.
+            row_bytes = 8 * k * (k + 1 + 2 * r) or 8
+            size = n if site is None else max(n, min(self.rows, _ROWS_BYTES // row_bytes))
+            rows = self._stacks[key] = _Rows(size, k, r)
         j = rows.used
         rows.used = j + n
         rows.calls.append(len(self._calls))
         rows.starts.append(j)
         self._calls.append((context, site, stage, j))
-        if rows.A is not stack:
-            rows.A[j:j + n] = stack
-            if rhs is not None:
-                rows.B[j:j + n] = rhs
+        rows.A[j:j + n] = stack
+        rows.B[j:j + n] = rhs
         return rows, j
 
     def check(self) -> None:
@@ -295,7 +215,7 @@ class Checks:
         if first is not None:
             self._report(first[0])
             self._raise(*first)
-        self._stacks = {key: rows for key, rows in self._stacks.items() if isinstance(key, tuple)}
+        self._stacks = {key: rows for key, rows in self._stacks.items() if isinstance(key, Site)}
         for rows in self._stacks.values():
             rows.used = 0
             rows.calls, rows.starts = [], []
@@ -318,20 +238,15 @@ class Checks:
 
 
 class _Rows:
-    """The stack of the systems of one call site, preallocated, or of one
-    call, its matrices A and right-hand sides B as given: each matrix,
-    and as its kind has them, its right-hand side and solution, and its LU
-    pivots."""
+    """The preallocated stack of the systems of one call site, or of one
+    call: each matrix A, its right-hand side B and solution X, and the
+    diagonal of U, its pivots."""
 
     __slots__ = ("A", "B", "X", "diag", "r", "used", "calls", "starts")
 
-    def __init__(self, n: int, k: int, r: int | None, kind: str, A=None, B=None):
-        self.A, self.r = np.empty((n, k, k)) if A is None else A, r
-        self.B = self.X = self.diag = None
-        if kind != "factor":
-            self.B, self.X = np.empty((n, k, r)) if B is None else B, np.empty((n, k, r))
-        if kind != "lu":
-            self.diag = np.empty((n, k))
+    def __init__(self, n: int, k: int, r: int):
+        self.A, self.B, self.X = np.empty((n, k, k)), np.empty((n, k, r)), np.empty((n, k, r))
+        self.diag, self.r = np.empty((n, k)), r
         self.used = 0
         self.calls: list[int] = []   # the calls kept here, in order
         self.starts: list[int] = []  # the first row of each
@@ -344,29 +259,25 @@ class _Rows:
         n = self.used
         A = self.A[:n]
         norm = np.maximum.reduce(np.abs(A), axis=(1, 2), initial=0.0)
-        passed = singular = None
-        if self.diag is not None:
-            # An empty A has no pivot: inf fails, as does a NaN.  A pivot of
-            # a nonempty A is inf only if its norm is, which fails too.
-            pivot = np.minimum.reduce(np.abs(self.diag[:n]), axis=1, initial=np.inf)
-            passed = PIVOT_RTOL * np.maximum(norm, 1e-300) < pivot
-            if not A.shape[1]:
-                passed[:] = False
-            singular = ~passed
-        if self.X is not None:
-            X = self.X[:n]
-            R = A @ X
-            R -= self.B[:n]
-            residual = np.maximum.reduce(np.abs(R, out=R), axis=(1, 2), initial=0.0)
-            bound = RESIDUAL_RTOL * (1.0 + norm * np.maximum.reduce(np.abs(X), axis=(1, 2),
-                                                                     initial=0.0))
-            tight = residual <= bound
-            passed = tight if passed is None else passed & tight
+        # An empty A has no pivot: inf fails, as does a NaN.  A pivot of a
+        # nonempty A is inf only if its norm is, which fails too.
+        pivot = np.minimum.reduce(np.abs(self.diag[:n]), axis=1, initial=np.inf)
+        singular = ~(PIVOT_RTOL * np.maximum(norm, 1e-300) < pivot)
+        if not A.shape[1]:
+            singular[:] = True
+        X = self.X[:n]
+        R = A @ X
+        R -= self.B[:n]
+        residual = np.maximum.reduce(np.abs(R, out=R), axis=(1, 2), initial=0.0)
+        bound = RESIDUAL_RTOL * (1.0 + norm * np.maximum.reduce(np.abs(X), axis=(1, 2),
+                                                                 initial=0.0))
+        tight = residual <= bound
+        passed = tight & ~singular
         if passed.all():
             return None
         c = bisect.bisect_right(self.starts, int(passed.argmin())) - 1
         lo, hi = self.starts[c], (self.starts[c + 1] if c + 1 < len(self.starts) else n)
-        if singular is not None and singular[lo:hi].any():
+        if singular[lo:hi].any():
             return self.calls[c], lo + int(np.flatnonzero(singular[lo:hi])[-1]), None
         i = lo + int(np.flatnonzero(~tight[lo:hi])[-1])
         return self.calls[c], i, (float(residual[i]), float(bound[i]))
@@ -377,7 +288,7 @@ def _matrices(A):
     A = np.asarray(A, dtype=float)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise InvalidGameError(
-            f"solve_dense needs a square matrix or a stack of them, got shape {A.shape}")
+            f"a solve needs a square matrix or a stack of them, got shape {A.shape}")
     return A, (A if A.ndim == 3 else A[None])
 
 
@@ -395,15 +306,15 @@ def _name(context: Context, index: int) -> str | None:
     return context(index) if callable(context) else context
 
 
-_LAPACK: tuple = ()
+_LAPACK = None
 _FLAPACK = "scipy.linalg._flapack"
 
 
-def _lapack() -> tuple:
-    """LAPACK's (dgetrf, dgetrs, dgesv) from ``scipy.linalg._flapack`` on
-    the first call: the module already imported, else its file loaded by
-    path and registered under its name, else (no file, or it fails to
-    load) the module imported through the ``scipy.linalg`` package."""
+def _lapack():
+    """LAPACK's ``dgesv`` from ``scipy.linalg._flapack`` on the first call:
+    the module already imported, else its file loaded by path and
+    registered under its name, else (no file, or it fails to load) the
+    module imported through the ``scipy.linalg`` package."""
     global _LAPACK
     if not _LAPACK:
         flapack = sys.modules.get(_FLAPACK)
@@ -417,7 +328,7 @@ def _lapack() -> tuple:
                 flapack = None
         if flapack is None:
             from scipy.linalg import _flapack as flapack
-        _LAPACK = (flapack.dgetrf, flapack.dgetrs, flapack.dgesv)
+        _LAPACK = flapack.dgesv
     return _LAPACK
 
 

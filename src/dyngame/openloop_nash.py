@@ -59,10 +59,10 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
     ``drifts`` (S, T, p) solves S games at once: the given game with its
     stage drifts replaced by each drift sequence in turn.  The drift
     enters only the affine parts -- m, phi, the offsets and the path --
-    and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one LU
-    of D per stage) serves all S games, whose drift columns share that
-    LU's right-hand side with A.  Without ``drifts`` the same sweep runs
-    on the game's own drifts as its one sample.  This is the one lane of
+    and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one
+    solve with D per stage) serves all S games, whose drift columns share
+    that solve's right-hand side with A.  Without ``drifts`` the same
+    sweep runs on the game's own drifts as its one sample.  This is the one lane of
     :func:`sweep` that starts at stage 0; its path is priced as
     :func:`dyngame.game.rollout` prices it.
     """

@@ -31,7 +31,7 @@ from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
 from .game import (AffineLaw, GameSpec, _stage_costs, drift_samples, folded_drifts,
-                   initial_state, require_valid, rollout, sequence_path)
+                   initial_state, require_index, require_valid, rollout, sequence_path)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -211,6 +211,7 @@ def deviation_gap(spec: GameSpec, solution, pattern: str, player: int,
     trajectory (all other players keep acting through their laws).
     """
     _solver_row(solution, pattern)
+    require_index("player", player, spec.n_players - 1)
     _require_samples(samples)
     _require_positive("magnitude", magnitude)
     rng = _rng(seed)

@@ -1,0 +1,134 @@
+"""Print a sha256 of every solver's outputs on a fixed set of seeded games.
+
+Run it on two versions of the library and compare the outputs line by
+line: equal lines mean bit-identical results.
+
+    python3 tests/output_hashes.py > hashes.txt
+
+Each line is ``<case> <solver> <sha256>``.  The hash covers the solution's
+arrays, its tail lanes (``SOLVERS[name].tails``), the ``run_verification``
+report (``as_dict``, floats by their exact repr) and, for a refused
+solve, the error's type, message, ``context`` and ``cond_estimate``.
+The warnings a solve raises are hashed too.  The cases are:
+
+- ``seed<s>-broadcast`` and ``seed<s>-varying``: 60 seeds of
+  ``conftest.random_game`` with constant and with time-varying stages,
+  of the size each solver needs (one player without targets for
+  ``lqr``, else two or three players);
+- ``degenerate<s>-<what>``: small games that skip validation and reach a
+  zero stage system or a NaN drift, so that every solver refuses them;
+- ``long<s>``: (3, 10, 3, 200) time-varying games (one player for
+  ``lqr``), solution and three tail lanes only, whose sweeps fill and
+  test their capped stacks.
+"""
+
+import hashlib
+import sys
+import warnings
+from contextlib import ExitStack
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,  # noqa: E402
+                     openloop_stackelberg)
+from dyngame.errors import DynGameError  # noqa: E402
+from dyngame.game import StageArrays  # noqa: E402
+from dyngame.solvers import SOLVERS  # noqa: E402
+from dyngame.verify import run_verification  # noqa: E402
+
+from conftest import arrays, random_game, random_x0  # noqa: E402
+
+SWEEPS = (lqr, feedback_nash, feedback_stackelberg, openloop_nash, openloop_stackelberg)
+
+
+def players(solver, seed):
+    return 1 if solver == "lqr" else 2 + seed % 2
+
+
+def digest(run) -> str:
+    """The sha256 of what ``run()`` returns, or of its refusal, with the
+    warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = run()
+        except DynGameError as exc:
+            out = (type(exc).__name__, str(exc), getattr(exc, "context", None),
+                   getattr(exc, "cond_estimate", None))
+    warned = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return hashlib.sha256(repr((out, warned)).encode()).hexdigest()
+
+
+def outputs(name, spec, x0, starts, verify=True):
+    """The function whose result :func:`digest` hashes: the solution's
+    arrays, its tail lanes from ``starts`` and its verification report."""
+    row = SOLVERS[name]
+
+    def run():
+        sol = row.solve(spec, x0)
+        tails = row.tails(StageArrays.of(spec), sol, starts) if len(starts) else {}
+        report = (run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
+                                   leader_samples=10).as_dict() if verify else None)
+        return arrays(sol), arrays(tails), report
+
+    return run
+
+
+def degenerate(seed, n, what):
+    """A time-varying scalar game of n players whose stage 3 is all zero
+    weights and inputs, or has a NaN drift, and stage 1 the other."""
+    spec = random_game(seed, n_players=n, state_dim=1, control_dims=[1] * n, horizon=5,
+                       time_varying=True, targets=n > 1)
+    stages = list(spec.stages)
+    zero = np.zeros((1, 1))
+    singular, nan = (3, 1) if what == "singular" else (1, 3)
+    stages[singular] = replace(stages[singular], B=(zero,) * n,
+                               R=tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+    stages[nan] = replace(stages[nan], s=np.array([np.nan]))
+    return replace(spec, stages=tuple(stages)), random_x0(seed, spec)
+
+
+def unchecked() -> ExitStack:
+    """Every solver reads the unchecked view, so a degenerate game reaches
+    its stage solves."""
+    stack = ExitStack()
+    for module in SWEEPS:
+        stack.enter_context(mock.patch.object(module, "require_valid",
+                                              lambda spec, **kw: StageArrays.of(spec)))
+    return stack
+
+
+def main() -> None:
+    for seed in range(60):
+        for kind in ("broadcast", "varying"):
+            for name in SOLVERS:
+                spec = random_game(seed, n_players=players(name, seed),
+                                   time_varying=kind == "varying", targets=name != "lqr")
+                x0 = random_x0(seed, spec)
+                run = outputs(name, spec, x0, np.arange(1, spec.horizon))
+                print(f"seed{seed}-{kind} {name} {digest(run)}")
+    with unchecked():
+        for seed in range(10):
+            for what in ("singular", "nan"):
+                for name in SOLVERS:
+                    spec, x0 = degenerate(seed, players(name, seed), what)
+                    run = outputs(name, spec, x0, np.arange(1, spec.horizon), verify=False)
+                    print(f"degenerate{seed}-{what} {name} {digest(run)}")
+    for seed in range(3):
+        for name in SOLVERS:
+            n = players(name, 1)
+            spec = random_game(900 + seed, n_players=n, state_dim=10, control_dims=[3] * n,
+                               horizon=200, time_varying=True, targets=name != "lqr")
+            x0 = random_x0(seed, spec)
+            run = outputs(name, spec, x0, np.array([1, 50, 199]), verify=False)
+            print(f"long{seed} {name} {digest(run)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -62,8 +62,7 @@ library's form from before that selection, which the selection must equal
 bit for bit.
 
 The eager stage checks test each stage solve of a sweep when it is made,
-through :func:`dyngame.numerics.solve_dense` and
-:func:`dyngame.numerics.factor`, and wrap its failure as the sweeps did
+through :func:`solve_dense`, and wrap its failure as the sweeps did
 before they tested all their solves after the stage loop.  Installed in
 place of :class:`dyngame.numerics.Checks`, they must give every solution
 bit for bit and every failure word for word.
@@ -74,19 +73,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dyngame import (feedback_stackelberg, game, lqr, numerics, openloop_nash,
-                     openloop_stackelberg, verify)
+from dyngame import (feedback_stackelberg, game, lqr, openloop_nash, openloop_stackelberg,
+                     verify)
 from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
 from dyngame.game import (AffineLaw, GameSpec, StageArrays, Trajectory, ValidationReport,
                           Violation, drift_samples, folded_drifts, initial_state, require_valid,
                           rollout, stage_cost, truncate)
-from dyngame.numerics import SYMMETRY_RTOL, asymmetry, solve_dense
+from dyngame.numerics import SYMMETRY_RTOL, Checks, asymmetry
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, solver_of
 
 from conftest import act
+
+
+def solve_dense(A, B, context=None):
+    """A @ X = B for a square A or a stack of them, tested at once: a
+    :class:`dyngame.numerics.Checks` of one call."""
+    checks = Checks()
+    X = checks.solve(A, B, context)
+    checks.check()
+    return X
 
 
 def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
@@ -1552,8 +1560,7 @@ def classify_definiteness(M: np.ndarray, tol: float = 1e-9) -> Definiteness:
 
 class EagerChecks:
     """A stand-in for :class:`dyngame.numerics.Checks` that tests every
-    call at once: each goes through :func:`dyngame.numerics.solve_dense`
-    or :func:`dyngame.numerics.factor`, and a call of a
+    call at once: each goes through :func:`solve_dense`, and a call of a
     :class:`dyngame.numerics.Site` is named and wrapped as the sweep's own
     try/except did.  :meth:`check` has nothing left to test, and a
     :meth:`sweep` leaves floating-point events to numpy's error mode."""
@@ -1566,21 +1573,10 @@ class EagerChecks:
         return contextlib.nullcontext(cls())
 
     def solve(self, A, B, context=None, site=None, stage=None):
-        return _at_once(lambda name: numerics.solve_dense(A, B, name), context, site, stage)
-
-    def factor(self, A, context=None, site=None, stage=None):
-        return _EagerLU(_at_once(lambda name: numerics.factor(A, name), context, site, stage))
+        return _at_once(lambda name: solve_dense(A, B, name), context, site, stage)
 
     def check(self) -> None:
         pass
-
-
-class _EagerLU:
-    def __init__(self, lu):
-        self.lu = lu
-
-    def solve(self, B, context=None, site=None, stage=None):
-        return _at_once(lambda name: self.lu.solve(B, name), context, site, stage)
 
 
 def _at_once(solve, context, site, stage):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from dyngame import feedback_nash, lqr
-from dyngame.errors import SingularSystemError
+from dyngame.errors import InvalidGameError, SingularSystemError
 from dyngame.game import GameSpec, StageArrays, constant_game, rollout, stage_cost, truncate
+from dyngame.gameio import load_game
 
 import reference_formulations as ref
-from conftest import act, random_game, random_x0, rng_for, scalar_unit_two_player
+from conftest import GOLDEN, act, random_game, random_x0, rng_for, scalar_unit_two_player
 
 
 def test_symmetric_unit_instance_gains():
@@ -80,6 +81,28 @@ def test_stagewise_best_response():
                     d = np.zeros(spec.control_dims[i])
                     d[k] = sign * h
                     assert tail(base[i] + d) >= c0 - 1e-8
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda sol, x: sol.cost_to_go(-1, x, 0), r"stage -1 outside \[0, 3\]"),
+    (lambda sol, x: sol.cost_to_go(4, x, 0), r"stage 4 outside \[0, 3\]"),
+    (lambda sol, x: sol.cost_to_go(0, x, -1), r"player -1 outside \[0, 1\]"),
+    (lambda sol, x: sol.value(x, 2), r"player 2 outside \[0, 1\]"),
+    (lambda sol, x: sol.value(x, -1), r"player -1 outside \[0, 1\]"),
+], ids=["stage-1", "stage-T+1", "player-1", "value-player-n", "value-player-1"])
+def test_refuses_a_stage_or_player_outside_the_game(call, message):
+    # a negative index would silently count from the end
+    sol = feedback_nash.solve(load_game(GOLDEN / "two_player.json"))
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        call(sol, np.array([1.0, -0.5]))
+
+
+def test_cost_to_go_from_the_horizon_is_zero():
+    spec = load_game(GOLDEN / "two_player.json")
+    sol = feedback_nash.solve(spec)
+    x = np.array([1.0, -0.5])
+    assert [sol.cost_to_go(spec.horizon, x, i) for i in range(2)] == [0.0, 0.0]
+    assert [sol.cost_to_go(0, x, i) for i in range(2)] == [sol.value(x, i) for i in range(2)]
 
 
 def test_strong_time_consistency():

@@ -25,7 +25,7 @@ PLAYERS = {"lqr": 1, "feedback-nash": 2, "feedback-stackelberg": 3,
            "openloop-nash": 3, "openloop-stackelberg": 3}
 # Stacked dense calls per stage of a sweep, and per sweep outside the stage
 # loop (the open-loop R^ii solves, one per player).
-PER_STAGE = {"lqr": 1, "feedback-nash": 1, "feedback-stackelberg": 2,
+PER_STAGE = {"lqr": 1, "feedback-nash": 1, "feedback-stackelberg": 3,
              "openloop-nash": 1, "openloop-stackelberg": 2}
 PER_SWEEP = {"lqr": 0, "feedback-nash": 0, "feedback-stackelberg": 0,
              "openloop-nash": 3, "openloop-stackelberg": 3}
@@ -33,19 +33,16 @@ PER_SWEEP = {"lqr": 0, "feedback-nash": 0, "feedback-stackelberg": 0,
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """A Counter of calls into ``numerics.Checks.solve`` and
-    ``numerics.Checks.factor``, one stacked factorisation each, which every
-    sweep makes and on which ``numerics.solve_dense`` and
-    ``numerics.factor`` are built."""
+    """A Counter of calls into ``numerics.Checks.solve``, one stacked
+    solve each, the only checked solve a sweep makes."""
     counts = Counter()
-    for name in ("solve", "factor"):
-        fn = getattr(numerics.Checks, name)
+    solve = numerics.Checks.solve
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        counts["solve"] += 1
+        return solve(*args, **kwargs)
 
-        monkeypatch.setattr(numerics.Checks, name, counted)
+    monkeypatch.setattr(numerics.Checks, "solve", counted)
     return counts
 
 

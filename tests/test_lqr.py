@@ -85,6 +85,15 @@ def test_terminal_coefficients():
     assert sol.n_const[spec.horizon] == 0.0
 
 
+@pytest.mark.parametrize("t", [-1, 4])
+def test_cost_to_go_refuses_a_stage_outside_the_horizon(t):
+    spec = random_game(103, n_players=1, targets=False, state_dim=3, horizon=3)
+    sol = lqr.solve_control(spec)
+    with pytest.raises(InvalidGameError, match=rf"^stage {t} outside \[0, 3\]$"):
+        sol.cost_to_go(t, np.ones(3))
+    assert sol.cost_to_go(3, np.ones(3)) == 0.0
+
+
 def test_rejects_multiplayer_and_targets():
     from conftest import scalar_unit_two_player
     with pytest.raises(InvalidGameError):

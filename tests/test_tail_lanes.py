@@ -24,7 +24,7 @@ from dyngame.game import AffineLaw, StageArrays, Trajectory
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, SOLVERS, solver_of
 
 import reference_formulations as ref
-from conftest import GOLDEN, GOLDEN_X0, random_game, random_x0
+from conftest import GOLDEN, GOLDEN_X0, arrays, random_game, random_x0
 
 ROOT = Path(__file__).resolve().parent.parent
 PLAYERS = {"lqr": 1, "feedback-nash": 2, "feedback-stackelberg": 3,
@@ -176,6 +176,22 @@ def test_corrupted_open_loop_control_fails_wtc(solver):
     report = verify.run_verification(spec, bad, OPEN_LOOP, solver, x0=x0, samples=5,
                                      leader_samples=5)
     assert any(f.startswith("WTC tail deviation") for f in report.failures), report.failures
+
+
+@pytest.mark.parametrize("sweep", [feedback_nash.sweep, feedback_stackelberg.sweep],
+                         ids=["feedback-nash", "feedback-stackelberg"])
+def test_lane_values_are_zero_before_their_start_and_repeatable(sweep):
+    # a lane's value coefficients before its start are no computed value,
+    # so they must be zeros, not whatever memory the arrays were given
+    spec = random_game(11, n_players=3, state_dim=2, control_dims=[1, 2, 1], horizon=12,
+                       time_varying=True)
+    view = StageArrays.of(spec)
+    starts = np.arange(12)
+    first = sweep(view, starts)
+    assert arrays(sweep(view, starts)) == arrays(first)
+    for values in first[1:4]:
+        for lane, start in enumerate(starts):
+            assert not values[lane, :, :start].any()
 
 
 def test_lane_starts_must_be_ascending_stages():

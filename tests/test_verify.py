@@ -5,10 +5,11 @@ from dyngame import (feedback_nash, feedback_stackelberg, openloop_nash,
                      openloop_stackelberg, verify)
 from dyngame.errors import InvalidGameError
 from dyngame.game import AffineLaw, GameSpec, Player, StageData, constant_game
+from dyngame.gameio import load_game
 from dyngame.solvers import SOLVERS
 
 import reference_formulations as ref
-from conftest import random_game, random_x0, rng_for, scalar_unit_two_player
+from conftest import GOLDEN, random_game, random_x0, rng_for, scalar_unit_two_player
 
 
 def zero_cost_game(T=2):
@@ -125,6 +126,16 @@ class TestDeviationGap:
         gap = verify.deviation_gap(spec, sol, verify.OPEN_LOOP, player=0,
                                    samples=25, magnitude=1e-2, seed=0)
         assert gap == 0.0
+
+    @pytest.mark.parametrize("player", [2, -1])
+    @pytest.mark.parametrize("solver", ["feedback-nash", "openloop-nash"])
+    def test_refuses_a_player_outside_the_game(self, solver, player):
+        # -1 would silently test the last player, 2 end in an IndexError
+        spec = load_game(GOLDEN / "two_player.json")
+        row, x0 = SOLVERS[solver], np.array([1.0, -0.5])
+        sol = row.solve(spec, x0)
+        with pytest.raises(InvalidGameError, match=rf"^player {player} outside \[0, 1\]$"):
+            verify.deviation_gap(spec, sol, row.pattern, player=player, x0=x0)
 
     def test_open_loop_gap_nonnegative(self):
         spec = random_game(607, n_players=2)
