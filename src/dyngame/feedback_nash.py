@@ -1,22 +1,28 @@
 """Feedback Nash equilibrium for n-player affine-quadratic games.
 
-Backward induction over stages.  At each stage the players' first-order
-conditions are linear in the unknown gains and offsets, coupled across
-players; stacking them gives one block linear system per stage
+Backward induction over stages on the augmented state (x, 1): player i's
+value is 1/2 (x, 1)' Z~^i (x, 1) with Z~ = [[Z, zeta~], [zeta~', 2 n~]],
+the dynamics A~ = [[A, s], [0, 1]] and B~ = [[B, 0], [0, 0]], the stage
+charges Q~ = [[Q, -Q xt], [-xt'Q, xt'Q xt]] on (x, 1) and R~ = [[R, -R
+ut], [-ut'R, ut'R ut]] on (u, 1).  Per stage, the players' first-order
+conditions stack into one block system for the law u = -PA (x, 1),
 
-    [ d_ij R^ii + B^i' Z^i B^j ]_{ij}  [P^1; ...; P^n] = [ B^i' Z^i A ]_i
+    [ d_ij R^ii + B^i' Z^i B^j ]_{ij} PA = [ B^i' Z~^i[:p] A~ - [0 | R^ii ut^ii] ]_i,
 
-(and the analogous right-hand side for the offsets), solved with a single
-factorization.  The per-player quadratic coefficients Z/zeta/n then update
-through the closed loop.  The resulting laws are strongly time consistent:
-the recursion never reads the state, so the tail of a solution solves any
-truncated game.
+solved with one factorization.  With K~ = [PA; -e'], (u, 1) = -K~ (x, 1)
+and the closed loop F~ = A~ - B~ K~, every value then updates as
 
-Index convention: Z_t combines the state weight charged on x_t by stage
-t-1 with the cost-to-go Hessian of stage t, so Z_T is the last stage's Q
-and, since no stage weight is ever charged on x_0, the equilibrium cost
-from x_0 is exactly 1/2 x0'Z_0 x0 + zeta_0'x0 + n_0.  For one player with
-zero cost targets this is single-player control (:mod:`dyngame.lqr`).
+    Z~_t = F~' Z~_{t+1} F~ + K~' R~ K~ + Q~_{t-1}.
+
+The recursion never reads the state, so the laws are strongly time
+consistent: the tail of a solution solves any truncated game.
+
+Z~_t holds stage t-1's charge Q~_{t-1} on x_t, none on a lane's initial
+state.  A solution reports Z_t = Z~_t[:p, :p], which holds Q_{t-1}, and
+zeta_t and n_t from the last column of Z~_t less stage t-1's linear and
+constant charges, so the equilibrium cost from x_0 is exactly 1/2
+x0'Z_0 x0 + zeta_0'x0 + n_0.  For one player with zero cost targets this
+is single-player control (:mod:`dyngame.lqr`).
 """
 
 from __future__ import annotations
@@ -66,54 +72,58 @@ class FeedbackNashSolution:
         return float(0.5 * x @ W @ x + self.zeta[player, t] @ x + self.n_const[player, t])
 
 
+def charge(W: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The weight 1/2 (v - y)'W(v - y) as a form 1/2 (v, 1)' W~ (v, 1):
+    W~ = J'WJ with J = [I | -y], for W (..., k, k) and y (..., k)."""
+    J = np.concatenate([np.broadcast_to(np.eye(target.shape[-1]), W.shape), -target[..., None]],
+                       axis=-1)
+    return J.swapaxes(-1, -2) @ W @ J
+
+
 class StageTerms(NamedTuple):
     """The terms of the feedback recursion that read the stage data alone,
-    stacked over stages; every lane of a sweep shares them."""
+    stacked over stages, on (x, 1) and (u, 1); every lane of a sweep shares
+    them."""
 
-    As: np.ndarray      # [A_t | s_t], (T, p, p+1)
-    Qxt: np.ndarray     # every player's Q^i xt^i, (T, n, p)
-    R_ut: np.ndarray    # every player's R^i ut^i, (T, n, M)
+    A: np.ndarray       # A~ = [[A, s], [0, 1]], (T, p+1, p+1)
+    B: np.ndarray       # B~ = [[B, 0], [0, 0]], (T, p+1, M+1): B~ K~ = [B PA; 0]
+    Q: np.ndarray       # every player's Q~^i, (T, n, p+1, p+1)
+    R: np.ndarray       # every player's R~^i on all controls, (T, n, M+1, M+1)
     R_own: np.ndarray   # blockdiag(R^ii), (T, M, M)
     Ru_own: np.ndarray  # each control row's R^ii ut^ii, (T, M)
-    const: np.ndarray   # 1/2 (xt^i' Q^i xt^i + ut^i' R^i ut^i), (T, n)
 
     @classmethod
     def of(cls, view: StageArrays) -> StageTerms:
-        Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
-        R_ut = np.einsum("tikl,til->tik", view.R, view.ut)
+        T, p, M = view.B.shape
+        A, B = np.zeros((T, p + 1, p + 1)), np.zeros((T, p + 1, M + 1))
+        A[:, :p] = np.concatenate([view.A, view.s[..., None]], axis=2)
+        A[:, p, p] = 1
+        B[:, :p, :M] = view.B
         R_own = view.own(view.R, lead=1)
-        return cls(As=np.concatenate([view.A, view.s[..., None]], axis=2), Qxt=Qxt, R_ut=R_ut,
-                   R_own=R_own, Ru_own=(R_own @ view.own(view.ut, lead=1)[..., None])[..., 0],
-                   const=0.5 * (np.einsum("tip,tip->ti", view.xt, Qxt)
-                                + np.einsum("tik,tik->ti", view.ut, R_ut)))
+        return cls(A=A, B=B, Q=charge(view.Q, view.xt), R=charge(view.R, view.ut), R_own=R_own,
+                   Ru_own=(R_own @ view.own(view.ut, lead=1)[..., None])[..., 0])
 
 
-def stage_system(view: StageArrays, terms: StageTerms, t: int, Z: np.ndarray, zeta: np.ndarray):
-    """The stage-t first-order conditions of all players in each of a
-    lanes, C [P | alpha] = rhs, C (a, M, M) and rhs (a, M, p+1), given
-    every lane's next-stage coefficients of every player, Z (a, n, p, p)
-    and zeta (a, n, p).  With B'Z_own the rows B^i' Z^i of each player i,
-
-        C   = blockdiag(R^ii) + B'Z_own B,
-        rhs = [B'Z_own A | B'Z_own s + B^i'(zeta^i - Q^i xt^i) - R^ii ut^ii].
-    """
-    B = view.B[t]
-    BZ = view.own(B.T @ Z, lead=1)
-    rhs = BZ @ terms.As[t]
-    rhs[..., -1] += view.own((zeta - terms.Qxt[t]) @ B, lead=1) - terms.Ru_own[t]
-    return BZ @ B + terms.R_own[t], rhs
+def stage_system(view: StageArrays, terms: StageTerms, t: int, BZ: np.ndarray):
+    """The stage-t system of all players in each of a lanes, C PA = rhs, C
+    (a, M, M) and rhs (a, M, p+1), from the rows B' Z~^i[:p] of every
+    lane's next-stage value of every player i, BZ (a, n, M, p+1)."""
+    BZ = view.own(BZ, lead=1)
+    rhs = BZ @ terms.A[t]
+    rhs[..., -1] -= terms.Ru_own[t]
+    return BZ[..., :-1] @ view.B[t] + terms.R_own[t], rhs
 
 
 def solve(spec: GameSpec) -> FeedbackNashSolution:
     """Unique feedback Nash equilibrium of an affine-quadratic game.
 
     Per stage, backward: solve the stacked gain and offset systems, then
-    update every player's Z, zeta and n through the closed loop.  A
-    singular stage system means the stage first-order conditions do not
-    pin down unique gains, i.e. the game has no unique feedback Nash
-    equilibrium in affine strategies; this is reported with the stage
-    index and a condition estimate.  This is the one lane of
-    :func:`sweep` that starts at stage 0.
+    update every player's value Z~ through the closed loop.  A singular
+    stage system means the stage first-order conditions do not pin down
+    unique gains, i.e. the game has no unique feedback Nash equilibrium in
+    affine strategies; this is reported with the stage index and a
+    condition estimate.  This is the one lane of :func:`sweep` that starts
+    at stage 0.
     """
     view = require_valid(spec)
     PA, Z, zeta, n_const = sweep(view, [0])
@@ -136,25 +146,36 @@ def sweep(view: StageArrays, starts):
     """
     starts, begin, end = view.lanes(starts)
     terms = StageTerms.of(view)
-    Z, zeta, n_const = terminal_values(view, len(starts))
-    T, p, M = view.B.shape
-    PA = np.zeros((len(starts), T, M, p + 1))
+    K, Z = sweep_arrays(terms, len(starts))
+    T, p = view.B.shape[:2]
     with Checks.sweep(end[starts[0]:]) as checks:
         for t in range(T - 1, starts[0] - 1, -1):
             a = end[t]
-            C, rhs = stage_system(view, terms, t, Z[:a, :, t + 1], zeta[:a, :, t + 1])
-            PA[:a, t] = checks.solve(C, rhs, site=GAINS, stage=t)
-            update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
-    return PA, Z, zeta, n_const
+            C, rhs = stage_system(view, terms, t, view.B[t].T @ Z[:a, :, t + 1, :p])
+            K[:a, t, :-1] = checks.solve(C, rhs, site=GAINS, stage=t)
+            update_values(terms, t, K[:a, t], Z[:a], begin[t])
+    return (K[:, :, :-1], *values_of(terms, starts, Z))
 
 
-def terminal_values(view: StageArrays, lanes: int):
-    """Value coefficients of every lane, Z (L, n, T+1, p, p), zeta (L, n,
-    T+1, p) and n (L, n, T+1), with Z_T the last stage's Q."""
-    T, n, p = view.Q.shape[:3]
-    Z = np.zeros((lanes, n, T + 1, p, p))
-    Z[:, :, T] = view.Q[T - 1]
-    return Z, np.zeros((lanes, n, T + 1, p)), np.zeros((lanes, n, T + 1))
+def sweep_arrays(terms: StageTerms, lanes: int):
+    """Every lane's stage laws K~ = [PA; -e'] (L, T, M+1, p+1), PA zero,
+    and augmented values Z~ (L, n, T+1, p+1, p+1), Z~_T = Q~_{T-1}."""
+    (T, n, q), M = terms.Q.shape[:3], terms.R.shape[-1] - 1
+    K = np.zeros((lanes, T, M + 1, q))
+    K[..., M, -1] = -1
+    Z = np.zeros((lanes, n, T + 1, q, q))
+    Z[:, :, T] = terms.Q[T - 1]
+    return K, Z
+
+
+def values_of(terms: StageTerms, starts: np.ndarray, Z: np.ndarray):
+    """Every lane's Z (L, n, T+1, p, p), zeta (L, n, T+1, p) and n (L, n,
+    T+1) from its augmented values Z~: the last column of Z~_t less stage
+    t-1's linear and constant charges on x_t, after the lane's start."""
+    last = Z[..., -1].copy()
+    charged = np.arange(1, len(terms.Q) + 1) > starts[:, None]
+    last[:, :, 1:] -= charged[:, None, :, None] * terms.Q[..., -1].swapaxes(0, 1)
+    return Z[..., :-1, :-1], last[..., :-1], 0.5 * last[..., -1]
 
 
 def laws_of(view: StageArrays, PA: np.ndarray) -> tuple[AffineLaw, ...]:
@@ -163,28 +184,14 @@ def laws_of(view: StageArrays, PA: np.ndarray) -> tuple[AffineLaw, ...]:
     return tuple(AffineLaw(-PA[:, b, :-1], -PA[:, b, -1]) for b in view.blocks)
 
 
-def update_values(view: StageArrays, terms: StageTerms, t: int, PA: np.ndarray,
-                  Z, zeta, n_const, weighted: int) -> None:
-    """Closed-loop update of every player's Z, zeta, n at stage t under the
-    stacked stage law u = -PA (x, 1), in each of a lanes: PA (a, M, p+1),
-    Z (a, n, T+1, p, p) and so on.
-
-    Shared by the Nash and Stackelberg solvers: once the stage gains of
-    all players are known, the value coefficients update identically.
-    Player i's stage cost-to-go is a quadratic in (x, 1) whose matrix,
-    with x_{t+1} = [F | d](x, 1), is [F | d]' Z^i [F | d] + PA' R^i PA.
-    Z_t absorbs the state weight of stage t-1 in the first ``weighted``
-    lanes; the others start at t, where x_t is their initial state.
-    """
-    p = PA.shape[-1] - 1
-    Fd = terms.As[t] - view.B[t] @ PA
-    Zn, zn = Z[:, :, t + 1], zeta[:, :, t + 1]
-    quad = (Fd.swapaxes(1, 2)[:, None] @ Zn @ Fd[:, None]
-            + PA.swapaxes(1, 2)[:, None] @ view.R[t] @ PA[:, None])
-    lin = (zn - terms.Qxt[t]) @ Fd + terms.R_ut[t] @ PA
-    Zt = quad[..., :p, :p]
-    if t:
-        Zt[:weighted] += view.Q[t - 1]
+def update_values(terms: StageTerms, t: int, K: np.ndarray, Z: np.ndarray, weighted: int) -> None:
+    """Z~_t of every player in each of a lanes, Z (a, n, T+1, p+1, p+1),
+    under their stage laws K~ (a, M+1, p+1), symmetrised, with Q~_{t-1}
+    in the first ``weighted`` lanes only (none at t = 0): the others start
+    at t, where x_t is their initial state.  Shared by the Nash and
+    Stackelberg solvers."""
+    F = terms.A[t] - terms.B[t] @ K
+    Zt = (F.swapaxes(1, 2)[:, None] @ Z[:, :, t + 1] @ F[:, None]
+          + K.swapaxes(1, 2)[:, None] @ terms.R[t] @ K[:, None])
+    Zt[:weighted] += terms.Q[t - 1]
     Z[:, :, t] = 0.5 * (Zt + Zt.swapaxes(-1, -2))
-    zeta[:, :, t] = quad[..., :p, p] + lin[..., :p]
-    n_const[:, :, t] = n_const[:, :, t + 1] + 0.5 * quad[..., p, p] + lin[..., p] + terms.const[t]

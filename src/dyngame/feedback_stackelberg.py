@@ -16,8 +16,8 @@ backward:
     systems at the leader's equilibrium law (not via the reaction
     identity, which is kept as an independently checkable invariant:
     P^i = -W^i + rbar^i P_leader and likewise for the offsets).
-4.  Everyone's Z/zeta/n update through the closed loop exactly as in the
-    Nash recursion.
+4.  Everyone's value Z~ updates through the closed loop as in the Nash
+    recursion, on the augmented state (x, 1) of :mod:`dyngame.feedback_nash`.
 
 Like the feedback Nash solution, the result is strongly time consistent.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidGameError
 from .feedback_nash import (FeedbackNashSolution, StageTerms, laws_of, stage_system,
-                            terminal_values, update_values)
+                            sweep_arrays, update_values, values_of)
 from .game import GameSpec, StageArrays, require_valid
 from .numerics import Checks, Site
 
@@ -99,7 +99,7 @@ def sweep(view: StageArrays, starts):
     C [P | alpha] = rhs give the reactions, C_ff [rbar | W | w] =
     -[C_f0 | rhs_f].  Every control is then u = E u_leader + Y (x, 1) with
     E = [I; rbar] and Y = [0; W | w], and the leader solves
-    E'HE [P | alpha]_leader = E'(B'Z^0 [A | s] + H Y + offsets), with
+    E'HE [P | alpha]_leader = E'(B'Z~^0[:p] A~ + H Y - [0 | R^0 ut^0]), with
     H = B'Z^0 B + R^0 its Hessian in all controls.  The followers' gains
     then solve C_ff P_f = rhs_f - C_f0 P_leader.  Each of these three
     systems is solved for all lanes of a stage in one stacked checked
@@ -111,31 +111,23 @@ def sweep(view: StageArrays, starts):
     starts, begin, end = view.lanes(starts)
     L = len(starts)
     terms = StageTerms.of(view)
-    Z, zeta, n_const = terminal_values(view, L)
+    K, Z = sweep_arrays(terms, L)
     T, p, M = view.B.shape
     m0 = view.blocks[0].stop
     f = slice(m0, M)
-    PA = np.zeros((L, T, M, p + 1))
     react = np.zeros((L, T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
     # Every lane's E = [I; rbar] and Y = [0; W | w], their followers' rows
     # filled in stage by stage.
     E = np.zeros((L, M, m0))
     E[:, :m0] = np.eye(m0)
     Y = np.zeros((L, M, p + 1))
-    # The leader's Q^0 xt^0 and R^0 ut^0 at every stage.
-    Qxt0 = (view.Q[:, 0] @ view.xt[:, 0, :, None])[..., 0]
-    Rut0 = (view.R[:, 0] @ view.ut[:, 0, :, None])[..., 0]
 
     with Checks.sweep(end[starts[0]:]) as checks:
         for t in range(T - 1, starts[0] - 1, -1):
             a = end[t]
-            Zn, zn = Z[:a, :, t + 1], zeta[:a, :, t + 1]
-            C, rhs = stage_system(view, terms, t, Zn, zn)
-            B, R0 = view.B[t], view.R[t, 0]
-            BZ = B.T @ Zn[:, 0]
-            H = BZ @ B + R0
-            lin = BZ @ terms.As[t]
-            offset = ((zn[:, 0] - Qxt0[t])[:, None] @ B)[:, 0] - Rut0[t]
+            BZ = view.B[t].T @ Z[:a, :, t + 1, :p]
+            C, rhs = stage_system(view, terms, t, BZ)
+            H = BZ[:, 0, :, :p] @ view.B[t] + view.R[t, 0]  # the leader's, in all controls
             # Follower reaction coefficients: one operator, three right-hand sides.
             C_ff = C[:, f, f]
             react[:a, t] = checks.solve(C_ff, -np.concatenate([C[:, f, :m0], rhs[:, f]], axis=2),
@@ -143,14 +135,14 @@ def sweep(view: StageArrays, starts):
 
             # Leader stage optimization through the reaction map.
             E[:a, f], Y[:a, f] = react[:a, t, :, :m0], react[:a, t, :, m0:]
-            lin_l = lin + H @ Y[:a]
-            lin_l[..., p] += offset
+            lin = BZ[:, 0] @ terms.A[t] + H @ Y[:a]
+            lin[..., p] += terms.R[t, 0, :M, M]
             Et = E[:a].swapaxes(1, 2)
-            PA[:a, t, :m0] = checks.solve(Et @ H @ E[:a], Et @ lin_l, site=LEADER, stage=t)
+            K[:a, t, :m0] = checks.solve(Et @ H @ E[:a], Et @ lin, site=LEADER, stage=t)
 
             # Follower gains/offsets from their first-order systems at the
             # leader's law (reaction identity left as a cross-check).
-            PA[:a, t, f] = checks.solve(C_ff, rhs[:, f] - C[:, f, :m0] @ PA[:a, t, :m0],
-                                        site=FOLLOWER_GAINS, stage=t)
-            update_values(view, terms, t, PA[:a, t], Z[:a], zeta[:a], n_const[:a], begin[t])
-    return PA, Z, zeta, n_const, react
+            K[:a, t, f] = checks.solve(C_ff, rhs[:, f] - C[:, f, :m0] @ K[:a, t, :m0],
+                                       site=FOLLOWER_GAINS, stage=t)
+            update_values(terms, t, K[:a, t], Z[:a], begin[t])
+    return (K[:, :, :-1], *values_of(terms, starts, Z), react)

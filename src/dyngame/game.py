@@ -131,6 +131,8 @@ class GameSpec:
         the coefficient at time t absorbs this weight; converting back to a
         plain cost-to-go subtracts it.
         """
+        require_index("stage", t, self.horizon)
+        require_index("player", player, self.n_players - 1)
         if t == 0:
             return np.zeros((self.state_dim, self.state_dim))
         return self.stages[t - 1].Q[player]
@@ -567,6 +569,7 @@ def require_index(name: str, value: int, last: int) -> None:
 
 def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -> float:
     """Player's stage-t cost for next state ``x_next`` and everyone's controls."""
+    require_index("player", player, spec.n_players - 1)
     if not 0 <= t < spec.horizon:
         raise InvalidGameError(f"stage {t} outside horizon [0, {spec.horizon})")
     st = spec.stages[t]
@@ -592,6 +595,7 @@ def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -
 
 def total_cost(spec: GameSpec, traj: Trajectory, player: int) -> float:
     """Stage-additive total cost of one player along a trajectory."""
+    require_index("player", player, spec.n_players - 1)
     if traj.states.shape != (spec.horizon + 1, spec.state_dim):
         raise InvalidGameError(
             f"trajectory shape {traj.states.shape} inconsistent with the game"

@@ -5,6 +5,7 @@ from dyngame import feedback_nash, lqr
 from dyngame.errors import InvalidGameError, SingularSystemError
 from dyngame.game import GameSpec, StageArrays, constant_game, rollout, stage_cost, truncate
 from dyngame.gameio import load_game
+from dyngame.solvers import SOLVERS
 
 import reference_formulations as ref
 from conftest import GOLDEN, act, random_game, random_x0, rng_for, scalar_unit_two_player
@@ -58,6 +59,24 @@ def test_value_equals_rollout_cost():
     traj = rollout(spec, sol.laws, x0)
     for i in range(3):
         assert sol.value(x0, i) == pytest.approx(traj.total_costs[i], abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [211, 212, 213])
+@pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
+def test_cost_to_go_equals_the_rollout_cost_of_every_tail(solver, seed):
+    # at t >= 1 the value coefficients must shed stage t-1's charges on
+    # x_t, which t = 0 never tests: no stage charges x_0
+    n = {"lqr": 1, "feedback-nash": 2, "feedback-stackelberg": 3}[solver]
+    spec = random_game(seed, n_players=n, state_dim=3, control_dims=[2, 1, 2][:n], horizon=6,
+                       time_varying=True, targets=solver != "lqr")
+    sol = SOLVERS[solver].solve(spec, None)
+    traj = rollout(spec, sol.laws, random_x0(seed, spec))
+    for t in range(spec.horizon + 1):
+        x = traj.states[t]
+        for i in range(n):
+            value = sol.cost_to_go(t, x) if solver == "lqr" else sol.cost_to_go(t, x, i)
+            tail = traj.stage_costs[i, t:].sum()
+            assert abs(value - tail) <= 1e-10 * abs(tail), (t, i)
 
 
 def test_stagewise_best_response():

@@ -10,7 +10,8 @@ from dyngame.gameio import (GameFormatError, game_from_dict, game_to_dict,
                             load_game, save_game)
 
 import reference_formulations as ref
-from conftest import random_game, random_x0, rng_for, scalar_unit_lqr, scalar_unit_two_player
+from conftest import (GOLDEN, random_game, random_x0, rng_for, scalar_unit_lqr,
+                      scalar_unit_two_player)
 
 
 def test_validate_scalar_unit_spec_is_clean():
@@ -96,6 +97,29 @@ class TestStageCost:
             stage_cost(spec, 0, 0, np.zeros(2), [np.zeros(1)])
         with pytest.raises(InvalidGameError):
             stage_cost(spec, 0, 5, np.zeros(1), [np.zeros(1)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda spec, traj: stage_cost(spec, -1, 0, traj.states[1], [u[0] for u in traj.controls]),
+     r"player -1 outside \[0, 1\]"),
+    (lambda spec, traj: stage_cost(spec, 2, 0, traj.states[1], [u[0] for u in traj.controls]),
+     r"player 2 outside \[0, 1\]"),
+    (lambda spec, traj: total_cost(spec, traj, -1), r"player -1 outside \[0, 1\]"),
+    (lambda spec, traj: total_cost(spec, traj, 2), r"player 2 outside \[0, 1\]"),
+    (lambda spec, traj: spec.prev_state_weight(-1, 0), r"stage -1 outside \[0, 3\]"),
+    (lambda spec, traj: spec.prev_state_weight(4, 0), r"stage 4 outside \[0, 3\]"),
+    (lambda spec, traj: spec.prev_state_weight(5, 0), r"stage 5 outside \[0, 3\]"),
+    (lambda spec, traj: spec.prev_state_weight(1, -1), r"player -1 outside \[0, 1\]"),
+    (lambda spec, traj: spec.prev_state_weight(0, 2), r"player 2 outside \[0, 1\]"),
+], ids=["stage-cost-player-1", "stage-cost-player-n", "total-cost-player-1",
+        "total-cost-player-n", "weight-stage-1", "weight-stage-T+1", "weight-stage-T+2",
+        "weight-player-1", "weight-player-n"])
+def test_costs_and_weights_refuse_a_stage_or_player_outside_the_game(call, message):
+    # a negative index would silently count from the end
+    spec = load_game(GOLDEN / "two_player.json")
+    traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        call(spec, traj)
 
 
 class TestRollout:
