@@ -15,14 +15,15 @@ and the closed loop F~ = A~ - B~ K~, every value then updates as
     Z~_t = F~' Z~_{t+1} F~ + K~' R~ K~ + Q~_{t-1}.
 
 The recursion never reads the state, so the laws are strongly time
-consistent: the tail of a solution solves any truncated game.
+consistent: a tail game from stage s meets the whole game's stage systems
+from s on, so its laws are the solution's from s on, bit for bit.
 
-Z~_t holds stage t-1's charge Q~_{t-1} on x_t, none on a lane's initial
-state.  A solution reports Z_t = Z~_t[:p, :p], which holds Q_{t-1}, and
-zeta_t and n_t from the last column of Z~_t less stage t-1's linear and
-constant charges, so the equilibrium cost from x_0 is exactly 1/2
-x0'Z_0 x0 + zeta_0'x0 + n_0.  For one player with zero cost targets this
-is single-player control (:mod:`dyngame.lqr`).
+Z~_t holds stage t-1's charge Q~_{t-1} on x_t, none on x_0.  A solution
+reports Z_t = Z~_t[:p, :p], which holds Q_{t-1}, and zeta_t and n_t from
+the last column of Z~_t less stage t-1's linear and constant charges, so
+the equilibrium cost from x_0 is exactly 1/2 x0'Z_0 x0 + zeta_0'x0 + n_0.
+For one player with zero cost targets this is single-player control
+(:mod:`dyngame.lqr`).
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def charge(W: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 class StageTerms(NamedTuple):
     """The terms of the feedback recursion that read the stage data alone,
-    stacked over stages, on (x, 1) and (u, 1); every lane of a sweep shares
-    them."""
+    stacked over stages, on (x, 1) and (u, 1)."""
 
     A: np.ndarray       # A~ = [[A, s], [0, 1]], (T, p+1, p+1)
     B: np.ndarray       # B~ = [[B, 0], [0, 0]], (T, p+1, M+1): B~ K~ = [B PA; 0]
@@ -105,13 +105,13 @@ class StageTerms(NamedTuple):
 
 
 def stage_system(view: StageArrays, terms: StageTerms, t: int, BZ: np.ndarray):
-    """The stage-t system of all players in each of a lanes, C PA = rhs, C
-    (a, M, M) and rhs (a, M, p+1), from the rows B' Z~^i[:p] of every
-    lane's next-stage value of every player i, BZ (a, n, M, p+1)."""
-    BZ = view.own(BZ, lead=1)
+    """The stage-t system of all players, C PA = rhs, C (M, M) and rhs
+    (M, p+1), from the rows B' Z~^i[:p] of every player i's next-stage
+    value, BZ (n, M, p+1)."""
+    BZ = view.own(BZ)
     rhs = BZ @ terms.A[t]
-    rhs[..., -1] -= terms.Ru_own[t]
-    return BZ[..., :-1] @ view.B[t] + terms.R_own[t], rhs
+    rhs[:, -1] -= terms.Ru_own[t]
+    return BZ[:, :-1] @ view.B[t] + terms.R_own[t], rhs
 
 
 def solve(spec: GameSpec) -> FeedbackNashSolution:
@@ -122,59 +122,47 @@ def solve(spec: GameSpec) -> FeedbackNashSolution:
     stage system means the stage first-order conditions do not pin down
     unique gains, i.e. the game has no unique feedback Nash equilibrium in
     affine strategies; this is reported with the stage index and a
-    condition estimate.  This is the one lane of :func:`sweep` that starts
-    at stage 0.
+    condition estimate.
     """
     view = require_valid(spec)
-    PA, Z, zeta, n_const = sweep(view, [0])
-    return FeedbackNashSolution(spec=spec, laws=laws_of(view, PA[0]),
-                                Z=Z[0], zeta=zeta[0], n_const=n_const[0])
+    PA, Z, zeta, n_const = sweep(view)
+    return FeedbackNashSolution(spec=spec, laws=laws_of(view, PA), Z=Z, zeta=zeta,
+                                n_const=n_const)
 
 
-def sweep(view: StageArrays, starts):
-    """The backward sweeps of the tail games from the stages ``starts``,
-    one lane each (see :meth:`StageArrays.lanes`), in one pass over the
-    stages of a validated game's view.
-
-    Every lane owns its stacked stage laws ``PA`` (L, T, M, p+1), u_t =
-    -PA_t (x_t, 1), and value coefficients ``Z`` (L, n, T+1, p, p),
-    ``zeta`` (L, n, T+1, p) and ``n`` (L, n, T+1), defined from its own
-    start on (the laws are zero before it), and solves its own stage
-    systems, all lanes' systems of a stage in one stacked call: lanes share
-    the stage data, never a computed row.  Every stage solve is tested once
-    the stages are done (see :class:`dyngame.numerics.Checks`).
-    """
-    starts, begin, end = view.lanes(starts)
+def sweep(view: StageArrays):
+    """The backward sweep of a validated game's view: the stage laws
+    ``PA`` (T, M, p+1), u_t = -PA_t (x_t, 1), and values ``Z`` (n, T+1, p,
+    p), ``zeta`` (n, T+1, p) and ``n`` (n, T+1), every stage solve tested
+    after the loop (see :class:`dyngame.numerics.Checks`)."""
     terms = StageTerms.of(view)
-    K, Z = sweep_arrays(terms, len(starts))
+    K, Z = sweep_arrays(terms)
     T, p = view.B.shape[:2]
-    with Checks.sweep(end[starts[0]:]) as checks:
-        for t in range(T - 1, starts[0] - 1, -1):
-            a = end[t]
-            C, rhs = stage_system(view, terms, t, view.B[t].T @ Z[:a, :, t + 1, :p])
-            K[:a, t, :-1] = checks.solve(C, rhs, site=GAINS, stage=t)
-            update_values(terms, t, K[:a, t], Z[:a], begin[t])
-    return (K[:, :, :-1], *values_of(terms, starts, Z))
+    with Checks.sweep(T) as checks:
+        for t in range(T - 1, -1, -1):
+            C, rhs = stage_system(view, terms, t, view.B[t].T @ Z[:, t + 1, :p])
+            K[t, :-1] = checks.solve(C, rhs, site=GAINS, stage=t)
+            update_values(terms, t, K[t], Z)
+    return (K[:, :-1], *values_of(terms, Z))
 
 
-def sweep_arrays(terms: StageTerms, lanes: int):
-    """Every lane's stage laws K~ = [PA; -e'] (L, T, M+1, p+1), PA zero,
-    and augmented values Z~ (L, n, T+1, p+1, p+1), Z~_T = Q~_{T-1}."""
+def sweep_arrays(terms: StageTerms):
+    """The stage laws K~ = [PA; -e'] (T, M+1, p+1), PA zero, and augmented
+    values Z~ (n, T+1, p+1, p+1), Z~_T = Q~_{T-1}."""
     (T, n, q), M = terms.Q.shape[:3], terms.R.shape[-1] - 1
-    K = np.zeros((lanes, T, M + 1, q))
+    K = np.zeros((T, M + 1, q))
     K[..., M, -1] = -1
-    Z = np.zeros((lanes, n, T + 1, q, q))
-    Z[:, :, T] = terms.Q[T - 1]
+    Z = np.zeros((n, T + 1, q, q))
+    Z[:, T] = terms.Q[T - 1]
     return K, Z
 
 
-def values_of(terms: StageTerms, starts: np.ndarray, Z: np.ndarray):
-    """Every lane's Z (L, n, T+1, p, p), zeta (L, n, T+1, p) and n (L, n,
-    T+1) from its augmented values Z~: the last column of Z~_t less stage
-    t-1's linear and constant charges on x_t, after the lane's start."""
+def values_of(terms: StageTerms, Z: np.ndarray):
+    """Z (n, T+1, p, p), zeta (n, T+1, p) and n (n, T+1) from the augmented
+    values Z~: the last column of Z~_t less stage t-1's linear and constant
+    charges on x_t, for t >= 1."""
     last = Z[..., -1].copy()
-    charged = np.arange(1, len(terms.Q) + 1) > starts[:, None]
-    last[:, :, 1:] -= charged[:, None, :, None] * terms.Q[..., -1].swapaxes(0, 1)
+    last[:, 1:] -= terms.Q[..., -1].swapaxes(0, 1)
     return Z[..., :-1, :-1], last[..., :-1], 0.5 * last[..., -1]
 
 
@@ -184,14 +172,12 @@ def laws_of(view: StageArrays, PA: np.ndarray) -> tuple[AffineLaw, ...]:
     return tuple(AffineLaw(-PA[:, b, :-1], -PA[:, b, -1]) for b in view.blocks)
 
 
-def update_values(terms: StageTerms, t: int, K: np.ndarray, Z: np.ndarray, weighted: int) -> None:
-    """Z~_t of every player in each of a lanes, Z (a, n, T+1, p+1, p+1),
-    under their stage laws K~ (a, M+1, p+1), symmetrised, with Q~_{t-1}
-    in the first ``weighted`` lanes only (none at t = 0): the others start
-    at t, where x_t is their initial state.  Shared by the Nash and
-    Stackelberg solvers."""
+def update_values(terms: StageTerms, t: int, K: np.ndarray, Z: np.ndarray) -> None:
+    """Z~_t of every player, Z (n, T+1, p+1, p+1), under the stage laws K~
+    (M+1, p+1), symmetrised, with Q~_{t-1} for t >= 1 (none on the
+    initial state).  Shared by the Nash and Stackelberg solvers."""
     F = terms.A[t] - terms.B[t] @ K
-    Zt = (F.swapaxes(1, 2)[:, None] @ Z[:, :, t + 1] @ F[:, None]
-          + K.swapaxes(1, 2)[:, None] @ terms.R[t] @ K[:, None])
-    Zt[:weighted] += terms.Q[t - 1]
-    Z[:, :, t] = 0.5 * (Zt + Zt.swapaxes(-1, -2))
+    Zt = F.T @ Z[:, t + 1] @ F + K.T @ terms.R[t] @ K
+    if t:
+        Zt += terms.Q[t - 1]
+    Z[:, t] = 0.5 * (Zt + Zt.swapaxes(-1, -2))

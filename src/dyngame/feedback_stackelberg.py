@@ -72,28 +72,25 @@ class FeedbackStackelbergSolution(FeedbackNashSolution):
 
 
 def solve(spec: GameSpec) -> FeedbackStackelbergSolution:
-    """Unique feedback Stackelberg equilibrium with player 0 as leader:
-    the one lane of :func:`sweep` that starts at stage 0."""
+    """Unique feedback Stackelberg equilibrium with player 0 as leader."""
     view = require_valid(spec, for_stackelberg=True)
     if spec.n_players < 2:
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
-    PA, Z, zeta, n_const, react = sweep(view, [0])
+    PA, Z, zeta, n_const, react = sweep(view)
     m0, p = view.blocks[0].stop, spec.state_dim
     rows = [slice(b.start - m0, b.stop - m0) for b in view.blocks[1:]]
-    react = react[0]
     return FeedbackStackelbergSolution(
-        spec=spec, laws=laws_of(view, PA[0]), Z=Z[0], zeta=zeta[0], n_const=n_const[0],
+        spec=spec, laws=laws_of(view, PA), Z=Z, zeta=zeta, n_const=n_const,
         reactions=ReactionCoefficients(W=tuple(react[:, r, m0:m0 + p] for r in rows),
                                        rbar=tuple(react[:, r, :m0] for r in rows),
                                        w=tuple(react[:, r, -1] for r in rows)),
     )
 
 
-def sweep(view: StageArrays, starts):
-    """The backward sweeps of the tail games from the stages ``starts``,
-    one lane each, as :func:`dyngame.feedback_nash.sweep`, whose outputs
-    it returns followed by every lane's follower reactions [rbar | W | w]
-    (L, T, M - m_0, m_0 + p + 1).
+def sweep(view: StageArrays):
+    """The backward sweep of a validated game's view, as
+    :func:`dyngame.feedback_nash.sweep`, whose outputs it returns followed
+    by the follower reactions [rbar | W | w] (T, M - m_0, m_0 + p + 1).
 
     Per stage, the followers' rows f of the stacked Nash system
     C [P | alpha] = rhs give the reactions, C_ff [rbar | W | w] =
@@ -102,47 +99,38 @@ def sweep(view: StageArrays, starts):
     E'HE [P | alpha]_leader = E'(B'Z~^0[:p] A~ + H Y - [0 | R^0 ut^0]), with
     H = B'Z^0 B + R^0 its Hessian in all controls.  The followers' gains
     then solve C_ff P_f = rhs_f - C_f0 P_leader.  Each of these three
-    systems is solved for all lanes of a stage in one stacked checked
-    call, and all are tested once the stages are done.  C_ff is thus
-    eliminated twice per stage and lane: the second elimination (6 x 6 for
-    two followers of three controls each) is cheap, it gives the same bits
-    as reusing the first, and it keeps one kind of checked call.
+    systems is a checked call, and all are tested once the stages are
+    done.  Eliminating C_ff twice per stage is cheap, gives the same bits
+    as reusing the first elimination, and keeps one kind of checked call.
     """
-    starts, begin, end = view.lanes(starts)
-    L = len(starts)
     terms = StageTerms.of(view)
-    K, Z = sweep_arrays(terms, L)
+    K, Z = sweep_arrays(terms)
     T, p, M = view.B.shape
     m0 = view.blocks[0].stop
     f = slice(m0, M)
-    react = np.zeros((L, T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
-    # Every lane's E = [I; rbar] and Y = [0; W | w], their followers' rows
-    # filled in stage by stage.
-    E = np.zeros((L, M, m0))
-    E[:, :m0] = np.eye(m0)
-    Y = np.zeros((L, M, p + 1))
+    react = np.zeros((T, M - m0, m0 + p + 1))  # [rbar | W | w] of the followers' rows
+    # E = [I; rbar] and Y = [0; W | w], their followers' rows set per stage.
+    E, Y = np.eye(M, m0), np.zeros((M, p + 1))
 
-    with Checks.sweep(end[starts[0]:]) as checks:
-        for t in range(T - 1, starts[0] - 1, -1):
-            a = end[t]
-            BZ = view.B[t].T @ Z[:a, :, t + 1, :p]
+    with Checks.sweep(T) as checks:
+        for t in range(T - 1, -1, -1):
+            BZ = view.B[t].T @ Z[:, t + 1, :p]
             C, rhs = stage_system(view, terms, t, BZ)
-            H = BZ[:, 0, :, :p] @ view.B[t] + view.R[t, 0]  # the leader's, in all controls
+            H = BZ[0, :, :p] @ view.B[t] + view.R[t, 0]  # the leader's, in all controls
             # Follower reaction coefficients: one operator, three right-hand sides.
-            C_ff = C[:, f, f]
-            react[:a, t] = checks.solve(C_ff, -np.concatenate([C[:, f, :m0], rhs[:, f]], axis=2),
-                                        site=REACTIONS, stage=t)
+            C_ff = C[f, f]
+            react[t] = checks.solve(C_ff, -np.concatenate([C[f, :m0], rhs[f]], axis=1),
+                                    site=REACTIONS, stage=t)
 
             # Leader stage optimization through the reaction map.
-            E[:a, f], Y[:a, f] = react[:a, t, :, :m0], react[:a, t, :, m0:]
-            lin = BZ[:, 0] @ terms.A[t] + H @ Y[:a]
-            lin[..., p] += terms.R[t, 0, :M, M]
-            Et = E[:a].swapaxes(1, 2)
-            K[:a, t, :m0] = checks.solve(Et @ H @ E[:a], Et @ lin, site=LEADER, stage=t)
+            E[f], Y[f] = react[t, :, :m0], react[t, :, m0:]
+            lin = BZ[0] @ terms.A[t] + H @ Y
+            lin[:, p] += terms.R[t, 0, :M, M]
+            K[t, :m0] = checks.solve(E.T @ H @ E, E.T @ lin, site=LEADER, stage=t)
 
             # Follower gains/offsets from their first-order systems at the
             # leader's law (reaction identity left as a cross-check).
-            K[:a, t, f] = checks.solve(C_ff, rhs[:, f] - C[:, f, :m0] @ K[:a, t, :m0],
-                                       site=FOLLOWER_GAINS, stage=t)
-            update_values(terms, t, K[:a, t], Z[:a], begin[t])
-    return (K[:, :, :-1], *values_of(terms, starts, Z), react)
+            K[t, f] = checks.solve(C_ff, rhs[f] - C[f, :m0] @ K[t, :m0],
+                                   site=FOLLOWER_GAINS, stage=t)
+            update_values(terms, t, K[t], Z)
+    return (K[:, :-1], *values_of(terms, Z), react)

@@ -559,19 +559,21 @@ class Trajectory:
         return self.states.shape[-2] - 1
 
 
-def require_index(name: str, value: int, last: int) -> None:
-    """Refuse ``value`` unless it is an integer in [0, last], naming that
-    range: a player or a stage of a game, where a negative index would
-    silently count from the end."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= value <= last:
-        raise InvalidGameError(f"{name} {value} outside [0, {last}]")
+def require_index(name: str, value: int, last: float) -> None:
+    """Refuse ``value`` unless it is an integer, not a bool, in [0, last]:
+    a player or a stage of a game, where a negative index would silently
+    count from the end, or a count or seed, whose ``last`` is infinite."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidGameError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value <= last:
+        raise InvalidGameError(f"{name} {value} outside [0, {last}]" if last < np.inf
+                               else f"{name} must be >= 0, got {value}")
 
 
 def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -> float:
     """Player's stage-t cost for next state ``x_next`` and everyone's controls."""
     require_index("player", player, spec.n_players - 1)
-    if not 0 <= t < spec.horizon:
-        raise InvalidGameError(f"stage {t} outside horizon [0, {spec.horizon})")
+    require_index("stage", t, spec.horizon - 1)
     st = spec.stages[t]
     x_next = np.asarray(x_next, dtype=float)
     if x_next.shape != (spec.state_dim,):
@@ -769,8 +771,7 @@ def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.nda
 
 def truncate(spec: GameSpec, start: int) -> GameSpec:
     """The tail game played over stages start..T-1."""
-    if not 0 <= start < spec.horizon:
-        raise InvalidGameError(f"truncation stage {start} outside [0, {spec.horizon})")
+    require_index("truncation stage", start, spec.horizon - 1)
     return GameSpec(horizon=spec.horizon - start, state_dim=spec.state_dim,
                     players=spec.players, stages=spec.stages[start:])
 
@@ -810,6 +811,8 @@ def reorder_players(spec: GameSpec, order) -> GameSpec:
     """The same game with players permuted (Stackelberg leadership is
     positional: player 0 leads, so reordering chooses the leader)."""
     order = list(order)
+    for player in order:
+        require_index("player", player, spec.n_players - 1)
     if sorted(order) != list(range(spec.n_players)):
         raise InvalidGameError(
             f"order must be a permutation of 0..{spec.n_players - 1}, got {order}")

@@ -54,7 +54,7 @@ class ControlSolution:
 
 def solve_control(spec: GameSpec) -> ControlSolution:
     """Optimal affine feedback for the one-player game with zero targets:
-    the one lane of :func:`dyngame.feedback_nash.sweep` from stage 0."""
+    feedback Nash's sweep (:func:`dyngame.feedback_nash.sweep`) on one player."""
     view = require_valid(spec)
     if spec.n_players != 1:
         raise InvalidGameError(
@@ -66,6 +66,6 @@ def solve_control(spec: GameSpec) -> ControlSolution:
             f"stage {targeted[0]} has nonzero cost targets; solve the n=1 game with "
             "the feedback Nash solver instead"
         )
-    PA, Z, zeta, n_const = feedback_nash.sweep(view, [0])
-    return ControlSolution(spec=spec, laws=feedback_nash.laws_of(view, PA[0]),
-                           Z=Z[0, 0], zeta=zeta[0, 0], n_const=n_const[0, 0])
+    PA, Z, zeta, n_const = feedback_nash.sweep(view)
+    return ControlSolution(spec=spec, laws=feedback_nash.laws_of(view, PA),
+                           Z=Z[0], zeta=zeta[0], n_const=n_const[0])

@@ -112,10 +112,10 @@ class Checks:
 
     @classmethod
     @contextlib.contextmanager
-    def sweep(cls, ends):
-        """The recorder of a backward sweep whose stages solve systems of
-        ``ends[0]``, ``ends[1]``, ... lanes, checked when the with-block
-        ends without an error.
+    def sweep(cls, rows: int):
+        """The recorder of a backward sweep in which each call site solves
+        at most ``rows`` systems, checked when the with-block ends without
+        an error.
 
         Until then the sweep runs on what a failed solve left, so a
         floating-point event is recorded instead of reported: :meth:`check`
@@ -123,7 +123,7 @@ class Checks:
         of them if no call fails and else those before the first failing
         call, as ``np.geterr()`` outside the sweep asks (a non-finite
         solution itself fails the residual test)."""
-        checks = cls(sum(ends))
+        checks = cls(rows)
         checks._modes = np.geterr()
         with np.errstate(call=checks._record_event,
                          **{event: "ignore" if mode == "ignore" else "call"

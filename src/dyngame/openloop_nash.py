@@ -109,7 +109,7 @@ def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
 
     Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
     ut_own = view.own(view.ut, lead=1)
-    with Checks.sweep(end[starts[0]:]) as checks:
+    with Checks.sweep(sum(end)) as checks:
         Rinv_Bt = own_inputs(view, starts[0], checks)
 
         # Backward pass: transition pair, costate coefficients and path

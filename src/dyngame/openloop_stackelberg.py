@@ -198,7 +198,7 @@ def sweep(view: StageArrays, starts, z_starts: np.ndarray):
     P = np.zeros((L, T, M, d + 1))
     K[:, T, :, :p] = view.Q[T - 1].reshape(d, p)
 
-    with Checks.sweep(end[starts[0]:]) as checks:
+    with Checks.sweep(sum(end)) as checks:
         terms = StageTerms.of(view, starts[0], checks)
         for t in range(T - 1, starts[0] - 1, -1):
             a = end[t]

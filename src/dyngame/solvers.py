@@ -7,9 +7,7 @@ the verification oracles take every fact about a solver from this table;
 a new solver is registered by adding one row.
 
 Each entry point looks its solver up as a module attribute when called,
-so a function patched onto the solver module is the one that runs.  A
-solver's ``solve`` is the one lane of its ``sweep`` that starts at stage
-0, and ``tails`` the lanes that start later.
+so a function patched onto the solver module is the one that runs.
 """
 
 from __future__ import annotations
@@ -33,23 +31,22 @@ class Solver:
     pattern: str           # FEEDBACK or OPEN_LOOP
     stackelberg: bool      # player 0 leads
     # (view, solution, starts) -> {name: rows}: the tail games from the
-    # ascending stages ``starts`` re-solved as the lanes of one sweep over
-    # ``view``, the stacked view of the solution's validated game.  Rows
-    # are by absolute stage: each lane's laws [G | g] (L, T, M, p+1) for
-    # a feedback solver, its controls (L, T, M) for an open-loop one,
-    # each re-solved from the solution's state at the lane's start.
-    # "tail" holds the re-solves; for open-loop Stackelberg, which
-    # inherits the solution's multipliers there, "reset" holds the same
-    # tails with the multipliers reset to zero.
+    # ascending stages ``starts`` re-solved over ``view``, the solution's
+    # checked view, one lane per start, by absolute stage from its start
+    # on: laws [G | g] (L, T, M, p+1) or controls (L, T, M).  A feedback
+    # tail meets the whole game's stage systems from its start on, so every
+    # lane is one re-solve of the whole game, which shows reproduction, not
+    # subgame perfection; an open-loop lane starts from the solution's
+    # state there.  "tail" holds the re-solves; open-loop Stackelberg's
+    # "reset" holds them with its multipliers set to zero.
     tails: Callable
 
 
-def _feedback_tails(view, sol, starts):
-    return {"tail": -feedback_nash.sweep(view, starts)[0]}
-
-
-def _stackelberg_tails(view, sol, starts):
-    return {"tail": -feedback_stackelberg.sweep(view, starts)[0]}
+def _feedback_tails(module):
+    def tails(view, sol, starts):
+        laws = -module.sweep(view)[0]
+        return {"tail": np.broadcast_to(laws, (len(starts), *laws.shape))}
+    return tails
 
 
 def _openloop_nash_tails(view, sol, starts):
@@ -69,13 +66,13 @@ def _openloop_stackelberg_tails(view, sol, starts):
 
 SOLVERS: dict[str, Solver] = {
     "lqr": Solver(lambda spec, x0: lqr.solve_control(spec),
-                  lqr.ControlSolution, FEEDBACK, False, _feedback_tails),
+                  lqr.ControlSolution, FEEDBACK, False, _feedback_tails(feedback_nash)),
     "feedback-nash": Solver(lambda spec, x0: feedback_nash.solve(spec),
                             feedback_nash.FeedbackNashSolution, FEEDBACK, False,
-                            _feedback_tails),
+                            _feedback_tails(feedback_nash)),
     "feedback-stackelberg": Solver(lambda spec, x0: feedback_stackelberg.solve(spec),
                                    feedback_stackelberg.FeedbackStackelbergSolution,
-                                   FEEDBACK, True, _stackelberg_tails),
+                                   FEEDBACK, True, _feedback_tails(feedback_stackelberg)),
     "openloop-nash": Solver(lambda spec, x0: openloop_nash.solve(spec, x0),
                             openloop_nash.OpenLoopNashSolution, OPEN_LOOP, False,
                             _openloop_nash_tails),

@@ -46,22 +46,18 @@ WTC_TOL = 1e-9
 PSD_TOL = -1e-9
 
 #: Sample-stage rows the feedback stationarity check rolls out at once,
-#: and p x p coefficient blocks of tail-stages the time-consistency check
-#: sweeps at once.  Their memory grows with samples (or tails) times
-#: stages, and those with the horizon, so both go through in chunks under
-#: this budget.
+#: and p x p coefficient blocks of tail-stages the open-loop
+#: time-consistency check sweeps at once.  Their memory grows with samples
+#: (or tails) times stages, so both go through in chunks under this
+#: budget.  The feedback check needs no chunks: one re-solve covers every
+#: tail, and shows reproduction, not subgame perfection (see
+#: :func:`time_consistency`).
 _FEEDBACK_ROWS = 8192
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_seed(seed)))
-
-
-def _seed(seed: int) -> int:
-    """``seed``, refused when negative, which PCG64 cannot take."""
-    if seed < 0:
-        raise InvalidGameError(f"seed must be >= 0, got {seed}")
-    return seed
+    require_index("seed", seed, np.inf)  # PCG64 takes no negative seed
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _solver_row(solution, pattern: str) -> solvers.Solver:
@@ -81,6 +77,7 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def _require_samples(samples: int) -> None:
+    require_index("samples", samples, np.inf)
     if samples < 1:
         raise InvalidGameError(f"samples must be >= 1, got {samples}")
 
@@ -375,12 +372,15 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
     controls (open loop, re-solved from the on-path state x_s) drift from
     the solution's tail.
 
-    The tails are the lanes of one sweep of the solver (see
-    :meth:`dyngame.game.StageArrays.lanes`), one call per chunk of at most
-    ``_FEEDBACK_ROWS`` coefficient blocks, on the checked view of one
-    validation, which covers every tail.  Lanes share the stage data, never
-    a computed row, so each tail is its own solve, compared with the
-    solution's rows from its start on.
+    A feedback recursion never reads the state, so the tail from s meets
+    the whole game's stage systems from s on and its laws are the whole
+    game's rows from s on, bit for bit: one re-solve, compared at stages
+    1..T-1, gives what every tail re-solved would.  That shows the solver
+    reproduces the laws, not that they are subgame perfect.  Open-loop
+    tails start from different on-path states: they are the lanes of one
+    sweep (see :meth:`dyngame.game.StageArrays.lanes`) per chunk of at
+    most ``_FEEDBACK_ROWS`` coefficient blocks.  All re-solves read the
+    checked view of one validation.
     """
     row = _solver_row(solution, pattern)
     T = spec.horizon
@@ -391,16 +391,16 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
         if pattern == FEEDBACK:
             ref = np.concatenate([np.concatenate([law.G, law.g[..., None]], axis=-1)
                                   for law in solution.laws], axis=1)
+            chunks = [np.array([1])]  # its lane from stage 1 holds every tail
         else:
             ref = np.concatenate(solution.trajectory.controls, axis=-1)
-        # A tail holds per stage one p x p value or costate block per player;
-        # open-loop Stackelberg holds (n p)^2 on its extended state, in two
-        # lanes per start.  The row budget counts these blocks.
-        n = spec.n_players
-        blocks = 2 * n * n if row.stackelberg and pattern == OPEN_LOOP else n
-        per_call = max(1, _FEEDBACK_ROWS // (T * blocks))
-        for first in range(1, T, per_call):
-            starts = np.arange(first, min(first + per_call, T))
+            # A tail holds per stage one p x p costate block per player;
+            # open-loop Stackelberg holds (n p)^2 on its extended state, in
+            # two lanes per start.  The row budget counts these blocks.
+            n = spec.n_players
+            per_call = max(1, _FEEDBACK_ROWS // (T * (2 * n * n if row.stackelberg else n)))
+            chunks = [np.arange(first, min(first + per_call, T)) for first in range(1, T, per_call)]
+        for starts in chunks:
             own = np.arange(T) >= starts[:, None]  # each lane's stages
             for name, rows in row.tails(view, solution, starts).items():
                 gaps[name].append(np.abs(rows - ref)[own].max(initial=0.0))
@@ -547,7 +547,8 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
                      magnitude: float = 1e-3, seed: int = 0) -> VerificationReport:
     """Run the full oracle battery on one solution and collect a report."""
     # Checks draw from seed + i, so a negative seed could pass some of them.
-    report = VerificationReport(solver=solver_name, pattern=pattern, seed=_seed(seed),
+    require_index("seed", seed, np.inf)
+    report = VerificationReport(solver=solver_name, pattern=pattern, seed=seed,
                                 samples=samples, fd_step=fd_step, magnitude=magnitude)
     is_stackelberg = _solver_row(solution, pattern).stackelberg
 

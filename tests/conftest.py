@@ -154,7 +154,7 @@ def announce(capsys):
 def layer_calls(monkeypatch):
     """A Counter of calls, by name, into ``game.validate``,
     ``StageArrays.of`` and every solver entry point (each solver's solve
-    function and its lane ``sweep``), wherever the library refers to them."""
+    function and its ``sweep``), wherever the library refers to them."""
     counts = Counter()
 
     def counting(name, fn):

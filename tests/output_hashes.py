@@ -5,11 +5,13 @@ line: equal lines mean bit-identical results.
 
     python3 tests/output_hashes.py > hashes.txt
 
-Each line is ``<case> <solver> <sha256>``.  The hash covers the solution's
-arrays, its tail lanes (``SOLVERS[name].tails``), the ``run_verification``
-report (``as_dict``, floats by their exact repr) and, for a refused
-solve, the error's type, message, ``context`` and ``cond_estimate``.
-The warnings a solve raises are hashed too.  The cases are:
+Each line is ``<case> <solver> <kind> <sha256>``, one per kind of output:
+``solution``, the solution's arrays; ``tails``, its tail lanes
+(``SOLVERS[name].tails``); ``report``, the ``run_verification`` report
+(``as_dict``, floats by their exact repr); or, for a refused solve, one
+``refusal`` line, the error's type, message, ``context`` and
+``cond_estimate``.  Each hash covers the warnings its step raised too.
+The cases are:
 
 - ``seed<s>-broadcast`` and ``seed<s>-varying``: 60 seeds of
   ``conftest.random_game`` with constant and with time-varying stages,
@@ -65,19 +67,29 @@ def digest(run) -> str:
     return hashlib.sha256(repr((out, warned)).encode()).hexdigest()
 
 
-def outputs(name, spec, x0, starts, verify=True):
-    """The function whose result :func:`digest` hashes: the solution's
-    arrays, its tail lanes from ``starts`` and its verification report."""
+def print_outputs(case, name, spec, x0, starts, verify=True) -> None:
+    """Print the lines of one case: the solution's arrays, its tail lanes
+    from ``starts`` and its verification report, or its refusal."""
     row = SOLVERS[name]
+    solved = []
 
-    def run():
-        sol = row.solve(spec, x0)
-        tails = row.tails(StageArrays.of(spec), sol, starts) if len(starts) else {}
-        report = (run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
-                                   leader_samples=10).as_dict() if verify else None)
-        return arrays(sol), arrays(tails), report
+    def solution():
+        solved.append(row.solve(spec, x0))
+        return arrays(solved[0])
 
-    return run
+    first = digest(solution)
+    if not solved:
+        print(f"{case} {name} refusal {first}")
+        return
+    sol = solved[0]
+    print(f"{case} {name} solution {first}")
+    tails = digest(lambda: arrays(row.tails(StageArrays.of(spec), sol, starts))
+                   if len(starts) else {})
+    print(f"{case} {name} tails {tails}")
+    if verify:
+        report = digest(lambda: run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
+                                                 leader_samples=10).as_dict())
+        print(f"{case} {name} report {report}")
 
 
 def degenerate(seed, n, what):
@@ -111,23 +123,21 @@ def main() -> None:
                 spec = random_game(seed, n_players=players(name, seed),
                                    time_varying=kind == "varying", targets=name != "lqr")
                 x0 = random_x0(seed, spec)
-                run = outputs(name, spec, x0, np.arange(1, spec.horizon))
-                print(f"seed{seed}-{kind} {name} {digest(run)}")
+                print_outputs(f"seed{seed}-{kind}", name, spec, x0, np.arange(1, spec.horizon))
     with unchecked():
         for seed in range(10):
             for what in ("singular", "nan"):
                 for name in SOLVERS:
                     spec, x0 = degenerate(seed, players(name, seed), what)
-                    run = outputs(name, spec, x0, np.arange(1, spec.horizon), verify=False)
-                    print(f"degenerate{seed}-{what} {name} {digest(run)}")
+                    print_outputs(f"degenerate{seed}-{what}", name, spec, x0,
+                                  np.arange(1, spec.horizon), verify=False)
     for seed in range(3):
         for name in SOLVERS:
             n = players(name, 1)
             spec = random_game(900 + seed, n_players=n, state_dim=10, control_dims=[3] * n,
                                horizon=200, time_varying=True, targets=name != "lqr")
             x0 = random_x0(seed, spec)
-            run = outputs(name, spec, x0, np.array([1, 50, 199]), verify=False)
-            print(f"long{seed} {name} {digest(run)}")
+            print_outputs(f"long{seed}", name, spec, x0, np.array([1, 50, 199]), verify=False)
 
 
 if __name__ == "__main__":

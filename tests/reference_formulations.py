@@ -18,10 +18,11 @@ and both two-player linear-quadratic Stackelberg solutions by closed
 forms.  Each must agree with its library solver to roundoff.
 
 The one-player control sweep is the hand-written n = 1 recursion that
-:func:`dyngame.lqr.solve_control` ran before it became the one-player lane
+:func:`dyngame.lqr.solve_control` ran before it became the one-player case
 of :func:`dyngame.feedback_nash.sweep`: the same algebra on the single
-player's blocks, with its own stage system.  Its laws, value coefficients
-and tail lanes must agree with the library's to roundoff.
+player's blocks, with its own stage system.  Its laws and value
+coefficients, on the game and on each tail game, must agree with the
+library's to roundoff.
 
 The per-matrix game validation checks every stage and every matrix on its
 own, as the library did before it checked stacks; its violations must equal
@@ -43,10 +44,10 @@ laws, value coefficients, reactions and open-loop paths must equal them
 to roundoff.
 
 The per-tail time-consistency check re-solves each tail game on its own,
-with the solver's own entry point on the truncated game, as the library
-did before it swept all tails as the lanes of one call.  Every lane must
-equal its tail solve bit for bit for the feedback solvers and to roundoff
-for the open-loop ones.
+with the solver's own entry point on the truncated game.  The library's
+check must equal it exactly for the feedback solvers, which re-solve the
+whole game once, and to roundoff for the open-loop ones, which sweep all
+tails as the lanes of one call.
 
 The transition residuals check that an open-loop solution's stored path
 follows its own affine transition maps, and the self-check identities
@@ -321,26 +322,28 @@ def tail_solution(spec, solution, s, reset=False):
 
 
 def time_consistency(spec, solution, pattern):
-    """The time-consistency check as a loop of separate tail solves."""
+    """The time-consistency check as a loop of separate tail solves.  Every
+    gap goes into one ``np.max``, so a NaN gap gives a NaN deviation."""
     row = solver_of(solution)
-    worst = 0.0
+    starts = range(1, spec.horizon)
     if pattern == FEEDBACK:
-        for s in range(1, spec.horizon):
-            worst = max(worst, float(np.max([
-                max(np.abs(a.G - b.G[s:]).max(initial=0.0), np.abs(a.g - b.g[s:]).max(initial=0.0))
-                for a, b in zip(tail_solution(spec, solution, s).laws, solution.laws)])))
-        return verify.TimeConsistency(verdict="STC", tail_deviation=worst)
+        gaps = []
+        for s in starts:
+            for a, b in zip(tail_solution(spec, solution, s).laws, solution.laws):
+                gaps += [np.abs(a.G - b.G[s:]).max(initial=0.0),
+                         np.abs(a.g - b.g[s:]).max(initial=0.0)]
+        return verify.TimeConsistency(verdict="STC", tail_deviation=float(np.max(gaps, initial=0.0)))
 
-    def gap(tail, s):
-        return float(np.max([np.abs(u - v[s:]).max(initial=0.0)
-                             for u, v in zip(tail.trajectory.controls, solution.trajectory.controls)]))
+    def worst(reset):
+        gaps = []
+        for s in starts:
+            tail = tail_solution(spec, solution, s, reset)
+            gaps += [np.abs(u - v[s:]).max(initial=0.0)
+                     for u, v in zip(tail.trajectory.controls, solution.trajectory.controls)]
+        return float(np.max(gaps, initial=0.0))
 
-    reset = 0.0 if row.stackelberg else None
-    for s in range(1, spec.horizon):
-        worst = max(worst, gap(tail_solution(spec, solution, s), s))
-        if row.stackelberg:
-            reset = max(reset, gap(tail_solution(spec, solution, s, reset=True), s))
-    return verify.TimeConsistency(verdict="WTC", tail_deviation=worst, mu_reset_deviation=reset)
+    return verify.TimeConsistency(verdict="WTC", tail_deviation=worst(False),
+                                  mu_reset_deviation=worst(True) if row.stackelberg else None)
 
 
 # ---------------------------------------------------------------------------
@@ -572,49 +575,35 @@ def lqr_crosscheck_premultiplied(spec) -> float:
     return float(worst)
 
 
-def lqr_sweep(view: StageArrays, starts):
-    """The backward recursions of the tail problems from the stages
-    ``starts``, one lane each (see :meth:`StageArrays.lanes`), in one pass
-    over the stages of a validated one-player view with zero targets.
-
-    Every lane owns its law, G (L, T, m, p) and g (L, T, m), zero before
-    its start, and its coefficients Z (L, T+1, p, p), zeta (L, T+1, p) and
-    n (L, T+1), and solves its own stage systems, all lanes' systems of a
-    stage in one stacked call.
-    """
-    starts, begin, end = view.lanes(starts)
-    L = len(starts)
+def lqr_sweep(view: StageArrays):
+    """The backward recursion of a validated one-player view with zero
+    targets, written out for one player: the law G (T, m, p) and g (T, m)
+    and the coefficients Z (T+1, p, p), zeta (T+1, p) and n (T+1)."""
     T, p, m = view.B.shape
+    Z = np.empty((T + 1, p, p))
+    zeta = np.zeros((T + 1, p))
+    n_const = np.zeros(T + 1)
+    Z[T] = view.Q[T - 1, 0]
+    G = np.zeros((T, m, p))
+    g = np.zeros((T, m))
 
-    Z = np.empty((L, T + 1, p, p))
-    zeta = np.zeros((L, T + 1, p))
-    n_const = np.zeros((L, T + 1))
-    Z[:, T] = view.Q[T - 1, 0]
-    G = np.zeros((L, T, m, p))
-    g = np.zeros((L, T, m))
-
-    for t in range(T - 1, starts[0] - 1, -1):
-        a = end[t]
+    for t in range(T - 1, -1, -1):
         A, B, s, R = view.A[t], view.B[t], view.s[t], view.R[t, 0]
-        Zn, zn = Z[:a, t + 1], zeta[:a, t + 1]
+        Zn, zn = Z[t + 1], zeta[t + 1]
         H = R + B.T @ Zn @ B                      # stage Hessian, PD
-        rhs = np.concatenate([B.T @ Zn @ A, B.T @ (Zn @ s[:, None] + zn[..., None])], axis=2)
+        rhs = np.concatenate([B.T @ Zn @ A, (B.T @ (Zn @ s + zn))[:, None]], axis=1)
         packed = solve_dense(H, rhs, context=f"stage {t} control gain/offset system")
-        P, alpha = packed[..., :p], packed[..., p]
-        G[:a, t], g[:a, t] = -P, -alpha
+        P, alpha = packed[:, :p], packed[:, p]
+        G[t], g[t] = -P, -alpha
 
         F = A - B @ P
-        d = s - (B @ alpha[..., None])[..., 0]
-        PT, dr, ar = P.swapaxes(1, 2), d[:, None], alpha[:, None]  # rows (a, 1, .)
-        Zt = F.swapaxes(1, 2) @ Zn @ F + PT @ R @ P
-        if t:  # absorbs the stage t-1 weight, except where a lane starts
-            Zt[:begin[t]] += view.Q[t - 1, 0]
-        Z[:a, t] = 0.5 * (Zt + Zt.swapaxes(1, 2))
-        zeta[:a, t] = (F.swapaxes(1, 2) @ (zn + (Zn @ d[..., None])[..., 0])[..., None]
-                       + PT @ R @ alpha[..., None])[..., 0]
-        n_const[:a, t] = (n_const[:a, t + 1] + (0.5 * dr @ Zn @ d[..., None])[:, 0, 0]
-                          + (zn[:, None] @ d[..., None])[:, 0, 0]
-                          + (0.5 * ar @ R @ alpha[..., None])[:, 0, 0])
+        d = s - B @ alpha
+        Zt = F.T @ Zn @ F + P.T @ R @ P
+        if t:  # absorbs the stage t-1 weight, none on the initial state
+            Zt += view.Q[t - 1, 0]
+        Z[t] = 0.5 * (Zt + Zt.T)
+        zeta[t] = F.T @ (zn + Zn @ d) + P.T @ R @ alpha
+        n_const[t] = n_const[t + 1] + 0.5 * d @ Zn @ d + zn @ d + 0.5 * alpha @ R @ alpha
     return G, g, Z, zeta, n_const
 
 
@@ -1569,7 +1558,7 @@ class EagerChecks:
         pass
 
     @classmethod
-    def sweep(cls, ends):
+    def sweep(cls, rows):
         return contextlib.nullcontext(cls())
 
     def solve(self, A, B, context=None, site=None, stage=None):

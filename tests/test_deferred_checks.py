@@ -195,9 +195,9 @@ def test_stackelberg_systems_keep_their_message_and_context(solver, weights, mes
 
 
 @pytest.mark.parametrize("solver", ["feedback-nash", "feedback-stackelberg"])
-def test_a_failing_lane_of_a_time_consistency_sweep(solver, eager):
+def test_a_failing_stage_of_a_time_consistency_re_solve(solver, eager):
     # every tail from stages 1..3 meets the zero stage-3 system, the tails
-    # from 4 and 5 do not; all run as lanes of one sweep
+    # from 4 and 5 do not; the check re-solves the whole game once
     spec, x0 = stage_games(singular=(3,))
     good, _ = stage_games()
     sol = SOLVERS[solver].solve(good, x0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dyngame.errors import InvalidGameError
-from dyngame.game import (AffineLaw, constant_game, rollout, stage_cost, total_cost, truncate,
-                          validate)
+from dyngame.game import (AffineLaw, constant_game, reorder_players, rollout, stage_cost,
+                          total_cost, truncate, validate)
 from dyngame.gameio import (GameFormatError, game_from_dict, game_to_dict,
                             load_game, save_game)
 
@@ -116,6 +116,32 @@ class TestStageCost:
         "weight-player-1", "weight-player-n"])
 def test_costs_and_weights_refuse_a_stage_or_player_outside_the_game(call, message):
     # a negative index would silently count from the end
+    spec = load_game(GOLDEN / "two_player.json")
+    traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        call(spec, traj)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda spec, traj: stage_cost(spec, 0, 1.5, traj.states[1], [u[0] for u in traj.controls]),
+     "stage must be an integer, got 1.5"),
+    (lambda spec, traj: stage_cost(spec, 0, True, traj.states[1], [u[0] for u in traj.controls]),
+     "stage must be an integer, got True"),
+    (lambda spec, traj: stage_cost(spec, 0, 3, traj.states[1], [u[0] for u in traj.controls]),
+     r"stage 3 outside \[0, 2\]"),
+    (lambda spec, traj: stage_cost(spec, True, 0, traj.states[1], [u[0] for u in traj.controls]),
+     "player must be an integer, got True"),
+    (lambda spec, traj: truncate(spec, 1.5), "truncation stage must be an integer, got 1.5"),
+    (lambda spec, traj: truncate(spec, True), "truncation stage must be an integer, got True"),
+    (lambda spec, traj: truncate(spec, 3), r"truncation stage 3 outside \[0, 2\]"),
+    (lambda spec, traj: reorder_players(spec, [True, 0]), "player must be an integer, got True"),
+    (lambda spec, traj: reorder_players(spec, [1.0, 0]), "player must be an integer, got 1.0"),
+    (lambda spec, traj: total_cost(spec, traj, False), "player must be an integer, got False"),
+], ids=["stage-cost-stage-float", "stage-cost-stage-bool", "stage-cost-stage-T",
+        "stage-cost-player-bool", "truncate-float", "truncate-bool", "truncate-T",
+        "reorder-bool", "reorder-float", "total-cost-player-bool"])
+def test_stages_and_players_must_be_integers(call, message):
+    # True would count as stage or player 1, and 1.5 end in a TypeError
     spec = load_game(GOLDEN / "two_player.json")
     traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
     with pytest.raises(InvalidGameError, match=f"^{message}$"):

@@ -17,7 +17,7 @@ from dyngame import cli, numerics, verify
 from dyngame.errors import SingularSystemError
 from dyngame.game import validate
 from dyngame.gameio import save_game
-from dyngame.solvers import SOLVERS
+from dyngame.solvers import FEEDBACK, SOLVERS
 
 from conftest import random_game, random_x0
 
@@ -91,8 +91,10 @@ def test_time_consistency_calls_do_not_grow_with_the_lanes(solver, dense_calls, 
         dense_calls.clear()
         checks_run.clear()
         verify.time_consistency(spec, sol, row.pattern)
-        # one sweep over stages 1..T-1 holding T-1 lanes
-        assert sum(dense_calls.values()) == PER_STAGE[solver] * (T - 1) + PER_SWEEP[solver]
+        # one sweep: feedback re-solves the whole game once, open loop
+        # sweeps stages 1..T-1 holding T-1 lanes
+        stages = T if row.pattern == FEEDBACK else T - 1
+        assert sum(dense_calls.values()) == PER_STAGE[solver] * stages + PER_SWEEP[solver]
         assert list(checks_run.values()) == [1]
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from dyngame import cli, feedback_nash, lqr
 from dyngame.errors import InvalidGameError
-from dyngame.game import StageArrays, constant_game, rollout, stage_cost
+from dyngame.game import StageArrays, constant_game, rollout, stage_cost, truncate
 from dyngame.gameio import save_game
 from dyngame.solvers import SOLVERS
 
@@ -154,11 +154,16 @@ def test_solve_and_tail_lanes_match_the_reference_recursion():
     for spec in one_player_games():
         view = StageArrays.of(spec)
         T = spec.horizon
-        G, g, Z, zeta, n_const = ref.lqr_sweep(view, np.arange(T))
+        G, g, Z, zeta, n_const = ref.lqr_sweep(view)
         sol = lqr.solve_control(spec)
-        assert_close(sol.laws[0].G, G[0])
-        assert_close(sol.laws[0].g, g[0])
+        assert_close(sol.laws[0].G, G)
+        assert_close(sol.laws[0].g, g)
         for name, X in (("Z", Z), ("zeta", zeta), ("n_const", n_const)):
-            assert_close(getattr(sol, name), X[0])
-        tails = SOLVERS["lqr"].tails(view, sol, np.arange(1, T))["tail"]
-        assert_close(tails, np.concatenate([G[1:], g[1:, ..., None]], axis=-1))
+            assert_close(getattr(sol, name), X)
+        # every tail's rows from its start on: the reference recursion of
+        # the tail game, solved on its own
+        starts = np.arange(1, T)
+        tails = SOLVERS["lqr"].tails(view, sol, starts)["tail"]
+        for lane, s in zip(tails, starts):
+            G, g = ref.lqr_sweep(StageArrays.of(truncate(spec, s)))[:2]
+            assert_close(lane[s:], np.concatenate([G, g[..., None]], axis=-1))

@@ -1,11 +1,14 @@
-"""The time-consistency check's tail games, swept as the lanes of one call.
+"""The time-consistency check's tail games.
 
-Every lane must equal the separate solve of its tail game in
-``reference_formulations``: bit for bit for the feedback solvers, to
-roundoff for the open-loop ones.  A check makes one validation, whose
-checked view every sweep reads, and one sweep per chunk of tails, whatever
-the horizon, and a corrupted solution fails its gate by the size of the
-corruption.
+A feedback sweep never reads the state, so every feedback tail game meets
+the whole game's stage systems from its start on: each separately solved
+tail in ``reference_formulations`` equals the rows of one re-solve of the
+whole game, bit for bit, and the check makes that one sweep.  The
+open-loop tails start from different on-path states; they are the lanes
+of one sweep per chunk, and each lane equals the separate solve of its
+tail game to roundoff.  A check makes one validation, whose checked view
+every sweep reads, and a corrupted solution fails its gate by the size of
+the corruption.
 """
 
 import json
@@ -48,15 +51,8 @@ def stacked_rows(sol):
 
 
 def lane_coefficients(solver, view, sol, starts):
-    """Each tail lane's value or costate coefficients, by the name of the
+    """Each open-loop tail lane's costate coefficients, by the name of the
     solution field that holds them, with the stage axis of one lane."""
-    if solver == "lqr":  # feedback Nash's lanes, read on player axis 0
-        Z, zeta, n_const = feedback_nash.sweep(view, starts)[1:4]
-        return {"Z": (Z[:, 0], 0), "zeta": (zeta[:, 0], 0), "n_const": (n_const[:, 0], 0)}
-    if solver in ("feedback-nash", "feedback-stackelberg"):
-        module = feedback_nash if solver == "feedback-nash" else feedback_stackelberg
-        Z, zeta, n_const = module.sweep(view, starts)[1:4]
-        return {"Z": (Z, 1), "zeta": (zeta, 1), "n_const": (n_const, 1)}
     x = sol.trajectory.states[starts]
     if solver == "openloop-nash":
         M, m = openloop_nash.sweep(view, starts, x, view.s[None])[1:3]
@@ -66,10 +62,40 @@ def lane_coefficients(solver, view, sol, starts):
     return {"K": (K, 0), "k": (k, 0)}
 
 
+def values(sol):
+    """A feedback solution's value coefficients, with a player axis."""
+    if solver_of(sol) is SOLVERS["lqr"]:
+        return sol.Z[None], sol.zeta[None], sol.n_const[None]
+    return sol.Z, sol.zeta, sol.n_const
+
+
+@pytest.mark.parametrize("time_varying", [False, True], ids=["broadcast", "time-varying"])
+@pytest.mark.parametrize("T", [2, 6, 12, 40])
+@pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
+def test_each_feedback_tail_is_the_one_re_solve(solver, T, time_varying):
+    spec, sol, _ = solved(solver, T, time_varying)
+    starts = np.arange(1, T)
+    lanes = SOLVERS[solver].tails(StageArrays.of(spec), sol, starts)
+    assert set(lanes) == {"tail"}
+    resolved = stacked_rows(sol)
+    for lane, s in zip(lanes["tail"], starts):
+        assert np.array_equal(lane, resolved)  # one re-solve, the solution's own laws
+        tail = ref.tail_solution(spec, sol, s)
+        assert np.array_equal(lane[s:], stacked_rows(tail)), s
+        # The value coefficients after stage s are the tail's bit for bit.
+        # At s the tail charges nothing on its initial state, while the
+        # whole game's Z_s holds Q_{s-1}; without it they agree to roundoff.
+        charge = np.stack([spec.prev_state_weight(s, i) for i in range(len(sol.laws))])
+        for X, Y, at_start in zip(values(sol), values(tail), (charge, 0, 0)):
+            assert np.array_equal(X[:, s + 1:], Y[:, 1:]), s
+            gap = X[:, s] - at_start - Y[:, 0]
+            assert np.all(np.abs(gap) <= 1e-12 * (1 + np.abs(Y[:, 0]))), s
+
+
 @pytest.mark.parametrize("time_varying", [False, True], ids=["broadcast", "time-varying"])
 @pytest.mark.parametrize("T", [1, 2, 6, 12, 40])
-@pytest.mark.parametrize("solver", list(SOLVERS))
-def test_each_lane_equals_its_tail_solve(solver, T, time_varying):
+@pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
+def test_each_open_loop_lane_equals_its_tail_solve(solver, T, time_varying):
     row = SOLVERS[solver]
     spec, sol, _ = solved(solver, T, time_varying)
     if T > 1:
@@ -86,25 +112,44 @@ def test_each_lane_equals_its_tail_solve(solver, T, time_varying):
             pairs += [(np.take(X[l], np.arange(s, T + 1), axis=axis), getattr(tails["tail"], name))
                       for name, (X, axis) in coefficients.items()]
             for lane, expected in pairs:
-                if row.pattern == FEEDBACK:
-                    assert np.array_equal(lane, expected), s
-                else:
-                    assert np.all(np.abs(lane - expected) <= 1e-12 * (1 + np.abs(expected))), s
+                assert np.all(np.abs(lane - expected) <= 1e-12 * (1 + np.abs(expected))), s
 
     if T > 12:  # the lanes above cover it; the loop would repeat every tail solve
         return
-    lanes, loop = (verify.time_consistency(spec, sol, row.pattern),
-                   ref.time_consistency(spec, sol, row.pattern))
+    lanes, loop = (verify.time_consistency(spec, sol, OPEN_LOOP),
+                   ref.time_consistency(spec, sol, OPEN_LOOP))
     assert lanes.verdict == loop.verdict
-    if row.pattern == FEEDBACK:
-        assert lanes == loop
+    scale = 1e-12 * (1 + max(np.abs(u).max() for u in sol.trajectory.controls))
+    assert abs(lanes.tail_deviation - loop.tail_deviation) <= scale
+    if loop.mu_reset_deviation is None:
+        assert lanes.mu_reset_deviation is None
     else:
-        scale = 1e-12 * (1 + max(np.abs(u).max() for u in sol.trajectory.controls))
-        assert abs(lanes.tail_deviation - loop.tail_deviation) <= scale
-        if loop.mu_reset_deviation is None:
-            assert lanes.mu_reset_deviation is None
-        else:
-            assert abs(lanes.mu_reset_deviation - loop.mu_reset_deviation) <= scale
+        assert abs(lanes.mu_reset_deviation - loop.mu_reset_deviation) <= scale
+
+
+def corrupted(sol, stage, player, size=1e-6):
+    """``sol`` with one gain entry of ``player``'s stage law moved by ``size``."""
+    laws = list(sol.laws)
+    G = laws[player].G.copy()
+    G[stage, 0, -1] += size
+    laws[player] = AffineLaw(G, laws[player].g)
+    return replace(sol, laws=tuple(laws))
+
+
+@pytest.mark.parametrize("stage", [None, 0, 1, "last"])
+@pytest.mark.parametrize("T", [2, 6, 12])
+@pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
+def test_feedback_check_equals_every_tail_re_solved(solver, T, stage):
+    spec, sol, _ = solved(solver, T, time_varying=True)
+    if stage is not None:
+        sol = corrupted(sol, T - 1 if stage == "last" else stage, len(sol.laws) - 1)
+    tc = verify.time_consistency(spec, sol, FEEDBACK)
+    assert tc == ref.time_consistency(spec, sol, FEEDBACK)
+    # Stage 0 is in no tail game, so a change there goes unseen.
+    if stage in (None, 0):
+        assert tc.tail_deviation == 0.0
+    else:
+        assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("T", [1, 2, 6, 12])
@@ -124,13 +169,16 @@ def test_one_validate_view_and_sweep_per_check(solver, T, layer_calls):
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_chunked_lanes_give_the_same_check(solver, monkeypatch, layer_calls):
+    # a feedback check makes one sweep whatever the row budget; an
+    # open-loop one sweeps one tail per call under a budget of one row
     row = SOLVERS[solver]
     spec, sol, _ = solved(solver, 12, time_varying=True)
     whole = verify.time_consistency(spec, sol, row.pattern)
-    monkeypatch.setattr(verify, "_FEEDBACK_ROWS", 1)  # one tail per sweep
+    monkeypatch.setattr(verify, "_FEEDBACK_ROWS", 1)
     layer_calls.clear()
     assert verify.time_consistency(spec, sol, row.pattern) == whole
-    assert sum(n for name, n in layer_calls.items() if name.endswith(".sweep")) == 11
+    sweeps = sum(n for name, n in layer_calls.items() if name.endswith(".sweep"))
+    assert sweeps == (1 if row.pattern == FEEDBACK else 11)
     assert layer_calls["game.validate"] == 1 and "StageArrays.of" not in layer_calls
 
 
@@ -150,7 +198,8 @@ def test_corrupted_feedback_law_fails_stc(solver):
 
 
 def test_nan_law_fails_stc():
-    # a NaN gap must not vanish in the maximum over the tails
+    # a NaN gap must not vanish in the maximum over the tails, in the check
+    # or in the reference loop of separate tail solves
     spec, sol, x0 = solved("feedback-nash", 6)
     laws = list(sol.laws)
     G = laws[1].G.copy()
@@ -158,6 +207,7 @@ def test_nan_law_fails_stc():
     laws[1] = AffineLaw(G, laws[1].g)
     bad = replace(sol, laws=tuple(laws))
     assert np.isnan(verify.time_consistency(spec, bad, FEEDBACK).tail_deviation)
+    assert np.isnan(ref.time_consistency(spec, bad, FEEDBACK).tail_deviation)
 
 
 @pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
@@ -180,18 +230,13 @@ def test_corrupted_open_loop_control_fails_wtc(solver):
 
 @pytest.mark.parametrize("sweep", [feedback_nash.sweep, feedback_stackelberg.sweep],
                          ids=["feedback-nash", "feedback-stackelberg"])
-def test_lane_values_are_zero_before_their_start_and_repeatable(sweep):
-    # a lane's value coefficients before its start are no computed value,
-    # so they must be zeros, not whatever memory the arrays were given
+def test_two_sweeps_of_one_game_are_identical(sweep):
+    # a sweep's arrays hold only what it computed, not whatever memory
+    # the arrays were given
     spec = random_game(11, n_players=3, state_dim=2, control_dims=[1, 2, 1], horizon=12,
                        time_varying=True)
     view = StageArrays.of(spec)
-    starts = np.arange(12)
-    first = sweep(view, starts)
-    assert arrays(sweep(view, starts)) == arrays(first)
-    for values in first[1:4]:
-        for lane, start in enumerate(starts):
-            assert not values[lane, :, :start].any()
+    assert arrays(sweep(view)) == arrays(sweep(view))
 
 
 def test_lane_starts_must_be_ascending_stages():

@@ -137,6 +137,19 @@ class TestDeviationGap:
         with pytest.raises(InvalidGameError, match=rf"^player {player} outside \[0, 1\]$"):
             verify.deviation_gap(spec, sol, row.pattern, player=player, x0=x0)
 
+    @pytest.mark.parametrize("solver", ["feedback-nash", "openloop-nash"])
+    def test_refuses_a_player_or_sample_count_that_is_no_integer(self, solver):
+        # True would silently test player 1, and 2.5 samples end in a TypeError
+        spec = load_game(GOLDEN / "two_player.json")
+        row, x0 = SOLVERS[solver], np.array([1.0, -0.5])
+        sol = row.solve(spec, x0)
+        with pytest.raises(InvalidGameError, match="^player must be an integer, got True$"):
+            verify.deviation_gap(spec, sol, row.pattern, player=True, x0=x0)
+        with pytest.raises(InvalidGameError, match="^samples must be an integer, got 2.5$"):
+            verify.deviation_gap(spec, sol, row.pattern, player=0, samples=2.5, x0=x0)
+        with pytest.raises(InvalidGameError, match="^samples must be >= 1, got 0$"):
+            verify.deviation_gap(spec, sol, row.pattern, player=0, samples=0, x0=x0)
+
     def test_open_loop_gap_nonnegative(self):
         spec = random_game(607, n_players=2)
         sol = openloop_nash.solve(spec, random_x0(607, spec))
@@ -231,6 +244,17 @@ class TestSettingsWithoutEvidence:
             verify.run_verification(spec, ol, verify.OPEN_LOOP, "openloop-stackelberg",
                                     x0=x0, samples=5, seed=-1)
 
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        spec = scalar_unit_two_player()
+        x0 = np.array([1.0])
+        ol = openloop_stackelberg.solve(spec, x0)
+        with pytest.raises(InvalidGameError, match=f"^seed must be an integer, got {seed}$"):
+            verify.run_verification(spec, ol, verify.OPEN_LOOP, "openloop-stackelberg",
+                                    x0=x0, samples=5, seed=seed)
+        with pytest.raises(InvalidGameError, match=f"^seed must be an integer, got {seed}$"):
+            verify.leader_gap(spec, ol, verify.OPEN_LOOP, seed=seed)
 
 class TestTimeConsistency:
     def test_feedback_nash_is_stc(self):
