@@ -488,29 +488,9 @@ class StageArrays:
         """Each control row of its own player: row k of ``X[owner[k]]`` for
         X (n, M, ...), giving (M, ...); after ``lead`` leading axes, X
         (..., n, M, ...) gives (..., M, ...), C-contiguous as without them,
-        so that each lane's matrices meet the same products."""
+        so that each stage's rows meet the products of a lone stage's."""
         rows = X[(slice(None),) * lead + (self.owner, self.rows)]
         return np.ascontiguousarray(rows) if lead else rows
-
-    def lanes(self, starts) -> tuple[np.ndarray, list[int], list[int]]:
-        """The lanes of a backward sweep over this view, one per tail game.
-
-        Lane l solves the tail game of stages ``starts[l]``..T-1, reading
-        the same stage rows as every other lane, aligned at the terminal
-        stage.  ``starts`` must be ascending (a start may repeat), so the
-        lanes that include stage t are a prefix.  Returns the starts and
-        two lists by stage t, ``begin`` and ``end``: lanes ``begin[t]`` to
-        ``end[t] - 1`` start at t, and lanes 0 to ``end[t] - 1`` include it.
-        """
-        T = len(self.A)
-        starts = np.asarray(starts)
-        if (starts.ndim != 1 or not len(starts) or starts.dtype.kind not in "iu"
-                or starts[0] < 0 or starts[-1] >= T or (np.diff(starts) < 0).any()):
-            raise InvalidGameError(f"lane starts must be ascending stages in [0, {T}), "
-                                   f"got {starts.tolist()}")
-        stages = np.arange(T)
-        return (starts, np.searchsorted(starts, stages, side="left").tolist(),
-                np.searchsorted(starts, stages, side="right").tolist())
 
 
 # ---------------------------------------------------------------------------

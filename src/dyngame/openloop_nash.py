@@ -62,14 +62,13 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
     and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one
     solve with D per stage) serves all S games, whose drift columns share
     that solve's right-hand side with A.  Without ``drifts`` the same
-    sweep runs on the game's own drifts as its one sample.  This is the one lane of
-    :func:`sweep` that starts at stage 0; its path is priced as
-    :func:`dyngame.game.rollout` prices it.
+    sweep runs on the game's own drifts as its one sample.  The path of
+    :func:`sweep` is priced as :func:`dyngame.game.rollout` prices it.
     """
     view = require_valid(spec)
     x0 = initial_state(spec, x0)
     s = view.s[None] if drifts is None else drift_samples(spec, drifts)
-    u, Mc, m, Phi, phi, G, g = (a[0] for a in sweep(view, [0], x0[None], s))
+    u, Mc, m, Phi, phi, G, g = sweep(view, x0, s)
     if drifts is None:
         m, phi, g = m[0], phi[0], g[0]
     traj = sequence_path(view, x0, u, s, drifts is not None)
@@ -78,101 +77,90 @@ def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> O
                                 M=Mc, m=m, Phi=Phi, phi=phi)
 
 
-def sweep(view: StageArrays, starts, x_starts: np.ndarray, s: np.ndarray):
-    """The tail games from the stages ``starts``, one lane each (see
-    :meth:`StageArrays.lanes`), solved in one pass over the stages of a
-    validated game's view, each lane from its own initial state
-    ``x_starts[l]`` and under each of the S drift sequences s (S, T, p).
+def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
+    """The game of a validated game's view from the initial state x0,
+    under each of the S drift sequences s (S, T, p): one backward pass
+    over the stages, then the forward pass along each path.
 
-    Every lane owns its sweep and its forward pass and returns, zero
-    before its start: the controls u (L, S, T, M), M (L, n, T+1, p, p),
-    m (L, S, n, T+1, p), Phi (L, T, p, p), phi (L, S, T, p) and the path
-    laws G (L, T, M, p), g (L, S, T, M).  Lanes share the stage data and
-    what is computed from it alone: the R^jj solves of :func:`own_inputs`,
-    one stacked solve per player over the stages, formed once before the
-    backward pass.  Every system that reads a lane's coefficients is still
-    solved for that lane, each stage's transition operators of all lanes
-    in one stacked call, and every solve is tested once the backward pass
-    is done.
+    Returns the controls u (S, T, M), M (n, T+1, p, p), m (S, n, T+1, p),
+    Phi (T, p, p), phi (S, T, p) and the path laws G (T, M, p), g (S, T,
+    M).  The R^jj solves of :func:`own_inputs`, one stacked solve per
+    player over the stages, are formed before the backward pass; each
+    stage's transition operator is solved once for all S drifts, and
+    every solve is tested once the backward pass is done.  Only the
+    forward pass reads x0, so the maps from stage s on are those of the
+    tail game from s, whatever state it starts from.
     """
-    starts, begin, end = view.lanes(starts)
     T, p, M = view.B.shape
-    n, L, S = view.Q.shape[1], len(starts), len(s)
+    n, S = view.Q.shape[1], len(s)
 
-    Mc = np.zeros((L, n, T + 1, p, p))
-    Mc[:, :, T] = view.Q[T - 1]
-    m = np.zeros((L, S, n, T + 1, p))
-    Phi = np.zeros((L, T, p, p))
-    phi = np.zeros((L, S, T, p))
-    G = np.zeros((L, T, M, p))
-    g = np.zeros((L, S, T, M))
+    Mc = np.zeros((n, T + 1, p, p))
+    Mc[:, T] = view.Q[T - 1]
+    m = np.zeros((S, n, T + 1, p))
+    Phi = np.zeros((T, p, p))
+    phi = np.zeros((S, T, p))
+    G = np.zeros((T, M, p))
+    g = np.zeros((S, T, M))
 
     Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
     ut_own = view.own(view.ut, lead=1)
-    with Checks.sweep(sum(end)) as checks:
-        Rinv_Bt = own_inputs(view, starts[0], checks)
+    with Checks.sweep(T) as checks:
+        Rinv_Bt = own_inputs(view, checks)
 
         # Backward pass: transition pair, costate coefficients and path
         # laws.  Affine quantities are rows, one per sample; control rows
         # are stacked over players, each row k acting through its own
         # player's costate.
-        for t in range(T - 1, starts[0] - 1, -1):
-            a = end[t]
+        for t in range(T - 1, -1, -1):
             A, B, RB = view.A[t], view.B[t], Rinv_Bt[t]
-            RBM = view.own(RB @ Mc[:a, :, t + 1], lead=1)
+            RBM = view.own(RB @ Mc[:, t + 1])
             ut = ut_own[t]
-            c_next = m[:a, :, :, t + 1] - Qxt[t]
+            c_next = m[:, :, t + 1] - Qxt[t]
             drift = s[:, t] - (_by_row(RB, c_next, view.owner) - ut) @ B.T
-            rhs = np.empty((a, p, p + S))
-            rhs[..., :p], rhs[..., p:] = A, drift.swapaxes(1, 2)
+            rhs = np.empty((p, p + S))
+            rhs[:, :p], rhs[:, p:] = A, drift.T
             packed = checks.solve(np.eye(p) + B @ RBM, rhs, site=TRANSITION, stage=t)
-            Phi[:a, t] = packed[..., :p]
-            phi[:a, :, t] = packed[..., p:].swapaxes(1, 2)
+            Phi[t] = packed[:, :p]
+            phi[:, t] = packed[:, p:].T
             # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
             # feeds both m_t and the path offsets.
-            c = np.einsum("aipq,asq->asip", Mc[:a, :, t + 1], phi[:a, :, t]) + c_next
-            G[:a, t] = -RBM @ Phi[:a, t]
-            g[:a, :, t] = ut - _by_row(RB, c, view.owner)
+            c = np.einsum("ipq,sq->sip", Mc[:, t + 1], phi[:, t]) + c_next
+            G[t] = -RBM @ Phi[t]
+            g[:, t] = ut - _by_row(RB, c, view.owner)
             # M is symmetric only for n = 1: the transition operator mixes
-            # all players' costate matrices, so no symmetrization here.  A
-            # lane that starts at t charges no weight on its initial state.
-            Mc[:a, :, t] = A.T @ Mc[:a, :, t + 1] @ Phi[:a, t, None]
+            # all players' costate matrices, so no symmetrization here.
+            Mc[:, t] = A.T @ Mc[:, t + 1] @ Phi[t]
             if t:
-                Mc[:begin[t], :, t] += view.Q[t - 1]
-            m[:a, :, :, t] = c @ A
+                Mc[:, t] += view.Q[t - 1]
+            m[:, :, t] = c @ A
 
     # Forward pass: the explicit controls along each path.
-    u = np.zeros((L, S, T, M))
-    x = np.zeros((L, S, p))
-    for t in range(starts[0], T):
-        a = end[t]
-        if begin[t] < a:
-            x[begin[t]:a] = x_starts[begin[t]:a, None]
-        u[:a, :, t] = x[:a] @ G[:a, t].swapaxes(1, 2) + g[:a, :, t]
-        x[:a] = x[:a] @ Phi[:a, t].swapaxes(1, 2) + phi[:a, :, t]
+    u = np.zeros((S, T, M))
+    x = np.repeat(x0[None], S, axis=0)
+    for t in range(T):
+        u[:, t] = x @ G[t].T + g[:, t]
+        x = x @ Phi[t].T + phi[:, t]
     return u, Mc, m, Phi, phi, G, g
 
 
-def own_inputs(view: StageArrays, first: int, checks: Checks) -> np.ndarray:
-    """(R^ii)^-1 B^i' of every player i at every stage from ``first`` on,
-    stacked over the control rows, (T, M, p), zero before ``first``: one
-    stacked solve per player over the stages, tested by the sweep's
-    ``checks``.  Of several stages whose R^ii fails the solve's tests the
-    last is reported, the one a backward sweep reaches first."""
+def own_inputs(view: StageArrays, checks: Checks) -> np.ndarray:
+    """(R^ii)^-1 B^i' of every player i at every stage, stacked over the
+    control rows, (T, M, p): one stacked solve per player over the
+    stages, tested by the sweep's ``checks``.  Of several stages whose
+    R^ii fails the solve's tests the last is reported, the one a backward
+    sweep reaches first."""
     T, p, M = view.B.shape
     out = np.zeros((T, p, M)).swapaxes(1, 2)  # each stage's block column-major, as LAPACK returns it
     for i, b in enumerate(view.blocks):
-        out[first:, b] = checks.solve(view.R[first:, i, b, b], view.B[first:, :, b].swapaxes(1, 2),
-                                      context=lambda k, i=i: f"stage {first + k} control weight R^{i}{i}")
+        out[:, b] = checks.solve(view.R[:, i, b, b], view.B[:, :, b].swapaxes(1, 2),
+                                 context=lambda k, i=i: f"stage {k} control weight R^{i}{i}")
     return out
 
 
 def _by_row(Rinv_Bt: np.ndarray, c: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """Each control row k of R^-1 B' times its own player's costate offset,
-    (a, S, M) from c (a, S, n, p).  Every lane's rows are laid out as in a
-    lone lane, so that each lane meets the same products."""
-    own = np.ascontiguousarray(c.swapaxes(1, 2)[:, owner]).swapaxes(1, 2)
-    return np.einsum("kp,askp->ask", Rinv_Bt, own)
+    (S, M) from c (S, n, p)."""
+    return np.einsum("kp,skp->sk", Rinv_Bt, c[:, owner])
 
 
 def costates(sol: OpenLoopNashSolution) -> np.ndarray:

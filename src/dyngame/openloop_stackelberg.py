@@ -99,8 +99,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     ``initial_mu`` sets the followers' adjoined multipliers at stage 0;
     zero is the equilibrium condition for a whole game, while a tail
     re-solve inherits the multipliers reached at the truncation stage.
-    This is the one lane of :func:`sweep` that starts at stage 0; its path
-    is priced as :func:`dyngame.game.rollout` prices it.
+    The path of :func:`sweep` is priced as :func:`dyngame.game.rollout`
+    prices it.
     """
     view = require_valid(spec)
     if spec.n_players < 2:
@@ -116,7 +116,7 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
             raise InvalidGameError(
                 f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
             )
-    u, z, K, k, N, Xi, P = (a[0] for a in sweep(view, [0], np.hstack([x0, mu0.ravel()])[None]))
+    u, z, K, k, N, Xi, P = sweep(view, np.hstack([x0, mu0.ravel()]))
     g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
     laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)
     traj = sequence_path(view, x0, u[None], view.s, False)
@@ -130,9 +130,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
 
 class StageTerms(NamedTuple):
     """The terms of the open-loop Stackelberg recursion that read the stage
-    data alone, stacked over stages (the R^ii solves from the first lane's
-    start on, zero before it, tested by ``checks`` as :func:`own_inputs`
-    tests them); every lane of a sweep shares them.  Mf
+    data alone, stacked over stages, formed once per sweep (the R^ii
+    solves tested by ``checks`` as :func:`own_inputs` tests them).  Mf
     counts the followers' control rows and nf the followers."""
 
     Qf: np.ndarray      # [Q^1 .. Q^{nf}], the followers' state weights side by side, (T, p, nf p)
@@ -146,12 +145,12 @@ class StageTerms(NamedTuple):
     U: np.ndarray       # -blockdiag((R^ii)^-1 B^i') over all players, (T, M, n p)
 
     @classmethod
-    def of(cls, view: StageArrays, first: int, checks: Checks) -> StageTerms:
+    def of(cls, view: StageArrays, checks: Checks) -> StageTerms:
         T, p, M = view.B.shape
         n = view.Q.shape[1]
         nf, m0 = n - 1, view.blocks[0].stop
         fowner = view.owner[m0:] - 1
-        RinvBt = own_inputs(view, first, checks)
+        RinvBt = own_inputs(view, checks)
         R0f = view.R[:, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
         Bft = view.B[:, :, m0:].swapaxes(1, 2)
         u_own = view.own(view.ut, lead=1)
@@ -167,94 +166,86 @@ class StageTerms(NamedTuple):
             U=-_by_owner(RinvBt, view.owner, n))
 
 
-def sweep(view: StageArrays, starts, z_starts: np.ndarray):
-    """The tail games from the stages ``starts``, one lane each (see
-    :meth:`StageArrays.lanes`), solved in one pass over the stages of a
-    validated game's view, each lane from its own initial extended state
-    ``z_starts[l]`` = (x, mu^1..mu^{n-1}) at its start.
+def sweep(view: StageArrays, z0: np.ndarray):
+    """The game of a validated game's view from the initial extended state
+    z0 = (x, mu^1..mu^{n-1}): one backward pass over the stages, then the
+    forward pass along the path.
 
-    Every lane owns its sweep and its forward pass and returns, zero
-    before its start: the controls u (L, T, M), the extended path z
-    (L, T+1, n*p), the costate coefficients K (L, T+1, n*p, n*p) and k,
-    and the maps with their offsets in a last column, N | nv, Xi | xi and
-    P | alpha.  Lanes share the stage data and what is computed from it
-    alone, the :class:`StageTerms` (the R^ii solves, one stacked solve per
-    player, and the follower block operators), formed once before the
-    backward pass.  Every system that reads a lane's coefficients is still
-    solved for that lane, each stage's systems of all lanes in one stacked
-    call, and every solve is tested once the backward pass is done.
+    Returns the controls u (T, M), the extended path z (T+1, n*p), the
+    costate coefficients K (T+1, n*p, n*p) and k, and the maps with their
+    offsets in a last column, N | nv, Xi | xi and P | alpha.  The
+    :class:`StageTerms` (the R^ii solves, one stacked solve per player,
+    and the follower block operators) are formed once before the backward
+    pass, and every solve is tested once the backward pass is done.  Only
+    the forward pass reads z0, so the maps from stage s on are those of
+    the tail game from s, whatever extended state it starts from.
     """
-    starts, begin, end = view.lanes(starts)
     T, p, M = view.B.shape
     n = view.Q.shape[1]
-    d, L = n * p, len(starts)
-    m0 = view.blocks[0].stop
+    d, m0 = n * p, view.blocks[0].stop
 
     # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
-    K = np.zeros((L, T + 1, d, d))
-    k = np.zeros((L, T + 1, d))
-    N = np.zeros((L, T, M - m0, d + 1))
-    Xi = np.zeros((L, T, d, d + 1))
-    P = np.zeros((L, T, M, d + 1))
-    K[:, T, :, :p] = view.Q[T - 1].reshape(d, p)
+    K = np.zeros((T + 1, d, d))
+    k = np.zeros((T + 1, d))
+    N = np.zeros((T, M - m0, d + 1))
+    Xi = np.zeros((T, d, d + 1))
+    P = np.zeros((T, M, d + 1))
+    K[T, :, :p] = view.Q[T - 1].reshape(d, p)
 
-    with Checks.sweep(sum(end)) as checks:
-        terms = StageTerms.of(view, starts[0], checks)
-        for t in range(T - 1, starts[0] - 1, -1):
-            a = end[t]
+    with Checks.sweep(T) as checks:
+        terms = StageTerms.of(view, checks)
+        for t in range(T - 1, -1, -1):
             A, B, A_f, B_f, J = view.A[t], view.B[t], terms.A_f[t], terms.B_f[t], terms.J[t]
             # Kb, kb: the next costate coefficients with the leader's weights
             # on the followers' states and every player's state target folded in.
-            Kb = K[:a, t + 1].copy()
-            Kb[:, :p, p:] += terms.Qf[t]
-            kb = k[:a, t + 1] - terms.Qxt[t]
+            Kb = K[t + 1].copy()
+            Kb[:p, p:] += terms.Qf[t]
+            kb = k[t + 1] - terms.Qxt[t]
 
             # Cocontrols: with J = [Bh_f' | -K_f] and H = J Kb,
             # (R_f + H_mu B_f) [N | nv] = -[H diag(I, A_f) | J kb + R_0f (u_ff - u_0f)].
             H = J @ Kb
-            C = terms.C_own[t] + H[..., p:] @ B_f
-            rhs = np.concatenate([H[..., :p], H[..., p:] @ A_f,
-                                  J @ kb[..., None] + terms.du[t][:, None]], axis=2)
-            N[:a, t] = checks.solve(C, -rhs, site=COCONTROLS, stage=t)
+            C = terms.C_own[t] + H[:, p:] @ B_f
+            rhs = np.concatenate([H[:, :p], H[:, p:] @ A_f,
+                                  J @ kb[:, None] + terms.du[t][:, None]], axis=1)
+            N[t] = checks.solve(C, -rhs, site=COCONTROLS, stage=t)
 
             # Every control as one map of (x_{t+1}, mu_t), offsets last.
-            Cy = (np.concatenate([Kb[..., :p], Kb[..., p:] @ A_f, kb[..., None]], axis=2)
-                  + Kb[..., p:] @ (B_f @ N[:a, t]))
+            Cy = (np.concatenate([Kb[:, :p], Kb[:, p:] @ A_f, kb[:, None]], axis=1)
+                  + Kb[:, p:] @ (B_f @ N[t]))
             U = terms.U[t] @ Cy
-            U[..., d] += terms.u_own[t]
+            U[:, d] += terms.u_own[t]
 
             # Make x_{t+1} explicit: [Phi_x | Phi_mu | phi].
-            rhs = np.empty((a, p, d + 1))
-            rhs[..., :p], rhs[..., p:d] = A, B @ U[..., p:d]
-            rhs[..., d:] = B @ U[..., d:] + view.s[t][:, None]
-            Phi = checks.solve(np.eye(p) - B @ U[..., :p], rhs, site=TRANSITION, stage=t)
+            rhs = np.empty((p, d + 1))
+            rhs[:, :p], rhs[:, p:d] = A, B @ U[:, p:d]
+            rhs[:, d:] = B @ U[:, d:] + view.s[t][:, None]
+            Phi = checks.solve(np.eye(p) - B @ U[:, :p], rhs, site=TRANSITION, stage=t)
 
             # Controls and cocontrols as maps of (z_t, 1), then the z transition.
-            UN = np.concatenate([U, N[:a, t]], axis=1)
-            path = UN[..., :p] @ Phi
-            path[..., p:] += UN[..., p:]
-            P[:a, t] = path[:, :M]
-            Xi[:a, t, :p] = Phi
-            Xi[:a, t, p:] = B_f @ path[:, M:]
-            Xi[:a, t, p:, p:d] += A_f
+            UN = np.concatenate([U, N[t]], axis=0)
+            path = UN[:, :p] @ Phi
+            path[:, p:] += UN[:, p:]
+            P[t] = path[:M]
+            Xi[t, :p] = Phi
+            Xi[t, p:] = B_f @ path[M:]
+            Xi[t, p:, p:d] += A_f
 
             # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x
-            # blocks, except in a lane that starts at t.
-            KX = Kb @ Xi[:a, t]
-            KX[..., d] += kb
-            KX = (A.T @ KX.reshape(a, n, p, d + 1)).reshape(a, d, d + 1)
-            K[:a, t], k[:a, t] = KX[..., :d], KX[..., d]
+            # blocks.
+            KX = Kb @ Xi[t]
+            KX[:, d] += kb
+            KX = (A.T @ KX.reshape(n, p, d + 1)).reshape(d, d + 1)
+            K[t], k[t] = KX[:, :d], KX[:, d]
             if t > 0:
-                K[:begin[t], t, :, :p] += view.Q[t - 1].reshape(d, p)
+                K[t, :, :p] += view.Q[t - 1].reshape(d, p)
 
-    # Forward pass: every lane's extended path from its own start.
-    z = np.zeros((L, T + 1, d))
-    for t in range(starts[0], T):
-        a = end[t]
-        if begin[t] < a:
-            z[begin[t]:a, t] = z_starts[begin[t]:a]
-        z[:a, t + 1] = (Xi[:a, t, :, :d] @ z[:a, t, :, None])[..., 0] + Xi[:a, t, :, d]
-    u = np.einsum("ltij,ltj->lti", P[:, :, :, :d], z[:, :T]) + P[:, :, :, d]
+    # Forward pass: the extended path from z0.
+    z = np.zeros((T + 1, d))
+    z[0] = z0
+    for t in range(T):
+        z[t + 1] = (Xi[t, :, :d] @ z[t, :, None])[..., 0] + Xi[t, :, d]
+    u = np.einsum("tij,tj->ti", P[:, :, :d], z[:T]) + P[:, :, d]
     return u, z, K, k, N, Xi, P
 
 

@@ -18,7 +18,9 @@ drifts, so one drift-batched :func:`dyngame.openloop_nash.sweep` answers
 all of them (see :func:`leader_cost_open_loop`).  The feedback
 stationarity check rolls its probes out in chunks of at most
 ``_FEEDBACK_ROWS`` sample-stages, which bounds its memory at long horizons
-and leaves each probe's arithmetic as it is.
+and leaves each probe's arithmetic as it is.  The time-consistency check
+re-solves the whole game once for every solver and holds one state per
+tail game as it replays them (see :func:`time_consistency`).
 """
 
 from __future__ import annotations
@@ -45,13 +47,9 @@ STC_TOL = 1e-10
 WTC_TOL = 1e-9
 PSD_TOL = -1e-9
 
-#: Sample-stage rows the feedback stationarity check rolls out at once,
-#: and p x p coefficient blocks of tail-stages the open-loop
-#: time-consistency check sweeps at once.  Their memory grows with samples
-#: (or tails) times stages, so both go through in chunks under this
-#: budget.  The feedback check needs no chunks: one re-solve covers every
-#: tail, and shows reproduction, not subgame perfection (see
-#: :func:`time_consistency`).
+#: Sample-stage rows the feedback stationarity check rolls out at once.
+#: Its memory grows with samples times stages, so its probes go through in
+#: chunks under this budget.
 _FEEDBACK_ROWS = 8192
 
 
@@ -76,10 +74,10 @@ def _require_positive(name: str, value: float) -> None:
         raise InvalidGameError(f"{name} must be finite and > 0, got {value}")
 
 
-def _require_samples(samples: int) -> None:
-    require_index("samples", samples, np.inf)
-    if samples < 1:
-        raise InvalidGameError(f"samples must be >= 1, got {samples}")
+def _require_samples(name: str, value: int) -> None:
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value < 1:
+        raise InvalidGameError(f"{name} must be >= 1, got {value}")
+    require_index(name, value, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,7 @@ def deviation_gap(spec: GameSpec, solution, pattern: str, player: int,
     """
     _solver_row(solution, pattern)
     require_index("player", player, spec.n_players - 1)
-    _require_samples(samples)
+    _require_samples("samples", samples)
     _require_positive("magnitude", magnitude)
     rng = _rng(seed)
     if pattern == OPEN_LOOP:
@@ -282,7 +280,7 @@ def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
     """
     if not _solver_row(solution, pattern).stackelberg:
         raise InvalidGameError("leader gap needs a Stackelberg solution")
-    _require_samples(samples)
+    _require_samples("samples", samples)
     _require_positive("magnitude", magnitude)
     rng = _rng(seed)
     if pattern == OPEN_LOOP:
@@ -311,8 +309,7 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     batch = u if u.ndim == 3 else u[None]
     s = drift_samples(spec, folded_drifts(view, 0, batch))
     followers = view.select(range(1, spec.n_players))
-    path = sequence_path(followers, x0, openloop_nash.sweep(followers, [0], x0[None], s)[0][0],
-                         s, True)
+    path = sequence_path(followers, x0, openloop_nash.sweep(followers, x0, s)[0], s, True)
     controls = np.concatenate([batch, *path.controls], axis=-1)
     costs = _stage_costs(view, path.states, controls)[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
@@ -370,41 +367,28 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
     """Re-solve every tail game (stages s..T-1, s >= 1) with the solver that
     produced ``solution`` and measure how far its laws (feedback) or
     controls (open loop, re-solved from the on-path state x_s) drift from
-    the solution's tail.
+    the solution's tail.  Stage 0 is in no tail game, so the check never
+    compares it.
 
-    A feedback recursion never reads the state, so the tail from s meets
-    the whole game's stage systems from s on and its laws are the whole
-    game's rows from s on, bit for bit: one re-solve, compared at stages
-    1..T-1, gives what every tail re-solved would.  That shows the solver
-    reproduces the laws, not that they are subgame perfect.  Open-loop
-    tails start from different on-path states: they are the lanes of one
-    sweep (see :meth:`dyngame.game.StageArrays.lanes`) per chunk of at
-    most ``_FEEDBACK_ROWS`` coefficient blocks.  All re-solves read the
-    checked view of one validation.
+    No backward recursion reads its initial state, so the tail from s
+    meets the whole game's stage systems from s on, and one re-solve of
+    the whole game holds every tail's maps from s on, bit for bit.  A
+    feedback tail's laws are those maps: the check shows that the solver
+    reproduces the laws, not that they are subgame perfect.  An open-loop
+    tail's controls come from replaying the maps from x_s (and for
+    open-loop Stackelberg, from the multipliers mu_s, or zero for the
+    reset), with the products of the solver's own forward pass.  The
+    replay keeps each stage's largest gap and one state per tail, so the
+    check's memory grows with T, not T^2.  The re-solve reads the checked
+    view of one validation.
     """
     row = _solver_row(solution, pattern)
-    T = spec.horizon
-    gaps: dict[str, list[float]] = {"tail": [], "reset": []}
-    if T > 1:
+    gaps = {}
+    if spec.horizon > 1:
         # Open-loop Stackelberg validates as a plain game, like its solver.
         view = require_valid(spec, for_stackelberg=row.stackelberg and pattern == FEEDBACK)
-        if pattern == FEEDBACK:
-            ref = np.concatenate([np.concatenate([law.G, law.g[..., None]], axis=-1)
-                                  for law in solution.laws], axis=1)
-            chunks = [np.array([1])]  # its lane from stage 1 holds every tail
-        else:
-            ref = np.concatenate(solution.trajectory.controls, axis=-1)
-            # A tail holds per stage one p x p costate block per player;
-            # open-loop Stackelberg holds (n p)^2 on its extended state, in
-            # two lanes per start.  The row budget counts these blocks.
-            n = spec.n_players
-            per_call = max(1, _FEEDBACK_ROWS // (T * (2 * n * n if row.stackelberg else n)))
-            chunks = [np.arange(first, min(first + per_call, T)) for first in range(1, T, per_call)]
-        for starts in chunks:
-            own = np.arange(T) >= starts[:, None]  # each lane's stages
-            for name, rows in row.tails(view, solution, starts).items():
-                gaps[name].append(np.abs(rows - ref)[own].max(initial=0.0))
-    worst = {name: float(np.max(found, initial=0.0)) for name, found in gaps.items()}
+        gaps = row.tails(view, solution)
+    worst = {name: float(np.max(gaps.get(name, ()), initial=0.0)) for name in ("tail", "reset")}
     if pattern == FEEDBACK:
         return TimeConsistency(verdict="STC", tail_deviation=worst["tail"])
     return TimeConsistency(verdict="WTC", tail_deviation=worst["tail"],
@@ -548,9 +532,14 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
     """Run the full oracle battery on one solution and collect a report."""
     # Checks draw from seed + i, so a negative seed could pass some of them.
     require_index("seed", seed, np.inf)
+    is_stackelberg = _solver_row(solution, pattern).stackelberg
+    # Refuse every argument an oracle would refuse before any of them runs.
+    _require_samples("samples", samples)
+    if is_stackelberg:
+        _require_samples("leader_samples", leader_samples)
+    _require_positive("magnitude", magnitude)
     report = VerificationReport(solver=solver_name, pattern=pattern, seed=seed,
                                 samples=samples, fd_step=fd_step, magnitude=magnitude)
-    is_stackelberg = _solver_row(solution, pattern).stackelberg
 
     report.stationarity = stationarity(spec, solution, pattern, h=fd_step, x0=x0)
     for i, r in report.stationarity.items():

@@ -6,8 +6,8 @@ line: equal lines mean bit-identical results.
     python3 tests/output_hashes.py > hashes.txt
 
 Each line is ``<case> <solver> <kind> <sha256>``, one per kind of output:
-``solution``, the solution's arrays; ``tails``, its tail lanes
-(``SOLVERS[name].tails``); ``report``, the ``run_verification`` report
+``solution``, the solution's arrays; ``tails``, the per-stage gaps of
+its re-solved tail games (``SOLVERS[name].tails``); ``report``, the ``run_verification`` report
 (``as_dict``, floats by their exact repr); or, for a refused solve, one
 ``refusal`` line, the error's type, message, ``context`` and
 ``cond_estimate``.  Each hash covers the warnings its step raised too.
@@ -20,8 +20,8 @@ The cases are:
 - ``degenerate<s>-<what>``: small games that skip validation and reach a
   zero stage system or a NaN drift, so that every solver refuses them;
 - ``long<s>``: (3, 10, 3, 200) time-varying games (one player for
-  ``lqr``), solution and three tail lanes only, whose sweeps fill and
-  test their capped stacks.
+  ``lqr``), solution and tails only, whose sweeps fill and test their
+  capped stacks.
 """
 
 import hashlib
@@ -67,9 +67,9 @@ def digest(run) -> str:
     return hashlib.sha256(repr((out, warned)).encode()).hexdigest()
 
 
-def print_outputs(case, name, spec, x0, starts, verify=True) -> None:
-    """Print the lines of one case: the solution's arrays, its tail lanes
-    from ``starts`` and its verification report, or its refusal."""
+def print_outputs(case, name, spec, x0, verify=True) -> None:
+    """Print the lines of one case: the solution's arrays, its tail gaps
+    and its verification report, or its refusal."""
     row = SOLVERS[name]
     solved = []
 
@@ -83,8 +83,8 @@ def print_outputs(case, name, spec, x0, starts, verify=True) -> None:
         return
     sol = solved[0]
     print(f"{case} {name} solution {first}")
-    tails = digest(lambda: arrays(row.tails(StageArrays.of(spec), sol, starts))
-                   if len(starts) else {})
+    tails = digest(lambda: arrays(row.tails(StageArrays.of(spec), sol))
+                   if spec.horizon > 1 else {})
     print(f"{case} {name} tails {tails}")
     if verify:
         report = digest(lambda: run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
@@ -123,21 +123,20 @@ def main() -> None:
                 spec = random_game(seed, n_players=players(name, seed),
                                    time_varying=kind == "varying", targets=name != "lqr")
                 x0 = random_x0(seed, spec)
-                print_outputs(f"seed{seed}-{kind}", name, spec, x0, np.arange(1, spec.horizon))
+                print_outputs(f"seed{seed}-{kind}", name, spec, x0)
     with unchecked():
         for seed in range(10):
             for what in ("singular", "nan"):
                 for name in SOLVERS:
                     spec, x0 = degenerate(seed, players(name, seed), what)
-                    print_outputs(f"degenerate{seed}-{what}", name, spec, x0,
-                                  np.arange(1, spec.horizon), verify=False)
+                    print_outputs(f"degenerate{seed}-{what}", name, spec, x0, verify=False)
     for seed in range(3):
         for name in SOLVERS:
             n = players(name, 1)
             spec = random_game(900 + seed, n_players=n, state_dim=10, control_dims=[3] * n,
                                horizon=200, time_varying=True, targets=name != "lqr")
             x0 = random_x0(seed, spec)
-            print_outputs(f"long{seed}", name, spec, x0, np.array([1, 50, 199]), verify=False)
+            print_outputs(f"long{seed}", name, spec, x0, verify=False)
 
 
 if __name__ == "__main__":

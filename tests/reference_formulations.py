@@ -45,9 +45,9 @@ to roundoff.
 
 The per-tail time-consistency check re-solves each tail game on its own,
 with the solver's own entry point on the truncated game.  The library's
-check must equal it exactly for the feedback solvers, which re-solve the
-whole game once, and to roundoff for the open-loop ones, which sweep all
-tails as the lanes of one call.
+check must equal it exactly for every solver: it re-solves the whole game
+once, and for the open-loop solvers replays that re-solve's path maps
+from each tail's start.
 
 The transition residuals check that an open-loop solution's stored path
 follows its own affine transition maps, and the self-check identities

@@ -1,8 +1,8 @@
 """The stage terms that read the game alone are formed once per sweep.
 
 The open-loop solvers solve every player's R^ii over all stages in one
-stacked call before the backward loop, and every stage system of all lanes
-of a sweep goes to the dense solver as one stack.  The call counts below
+stacked call before the backward loop, and every stage system of a sweep
+goes to the dense solver as one stack.  The call counts below
 pin that layout; the ill-scaled R^ii game pins that the hoisted solve still
 fails where the backward sweep would: at the last failing stage.
 """
@@ -17,7 +17,7 @@ from dyngame import cli, numerics, verify
 from dyngame.errors import SingularSystemError
 from dyngame.game import validate
 from dyngame.gameio import save_game
-from dyngame.solvers import FEEDBACK, SOLVERS
+from dyngame.solvers import SOLVERS
 
 from conftest import random_game, random_x0
 
@@ -83,7 +83,7 @@ def test_one_lane_solve_makes_one_stacked_call_per_stage_system(solver, T, dense
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_time_consistency_calls_do_not_grow_with_the_lanes(solver, dense_calls, checks_run):
+def test_time_consistency_calls_are_one_sweep(solver, dense_calls, checks_run):
     for T in (6, 18):
         spec, x0 = game_for(solver, T)
         row = SOLVERS[solver]
@@ -91,10 +91,8 @@ def test_time_consistency_calls_do_not_grow_with_the_lanes(solver, dense_calls, 
         dense_calls.clear()
         checks_run.clear()
         verify.time_consistency(spec, sol, row.pattern)
-        # one sweep: feedback re-solves the whole game once, open loop
-        # sweeps stages 1..T-1 holding T-1 lanes
-        stages = T if row.pattern == FEEDBACK else T - 1
-        assert sum(dense_calls.values()) == PER_STAGE[solver] * stages + PER_SWEEP[solver]
+        # one sweep of the whole game, as a solve makes, for every solver
+        assert sum(dense_calls.values()) == PER_STAGE[solver] * T + PER_SWEEP[solver]
         assert list(checks_run.values()) == [1]
 
 

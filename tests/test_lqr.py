@@ -146,11 +146,11 @@ def test_cli_lqr_and_feedback_nash_print_the_same_laws(time_varying, tmp_path, c
     assert docs["lqr"]["laws"] == docs["feedback-nash"]["laws"]
 
 
-def assert_close(lane, expected):
-    assert np.all(np.abs(lane - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
+def assert_close(actual, expected):
+    assert np.all(np.abs(actual - expected) <= 1e-10 * np.maximum(1.0, np.abs(expected)))
 
 
-def test_solve_and_tail_lanes_match_the_reference_recursion():
+def test_solve_and_tails_match_the_reference_recursion():
     for spec in one_player_games():
         view = StageArrays.of(spec)
         T = spec.horizon
@@ -160,10 +160,12 @@ def test_solve_and_tail_lanes_match_the_reference_recursion():
         assert_close(sol.laws[0].g, g)
         for name, X in (("Z", Z), ("zeta", zeta), ("n_const", n_const)):
             assert_close(getattr(sol, name), X)
-        # every tail's rows from its start on: the reference recursion of
-        # the tail game, solved on its own
-        starts = np.arange(1, T)
-        tails = SOLVERS["lqr"].tails(view, sol, starts)["tail"]
-        for lane, s in zip(tails, starts):
+        # the tails' re-solve gives the solution's laws at every stage, and
+        # the laws from each start s on are the reference recursion of the
+        # tail game, solved on its own
+        gaps = SOLVERS["lqr"].tails(view, sol)["tail"]
+        assert gaps.shape == (T - 1,) and not gaps.any()
+        for s in range(1, T):
             G, g = ref.lqr_sweep(StageArrays.of(truncate(spec, s)))[:2]
-            assert_close(lane[s:], np.concatenate([G, g[..., None]], axis=-1))
+            assert_close(sol.laws[0].G[s:], G)
+            assert_close(sol.laws[0].g[s:], g)

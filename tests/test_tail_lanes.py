@@ -1,29 +1,30 @@
 """The time-consistency check's tail games.
 
-A feedback sweep never reads the state, so every feedback tail game meets
+No backward recursion reads its initial state, so every tail game meets
 the whole game's stage systems from its start on: each separately solved
-tail in ``reference_formulations`` equals the rows of one re-solve of the
-whole game, bit for bit, and the check makes that one sweep.  The
-open-loop tails start from different on-path states; they are the lanes
-of one sweep per chunk, and each lane equals the separate solve of its
-tail game to roundoff.  A check makes one validation, whose checked view
-every sweep reads, and a corrupted solution fails its gate by the size of
-the corruption.
+tail in ``reference_formulations`` has the maps of one re-solve of the
+whole game from its start on, bit for bit, and the check makes that one
+sweep.  A feedback tail's laws are those maps.  An open-loop tail's
+controls replay them from the solution's state at its start and equal the
+separate tail solve's bit for bit, so the check equals the loop of
+separate tail solves exactly.  A check makes one validation, whose checked
+view every sweep reads, and a corrupted solution fails its gate by the
+size of the corruption.
 """
 
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dyngame import (cli, feedback_nash, feedback_stackelberg, openloop_nash,
-                     openloop_stackelberg, verify)
-from dyngame.errors import InvalidGameError
+from dyngame import cli, feedback_nash, feedback_stackelberg, verify
 from dyngame.game import AffineLaw, StageArrays, Trajectory
+from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, SOLVERS, solver_of
 
 import reference_formulations as ref
@@ -50,16 +51,17 @@ def stacked_rows(sol):
     return np.concatenate(sol.trajectory.controls, axis=-1)
 
 
-def lane_coefficients(solver, view, sol, starts):
-    """Each open-loop tail lane's costate coefficients, by the name of the
-    solution field that holds them, with the stage axis of one lane."""
-    x = sol.trajectory.states[starts]
-    if solver == "openloop-nash":
-        M, m = openloop_nash.sweep(view, starts, x, view.s[None])[1:3]
-        return {"M": (M, 1), "m": (m[:, 0], 1)}
-    mu = sol.mu[:, starts].swapaxes(0, 1).reshape(len(starts), -1)
-    K, k = openloop_stackelberg.sweep(view, starts, np.hstack([x, mu]))[2:4]
-    return {"K": (K, 0), "k": (k, 0)}
+def open_loop_maps(sol):
+    """An open-loop solution's maps by name, stage axis first: the costate
+    coefficients (M or K, to stage T), their offsets, the transition maps
+    and the path gains; open-loop Nash's path offsets too, which read no
+    path state."""
+    G = np.concatenate([law.G for law in sol.laws], axis=1)
+    if isinstance(sol, OpenLoopNashSolution):
+        return {"M": sol.M.swapaxes(0, 1), "m": sol.m.swapaxes(0, 1), "Phi": sol.Phi,
+                "phi": sol.phi, "G": G, "g": np.concatenate([law.g for law in sol.laws], axis=1)}
+    return {"K": sol.K, "k": sol.k, "N": sol.N, "nv": sol.nv, "Xi": sol.Xi, "xi": sol.xi,
+            "alpha": sol.alpha, "G": G}
 
 
 def values(sol):
@@ -74,14 +76,13 @@ def values(sol):
 @pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
 def test_each_feedback_tail_is_the_one_re_solve(solver, T, time_varying):
     spec, sol, _ = solved(solver, T, time_varying)
-    starts = np.arange(1, T)
-    lanes = SOLVERS[solver].tails(StageArrays.of(spec), sol, starts)
-    assert set(lanes) == {"tail"}
+    gaps = SOLVERS[solver].tails(StageArrays.of(spec), sol)
+    assert set(gaps) == {"tail"} and gaps["tail"].shape == (T - 1,)
+    assert not gaps["tail"].any()  # one re-solve, the solution's own laws
     resolved = stacked_rows(sol)
-    for lane, s in zip(lanes["tail"], starts):
-        assert np.array_equal(lane, resolved)  # one re-solve, the solution's own laws
+    for s in range(1, T):
         tail = ref.tail_solution(spec, sol, s)
-        assert np.array_equal(lane[s:], stacked_rows(tail)), s
+        assert np.array_equal(resolved[s:], stacked_rows(tail)), s
         # The value coefficients after stage s are the tail's bit for bit.
         # At s the tail charges nothing on its initial state, while the
         # whole game's Z_s holds Q_{s-1}; without it they agree to roundoff.
@@ -95,36 +96,37 @@ def test_each_feedback_tail_is_the_one_re_solve(solver, T, time_varying):
 @pytest.mark.parametrize("time_varying", [False, True], ids=["broadcast", "time-varying"])
 @pytest.mark.parametrize("T", [1, 2, 6, 12, 40])
 @pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
-def test_each_open_loop_lane_equals_its_tail_solve(solver, T, time_varying):
+def test_each_open_loop_tail_is_replayed_from_the_one_re_solve(solver, T, time_varying):
     row = SOLVERS[solver]
-    spec, sol, _ = solved(solver, T, time_varying)
+    spec, sol, x0 = solved(solver, T, time_varying)
     if T > 1:
-        starts = np.arange(1, T)
-        view = StageArrays.of(spec)
-        lanes = row.tails(view, sol, starts)
-        assert set(lanes) == ({"tail", "reset"} if solver == "openloop-stackelberg" else {"tail"})
-        coefficients = lane_coefficients(solver, view, sol, starts)
-        for l, s in enumerate(starts):
-            tails = {name: ref.tail_solution(spec, sol, s, reset=name == "reset") for name in lanes}
-            pairs = [(lanes[name][l, s:], stacked_rows(tail)) for name, tail in tails.items()]
-            assert not any(lanes[name][l, :s].any() for name in lanes)
-            # Each lane's own coefficients, with no weight on its initial state.
-            pairs += [(np.take(X[l], np.arange(s, T + 1), axis=axis), getattr(tails["tail"], name))
-                      for name, (X, axis) in coefficients.items()]
-            for lane, expected in pairs:
-                assert np.all(np.abs(lane - expected) <= 1e-12 * (1 + np.abs(expected))), s
+        gaps = row.tails(StageArrays.of(spec), sol)
+        assert set(gaps) == ({"tail", "reset"} if row.stackelberg else {"tail"})
+        resolved = open_loop_maps(row.solve(spec, x0))
+        controls = stacked_rows(sol)
+        for name in gaps:
+            expected = np.zeros(T - 1)
+            for s in range(1, T):
+                tail = ref.tail_solution(spec, sol, s, reset=name == "reset")
+                # Its maps from s on are the re-solve's, bit for bit, but
+                # for the weight the whole game charges on x_s.
+                for key, Y in open_loop_maps(tail).items():
+                    X = resolved[key]
+                    first = s + 1 if key in ("M", "K") else s
+                    assert np.array_equal(X[first:], Y[first - s:]), (name, s, key)
+                # Its controls are the replay's: the gap at each stage t
+                # is the largest over the tails from 1..t, bit for bit.
+                gap = np.abs(stacked_rows(tail) - controls[s:]).max(axis=1)
+                expected[s - 1:] = np.maximum(expected[s - 1:], gap)
+            assert gaps[name].shape == (T - 1,)
+            assert np.array_equal(gaps[name], expected), name
 
-    if T > 12:  # the lanes above cover it; the loop would repeat every tail solve
+    if T > 12:  # the tails above cover it; the loop would repeat every tail solve
         return
-    lanes, loop = (verify.time_consistency(spec, sol, OPEN_LOOP),
-                   ref.time_consistency(spec, sol, OPEN_LOOP))
-    assert lanes.verdict == loop.verdict
-    scale = 1e-12 * (1 + max(np.abs(u).max() for u in sol.trajectory.controls))
-    assert abs(lanes.tail_deviation - loop.tail_deviation) <= scale
-    if loop.mu_reset_deviation is None:
-        assert lanes.mu_reset_deviation is None
-    else:
-        assert abs(lanes.mu_reset_deviation - loop.mu_reset_deviation) <= scale
+    tc = verify.time_consistency(spec, sol, OPEN_LOOP)
+    assert tc == ref.time_consistency(spec, sol, OPEN_LOOP)
+    assert tc.verdict == "WTC" and tc.tail_deviation <= verify.WTC_TOL
+    assert (tc.mu_reset_deviation is None) == (not row.stackelberg)
 
 
 def corrupted(sol, stage, player, size=1e-6):
@@ -134,6 +136,19 @@ def corrupted(sol, stage, player, size=1e-6):
     G[stage, 0, -1] += size
     laws[player] = AffineLaw(G, laws[player].g)
     return replace(sol, laws=tuple(laws))
+
+
+def corrupted_controls(sol, stage, size=1e-6):
+    """``sol`` with the first control entry of its last player at ``stage``
+    moved by ``size``, its path left as it was."""
+    traj = sol.trajectory
+    controls = list(traj.controls)
+    u = controls[-1].copy()
+    u[stage, 0] += size
+    controls[-1] = u
+    return replace(sol, trajectory=Trajectory(states=traj.states, controls=tuple(controls),
+                                              stage_costs=traj.stage_costs,
+                                              total_costs=traj.total_costs))
 
 
 @pytest.mark.parametrize("stage", [None, 0, 1, "last"])
@@ -148,6 +163,22 @@ def test_feedback_check_equals_every_tail_re_solved(solver, T, stage):
     # Stage 0 is in no tail game, so a change there goes unseen.
     if stage in (None, 0):
         assert tc.tail_deviation == 0.0
+    else:
+        assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("stage", [None, 0, 1, "last"])
+@pytest.mark.parametrize("T", [2, 6, 12])
+@pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
+def test_open_loop_check_equals_every_tail_re_solved(solver, T, stage):
+    spec, clean, _ = solved(solver, T, time_varying=True)
+    sol = clean if stage is None else corrupted_controls(clean, T - 1 if stage == "last" else stage)
+    tc = verify.time_consistency(spec, sol, OPEN_LOOP)
+    assert tc == ref.time_consistency(spec, sol, OPEN_LOOP)
+    # Stage 0 is in no tail game, so a change there goes unseen.
+    if stage in (None, 0):
+        assert tc == verify.time_consistency(spec, clean, OPEN_LOOP)
+        assert tc.tail_deviation <= verify.WTC_TOL
     else:
         assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
 
@@ -168,18 +199,32 @@ def test_one_validate_view_and_sweep_per_check(solver, T, layer_calls):
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_chunked_lanes_give_the_same_check(solver, monkeypatch, layer_calls):
-    # a feedback check makes one sweep whatever the row budget; an
-    # open-loop one sweeps one tail per call under a budget of one row
+def test_the_row_budget_leaves_the_check_unchanged(solver, monkeypatch, layer_calls):
+    # the budget bounds feedback stationarity alone: every check makes one
+    # sweep whatever it is
     row = SOLVERS[solver]
     spec, sol, _ = solved(solver, 12, time_varying=True)
     whole = verify.time_consistency(spec, sol, row.pattern)
     monkeypatch.setattr(verify, "_FEEDBACK_ROWS", 1)
     layer_calls.clear()
     assert verify.time_consistency(spec, sol, row.pattern) == whole
-    sweeps = sum(n for name, n in layer_calls.items() if name.endswith(".sweep"))
-    assert sweeps == (1 if row.pattern == FEEDBACK else 11)
+    assert sum(n for name, n in layer_calls.items() if name.endswith(".sweep")) == 1
     assert layer_calls["game.validate"] == 1 and "StageArrays.of" not in layer_calls
+
+
+@pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
+def test_the_open_loop_check_holds_no_array_of_tails_by_stages(solver):
+    # the replay keeps one state per tail and one gap per stage: its
+    # allocations stay below one (T-1) x T array of the controls
+    T = 300
+    spec, sol, _ = solved(solver, T, time_varying=True)
+    tracemalloc.start()
+    try:
+        verify.time_consistency(spec, sol, OPEN_LOOP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (T - 1) * T * stacked_rows(sol).shape[1]
 
 
 @pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
@@ -213,14 +258,7 @@ def test_nan_law_fails_stc():
 @pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
 def test_corrupted_open_loop_control_fails_wtc(solver):
     spec, sol, x0 = solved(solver, 6, time_varying=True)
-    traj = sol.trajectory
-    controls = list(traj.controls)
-    u = controls[-1].copy()
-    u[4, 0] += 1e-6
-    controls[-1] = u
-    bad = replace(sol, trajectory=Trajectory(states=traj.states, controls=tuple(controls),
-                                             stage_costs=traj.stage_costs,
-                                             total_costs=traj.total_costs))
+    bad = corrupted_controls(sol, 4)
     tc = verify.time_consistency(spec, bad, OPEN_LOOP)
     assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
     report = verify.run_verification(spec, bad, OPEN_LOOP, solver, x0=x0, samples=5,
@@ -237,13 +275,6 @@ def test_two_sweeps_of_one_game_are_identical(sweep):
                        time_varying=True)
     view = StageArrays.of(spec)
     assert arrays(sweep(view)) == arrays(sweep(view))
-
-
-def test_lane_starts_must_be_ascending_stages():
-    view = StageArrays.of(random_game(3, n_players=2, horizon=4))
-    for bad in ([], [2, 1], [0, 4], [-1], [0.5]):
-        with pytest.raises(InvalidGameError, match="lane starts"):
-            view.lanes(bad)
 
 
 def golden_runs(case, out_dir):

@@ -211,9 +211,39 @@ class TestSettingsWithoutEvidence:
         spec = scalar_unit_two_player()
         x0 = np.array([1.0])
         sol = feedback_stackelberg.solve(spec)
-        with pytest.raises(InvalidGameError, match="samples"):
+        with pytest.raises(InvalidGameError, match=f"^leader_samples must be >= 1, got {samples}$"):
             verify.run_verification(spec, sol, verify.FEEDBACK, "feedback-stackelberg",
                                     x0=x0, samples=5, leader_samples=samples)
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    @pytest.mark.parametrize("bad, message", [
+        ({"samples": 0}, "^samples must be >= 1, got 0$"),
+        ({"samples": 2.5}, "^samples must be an integer, got 2.5$"),
+        ({"leader_samples": -1}, "^leader_samples must be >= 1, got -1$"),
+        ({"magnitude": 0.0}, "^magnitude must be finite and > 0, got 0.0$"),
+    ])
+    def test_bad_arguments_are_refused_before_any_oracle_runs(self, solver, bad, message,
+                                                             monkeypatch):
+        row = SOLVERS[solver]
+        spec = scalar_unit_two_player() if solver != "lqr" else random_game(5, n_players=1,
+                                                                            targets=False)
+        x0 = np.ones(spec.state_dim)
+        sol = row.solve(spec, x0)
+        ran = []
+        for name in ("stationarity", "deviation_gap", "leader_gap", "time_consistency",
+                     "definiteness_monitor"):
+            oracle = getattr(verify, name)
+            monkeypatch.setattr(verify, name,
+                                lambda *a, name=name, oracle=oracle, **k: ran.append(name)
+                                or oracle(*a, **k))
+        run = lambda: verify.run_verification(spec, sol, row.pattern, solver, x0=x0,  # noqa: E731
+                                              **{"samples": 5, **bad})
+        if "leader_samples" in bad and not row.stackelberg:
+            assert run().passed  # only a leader check reads it
+        else:
+            with pytest.raises(InvalidGameError, match=message):
+                run()
+            assert ran == []
 
     @pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
     def test_fd_step_must_be_finite_and_positive(self, h):
