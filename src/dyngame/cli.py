@@ -26,7 +26,7 @@ from . import __version__, verify
 from .errors import DynGameError, InvalidGameError, SingularSystemError
 from .game import (GameSpec, Trajectory, initial_state, reorder_players, require_valid,
                    rollout, validate)
-from .gameio import GameFormatError, load_game
+from .gameio import load_game
 from .solvers import OPEN_LOOP, SOLVERS
 
 log = logging.getLogger("dyngame")
@@ -46,11 +46,7 @@ def main(argv=None) -> int:
         # written, so numpy's floating-point warnings would only repeat it.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except GameFormatError as exc:
-        log.debug("invalid game file: %s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except InvalidGameError as exc:
+    except InvalidGameError as exc:  # a GameFormatError too
         log.debug("invalid input: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -364,10 +364,9 @@ def _column_violations(C: np.ndarray, ok, need, tol: float):
     None (finite only), "symmetric", "PSD" or "PD", tested on the whole
     column but for one ``eigvalsh`` per entry.  A non-finite array is tested
     no further, an asymmetric one not for definiteness.  Symmetry is held to
-    |tol|, so a negative ``tol`` loosens definiteness alone.  The asymmetry
-    gap (see :func:`dyngame.numerics.asymmetry`) and the symmetric part are
-    formed from halves, which do not overflow; a non-finite smallest
-    eigenvalue is shown so."""
+    |tol| by :func:`dyngame.numerics.asymmetry`, so a negative ``tol``
+    loosens definiteness alone.  The symmetric part is formed from halves,
+    which do not overflow; a non-finite smallest eigenvalue is shown so."""
     ok = True if ok is None else np.array(ok, dtype=bool)
     finite = np.isfinite(C).reshape(C.shape[:2] + (-1,)).all(axis=2)
     for k, i in zip(*np.nonzero(ok & ~finite)):
@@ -377,10 +376,10 @@ def _column_violations(C: np.ndarray, ok, need, tol: float):
         return
     tested = ok & finite & np.array([what is not None for what in needs])
     F = np.where(tested[:, :, None, None], C, 0.0)
-    half = np.abs(0.5 * F - 0.5 * F.swapaxes(2, 3)).max(axis=(2, 3))
-    asymmetric = tested & (half > 0.5 * abs(tol) * (1.0 + np.abs(F).max(axis=(2, 3))))
+    gap, asymmetric = asymmetry(F, abs(tol))
+    asymmetric &= tested
     for k, i in zip(*np.nonzero(asymmetric)):
-        yield k, i, f"not symmetric (max asymmetry {2.0 * float(half[k, i]):.2e})"
+        yield k, i, f"not symmetric (max asymmetry {float(gap[k, i]):.2e})"
     for i, required in enumerate(needs):
         if required not in ("PSD", "PD"):
             continue
@@ -599,8 +598,7 @@ def initial_state(spec: GameSpec, x0) -> np.ndarray:
     return x0
 
 
-def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray,
-            drifts: np.ndarray | None = None) -> Trajectory:
+def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     """Simulate the state equation under laws or explicit control sequences.
 
     ``laws_or_controls`` holds one entry per player: an explicit control
@@ -610,20 +608,13 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray,
     Any entry may carry a leading sample axis, (S, T, m_i) or
     (S, T, m_i, p); arrays without one are shared by all samples.  Then S
     trajectories from the same x0 are rolled out together and every field
-    of the returned :class:`Trajectory` has a leading axis S.  ``drifts``
-    (S, T, p), when given, replaces the stage drifts s_t, one sequence per
-    sample (see :func:`drift_samples`).  Stage costs are evaluated for all
-    stages and samples in one pass after the state loop.
+    of the returned :class:`Trajectory` has a leading axis S.  Every
+    sample plays the game's own stage drifts.  Stage costs are evaluated
+    for all stages and samples in one pass after the state loop.
     """
     x0 = initial_state(spec, x0)
     view = StageArrays.of(spec)
     GT, g, S = _stacked_rules(spec, laws_or_controls)
-    s = view.s
-    if drifts is not None:
-        s = drift_samples(spec, drifts)
-        if S not in (None, len(s)):
-            raise InvalidGameError(f"players give {S} samples but drifts give {len(s)}")
-        S = len(s)
 
     states = np.empty((S or 1, spec.horizon + 1, spec.state_dim))
     states[:, 0] = x0
@@ -633,7 +624,7 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray,
         u[:, t] = g[..., t, :]
         if GT is not None:
             u[:, t] += (x[:, None, :] @ GT[..., t, :, :])[:, 0]
-        states[:, t + 1] = x = _advance(view, t, x, s, u[:, t])
+        states[:, t + 1] = x = _advance(view, t, x, view.s, u[:, t])
     return _priced(view, states, u, S is not None)
 
 
@@ -717,22 +708,6 @@ def _side_by_side(arrays):
                            for a in arrays], axis=-1)
 
 
-def drift_samples(spec: GameSpec, drifts: np.ndarray) -> np.ndarray:
-    """S drift sequences (S, T, p) for the game's stages, checked to be
-    finite and of that shape with S >= 1."""
-    T, p = spec.horizon, spec.state_dim
-    try:
-        drifts = np.asarray(drifts, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidGameError(f"drifts are not a numeric array: {exc}") from exc
-    if drifts.ndim != 3 or drifts.shape[1:] != (T, p) or len(drifts) == 0:
-        raise InvalidGameError(f"drifts have shape {drifts.shape}, expected (samples, {T}, {p}) "
-                               "with at least one sample")
-    if not np.isfinite(drifts).all():
-        raise InvalidGameError("drifts must be finite")
-    return drifts
-
-
 def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Every player's stage costs (S, n, T) along S trajectories, states
     (S, T+1, p) and stacked controls (S, T, M), all stages at once; the
@@ -778,12 +753,8 @@ def _player_subgame(spec: GameSpec, keep) -> GameSpec:
 def folded_drifts(view: StageArrays, player: int, controls: np.ndarray) -> np.ndarray:
     """Stage drifts ``s_t + B_t^player u_t`` of a game's view with one
     player's control sequence u (T, m) folded in, (T, p); S sequences
-    (S, T, m) give S drift sequences (S, T, p)."""
-    controls = np.asarray(controls, dtype=float)
-    shape = (len(view.A), len(view.rows[view.blocks[player]]))
-    if controls.ndim not in (2, 3) or controls.shape[-2:] != shape:
-        raise InvalidGameError(f"controls have shape {controls.shape}, expected {shape} "
-                               f"or (samples, {', '.join(map(str, shape))})")
+    (S, T, m) give S drift sequences (S, T, p).  The caller checks the
+    controls' shape, as :func:`dyngame.verify.leader_cost_open_loop` does."""
     return view.s + np.einsum("tpm,...tm->...tp", view.B[:, :, view.blocks[player]], controls)
 
 

@@ -351,12 +351,18 @@ def _condition_estimate(A: np.ndarray) -> float:
         return float("inf")
 
 
-def asymmetry(M: np.ndarray, rtol: float) -> tuple[float, bool]:
-    """Max entrywise gap |M - M'| of a square M, and whether it exceeds the
-    relative tolerance ``rtol * (1 + max|M|)``.
+def asymmetry(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Max entrywise gap |M - M'| of each square matrix of a stack M (...,
+    k, k), and whether it exceeds the relative tolerance ``rtol * (1 +
+    max|M|)`` of that matrix, both of shape (...); a single matrix gives
+    numpy scalars.
 
-    The gap is formed from halves, 0.5 M - 0.5 M', and doubled as a Python
-    float: finite weights of opposite sign near the float range do not
-    overflow, and a gap past that range reads inf."""
-    half = np.abs(0.5 * M - 0.5 * M.T).max(initial=0.0)
-    return 2.0 * float(half), bool(half > 0.5 * rtol * (1.0 + np.abs(M).max(initial=0.0)))
+    The gap is formed from halves, 0.5 M - 0.5 M', and doubled after the
+    test: finite weights of opposite sign near the float range do not
+    overflow, and a gap past that range reads inf.  The symmetric part
+    0.5 M + 0.5 M' of the callers is formed from halves for the same
+    reason."""
+    half = np.abs(0.5 * M - 0.5 * M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    too_large = half > 0.5 * rtol * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
+    with np.errstate(over="ignore"):
+        return 2.0 * half, too_large

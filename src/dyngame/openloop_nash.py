@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, drift_samples,
-                   initial_state, require_valid, sequence_path)
+from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
+                   sequence_path)
 from .numerics import Checks, Site
 
 #: The transition operator D = I + sum_j B^j (R^jj)^-1 B^j' M^j, one per stage.
@@ -39,9 +39,9 @@ TRANSITION = Site("open-loop transition operator",
 
 @dataclass(frozen=True)
 class OpenLoopNashSolution:
-    """One equilibrium; or, from a solve with ``drifts``, S of them, whose
-    drift-dependent fields (the law offsets, the trajectory, ``m`` and
-    ``phi``) carry a leading sample axis S while the rest is shared."""
+    """One equilibrium from one initial state.  The drift-batched sweep
+    behind the open-loop leader checks (:func:`sweep` over S drift
+    sequences) returns arrays, not solutions."""
 
     spec: GameSpec
     x0: np.ndarray
@@ -53,28 +53,18 @@ class OpenLoopNashSolution:
     phi: np.ndarray                     # (T, p)
 
 
-def solve(spec: GameSpec, x0: np.ndarray, drifts: np.ndarray | None = None) -> OpenLoopNashSolution:
-    """Unique open-loop Nash equilibrium from the initial state x0.
-
-    ``drifts`` (S, T, p) solves S games at once: the given game with its
-    stage drifts replaced by each drift sequence in turn.  The drift
-    enters only the affine parts -- m, phi, the offsets and the path --
-    and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one
-    solve with D per stage) serves all S games, whose drift columns share
-    that solve's right-hand side with A.  Without ``drifts`` the same
-    sweep runs on the game's own drifts as its one sample.  The path of
-    :func:`sweep` is priced as :func:`dyngame.game.rollout` prices it.
-    """
+def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
+    """Unique open-loop Nash equilibrium from the initial state x0: one
+    :func:`sweep` with the game's own drifts as its one sample, the path
+    priced as :func:`dyngame.game.rollout` prices it."""
     view = require_valid(spec)
     x0 = initial_state(spec, x0)
-    s = view.s[None] if drifts is None else drift_samples(spec, drifts)
+    s = view.s[None]
     u, Mc, m, Phi, phi, G, g = sweep(view, x0, s)
-    if drifts is None:
-        m, phi, g = m[0], phi[0], g[0]
-    traj = sequence_path(view, x0, u, s, drifts is not None)
+    traj = sequence_path(view, x0, u, s, False)
     return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
-                                laws=tuple(AffineLaw(G[:, b], g[..., b]) for b in view.blocks),
-                                M=Mc, m=m, Phi=Phi, phi=phi)
+                                laws=tuple(AffineLaw(G[:, b], g[0, :, b]) for b in view.blocks),
+                                M=Mc, m=m[0], Phi=Phi, phi=phi[0])
 
 
 def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):

@@ -32,8 +32,8 @@ import numpy as np
 from . import openloop_nash, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import (AffineLaw, GameSpec, _stage_costs, drift_samples, folded_drifts,
-                   initial_state, require_index, require_valid, rollout, sequence_path)
+from .game import (AffineLaw, GameSpec, _stage_costs, folded_drifts, initial_state,
+                   require_index, require_valid, rollout, sequence_path)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -99,9 +99,18 @@ def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
     per chunk of ``_FEEDBACK_ROWS`` sample-stages); the open-loop
     Stackelberg leader's 2*T*m probes share one drift-batched re-solve of
     the followers' game, whose paths price the leader.
+
+    A step lost in rounding would read every residual as 0, so a step that
+    leaves some probed entry z (every player's controls in open loop, law
+    offsets in feedback) unmoved, z + h == z or z - h == z, is refused.
     """
     row = _solver_row(solution, pattern)
     _require_positive("finite-difference step", h)
+    probed = (solution.trajectory.controls if pattern == OPEN_LOOP
+              else [law.g for law in solution.laws])
+    if any(((z + h == z) | (z - h == z)).any() for z in probed):
+        raise InvalidGameError(f"finite-difference step {h} is lost in rounding: some probed "
+                               "control entry z has z + h == z or z - h == z")
     if pattern == OPEN_LOOP:
         return _stationarity_open_loop(spec, solution, h, row.stackelberg)
     return _stationarity_feedback(spec, solution, h, x0, row.stackelberg)
@@ -305,9 +314,18 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     if spec.n_players < 2:
         raise InvalidGameError("a leader cost needs a leader and at least one follower")
     x0 = initial_state(spec, x0)
-    u = np.atleast_2d(np.asarray(u_leader, dtype=float))
+    try:
+        u = np.atleast_2d(np.asarray(u_leader, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidGameError(f"leader controls are not a numeric array: {exc}") from exc
+    shape = (spec.horizon, spec.control_dims[0])
+    if u.ndim > 3 or u.shape[-2:] != shape or not u.size:
+        raise InvalidGameError(f"leader controls have shape {u.shape}, expected {shape} or "
+                               f"(samples, {shape[0]}, {shape[1]}) with at least one sample")
     batch = u if u.ndim == 3 else u[None]
-    s = drift_samples(spec, folded_drifts(view, 0, batch))
+    s = folded_drifts(view, 0, batch)
+    if not np.isfinite(s).all():
+        raise InvalidGameError("leader controls must be finite and fold into finite drifts")
     followers = view.select(range(1, spec.n_players))
     path = sequence_path(followers, x0, openloop_nash.sweep(followers, x0, s)[0], s, True)
     controls = np.concatenate([batch, *path.controls], axis=-1)
@@ -430,37 +448,40 @@ def definiteness_monitor(solution) -> DefinitenessLog:
     non-symmetric (the transition operator mixes all players' costates)
     and carry no definiteness guarantee; their symmetric-part spectra are
     recorded for inspection only.
+
+    The entries run player by player, then stage by stage; for open-loop
+    Stackelberg, stage by stage, L_x and then each M_x[k].  All monitored
+    matrices go through one stacked symmetry test
+    (:func:`dyngame.numerics.asymmetry`) and one ``eigvalsh`` of their
+    symmetric parts, formed from halves, 0.5 M + 0.5 M', which do not
+    overflow for finite entries near the float range.
     """
-    entries: list[MonitorEntry] = []
-
-    def record(mat, stage, name, asserted):
-        symmetric = not asymmetry(mat, 1e-9)[1]
-        eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
-        entries.append(MonitorEntry(stage=stage, name=name, min_eigenvalue=eig,
-                                    symmetric=symmetric, asserted=bool(asserted and symmetric)))
-
-    if isinstance(solution, ControlSolution):
-        for t in range(solution.Z.shape[0]):
-            record(solution.Z[t], t, "Z", asserted=True)
-    elif isinstance(solution, FeedbackNashSolution):
-        n, horizon = solution.Z.shape[0], solution.Z.shape[1] - 1
-        for i in range(n):
-            for t in range(horizon + 1):
-                record(solution.Z[i, t], t, f"Z[{i}]", asserted=True)
-    elif isinstance(solution, OpenLoopNashSolution):
-        n, horizon = solution.M.shape[0], solution.M.shape[1] - 1
-        for i in range(n):
-            for t in range(horizon + 1):
-                record(solution.M[i, t], t, f"M[{i}]", asserted=(n == 1))
-    elif isinstance(solution, OpenLoopStackelbergSolution):
-        p = solution.spec.state_dim
-        for t, K_t in enumerate(solution.K):
-            record(K_t[:p, :p], t, "L_x", asserted=False)
-            for k in range(1, solution.spec.n_players):
-                record(K_t[k * p:(k + 1) * p, :p], t, f"M_x[{k - 1}]", asserted=False)
+    if isinstance(solution, OpenLoopStackelbergSolution):
+        p, n = solution.spec.state_dim, solution.spec.n_players
+        K = solution.K
+        mats = K[:, :n * p, :p].reshape(len(K), n, p, p)
+        names = ["L_x"] + [f"M_x[{k}]" for k in range(n - 1)]
+        where = [(t, name) for t in range(len(K)) for name in names]
+        asserted = False
     else:
-        raise InvalidGameError(f"cannot monitor solution type {type(solution).__name__}")
-    return DefinitenessLog(entries=tuple(entries))
+        if isinstance(solution, ControlSolution):
+            mats, names, asserted = solution.Z[None], ["Z"], True
+        elif isinstance(solution, FeedbackNashSolution):
+            mats = solution.Z
+            names, asserted = [f"Z[{i}]" for i in range(len(mats))], True
+        elif isinstance(solution, OpenLoopNashSolution):
+            mats = solution.M
+            names, asserted = [f"M[{i}]" for i in range(len(mats))], len(mats) == 1
+        else:
+            raise InvalidGameError(f"cannot monitor solution type {type(solution).__name__}")
+        where = [(t, name) for name in names for t in range(mats.shape[1])]
+    mats = mats.reshape(-1, *mats.shape[-2:])
+    symmetric = ~asymmetry(mats, 1e-9)[1]
+    eig = np.linalg.eigvalsh(0.5 * mats + 0.5 * mats.swapaxes(1, 2)).min(axis=1)
+    return DefinitenessLog(entries=tuple(
+        MonitorEntry(stage=t, name=name, min_eigenvalue=float(e), symmetric=bool(sym),
+                     asserted=bool(asserted and sym))
+        for (t, name), e, sym in zip(where, eig, symmetric)))
 
 
 # ---------------------------------------------------------------------------

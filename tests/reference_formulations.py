@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Ten kinds live here.  The per-sample loop formulations of the sampling
+Twelve kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -62,6 +62,17 @@ The drift-batched leader cost on the rebuilt followers' game is the
 library's form from before that selection, which the selection must equal
 bit for bit.
 
+The per-matrix definiteness monitor records each monitored matrix with
+its own symmetry test and ``eigvalsh`` call, and forms its symmetric part
+as 0.5 (M + M'), as the library did before it tested them as one stack
+from halves; its log must equal the library's exactly wherever that sum
+does not overflow.
+
+The drift-batched open-loop Nash solve is the ``drifts`` option that
+``openloop_nash.solve`` had before the library kept drift batching to
+:func:`dyngame.openloop_nash.sweep` alone: one sweep over S drift
+sequences, wrapped as one solution with a sample axis.
+
 The eager stage checks test each stage solve of a sweep when it is made,
 through :func:`solve_dense`, and wrap its failure as the sweeps did
 before they tested all their solves after the stage loop.  Installed in
@@ -80,11 +91,12 @@ from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
 from dyngame.game import (AffineLaw, GameSpec, StageArrays, Trajectory, ValidationReport,
-                          Violation, drift_samples, folded_drifts, initial_state, require_valid,
-                          rollout, stage_cost, truncate)
+                          Violation, folded_drifts, initial_state, require_valid, rollout,
+                          sequence_path, stage_cost, truncate)
 from dyngame.numerics import SYMMETRY_RTOL, Checks, asymmetry
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, solver_of
+from dyngame.verify import DefinitenessLog, MonitorEntry
 
 from conftest import act
 
@@ -112,6 +124,28 @@ def central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
+def with_drifts(spec: GameSpec, drifts: np.ndarray) -> GameSpec:
+    """The game with stage t's drift replaced by ``drifts[t]``."""
+    return replace(spec, stages=tuple(replace(st, s=d) for st, d in zip(spec.stages, drifts)))
+
+
+def drift_batched_solve(spec: GameSpec, x0: np.ndarray,
+                        drifts: np.ndarray) -> OpenLoopNashSolution:
+    """The S open-loop Nash equilibria of ``spec`` with its stage drifts
+    replaced by each of ``drifts`` (S, T, p) in turn, from one
+    :func:`dyngame.openloop_nash.sweep` on the game's checked view, as
+    ``openloop_nash.solve`` gave them before it lost its ``drifts``
+    option: one solution whose drift-dependent fields (the law offsets,
+    the trajectory, ``m`` and ``phi``) carry a leading sample axis S."""
+    view = require_valid(spec)
+    x0 = initial_state(spec, x0)
+    s = np.asarray(drifts, dtype=float)
+    u, M, m, Phi, phi, G, g = openloop_nash.sweep(view, x0, s)
+    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=sequence_path(view, x0, u, s, True),
+                                laws=tuple(AffineLaw(G[:, b], g[..., b]) for b in view.blocks),
+                                M=M, m=m, Phi=Phi, phi=phi)
+
+
 def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> GameSpec:
     """Freeze one player's control sequence into the drift and drop the player.
 
@@ -124,9 +158,8 @@ def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> G
     if controls.ndim != 2:
         raise InvalidGameError(f"controls have shape {controls.shape}, expected "
                                f"{(spec.horizon, spec.control_dims[player])}")
-    others = drop_player(spec, player)
-    drifts = folded_drifts(StageArrays.of(spec), player, controls)
-    return replace(others, stages=tuple(replace(st, s=s) for st, s in zip(others.stages, drifts)))
+    return with_drifts(drop_player(spec, player),
+                       folded_drifts(StageArrays.of(spec), player, controls))
 
 
 def drop_player(spec: GameSpec, player: int) -> GameSpec:
@@ -261,13 +294,13 @@ def leader_cost_on_rebuilt_game(spec, u_leader, x0):
     """:func:`dyngame.verify.leader_cost_open_loop` as the library formed it
     before it selected the followers on the game's stage view: the
     followers' game rebuilt by :func:`drop_player` and solved, validation
-    included, by ``openloop_nash.solve`` with every leader sequence folded
-    into the drifts, and the leader priced on a second view of the game."""
+    included, by :func:`drift_batched_solve` with every leader sequence
+    folded into the drifts, and the leader priced on a second view of the
+    game."""
     u = np.atleast_2d(np.asarray(u_leader, dtype=float))
     batch = u if u.ndim == 3 else u[None]
     view = StageArrays.of(spec)
-    path = openloop_nash.solve(drop_player(spec, 0), x0,
-                               drifts=folded_drifts(view, 0, batch)).trajectory
+    path = drift_batched_solve(drop_player(spec, 0), x0, folded_drifts(view, 0, batch)).trajectory
     controls = np.concatenate([batch, *path.controls], axis=-1)
     costs = game._stage_costs(view, path.states, controls)[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
@@ -1260,12 +1293,13 @@ def openloop_nash_per_player(spec: GameSpec, x0: np.ndarray,
     and linearly, so one matrix sweep (the R^jj solves, D, Phi, M, one LU
     of D per stage) serves all S games, whose drift columns share that
     LU's right-hand side with A.  Without ``drifts`` the same sweep runs
-    on the game's own drifts as its one sample.
+    on the game's own drifts as its one sample.  Each sample's path is
+    rolled out on the game with that sample's drifts.
     """
     require_valid(spec)
     x0 = initial_state(spec, x0)
     s = (np.array([st.s for st in spec.stages])[None] if drifts is None
-         else drift_samples(spec, drifts))
+         else np.asarray(drifts, dtype=float))
     T, p, n, S = spec.horizon, spec.state_dim, spec.n_players, len(s)
 
     M = np.empty((n, T + 1, p, p))
@@ -1324,7 +1358,12 @@ def openloop_nash_per_player(spec: GameSpec, x0: np.ndarray,
         m, phi, g, controls = m[0], phi[0], [gi[0] for gi in g], [u[0] for u in controls]
         traj = rollout(spec, controls, x0)
     else:
-        traj = rollout(spec, controls, x0, drifts=s)
+        parts = [rollout(with_drifts(spec, d), [u[k] for u in controls], x0)
+                 for k, d in enumerate(s)]
+        traj = Trajectory(states=np.stack([tr.states for tr in parts]),
+                          controls=tuple(map(np.stack, zip(*(tr.controls for tr in parts)))),
+                          stage_costs=np.stack([tr.stage_costs for tr in parts]),
+                          total_costs=np.stack([tr.total_costs for tr in parts]))
     return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
                                 laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
 
@@ -1439,6 +1478,46 @@ def _check_sym_def(M, loc, need, tol, add):
         add(loc, f"not positive definite (min eigenvalue {shown})")
     elif need == "PSD" and not d.is_psd:
         add(loc, f"not positive semidefinite (min eigenvalue {shown})")
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix definiteness monitor
+
+
+def definiteness_monitor(solution) -> DefinitenessLog:
+    """:func:`dyngame.verify.definiteness_monitor` as a loop over the
+    monitored matrices, each with its own symmetry test and ``eigvalsh``
+    of 0.5 (M + M')."""
+    entries: list[MonitorEntry] = []
+
+    def record(mat, stage, name, asserted):
+        symmetric = not asymmetry(mat, 1e-9)[1]
+        eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+        entries.append(MonitorEntry(stage=stage, name=name, min_eigenvalue=eig,
+                                    symmetric=symmetric, asserted=bool(asserted and symmetric)))
+
+    if isinstance(solution, lqr.ControlSolution):
+        for t in range(solution.Z.shape[0]):
+            record(solution.Z[t], t, "Z", asserted=True)
+    elif isinstance(solution, FeedbackNashSolution):
+        n, horizon = solution.Z.shape[0], solution.Z.shape[1] - 1
+        for i in range(n):
+            for t in range(horizon + 1):
+                record(solution.Z[i, t], t, f"Z[{i}]", asserted=True)
+    elif isinstance(solution, OpenLoopNashSolution):
+        n, horizon = solution.M.shape[0], solution.M.shape[1] - 1
+        for i in range(n):
+            for t in range(horizon + 1):
+                record(solution.M[i, t], t, f"M[{i}]", asserted=(n == 1))
+    elif isinstance(solution, openloop_stackelberg.OpenLoopStackelbergSolution):
+        p = solution.spec.state_dim
+        for t, K_t in enumerate(solution.K):
+            record(K_t[:p, :p], t, "L_x", asserted=False)
+            for k in range(1, solution.spec.n_players):
+                record(K_t[k * p:(k + 1) * p, :p], t, f"M_x[{k - 1}]", asserted=False)
+    else:
+        raise InvalidGameError(f"cannot monitor solution type {type(solution).__name__}")
+    return DefinitenessLog(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

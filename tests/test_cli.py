@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -40,8 +41,14 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
-def test_missing_file_is_input_error(capsys):
+def test_missing_file_is_input_error(capsys, caplog):
+    """A game-file error takes the one input-error branch: one ``error:``
+    line, and at debug level the log record of any input error."""
+    caplog.set_level(logging.DEBUG, logger="dyngame")
     assert cli.main(["validate", "--game", "/nonexistent/game.json"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: /: cannot read game file"), err
+    assert [r.getMessage().split(": ")[0] for r in caplog.records] == ["invalid input"]
 
 
 def test_malformed_json_is_input_error(tmp_path):
@@ -189,6 +196,20 @@ def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, flags
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--game", unit_game_path, "--solver", "feedback-nash",
                      "--x0", "1", *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["feedback-nash", "feedback-stackelberg", "openloop-nash",
+                                    "openloop-stackelberg"])
+def test_verify_step_lost_in_rounding_exits_1(tmp_path, capsys, solver):
+    """A step of 1e-30 leaves every nonzero control unmoved, so each
+    central difference would read 0 and the check would pass unseen."""
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--game", str(GOLDEN / "two_player.json"), "--solver", solver,
+                     "--x0=1,2", "--fd-step", "1e-30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: finite-difference step 1e-30 is lost in rounding: some probed control entry z "
+        "has z + h == z or z - h == z"]
     assert not out.exists()
 
 

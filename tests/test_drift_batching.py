@@ -1,16 +1,15 @@
-"""The drift axis of the open-loop Nash solver and the open-loop leader checks.
+"""The drift axis of the open-loop Nash sweep and the open-loop leader checks.
 
-``openloop_nash.solve(spec, x0, drifts)`` solves S games that differ only
-in their stage drifts with one matrix sweep.  ``verify.leader_cost_open_loop``
-runs the same drift-batched sweep on the followers' blocks of the game's
-checked view to price S leader sequences with one re-solve, and the
-open-loop Stackelberg leader gap and leader stationarity make one such call
-each.  These tests pin the batched solve to S separate
-solves, the leader checks to the per-sample fold-and-solve loop in
+``openloop_nash.sweep(view, x0, s)`` solves S games that differ only in
+their stage drifts s (S, T, p) with one matrix sweep.
+``verify.leader_cost_open_loop`` runs it on the followers' blocks of the
+game's checked view to price S leader sequences with one re-solve, and
+the open-loop Stackelberg leader gap and leader stationarity make one such
+call each.  These tests pin the batched sweep (wrapped as a solution by
+``reference_formulations.drift_batched_solve``) to S separate solves, the
+leader checks to the per-sample fold-and-solve loop in
 ``reference_formulations``, and the number of solves per check.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,11 +27,6 @@ SEEDS = (3, 17, 42, 101, 7, 64)
 # roundoff by the 1e-5 step.
 COST_RTOL = 1e-12
 STATIONARITY_ATOL = 1e-8
-
-
-def with_drifts(spec, drifts):
-    """The game with stage t's drift replaced by ``drifts[t]``."""
-    return replace(spec, stages=tuple(replace(st, s=d) for st, d in zip(spec.stages, drifts)))
 
 
 def assert_same_solution(batch, k, one):
@@ -59,7 +53,7 @@ def stackelberg(seed):
 
 
 # ---------------------------------------------------------------------------
-# The drift axis of openloop_nash.solve
+# The drift axis of openloop_nash.sweep
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -67,10 +61,10 @@ def test_batched_solve_equals_separate_solves(seed):
     spec = random_game(seed, time_varying=bool(seed % 2))
     x0 = random_x0(seed, spec)
     drifts = rng_for(seed).standard_normal((5, spec.horizon, spec.state_dim))
-    batch = openloop_nash.solve(spec, x0, drifts=drifts)
+    batch = ref.drift_batched_solve(spec, x0, drifts)
     assert batch.trajectory.states.shape == (5, spec.horizon + 1, spec.state_dim)
     for k in range(5):
-        assert_same_solution(batch, k, openloop_nash.solve(with_drifts(spec, drifts[k]), x0))
+        assert_same_solution(batch, k, openloop_nash.solve(ref.with_drifts(spec, drifts[k]), x0))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -78,8 +72,8 @@ def test_batched_solve_equals_separate_solves_on_folded_games(seed):
     spec = random_game(seed, n_players=2 + seed % 2, time_varying=True)
     x0 = random_x0(seed, spec)
     U = rng_for(seed).standard_normal((4, spec.horizon, spec.control_dims[0]))
-    batch = openloop_nash.solve(ref.drop_player(spec, 0), x0,
-                                drifts=folded_drifts(StageArrays.of(spec), 0, U))
+    batch = ref.drift_batched_solve(ref.drop_player(spec, 0), x0,
+                                    folded_drifts(StageArrays.of(spec), 0, U))
     for k in range(4):
         assert_same_solution(batch, k, openloop_nash.solve(ref.fold_player_controls(spec, 0, U[k]), x0))
 
@@ -88,31 +82,9 @@ def test_plain_solve_is_the_one_sample_of_its_own_drifts():
     spec = random_game(5, n_players=3, time_varying=True)
     x0 = random_x0(5, spec)
     plain = openloop_nash.solve(spec, x0)
-    one = openloop_nash.solve(spec, x0, drifts=np.array([[st.s for st in spec.stages]]))
+    one = ref.drift_batched_solve(spec, x0, np.array([[st.s for st in spec.stages]]))
     assert plain.trajectory.states.shape == (spec.horizon + 1, spec.state_dim)
     assert_same_solution(one, 0, plain)
-
-
-@pytest.mark.parametrize("bad", [
-    lambda T, p: np.zeros((T, p)),              # no sample axis
-    lambda T, p: np.zeros((2, T + 1, p)),       # wrong horizon
-    lambda T, p: np.zeros((2, T, p + 1)),       # wrong state dimension
-    lambda T, p: np.zeros((0, T, p)),           # empty sample axis
-    lambda T, p: np.zeros((1, 2, T, p)),        # two sample axes
-    lambda T, p: np.full((2, T, p), np.nan),
-    lambda T, p: np.where(np.eye(T, p)[None] > 0, np.inf, 0.0),
-    lambda T, p: [["a"] * p] * T,
-])
-def test_bad_drifts_are_input_errors(bad):
-    spec = random_game(2, n_players=2, horizon=3, state_dim=2)
-    with pytest.raises(InvalidGameError, match="drifts"):
-        openloop_nash.solve(spec, np.zeros(2), drifts=bad(3, 2))
-
-
-def test_rollout_refuses_drifts_of_another_sample_count():
-    spec = random_game(2, n_players=1, horizon=3, state_dim=2, control_dims=[1])
-    with pytest.raises(InvalidGameError, match="samples"):
-        rollout(spec, [np.zeros((4, 3, 1))], np.zeros(2), drifts=np.zeros((5, 3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +110,20 @@ def test_leader_cost_refuses_misshaped_sequences():
     spec, sol, x0 = stackelberg(3)
     u1 = sol.trajectory.controls[0]
     for bad in (u1[:-1], u1[None, None], np.zeros((0,) + u1.shape)):
-        with pytest.raises(InvalidGameError):
+        with pytest.raises(InvalidGameError, match="^leader controls have shape"):
             verify.leader_cost_open_loop(spec, bad, x0)
+
+
+def test_leader_cost_refuses_non_numeric_and_non_finite_sequences():
+    spec, sol, x0 = stackelberg(3)
+    u1 = sol.trajectory.controls[0]
+    with pytest.raises(InvalidGameError, match="^leader controls are not a numeric array"):
+        verify.leader_cost_open_loop(spec, np.full(u1.shape, "a").tolist(), x0)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = u1.copy()
+        bad[-1, 0] = value
+        with pytest.raises(InvalidGameError, match="^leader controls must be finite"):
+            verify.leader_cost_open_loop(spec, np.stack([u1, bad]), x0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

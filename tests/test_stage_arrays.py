@@ -113,9 +113,11 @@ def test_feedback_stackelberg_matches_the_per_player_form():
 def test_openloop_nash_matches_the_per_player_form(samples):
     for spec, seed in games():
         x0 = random_x0(seed, spec)
-        drifts = (None if samples is None else
-                  rng_for(seed).standard_normal((samples, spec.horizon, spec.state_dim)))
-        new = openloop_nash.solve(spec, x0, drifts=drifts)
+        if samples is None:
+            drifts, new = None, openloop_nash.solve(spec, x0)
+        else:
+            drifts = rng_for(seed).standard_normal((samples, spec.horizon, spec.state_dim))
+            new = ref.drift_batched_solve(spec, x0, drifts)
         reference = ref.openloop_nash_per_player(spec, x0, drifts=drifts)
         assert_same_laws(new, reference)
         for name in ("M", "m", "Phi", "phi"):

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,20 @@ class TestStationarity:
             laws=(AffineLaw(np.zeros((2, 1, 1)), np.zeros((2, 1))),) * 2)
         res = verify.stationarity(spec, sol, verify.OPEN_LOOP, h=1e-5)
         assert max(res.values()) == 0.0
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_a_step_lost_in_rounding_is_refused(self, solver):
+        """z + 1e-30 == z for every nonzero control of these affine games,
+        so the check would read each residual as 0."""
+        row = SOLVERS[solver]
+        spec = (random_game(5, n_players=1, targets=False) if solver == "lqr"
+                else load_game(GOLDEN / "two_player.json"))
+        x0 = np.arange(1.0, spec.state_dim + 1)
+        sol = row.solve(spec, x0)
+        with pytest.raises(InvalidGameError, match="^finite-difference step 1e-30 is lost in "
+                                                   "rounding"):
+            verify.stationarity(spec, sol, row.pattern, h=1e-30, x0=x0)
+        verify.stationarity(spec, sol, row.pattern, h=1e-5, x0=x0)
 
     def test_feedback_residual_small(self):
         spec = random_game(601, n_players=2)
@@ -343,6 +360,33 @@ class TestDefinitenessMonitor:
         sol = openloop_nash.solve(spec, random_x0(95, spec))
         log = verify.definiteness_monitor(sol)
         assert not any(e.asserted for e in log.entries)
+
+    @pytest.mark.parametrize("T", (1, 6, 40))
+    @pytest.mark.parametrize("time_varying", (False, True))
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_stacked_log_equals_the_per_matrix_log(self, solver, time_varying, T):
+        """One stacked test of all monitored matrices logs what one test
+        per matrix logged, entry for entry and bit for bit."""
+        row = SOLVERS[solver]
+        for k in range(3):
+            n = 1 if solver == "lqr" else 2 + k % 2 if row.stackelberg else 1 + k
+            seed = 9100 + 10 * k + T
+            spec = random_game(seed, n_players=n, horizon=T, time_varying=time_varying,
+                               targets=solver != "lqr")
+            sol = row.solve(spec, random_x0(seed, spec))
+            log = verify.definiteness_monitor(sol)
+            assert log == ref.definiteness_monitor(sol), (solver, k)
+            assert all(type(e.symmetric) is bool and type(e.asserted) is bool
+                       and type(e.min_eigenvalue) is float for e in log.entries)
+
+    def test_values_near_the_float_range_give_finite_spectra(self):
+        """The symmetric part is formed from halves: Z + Z' would overflow."""
+        sol = feedback_nash.solve(random_game(91, n_players=2))
+        big = replace(sol, Z=sol.Z * (1e308 / np.abs(sol.Z).max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = verify.definiteness_monitor(big)
+        assert all(np.isfinite(e.min_eigenvalue) for e in log.entries)
 
 
 class TestStepHalving:
