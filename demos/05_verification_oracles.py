@@ -1,8 +1,11 @@
 """The verification battery: judging a solution without trusting the solver.
 
-Every check uses only rollouts, finite differences, sampled deviations and
-re-solves of reduced games.  A correct equilibrium passes; a deliberately
-corrupted gain is caught by the sampled-deviation oracle.
+Every check reads only the game and the solution's laws: exact first-order
+certificates (one backward cost-to-go pass over the laws), rollouts and
+sampled deviations.  A correct equilibrium passes; a gain corrupted at
+stage 0 is caught by the stationarity certificate, by the sampled-deviation
+oracle and by the strong time-consistency certificate, which tests every
+stage from every state.
 """
 
 import json

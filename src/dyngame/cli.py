@@ -39,9 +39,8 @@ EXIT_VERIFY = 3
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # A result that overflows is refused as not finite when it is
         # written, so numpy's floating-point warnings would only repeat it.
         with np.errstate(all="ignore"):
@@ -66,8 +65,17 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors, its own subcommands' too, are input
+    failures (exit 1) rather than exits with code 2; ``--help`` and
+    ``--version`` still exit 0."""
+
+    def error(self, message):
+        raise InvalidGameError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dyngame",
         description="Solve and verify finite-horizon affine-quadratic dynamic games.",
     )
@@ -108,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--samples", type=int, default=100,
                        help="random deviations per player")
-    p_ver.add_argument("--fd-step", type=float, default=1e-5,
-                       help="finite-difference step for stationarity checks")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="run all applicable solvers side by side")
@@ -223,7 +229,7 @@ def cmd_verify(args) -> int:
     sol, _ = _solve(spec, args.solver, x0)
     report = verify.run_verification(
         spec, sol, pattern, solver_name=args.solver, x0=x0,
-        samples=args.samples, fd_step=args.fd_step, seed=args.seed)
+        samples=args.samples, seed=args.seed)
     _write(args.out, _dumps(report.as_dict()))
     if not report.passed:
         for failure in report.failures:

@@ -1,39 +1,37 @@
 """Solver-independent verification oracles.
 
 Every check here judges a solution only through its output object (laws or
-control sequences) plus the plain game machinery: rollout, stage costs,
-re-solves of reduced or truncated games.  None of them re-uses the
-internal recursion of the solver under test to certify itself.
+control sequences, and a feedback Stackelberg solution's stage reactions)
+plus the plain game machinery: the stage data, rollouts, stage costs and
+re-solves of reduced games.  None of them re-uses the internal recursion of
+the solver under test to certify itself.
 
 Randomness is reproducible across platforms: all sampling uses numpy's
 PCG64 generator (64-bit state) seeded explicitly, via
 ``np.random.Generator(np.random.PCG64(seed))``.
 
-The sampling checks run batched: every deviation, leader-gap and
-finite-difference sample of one check goes through a single rollout over
-a sample axis.  The open-loop Stackelberg leader's checks, whose objective
-re-solves the followers' game for each leader sequence, batch that
-re-solve too: the followers' games of all samples differ only in their
-drifts, so one drift-batched :func:`dyngame.openloop_nash.sweep` answers
-all of them (see :func:`leader_cost_open_loop`).  The feedback
-stationarity check rolls its probes out in chunks of at most
-``_FEEDBACK_ROWS`` sample-stages, which bounds its memory at long horizons
-and leaves each probe's arithmetic as it is.  The time-consistency check
-re-solves the whole game once for every solver and holds one state per
-tail game as it replays them (see :func:`time_consistency`).
+The first-order checks are exact certificates, one O(T) pass over the
+stages each (see :func:`stationarity` and :func:`time_consistency`).  The
+sampling checks run batched: every deviation and leader-gap sample of one
+check goes through a single rollout over a sample axis.  The open-loop
+Stackelberg leader's checks, whose objective re-solves the followers' game
+for each leader sequence, batch that re-solve too: the followers' games of
+all samples differ only in their drifts, so one drift-batched
+:func:`dyngame.openloop_nash.sweep` answers all of them (see
+:func:`leader_cost_open_loop`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import openloop_nash, solvers
+from . import openloop_nash, openloop_stackelberg, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import (AffineLaw, GameSpec, _stage_costs, folded_drifts, initial_state,
-                   require_index, require_valid, rollout, sequence_path)
+from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, folded_drifts,
+                   initial_state, require_index, require_valid, rollout, sequence_path)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -46,11 +44,6 @@ DEVIATION_TOL = -1e-8
 STC_TOL = 1e-10
 WTC_TOL = 1e-9
 PSD_TOL = -1e-9
-
-#: Sample-stage rows the feedback stationarity check rolls out at once.
-#: Its memory grows with samples times stages, so its probes go through in
-#: chunks under this budget.
-_FEEDBACK_ROWS = 8192
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -81,123 +74,165 @@ def _require_samples(name: str, value: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stationarity
+# Stationarity certificates
 
 
-def stationarity(spec: GameSpec, solution, pattern: str, h: float = 1e-5,
+def stationarity(spec: GameSpec, solution, pattern: str,
                  x0: np.ndarray | None = None) -> dict[int, float]:
-    """Per-player max first-order residual, by central finite differences.
+    """Per-player largest first-order residual, computed exactly.
 
-    Open loop: the residual of player i differentiates its total cost over
-    the whole control sequence, the other sequences held fixed; for a
-    Stackelberg leader the followers re-best-respond inside the
-    differentiated map (that is the leader's actual objective).
-    Feedback: per-stage derivatives of the cost-to-go along the
-    equilibrium path, other players acting through their laws, with the
-    Stackelberg leader differentiated through the followers' stage
-    reactions.  All probes of one call share one rollout (feedback: one
-    per chunk of ``_FEEDBACK_ROWS`` sample-stages); the open-loop
-    Stackelberg leader's 2*T*m probes share one drift-batched re-solve of
-    the followers' game, whose paths price the leader.
-
-    A step lost in rounding would read every residual as 0, so a step that
-    leaves some probed entry z (every player's controls in open loop, law
-    offsets in feedback) unmoved, z + h == z or z - h == z, is refused.
+    Open loop: player i's gradient of its total cost in its whole control
+    sequence, the others held fixed, from one costate pass along the path
+    of the controls from the solution's x0; the Stackelberg leader's runs
+    through the followers' best response, by one drift-batched sweep of
+    their game over its T*m_0 control entries.  Feedback: player i's
+    stage-t residual r_t^i (x_t, 1), the derivative of its cost-to-go in its
+    stage-t control, the others acting through their laws, along the path
+    of the laws from ``x0``; the Stackelberg leader's runs through the
+    followers' stage reactions.
     """
     row = _solver_row(solution, pattern)
-    _require_positive("finite-difference step", h)
-    probed = (solution.trajectory.controls if pattern == OPEN_LOOP
-              else [law.g for law in solution.laws])
-    if any(((z + h == z) | (z - h == z)).any() for z in probed):
-        raise InvalidGameError(f"finite-difference step {h} is lost in rounding: some probed "
-                               "control entry z has z + h == z or z - h == z")
+    view = StageArrays.of(spec)
     if pattern == OPEN_LOOP:
-        return _stationarity_open_loop(spec, solution, h, row.stackelberg)
-    return _stationarity_feedback(spec, solution, h, x0, row.stackelberg)
-
-
-def _stationarity_open_loop(spec, sol, h, stackelberg):
-    n = spec.n_players
-    controls = list(sol.trajectory.controls)
-    x0 = sol.x0
-
-    out: dict[int, float] = {}
-    if stackelberg:
-        # The leader's objective re-solves the followers' game: one batched
-        # re-solve over a +h/-h sample pair per leader control entry, each
-        # entry's difference (f(z+h e) - f(z-h e)) / 2h.
-        u = controls[0]
-        P = u.size
-        batch = np.repeat(u.reshape(1, P), 2 * P, axis=0)
-        batch[np.arange(P), np.arange(P)] += h
-        batch[np.arange(P) + P, np.arange(P)] -= h
-        f = leader_cost_open_loop(spec, batch.reshape(2 * P, *u.shape), x0)
-        out[0] = float(np.abs((f[:P] - f[P:]) / (2.0 * h)).max(initial=0.0))
-
-    # Every other player: one rollout over a +h/-h sample pair per control
-    # entry, the other players' sequences held fixed.
-    players = range(1 if stackelberg else 0, n)
-    who = np.concatenate([np.full(controls[i].size, i) for i in players])
-    entry = np.concatenate([np.arange(controls[i].size) for i in players])
-    P = who.size
-    for i in players:
-        probe = np.flatnonzero(who == i)
-        batch = np.repeat(controls[i][None], 2 * P, axis=0).reshape(2 * P, -1)
-        batch[probe, entry[probe]] += h
-        batch[probe + P, entry[probe]] -= h
-        controls[i] = batch.reshape(2 * P, *controls[i].shape)
-    f = rollout(spec, controls, x0).total_costs[np.arange(2 * P), np.tile(who, 2)]
-    grad = (f[:P] - f[P:]) / (2.0 * h)
-    for i in players:
-        out[i] = float(np.abs(grad[who == i]).max(initial=0.0))
-    return out
-
-
-def _stationarity_feedback(spec, sol, h, x0, stackelberg):
+        grad = _costate_gradients(view, solution.x0, solution.trajectory.controls)[0]
+        out = _by_player(view.own(grad, lead=1), view.blocks).max(axis=0)
+        if row.stackelberg:
+            out[0] = np.abs(_leader_gradient(spec, solution.x0, grad[:, 0])).max()
+        return {i: float(r) for i, r in enumerate(out)}
     if x0 is None:
         raise InvalidGameError("feedback stationarity needs an initial state x0")
-    x0 = np.asarray(x0, dtype=float)
-    T, n, dims = spec.horizon, spec.n_players, spec.control_dims
-
-    # One +h/-h sample pair per (stage t, player i, control entry k): the
-    # stage-t control of player i moves by +-h e_k, every other stage-t
-    # control and every later stage follows the laws, and the residual
-    # differentiates player i's cost of stages t..T-1.  Stages before t
-    # follow the laws too, so each sample reaches the on-path x_t.
-    probes = np.array([(t, i, k) for t in range(T) for i in range(n) for k in range(dims[i])])
-    chunk = max(1, _FEEDBACK_ROWS // (2 * T))
-    grad = np.concatenate([_feedback_probe_gradients(spec, sol, h, x0, stackelberg,
-                                                     probes[c:c + chunk])
-                           for c in range(0, len(probes), chunk)])
-    return {i: float(grad[probes[:, 1] == i].max(initial=0.0)) for i in range(n)}
+    x0 = initial_state(spec, x0)
+    res, F = _feedback_residuals(view, solution, row.stackelberg)[:2]
+    x, along = np.append(x0, 1.0), np.empty(res.shape[:2])
+    for t in range(len(F)):
+        along[t], x = res[t] @ x, F[t] @ x
+    return {i: float(r) for i, r in enumerate(_by_player(along, view.blocks).max(axis=0))}
 
 
-def _feedback_probe_gradients(spec, sol, h, x0, stackelberg, probes):
-    """|central difference| of each (t, i, k) probe, its +h and -h samples
-    rolled out together."""
-    T, n = spec.horizon, spec.n_players
-    laws = sol.laws
-    P = len(probes)
-    t_of, i_of, k_of = np.tile(probes, (2, 1)).T  # samples P.. repeat the probes
-    step = np.repeat([h, -h], P)
-    G = [law.G for law in laws]
-    g = [np.repeat(law.g[None], 2 * P, axis=0) for law in laws]
-    for i in range(n):
-        rows = np.flatnonzero(i_of == i)
-        g[i][rows, t_of[rows], k_of[rows]] += step[rows]
+def _by_player(X: np.ndarray, blocks) -> np.ndarray:
+    """The largest |entry| of each player's rows of X (T, M, ...) at each
+    stage, (T, n); NaN wherever a row holds one."""
+    rows = np.abs(X.reshape(X.shape[0], X.shape[1], -1)).max(axis=2)
+    return np.maximum.reduceat(rows, [b.start for b in blocks], axis=1)
+
+
+def _relative(res: np.ndarray, scale: np.ndarray, blocks) -> np.ndarray:
+    """Each player's largest residual at each stage over the largest entry
+    of its componentwise scale, (T, n); 0 where the scale is 0, which
+    makes every term, and so the residual, exactly 0."""
+    den = _by_player(scale, blocks)
+    return _by_player(res, blocks) / np.where(den > 0, den, 1.0)
+
+
+def _feedback_residuals(view: StageArrays, sol, stackelberg: bool, scaled: bool = False):
+    """Every player's stage first-order residuals under the solution's laws
+    as maps of (x, 1), stacked over the control rows, res (T, M, p+1), the
+    closed loop F~ (T, p+1, p+1) and, if ``scaled``, the residuals'
+    componentwise scale, shaped as res (else None).
+
+    With the laws (u, 1) = L~ (x, 1), the closed loop F~ and player i's
+    maps Du = L~ - [0 | ut^i] and Dx = F~[:p] - [0 | xt^i] of (x, 1), its
+    cost-to-go from stage t is 1/2 (x, 1)' P~_t (x, 1), P~_T = 0 and
+    P~_t = F~'P~_{t+1}F~ + Dx'Q Dx + Du'R Du; the terms without P~ are
+    stacked before the stage loop.  Its derivative in all stage-t controls
+    is (B'(Q Dx + P~_{t+1}[:p]F~) + R Du)(x, 1): its own rows are its
+    residual, and for the Stackelberg leader its rows through D = [I;
+    rbar_t], the followers reacting.  The scale forms the same products of
+    absolute values, each difference's inputs added: the size of the terms
+    that cancel.
+    """
+    T, p, M = view.B.shape
+    L = np.empty((T, M, p + 1))
+    L[..., :p] = np.concatenate([law.G for law in sol.laws], axis=1)
+    L[..., p] = np.concatenate([law.g for law in sol.laws], axis=1)
+    F, Dx, Du = _closed_loop(view.A, view.s, view.B, L, -view.xt, -view.ut)
+    QDx, RDu = view.Q @ Dx, view.R @ Du
+    C = Dx.swapaxes(-1, -2) @ QDx + Du.swapaxes(-1, -2) @ RDu
+    P = np.zeros((T + 1,) + C.shape[1:])
+    for t in range(T - 1, -1, -1):
+        P[t] = F[t].T @ P[t + 1] @ F[t] + C[t]
+    Bt = view.B.swapaxes(1, 2)[:, None]
+    res = Bt @ (QDx + P[1:, :, :p] @ F[:, None]) + RDu
+    scale = None
+    if scaled:
+        absB = np.abs(view.B)
+        Fs, Xs, Us = _closed_loop(np.abs(view.A), np.abs(view.s), absB, np.abs(L),
+                                  np.abs(view.xt), np.abs(view.ut))
+        scale = (absB.swapaxes(1, 2)[:, None] @ (np.abs(view.Q) @ Xs
+                                                 + np.abs(P[1:, :, :p]) @ Fs[:, None])
+                 + np.abs(view.R) @ Us)
+    own_res = view.own(res, lead=1)
+    own_scale = None if scale is None else view.own(scale, lead=1)
     if stackelberg:
-        # A moved leader control meets the followers' stage reactions:
-        # their stage-t laws become W + rbar G1, w + rbar (g1 +- h e_k).
-        folded = _leader_played(sol.reactions, AffineLaw(G[0], g[0]))
-        at = ((i_of == 0)[:, None] & (np.arange(T) == t_of[:, None]))[:, :, None]
-        for k in range(1, n):
-            G[k] = np.where(at[..., None], folded[k].G, G[k])
-            g[k] = np.where(at, folded[k].g, g[k])
+        m0 = view.blocks[0].stop
+        rbar = np.concatenate(sol.reactions.rbar, axis=1).swapaxes(1, 2)  # (T, m0, M - m0)
+        own_res[:, :m0] = res[:, 0, :m0] + rbar @ res[:, 0, m0:]
+        if scaled:
+            own_scale[:, :m0] = scale[:, 0, :m0] + np.abs(rbar) @ scale[:, 0, m0:]
+    return own_res, F, own_scale
 
-    costs = rollout(spec, [AffineLaw(Gi, gi) for Gi, gi in zip(G, g)], x0).stage_costs
-    tail = np.where(np.arange(T) >= t_of[:, None], costs[np.arange(2 * P), i_of], 0.0)
-    f = tail.sum(axis=1)
-    return np.abs(f[:P] - f[P:]) / (2.0 * h)
+
+def _closed_loop(A, s, B, L, xt, ut):
+    """The closed loop F~ = [[A + BL_x, s + BL_1], [0, 1]] (T, p+1, p+1) of
+    the stacked laws L~ (T, M, p+1), and every player's state and control
+    maps of (x, 1) shifted by the targets, Dx = F~[:p] + [0 | xt^i] (T, n,
+    p, p+1) and Du = L~ + [0 | ut^i] (T, n, M, p+1), targets xt (T, n, p)
+    and ut (T, n, M) given with the sign they are added with."""
+    T, p = s.shape
+    F = np.zeros((T, p + 1, p + 1))
+    F[:, :p, :p], F[:, :p, p] = A, s
+    F[:, :p] += B @ L
+    F[:, p, p] = 1.0
+    Dx = np.repeat(F[:, None, :p], xt.shape[1], axis=1)
+    Dx[..., p] += xt
+    Du = np.repeat(L[:, None], ut.shape[1], axis=1)
+    Du[..., p] += ut
+    return F, Dx, Du
+
+
+def _costate_gradients(view: StageArrays, x0: np.ndarray, controls) -> tuple[np.ndarray, np.ndarray]:
+    """Every player's gradient of its total cost in every control row along
+    the path of ``controls`` (per player, (T, m_i)) from x0, (T, n, M),
+    and its componentwise scale, by one backward costate pass.
+
+    lam_{t+1} = Q_t (x_{t+1} - xt_t) + A_{t+1}' lam_{t+2} is the gradient
+    in x_{t+1} of the costs of stages t..T-1, so the gradient in u_t is
+    R_t (u_t - ut_t) + B_t' lam_{t+1}.  Its scale runs the same pass on
+    absolute values, |Q|(|x| + |xt|) + |A|' Lam, and adds |R|(|u| + |ut|).
+    """
+    T, p, M = view.B.shape
+    u = np.concatenate(controls, axis=-1)
+    x = np.empty((T + 1, p))
+    x[0] = x0
+    for t in range(T):
+        x[t + 1] = view.A[t] @ x[t] + view.B[t] @ u[t] + view.s[t]
+    # Row form, lam and its scale side by side: lam @ A and Lam @ |A|.
+    AA = np.stack([view.A, np.abs(view.A)], axis=1)
+    lam = np.stack([(view.Q @ (x[1:, None] - view.xt)[..., None])[..., 0],
+                    (np.abs(view.Q) @ (np.abs(x[1:, None]) + np.abs(view.xt))[..., None])[..., 0]],
+                   axis=1)  # (T, 2, n, p)
+    for t in range(T - 2, -1, -1):
+        lam[t] += lam[t + 1] @ AA[t + 1]
+    grad = (view.R @ (u[:, None] - view.ut)[..., None])[..., 0] + lam[:, 0] @ view.B
+    scale = ((np.abs(view.R) @ (np.abs(u[:, None]) + np.abs(view.ut))[..., None])[..., 0]
+             + lam[:, 1] @ np.abs(view.B))
+    return grad, scale
+
+
+def _leader_gradient(spec: GameSpec, x0: np.ndarray, grad0: np.ndarray) -> np.ndarray:
+    """The open-loop Stackelberg leader's gradient in its sequence (T*m_0,),
+    the followers re-best-responding, from its gradient in every control
+    row with the followers' controls held, grad0 (T, M).  The followers'
+    response is affine in the leader's controls: a change e moves it by the
+    followers' open-loop Nash controls with drift B^0 e, initial state 0
+    and no targets, one drift-batched sweep for all T*m_0 entries e."""
+    view = require_valid(spec)
+    T, m0 = spec.horizon, view.blocks[0].stop
+    followers = view.select(range(1, spec.n_players))
+    tangent = replace(followers, xt=np.zeros_like(followers.xt), ut=np.zeros_like(followers.ut))
+    s = np.einsum("tpm,stm->stp", view.B[:, :, :m0], np.eye(T * m0).reshape(T * m0, T, m0))
+    du = openloop_nash.sweep(tangent, np.zeros(spec.state_dim), s)[0]
+    return grad0[:, :m0].ravel() + np.einsum("stk,tk->s", du, grad0[:, m0:])
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +401,14 @@ def _leader_gap_feedback(spec, sol, samples, magnitude, rng, x0):
 
 @dataclass(frozen=True)
 class TimeConsistency:
-    """Outcome of truncate-and-re-solve checks.
+    """Outcome of the time-consistency check.
 
     ``verdict`` is the property the solution class is expected to satisfy:
-    feedback solutions are strongly time consistent (tail laws match for
-    *any* truncation state), open-loop Nash weakly so (tail matches when
-    re-solved from the on-path state), and open-loop Stackelberg only
-    consistent when the truncation inherits the multiplier state --
-    ``mu_reset_deviation`` records how far a zero-multiplier re-solve
-    drifts (reported, not asserted)."""
+    feedback solutions are strongly time consistent (every stage is an
+    equilibrium of its subgame from *any* state), open-loop Nash weakly so
+    (every tail from its on-path state), and open-loop Stackelberg only
+    with the multiplier state inherited -- ``mu_reset_deviation`` records
+    how far a zero-multiplier re-solve drifts (reported, not asserted)."""
 
     verdict: str                      # "STC" or "WTC"
     tail_deviation: float
@@ -382,35 +416,52 @@ class TimeConsistency:
 
 
 def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
-    """Re-solve every tail game (stages s..T-1, s >= 1) with the solver that
-    produced ``solution`` and measure how far its laws (feedback) or
-    controls (open loop, re-solved from the on-path state x_s) drift from
-    the solution's tail.  Stage 0 is in no tail game, so the check never
-    compares it.
+    """How far the solution is from an equilibrium of every subgame it claims.
 
-    No backward recursion reads its initial state, so the tail from s
-    meets the whole game's stage systems from s on, and one re-solve of
-    the whole game holds every tail's maps from s on, bit for bit.  A
-    feedback tail's laws are those maps: the check shows that the solver
-    reproduces the laws, not that they are subgame perfect.  An open-loop
-    tail's controls come from replaying the maps from x_s (and for
-    open-loop Stackelberg, from the multipliers mu_s, or zero for the
-    reset), with the products of the solver's own forward pass.  The
-    replay keeps each stage's largest gap and one state per tail, so the
-    check's memory grows with T, not T^2.  The re-solve reads the checked
-    view of one validation.
+    Feedback (STC): the largest relative stage residual of the
+    :func:`stationarity` certificate, r_t^i over the size of its terms,
+    over stages 0..T-1; 0 when every stage is an equilibrium of its subgame
+    from every state.  Open-loop Nash (WTC): the largest relative costate
+    gradient over stages 1..T-1, exactly the tail games' gradients from the
+    on-path states.  Open-loop Stackelberg (WTC): the largest control gap
+    of the tails from every on-path (x_s, mu_s), s >= 1, and for the reset
+    from (x_s, 0), replayed from one re-solve of the whole game.
     """
     row = _solver_row(solution, pattern)
-    gaps = {}
-    if spec.horizon > 1:
-        # Open-loop Stackelberg validates as a plain game, like its solver.
-        view = require_valid(spec, for_stackelberg=row.stackelberg and pattern == FEEDBACK)
-        gaps = row.tails(view, solution)
-    worst = {name: float(np.max(gaps.get(name, ()), initial=0.0)) for name in ("tail", "reset")}
     if pattern == FEEDBACK:
-        return TimeConsistency(verdict="STC", tail_deviation=worst["tail"])
-    return TimeConsistency(verdict="WTC", tail_deviation=worst["tail"],
-                           mu_reset_deviation=worst["reset"] if row.stackelberg else None)
+        view = StageArrays.of(spec)
+        res, _, scale = _feedback_residuals(view, solution, row.stackelberg, scaled=True)
+        return TimeConsistency(verdict="STC",
+                               tail_deviation=float(_relative(res, scale, view.blocks).max()))
+    if not row.stackelberg:
+        view = StageArrays.of(spec)
+        grad, scale = _costate_gradients(view, solution.x0, solution.trajectory.controls)
+        rel = _relative(view.own(grad, lead=1), view.own(scale, lead=1), view.blocks)
+        return TimeConsistency(verdict="WTC", tail_deviation=float(np.max(rel[1:], initial=0.0)))
+    gaps = _stackelberg_replays(require_valid(spec), solution) if spec.horizon > 1 else {}
+    tail, reset = (float(np.max(gaps.get(name, ()), initial=0.0)) for name in ("tail", "reset"))
+    return TimeConsistency(verdict="WTC", tail_deviation=tail, mu_reset_deviation=reset)
+
+
+def _stackelberg_replays(view: StageArrays, sol) -> dict[str, np.ndarray]:
+    """The largest control gap at each stage 1..T-1 of the open-loop
+    Stackelberg tails from the inherited multipliers ("tail") and from zero
+    ones ("reset"), replayed from one re-solve of the whole game with the
+    products of the sweep's own forward pass; the tail from s starts from
+    row s-1 of the states."""
+    d = sol.K.shape[1]
+    Xi, P = openloop_stackelberg.sweep(view, np.hstack([sol.x0, sol.initial_mu.ravel()]))[5:]
+    controls = np.concatenate(sol.trajectory.controls, axis=-1)
+    x = sol.trajectory.states[1:-1]
+    mu = sol.mu[:, 1:-1].swapaxes(0, 1).reshape(len(x), -1)
+    gaps = {}
+    for name, z in (("tail", np.hstack([x, mu])), ("reset", np.hstack([x, np.zeros_like(mu)]))):
+        gaps[name] = np.empty(len(controls) - 1)
+        for t in range(1, len(controls)):
+            u = np.einsum("ij,lj->li", P[t, :, :d], z[:t]) + P[t, :, d]
+            z[:t] = (Xi[t, :, :d] @ z[:t, :, None])[..., 0] + Xi[t, :, d]
+            gaps[name][t - 1] = np.abs(u - controls[t]).max()
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +545,6 @@ class VerificationReport:
     pattern: str
     seed: int
     samples: int
-    fd_step: float
     magnitude: float
     stationarity: dict[int, float] = field(default_factory=dict)
     deviation_gaps: dict[int, float] = field(default_factory=dict)
@@ -515,7 +565,6 @@ class VerificationReport:
             "pattern": self.pattern,
             "seed": self.seed,
             "samples": self.samples,
-            "fd_step": self.fd_step,
             "magnitude": self.magnitude,
             "stationarity": {str(k): v for k, v in sorted(self.stationarity.items())},
             "deviation_gaps": {str(k): v for k, v in sorted(self.deviation_gaps.items())},
@@ -547,8 +596,7 @@ def _failure(value: float, name: str, message: str) -> str:
 
 
 def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
-                     x0: np.ndarray | None = None, samples: int = 100,
-                     leader_samples: int = 50, fd_step: float = 1e-5,
+                     x0: np.ndarray | None = None, samples: int = 100, leader_samples: int = 50,
                      magnitude: float = 1e-3, seed: int = 0) -> VerificationReport:
     """Run the full oracle battery on one solution and collect a report."""
     # Checks draw from seed + i, so a negative seed could pass some of them.
@@ -560,9 +608,9 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
         _require_samples("leader_samples", leader_samples)
     _require_positive("magnitude", magnitude)
     report = VerificationReport(solver=solver_name, pattern=pattern, seed=seed,
-                                samples=samples, fd_step=fd_step, magnitude=magnitude)
+                                samples=samples, magnitude=magnitude)
 
-    report.stationarity = stationarity(spec, solution, pattern, h=fd_step, x0=x0)
+    report.stationarity = stationarity(spec, solution, pattern, x0=x0)
     for i, r in report.stationarity.items():
         if not r <= STATIONARITY_TOL:
             report.failures.append(_failure(

@@ -6,8 +6,8 @@ line: equal lines mean bit-identical results.
     python3 tests/output_hashes.py > hashes.txt
 
 Each line is ``<case> <solver> <kind> <sha256>``, one per kind of output:
-``solution``, the solution's arrays; ``tails``, the per-stage gaps of
-its re-solved tail games (``SOLVERS[name].tails``); ``report``, the ``run_verification`` report
+``solution``, the solution's arrays; ``consistency``, its
+``verify.time_consistency`` entry; ``report``, the ``run_verification`` report
 (``as_dict``, floats by their exact repr); or, for a refused solve, one
 ``refusal`` line, the error's type, message, ``context`` and
 ``cond_estimate``.  Each hash covers the warnings its step raised too.
@@ -20,7 +20,7 @@ The cases are:
 - ``degenerate<s>-<what>``: small games that skip validation and reach a
   zero stage system or a NaN drift, so that every solver refuses them;
 - ``long<s>``: (3, 10, 3, 200) time-varying games (one player for
-  ``lqr``), solution and tails only, whose sweeps fill and test their
+  ``lqr``), solution and consistency only, whose sweeps fill and test their
   capped stacks.
 """
 
@@ -42,7 +42,7 @@ from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,  #
 from dyngame.errors import DynGameError  # noqa: E402
 from dyngame.game import StageArrays  # noqa: E402
 from dyngame.solvers import SOLVERS  # noqa: E402
-from dyngame.verify import run_verification  # noqa: E402
+from dyngame.verify import run_verification, time_consistency  # noqa: E402
 
 from conftest import arrays, random_game, random_x0  # noqa: E402
 
@@ -68,8 +68,8 @@ def digest(run) -> str:
 
 
 def print_outputs(case, name, spec, x0, verify=True) -> None:
-    """Print the lines of one case: the solution's arrays, its tail gaps
-    and its verification report, or its refusal."""
+    """Print the lines of one case: the solution's arrays, its
+    time-consistency entry and its verification report, or its refusal."""
     row = SOLVERS[name]
     solved = []
 
@@ -83,9 +83,8 @@ def print_outputs(case, name, spec, x0, verify=True) -> None:
         return
     sol = solved[0]
     print(f"{case} {name} solution {first}")
-    tails = digest(lambda: arrays(row.tails(StageArrays.of(spec), sol))
-                   if spec.horizon > 1 else {})
-    print(f"{case} {name} tails {tails}")
+    consistency = digest(lambda: time_consistency(spec, sol, row.pattern))
+    print(f"{case} {name} consistency {consistency}")
     if verify:
         report = digest(lambda: run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
                                                  leader_samples=10).as_dict())

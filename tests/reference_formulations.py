@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Twelve kinds live here.  The per-sample loop formulations of the sampling
+Thirteen kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -43,11 +43,20 @@ entries and every value update summed player by player.  The library's
 laws, value coefficients, reactions and open-loop paths must equal them
 to roundoff.
 
+The batched finite-difference stationarity is the library's
+stationarity check as it was before its exact certificates: central
+differences with every probe of one call in one rollout (one drift-batched
+re-solve for the open-loop Stackelberg leader).  Acceptance criterion 4a
+runs it, and it must agree with the certificates wherever its roundoff,
+about eps*|J|/h, is small.
+
 The per-tail time-consistency check re-solves each tail game on its own,
-with the solver's own entry point on the truncated game.  The library's
-check must equal it exactly for every solver: it re-solves the whole game
-once, and for the open-loop solvers replays that re-solve's path maps
-from each tail's start.
+with the solver's own entry point on the truncated game, and compares
+stages 1..T-1.  The library's open-loop Stackelberg check must equal it
+exactly: it re-solves the whole game once and replays that re-solve's
+path maps from each tail's start.  For the other solvers the library's
+check is a certificate, which must give the same verdict wherever the
+re-solve can see a fault, at stages 1..T-1.
 
 The transition residuals check that an open-loop solution's stored path
 follows its own affine transition maps, and the self-check identities
@@ -262,6 +271,80 @@ def _stationarity_feedback(spec, sol, h, x0, stackelberg):
             grad = central_gradient(cost, base[i], h)
             out[i] = max(out[i], float(np.abs(grad).max(initial=0.0)))
     return out
+
+
+def batched_stationarity(spec, sol, h, x0=None):
+    """Per-player max first-order residual by central finite differences,
+    every probe of one call in one rollout, as :func:`dyngame.verify.stationarity`
+    computed it before its exact certificates: the open-loop Stackelberg
+    leader's 2*T*m probes share one drift-batched re-solve of the
+    followers' game, and every feedback probe moves one law offset at one
+    stage.  Its roundoff is about eps*|J|/h."""
+    row = solver_of(sol)
+    if row.pattern == OPEN_LOOP:
+        return _batched_open_loop(spec, sol, h, row.stackelberg)
+    return _batched_feedback(spec, sol, h, np.asarray(x0, dtype=float), row.stackelberg)
+
+
+def _batched_open_loop(spec, sol, h, stackelberg):
+    n = spec.n_players
+    controls = list(sol.trajectory.controls)
+    x0 = sol.x0
+    out = {}
+    if stackelberg:
+        u = controls[0]
+        P = u.size
+        batch = np.repeat(u.reshape(1, P), 2 * P, axis=0)
+        batch[np.arange(P), np.arange(P)] += h
+        batch[np.arange(P) + P, np.arange(P)] -= h
+        f = verify.leader_cost_open_loop(spec, batch.reshape(2 * P, *u.shape), x0)
+        out[0] = float(np.abs((f[:P] - f[P:]) / (2.0 * h)).max(initial=0.0))
+    players = range(1 if stackelberg else 0, n)
+    who = np.concatenate([np.full(controls[i].size, i) for i in players])
+    entry = np.concatenate([np.arange(controls[i].size) for i in players])
+    P = who.size
+    for i in players:
+        probe = np.flatnonzero(who == i)
+        batch = np.repeat(controls[i][None], 2 * P, axis=0).reshape(2 * P, -1)
+        batch[probe, entry[probe]] += h
+        batch[probe + P, entry[probe]] -= h
+        controls[i] = batch.reshape(2 * P, *controls[i].shape)
+    f = rollout(spec, controls, x0).total_costs[np.arange(2 * P), np.tile(who, 2)]
+    grad = (f[:P] - f[P:]) / (2.0 * h)
+    for i in players:
+        out[i] = float(np.abs(grad[who == i]).max(initial=0.0))
+    return out
+
+
+def _batched_feedback(spec, sol, h, x0, stackelberg):
+    # One +h/-h sample pair per (stage t, player i, control entry k): the
+    # stage-t control of player i moves by +-h e_k, every other stage-t
+    # control and every later stage follows the laws, and the residual
+    # differentiates player i's cost of stages t..T-1.
+    T, n, dims = spec.horizon, spec.n_players, spec.control_dims
+    probes = np.array([(t, i, k) for t in range(T) for i in range(n) for k in range(dims[i])])
+    laws = sol.laws
+    P = len(probes)
+    t_of, i_of, k_of = np.tile(probes, (2, 1)).T  # samples P.. repeat the probes
+    step = np.repeat([h, -h], P)
+    G = [law.G for law in laws]
+    g = [np.repeat(law.g[None], 2 * P, axis=0) for law in laws]
+    for i in range(n):
+        rows = np.flatnonzero(i_of == i)
+        g[i][rows, t_of[rows], k_of[rows]] += step[rows]
+    if stackelberg:
+        # A moved leader control meets the followers' stage reactions:
+        # their stage-t laws become W + rbar G1, w + rbar (g1 +- h e_k).
+        folded = verify._leader_played(sol.reactions, AffineLaw(G[0], g[0]))
+        at = ((i_of == 0)[:, None] & (np.arange(T) == t_of[:, None]))[:, :, None]
+        for k in range(1, n):
+            G[k] = np.where(at[..., None], folded[k].G, G[k])
+            g[k] = np.where(at, folded[k].g, g[k])
+    costs = rollout(spec, [AffineLaw(Gi, gi) for Gi, gi in zip(G, g)], x0).stage_costs
+    tail = np.where(np.arange(T) >= t_of[:, None], costs[np.arange(2 * P), i_of], 0.0)
+    f = tail.sum(axis=1)
+    grad = np.abs(f[:P] - f[P:]) / (2.0 * h)
+    return {i: float(grad[probes[:, 1] == i].max(initial=0.0)) for i in range(n)}
 
 
 def deviation_gap(spec, sol, player, samples, magnitude, seed, x0=None):

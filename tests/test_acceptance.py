@@ -235,16 +235,10 @@ def test_criterion_3_cross_notation_equivalences(announce, general_family,
 def test_criterion_4a_stationarity(announce, nash_solutions, stackelberg_solutions):
     with announce("4a", f"finite-difference stationarity <= {STATIONARITY_TOL} "
                         f"at h = {FD_STEP} for every solver"):
-        for spec, x0, fb, ol in nash_solutions:
-            res = verify.stationarity(spec, fb, verify.FEEDBACK, h=FD_STEP, x0=x0)
-            assert max(res.values()) <= STATIONARITY_TOL
-            res = verify.stationarity(spec, ol, verify.OPEN_LOOP, h=FD_STEP)
-            assert max(res.values()) <= STATIONARITY_TOL
-        for spec, x0, fb, ol in stackelberg_solutions:
-            res = verify.stationarity(spec, fb, verify.FEEDBACK, h=FD_STEP, x0=x0)
-            assert max(res.values()) <= STATIONARITY_TOL
-            res = verify.stationarity(spec, ol, verify.OPEN_LOOP, h=FD_STEP)
-            assert max(res.values()) <= STATIONARITY_TOL
+        for spec, x0, fb, ol in nash_solutions + stackelberg_solutions:
+            for sol in (fb, ol):
+                res = ref.batched_stationarity(spec, sol, FD_STEP, x0)
+                assert max(res.values()) <= STATIONARITY_TOL
 
 
 def test_criterion_4b_kkt_residuals(announce, nash_solutions, stackelberg_solutions):

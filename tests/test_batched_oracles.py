@@ -1,15 +1,16 @@
 """The sample axis of ``rollout`` and the batched sampling oracles.
 
-The oracles in :mod:`dyngame.verify` roll every deviation, leader-gap and
-finite-difference sample through one ``rollout`` call per check.  These
-tests pin the sample axis itself, check the batched oracles against the
-per-sample loop formulations in ``reference_formulations`` (same sampled
-directions bit for bit, same gaps and residuals to fixed tolerances), and
-guard that the number of rollout calls does not grow with the sample
-count.
+The oracles in :mod:`dyngame.verify` roll every deviation and leader-gap
+sample through one ``rollout`` call per check.  These tests pin the sample
+axis itself, check the batched oracles against the per-sample loop
+formulations in ``reference_formulations`` (same sampled directions bit for
+bit, same gaps to fixed tolerances), check the exact stationarity
+certificates against the loop's central differences, and guard that the
+number of rollout calls does not grow with the sample count.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from conftest import random_game, random_x0, rng_for
 SEEDS = (3, 17, 42, 101)
 # Fixed before comparing: sampled gaps are differences of costs of size
 # |J| (the player's equilibrium cost), summed in another order; the
-# finite-difference residuals divide cost roundoff by the step.
+# loop's finite-difference residuals divide cost roundoff by the step.
 GAP_ATOL = 1e-12
 STATIONARITY_ATOL = 1e-9
 
@@ -187,26 +188,31 @@ def test_batched_oracles_match_loop_reference(solver, seed):
             loop = ref.leader_gap_feedback(spec, sol, 20, 1e-3, seed, x0)
         assert abs(batched - loop) <= GAP_ATOL * (1 + abs(J[0])), (batched, loop)
 
-    batched = verify.stationarity(spec, sol, row.pattern, h=1e-5, x0=x0)
+    certified = verify.stationarity(spec, sol, row.pattern, x0=x0)
     loop = ref.stationarity(spec, sol, 1e-5, x0)
-    assert set(batched) == set(loop)
+    assert set(certified) == set(loop)
     for i in loop:
-        assert abs(batched[i] - loop[i]) <= STATIONARITY_ATOL, (i, batched[i], loop[i])
+        assert abs(certified[i] - loop[i]) <= STATIONARITY_ATOL, (i, certified[i], loop[i])
 
 
-def test_batched_stationarity_sees_a_shifted_feedback_law():
+def test_the_certificate_sees_a_shifted_feedback_law():
     # A corrupted offset of the second player at one stage must show in
-    # that player's residual exactly as in the loop reference.
+    # that player's residual as in the loop reference.  The leader's
+    # residual is taken at the followers' laws, the loop's at their stage
+    # reactions, and a corrupted follower law parts the two; so its
+    # verdict is compared.
     spec, sol, x0 = solved("feedback-stackelberg", 17)
     g = sol.laws[1].g.copy()
     g[1] -= 0.05
     bad = type(sol)(spec=spec, laws=(sol.laws[0], AffineLaw(sol.laws[1].G, g)) + sol.laws[2:],
                     Z=sol.Z, zeta=sol.zeta, n_const=sol.n_const, reactions=sol.reactions)
-    batched = verify.stationarity(spec, bad, verify.FEEDBACK, h=1e-5, x0=x0)
+    certified = verify.stationarity(spec, bad, verify.FEEDBACK, x0=x0)
     loop = ref.stationarity(spec, bad, 1e-5, x0)
-    assert batched[1] > 1e-3
+    assert certified[1] > 1e-3
     for i in loop:
-        assert abs(batched[i] - loop[i]) <= STATIONARITY_ATOL
+        if i:
+            assert abs(certified[i] - loop[i]) <= STATIONARITY_ATOL
+        assert (certified[i] > verify.STATIONARITY_TOL) == (loop[i] > verify.STATIONARITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +258,31 @@ def test_rollout_calls_do_not_grow_with_samples(solver, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The feedback stationarity's chunked sample axis
+# The feedback certificate at the horizon where finite differences chunked
 
 
 @pytest.mark.parametrize("solver", ["feedback-nash", "feedback-stackelberg"])
-def test_chunked_feedback_stationarity_is_bit_identical(solver, monkeypatch):
-    # At T = 40 the 2*T*4 probe samples times T stages exceed the row
-    # budget, so the probes go through in more than one chunk.
+def test_feedback_certificate_at_forty_stages(solver):
+    # At T = 40 the finite differences rolled 2*T*4 probe samples times T
+    # stages, more than they held at once.  The certificate makes one pass
+    # and agrees with their batched form, on the solution and on a law
+    # moved by 1e-3 at one late stage.
     T = 40
     spec = random_game(11, n_players=3, state_dim=2, control_dims=[1, 2, 1], horizon=T,
                        time_varying=True)
     x0 = random_x0(11, spec)
     sol = SOLVERS[solver].solve(spec, x0)
-    rows = 2 * T * 4 * T
-    assert rows > verify._FEEDBACK_ROWS
-    chunked = verify.stationarity(spec, sol, verify.FEEDBACK, x0=x0)
-    monkeypatch.setattr(verify, "_FEEDBACK_ROWS", rows)
-    whole = verify.stationarity(spec, sol, verify.FEEDBACK, x0=x0)
-    assert chunked == whole
-    assert max(whole.values()) < 1e-6
+    certified = verify.stationarity(spec, sol, verify.FEEDBACK, x0=x0)
+    assert max(certified.values()) < 1e-12
+    assert max(ref.batched_stationarity(spec, sol, 1e-5, x0).values()) < 1e-6
+    laws = list(sol.laws)
+    g = laws[2].g.copy()
+    g[30] += 1e-3
+    laws[2] = AffineLaw(laws[2].G, g)
+    bad = replace(sol, laws=tuple(laws))
+    certified = verify.stationarity(spec, bad, verify.FEEDBACK, x0=x0)
+    batched = ref.batched_stationarity(spec, bad, 1e-5, x0)
+    assert certified[2] > 1e-4
+    # a Stackelberg leader's residuals part, as in the test above
+    for i in range(1 if "stackelberg" in solver else 0, 3):
+        assert abs(certified[i] - batched[i]) <= 1e-8, (i, certified[i], batched[i])

@@ -250,8 +250,12 @@ def test_leader_cost_equals_the_rebuilt_game_form_bit_for_bit(batched):
 
 
 @pytest.mark.parametrize("check", ["leader_gap", "stationarity"])
-def test_open_loop_leader_checks_validate_once_per_leader_cost(check, layer_calls,
-                                                               stage_data_built, monkeypatch):
+def test_open_loop_leader_checks_validate_once_and_sweep_once(check, layer_calls,
+                                                              stage_data_built, monkeypatch):
+    # The leader gap prices all its samples with one leader cost; the
+    # stationarity certificate differentiates the followers' response with
+    # one tangent sweep of its own, and reads the stage view for the
+    # costate pass.
     spec = random_game(17, n_players=3, horizon=4, time_varying=True)
     x0 = random_x0(17, spec)
     sol = openloop_stackelberg.solve(spec, x0)
@@ -266,8 +270,13 @@ def test_open_loop_leader_checks_validate_once_per_leader_cost(check, layer_call
 
     monkeypatch.setattr(verify, "leader_cost_open_loop", counted)
     stage_data_built.clear()
+    layer_calls.clear()
     getattr(verify, check)(spec, sol, verify.OPEN_LOOP)
-    assert during == [{"game.validate": 1, "openloop_nash.sweep": 1}]
+    one = {"game.validate": 1, "openloop_nash.sweep": 1}
+    if check == "leader_gap":
+        assert during == [one] and layer_calls == one
+    else:
+        assert during == [] and layer_calls == {**one, "StageArrays.of": 1}
     assert not stage_data_built
 
 

@@ -190,8 +190,7 @@ def test_solve_openloop_stackelberg_path_laws(tmp_path):
         assert np.abs(traj.controls[i] - np.array(u)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"],
-                                   ["--fd-step", "0"]])
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"]])
 def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, flags):
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--game", unit_game_path, "--solver", "feedback-nash",
@@ -199,18 +198,95 @@ def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--samples", "abc"], "error: argument --samples: invalid int value: 'abc'"),
+    (["verify", "--bogus"], "error: unrecognized arguments: --bogus"),
+    (["solve", "--solver", "nope"], "error: argument --solver: invalid choice: 'nope'"),
+    (["verify", "--fd-step", "1e-5"], "error: unrecognized arguments: --fd-step 1e-5"),
+    (["verify", "--seed"], "error: argument --seed: expected one argument"),
+])
+def test_usage_errors_exit_1_with_one_line(unit_game_path, tmp_path, capsys, argv, message):
+    """A command line argparse refuses is an input failure (exit 1), not
+    the numerical failure of exit 2, and reaches stderr as one line."""
+    out = tmp_path / "r.json"
+    command, *rest = argv
+    assert cli.main([command, "--game", unit_game_path, "--x0", "1", *rest,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert not out.exists()
+
+
+def test_a_missing_command_exits_1(capsys):
+    assert cli.main([]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the following arguments are required: command"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_a_usage_error_exits_1_from_the_command(tmp_path):
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1]), "PATH": ""}
+    done = subprocess.run([sys.executable, "-m", "dyngame.cli", "verify", "--game",
+                           str(GOLDEN / "two_player.json"), "--samples", "abc"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: argument --samples: invalid int value: 'abc'"]
+
+
+def corrupt_on_solve(monkeypatch, solver, size=1e-6):
+    """Make ``solver`` return its solution with the last player's laws
+    (feedback) or controls (open loop, path kept) moved by ``size``."""
+    import importlib
+    from dataclasses import replace
+
+    from dyngame.game import AffineLaw, Trajectory
+    from dyngame.solvers import FEEDBACK, SOLVERS
+
+    mod = importlib.import_module("dyngame." + solver.replace("-", "_"))
+    real = mod.solve
+
+    def corrupted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if SOLVERS[solver].pattern == FEEDBACK:
+            laws = list(sol.laws)
+            laws[-1] = AffineLaw(laws[-1].G + size, laws[-1].g)
+            return replace(sol, laws=tuple(laws))
+        traj = sol.trajectory
+        controls = traj.controls[:-1] + (traj.controls[-1] + size,)
+        return replace(sol, trajectory=Trajectory(states=traj.states, controls=controls,
+                                                  stage_costs=traj.stage_costs,
+                                                  total_costs=traj.total_costs))
+
+    monkeypatch.setattr(mod, "solve", corrupted)
+
+
 @pytest.mark.parametrize("solver", ["feedback-nash", "feedback-stackelberg", "openloop-nash",
                                     "openloop-stackelberg"])
-def test_verify_step_lost_in_rounding_exits_1(tmp_path, capsys, solver):
-    """A step of 1e-30 leaves every nonzero control unmoved, so each
-    central difference would read 0 and the check would pass unseen."""
+def test_verify_catches_a_law_off_by_1e_6_without_drift_or_targets(tmp_path, capsys,
+                                                                   monkeypatch, solver):
+    """A game without drift or targets has law offsets of exactly 0, where
+    the finite differences' lost-step refusal never looked: a step of
+    1e-30 passed every law there.  The certificates have no step, and a
+    law or control 1e-6 off fails its time-consistency gate (exit 3)."""
+    path = tmp_path / "unit.json"
+    save_game(scalar_unit_two_player(T=3), path)
+    corrupt_on_solve(monkeypatch, solver)
     out = tmp_path / "r.json"
-    assert cli.main(["verify", "--game", str(GOLDEN / "two_player.json"), "--solver", solver,
-                     "--x0=1,2", "--fd-step", "1e-30", "--out", str(out)]) == 1
+    assert cli.main(["verify", "--game", str(path), "--solver", solver, "--x0", "1",
+                     "--samples", "10", "--out", str(out)]) == 3
+    doc = strict_json(out.read_text())
+    verdict = "STC" if solver.startswith("feedback") else "WTC"
+    assert doc["passed"] is False and "fd_step" not in doc
+    assert any(f.startswith(f"{verdict} tail deviation") for f in doc["failures"]), doc["failures"]
     assert capsys.readouterr().err.splitlines() == [
-        "error: finite-difference step 1e-30 is lost in rounding: some probed control entry z "
-        "has z + h == z or z - h == z"]
-    assert not out.exists()
+        f"verification failure: {f}" for f in doc["failures"]]
 
 
 def test_simulate_nan_x0_is_input_error(unit_game_path, tmp_path):
@@ -259,8 +335,8 @@ def test_verify_failure_exits_3(unit_game_path, tmp_path, monkeypatch):
 
     real = verify_mod.stationarity
 
-    def corrupted(spec, sol, pattern, h=1e-5, x0=None):
-        res = real(spec, sol, pattern, h=h, x0=x0)
+    def corrupted(spec, sol, pattern, x0=None):
+        res = real(spec, sol, pattern, x0=x0)
         return {k: v + 1.0 for k, v in res.items()}
 
     monkeypatch.setattr(cli.verify, "stationarity", corrupted)

@@ -3,11 +3,12 @@
 ``openloop_nash.sweep(view, x0, s)`` solves S games that differ only in
 their stage drifts s (S, T, p) with one matrix sweep.
 ``verify.leader_cost_open_loop`` runs it on the followers' blocks of the
-game's checked view to price S leader sequences with one re-solve, and
-the open-loop Stackelberg leader gap and leader stationarity make one such
-call each.  These tests pin the batched sweep (wrapped as a solution by
-``reference_formulations.drift_batched_solve``) to S separate solves, the
-leader checks to the per-sample fold-and-solve loop in
+game's checked view to price S leader sequences with one re-solve, which
+the open-loop Stackelberg leader gap makes once.  The leader's
+stationarity certificate runs one such sweep of its own, over the leader's
+T*m_0 tangent drifts.  These tests pin the batched sweep (wrapped as a
+solution by ``reference_formulations.drift_batched_solve``) to S separate
+solves, the leader checks to the per-sample fold-and-solve loop in
 ``reference_formulations``, and the number of solves per check.
 """
 
@@ -23,7 +24,7 @@ from conftest import random_game, random_x0, rng_for
 
 SEEDS = (3, 17, 42, 101, 7, 64)
 # Fixed before comparing: leader costs and gaps are costs of size |J|
-# summed in another order; the stationarity residuals divide cost
+# summed in another order; the loop's stationarity residuals divide cost
 # roundoff by the 1e-5 step.
 COST_RTOL = 1e-12
 STATIONARITY_ATOL = 1e-8
@@ -134,11 +135,11 @@ def test_leader_checks_match_the_per_sample_loop(seed):
         batched = verify.leader_gap(spec, sol, verify.OPEN_LOOP, samples=samples, seed=seed)
         loop = ref.leader_gap_open_loop(spec, sol, samples, 1e-3, seed)
         assert abs(batched - loop) <= COST_RTOL * (1 + J), (samples, batched, loop)
-    batched = verify.stationarity(spec, sol, verify.OPEN_LOOP, h=1e-5)
+    certified = verify.stationarity(spec, sol, verify.OPEN_LOOP)
     loop = ref.stationarity(spec, sol, 1e-5)
-    assert set(batched) == set(loop)
+    assert set(certified) == set(loop)
     for i in loop:
-        assert abs(batched[i] - loop[i]) <= STATIONARITY_ATOL, (i, batched[i], loop[i])
+        assert abs(certified[i] - loop[i]) <= STATIONARITY_ATOL, (i, certified[i], loop[i])
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,9 @@ def count_state_loops(monkeypatch):
 @pytest.mark.parametrize("seed", (17, 42))
 def test_one_state_loop_per_leader_check(seed, monkeypatch):
     """The followers' re-solve walks the full game's paths, so the leader
-    is priced on them without a rollout of its own."""
+    is priced on them without a rollout of its own.  The stationarity
+    certificate walks the path of the controls in its costate pass, and its
+    tangent sweep prices nothing."""
     spec, sol, x0 = stackelberg(seed)
     calls = count_state_loops(monkeypatch)
     for samples in (5, 50):
@@ -199,4 +202,4 @@ def test_one_state_loop_per_leader_check(seed, monkeypatch):
         assert len(calls) == 1, (samples, len(calls))
     calls.clear()
     verify.stationarity(spec, sol, verify.OPEN_LOOP)
-    assert len(calls) == 2  # the leader's probes, then every follower's
+    assert len(calls) == 0

@@ -83,7 +83,7 @@ def test_one_lane_solve_makes_one_stacked_call_per_stage_system(solver, T, dense
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_time_consistency_calls_are_one_sweep(solver, dense_calls, checks_run):
+def test_time_consistency_solves_at_most_one_sweep(solver, dense_calls, checks_run):
     for T in (6, 18):
         spec, x0 = game_for(solver, T)
         row = SOLVERS[solver]
@@ -91,9 +91,13 @@ def test_time_consistency_calls_are_one_sweep(solver, dense_calls, checks_run):
         dense_calls.clear()
         checks_run.clear()
         verify.time_consistency(spec, sol, row.pattern)
-        # one sweep of the whole game, as a solve makes, for every solver
-        assert sum(dense_calls.values()) == PER_STAGE[solver] * T + PER_SWEEP[solver]
-        assert list(checks_run.values()) == [1]
+        if solver == "openloop-stackelberg":
+            # one sweep of the whole game, as a solve makes
+            assert sum(dense_calls.values()) == PER_STAGE[solver] * T + PER_SWEEP[solver]
+            assert list(checks_run.values()) == [1]
+        else:
+            # the certificates are products alone: no stage system is solved
+            assert not +dense_calls and not +checks_run
 
 
 def ill_scaled_weight_game():

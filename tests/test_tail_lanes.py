@@ -1,15 +1,18 @@
-"""The time-consistency check's tail games.
+"""The time-consistency check and the tail games.
 
 No backward recursion reads its initial state, so every tail game meets
 the whole game's stage systems from its start on: each separately solved
-tail in ``reference_formulations`` has the maps of one re-solve of the
-whole game from its start on, bit for bit, and the check makes that one
-sweep.  A feedback tail's laws are those maps.  An open-loop tail's
-controls replay them from the solution's state at its start and equal the
-separate tail solve's bit for bit, so the check equals the loop of
-separate tail solves exactly.  A check makes one validation, whose checked
-view every sweep reads, and a corrupted solution fails its gate by the
-size of the corruption.
+tail in ``reference_formulations`` has the maps of one solve of the
+whole game from its start on, bit for bit.  The check itself is a
+certificate for the feedback solvers and open-loop Nash: each stage's
+first-order residual, relative to the size of its terms, over stages
+0..T-1 (feedback) or 1..T-1 (open-loop Nash, whose tail games' gradients
+are the whole game's from their start on).  It solves nothing, and gives
+the verdict of the loop of separate tail solves wherever that loop can
+see a fault; it also sees a fault at stage 0, which is in no tail game.
+The open-loop Stackelberg check re-solves the whole game once and replays
+its path maps from every tail's start; it equals the loop of separate
+tail solves exactly.  A corrupted solution fails its gate.
 """
 
 import json
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 
 from dyngame import cli, feedback_nash, feedback_stackelberg, verify
-from dyngame.game import AffineLaw, StageArrays, Trajectory
+from dyngame.game import AffineLaw, StageArrays, Trajectory, truncate
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, SOLVERS, solver_of
 
@@ -76,9 +79,7 @@ def values(sol):
 @pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
 def test_each_feedback_tail_is_the_one_re_solve(solver, T, time_varying):
     spec, sol, _ = solved(solver, T, time_varying)
-    gaps = SOLVERS[solver].tails(StageArrays.of(spec), sol)
-    assert set(gaps) == {"tail"} and gaps["tail"].shape == (T - 1,)
-    assert not gaps["tail"].any()  # one re-solve, the solution's own laws
+    assert verify.time_consistency(spec, sol, FEEDBACK).tail_deviation <= 1e-14
     resolved = stacked_rows(sol)
     for s in range(1, T):
         tail = ref.tail_solution(spec, sol, s)
@@ -93,23 +94,34 @@ def test_each_feedback_tail_is_the_one_re_solve(solver, T, time_varying):
             assert np.all(np.abs(gap) <= 1e-12 * (1 + np.abs(Y[:, 0]))), s
 
 
+def tail_of(spec, sol, s):
+    """The open-loop Nash solution's claim on the tail game from s: its
+    controls from s on, played from its state x_s."""
+    traj = sol.trajectory
+    controls = tuple(u[s:] for u in traj.controls)
+    return replace(sol, spec=truncate(spec, s), x0=traj.states[s],
+                   trajectory=Trajectory(states=traj.states[s:], controls=controls,
+                                         stage_costs=traj.stage_costs[:, s:],
+                                         total_costs=traj.stage_costs[:, s:].sum(axis=1)))
+
+
 @pytest.mark.parametrize("time_varying", [False, True], ids=["broadcast", "time-varying"])
 @pytest.mark.parametrize("T", [1, 2, 6, 12, 40])
 @pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
-def test_each_open_loop_tail_is_replayed_from_the_one_re_solve(solver, T, time_varying):
+def test_each_open_loop_tail_is_the_one_re_solve(solver, T, time_varying):
     row = SOLVERS[solver]
     spec, sol, x0 = solved(solver, T, time_varying)
     if T > 1:
-        gaps = row.tails(StageArrays.of(spec), sol)
-        assert set(gaps) == ({"tail", "reset"} if row.stackelberg else {"tail"})
-        resolved = open_loop_maps(row.solve(spec, x0))
+        resolved = open_loop_maps(sol)
         controls = stacked_rows(sol)
+        gaps = (verify._stackelberg_replays(StageArrays.of(spec), sol) if row.stackelberg
+                else {"tail": None})
         for name in gaps:
             expected = np.zeros(T - 1)
             for s in range(1, T):
                 tail = ref.tail_solution(spec, sol, s, reset=name == "reset")
-                # Its maps from s on are the re-solve's, bit for bit, but
-                # for the weight the whole game charges on x_s.
+                # Its maps from s on are the solve's, bit for bit, but for
+                # the weight the whole game charges on x_s.
                 for key, Y in open_loop_maps(tail).items():
                     X = resolved[key]
                     first = s + 1 if key in ("M", "K") else s
@@ -118,13 +130,20 @@ def test_each_open_loop_tail_is_replayed_from_the_one_re_solve(solver, T, time_v
                 # is the largest over the tails from 1..t, bit for bit.
                 gap = np.abs(stacked_rows(tail) - controls[s:]).max(axis=1)
                 expected[s - 1:] = np.maximum(expected[s - 1:], gap)
-            assert gaps[name].shape == (T - 1,)
-            assert np.array_equal(gaps[name], expected), name
+                if not row.stackelberg:
+                    # The tail game's gradients are the whole game's from s
+                    # on: its certificate stays below the whole game's.
+                    claim = verify.stationarity(tail.spec, tail_of(spec, sol, s), OPEN_LOOP)
+                    assert max(claim.values()) <= 1e-12, (s, claim)
+            if row.stackelberg:
+                assert gaps[name].shape == (T - 1,)
+                assert np.array_equal(gaps[name], expected), name
 
     if T > 12:  # the tails above cover it; the loop would repeat every tail solve
         return
     tc = verify.time_consistency(spec, sol, OPEN_LOOP)
-    assert tc == ref.time_consistency(spec, sol, OPEN_LOOP)
+    if row.stackelberg:
+        assert tc == ref.time_consistency(spec, sol, OPEN_LOOP)
     assert tc.verdict == "WTC" and tc.tail_deviation <= verify.WTC_TOL
     assert (tc.mu_reset_deviation is None) == (not row.stackelberg)
 
@@ -154,68 +173,87 @@ def corrupted_controls(sol, stage, size=1e-6):
 @pytest.mark.parametrize("stage", [None, 0, 1, "last"])
 @pytest.mark.parametrize("T", [2, 6, 12])
 @pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
-def test_feedback_check_equals_every_tail_re_solved(solver, T, stage):
+def test_feedback_check_agrees_with_every_tail_re_solved(solver, T, stage):
     spec, sol, _ = solved(solver, T, time_varying=True)
     if stage is not None:
         sol = corrupted(sol, T - 1 if stage == "last" else stage, len(sol.laws) - 1)
     tc = verify.time_consistency(spec, sol, FEEDBACK)
-    assert tc == ref.time_consistency(spec, sol, FEEDBACK)
-    # Stage 0 is in no tail game, so a change there goes unseen.
-    if stage in (None, 0):
-        assert tc.tail_deviation == 0.0
+    loop = ref.time_consistency(spec, sol, FEEDBACK)
+    assert tc.verdict == loop.verdict == "STC"
+    if stage is None:
+        assert tc.tail_deviation <= 1e-14 and loop.tail_deviation == 0.0
+    elif stage == 0:
+        # Stage 0 is in no tail game: the re-solves never see it, the
+        # certificate does.
+        assert loop.tail_deviation == 0.0 and tc.tail_deviation > verify.STC_TOL
     else:
-        assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+        assert loop.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+        assert tc.tail_deviation > verify.STC_TOL
 
 
 @pytest.mark.parametrize("stage", [None, 0, 1, "last"])
 @pytest.mark.parametrize("T", [2, 6, 12])
 @pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
-def test_open_loop_check_equals_every_tail_re_solved(solver, T, stage):
+def test_open_loop_check_agrees_with_every_tail_re_solved(solver, T, stage):
     spec, clean, _ = solved(solver, T, time_varying=True)
     sol = clean if stage is None else corrupted_controls(clean, T - 1 if stage == "last" else stage)
     tc = verify.time_consistency(spec, sol, OPEN_LOOP)
-    assert tc == ref.time_consistency(spec, sol, OPEN_LOOP)
-    # Stage 0 is in no tail game, so a change there goes unseen.
-    if stage in (None, 0):
-        assert tc == verify.time_consistency(spec, clean, OPEN_LOOP)
-        assert tc.tail_deviation <= verify.WTC_TOL
+    loop = ref.time_consistency(spec, sol, OPEN_LOOP)
+    stackelberg = SOLVERS[solver].stackelberg
+    if stackelberg:
+        assert tc == loop
+    if stage is None:
+        assert tc.tail_deviation <= verify.WTC_TOL and loop.tail_deviation <= verify.WTC_TOL
+    elif stage == 0:
+        # Stage 0 is in no tail game, so the replays never see it; a
+        # control moved there moves the path, and so the costate gradients
+        # of every later stage.
+        assert loop.tail_deviation <= verify.WTC_TOL
+        assert (tc.tail_deviation <= verify.WTC_TOL) == stackelberg
     else:
-        assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+        assert loop.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+        assert tc.tail_deviation > verify.WTC_TOL
 
 
 @pytest.mark.parametrize("T", [1, 2, 6, 12])
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_one_validate_view_and_sweep_per_check(solver, T, layer_calls):
+def test_one_check_solves_at_most_one_game(solver, T, layer_calls):
+    # the certificates read the stage view and solve nothing; the
+    # open-loop Stackelberg check validates and re-solves the game once
     row = SOLVERS[solver]
     spec, sol, _ = solved(solver, T)
     layer_calls.clear()
     tc = verify.time_consistency(spec, sol, row.pattern)
     if T == 1:
+        assert tc.tail_deviation <= 1e-14
+    if solver != "openloop-stackelberg":
+        assert layer_calls == {"StageArrays.of": 1}
+    elif T == 1:
         assert not +layer_calls
-        assert tc.tail_deviation == 0.0
     else:
-        sweep = "feedback_nash.sweep" if solver == "lqr" else f"{solver.replace('-', '_')}.sweep"
-        assert layer_calls == {"game.validate": 1, sweep: 1}
+        assert layer_calls == {"game.validate": 1, "openloop_stackelberg.sweep": 1}
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
-def test_the_row_budget_leaves_the_check_unchanged(solver, monkeypatch, layer_calls):
-    # the budget bounds feedback stationarity alone: every check makes one
-    # sweep whatever it is
+def test_stationarity_solves_only_the_open_loop_leaders_tangents(solver, layer_calls):
+    # one pass of products over the stage view, and for the open-loop
+    # Stackelberg leader one validation and one drift-batched sweep of the
+    # followers' game
     row = SOLVERS[solver]
-    spec, sol, _ = solved(solver, 12, time_varying=True)
-    whole = verify.time_consistency(spec, sol, row.pattern)
-    monkeypatch.setattr(verify, "_FEEDBACK_ROWS", 1)
+    spec, sol, x0 = solved(solver, 12, time_varying=True)
     layer_calls.clear()
-    assert verify.time_consistency(spec, sol, row.pattern) == whole
-    assert sum(n for name, n in layer_calls.items() if name.endswith(".sweep")) == 1
-    assert layer_calls["game.validate"] == 1 and "StageArrays.of" not in layer_calls
+    verify.stationarity(spec, sol, row.pattern, x0=x0)
+    if solver == "openloop-stackelberg":
+        assert layer_calls == {"StageArrays.of": 1, "game.validate": 1, "openloop_nash.sweep": 1}
+    else:
+        assert layer_calls == {"StageArrays.of": 1}
 
 
 @pytest.mark.parametrize("solver", ["openloop-nash", "openloop-stackelberg"])
 def test_the_open_loop_check_holds_no_array_of_tails_by_stages(solver):
-    # the replay keeps one state per tail and one gap per stage: its
-    # allocations stay below one (T-1) x T array of the controls
+    # the certificate holds one costate per stage, and the replay one
+    # state per tail and one gap per stage: their allocations stay below
+    # one (T-1) x T array of the controls
     T = 300
     spec, sol, _ = solved(solver, T, time_varying=True)
     tracemalloc.start()
@@ -236,15 +274,35 @@ def test_corrupted_feedback_law_fails_stc(solver):
     laws[-1] = AffineLaw(G, laws[-1].g)
     bad = replace(sol, laws=tuple(laws))
     tc = verify.time_consistency(spec, bad, FEEDBACK)
-    assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert tc.tail_deviation > verify.STC_TOL
+    assert ref.time_consistency(spec, bad, FEEDBACK).tail_deviation > verify.STC_TOL
     report = verify.run_verification(spec, bad, FEEDBACK, solver, x0=x0, samples=5,
                                      leader_samples=5)
     assert any(f.startswith("STC tail deviation") for f in report.failures), report.failures
 
 
+@pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
+def test_a_law_corrupted_at_stage_0_fails_stc(solver):
+    """Stage 0 is in no tail game, so re-solving the tails never compared
+    it; the certificate tests every stage."""
+    spec, sol, x0 = solved(solver, 6, time_varying=True)
+    laws = list(sol.laws)
+    for player in range(len(laws)):
+        moved = list(laws)
+        G = laws[player].G.copy()
+        G[0] += 1e-4
+        moved[player] = AffineLaw(G, laws[player].g)
+        bad = replace(sol, laws=tuple(moved))
+        assert ref.time_consistency(spec, bad, FEEDBACK).tail_deviation == 0.0
+        report = verify.run_verification(spec, bad, FEEDBACK, solver, x0=x0, samples=5,
+                                         leader_samples=5)
+        assert report.time_consistency.tail_deviation > verify.STC_TOL, player
+        assert any(f.startswith("STC tail deviation") for f in report.failures), player
+
+
 def test_nan_law_fails_stc():
-    # a NaN gap must not vanish in the maximum over the tails, in the check
-    # or in the reference loop of separate tail solves
+    # a NaN residual must not vanish in the maximum over the stages, in
+    # the check or in the reference loop of separate tail solves
     spec, sol, x0 = solved("feedback-nash", 6)
     laws = list(sol.laws)
     G = laws[1].G.copy()
@@ -260,7 +318,8 @@ def test_corrupted_open_loop_control_fails_wtc(solver):
     spec, sol, x0 = solved(solver, 6, time_varying=True)
     bad = corrupted_controls(sol, 4)
     tc = verify.time_consistency(spec, bad, OPEN_LOOP)
-    assert tc.tail_deviation == pytest.approx(1e-6, rel=1e-6)
+    assert tc.tail_deviation > verify.WTC_TOL
+    assert ref.time_consistency(spec, bad, OPEN_LOOP).tail_deviation > verify.WTC_TOL
     report = verify.run_verification(spec, bad, OPEN_LOOP, solver, x0=x0, samples=5,
                                      leader_samples=5)
     assert any(f.startswith("WTC tail deviation") for f in report.failures), report.failures

@@ -32,7 +32,7 @@ class TestStationarity:
     def test_open_loop_equilibrium_residual_small(self):
         spec = scalar_unit_two_player()
         sol = openloop_nash.solve(spec, np.array([1.0]))
-        res = verify.stationarity(spec, sol, verify.OPEN_LOOP, h=1e-5)
+        res = verify.stationarity(spec, sol, verify.OPEN_LOOP)
         assert max(res.values()) <= 1e-6
 
     def test_shifted_control_shows_linear_gradient(self):
@@ -48,7 +48,7 @@ class TestStationarity:
             total_costs=sol.trajectory.total_costs)
         bad = type(sol)(spec=spec, x0=sol.x0, trajectory=shifted_traj, laws=sol.laws,
                         M=sol.M, m=sol.m, Phi=sol.Phi, phi=sol.phi)
-        res = verify.stationarity(spec, bad, verify.OPEN_LOOP, h=1e-5)
+        res = verify.stationarity(spec, bad, verify.OPEN_LOOP)
         assert res[0] >= 0.05
         assert res[0] == pytest.approx(0.2, rel=1e-4)
 
@@ -63,41 +63,52 @@ class TestStationarity:
             M=np.zeros((2, 3, 1, 1)), m=np.zeros((2, 3, 1)),
             Phi=np.zeros((2, 1, 1)), phi=np.zeros((2, 1)),
             laws=(AffineLaw(np.zeros((2, 1, 1)), np.zeros((2, 1))),) * 2)
-        res = verify.stationarity(spec, sol, verify.OPEN_LOOP, h=1e-5)
+        res = verify.stationarity(spec, sol, verify.OPEN_LOOP)
         assert max(res.values()) == 0.0
 
     @pytest.mark.parametrize("solver", list(SOLVERS))
-    def test_a_step_lost_in_rounding_is_refused(self, solver):
-        """z + 1e-30 == z for every nonzero control of these affine games,
-        so the check would read each residual as 0."""
+    def test_a_small_fault_with_zero_offsets_is_seen(self, solver):
+        """On a game without drift or targets every law offset is 0, where
+        finite differences' refusal of a step lost in rounding never looked.
+        The certificates take no step: a law or control 1e-6 off reads
+        about 1e-6, and the solution itself about 0."""
         row = SOLVERS[solver]
-        spec = (random_game(5, n_players=1, targets=False) if solver == "lqr"
-                else load_game(GOLDEN / "two_player.json"))
-        x0 = np.arange(1.0, spec.state_dim + 1)
+        spec = (random_game(5, n_players=1, targets=False, affine=False) if solver == "lqr"
+                else scalar_unit_two_player(T=3))
+        x0 = np.ones(spec.state_dim)
         sol = row.solve(spec, x0)
-        with pytest.raises(InvalidGameError, match="^finite-difference step 1e-30 is lost in "
-                                                   "rounding"):
-            verify.stationarity(spec, sol, row.pattern, h=1e-30, x0=x0)
-        verify.stationarity(spec, sol, row.pattern, h=1e-5, x0=x0)
+        assert max(verify.stationarity(spec, sol, row.pattern, x0=x0).values()) <= 1e-14
+        if row.pattern == verify.FEEDBACK:
+            assert not np.concatenate([law.g for law in sol.laws]).any()
+            laws = list(sol.laws)
+            laws[-1] = AffineLaw(laws[-1].G + 1e-6, laws[-1].g)
+            bad = replace(sol, laws=tuple(laws))
+        else:
+            traj = sol.trajectory
+            bad = replace(sol, trajectory=type(traj)(
+                states=traj.states, controls=traj.controls[:-1] + (traj.controls[-1] + 1e-6,),
+                stage_costs=traj.stage_costs, total_costs=traj.total_costs))
+        res = verify.stationarity(spec, bad, row.pattern, x0=x0)
+        assert 1e-7 <= res[spec.n_players - 1] <= 1e-4, res
 
     def test_feedback_residual_small(self):
         spec = random_game(601, n_players=2)
         sol = feedback_nash.solve(spec)
-        res = verify.stationarity(spec, sol, verify.FEEDBACK, h=1e-5,
+        res = verify.stationarity(spec, sol, verify.FEEDBACK,
                                   x0=random_x0(601, spec))
         assert max(res.values()) <= 1e-6
 
     def test_feedback_stackelberg_leader_residual_small(self):
         spec = random_game(603, n_players=2)
         sol = feedback_stackelberg.solve(spec)
-        res = verify.stationarity(spec, sol, verify.FEEDBACK, h=1e-5,
+        res = verify.stationarity(spec, sol, verify.FEEDBACK,
                                   x0=random_x0(603, spec))
         assert max(res.values()) <= 1e-6
 
     def test_open_loop_stackelberg_leader_residual_small(self):
         spec = random_game(605, n_players=2)
         sol = openloop_stackelberg.solve(spec, random_x0(605, spec))
-        res = verify.stationarity(spec, sol, verify.OPEN_LOOP, h=1e-5)
+        res = verify.stationarity(spec, sol, verify.OPEN_LOOP)
         assert max(res.values()) <= 1e-6
 
     def test_pattern_mismatch_rejected(self):
@@ -262,12 +273,20 @@ class TestSettingsWithoutEvidence:
                 run()
             assert ran == []
 
-    @pytest.mark.parametrize("h", [0.0, -1e-5, np.inf, np.nan])
-    def test_fd_step_must_be_finite_and_positive(self, h):
+    def test_no_finite_difference_step_is_taken(self):
+        """The certificates are exact, so neither the check nor the report
+        has a step to set."""
         spec = scalar_unit_two_player()
         sol = feedback_nash.solve(spec)
-        with pytest.raises(InvalidGameError, match="finite-difference step"):
-            verify.stationarity(spec, sol, verify.FEEDBACK, h=h, x0=np.array([1.0]))
+        x0 = np.array([1.0])
+        with pytest.raises(TypeError):
+            verify.stationarity(spec, sol, verify.FEEDBACK, h=1e-5, x0=x0)
+        with pytest.raises(TypeError):
+            verify.run_verification(spec, sol, verify.FEEDBACK, "feedback-nash", x0=x0,
+                                    fd_step=1e-5)
+        doc = verify.run_verification(spec, sol, verify.FEEDBACK, "feedback-nash", x0=x0,
+                                      samples=5).as_dict()
+        assert "fd_step" not in doc and doc["passed"]
 
     @pytest.mark.parametrize("magnitude", [0.0, -1e-3])
     def test_magnitude_must_be_positive(self, magnitude):
