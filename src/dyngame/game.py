@@ -192,206 +192,205 @@ class ValidationReport:
 
 
 def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> ValidationReport:
-    """Check dimensions, finiteness, symmetry and definiteness of a game
-    definition.
+    """Check the dimensions, finiteness, symmetry and definiteness of a game.
 
     Returns every violation found (violations are data, not exceptions),
     stage by stage and, within a stage, in the order A, B, s, Q, R,
     x_target, u_target, and with none the game's checked view.
     ``for_stackelberg`` additionally requires the first player's cross
     control weights R^{1j} to be positive semidefinite, which the feedback
-    Stackelberg solver needs for a convex leader stage problem.  The checks
-    run on the stacks of :class:`_Stacks`, one ``eigvalsh`` call per weight.
-    A NaN or infinite ``tol``, which would fail or pass every test, raises.
-    The report is memoised for the last game seen, so a game validated again,
-    as the verification oracles do, is not stacked again; a GameSpec must
-    therefore not be mutated.
+    Stackelberg solver needs for a convex leader stage problem.  A ``tol``
+    that is a bool, not a real number, NaN or infinite raises.  The tests
+    run on the :class:`_Stacks` of the last game seen, which keep their
+    outcomes, so a game validated again is not stacked or tested again,
+    and leader mode after plain validation adds its R^{1j} tests alone; a
+    GameSpec must therefore not be mutated.
     """
-    if not np.isfinite(tol):
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise InvalidGameError(f"tol must be a real number, got {tol!r}")
+    if not (abs(tol) <= 1.7976931348623157e308 if isinstance(tol, int) else np.isfinite(tol)):
         raise InvalidGameError(f"tol must be finite, got {tol}")
-    memo, key = _memo(spec), (float(tol), bool(for_stackelberg))
-    if key not in memo:
-        stacks = _Stacks(spec, for_stackelberg)
-        for order, ok, need in stacks.checks:
-            stacks.found.extend((k, order(i), message) for k, i, message
-                                in _column_violations(stacks.columns[order(0)], ok, need, tol))
-        violations = stacks.violations()
-        if not violations and "view" not in memo:
-            memo["view"] = stacks.view()
-        memo[key] = ValidationReport(violations, None if violations else memo["view"])
-    return memo[key]
+    stacks, key = _memo(spec), (float(tol), bool(for_stackelberg))
+    if key not in stacks.reports:
+        violations = stacks.violations(() if stacks.header else stacks.outcome(*key))
+        stacks.reports[key] = ValidationReport(violations, None if violations else stacks.view())
+    return stacks.reports[key]
 
 
-# A weak reference to the last game validated or viewed, and that game's memo:
-# its reports by (tol, for_stackelberg) and its view under "view".  Only one
-# game is kept, so a view lives no longer than the next game's first call.
-_last: tuple = (lambda: None, {})
+# A weak reference to the last game validated or viewed, and its stacks.
+# Only one game is kept, so a view lives no longer than the next game's first call.
+_last: tuple = (lambda: None, None)
 
 
-def _memo(spec: GameSpec) -> dict:
-    """The memo of ``spec``, a new one when it is not the last game seen.
-
-    The pair is read and replaced whole, so a thread that races another
-    can lose a hit but never read another game's memo; ``ref() is spec``
-    never holds for a collected game whose id is reused."""
+def _memo(spec: GameSpec) -> _Stacks:
+    """The stacks of ``spec``, new ones when it is not the last game seen; the pair is
+    read and replaced whole, so a racing thread can lose a hit but never read another
+    game's stacks, and ``ref() is spec`` never holds for a collected game's reused id."""
     global _last
-    ref, memo = _last
+    ref, stacks = _last
     if ref() is not spec:
-        memo = {}
-        _last = weakref.ref(spec), memo
-    return memo
+        stacks = _Stacks(spec)
+        _last = weakref.ref(spec), stacks
+    return stacks
 
 
 _FIELDS = ("A", "B", "s", "Q", "R", "x_target", "u_target")
+# The view's fields in entry order, and the axes of one entry of each
+_ENTRY_AXES = {"A": (1, 2), "B": (1,), "s": (1,), "Q": (2, 3), "R": (2,), "xt": (2,), "ut": ()}
 
 
 class _Stacks:
-    """A game's stage data stacked across its distinct StageData objects,
-    shapes checked as they are stacked, once however many stages share an
-    object: the one stacking behind :func:`validate` and :meth:`StageArrays.of`.
-
+    """A game's stage data laid out once over its K distinct StageData
+    objects as the ``fields`` of :class:`StageArrays`, shapes checked on the
+    way: the one stacking behind :func:`validate` and :meth:`StageArrays.of`.
     An entry's order in a stage, (0,) for A to (6, i, j) for u_target^{ij},
-    also names its location.  Entries of one shape stack as a column (K,
-    count, *shape) in ``columns``, keyed by the first entry's order, and
-    ``checks`` holds per column the entries' orders, which arrays had the
-    right shape and requirements.  ``found`` holds (distinct stage, order,
-    message) per wrong shape or count, ``header`` what stops the stacking.
-    """
+    names its location.  A misshapen or missing entry is zeros, and ``ok``
+    marks the Q^i (K, n) and R^{ij} (K, n, n) laid out.  ``found`` holds
+    (distinct stage, order, message) per wrong shape or count, ``header``
+    what stops the layout, ``reports`` :func:`validate`'s by its key."""
 
-    def __init__(self, spec: GameSpec, for_stackelberg: bool = False):
+    def __init__(self, spec: GameSpec):
         n, p, dims = spec.n_players, spec.state_dim, spec.control_dims
-        self.dims, self.header, self.found, self.checks, self.columns = dims, [], [], [], {}
-        add = self.header.append
-        if spec.horizon < 1:
-            add(Violation("horizon", f"must be >= 1, got {spec.horizon}"))
-        if p < 1:
-            add(Violation("state_dim", f"must be >= 1, got {p}"))
-        if n < 1:
-            add(Violation("players", "at least one player is required"))
-        for i, m in enumerate(dims):
-            if m < 1:
-                add(Violation(f"players/{i}/control_dim", f"must be >= 1, got {m}"))
-        if len(spec.stages) != spec.horizon:
-            add(Violation("stages", f"expected {spec.horizon} stages, got {len(spec.stages)}"))
+        self.dims, self.found, self.checked, self.reports, self._view = dims, [], {}, {}, None
+        self.header = [Violation(where, message) for bad, where, message in (
+            (spec.horizon < 1, "horizon", f"must be >= 1, got {spec.horizon}"),
+            (p < 1, "state_dim", f"must be >= 1, got {p}"),
+            (n < 1, "players", "at least one player is required"),
+            *((m < 1, f"players/{i}/control_dim", f"must be >= 1, got {m}") for i, m in enumerate(dims)),
+            (len(spec.stages) != spec.horizon, "stages",
+             f"expected {spec.horizon} stages, got {len(spec.stages)}")) if bad]
         if self.header:
             return
 
         keys: dict[int, int] = {}
         self.at = np.array([keys.setdefault(id(st), len(keys)) for st in spec.stages])
         distinct = list({id(st): st for st in spec.stages}.values())
+        K, self.blocks = len(distinct), _blocks(dims)
+        self.starts = np.array([b.start for b in self.blocks])
 
-        def held(order, what):
-            """Per distinct stage, whether the field of ``order`` holds an
-            array per player, or per ordered pair for the tables R, u_target."""
-            name, table = _FIELDS[order[0]], order[0] in (4, 6)
+        def held(code, what):
+            """Per distinct stage, whether field ``code`` holds an array per player (pair)."""
+            name, table = _FIELDS[code], code in (4, 6)
             counts = [tuple(map(len, getattr(st, name))) if table else len(getattr(st, name))
                       for st in distinct]
             has = [count == ((n,) * n if table else n) for count in counts]
-            self.found.extend((k, order, f"expected an {n}x{n} {what}" if table
+            self.found.extend((k, (code,), f"expected an {n}x{n} {what}" if table
                                else f"expected {n} {what}, got {counts[k]}")
                               for k, ok in enumerate(has) if not ok)
             return None if all(has) else has
 
-        def stack(order, shape, get, has=None, count=1, need=lambda i: None):
-            """Stack the entries ``get(st)`` of the distinct stages, entry i at
-            ``order(i)``, as a column; a misshapen array, reported, and those
-            of a stage without ``has`` stack as zeros, marked in ``ok``."""
+        def stack(order, shape, get, has=None, count=1):
+            """The entries ``get(st)``, entry i at ``order(i)``, stacked (K, count, *shape), and
+            which fit ``shape``; a misshapen one, reported, and a stage's without ``has`` are zeros."""
             rows = [get(st) if has is None or has[k] else None for k, st in enumerate(distinct)]
             try:
-                column, ok = np.array([a for row in rows for a in row], dtype=float), None
+                column = np.array([a for row in rows for a in row], dtype=float)
             except (TypeError, ValueError):  # a missing row, or arrays of several shapes
                 column = None
             if column is not None and column.shape[1:] == shape:
-                column = column.reshape((len(rows), count) + shape)
-            else:
-                ok = [[a.shape == shape for a in row] if row else [False] * count for row in rows]
-                self.found.extend((k, order(i), f"expected shape {shape}, got {a.shape}")
-                                  for k, row in enumerate(rows) if row
-                                  for i, a in enumerate(row) if not ok[k][i])
-                blank = np.zeros(shape)
-                column = np.array([[a if fit else blank for a, fit in zip(row, fits)] if row
-                                   else [blank] * count for row, fits in zip(rows, ok)])
-            self.columns[order(0)] = column
-            self.checks.append((order, ok, need))
+                return column.reshape((K, count) + shape), np.ones((K, count), dtype=bool)
+            ok = [[a.shape == shape for a in row] if row else [False] * count for row in rows]
+            self.found.extend((k, order(i), f"expected shape {shape}, got {a.shape}")
+                              for k, row in enumerate(rows) if row
+                              for i, a in enumerate(row) if not ok[k][i])
+            blank = np.zeros(shape)
+            return np.array([[a if fit else blank for a, fit in zip(row, fits)] if row
+                             else [blank] * count for row, fits in zip(rows, ok)]), np.array(ok)
 
-        stack(lambda i: (0,), (p, p), lambda st: (st.A,))
-        has = held((1,), "control matrices")
-        for j in range(n):
-            stack(lambda i, j=j: (1, j), (p, dims[j]), lambda st, j=j: (st.B[j],), has)
-        stack(lambda i: (2,), (p,), lambda st: (st.s,))
-        stack(lambda i: (3, i), (p, p), lambda st: st.Q, held((3,), "state weights"), n,
-              lambda i: "PSD")
-        has = held((4,), "table of control weights")
-        for j in range(n):
-            stack(lambda i, j=j: (4, i, j), (dims[j], dims[j]), lambda st, j=j: [r[j] for r in st.R],
-                  has, n, lambda i, j=j: "PD" if i == j else "PSD" if for_stackelberg and i == 0
-                  else "symmetric")
-        stack(lambda i: (5, i), (p,), lambda st: st.x_target, held((5,), "state targets"), n)
-        has = held((6,), "table of control targets")
-        for j in range(n):
-            stack(lambda i, j=j: (6, i, j), (dims[j],), lambda st, j=j: [u[j] for u in st.u_target],
-                  has, n)
+        A = stack(lambda i: (0,), (p, p), lambda st: (st.A,))[0]
+        has = held(1, "control matrices")
+        B = [stack(lambda i, j=j: (1, j), (p, dims[j]), lambda st, j=j: (st.B[j],), has)[0]
+             for j in range(n)]
+        s = stack(lambda i: (2,), (p,), lambda st: (st.s,))[0]
+        Q, ok_q = stack(lambda i: (3, i), (p, p), lambda st: st.Q, held(3, "state weights"), n)
+        has = held(4, "table of control weights")
+        R = [stack(lambda i, j=j: (4, i, j), (dims[j], dims[j]), lambda st, j=j: [r[j] for r in st.R],
+                   has, n) for j in range(n)]
+        xt = stack(lambda i: (5, i), (p,), lambda st: st.x_target, held(5, "state targets"), n)[0]
+        has = held(6, "table of control targets")
+        ut = [stack(lambda i, j=j: (6, i, j), (dims[j],), lambda st, j=j: [u[j] for u in st.u_target],
+                    has, n)[0] for j in range(n)]
+        weights = np.zeros((K, n, sum(dims), sum(dims)))
+        for b, (R_j, _) in zip(self.blocks, R):
+            weights[:, :, b, b] = R_j
+        self.ok = ok_q, np.stack([ok for _, ok in R], axis=-1)
+        self.fields = dict(A=A[:, 0], B=np.concatenate([b[:, 0] for b in B], axis=2), s=s[:, 0],
+                           Q=Q, R=weights, xt=xt, ut=np.concatenate(ut, axis=2))
 
-    def violations(self) -> tuple[Violation, ...]:
-        """The header's violations, or else every one found, at each stage
-        holding its StageData object, by stage and in entry order."""
-        if self.header or not self.found:
+    def violations(self, found=()) -> tuple[Violation, ...]:
+        """The header's violations, or else those of shape and ``found`` at each
+        stage holding their StageData object, by stage and in entry order."""
+        if self.header or not (self.found or found):  # a header stops the layout
             return tuple(self.header)
         by_stage: dict[int, list] = {}
-        for k, order, message in sorted(self.found, key=lambda f: f[:2]):
+        for k, order, message in sorted([*self.found, *found], key=lambda f: f[:2]):
             loc = "/".join([_FIELDS[order[0]], *map(str, order[1:])])
             by_stage.setdefault(k, []).append((loc, message))
         return tuple(Violation(f"stages/{t}/{loc}", message) for t, k in enumerate(self.at)
                      for loc, message in by_stage.get(k, ()))
 
     def view(self) -> StageArrays:
-        """The columns laid out over the T stages; for a game of right shapes."""
-        c, blocks, n = self.columns, _blocks(self.dims), len(self.dims)
-        K, M = len(c[(2,)]), sum(self.dims)
-        R, ut = np.zeros((K, n, M, M)), np.zeros((K, n, M))
-        for j, b in enumerate(blocks):
-            R[:, :, b, b], ut[:, :, b] = c[4, 0, j], c[6, 0, j]
-        fields = dict(A=c[(0,)][:, 0], B=np.concatenate([c[1, j][:, 0] for j in range(n)], axis=2),
-                      s=c[(2,)][:, 0], Q=c[3, 0], xt=c[5, 0], R=R, ut=ut)
-        if K < len(self.at):  # stages that share one StageData share its entries
-            fields = {name: arr.take(self.at, axis=0) for name, arr in fields.items()}
-        return StageArrays._laid_out(blocks, **fields)
+        """The fields laid out over the T stages; for a game of right shapes."""
+        if self._view is None:  # stages that share one StageData share its entries
+            take = len(self.fields["A"]) < len(self.at)
+            self._view = StageArrays._laid_out(self.blocks, **{
+                name: arr.take(self.at, axis=0) if take else arr for name, arr in self.fields.items()})
+        return self._view
 
+    def outcome(self, tol: float, leader: bool) -> list:
+        """The value violations (k, order, message) at ``tol``, plain or in leader
+        mode: each field's finiteness, the symmetry of Q and R to |tol| (so a
+        negative ``tol`` loosens definiteness alone), then :meth:`_definite` of
+        the entries that passed.  ``checked`` keeps plain validation's, leader
+        mode's once asked for, alone, and the R^{ij} that passed."""
+        if tol in self.checked:
+            found, lead, clean = record = self.checked[tol]
+            if leader and lead is None:
+                lead = record[1] = self._definite(tol, None, clean, False, True)[1]
+            return found + lead if leader else found
+        found, finite, clean = [], {}, []
+        for code, (name, axes) in enumerate(_ENTRY_AXES.items()):
+            finite[name] = ok = np.isfinite(self.fields[name]).all(axis=axes)
+            if name in ("B", "R", "ut"):  # a control axis last: one entry per block of it
+                finite[name] = ok = np.logical_and.reduceat(ok, self.starts, axis=-1)
+            if not ok.all():
+                found.extend((k, (code, *at), "not finite") for k, *at in np.argwhere(~ok).tolist())
+        for code, name, laid in ((3, "Q", self.ok[0]), (4, "R", self.ok[1])):
+            tested, M = laid & finite[name], self.fields[name]
+            if not tested.all():  # zeros in their place, so no NaN meets the test
+                M = np.where(tested[..., None, None] if code == 3 else
+                             tested.repeat(self.dims, axis=-1)[..., None, :], M, 0.0)
+            gap, asymmetric = asymmetry(M, abs(tol), None if code == 3 else self.starts)
+            if asymmetric.any():
+                found.extend((at[0], (code, *at[1:]), f"not symmetric (max asymmetry {gap[tuple(at)]:.2e})")
+                             for at in np.argwhere(asymmetric).tolist())
+            clean.append(tested & ~asymmetric)
+        own, lead = self._definite(tol, *clean, True, leader)
+        self.checked[tol] = [found + own, lead if leader else None, clean[1]]
+        return self.outcome(tol, leader)
 
-def _column_violations(C: np.ndarray, ok, need, tol: float):
-    """``(k, i, message)`` for each array ``C[k, i]`` of a column (K, count,
-    ...) of the right shape (``ok[k][i]``, all if None) that fails ``need(i)``:
-    None (finite only), "symmetric", "PSD" or "PD", tested on the whole
-    column but for one ``eigvalsh`` per entry.  A non-finite array is tested
-    no further, an asymmetric one not for definiteness.  Symmetry is held to
-    |tol| by :func:`dyngame.numerics.asymmetry`, so a negative ``tol``
-    loosens definiteness alone.  The symmetric part is formed from halves,
-    which do not overflow; a non-finite smallest eigenvalue is shown so."""
-    ok = True if ok is None else np.array(ok, dtype=bool)
-    finite = np.isfinite(C).reshape(C.shape[:2] + (-1,)).all(axis=2)
-    for k, i in zip(*np.nonzero(ok & ~finite)):
-        yield k, i, "not finite"
-    needs = [need(i) for i in range(C.shape[1])]
-    if needs.count(None) == len(needs):
-        return
-    tested = ok & finite & np.array([what is not None for what in needs])
-    F = np.where(tested[:, :, None, None], C, 0.0)
-    gap, asymmetric = asymmetry(F, abs(tol))
-    asymmetric &= tested
-    for k, i in zip(*np.nonzero(asymmetric)):
-        yield k, i, f"not symmetric (max asymmetry {float(gap[k, i]):.2e})"
-    for i, required in enumerate(needs):
-        if required not in ("PSD", "PD"):
-            continue
-        keep = np.flatnonzero(tested[:, i] & ~asymmetric[:, i])
-        min_eig = np.linalg.eigvalsh(0.5 * F[keep, i] + 0.5 * F[keep, i].swapaxes(1, 2)).min(axis=1)
-        if required == "PD":
-            failed, what = ~(min_eig > tol), "positive definite"
-        else:  # PSD, or PD: for tol < 0 the PD bound is the looser one
-            failed, what = ~((min_eig > tol) | (min_eig >= -tol)), "positive semidefinite"
-        for k in np.flatnonzero(failed):
-            shown = f"{min_eig[k]:.3e}" if np.isfinite(min_eig[k]) else "not finite"
-            yield keep[k], i, f"not {what} (min eigenvalue {shown})"
+    def _definite(self, tol: float, clean_q, clean_r, own: bool, leader: bool):
+        """The violations of Q^i PSD and R^{ii} PD, with ``own``, and of the
+        leader's R^{0j} PSD, with ``leader``, over the entries marked clean:
+        one ``eigvalsh`` of the symmetric parts per matrix size."""
+        (Q, R), found, lead = (self.fields["Q"], self.fields["R"]), [], []
+        parts = [((3, i), False, Q[:, i], clean_q[:, i], found) for i in range(len(self.dims))] if own else []
+        parts += [((4, i, j), i == j, R[:, i, b, b], clean_r[:, i, j], found if i == j else lead)
+                  for j, b in enumerate(self.blocks) for i in range(len(self.dims))
+                  if own and i == j or leader and i == 0 != j]
+        for size in {len(part[2][0]) for part in parts}:
+            sized = [part for part in parts if len(part[2][0]) == size]
+            F = 0.5 * np.concatenate([mats if keep.all() else mats[keep] for _, _, mats, keep, _ in sized])
+            min_eig = np.linalg.eigvalsh(F + F.swapaxes(1, 2)).min(axis=1) if len(F) else F
+            if (min_eig > tol).all():
+                continue
+            eig = iter(min_eig.tolist())  # in the order of the parts' entries
+            for order, pd, _, keep, out in sized:
+                for n, e in zip(np.flatnonzero(keep).tolist(), eig):
+                    if not e > tol and (pd or not e >= -tol):  # for tol < 0 the PD bound is looser
+                        out.append((n, order, f"not positive {'definite' if pd else 'semidefinite'} "
+                                    f"(min eigenvalue {f'{e:.3e}' if np.isfinite(e) else 'not finite'})"))
+        return found, lead
 
 
 def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> StageArrays:
@@ -455,13 +454,10 @@ class StageArrays:
     def of(cls, spec: GameSpec) -> StageArrays:
         """The view of ``spec``, shapes checked and values not: a misshapen
         game raises InvalidGameError with :func:`validate`'s shape violations.
-        The view is memoised with :func:`validate`'s reports."""
-        memo = _memo(spec)
-        if "view" not in memo:
-            stacks = _Stacks(spec)
-            _refuse(stacks.violations())
-            memo["view"] = stacks.view()
-        return memo["view"]
+        It is the view of :func:`validate`'s stacks, memoised with them."""
+        stacks = _memo(spec)
+        _refuse(stacks.violations())
+        return stacks.view()
 
     @classmethod
     def _laid_out(cls, blocks, **fields) -> StageArrays:

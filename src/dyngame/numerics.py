@@ -351,18 +351,25 @@ def _condition_estimate(A: np.ndarray) -> float:
         return float("inf")
 
 
-def asymmetry(M: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def asymmetry(M: np.ndarray, rtol: float, starts=None) -> tuple[np.ndarray, np.ndarray]:
     """Max entrywise gap |M - M'| of each square matrix of a stack M (...,
     k, k), and whether it exceeds the relative tolerance ``rtol * (1 +
     max|M|)`` of that matrix, both of shape (...); a single matrix gives
-    numpy scalars.
+    numpy scalars.  With ``starts``, the first rows of the blocks of
+    block-diagonal M, per block (..., len(starts)), from column maxima.
 
     The gap is formed from halves, 0.5 M - 0.5 M', and doubled after the
     test: finite weights of opposite sign near the float range do not
     overflow, and a gap past that range reads inf.  The symmetric part
     0.5 M + 0.5 M' of the callers is formed from halves for the same
     reason."""
-    half = np.abs(0.5 * M - 0.5 * M.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    too_large = half > 0.5 * rtol * (1.0 + np.abs(M).max(axis=(-2, -1), initial=0.0))
+    def peak(X):
+        return (X.max(axis=(-2, -1), initial=0.0) if starts is None
+                else np.maximum.reduceat(X.max(axis=-2), starts, axis=-1))
+
+    halves = 0.5 * M
+    gap = halves - halves.swapaxes(-1, -2)  # both reused in place: a stack can be large
+    half = peak(np.abs(gap, out=gap))
+    too_large = half > 0.5 * rtol * (1.0 + peak(np.abs(M, out=halves)))
     with np.errstate(over="ignore"):
         return 2.0 * half, too_large

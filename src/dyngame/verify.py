@@ -281,15 +281,16 @@ def _sequence_perturbations(u, samples, magnitude, rng):
 
 
 def _law_perturbations(law, samples, magnitude, rng):
-    """``samples`` random perturbations of one player's law sequence, as a
-    law sequence with a sample axis: one unit direction over all gain and
-    offset entries per sample, scaled by ``magnitude`` times the largest
-    gain entry (at least 1)."""
+    """One player's law sequence as sample 0, then ``samples`` random
+    perturbations of it, as a law sequence with a sample axis, so that one
+    rollout prices the base path and the deviations: one unit direction
+    over all gain and offset entries per sample, scaled by ``magnitude``
+    times the largest gain entry (at least 1)."""
     G, g = law.G, law.g
     scale = magnitude * max(1.0, np.abs(G).max(initial=0.0))
     flat = _unit_rows(rng, samples, G.size + g.size) * scale
-    return AffineLaw(G + flat[:, :G.size].reshape(samples, *G.shape),
-                     g + flat[:, G.size:].reshape(samples, *g.shape))
+    return AffineLaw(np.concatenate([G[None], G + flat[:, :G.size].reshape(samples, *G.shape)]),
+                     np.concatenate([g[None], g + flat[:, G.size:].reshape(samples, *g.shape)]))
 
 
 def _deviation_open_loop(spec, sol, player, samples, magnitude, rng):
@@ -302,12 +303,10 @@ def _deviation_open_loop(spec, sol, player, samples, magnitude, rng):
 def _deviation_feedback(spec, sol, player, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback deviation sampling needs an initial state x0")
-    x0 = np.asarray(x0, dtype=float)
     laws = list(sol.laws)
-    base_cost = rollout(spec, laws, x0).total_costs[player]
     laws[player] = _law_perturbations(laws[player], samples, magnitude, rng)
     costs = rollout(spec, laws, x0).total_costs[:, player]
-    return float((costs - base_cost).min())
+    return float((costs[1:] - costs[0]).min())
 
 
 def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
@@ -387,12 +386,9 @@ def _leader_played(reactions, leader):
 def _leader_gap_feedback(spec, sol, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback leader gap needs an initial state x0")
-    x0 = np.asarray(x0, dtype=float)
-    leader = sol.laws[0]
-    base = rollout(spec, _leader_played(sol.reactions, leader), x0).total_costs[0]
-    deviated = _law_perturbations(leader, samples, magnitude, rng)
-    costs = rollout(spec, _leader_played(sol.reactions, deviated), x0).total_costs[:, 0]
-    return float((costs - base).min())
+    played = _leader_played(sol.reactions, _law_perturbations(sol.laws[0], samples, magnitude, rng))
+    costs = rollout(spec, played, x0).total_costs[:, 0]
+    return float((costs[1:] - costs[0]).min())
 
 
 # ---------------------------------------------------------------------------

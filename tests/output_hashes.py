@@ -10,8 +10,9 @@ Each line is ``<case> <solver> <kind> <sha256>``, one per kind of output:
 ``verify.time_consistency`` entry; ``report``, the ``run_verification`` report
 (``as_dict``, floats by their exact repr); or, for a refused solve, one
 ``refusal`` line, the error's type, message, ``context`` and
-``cond_estimate``.  Each hash covers the warnings its step raised too.
-The cases are:
+``cond_estimate``; or ``validation``, the messages of ``validate`` at
+every tolerance, in both mode orders on one game object.  Each hash covers
+the warnings its step raised too.  The cases are:
 
 - ``seed<s>-broadcast`` and ``seed<s>-varying``: 60 seeds of
   ``conftest.random_game`` with constant and with time-varying stages,
@@ -21,7 +22,9 @@ The cases are:
   zero stage system or a NaN drift, so that every solver refuses them;
 - ``long<s>``: (3, 10, 3, 200) time-varying games (one player for
   ``lqr``), solution and consistency only, whose sweeps fill and test their
-  capped stacks.
+  capped stacks;
+- ``malformed<s>``: the 120 malformed games of ``test_validation``, one
+  ``validation`` line per mode order, ``plain-first`` or ``leader-first``.
 """
 
 import hashlib
@@ -40,11 +43,12 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,  # noqa: E402
                      openloop_stackelberg)
 from dyngame.errors import DynGameError  # noqa: E402
-from dyngame.game import StageArrays  # noqa: E402
+from dyngame.game import StageArrays, validate  # noqa: E402
 from dyngame.solvers import SOLVERS  # noqa: E402
 from dyngame.verify import run_verification, time_consistency  # noqa: E402
 
 from conftest import arrays, random_game, random_x0  # noqa: E402
+from test_validation import FAMILY, malformed_game  # noqa: E402
 
 SWEEPS = (lqr, feedback_nash, feedback_stackelberg, openloop_nash, openloop_stackelberg)
 
@@ -136,6 +140,13 @@ def main() -> None:
                                horizon=200, time_varying=True, targets=name != "lqr")
             x0 = random_x0(seed, spec)
             print_outputs(f"long{seed}", name, spec, x0, verify=False)
+    for seed in FAMILY:
+        spec = malformed_game(seed)
+        for first in (False, True):
+            game = replace(spec)  # a new object, validated afresh
+            messages = digest(lambda: [validate(game, tol=tol, for_stackelberg=leader).messages()
+                                       for tol in (1e-9, 1e-6, -1e-6) for leader in (first, not first)])
+            print(f"malformed{seed} {'leader' if first else 'plain'}-first validation {messages}")
 
 
 if __name__ == "__main__":

@@ -101,3 +101,44 @@ def test_central_differences_agree_where_their_roundoff_is_small(solver):
                 compared += 1
                 assert abs(certified[i] - fd[i]) <= 1e-8, (seed, i, certified[i], fd[i])
     assert compared >= 4 * skipped and compared >= 24
+
+
+# ---------------------------------------------------------------------------
+# Accuracy on the benchmark's long paths
+
+
+def solve_long_game(shape):
+    """Bank game 0 of a ``solve-long`` shape, drawn as the benchmark draws
+    it: key (7201, shape index, 0), T = 200, time-varying, with targets."""
+    gen = benchmark_generator()
+    p, dims = {"2x3x2": (3, (2, 2)), "3x10x3": (10, (3, 3, 3))}[shape]
+    rng = gen.rng_for(7201, ["2x3x2", "3x10x3"].index(shape), 0)
+    spec = gen.random_game(rng, p, dims, 200, time_varying=True, targets=True)
+    return spec, gen.random_x0(rng, p)
+
+
+@pytest.mark.parametrize("shape", ["2x3x2", "3x10x3"])
+@pytest.mark.parametrize("solver", ["feedback-nash", "feedback-stackelberg"])
+def test_feedback_certificate_on_the_long_bank_paths(solver, shape):
+    # The benchmark checks these solutions by their costs alone, to rtol
+    # 1e-7; the relative certificate reads 3.6e-16 to 7.5e-15 on them.
+    spec, x0 = solve_long_game(shape)
+    row = SOLVERS[solver]
+    tc = verify.time_consistency(spec, row.solve(spec, x0), row.pattern)
+    assert tc.tail_deviation <= verify.STC_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="the open-loop Nash path of this game reaches |x| of "
+                   "about 1e27 by T = 200; the relative tail gradient reads 0.46")
+def test_openloop_nash_weak_time_consistency_on_the_long_3x10x3_path():
+    spec, x0 = solve_long_game("3x10x3")
+    tc = verify.time_consistency(spec, openloop_nash.solve(spec, x0), OPEN_LOOP)
+    assert tc.tail_deviation <= verify.WTC_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="the absolute stationarity of this open-loop Nash "
+                   "solution reads 4.4e-3 against 1e-6")
+def test_openloop_nash_stationarity_on_the_long_2x3x2_path():
+    spec, x0 = solve_long_game("2x3x2")
+    res = verify.stationarity(spec, openloop_nash.solve(spec, x0), OPEN_LOOP)
+    assert max(res.values()) <= verify.STATIONARITY_TOL

@@ -9,12 +9,12 @@ player selection on the view to the view of the rebuilt game, and the
 leader cost on the selection to its former form on the rebuilt followers'
 game, bit for bit.
 
-``validate`` and ``StageArrays.of`` keep their results for the last game
-they saw, so a verification job stacks its game once, or twice for
-feedback Stackelberg's leader checks.  The memo tests pin that count, the
-reports under every tolerance and mode, a game seen again after another,
-the release of a collected game's view, and games validated on several
-threads at once.
+``validate`` and ``StageArrays.of`` keep one stacking for the last game
+they saw, with its view and its test outcomes per tolerance, so a
+verification job stacks its game once, feedback Stackelberg's leader
+checks included.  The memo tests pin that count, the reports under every
+tolerance and mode, a game seen again after another, the release of a
+collected game's view, and games validated on several threads at once.
 """
 
 import gc
@@ -88,7 +88,8 @@ def stacks_built(monkeypatch):
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_a_verification_job_stacks_its_game_once(solver, stacks_built):
     """validate, solve and the whole oracle battery read one stacking;
-    feedback Stackelberg's leader-mode validation checks R^{0j} on a second."""
+    feedback Stackelberg's leader-mode validation adds its R^{0j} tests to
+    it."""
     n = 1 if solver == "lqr" else 3
     for time_varying in (False, True):
         spec = random_game(31, n_players=n, horizon=4, time_varying=time_varying,
@@ -99,7 +100,7 @@ def test_a_verification_job_stacks_its_game_once(solver, stacks_built):
         assert validate(spec).ok
         report = verify.run_verification(spec, row.solve(spec, x0), row.pattern, solver, x0=x0)
         assert report.passed
-        assert len(stacks_built) == (2 if solver == "feedback-stackelberg" else 1)
+        assert len(stacks_built) == 1
 
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
@@ -155,19 +156,20 @@ def test_a_collected_game_is_stacked_afresh_and_its_view_released(stacks_built):
     spec = random_game(34, n_players=2, horizon=3)
     view = StageArrays.of(spec)
     assert validate(spec).view is view and require_valid(spec) is view
-    assert len(stacks_built) == 2  # the view, then the value checks
+    assert len(stacks_built) == 1  # the view and the value checks share it
     released = weakref.ref(view)
     del spec, view
     gc.collect()
     again = random_game(34, n_players=2, horizon=3)  # may take the freed id
     StageArrays.of(again)
-    assert len(stacks_built) == 3
+    assert len(stacks_built) == 2
     assert released() is None
 
 
 def test_games_validated_and_rolled_out_on_threads_match_one_thread():
-    """Each thread validates and rolls out its own game; a memo shared by
-    the threads must never hand one thread another game's view."""
+    """Two threads at a time validate, in both modes, and roll out each
+    game; a memo shared by the threads must never hand one thread another
+    game's view, nor a report of another mode or game."""
     specs = [random_game(40 + k, n_players=1 + k % 3, state_dim=1 + k % 3, horizon=3 + k,
                          time_varying=bool(k % 2)) for k in range(4)]
     x0s = [random_x0(40 + k, spec) for k, spec in enumerate(specs)]
@@ -175,16 +177,16 @@ def test_games_validated_and_rolled_out_on_threads_match_one_thread():
                 for k, spec in enumerate(specs)]
 
     def run(k):
-        report = validate(specs[k])
-        return report, game.rollout(specs[k], controls[k], x0s[k])
+        reports = [validate(specs[k], for_stackelberg=leader) for leader in (k % 2 == 0, k % 2 == 1)]
+        return reports, game.rollout(specs[k], controls[k], x0s[k])
 
     expected = [run(k) for k in range(4)]
 
     def repeat(k):
         for _ in range(50):
-            report, traj = run(k)
-            assert report == expected[k][0]
-            assert_same_view(report.view, expected[k][0].view)
+            reports, traj = run(k)
+            assert reports == expected[k][0]
+            assert_same_view(reports[0].view, expected[k][0][0].view)
             assert np.array_equal(traj.states, expected[k][1].states)
             assert np.array_equal(traj.stage_costs, expected[k][1].stage_costs)
         return k
@@ -192,9 +194,9 @@ def test_games_validated_and_rolled_out_on_threads_match_one_thread():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(repeat, k) for k in range(4)]
-            assert [f.result(timeout=120) for f in futures] == list(range(4))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(repeat, k % 4) for k in range(8)]
+            assert [f.result(timeout=120) for f in futures] == [k % 4 for k in range(8)]
     finally:
         sys.setswitchinterval(interval)
 

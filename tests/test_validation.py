@@ -1,12 +1,14 @@
-"""Game validation over stacks of stage data.
+"""Game validation over the laid-out stage data.
 
-``validate`` checks the shapes of each distinct StageData object once and
-runs the finiteness, symmetry and definiteness checks on stacks of one
-field across the stages.  These tests pin its violations, entry for entry
-and word for word, to the per-matrix loop in ``reference_formulations``
-over a seeded family of malformed games, check that non-finite data is an
-input error, and guard that the number of eigenvalue calls does not grow
-with the horizon.
+``validate`` lays each distinct StageData object out once, checking shapes,
+and runs the finiteness, symmetry and definiteness checks once per field
+of the layout, with one ``eigvalsh`` call per matrix size.  These tests pin
+its violations, entry for entry and word for word, to the per-matrix loop
+in ``reference_formulations`` over a seeded family of malformed games, each
+validated afresh (``test_validation_properties`` covers both mode orders on
+one game), check that non-finite data and a tolerance that is not a finite
+real number are input errors, and guard that the eigenvalue calls are one
+per matrix size whatever the players and the horizon.
 """
 
 import warnings
@@ -224,6 +226,23 @@ def test_non_finite_tolerance_is_refused(tol):
         require_valid(spec, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [None, "1e-9", [1e-9], True, False, np.bool_(True), 1e-9j])
+def test_a_tolerance_that_is_not_a_real_number_is_refused(tol):
+    # a bool would read as 1.0 or 0.0, and the rest ended in a bare TypeError
+    spec = scalar_unit_two_player()
+    for check in (validate, require_valid):
+        with pytest.raises(InvalidGameError, match="tol must be a real number"):
+            check(spec, tol=tol)
+
+
+def test_integer_and_numpy_tolerances_are_real_numbers():
+    spec = scalar_unit_two_player()
+    for tol in (0, 1, np.int64(0), np.float32(1e-6)):
+        assert validate(spec, tol=tol) == ref.validate(spec, tol=float(tol))
+    with pytest.raises(InvalidGameError, match="tol must be finite"):
+        validate(spec, tol=10 ** 400)  # beyond the float range
+
+
 def test_negative_tolerance_is_not_refused():
     # a negative tol is the looser definiteness bound; symmetry is held to |tol|
     report = validate(scalar_unit_two_player(), tol=-1e-6)
@@ -319,17 +338,20 @@ def _eigvalsh_calls(monkeypatch, spec, **kwargs):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_eigenvalue_calls_depend_on_players_not_horizon(monkeypatch, n):
+@pytest.mark.parametrize("leader_first", [False, True])
+def test_eigenvalue_calls_are_one_per_matrix_size(monkeypatch, n, leader_first):
+    """Whatever n and T, one validate makes at most one ``eigvalsh`` call
+    per distinct matrix size, over every Q^i and R^{ii} of each distinct
+    StageData, and leader mode's R^{0j} with them when it runs first, or
+    alone on a game already validated plainly."""
     for time_varying in (False, True):
-        short, long = (random_game(7, n_players=n, horizon=T, time_varying=time_varying)
-                       for T in (5, 50))
-        calls_short = _eigvalsh_calls(monkeypatch, short)
-        calls_long = _eigvalsh_calls(monkeypatch, long)
-        # one call per Q^i and per R^{ii}, whatever the horizon
-        assert len(calls_short) == len(calls_long) == 2 * n
-        # a broadcast StageData is checked once, a time-varying game per stage
-        assert calls_long == [50 if time_varying else 1] * (2 * n)
-    if n > 1:
-        leader = _eigvalsh_calls(monkeypatch, random_game(7, n_players=n, horizon=50),
-                                 for_stackelberg=True)
-        assert len(leader) == 3 * n - 1
+        for T in (5, 50):
+            for dims in ([2] * n, [1, 2, 3][:n]):
+                spec = random_game(7, n_players=n, state_dim=2, control_dims=dims, horizon=T,
+                                   time_varying=time_varying)
+                K, sizes = T if time_varying else 1, len({2, *dims})
+                first = _eigvalsh_calls(monkeypatch, spec, for_stackelberg=leader_first)
+                second = _eigvalsh_calls(monkeypatch, spec, for_stackelberg=not leader_first)
+                assert len(first) <= sizes and len(second) <= len(set(dims[1:]))
+                assert sum(first) == K * (2 * n + (n - 1) * leader_first)
+                assert sum(second) == (0 if leader_first else K * (n - 1))
