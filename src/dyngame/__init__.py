@@ -2,8 +2,9 @@
 
 Solvers for feedback and open-loop Nash and Stackelberg equilibria of
 n-player discrete-time games with affine dynamics and quadratic costs,
-plus independent verification oracles (finite-difference stationarity,
-sampled deviation gaps, time-consistency re-solves, definiteness
+plus independent verification oracles (exact first-order certificates of
+stationarity and time consistency, open-loop Stackelberg's time consistency
+replayed from one re-solve; sampled deviation gaps; definiteness
 monitors) and a JSON/CSV command-line front end.
 """
 

@@ -26,7 +26,7 @@ from . import __version__, verify
 from .errors import DynGameError, InvalidGameError, SingularSystemError
 from .game import (GameSpec, Trajectory, initial_state, reorder_players, require_valid,
                    rollout, validate)
-from .gameio import load_game
+from .gameio import GameFormatError, _require_numbers, load_game
 from .solvers import OPEN_LOOP, SOLVERS
 
 log = logging.getLogger("dyngame")
@@ -144,11 +144,14 @@ def _parse_x0(arg: str | None, spec: GameSpec, required: str | None) -> np.ndarr
                 values = json.loads(text)
             except json.JSONDecodeError:
                 values = [float(v) for v in text.replace(",", " ").split()]
+            _require_numbers(values, "--x0")
         else:
             values = [float(v) for v in arg.split(",") if v.strip()]
         x0 = np.asarray(values, dtype=float).ravel()
     except OSError as exc:
         raise InvalidGameError(f"cannot read --x0 file: {exc}") from exc
+    except GameFormatError:
+        raise
     except (TypeError, ValueError) as exc:
         raise InvalidGameError(f"--x0 must be a list of numbers: {exc}") from exc
     return initial_state(spec, x0)

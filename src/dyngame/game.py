@@ -24,7 +24,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -40,21 +39,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _repair_symmetry(M: np.ndarray) -> np.ndarray:
-    """Average away asymmetry within the repair tolerance, else leave as-is.
-
-    Anything beyond the tolerance, and any matrix that is not finite, is
-    left untouched so that validation can report it instead of silently
-    rewriting the game.  The halves are summed, not the entries, so finite
-    weights near the float range do not overflow.
-    """
-    if M.ndim == 2 and M.shape[0] == M.shape[1] and np.isfinite(M).all():
-        gap, too_large = asymmetry(M, SYMMETRY_RTOL)
-        if 0.0 < gap and not too_large:
-            return 0.5 * M + 0.5 * M.T
-    return M
-
-
 @dataclass(frozen=True)
 class Player:
     control_dim: int
@@ -67,7 +51,8 @@ class StageData:
 
     ``B``/``Q``/``x_target`` are per player; ``R``/``u_target`` are per
     ordered pair (i, j): R[i][j] weighs player j's control in player i's
-    cost.
+    cost.  On its own it holds read-only float copies of its arrays, as
+    given; a game's stages are views of the game's stacks (:class:`GameSpec`).
     """
 
     A: np.ndarray
@@ -79,24 +64,21 @@ class StageData:
     u_target: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(np.atleast_2d(np.asarray(self.A, dtype=float))))
-        object.__setattr__(self, "B", tuple(_freeze(np.atleast_2d(b)) for b in self.B))
-        object.__setattr__(self, "s", _freeze(np.atleast_1d(np.asarray(self.s, dtype=float))))
-        object.__setattr__(
-            self, "Q", tuple(_freeze(_repair_symmetry(np.atleast_2d(np.asarray(q, dtype=float)))) for q in self.Q)
-        )
-        object.__setattr__(
-            self,
-            "R",
-            tuple(
-                tuple(_freeze(_repair_symmetry(np.atleast_2d(np.asarray(r, dtype=float)))) for r in row)
-                for row in self.R
-            ),
-        )
-        object.__setattr__(self, "x_target", tuple(_freeze(np.atleast_1d(x)) for x in self.x_target))
-        object.__setattr__(
-            self, "u_target", tuple(tuple(_freeze(np.atleast_1d(u)) for u in row) for row in self.u_target)
-        )
+        self.__dict__.update(
+            A=_freeze(np.atleast_2d(np.asarray(self.A, dtype=float))),
+            B=tuple(_freeze(np.atleast_2d(b)) for b in self.B),
+            s=_freeze(np.atleast_1d(np.asarray(self.s, dtype=float))),
+            Q=tuple(_freeze(np.atleast_2d(np.asarray(q, dtype=float))) for q in self.Q),
+            R=tuple(tuple(_freeze(np.atleast_2d(np.asarray(r, dtype=float))) for r in row) for row in self.R),
+            x_target=tuple(_freeze(np.atleast_1d(x)) for x in self.x_target),
+            u_target=tuple(tuple(_freeze(np.atleast_1d(u)) for u in row) for row in self.u_target))
+
+    @classmethod
+    def _of(cls, **entries) -> StageData:
+        """The stage holding ``entries`` themselves, not copies."""
+        stage = object.__new__(cls)
+        stage.__dict__.update(entries)
+        return stage
 
 
 @dataclass(frozen=True)
@@ -105,16 +87,22 @@ class GameSpec:
 
     Immutable after construction; all solver entry points are pure
     functions of a GameSpec, so instances can be shared across threads.
+    Construction stacks the stages (:class:`_Stacks`), weights asymmetric
+    within ``SYMMETRY_RTOL`` averaged; when no shape or count is wrong,
+    ``stages`` become read-only views of those stacks, the only copy.
     """
 
     horizon: int
     state_dim: int
     players: tuple[Player, ...]
     stages: tuple[StageData, ...]
+    _stacks: _Stacks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "players", tuple(self.players))
-        object.__setattr__(self, "stages", tuple(self.stages))
+        self.__dict__.update(players=tuple(self.players), stages=tuple(self.stages))
+        self.__dict__["_stacks"] = stacks = _Stacks(self)
+        if not (stacks.header or stacks.found):
+            self.__dict__["stages"] = stacks.stages()
 
     @property
     def n_players(self) -> int:
@@ -201,37 +189,19 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
     control weights R^{1j} to be positive semidefinite, which the feedback
     Stackelberg solver needs for a convex leader stage problem.  A ``tol``
     that is a bool, not a real number, NaN or infinite raises.  The tests
-    run on the :class:`_Stacks` of the last game seen, which keep their
-    outcomes, so a game validated again is not stacked or tested again,
-    and leader mode after plain validation adds its R^{1j} tests alone; a
-    GameSpec must therefore not be mutated.
+    run on the game's own :class:`_Stacks`, which keep their outcomes, so
+    a game validated again is not tested again, and leader mode after
+    plain validation adds its R^{1j} tests alone.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
         raise InvalidGameError(f"tol must be a real number, got {tol!r}")
     if not (abs(tol) <= 1.7976931348623157e308 if isinstance(tol, int) else np.isfinite(tol)):
         raise InvalidGameError(f"tol must be finite, got {tol}")
-    stacks, key = _memo(spec), (float(tol), bool(for_stackelberg))
+    stacks, key = spec._stacks, (float(tol), bool(for_stackelberg))
     if key not in stacks.reports:
         violations = stacks.violations(() if stacks.header else stacks.outcome(*key))
         stacks.reports[key] = ValidationReport(violations, None if violations else stacks.view())
     return stacks.reports[key]
-
-
-# A weak reference to the last game validated or viewed, and its stacks.
-# Only one game is kept, so a view lives no longer than the next game's first call.
-_last: tuple = (lambda: None, None)
-
-
-def _memo(spec: GameSpec) -> _Stacks:
-    """The stacks of ``spec``, new ones when it is not the last game seen; the pair is
-    read and replaced whole, so a racing thread can lose a hit but never read another
-    game's stacks, and ``ref() is spec`` never holds for a collected game's reused id."""
-    global _last
-    ref, stacks = _last
-    if ref() is not spec:
-        stacks = _Stacks(spec)
-        _last = weakref.ref(spec), stacks
-    return stacks
 
 
 _FIELDS = ("A", "B", "s", "Q", "R", "x_target", "u_target")
@@ -240,14 +210,16 @@ _ENTRY_AXES = {"A": (1, 2), "B": (1,), "s": (1,), "Q": (2, 3), "R": (2,), "xt": 
 
 
 class _Stacks:
-    """A game's stage data laid out once over its K distinct StageData
-    objects as the ``fields`` of :class:`StageArrays`, shapes checked on the
-    way: the one stacking behind :func:`validate` and :meth:`StageArrays.of`.
-    An entry's order in a stage, (0,) for A to (6, i, j) for u_target^{ij},
-    names its location.  A misshapen or missing entry is zeros, and ``ok``
-    marks the Q^i (K, n) and R^{ij} (K, n, n) laid out.  ``found`` holds
-    (distinct stage, order, message) per wrong shape or count, ``header``
-    what stops the layout, ``reports`` :func:`validate`'s by its key."""
+    """A game's stage data laid out once, as it is built, over its K distinct
+    StageData objects as the read-only ``fields`` of :class:`StageArrays`,
+    shapes checked on the way: the one stacking behind :func:`validate` and
+    :meth:`StageArrays.of`.  An entry's order in a stage, (0,) for A to (6,
+    i, j) for u_target^{ij}, names its location.  A misshapen or missing
+    entry is zeros, ``ok`` marks the Q^i (K, n) and R^{ij} (K, n, n) laid
+    out, ``finite`` the finite entries, ``symmetry`` the symmetry test at
+    SYMMETRY_RTOL that decides the repair, and validation's at that |tol|.
+    ``found`` holds (distinct stage, order, message) per wrong shape or
+    count, ``header`` what stops the layout, ``reports`` by its key."""
 
     def __init__(self, spec: GameSpec):
         n, p, dims = spec.n_players, spec.state_dim, spec.control_dims
@@ -316,6 +288,30 @@ class _Stacks:
         self.ok = ok_q, np.stack([ok for _, ok in R], axis=-1)
         self.fields = dict(A=A[:, 0], B=np.concatenate([b[:, 0] for b in B], axis=2), s=s[:, 0],
                            Q=Q, R=weights, xt=xt, ut=np.concatenate(ut, axis=2))
+        self.finite = {name: np.isfinite(self.fields[name]).all(axis=axes)
+                       for name, axes in _ENTRY_AXES.items()}
+        for name in ("B", "R", "ut"):  # a control axis last: one entry per block of it
+            self.finite[name] = np.logical_and.reduceat(self.finite[name], self.starts, axis=-1)
+        # Tested weights asymmetric within SYMMETRY_RTOL are averaged from halves, which cannot overflow
+        self.symmetry = [self._asymmetry(code, SYMMETRY_RTOL) for code in (3, 4)]
+        fix_q, fix_r = ((0.0 < gap) & ~too_large for _, gap, too_large in self.symmetry)
+        for M, fix in [(Q, fix_q), *((weights[:, :, b, b], fix_r[..., j])
+                                     for j, b in enumerate(self.blocks))]:
+            if fix.any():
+                X = M[fix]
+                M[fix] = 0.5 * X + 0.5 * X.swapaxes(-1, -2)
+        for arr in self.fields.values():
+            arr.flags.writeable = False
+
+    def stages(self) -> tuple[StageData, ...]:
+        """The stages as read-only views of the fields, one StageData per distinct stage."""
+        F, blocks = self.fields, self.blocks
+        distinct = [StageData._of(A=F["A"][k], B=tuple(F["B"][k][:, b] for b in blocks), s=F["s"][k],
+                                  Q=tuple(F["Q"][k]), x_target=tuple(F["xt"][k]),
+                                  R=tuple(tuple(R_i[b, b] for b in blocks) for R_i in F["R"][k]),
+                                  u_target=tuple(tuple(u_i[b] for b in blocks) for u_i in F["ut"][k]))
+                    for k in range(len(F["A"]))]
+        return tuple(distinct[k] for k in self.at.tolist())
 
     def violations(self, found=()) -> tuple[Violation, ...]:
         """The header's violations, or else those of shape and ``found`` at each
@@ -348,19 +344,13 @@ class _Stacks:
             if leader and lead is None:
                 lead = record[1] = self._definite(tol, None, clean, False, True)[1]
             return found + lead if leader else found
-        found, finite, clean = [], {}, []
-        for code, (name, axes) in enumerate(_ENTRY_AXES.items()):
-            finite[name] = ok = np.isfinite(self.fields[name]).all(axis=axes)
-            if name in ("B", "R", "ut"):  # a control axis last: one entry per block of it
-                finite[name] = ok = np.logical_and.reduceat(ok, self.starts, axis=-1)
+        found, clean = [], []
+        for code, ok in enumerate(self.finite.values()):
             if not ok.all():
                 found.extend((k, (code, *at), "not finite") for k, *at in np.argwhere(~ok).tolist())
-        for code, name, laid in ((3, "Q", self.ok[0]), (4, "R", self.ok[1])):
-            tested, M = laid & finite[name], self.fields[name]
-            if not tested.all():  # zeros in their place, so no NaN meets the test
-                M = np.where(tested[..., None, None] if code == 3 else
-                             tested.repeat(self.dims, axis=-1)[..., None, :], M, 0.0)
-            gap, asymmetric = asymmetry(M, abs(tol), None if code == 3 else self.starts)
+        for code in (3, 4):
+            tested, gap, asymmetric = (self.symmetry[code - 3] if abs(tol) == SYMMETRY_RTOL
+                                       else self._asymmetry(code, abs(tol)))
             if asymmetric.any():
                 found.extend((at[0], (code, *at[1:]), f"not symmetric (max asymmetry {gap[tuple(at)]:.2e})")
                              for at in np.argwhere(asymmetric).tolist())
@@ -368,6 +358,15 @@ class _Stacks:
         own, lead = self._definite(tol, *clean, True, leader)
         self.checked[tol] = [found + own, lead if leader else None, clean[1]]
         return self.outcome(tol, leader)
+
+    def _asymmetry(self, code: int, rtol: float):
+        """Which Q^i (K, n), for ``code`` 3, or R^{ij} (K, n, n), for 4, are laid out
+        and finite, and the :func:`asymmetry` of each at ``rtol``, the others zeros."""
+        tested, M = self.ok[code - 3] & self.finite[_FIELDS[code]], self.fields[_FIELDS[code]]
+        if not tested.all():  # zeros in their place, so no NaN meets the test
+            M = np.where(tested[..., None, None] if code == 3 else
+                         tested.repeat(self.dims, axis=-1)[..., None, :], M, 0.0)
+        return (tested, *asymmetry(M, rtol, None if code == 3 else self.starts))
 
     def _definite(self, tol: float, clean_q, clean_r, own: bool, leader: bool):
         """The violations of Q^i PSD and R^{ii} PD, with ``own``, and of the
@@ -434,9 +433,12 @@ class StageArrays:
       controls.
 
     :func:`require_valid` returns the checked view, :meth:`of` the unchecked
-    one, both memoised for the last game seen only: a view stored per game
-    would live as long as the game, and a round of the ``solve-long`` benchmark
-    holds 11 games, which raised its peak RSS from 95.8 to 107.5 MiB.
+    one, both built once from the stacks the game holds from construction.
+    When every stage is its own StageData object, the view's fields are
+    those stacks, which the game's stages view, so a game's data is held
+    once: a second copy per game, as in a memo of views beside the
+    StageData arrays, raised the peak RSS of a ``solve-long`` benchmark
+    round of 11 games from 95.8 to 107.5 MiB.
     """
 
     A: np.ndarray
@@ -454,10 +456,9 @@ class StageArrays:
     def of(cls, spec: GameSpec) -> StageArrays:
         """The view of ``spec``, shapes checked and values not: a misshapen
         game raises InvalidGameError with :func:`validate`'s shape violations.
-        It is the view of :func:`validate`'s stacks, memoised with them."""
-        stacks = _memo(spec)
-        _refuse(stacks.violations())
-        return stacks.view()
+        It is the view of the game's stacks, kept with them."""
+        _refuse(spec._stacks.violations())
+        return spec._stacks.view()
 
     @classmethod
     def _laid_out(cls, blocks, **fields) -> StageArrays:
@@ -721,7 +722,7 @@ def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.nda
 
 
 def truncate(spec: GameSpec, start: int) -> GameSpec:
-    """The tail game played over stages start..T-1."""
+    """The tail game played over stages start..T-1, with stacks of its own."""
     require_index("truncation stage", start, spec.horizon - 1)
     return GameSpec(horizon=spec.horizon - start, state_dim=spec.state_dim,
                     players=spec.players, stages=spec.stages[start:])
@@ -731,14 +732,10 @@ def _player_subgame(spec: GameSpec, keep) -> GameSpec:
     """The game restricted to players ``keep``, in that order, every cost
     block kept; stages that share a StageData object share its restriction."""
     def restricted(st):
-        return replace(
-            st,
-            B=tuple(st.B[i] for i in keep),
-            Q=tuple(st.Q[i] for i in keep),
-            R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
-            x_target=tuple(st.x_target[i] for i in keep),
-            u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep),
-        )
+        return replace(st, B=tuple(st.B[i] for i in keep), Q=tuple(st.Q[i] for i in keep),
+                       R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
+                       x_target=tuple(st.x_target[i] for i in keep),
+                       u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep))
 
     built = {key: restricted(st) for key, st in {id(st): st for st in spec.stages}.items()}
     return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,

@@ -135,11 +135,11 @@ def _parse_stage(raw, pointer, p, n, dims) -> StageData:
     if "A" not in raw:
         raise GameFormatError(f"{pointer}/A", "is required")
     A = _as_matrix(raw["A"], f"{pointer}/A", p, p, square=True)
-    B = _per_player(raw, "B", pointer, n, required=True)
+    B = _per_player(raw, "B", pointer, n)
     Bs = [_as_matrix(B[j], f"{pointer}/B/{j}", p, dims[j]) for j in range(n)]
-    Q = _per_player(raw, "Q", pointer, n, required=True)
+    Q = _per_player(raw, "Q", pointer, n)
     Qs = [_as_matrix(Q[i], f"{pointer}/Q/{i}", p, p, square=True) for i in range(n)]
-    R = _per_player(raw, "R", pointer, n, required=True)
+    R = _per_player(raw, "R", pointer, n)
     Rs = []
     for i in range(n):
         if not isinstance(R[i], list) or len(R[i]) != n:
@@ -174,12 +174,10 @@ def _parse_stage(raw, pointer, p, n, dims) -> StageData:
                      u_target=tuple(tuple(row) for row in u_targets))
 
 
-def _per_player(raw, key, pointer, n, required=False):
+def _per_player(raw, key, pointer, n):
     value = raw.get(key)
     if value is None:
-        if required:
-            raise GameFormatError(f"{pointer}/{key}", "is required")
-        return None
+        raise GameFormatError(f"{pointer}/{key}", "is required")
     return _check_list(value, f"{pointer}/{key}", n)
 
 

@@ -9,19 +9,22 @@ player selection on the view to the view of the rebuilt game, and the
 leader cost on the selection to its former form on the rebuilt followers'
 game, bit for bit.
 
-``validate`` and ``StageArrays.of`` keep one stacking for the last game
-they saw, with its view and its test outcomes per tolerance, so a
-verification job stacks its game once, feedback Stackelberg's leader
-checks included.  The memo tests pin that count, the reports under every
-tolerance and mode, a game seen again after another, the release of a
-collected game's view, and games validated on several threads at once.
+A game stacks itself once, when it is built, and keeps its stacks with
+its view and its test outcomes per tolerance, so nothing in a
+verification job stacks it again, feedback Stackelberg's leader checks
+included.  When its shapes are right its stages are read-only views of
+those stacks, weights asymmetric within ``SYMMETRY_RTOL`` averaged.  The
+ownership tests pin that count, the stages' memory and repair, the
+reports under every tolerance and mode, each game's own reports beside
+another's, the release of a game's view with the game, and games
+validated on several threads at once.
 """
 
 import gc
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ import pytest
 from dyngame import game, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
 from dyngame.game import StageArrays, StageData, constant_game, require_valid, validate
+from dyngame.numerics import SYMMETRY_RTOL
 from dyngame.solvers import OPEN_LOOP, SOLVERS
 
 import reference_formulations as ref
@@ -87,16 +91,17 @@ def stacks_built(monkeypatch):
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_a_verification_job_stacks_its_game_once(solver, stacks_built):
-    """validate, solve and the whole oracle battery read one stacking;
-    feedback Stackelberg's leader-mode validation adds its R^{0j} tests to
-    it."""
+    """The game stacks itself when built; validate, solve and the whole
+    oracle battery read that stacking, and feedback Stackelberg's
+    leader-mode validation adds its R^{0j} tests to it."""
     n = 1 if solver == "lqr" else 3
     for time_varying in (False, True):
+        stacks_built.clear()
         spec = random_game(31, n_players=n, horizon=4, time_varying=time_varying,
                            targets=solver != "lqr")
+        assert len(stacks_built) == 1
         x0 = random_x0(31, spec)
         row = SOLVERS[solver]
-        stacks_built.clear()
         assert validate(spec).ok
         report = verify.run_verification(spec, row.solve(spec, x0), row.pattern, solver, x0=x0)
         assert report.passed
@@ -107,11 +112,76 @@ def test_a_verification_job_stacks_its_game_once(solver, stacks_built):
 def test_a_solve_and_its_rollout_stack_the_game_once(solver, stacks_built):
     n = 1 if solver == "lqr" else 3
     spec = random_game(32, n_players=n, horizon=6, time_varying=True, targets=solver != "lqr")
+    assert len(stacks_built) == 1
     x0 = random_x0(32, spec)
     sol = SOLVERS[solver].solve(spec, x0)
     game.rollout(spec, sol.trajectory.controls if SOLVERS[solver].pattern == OPEN_LOOP
                  else sol.laws, x0)
     assert len(stacks_built) == 1
+    replace(spec)  # a new game from the same stages stacks itself
+    assert len(stacks_built) == 2
+
+
+def stage_entries(st, view, t):
+    """The entries of stage ``st``, each with the view field that lays it
+    out and its block of the view's stage t."""
+    n, b = len(st.Q), view.blocks
+    return [(st.A, "A", view.A[t]), *((st.B[j], "B", view.B[t][:, b[j]]) for j in range(n)),
+            (st.s, "s", view.s[t]), *((st.Q[i], "Q", view.Q[t, i]) for i in range(n)),
+            *((st.R[i][j], "R", view.R[t, i][b[j], b[j]]) for i in range(n) for j in range(n)),
+            *((st.x_target[i], "xt", view.xt[t, i]) for i in range(n)),
+            *((st.u_target[i][j], "ut", view.ut[t, i][b[j]]) for i in range(n) for j in range(n))]
+
+
+def test_a_well_formed_game_holds_its_stages_as_views_of_its_stacks():
+    """Every stage entry is a read-only view of the game's stacks, equal to
+    its block of the view, and one memory with the view when every stage
+    is its own StageData object; stages that shared one object share one."""
+    for spec, seed in games():
+        view, stacks = StageArrays.of(spec), spec._stacks
+        K = len({id(st) for st in spec.stages})  # one object, or one per stage
+        assert K == spec.horizon or all(st is spec.stages[0] for st in spec.stages), seed
+        for t, st in enumerate(spec.stages):
+            for entry, name, laid in stage_entries(st, view, t):
+                assert not entry.flags.writeable, (seed, name)
+                assert np.shares_memory(entry, stacks.fields[name]), (seed, name)
+                assert np.array_equal(entry, laid), (seed, name)
+                assert np.shares_memory(entry, laid) == (K == spec.horizon), (seed, name)
+
+
+def test_a_game_averages_weights_asymmetric_within_the_repair_tolerance():
+    """A Q^i or R^{ij} asymmetric within SYMMETRY_RTOL reads exactly
+    0.5 M + 0.5 M' in the game's stages and view; one beyond it, or not
+    finite, is left as given, and so is any weight of a StageData built
+    on its own."""
+    spec = random_game(35, n_players=2, state_dim=3, control_dims=[2, 2], horizon=3,
+                       time_varying=True)
+    st = spec.stages[1]
+
+    def skewed(M, by):
+        M = np.array(M)
+        M[0, -1] += by * (1 + np.abs(M).max())
+        return M
+
+    within = skewed(st.Q[0], 0.4 * SYMMETRY_RTOL)
+    beyond = skewed(st.R[0][1], 10 * SYMMETRY_RTOL)
+    nan = skewed(st.R[1][1], 0.4 * SYMMETRY_RTOL)
+    nan[-1, 0] = np.nan
+    given = StageData(A=st.A, B=st.B, s=st.s, Q=(within, st.Q[1]),
+                      R=((st.R[0][0], beyond), (st.R[1][0], nan)),
+                      x_target=st.x_target, u_target=st.u_target)
+    assert np.array_equal(given.Q[0], within)  # no repair on its own
+    built = game.GameSpec(3, 3, spec.players, (spec.stages[0], given, spec.stages[2]))
+    view, repaired = StageArrays.of(built), 0.5 * within + 0.5 * within.T
+    assert not np.array_equal(repaired, within)
+    for M, stage_entry, laid in ((repaired, built.stages[1].Q[0], view.Q[1, 0]),
+                                 (beyond, built.stages[1].R[0][1], view.R[1, 0, 2:, 2:]),
+                                 (nan, built.stages[1].R[1][1], view.R[1, 1, 2:, 2:])):
+        assert np.array_equal(stage_entry, M, equal_nan=True)
+        assert np.array_equal(laid, M, equal_nan=True)
+    assert [m.split(" (")[0] for m in validate(built).messages()] == [
+        "stages/1/R/0/1: not symmetric", "stages/1/R/1/1: not finite"]
+    assert validate(built) == ref.validate(built)
 
 
 @pytest.mark.parametrize("stackelberg_first", [False, True])
@@ -142,34 +212,34 @@ def test_each_tolerance_gets_its_own_report(loose_first):
             "stages/0/Q/0: not positive semidefinite (min eigenvalue -1.000e-08)")
 
 
-def test_a_game_seen_again_after_another_gets_its_own_report():
+def test_each_game_keeps_its_own_reports_beside_another():
     a = constant_game(A=[[1.0]], B=[[[1.0]]], Q=[[[-1.0]]], R=[[[[1.0]]]], T=2)
     b = random_game(33, n_players=2, horizon=3)
     expected = {id(spec): ref.validate(spec) for spec in (a, b)}
+    first = {id(spec): validate(spec) for spec in (a, b)}
     for spec in (a, b, a, b):
-        assert validate(spec) == expected[id(spec)]
+        assert validate(spec) is first[id(spec)] and validate(spec) == expected[id(spec)]
     assert not validate(a).ok and validate(b).ok
     assert StageArrays.of(b) is validate(b).view
 
 
-def test_a_collected_game_is_stacked_afresh_and_its_view_released(stacks_built):
+def test_a_game_keeps_its_view_and_releases_it_with_itself(stacks_built):
     spec = random_game(34, n_players=2, horizon=3)
     view = StageArrays.of(spec)
     assert validate(spec).view is view and require_valid(spec) is view
-    assert len(stacks_built) == 1  # the view and the value checks share it
+    StageArrays.of(random_game(35, n_players=2, horizon=3))  # another game's view
+    assert StageArrays.of(spec) is view
+    assert len(stacks_built) == 2  # one per game built
     released = weakref.ref(view)
     del spec, view
     gc.collect()
-    again = random_game(34, n_players=2, horizon=3)  # may take the freed id
-    StageArrays.of(again)
-    assert len(stacks_built) == 2
     assert released() is None
 
 
 def test_games_validated_and_rolled_out_on_threads_match_one_thread():
     """Two threads at a time validate, in both modes, and roll out each
-    game; a memo shared by the threads must never hand one thread another
-    game's view, nor a report of another mode or game."""
+    game; the stacks a game shares with the threads must never hand one
+    thread a report of another mode or tolerance."""
     specs = [random_game(40 + k, n_players=1 + k % 3, state_dim=1 + k % 3, horizon=3 + k,
                          time_varying=bool(k % 2)) for k in range(4)]
     x0s = [random_x0(40 + k, spec) for k, spec in enumerate(specs)]

@@ -472,7 +472,8 @@ def test_non_finite_result_exits_2(tmp_path, capsys, command, solver, n_players,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("x0_text,as_file", [("abc", False), ('{"a": 1}', True)])
+@pytest.mark.parametrize("x0_text,as_file", [("abc", False), ('{"a": 1}', True),
+                                              ('[true, 0.5]', True), ('["1", 2]', True)])
 def test_non_numeric_x0_is_input_error(unit_game_path, tmp_path, capsys, x0_text, as_file):
     x0 = x0_text
     if as_file:

@@ -190,7 +190,15 @@ class TestTransformations:
         spec = random_game(19, horizon=4)
         tail = truncate(spec, 2)
         assert tail.horizon == 2
-        assert tail.stages == spec.stages[2:]
+        # the tail stacks itself: new stage objects, shared as before, with equal entries
+        assert tail.stages[0] is tail.stages[1] and tail.stages[0] is not spec.stages[2]
+
+        def entries(st):
+            return [st.A, *st.B, st.s, *st.Q, *(r for row in st.R for r in row), *st.x_target,
+                    *(u for row in st.u_target for u in row)]
+
+        for new, old in zip(tail.stages, spec.stages[2:]):
+            assert all(np.array_equal(a, b) for a, b in zip(entries(new), entries(old), strict=True))
 
     def test_fold_player_controls_matches_manual_rollout(self):
         spec = random_game(21, n_players=2)

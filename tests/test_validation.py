@@ -191,11 +191,14 @@ def test_violations_equal_the_per_matrix_loop(tol, for_stackelberg):
 
 def test_the_unchecked_view_raises_the_shape_violations():
     """``StageArrays.of`` stacks as ``validate`` does and refuses a game
-    with exactly ``validate``'s violations of shape and count."""
+    with exactly ``validate``'s violations of shape and count.  Such a game
+    keeps the StageData objects it was given; any other holds its own."""
     refused = 0
     for seed in FAMILY:
         spec = malformed_game(seed)
         shapes = [m for m in validate(spec).messages() if ": expected " in m]
+        kept = [a is b for a, b in zip(replace(spec).stages, spec.stages)]
+        assert all(kept) if shapes else not any(kept), seed
         if shapes:
             refused += 1
             with pytest.raises(InvalidGameError) as info:

@@ -1,10 +1,10 @@
-"""Property test of ``validate``'s memoised modes against the per-matrix loop.
+"""Property test of ``validate``'s kept outcomes against the per-matrix loop.
 
 Hypothesis draws small games, broadcast or time-varying, and spoils up to
 four stages with the malformations of ``test_validation``: NaN or Inf,
 asymmetry, indefinite weights, wrong shapes and wrong counts.  Each game
 object is validated at every tolerance in both mode orders, plain then
-leader and leader then plain, so the leader's add-on to a memoised plain
+leader and leader then plain, so the leader's add-on to a kept plain
 outcome is compared with ``reference_formulations.validate`` as well as the
 first, combined pass.
 """
@@ -56,7 +56,7 @@ def test_both_mode_orders_equal_the_per_matrix_loop():
         expected = {(tol, leader): ref.validate(spec, tol=tol, for_stackelberg=leader).violations
                     for tol in TOLERANCES for leader in (False, True)}
         for order in ((False, True), (True, False)):
-            game = replace(spec)  # a new object, so its memo starts empty
+            game = replace(spec)  # a new game, so its stacks hold no outcome yet
             for tol in TOLERANCES:
                 for leader in order:
                     assert validate(game, tol=tol, for_stackelberg=leader).violations == \
