@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .game import AffineLaw, GameSpec, StageArrays, require_index, require_valid
+from .game import AffineLaw, GameSpec, StageArrays, initial_state, require_index, require_valid
 from .numerics import Checks, Site
 
 #: The stacked gain and offset systems of all players, one per stage.
@@ -59,7 +59,7 @@ class FeedbackNashSolution:
     def value(self, x0: np.ndarray, player: int) -> float:
         """Equilibrium cost of one player from the initial state."""
         require_index("player", player, self.spec.n_players - 1)
-        x0 = np.asarray(x0, dtype=float)
+        x0 = initial_state(self.spec, x0)
         return float(0.5 * x0 @ self.Z[player, 0] @ x0
                      + self.zeta[player, 0] @ x0 + self.n_const[player, 0])
 
@@ -68,7 +68,7 @@ class FeedbackNashSolution:
         0 at t = T."""
         require_index("stage", t, self.spec.horizon)
         require_index("player", player, self.spec.n_players - 1)
-        x = np.asarray(x, dtype=float)
+        x = initial_state(self.spec, x)
         W = self.Z[player, t] - self.spec.prev_state_weight(t, player)
         return float(0.5 * x @ W @ x + self.zeta[player, t] @ x + self.n_const[player, t])
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import feedback_nash
 from .errors import InvalidGameError
-from .game import AffineLaw, GameSpec, require_index, require_valid
+from .game import AffineLaw, GameSpec, initial_state, require_index, require_valid
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class ControlSolution:
 
     def value(self, x0: np.ndarray) -> float:
         """Optimal cost from the initial state."""
-        x0 = np.asarray(x0, dtype=float)
+        x0 = initial_state(self.spec, x0)
         return float(0.5 * x0 @ self.Z[0] @ x0 + self.zeta[0] @ x0 + self.n_const[0])
 
     def cost_to_go(self, t: int, x: np.ndarray) -> float:
@@ -47,7 +47,7 @@ class ControlSolution:
         recursion coefficient back into a plain value function; 0 at t = T.
         """
         require_index("stage", t, self.spec.horizon)
-        x = np.asarray(x, dtype=float)
+        x = initial_state(self.spec, x)
         W = self.Z[t] - self.spec.prev_state_weight(t, 0)
         return float(0.5 * x @ W @ x + self.zeta[t] @ x + self.n_const[t])
 

@@ -10,13 +10,15 @@ Randomness is reproducible across platforms: all sampling uses numpy's
 PCG64 generator (64-bit state) seeded explicitly, via
 ``np.random.Generator(np.random.PCG64(seed))``.
 
-The first-order checks are exact certificates, one O(T) pass over the
-stages each (see :func:`stationarity` and :func:`time_consistency`).  The
-sampling checks run batched: every deviation and leader-gap sample of one
-check goes through a single rollout over a sample axis.  The open-loop
-Stackelberg leader's checks, whose objective re-solves the followers' game
-for each leader sequence, batch that re-solve too: the followers' games of
-all samples differ only in their drifts, so one drift-batched
+The first-order checks are exact certificates, one O(T) pass each:
+stationarity a costate pass along the played path, for every solver, and
+feedback STC the cost-to-go recursion over all states (see
+:func:`stationarity` and :func:`time_consistency`).  The sampling checks run
+batched: every deviation and leader-gap sample of one check goes through a
+single rollout over a sample axis.  The open-loop Stackelberg leader's
+checks, whose objective re-solves the followers' game for each leader
+sequence, batch that re-solve too: the followers' games of all samples
+differ only in their drifts, so one drift-batched
 :func:`dyngame.openloop_nash.sweep` answers all of them (see
 :func:`leader_cost_open_loop`).
 """
@@ -79,34 +81,66 @@ def _require_samples(name: str, value: int) -> None:
 
 def stationarity(spec: GameSpec, solution, pattern: str,
                  x0: np.ndarray | None = None) -> dict[int, float]:
-    """Per-player largest first-order residual, computed exactly.
-
-    Open loop: player i's gradient of its total cost in its whole control
-    sequence, the others held fixed, from one costate pass along the path
-    of the controls from the solution's x0; the Stackelberg leader's runs
-    through the followers' best response, by one drift-batched sweep of
-    their game over its T*m_0 control entries.  Feedback: player i's
-    stage-t residual r_t^i (x_t, 1), the derivative of its cost-to-go in its
-    stage-t control, the others acting through their laws, along the path
-    of the laws from ``x0``; the Stackelberg leader's runs through the
-    followers' stage reactions.
-    """
+    """Per-player largest first-order residual, exactly, from one costate
+    pass along the played path (:func:`_path_gradients`).  Open loop: the
+    gradient of player i's total cost in its controls, on the path from
+    the solution's x0; the Stackelberg leader's through the followers' best
+    response, one drift-batched sweep of their game over its T*m_0 control
+    entries.  Feedback: the derivative of player i's cost-to-go in its
+    stage-t control, later stages acting through their laws, at each x_t
+    of the path from ``x0``; the leader's through the followers' reactions."""
     row = _solver_row(solution, pattern)
     view = StageArrays.of(spec)
+    if pattern == FEEDBACK:
+        if x0 is None:
+            raise InvalidGameError("feedback stationarity needs an initial state x0")
+        x0 = initial_state(spec, x0)
+    grad = _path_gradients(view, *_played(view, solution, pattern, x0))[0]
+    own, m0 = view.own(grad, lead=1), view.blocks[0].stop
+    if row.stackelberg:
+        own[:, :m0] = (_through_reactions(grad[..., None], solution)[..., 0] if pattern == FEEDBACK
+                       else _leader_gradient(spec, solution.x0, grad[:, 0]).reshape(-1, m0))
+    return {i: float(r) for i, r in enumerate(_by_player(own, view.blocks).max(axis=0))}
+
+
+def _played(view: StageArrays, sol, pattern: str, x0):
+    """The played path (x0, G (T, M, p), g (T, M)) of u_t = G_t x_t + g_t: an
+    open-loop solution's x0 and controls as zero gains, or a feedback one's laws."""
+    T, p, M = view.B.shape
     if pattern == OPEN_LOOP:
-        grad = _costate_gradients(view, solution.x0, solution.trajectory.controls)[0]
-        out = _by_player(view.own(grad, lead=1), view.blocks).max(axis=0)
-        if row.stackelberg:
-            out[0] = np.abs(_leader_gradient(spec, solution.x0, grad[:, 0])).max()
-        return {i: float(r) for i, r in enumerate(out)}
-    if x0 is None:
-        raise InvalidGameError("feedback stationarity needs an initial state x0")
-    x0 = initial_state(spec, x0)
-    res, F = _feedback_residuals(view, solution, row.stackelberg)[:2]
-    x, along = np.append(x0, 1.0), np.empty(res.shape[:2])
-    for t in range(len(F)):
-        along[t], x = res[t] @ x, F[t] @ x
-    return {i: float(r) for i, r in enumerate(_by_player(along, view.blocks).max(axis=0))}
+        return sol.x0, np.zeros((T, M, p)), np.concatenate(sol.trajectory.controls, axis=-1)
+    return (x0, np.concatenate([law.G for law in sol.laws], axis=1),
+            np.concatenate([law.g for law in sol.laws], axis=1))
+
+
+def _path_gradients(view: StageArrays, x0, G, g) -> tuple[np.ndarray, np.ndarray]:
+    """Every player's gradient of its cost from stage t on in every stage-t
+    control row, later stages acting through their laws, along the path of
+    u_t = G_t x_t + g_t from x0, (T, n, M), and its scale, by one costate
+    pass; with G = 0, the gradient of the total cost in the controls g.
+    lam_{t+1} = Q_t (x_{t+1} - xt_t) + G_{t+1}'R_{t+1} (u_{t+1} - ut_{t+1})
+    + (A + BG)_{t+1}' lam_{t+2}, the gradient in x_{t+1} of the costs of
+    stages t..T-1, gives the gradient R_t (u_t - ut_t) + B_t' lam_{t+1} in
+    u_t.  The scale runs the same pass on absolute values, each sum's and
+    difference's inputs added (|A| + |B||G| for A + BG)."""
+    T, p = view.s.shape
+    F, c = view.A + view.B @ G, view.s + (view.B @ g[..., None])[..., 0]
+    x = np.empty((T + 1, p))
+    x[0] = x0
+    for t in range(T):
+        x[t + 1] = F[t] @ x[t] + c[t]
+    u = (G @ x[:-1, :, None])[..., 0] + g
+    RDu = (view.R @ (u[:, None] - view.ut)[..., None])[..., 0]  # (T, n, M)
+    RUs = (np.abs(view.R) @ (np.abs(u[:, None]) + np.abs(view.ut))[..., None])[..., 0]
+    # Row form, lam and its scale side by side: lam @ (A + BG) and Lam @ (|A| + |B||G|).
+    AA = np.stack([F, np.abs(view.A) + np.abs(view.B) @ np.abs(G)], axis=1)
+    lam = np.stack([(view.Q @ (x[1:, None] - view.xt)[..., None])[..., 0],
+                    (np.abs(view.Q) @ (np.abs(x[1:, None]) + np.abs(view.xt))[..., None])[..., 0]],
+                   axis=1)  # (T, 2, n, p)
+    lam[:-1] += np.stack([RDu[1:] @ G[1:], RUs[1:] @ np.abs(G[1:])], axis=1)
+    for t in range(T - 2, -1, -1):
+        lam[t] += lam[t + 1] @ AA[t + 1]
+    return RDu + lam[:, 0] @ view.B, RUs + lam[:, 1] @ np.abs(view.B)
 
 
 def _by_player(X: np.ndarray, blocks) -> np.ndarray:
@@ -124,52 +158,48 @@ def _relative(res: np.ndarray, scale: np.ndarray, blocks) -> np.ndarray:
     return _by_player(res, blocks) / np.where(den > 0, den, 1.0)
 
 
-def _feedback_residuals(view: StageArrays, sol, stackelberg: bool, scaled: bool = False):
-    """Every player's stage first-order residuals under the solution's laws
-    as maps of (x, 1), stacked over the control rows, res (T, M, p+1), the
-    closed loop F~ (T, p+1, p+1) and, if ``scaled``, the residuals'
-    componentwise scale, shaped as res (else None).
+def _through_reactions(X: np.ndarray, sol, absolute: bool = False) -> np.ndarray:
+    """The feedback Stackelberg leader's rows of X (T, n, M, k) through D =
+    [I; rbar_t] of the followers' stage reactions, (T, m_0, k); through
+    |rbar_t| if ``absolute``, for a scale."""
+    rbar = np.concatenate(sol.reactions.rbar, axis=1).swapaxes(1, 2)  # (T, m0, M - m0)
+    m0 = rbar.shape[1]
+    return X[:, 0, :m0] + (np.abs(rbar) if absolute else rbar) @ X[:, 0, m0:]
 
+
+def _feedback_residuals(view: StageArrays, sol, stackelberg: bool):
+    """The STC certificate: every player's stage first-order residuals
+    under the solution's laws as maps of (x, 1) over all states, stacked
+    over the control rows, res (T, M, p+1), and their scale, shaped as res.
     With the laws (u, 1) = L~ (x, 1), the closed loop F~ and player i's
-    maps Du = L~ - [0 | ut^i] and Dx = F~[:p] - [0 | xt^i] of (x, 1), its
-    cost-to-go from stage t is 1/2 (x, 1)' P~_t (x, 1), P~_T = 0 and
-    P~_t = F~'P~_{t+1}F~ + Dx'Q Dx + Du'R Du; the terms without P~ are
-    stacked before the stage loop.  Its derivative in all stage-t controls
-    is (B'(Q Dx + P~_{t+1}[:p]F~) + R Du)(x, 1): its own rows are its
-    residual, and for the Stackelberg leader its rows through D = [I;
-    rbar_t], the followers reacting.  The scale forms the same products of
-    absolute values, each difference's inputs added: the size of the terms
-    that cancel.
+    maps Du = L~ - [0 | ut^i] and Dx = F~[:p] - [0 | xt^i], its cost-to-go
+    from stage t is 1/2 (x, 1)' P~_t (x, 1), P~_T = 0 and P~_t =
+    F~'P~_{t+1}F~ + Dx'Q Dx + Du'R Du.  Its residual is its own rows of
+    B'(Q Dx + P~_{t+1}[:p]F~) + R Du, the leader's through the reactions.
+    The scale forms the same products of absolute values, each
+    difference's inputs added: the size of the terms that cancel.
     """
     T, p, M = view.B.shape
-    L = np.empty((T, M, p + 1))
-    L[..., :p] = np.concatenate([law.G for law in sol.laws], axis=1)
-    L[..., p] = np.concatenate([law.g for law in sol.laws], axis=1)
+    G, g = _played(view, sol, FEEDBACK, None)[1:]
+    L = np.concatenate([G, g[..., None]], axis=-1)
     F, Dx, Du = _closed_loop(view.A, view.s, view.B, L, -view.xt, -view.ut)
     QDx, RDu = view.Q @ Dx, view.R @ Du
     C = Dx.swapaxes(-1, -2) @ QDx + Du.swapaxes(-1, -2) @ RDu
     P = np.zeros((T + 1,) + C.shape[1:])
     for t in range(T - 1, -1, -1):
         P[t] = F[t].T @ P[t + 1] @ F[t] + C[t]
-    Bt = view.B.swapaxes(1, 2)[:, None]
-    res = Bt @ (QDx + P[1:, :, :p] @ F[:, None]) + RDu
-    scale = None
-    if scaled:
-        absB = np.abs(view.B)
-        Fs, Xs, Us = _closed_loop(np.abs(view.A), np.abs(view.s), absB, np.abs(L),
-                                  np.abs(view.xt), np.abs(view.ut))
-        scale = (absB.swapaxes(1, 2)[:, None] @ (np.abs(view.Q) @ Xs
-                                                 + np.abs(P[1:, :, :p]) @ Fs[:, None])
-                 + np.abs(view.R) @ Us)
-    own_res = view.own(res, lead=1)
-    own_scale = None if scale is None else view.own(scale, lead=1)
+    res = view.B.swapaxes(1, 2)[:, None] @ (QDx + P[1:, :, :p] @ F[:, None]) + RDu
+    absB = np.abs(view.B)
+    Fs, Xs, Us = _closed_loop(np.abs(view.A), np.abs(view.s), absB, np.abs(L),
+                              np.abs(view.xt), np.abs(view.ut))
+    scale = (absB.swapaxes(1, 2)[:, None] @ (np.abs(view.Q) @ Xs
+                                             + np.abs(P[1:, :, :p]) @ Fs[:, None])
+             + np.abs(view.R) @ Us)
+    own_res, own_scale = view.own(res, lead=1), view.own(scale, lead=1)
     if stackelberg:
-        m0 = view.blocks[0].stop
-        rbar = np.concatenate(sol.reactions.rbar, axis=1).swapaxes(1, 2)  # (T, m0, M - m0)
-        own_res[:, :m0] = res[:, 0, :m0] + rbar @ res[:, 0, m0:]
-        if scaled:
-            own_scale[:, :m0] = scale[:, 0, :m0] + np.abs(rbar) @ scale[:, 0, m0:]
-    return own_res, F, own_scale
+        own_res[:, :view.blocks[0].stop] = _through_reactions(res, sol)
+        own_scale[:, :view.blocks[0].stop] = _through_reactions(scale, sol, absolute=True)
+    return own_res, own_scale
 
 
 def _closed_loop(A, s, B, L, xt, ut):
@@ -188,35 +218,6 @@ def _closed_loop(A, s, B, L, xt, ut):
     Du = np.repeat(L[:, None], ut.shape[1], axis=1)
     Du[..., p] += ut
     return F, Dx, Du
-
-
-def _costate_gradients(view: StageArrays, x0: np.ndarray, controls) -> tuple[np.ndarray, np.ndarray]:
-    """Every player's gradient of its total cost in every control row along
-    the path of ``controls`` (per player, (T, m_i)) from x0, (T, n, M),
-    and its componentwise scale, by one backward costate pass.
-
-    lam_{t+1} = Q_t (x_{t+1} - xt_t) + A_{t+1}' lam_{t+2} is the gradient
-    in x_{t+1} of the costs of stages t..T-1, so the gradient in u_t is
-    R_t (u_t - ut_t) + B_t' lam_{t+1}.  Its scale runs the same pass on
-    absolute values, |Q|(|x| + |xt|) + |A|' Lam, and adds |R|(|u| + |ut|).
-    """
-    T, p, M = view.B.shape
-    u = np.concatenate(controls, axis=-1)
-    x = np.empty((T + 1, p))
-    x[0] = x0
-    for t in range(T):
-        x[t + 1] = view.A[t] @ x[t] + view.B[t] @ u[t] + view.s[t]
-    # Row form, lam and its scale side by side: lam @ A and Lam @ |A|.
-    AA = np.stack([view.A, np.abs(view.A)], axis=1)
-    lam = np.stack([(view.Q @ (x[1:, None] - view.xt)[..., None])[..., 0],
-                    (np.abs(view.Q) @ (np.abs(x[1:, None]) + np.abs(view.xt))[..., None])[..., 0]],
-                   axis=1)  # (T, 2, n, p)
-    for t in range(T - 2, -1, -1):
-        lam[t] += lam[t + 1] @ AA[t + 1]
-    grad = (view.R @ (u[:, None] - view.ut)[..., None])[..., 0] + lam[:, 0] @ view.B
-    scale = ((np.abs(view.R) @ (np.abs(u[:, None]) + np.abs(view.ut))[..., None])[..., 0]
-             + lam[:, 1] @ np.abs(view.B))
-    return grad, scale
 
 
 def _leader_gradient(spec: GameSpec, x0: np.ndarray, grad0: np.ndarray) -> np.ndarray:
@@ -414,24 +415,23 @@ class TimeConsistency:
 def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
     """How far the solution is from an equilibrium of every subgame it claims.
 
-    Feedback (STC): the largest relative stage residual of the
-    :func:`stationarity` certificate, r_t^i over the size of its terms,
-    over stages 0..T-1; 0 when every stage is an equilibrium of its subgame
-    from every state.  Open-loop Nash (WTC): the largest relative costate
-    gradient over stages 1..T-1, exactly the tail games' gradients from the
-    on-path states.  Open-loop Stackelberg (WTC): the largest control gap
-    of the tails from every on-path (x_s, mu_s), s >= 1, and for the reset
-    from (x_s, 0), replayed from one re-solve of the whole game.
+    Feedback (STC): the largest stage residual r_t^i of every player's
+    cost-to-go over all states, relative to the size of its terms, over
+    stages 0..T-1; 0 when every stage is an equilibrium of its subgame from
+    every state.  Open-loop Nash (WTC): the largest relative gradient of
+    :func:`stationarity`'s costate pass over stages 1..T-1, the tail games'
+    gradients from the on-path states.  Open-loop Stackelberg (WTC): the
+    largest control gap of the tails from every on-path (x_s, mu_s),
+    s >= 1, and of the reset from (x_s, 0), replayed from one re-solve.
     """
     row = _solver_row(solution, pattern)
     if pattern == FEEDBACK:
         view = StageArrays.of(spec)
-        res, _, scale = _feedback_residuals(view, solution, row.stackelberg, scaled=True)
-        return TimeConsistency(verdict="STC",
-                               tail_deviation=float(_relative(res, scale, view.blocks).max()))
+        res, scale = _feedback_residuals(view, solution, row.stackelberg)
+        return TimeConsistency("STC", float(_relative(res, scale, view.blocks).max()))
     if not row.stackelberg:
         view = StageArrays.of(spec)
-        grad, scale = _costate_gradients(view, solution.x0, solution.trajectory.controls)
+        grad, scale = _path_gradients(view, *_played(view, solution, OPEN_LOOP, None))
         rel = _relative(view.own(grad, lead=1), view.own(scale, lead=1), view.blocks)
         return TimeConsistency(verdict="WTC", tail_deviation=float(np.max(rel[1:], initial=0.0)))
     gaps = _stackelberg_replays(require_valid(spec), solution) if spec.horizon > 1 else {}

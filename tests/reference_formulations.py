@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Thirteen kinds live here.  The per-sample loop formulations of the sampling
+Fourteen kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -49,6 +49,11 @@ differences with every probe of one call in one rollout (one drift-batched
 re-solve for the open-loop Stackelberg leader).  Acceptance criterion 4a
 runs it, and it must agree with the certificates wherever its roundoff,
 about eps*|J|/h, is small.
+
+The cost-to-go feedback stationarity is the library's feedback
+certificate as it was before it took one costate pass along the played
+path: every player's cost-to-go recursion over all states, read along the
+path of the laws.  The library's entries must agree with it to roundoff.
 
 The per-tail time-consistency check re-solves each tail game on its own,
 with the solver's own entry point on the truncated game, and compares
@@ -345,6 +350,49 @@ def _batched_feedback(spec, sol, h, x0, stackelberg):
     f = tail.sum(axis=1)
     grad = np.abs(f[:P] - f[P:]) / (2.0 * h)
     return {i: float(grad[probes[:, 1] == i].max(initial=0.0)) for i in range(n)}
+
+
+def feedback_stationarity_by_cost_to_go(spec, sol, x0):
+    """Per-player largest feedback stage residual along the path of the
+    laws from x0, as :func:`dyngame.verify.stationarity` computed it before
+    its costate pass along the path: every player's cost-to-go recursion
+    P~ on (x, 1) over all states, whose stage residual maps r_t^i are then
+    read at the on-path (x_t, 1).
+
+    With the laws (u, 1) = L~ (x, 1), the closed loop F~ and player i's
+    maps Du = L~ - [0 | ut^i] and Dx = F~[:p] - [0 | xt^i], P~_T = 0 and
+    P~_t = F~'P~_{t+1}F~ + Dx'Q Dx + Du'R Du; the residual maps are the own
+    rows of B'(Q Dx + P~_{t+1}[:p]F~) + R Du, the Stackelberg leader's
+    through D = [I; rbar_t]."""
+    view = StageArrays.of(spec)
+    T, p, M = view.B.shape
+    n = spec.n_players
+    L = np.empty((T, M, p + 1))
+    L[..., :p] = np.concatenate([law.G for law in sol.laws], axis=1)
+    L[..., p] = np.concatenate([law.g for law in sol.laws], axis=1)
+    F = np.zeros((T, p + 1, p + 1))
+    F[:, :p, :p], F[:, :p, p] = view.A, view.s
+    F[:, :p] += view.B @ L
+    F[:, p, p] = 1.0
+    Dx = np.repeat(F[:, None, :p], n, axis=1)
+    Dx[..., p] -= view.xt
+    Du = np.repeat(L[:, None], n, axis=1)
+    Du[..., p] -= view.ut
+    QDx, RDu = view.Q @ Dx, view.R @ Du
+    C = Dx.swapaxes(-1, -2) @ QDx + Du.swapaxes(-1, -2) @ RDu
+    P = np.zeros((T + 1, n, p + 1, p + 1))
+    for t in range(T - 1, -1, -1):
+        P[t] = F[t].T @ P[t + 1] @ F[t] + C[t]
+    res = view.B.swapaxes(1, 2)[:, None] @ (QDx + P[1:, :, :p] @ F[:, None]) + RDu
+    own = view.own(res, lead=1)
+    if solver_of(sol).stackelberg:
+        m0 = view.blocks[0].stop
+        rbar = np.concatenate(sol.reactions.rbar, axis=1).swapaxes(1, 2)
+        own[:, :m0] = res[:, 0, :m0] + rbar @ res[:, 0, m0:]
+    x, along = np.append(initial_state(spec, x0), 1.0), np.empty((T, M))
+    for t in range(T):
+        along[t], x = own[t] @ x, F[t] @ x
+    return {i: float(np.abs(along[:, b]).max()) for i, b in enumerate(view.blocks)}
 
 
 def deviation_gap(spec, sol, player, samples, magnitude, seed, x0=None):

@@ -116,6 +116,23 @@ def test_refuses_a_stage_or_player_outside_the_game(call, message):
         call(sol, np.array([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("x, message", [
+    ([1.0], r"x0 has shape \(1,\), expected \(2,\)"),
+    ([1.0, np.nan], r"x0 must be finite, got \[1.0, nan\]"),
+], ids=["length", "nan"])
+@pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
+def test_value_and_cost_to_go_refuse_a_state_outside_the_game(solver, x, message):
+    # a wrong-length state raised numpy's ValueError, and a NaN one gave nan
+    spec = (random_game(103, n_players=1, targets=False, state_dim=2, horizon=3)
+            if solver == "lqr" else load_game(GOLDEN / "two_player.json"))
+    sol = SOLVERS[solver].solve(spec, None)
+    player = () if solver == "lqr" else (0,)
+    for call in (lambda: sol.value(np.array(x), *player),
+                 lambda: sol.cost_to_go(1, np.array(x), *player)):
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            call()
+
+
 def test_cost_to_go_from_the_horizon_is_zero():
     spec = load_game(GOLDEN / "two_player.json")
     sol = feedback_nash.solve(spec)

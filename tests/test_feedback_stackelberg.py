@@ -45,6 +45,23 @@ def test_stage_reaction_values():
     assert sol.stage_reaction(0, x, np.array([0.0]))[0][0] == pytest.approx(-0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("t, x, u_leader, message", [
+    (-1, [1.0], [0.0], r"stage -1 outside \[0, 2\]"),
+    (3, [1.0], [0.0], r"stage 3 outside \[0, 2\]"),
+    (0, [1.0, 2.0], [0.0], r"x0 has shape \(2,\), expected \(1,\)"),
+    (0, [np.nan], [0.0], r"x0 must be finite, got \[nan\]"),
+    (0, [1.0], [0.0, 1.0], r"u_leader has shape \(2,\), expected \(1,\)"),
+    (0, [1.0], [np.inf], r"u_leader must be finite, got \[inf\]"),
+], ids=["stage-1", "stage-T", "x-length", "x-nan", "u-length", "u-inf"])
+def test_stage_reaction_refuses_a_stage_state_or_leader_control_outside_the_game(
+        t, x, u_leader, message):
+    # t = -1 would silently read stage T-1's reaction, and t = T or a
+    # wrong-length x or u_leader raised numpy's own errors
+    sol = feedback_stackelberg.solve(scalar_unit_two_player(T=3))
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        sol.stage_reaction(t, np.array(x), np.array(u_leader))
+
+
 def test_reaction_zero_when_follower_decoupled():
     # no follower state cost and orthogonal input channels: reaction never moves
     spec = constant_game(A=np.eye(2), B=[np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])],
