@@ -68,7 +68,7 @@ class FeedbackNashSolution:
         0 at t = T."""
         require_index("stage", t, self.spec.horizon)
         require_index("player", player, self.spec.n_players - 1)
-        x = initial_state(self.spec, x)
+        x = initial_state(self.spec, x, name="x")
         W = self.Z[player, t] - self.spec.prev_state_weight(t, player)
         return float(0.5 * x @ W @ x + self.zeta[player, t] @ x + self.n_const[player, t])
 

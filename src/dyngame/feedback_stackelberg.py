@@ -31,7 +31,8 @@ import numpy as np
 from .errors import InvalidGameError
 from .feedback_nash import (FeedbackNashSolution, StageTerms, laws_of, stage_system,
                             sweep_arrays, update_values, values_of)
-from .game import GameSpec, StageArrays, initial_state, require_index, require_valid
+from .game import (GameSpec, StageArrays, initial_state, require_index, require_valid,
+                   require_vector)
 from .numerics import Checks, Site
 
 #: Each stage's systems: the followers' block C_ff, solved once for their
@@ -65,13 +66,9 @@ class FeedbackStackelbergSolution(FeedbackNashSolution):
         """Followers' optimal stage-t responses to an arbitrary leader control,
         given equilibrium continuation from stage t+1 on."""
         require_index("stage", t, self.spec.horizon - 1)
-        x = initial_state(self.spec, x)
-        u_leader = np.atleast_1d(np.asarray(u_leader, dtype=float))
-        if u_leader.shape != (self.spec.control_dims[0],):
-            raise InvalidGameError(f"u_leader has shape {u_leader.shape}, "
-                                   f"expected {(self.spec.control_dims[0],)}")
-        if not np.all(np.isfinite(u_leader)):
-            raise InvalidGameError(f"u_leader must be finite, got {u_leader.tolist()}")
+        x = initial_state(self.spec, x, name="x")
+        u_leader = require_vector("u_leader", u_leader if np.ndim(u_leader) else [u_leader],
+                                  self.spec.control_dims[0])
         r = self.reactions
         return [r.W[k][t] @ x + r.rbar[k][t] @ u_leader + r.w[k][t]
                 for k in range(self.spec.n_players - 1)]

@@ -584,15 +584,24 @@ def total_cost(spec: GameSpec, traj: Trajectory, player: int) -> float:
     )
 
 
-def initial_state(spec: GameSpec, x0) -> np.ndarray:
-    """``x0`` as a float vector, checked to be finite and of the game's
-    state dimension."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.state_dim,):
-        raise InvalidGameError(f"x0 has shape {x0.shape}, expected {(spec.state_dim,)}")
-    if not np.all(np.isfinite(x0)):
-        raise InvalidGameError(f"x0 must be finite, got {x0.tolist()}")
-    return x0
+def initial_state(spec: GameSpec, x0, name: str = "x0") -> np.ndarray:
+    """``x0`` as a float vector, checked to be numeric, finite and of the
+    game's state dimension; an error calls it ``name``."""
+    return require_vector(name, x0, spec.state_dim)
+
+
+def require_vector(name: str, value, size: int) -> np.ndarray:
+    """``value`` as a float vector of length ``size``, checked to be numeric
+    and finite; an error calls it ``name``."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidGameError(f"{name} is not a numeric array: {exc}") from exc
+    if v.shape != (size,):
+        raise InvalidGameError(f"{name} has shape {v.shape}, expected {(size,)}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidGameError(f"{name} must be finite, got {v.tolist()}")
+    return v
 
 
 def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:

@@ -47,7 +47,7 @@ class ControlSolution:
         recursion coefficient back into a plain value function; 0 at t = T.
         """
         require_index("stage", t, self.spec.horizon)
-        x = initial_state(self.spec, x)
+        x = initial_state(self.spec, x, name="x")
         W = self.Z[t] - self.spec.prev_state_weight(t, 0)
         return float(0.5 * x @ W @ x + self.zeta[t] @ x + self.n_const[t])
 

@@ -115,32 +115,39 @@ def _played(view: StageArrays, sol, pattern: str, x0):
 
 def _path_gradients(view: StageArrays, x0, G, g) -> tuple[np.ndarray, np.ndarray]:
     """Every player's gradient of its cost from stage t on in every stage-t
-    control row, later stages acting through their laws, along the path of
-    u_t = G_t x_t + g_t from x0, (T, n, M), and its scale, by one costate
-    pass; with G = 0, the gradient of the total cost in the controls g.
-    lam_{t+1} = Q_t (x_{t+1} - xt_t) + G_{t+1}'R_{t+1} (u_{t+1} - ut_{t+1})
-    + (A + BG)_{t+1}' lam_{t+2}, the gradient in x_{t+1} of the costs of
-    stages t..T-1, gives the gradient R_t (u_t - ut_t) + B_t' lam_{t+1} in
-    u_t.  The scale runs the same pass on absolute values, each sum's and
-    difference's inputs added (|A| + |B||G| for A + BG)."""
+    control row, later stages acting through their laws, (T, n, M), by one
+    costate pass along the path x (T+1, p) of u_t = G_t x_t + g_t from x0,
+    x_{t+1} = (A + BG)_t x_t + B_t g_t + s_t, and that path; with G = 0,
+    the gradient of the total cost in the controls g.  lam_{t+1} = Q_t
+    (x_{t+1} - xt_t) + G_{t+1}'R_{t+1} (u_{t+1} - ut_{t+1}) + (A +
+    BG)_{t+1}' lam_{t+2}, the gradient in x_{t+1} of the costs of stages
+    t..T-1, gives the gradient R_t (u_t - ut_t) + B_t' lam_{t+1} in u_t."""
     T, p = view.s.shape
-    F, c = view.A + view.B @ G, view.s + (view.B @ g[..., None])[..., 0]
+    F, Bg = view.A + view.B @ G, (view.B @ g[..., None])[..., 0]
     x = np.empty((T + 1, p))
     x[0] = x0
     for t in range(T):
-        x[t + 1] = F[t] @ x[t] + c[t]
+        x[t + 1] = F[t] @ x[t] + Bg[t] + view.s[t]
     u = (G @ x[:-1, :, None])[..., 0] + g
     RDu = (view.R @ (u[:, None] - view.ut)[..., None])[..., 0]  # (T, n, M)
-    RUs = (np.abs(view.R) @ (np.abs(u[:, None]) + np.abs(view.ut))[..., None])[..., 0]
-    # Row form, lam and its scale side by side: lam @ (A + BG) and Lam @ (|A| + |B||G|).
-    AA = np.stack([F, np.abs(view.A) + np.abs(view.B) @ np.abs(G)], axis=1)
-    lam = np.stack([(view.Q @ (x[1:, None] - view.xt)[..., None])[..., 0],
-                    (np.abs(view.Q) @ (np.abs(x[1:, None]) + np.abs(view.xt))[..., None])[..., 0]],
-                   axis=1)  # (T, 2, n, p)
-    lam[:-1] += np.stack([RDu[1:] @ G[1:], RUs[1:] @ np.abs(G[1:])], axis=1)
+    lam = (view.Q @ (x[1:, None] - view.xt)[..., None])[..., 0]  # (T, n, p), row form
+    lam[:-1] += RDu[1:] @ G[1:]
     for t in range(T - 2, -1, -1):
-        lam[t] += lam[t + 1] @ AA[t + 1]
-    return RDu + lam[:, 0] @ view.B, RUs + lam[:, 1] @ np.abs(view.B)
+        lam[t] += lam[t + 1] @ F[t + 1]
+    return RDu + lam @ view.B, x
+
+
+def _costate_scale(view: StageArrays, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The scale of each control row's own open-loop gradient along states x
+    and controls u, (T, M): the costate pass on absolute values, Lam_{t+1} =
+    |Q_t|(|x_{t+1}| + |xt_t|) + |A_{t+1}|' Lam_{t+2}, and |R_t|(|u_t| +
+    |ut_t|) + |B_t|' Lam_{t+1}, the size of the terms that cancel."""
+    Lam = (np.abs(view.Q) @ (np.abs(x[1:, None]) + np.abs(view.xt))[..., None])[..., 0]
+    absA = np.abs(view.A)
+    for t in range(len(u) - 2, -1, -1):
+        Lam[t] += Lam[t + 1] @ absA[t + 1]
+    return view.own((np.abs(view.R) @ (np.abs(u[:, None]) + np.abs(view.ut))[..., None])[..., 0]
+                    + Lam @ np.abs(view.B), lead=1)
 
 
 def _by_player(X: np.ndarray, blocks) -> np.ndarray:
@@ -177,11 +184,9 @@ def _feedback_residuals(view: StageArrays, sol, stackelberg: bool):
     F~'P~_{t+1}F~ + Dx'Q Dx + Du'R Du.  Its residual is its own rows of
     B'(Q Dx + P~_{t+1}[:p]F~) + R Du, the leader's through the reactions.
     The scale forms the same products of absolute values, each
-    difference's inputs added: the size of the terms that cancel.
-    """
+    difference's inputs added: the size of the terms that cancel."""
     T, p, M = view.B.shape
-    G, g = _played(view, sol, FEEDBACK, None)[1:]
-    L = np.concatenate([G, g[..., None]], axis=-1)
+    L = np.concatenate([np.dstack([law.G, law.g[..., None]]) for law in sol.laws], axis=1)
     F, Dx, Du = _closed_loop(view.A, view.s, view.B, L, -view.xt, -view.ut)
     QDx, RDu = view.Q @ Dx, view.R @ Du
     C = Dx.swapaxes(-1, -2) @ QDx + Du.swapaxes(-1, -2) @ RDu
@@ -431,8 +436,9 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
         return TimeConsistency("STC", float(_relative(res, scale, view.blocks).max()))
     if not row.stackelberg:
         view = StageArrays.of(spec)
-        grad, scale = _path_gradients(view, *_played(view, solution, OPEN_LOOP, None))
-        rel = _relative(view.own(grad, lead=1), view.own(scale, lead=1), view.blocks)
+        x0, G, u = _played(view, solution, OPEN_LOOP, None)
+        grad, x = _path_gradients(view, x0, G, u)
+        rel = _relative(view.own(grad, lead=1), _costate_scale(view, x, u), view.blocks)
         return TimeConsistency(verdict="WTC", tail_deviation=float(np.max(rel[1:], initial=0.0)))
     gaps = _stackelberg_replays(require_valid(spec), solution) if spec.horizon > 1 else {}
     tail, reset = (float(np.max(gaps.get(name, ()), initial=0.0)) for name in ("tail", "reset"))
@@ -565,20 +571,9 @@ class VerificationReport:
             "stationarity": {str(k): v for k, v in sorted(self.stationarity.items())},
             "deviation_gaps": {str(k): v for k, v in sorted(self.deviation_gaps.items())},
             "leader_gap": self.leader_gap,
-            "time_consistency": None if tc is None else {
-                "verdict": tc.verdict,
-                "tail_deviation": tc.tail_deviation,
-                "mu_reset_deviation": tc.mu_reset_deviation,
-            },
+            "time_consistency": None if tc is None else dict(vars(tc)),
             "definiteness": None if dlog is None else {
-                "ok": dlog.ok,
-                "entries": [
-                    {"stage": e.stage, "name": e.name,
-                     "min_eigenvalue": e.min_eigenvalue,
-                     "symmetric": e.symmetric, "asserted": e.asserted}
-                    for e in dlog.entries
-                ],
-            },
+                "ok": dlog.ok, "entries": [dict(vars(e)) for e in dlog.entries]},
             "failures": list(self.failures),
             "passed": self.passed,
         }

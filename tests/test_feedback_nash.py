@@ -117,19 +117,21 @@ def test_refuses_a_stage_or_player_outside_the_game(call, message):
 
 
 @pytest.mark.parametrize("x, message", [
-    ([1.0], r"x0 has shape \(1,\), expected \(2,\)"),
-    ([1.0, np.nan], r"x0 must be finite, got \[1.0, nan\]"),
-], ids=["length", "nan"])
+    ([1.0], r"{} has shape \(1,\), expected \(2,\)"),
+    ([1.0, np.nan], r"{} must be finite, got \[1.0, nan\]"),
+    ([1.0, "b"], r"{} is not a numeric array: could not convert string to float: 'b'"),
+], ids=["length", "nan", "string"])
 @pytest.mark.parametrize("solver", ["lqr", "feedback-nash", "feedback-stackelberg"])
 def test_value_and_cost_to_go_refuse_a_state_outside_the_game(solver, x, message):
-    # a wrong-length state raised numpy's ValueError, and a NaN one gave nan
+    # a wrong-length or non-numeric state raised numpy's ValueError, and a
+    # NaN one gave nan; each message names the argument given
     spec = (random_game(103, n_players=1, targets=False, state_dim=2, horizon=3)
             if solver == "lqr" else load_game(GOLDEN / "two_player.json"))
     sol = SOLVERS[solver].solve(spec, None)
     player = () if solver == "lqr" else (0,)
-    for call in (lambda: sol.value(np.array(x), *player),
-                 lambda: sol.cost_to_go(1, np.array(x), *player)):
-        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+    for name, call in (("x0", lambda: sol.value(x, *player)),
+                       ("x", lambda: sol.cost_to_go(1, x, *player))):
+        with pytest.raises(InvalidGameError, match=f"^{message.format(name)}$"):
             call()
 
 

@@ -48,18 +48,19 @@ def test_stage_reaction_values():
 @pytest.mark.parametrize("t, x, u_leader, message", [
     (-1, [1.0], [0.0], r"stage -1 outside \[0, 2\]"),
     (3, [1.0], [0.0], r"stage 3 outside \[0, 2\]"),
-    (0, [1.0, 2.0], [0.0], r"x0 has shape \(2,\), expected \(1,\)"),
-    (0, [np.nan], [0.0], r"x0 must be finite, got \[nan\]"),
+    (0, [1.0, 2.0], [0.0], r"x has shape \(2,\), expected \(1,\)"),
+    (0, [np.nan], [0.0], r"x must be finite, got \[nan\]"),
     (0, [1.0], [0.0, 1.0], r"u_leader has shape \(2,\), expected \(1,\)"),
     (0, [1.0], [np.inf], r"u_leader must be finite, got \[inf\]"),
-], ids=["stage-1", "stage-T", "x-length", "x-nan", "u-length", "u-inf"])
+    (0, [1.0], ["a"], r"u_leader is not a numeric array: could not convert string to float: 'a'"),
+], ids=["stage-1", "stage-T", "x-length", "x-nan", "u-length", "u-inf", "u-string"])
 def test_stage_reaction_refuses_a_stage_state_or_leader_control_outside_the_game(
         t, x, u_leader, message):
     # t = -1 would silently read stage T-1's reaction, and t = T or a
-    # wrong-length x or u_leader raised numpy's own errors
+    # wrong-length or non-numeric x or u_leader raised numpy's own errors
     sol = feedback_stackelberg.solve(scalar_unit_two_player(T=3))
     with pytest.raises(InvalidGameError, match=f"^{message}$"):
-        sol.stage_reaction(t, np.array(x), np.array(u_leader))
+        sol.stage_reaction(t, x, u_leader)
 
 
 def test_reaction_zero_when_follower_decoupled():
