@@ -186,7 +186,7 @@ def _feedback_residuals(view: StageArrays, sol, stackelberg: bool):
     The scale forms the same products of absolute values, each
     difference's inputs added: the size of the terms that cancel."""
     T, p, M = view.B.shape
-    L = np.concatenate([np.dstack([law.G, law.g[..., None]]) for law in sol.laws], axis=1)
+    L = np.concatenate([np.concatenate([w.G, w.g[..., None]], axis=2) for w in sol.laws], axis=1)
     F, Dx, Du = _closed_loop(view.A, view.s, view.B, L, -view.xt, -view.ut)
     QDx, RDu = view.Q @ Dx, view.R @ Du
     C = Dx.swapaxes(-1, -2) @ QDx + Du.swapaxes(-1, -2) @ RDu
