@@ -91,9 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output file (default: stdout)")
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="symmetry/definiteness tolerance of this command's own "
-                            "validation step; every solver re-checks the game at 1e-9")
         if leader:
             p.add_argument("--leader", type=int, default=None, metavar="I",
                            help="reorder players so 1-based player I moves first "
@@ -101,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a game definition")
     add_common(p_val, solver=False, x0=False, out=False, leader=False)
+    p_val.add_argument("--tol", type=float, default=1e-9, help="symmetry/definiteness tolerance")
     p_val.set_defaults(func=cmd_validate)
 
     p_solve = sub.add_parser("solve", help="compute an equilibrium")
@@ -166,7 +164,7 @@ def _load_and_validate(args) -> GameSpec:
                 f"--leader must be in 1..{spec.n_players}, got {leader}")
         order = [leader - 1] + [i for i in range(spec.n_players) if i != leader - 1]
         spec = reorder_players(spec, order)
-    require_valid(spec, tol=args.tol)
+    require_valid(spec)
     return spec
 
 

@@ -85,11 +85,12 @@ class StageData:
 class GameSpec:
     """A finite-horizon affine-quadratic game.
 
-    Immutable after construction; all solver entry points are pure
-    functions of a GameSpec, so instances can be shared across threads.
-    Construction stacks the stages (:class:`_Stacks`), weights asymmetric
-    within ``SYMMETRY_RTOL`` averaged; when no shape or count is wrong,
-    ``stages`` become read-only views of those stacks, the only copy.
+    Immutable after construction: it stacks its stages (:class:`_Stacks`),
+    weights asymmetric within ``SYMMETRY_RTOL`` averaged, and checks itself
+    once, keeping its view and :func:`validate` reports.  All solver entry
+    points are pure functions of a GameSpec, so instances can be shared
+    across threads.  When no shape or count is wrong, ``stages`` become
+    read-only views of those stacks, the only copy.
     """
 
     horizon: int
@@ -117,8 +118,9 @@ class GameSpec:
 
         The backward recursions index their quadratic coefficients so that
         the coefficient at time t absorbs this weight; converting back to a
-        plain cost-to-go subtracts it.
+        plain cost-to-go subtracts it.  A misshapen game raises (:meth:`StageArrays.of`).
         """
+        StageArrays.of(self)
         require_index("stage", t, self.horizon)
         require_index("player", player, self.n_players - 1)
         if t == 0:
@@ -150,6 +152,9 @@ def constant_game(A, B, Q, R, T, s=None, x_target=None, u_target=None,
 
 # ---------------------------------------------------------------------------
 # Validation
+
+#: The library's validation tolerance; the repair's symmetry test is validation's at it
+VALIDATION_TOL = SYMMETRY_RTOL
 
 
 @dataclass(frozen=True)
@@ -188,20 +193,20 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
     ``for_stackelberg`` additionally requires the first player's cross
     control weights R^{1j} to be positive semidefinite, which the feedback
     Stackelberg solver needs for a convex leader stage problem.  A ``tol``
-    that is a bool, not a real number, NaN or infinite raises.  The tests
-    run on the game's own :class:`_Stacks`, which keep their outcomes, so
-    a game validated again is not tested again, and leader mode after
-    plain validation adds its R^{1j} tests alone.
+    that is a bool, not a real number, NaN or infinite raises.  At the
+    library tolerance 1e-9 the game was checked in both modes when it was
+    built (:class:`_Stacks`), and this returns the report it keeps; any
+    other ``tol`` is tested afresh on its stacks and kept nowhere.
     """
     if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
         raise InvalidGameError(f"tol must be a real number, got {tol!r}")
     if not (abs(tol) <= 1.7976931348623157e308 if isinstance(tol, int) else np.isfinite(tol)):
         raise InvalidGameError(f"tol must be finite, got {tol}")
-    stacks, key = spec._stacks, (float(tol), bool(for_stackelberg))
-    if key not in stacks.reports:
-        violations = stacks.violations(() if stacks.header else stacks.outcome(*key))
-        stacks.reports[key] = ValidationReport(violations, None if violations else stacks.view())
-    return stacks.reports[key]
+    stacks = spec._stacks
+    if tol == VALIDATION_TOL:
+        return stacks.reports[bool(for_stackelberg)]
+    found, lead = ((), ()) if stacks.header else stacks.outcome(float(tol))
+    return stacks.report(found + lead if for_stackelberg else found)
 
 
 _FIELDS = ("A", "B", "s", "Q", "R", "x_target", "u_target")
@@ -212,18 +217,18 @@ _ENTRY_AXES = {"A": (1, 2), "B": (1,), "s": (1,), "Q": (2, 3), "R": (2,), "xt": 
 class _Stacks:
     """A game's stage data laid out once, as it is built, over its K distinct
     StageData objects as the read-only ``fields`` of :class:`StageArrays`,
-    shapes checked on the way: the one stacking behind :func:`validate` and
-    :meth:`StageArrays.of`.  An entry's order in a stage, (0,) for A to (6,
-    i, j) for u_target^{ij}, names its location.  A misshapen or missing
-    entry is zeros, ``ok`` marks the Q^i (K, n) and R^{ij} (K, n, n) laid
-    out, ``finite`` the finite entries, ``symmetry`` the symmetry test at
-    SYMMETRY_RTOL that decides the repair, and validation's at that |tol|.
-    ``found`` holds (distinct stage, order, message) per wrong shape or
-    count, ``header`` what stops the layout, ``reports`` by its key."""
+    shapes checked on the way, and checked once: ``view`` lays the fields
+    out over the T stages when no shape or count is wrong, and ``reports``
+    holds plain and leader validation at VALIDATION_TOL; nothing changes
+    afterwards.  An entry's order in a stage, (0,) for A to (6, i, j) for
+    u_target^{ij}, names its location.  A misshapen or missing entry is
+    zeros, ``ok`` marks the Q^i (K, n) and R^{ij} (K, n, n) laid out,
+    ``finite`` the finite entries, ``found`` (distinct stage, order,
+    message) per wrong shape or count, ``header`` what stops the layout."""
 
     def __init__(self, spec: GameSpec):
         n, p, dims = spec.n_players, spec.state_dim, spec.control_dims
-        self.dims, self.found, self.checked, self.reports, self._view = dims, [], {}, {}, None
+        self.dims, self.found, self.view = dims, [], None
         self.header = [Violation(where, message) for bad, where, message in (
             (spec.horizon < 1, "horizon", f"must be >= 1, got {spec.horizon}"),
             (p < 1, "state_dim", f"must be >= 1, got {p}"),
@@ -232,6 +237,7 @@ class _Stacks:
             (len(spec.stages) != spec.horizon, "stages",
              f"expected {spec.horizon} stages, got {len(spec.stages)}")) if bad]
         if self.header:
+            self.reports = (self.report(),) * 2
             return
 
         keys: dict[int, int] = {}
@@ -293,8 +299,8 @@ class _Stacks:
         for name in ("B", "R", "ut"):  # a control axis last: one entry per block of it
             self.finite[name] = np.logical_and.reduceat(self.finite[name], self.starts, axis=-1)
         # Tested weights asymmetric within SYMMETRY_RTOL are averaged from halves, which cannot overflow
-        self.symmetry = [self._asymmetry(code, SYMMETRY_RTOL) for code in (3, 4)]
-        fix_q, fix_r = ((0.0 < gap) & ~too_large for _, gap, too_large in self.symmetry)
+        symmetry = [self._asymmetry(code, SYMMETRY_RTOL) for code in (3, 4)]
+        fix_q, fix_r = ((0.0 < gap) & ~too_large for _, gap, too_large in symmetry)
         for M, fix in [(Q, fix_q), *((weights[:, :, b, b], fix_r[..., j])
                                      for j, b in enumerate(self.blocks))]:
             if fix.any():
@@ -302,6 +308,12 @@ class _Stacks:
                 M[fix] = 0.5 * X + 0.5 * X.swapaxes(-1, -2)
         for arr in self.fields.values():
             arr.flags.writeable = False
+        if not self.found:  # stages that share one StageData share its entries
+            take = K < len(self.at)
+            self.view = StageArrays._laid_out(self.blocks, **{
+                name: arr.take(self.at, axis=0) if take else arr for name, arr in self.fields.items()})
+        found, lead = self.outcome(VALIDATION_TOL, symmetry)
+        self.reports = self.report(found), self.report(found + lead)
 
     def stages(self) -> tuple[StageData, ...]:
         """The stages as read-only views of the fields, one StageData per distinct stage."""
@@ -313,51 +325,35 @@ class _Stacks:
                     for k in range(len(F["A"]))]
         return tuple(distinct[k] for k in self.at.tolist())
 
-    def violations(self, found=()) -> tuple[Violation, ...]:
-        """The header's violations, or else those of shape and ``found`` at each
-        stage holding their StageData object, by stage and in entry order."""
+    def report(self, found=()) -> ValidationReport:
+        """The header's violations, or else those of shape and ``found`` at each stage
+        holding their StageData object, by stage and in entry order; with none, the view."""
         if self.header or not (self.found or found):  # a header stops the layout
-            return tuple(self.header)
+            return ValidationReport(tuple(self.header), self.view)
         by_stage: dict[int, list] = {}
         for k, order, message in sorted([*self.found, *found], key=lambda f: f[:2]):
             loc = "/".join([_FIELDS[order[0]], *map(str, order[1:])])
             by_stage.setdefault(k, []).append((loc, message))
-        return tuple(Violation(f"stages/{t}/{loc}", message) for t, k in enumerate(self.at)
-                     for loc, message in by_stage.get(k, ()))
+        return ValidationReport(tuple(Violation(f"stages/{t}/{loc}", message)
+                                      for t, k in enumerate(self.at) for loc, message in by_stage.get(k, ())))
 
-    def view(self) -> StageArrays:
-        """The fields laid out over the T stages; for a game of right shapes."""
-        if self._view is None:  # stages that share one StageData share its entries
-            take = len(self.fields["A"]) < len(self.at)
-            self._view = StageArrays._laid_out(self.blocks, **{
-                name: arr.take(self.at, axis=0) if take else arr for name, arr in self.fields.items()})
-        return self._view
-
-    def outcome(self, tol: float, leader: bool) -> list:
-        """The value violations (k, order, message) at ``tol``, plain or in leader
-        mode: each field's finiteness, the symmetry of Q and R to |tol| (so a
-        negative ``tol`` loosens definiteness alone), then :meth:`_definite` of
-        the entries that passed.  ``checked`` keeps plain validation's, leader
-        mode's once asked for, alone, and the R^{ij} that passed."""
-        if tol in self.checked:
-            found, lead, clean = record = self.checked[tol]
-            if leader and lead is None:
-                lead = record[1] = self._definite(tol, None, clean, False, True)[1]
-            return found + lead if leader else found
+    def outcome(self, tol: float, symmetry=None) -> tuple[list, list]:
+        """The value violations (k, order, message) at ``tol`` of plain validation,
+        and those leader mode adds: each field's finiteness, the symmetry of Q and
+        R to |tol| (a negative ``tol`` loosens definiteness alone) unless given,
+        then :meth:`_definite` of the entries that passed."""
         found, clean = [], []
         for code, ok in enumerate(self.finite.values()):
             if not ok.all():
                 found.extend((k, (code, *at), "not finite") for k, *at in np.argwhere(~ok).tolist())
         for code in (3, 4):
-            tested, gap, asymmetric = (self.symmetry[code - 3] if abs(tol) == SYMMETRY_RTOL
-                                       else self._asymmetry(code, abs(tol)))
+            tested, gap, asymmetric = symmetry[code - 3] if symmetry else self._asymmetry(code, abs(tol))
             if asymmetric.any():
                 found.extend((at[0], (code, *at[1:]), f"not symmetric (max asymmetry {gap[tuple(at)]:.2e})")
                              for at in np.argwhere(asymmetric).tolist())
             clean.append(tested & ~asymmetric)
-        own, lead = self._definite(tol, *clean, True, leader)
-        self.checked[tol] = [found + own, lead if leader else None, clean[1]]
-        return self.outcome(tol, leader)
+        own, lead = self._definite(tol, *clean)
+        return found + own, lead
 
     def _asymmetry(self, code: int, rtol: float):
         """Which Q^i (K, n), for ``code`` 3, or R^{ij} (K, n, n), for 4, are laid out
@@ -368,15 +364,14 @@ class _Stacks:
                          tested.repeat(self.dims, axis=-1)[..., None, :], M, 0.0)
         return (tested, *asymmetry(M, rtol, None if code == 3 else self.starts))
 
-    def _definite(self, tol: float, clean_q, clean_r, own: bool, leader: bool):
-        """The violations of Q^i PSD and R^{ii} PD, with ``own``, and of the
-        leader's R^{0j} PSD, with ``leader``, over the entries marked clean:
-        one ``eigvalsh`` of the symmetric parts per matrix size."""
+    def _definite(self, tol: float, clean_q, clean_r):
+        """The violations of Q^i PSD and R^{ii} PD, and apart those of the
+        leader's R^{0j} PSD, over the entries marked clean: one ``eigvalsh``
+        of the symmetric parts per matrix size."""
         (Q, R), found, lead = (self.fields["Q"], self.fields["R"]), [], []
-        parts = [((3, i), False, Q[:, i], clean_q[:, i], found) for i in range(len(self.dims))] if own else []
+        parts = [((3, i), False, Q[:, i], clean_q[:, i], found) for i in range(len(self.dims))]
         parts += [((4, i, j), i == j, R[:, i, b, b], clean_r[:, i, j], found if i == j else lead)
-                  for j, b in enumerate(self.blocks) for i in range(len(self.dims))
-                  if own and i == j or leader and i == 0 != j]
+                  for j, b in enumerate(self.blocks) for i in range(len(self.dims)) if i in (0, j)]
         for size in {len(part[2][0]) for part in parts}:
             sized = [part for part in parts if len(part[2][0]) == size]
             F = 0.5 * np.concatenate([mats if keep.all() else mats[keep] for _, _, mats, keep, _ in sized])
@@ -392,10 +387,10 @@ class _Stacks:
         return found, lead
 
 
-def require_valid(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -> StageArrays:
-    """The checked view of ``spec`` that :func:`validate` yields; a game
-    with any violation raises InvalidGameError listing them all."""
-    report = validate(spec, tol=tol, for_stackelberg=for_stackelberg)
+def require_valid(spec: GameSpec, for_stackelberg: bool = False) -> StageArrays:
+    """The checked view of ``spec``, kept in its :func:`validate` report since
+    it was built; a game with any violation raises InvalidGameError listing them all."""
+    report = validate(spec, for_stackelberg=for_stackelberg)
     _refuse(report.violations)
     return report.view
 
@@ -432,8 +427,8 @@ class StageArrays:
       diagonal in the R^{ij}; ``ut`` (T, n, M): player i's targets for all
       controls.
 
-    :func:`require_valid` returns the checked view, :meth:`of` the unchecked
-    one, both built once from the stacks the game holds from construction.
+    :func:`require_valid` returns it checked, :meth:`of` unchecked: the one
+    view laid out when the game was built, from the stacks it holds.
     When every stage is its own StageData object, the view's fields are
     those stacks, which the game's stages view, so a game's data is held
     once: a second copy per game, as in a memo of views beside the
@@ -456,9 +451,9 @@ class StageArrays:
     def of(cls, spec: GameSpec) -> StageArrays:
         """The view of ``spec``, shapes checked and values not: a misshapen
         game raises InvalidGameError with :func:`validate`'s shape violations.
-        It is the view of the game's stacks, kept with them."""
-        _refuse(spec._stacks.violations())
-        return spec._stacks.view()
+        It is the view laid out when the game was built, kept with its stacks."""
+        _refuse(spec._stacks.report().violations)
+        return spec._stacks.view
 
     @classmethod
     def _laid_out(cls, blocks, **fields) -> StageArrays:
@@ -548,6 +543,7 @@ def require_index(name: str, value: int, last: float) -> None:
 
 def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -> float:
     """Player's stage-t cost for next state ``x_next`` and everyone's controls."""
+    StageArrays.of(spec)  # a misshapen game raises, with validate's violations
     require_index("player", player, spec.n_players - 1)
     require_index("stage", t, spec.horizon - 1)
     st = spec.stages[t]

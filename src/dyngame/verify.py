@@ -53,14 +53,19 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _solver_row(solution, pattern: str) -> solvers.Solver:
+def _solver_row(spec: GameSpec, solution, pattern: str) -> solvers.Solver:
     """The table row of the solver behind ``solution``, checked against the
-    information pattern the caller names."""
+    information pattern the caller names, and the solution's game against
+    ``spec``: the same horizon, state dimension and control dimensions."""
     if pattern not in (OPEN_LOOP, FEEDBACK):
         raise InvalidGameError(f"unknown information pattern {pattern!r}")
     row = solvers.solver_of(solution)
     if row.pattern != pattern:
         raise InvalidGameError(f"pattern {pattern!r} given a solution of pattern {row.pattern!r}")
+    theirs, ours = ((g.horizon, g.state_dim, g.control_dims) for g in (solution.spec, spec))
+    if theirs != ours:
+        raise InvalidGameError(f"the solution is of another game: (horizon, state_dim, control_dims) "
+                               f"{theirs}, the game's {ours}")
     return row
 
 
@@ -89,7 +94,7 @@ def stationarity(spec: GameSpec, solution, pattern: str,
     entries.  Feedback: the derivative of player i's cost-to-go in its
     stage-t control, later stages acting through their laws, at each x_t
     of the path from ``x0``; the leader's through the followers' reactions."""
-    row = _solver_row(solution, pattern)
+    row = _solver_row(spec, solution, pattern)
     view = StageArrays.of(spec)
     if pattern == FEEDBACK:
         if x0 is None:
@@ -255,7 +260,7 @@ def deviation_gap(spec: GameSpec, solution, pattern: str, player: int,
     feedback perturbs the player's law coefficients and re-rolls the
     trajectory (all other players keep acting through their laws).
     """
-    _solver_row(solution, pattern)
+    _solver_row(spec, solution, pattern)
     require_index("player", player, spec.n_players - 1)
     _require_samples("samples", samples)
     _require_positive("magnitude", magnitude)
@@ -327,7 +332,7 @@ def leader_gap(spec: GameSpec, solution, pattern: str, samples: int = 50,
     Feedback: the deviated leader law is played with followers reacting
     stagewise through the solution's reaction maps.
     """
-    if not _solver_row(solution, pattern).stackelberg:
+    if not _solver_row(spec, solution, pattern).stackelberg:
         raise InvalidGameError("leader gap needs a Stackelberg solution")
     _require_samples("samples", samples)
     _require_positive("magnitude", magnitude)
@@ -429,7 +434,7 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
     largest control gap of the tails from every on-path (x_s, mu_s),
     s >= 1, and of the reset from (x_s, 0), replayed from one re-solve.
     """
-    row = _solver_row(solution, pattern)
+    row = _solver_row(spec, solution, pattern)
     if pattern == FEEDBACK:
         view = StageArrays.of(spec)
         res, scale = _feedback_residuals(view, solution, row.stackelberg)
@@ -592,7 +597,7 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
     """Run the full oracle battery on one solution and collect a report."""
     # Checks draw from seed + i, so a negative seed could pass some of them.
     require_index("seed", seed, np.inf)
-    is_stackelberg = _solver_row(solution, pattern).stackelberg
+    is_stackelberg = _solver_row(spec, solution, pattern).stackelberg
     # Refuse every argument an oracle would refuse before any of them runs.
     _require_samples("samples", samples)
     if is_stackelberg:

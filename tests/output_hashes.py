@@ -25,6 +25,11 @@ the warnings its step raised too.  The cases are:
   capped stacks;
 - ``malformed<s>``: the 120 malformed games of ``test_validation``, one
   ``validation`` line per mode order, ``plain-first`` or ``leader-first``.
+  A game checks itself in both modes when it is built and tests any other
+  tolerance afresh, so the two orders must hash alike; both stay so that
+  any outcome that came to depend on what ran before would show, and so
+  that the lines compare with versions that kept outcomes per tolerance
+  and added leader mode's tests to plain validation's.
 """
 
 import hashlib
@@ -143,7 +148,7 @@ def main() -> None:
     for seed in FAMILY:
         spec = malformed_game(seed)
         for first in (False, True):
-            game = replace(spec)  # a new object, validated afresh
+            game = replace(spec)  # a new object, built and checked afresh
             messages = digest(lambda: [validate(game, tol=tol, for_stackelberg=leader).messages()
                                        for tol in (1e-9, 1e-6, -1e-6) for leader in (first, not first)])
             print(f"malformed{seed} {'leader' if first else 'plain'}-first validation {messages}")

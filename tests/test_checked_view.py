@@ -9,15 +9,16 @@ player selection on the view to the view of the rebuilt game, and the
 leader cost on the selection to its former form on the rebuilt followers'
 game, bit for bit.
 
-A game stacks itself once, when it is built, and keeps its stacks with
-its view and its test outcomes per tolerance, so nothing in a
-verification job stacks it again, feedback Stackelberg's leader checks
-included.  When its shapes are right its stages are read-only views of
-those stacks, weights asymmetric within ``SYMMETRY_RTOL`` averaged.  The
-ownership tests pin that count, the stages' memory and repair, the
-reports under every tolerance and mode, each game's own reports beside
-another's, the release of a game's view with the game, and games
-validated on several threads at once.
+A game stacks and checks itself once, when it is built, and keeps its
+stacks with its view and its reports at 1e-9 in both modes, so nothing in
+a verification job stacks or checks it again, feedback Stackelberg's
+leader checks included, and nothing changes what it holds.  When its
+shapes are right its stages are read-only views of those stacks, weights
+asymmetric within ``SYMMETRY_RTOL`` averaged.  The ownership tests pin
+that count, the stages' memory and repair, the reports under every
+tolerance and mode, each game's own reports beside another's, the
+release of a game's view with the game, stacks that no library call
+changes, and games validated on several threads at once.
 """
 
 import gc
@@ -91,9 +92,9 @@ def stacks_built(monkeypatch):
 
 @pytest.mark.parametrize("solver", list(SOLVERS))
 def test_a_verification_job_stacks_its_game_once(solver, stacks_built):
-    """The game stacks itself when built; validate, solve and the whole
-    oracle battery read that stacking, and feedback Stackelberg's
-    leader-mode validation adds its R^{0j} tests to it."""
+    """The game stacks and checks itself when built; validate, solve and the
+    whole oracle battery read that stacking, feedback Stackelberg's
+    leader-mode validation its kept report."""
     n = 1 if solver == "lqr" else 3
     for time_varying in (False, True):
         stacks_built.clear()
@@ -236,10 +237,51 @@ def test_a_game_keeps_its_view_and_releases_it_with_itself(stacks_built):
     assert released() is None
 
 
+def holdings(stacks):
+    """Each object a game's stacks hold, with the items of its list, tuple or dict."""
+    return {name: [value, *(value.values() if isinstance(value, dict) else
+                            value if isinstance(value, (list, tuple)) else ())]
+            for name, value in vars(stacks).items()}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_no_library_call_changes_what_a_built_game_holds(solver):
+    """Validation in both modes and at another tol, the views, a solve, its
+    rollout and the oracle battery leave every object a game's stacks hold
+    in place: the game was checked and laid out when it was built."""
+    n = 1 if solver == "lqr" else 3
+    spec = random_game(36, n_players=n, horizon=4, time_varying=True, targets=solver != "lqr")
+    bad = constant_game(A=[[1.0]], B=[[[1.0]]], Q=[[[-1.0]]], R=[[[[1.0]]]], T=2)
+    x0, row = random_x0(36, spec), SOLVERS[solver]
+
+    def unchanged(built, *calls):
+        before = holdings(built._stacks)
+        for call in calls:
+            call()
+            after = holdings(built._stacks)
+            assert after.keys() == before.keys()
+            for name, held in before.items():
+                assert len(after[name]) == len(held), name
+                assert all(a is b for a, b in zip(after[name], held)), name
+
+    def checks(built):
+        return [lambda tol=tol, leader=leader: validate(built, tol=tol, for_stackelberg=leader)
+                for tol in (1e-9, 1e-6) for leader in (False, True)]
+
+    solved = []
+    unchanged(bad, *checks(bad))
+    unchanged(spec, *checks(spec), lambda: require_valid(spec), lambda: StageArrays.of(spec),
+              lambda: require_valid(spec, for_stackelberg=n > 1),
+              lambda: solved.append(row.solve(spec, x0)),
+              lambda: game.rollout(spec, solved[0].trajectory.controls if row.pattern == OPEN_LOOP
+                                   else solved[0].laws, x0),
+              lambda: verify.run_verification(spec, solved[0], row.pattern, solver, x0=x0))
+
+
 def test_games_validated_and_rolled_out_on_threads_match_one_thread():
     """Two threads at a time validate, in both modes, and roll out each
-    game; the stacks a game shares with the threads must never hand one
-    thread a report of another mode or tolerance."""
+    game; a game shared with the threads must hand each thread the report
+    of its own mode, and the same trajectory."""
     specs = [random_game(40 + k, n_players=1 + k % 3, state_dim=1 + k % 3, horizon=3 + k,
                          time_varying=bool(k % 2)) for k in range(4)]
     x0s = [random_x0(40 + k, spec) for k, spec in enumerate(specs)]

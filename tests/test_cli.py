@@ -204,6 +204,7 @@ def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, flags
     (["solve", "--solver", "nope"], "error: argument --solver: invalid choice: 'nope'"),
     (["verify", "--fd-step", "1e-5"], "error: unrecognized arguments: --fd-step 1e-5"),
     (["verify", "--seed"], "error: argument --seed: expected one argument"),
+    (["solve", "--tol", "1e-6"], "error: unrecognized arguments: --tol 1e-6"),
 ])
 def test_usage_errors_exit_1_with_one_line(unit_game_path, tmp_path, capsys, argv, message):
     """A command line argparse refuses is an input failure (exit 1), not

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dyngame.errors import InvalidGameError
-from dyngame.game import (AffineLaw, constant_game, reorder_players, rollout, stage_cost,
-                          total_cost, truncate, validate)
+from dyngame.game import (AffineLaw, GameSpec, constant_game, reorder_players, rollout,
+                          stage_cost, total_cost, truncate, validate)
 from dyngame.gameio import (GameFormatError, game_from_dict, game_to_dict,
                             load_game, save_game)
 
@@ -146,6 +147,26 @@ def test_stages_and_players_must_be_integers(call, message):
     traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
     with pytest.raises(InvalidGameError, match=f"^{message}$"):
         call(spec, traj)
+
+
+@pytest.mark.parametrize("broken", ["state-weight-shape", "stage-count"])
+def test_costs_and_weights_refuse_a_misshapen_game(broken):
+    """As rollout does, the costs and the previous-state weight refuse a
+    game with a (3, 3) Q^0 for p = 2, or 2 stages for horizon 3, with
+    validate's violations, not a bare numpy error or a misshapen weight."""
+    spec = load_game(GOLDEN / "two_player.json")
+    st = spec.stages[0]
+    stages = ((replace(st, Q=(np.eye(3), st.Q[1])),) * 3 if broken == "state-weight-shape"
+              else spec.stages[:2])
+    bad = GameSpec(spec.horizon, spec.state_dim, spec.players, stages)
+    traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
+    expected = validate(bad).messages()
+    assert expected
+    for call in (lambda: stage_cost(bad, 0, 2, traj.states[3], [u[2] for u in traj.controls]),
+                 lambda: total_cost(bad, traj, 0), lambda: bad.prev_state_weight(3, 0)):
+        with pytest.raises(InvalidGameError) as info:
+            call()
+        assert info.value.violations == expected
 
 
 class TestRollout:

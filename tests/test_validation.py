@@ -19,7 +19,7 @@ import pytest
 
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, StageArrays, constant_game, require_valid, validate
+from dyngame.game import GameSpec, StageArrays, constant_game, validate
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -225,17 +225,14 @@ def test_non_finite_tolerance_is_refused(tol):
     spec = scalar_unit_two_player()
     with pytest.raises(InvalidGameError, match="tol must be finite"):
         validate(spec, tol=tol)
-    with pytest.raises(InvalidGameError, match="tol must be finite"):
-        require_valid(spec, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [None, "1e-9", [1e-9], True, False, np.bool_(True), 1e-9j])
 def test_a_tolerance_that_is_not_a_real_number_is_refused(tol):
     # a bool would read as 1.0 or 0.0, and the rest ended in a bare TypeError
     spec = scalar_unit_two_player()
-    for check in (validate, require_valid):
-        with pytest.raises(InvalidGameError, match="tol must be a real number"):
-            check(spec, tol=tol)
+    with pytest.raises(InvalidGameError, match="tol must be a real number"):
+        validate(spec, tol=tol)
 
 
 def test_integer_and_numpy_tolerances_are_real_numbers():
@@ -325,8 +322,8 @@ def test_opposite_weights_near_the_float_range_are_asymmetric_without_overflow()
                for t, m in enumerate(messages))
 
 
-def _eigvalsh_calls(monkeypatch, spec, **kwargs):
-    """Batch sizes of every ``np.linalg.eigvalsh`` call one validate makes."""
+def _eigvalsh_calls(monkeypatch, run):
+    """Batch sizes of every ``np.linalg.eigvalsh`` call ``run()`` makes, and its result."""
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -335,26 +332,33 @@ def _eigvalsh_calls(monkeypatch, spec, **kwargs):
         return eigvalsh(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert validate(spec, **kwargs).ok
-    monkeypatch.undo()
-    return sizes
+    try:
+        return sizes, run()
+    finally:
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("leader_first", [False, True])
 def test_eigenvalue_calls_are_one_per_matrix_size(monkeypatch, n, leader_first):
-    """Whatever n and T, one validate makes at most one ``eigvalsh`` call
-    per distinct matrix size, over every Q^i and R^{ii} of each distinct
-    StageData, and leader mode's R^{0j} with them when it runs first, or
-    alone on a game already validated plainly."""
+    """Whatever n and T, building a game makes at most one ``eigvalsh``
+    call per distinct matrix size, over every Q^i, R^{ii} and leader
+    R^{0j} of each distinct StageData.  Validation at 1e-9 then makes none,
+    in either mode and either order; at another tol it tests afresh, one
+    call per size again."""
     for time_varying in (False, True):
         for T in (5, 50):
             for dims in ([2] * n, [1, 2, 3][:n]):
                 spec = random_game(7, n_players=n, state_dim=2, control_dims=dims, horizon=T,
                                    time_varying=time_varying)
                 K, sizes = T if time_varying else 1, len({2, *dims})
-                first = _eigvalsh_calls(monkeypatch, spec, for_stackelberg=leader_first)
-                second = _eigvalsh_calls(monkeypatch, spec, for_stackelberg=not leader_first)
-                assert len(first) <= sizes and len(second) <= len(set(dims[1:]))
-                assert sum(first) == K * (2 * n + (n - 1) * leader_first)
-                assert sum(second) == (0 if leader_first else K * (n - 1))
+                built, spec = _eigvalsh_calls(monkeypatch, lambda: replace(spec))
+                assert len(built) <= sizes and sum(built) == K * (2 * n + (n - 1))
+                for leader in (leader_first, not leader_first):
+                    calls, report = _eigvalsh_calls(
+                        monkeypatch, lambda: validate(spec, for_stackelberg=leader))
+                    assert report.ok and calls == []
+                    calls, report = _eigvalsh_calls(
+                        monkeypatch, lambda: validate(spec, tol=1e-8, for_stackelberg=leader))
+                    assert report.ok and len(calls) <= sizes
+                    assert sum(calls) == K * (2 * n + (n - 1))

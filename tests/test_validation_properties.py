@@ -1,12 +1,12 @@
-"""Property test of ``validate``'s kept outcomes against the per-matrix loop.
+"""Property test of ``validate``'s reports against the per-matrix loop.
 
 Hypothesis draws small games, broadcast or time-varying, and spoils up to
 four stages with the malformations of ``test_validation``: NaN or Inf,
 asymmetry, indefinite weights, wrong shapes and wrong counts.  Each game
 object is validated at every tolerance in both mode orders, plain then
-leader and leader then plain, so the leader's add-on to a kept plain
-outcome is compared with ``reference_formulations.validate`` as well as the
-first, combined pass.
+leader and leader then plain, so the reports kept from construction at
+1e-9 and those tested afresh at other tolerances are all compared with
+``reference_formulations.validate``, whatever ran before them.
 """
 
 from dataclasses import replace

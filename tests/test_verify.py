@@ -121,6 +121,41 @@ class TestStationarity:
             verify.stationarity(spec, ol, verify.FEEDBACK)
 
 
+ORACLES = {
+    "stationarity": lambda spec, sol, pattern, x0: verify.stationarity(spec, sol, pattern, x0=x0),
+    "deviation_gap": lambda spec, sol, pattern, x0: verify.deviation_gap(
+        spec, sol, pattern, spec.n_players - 1, samples=3, x0=x0),
+    "leader_gap": lambda spec, sol, pattern, x0: verify.leader_gap(spec, sol, pattern, samples=3,
+                                                                   x0=x0),
+    "time_consistency": lambda spec, sol, pattern, x0: verify.time_consistency(spec, sol, pattern),
+    "run_verification": lambda spec, sol, pattern, x0: verify.run_verification(
+        spec, sol, pattern, "solver", x0=x0, samples=3, leader_samples=3),
+}
+
+
+@pytest.mark.parametrize("differs", ["horizon", "state_dim"])
+@pytest.mark.parametrize("oracle", list(ORACLES))
+def test_every_oracle_refuses_a_solution_of_another_game(oracle, differs):
+    """A solution of a game with another horizon or state dimension is
+    refused, naming both games' sizes, not ended in a bare numpy error."""
+    for name, row in SOLVERS.items():
+        if oracle == "leader_gap" and not row.stackelberg:
+            continue
+        n = 1 if name == "lqr" else 2
+        sizes = dict(n_players=n, horizon=4, state_dim=2, control_dims=[1] * n,
+                     targets=name != "lqr")
+        spec = random_game(61, **sizes)
+        sizes[differs] += 1
+        other = random_game(62, **sizes)
+        sol = row.solve(other, random_x0(62, other))
+        theirs = (other.horizon, other.state_dim, (1,) * n)
+        ours = (spec.horizon, spec.state_dim, (1,) * n)
+        with pytest.raises(InvalidGameError) as info:
+            ORACLES[oracle](spec, sol, row.pattern, random_x0(61, spec))
+        assert str(info.value) == ("the solution is of another game: (horizon, state_dim, "
+                                   f"control_dims) {theirs}, the game's {ours}"), name
+
+
 class TestDeviationGap:
     def test_feedback_nash_gap_nonnegative(self):
         spec = scalar_unit_two_player()
