@@ -1,15 +1,18 @@
-"""Open-loop equilibria: committed sequences, costates, and (in)consistency.
+"""Open-loop equilibria: committed sequences, stationarity, and (in)consistency.
 
-Open-loop players commit whole control paths at time zero.  The solver
-returns the committed sequences plus the adjoint variables that certify
-first-order optimality.  Open-loop Nash survives mid-game re-solving from
-an on-path state; the open-loop Stackelberg leader's plan generally does
-not once its commitment multipliers are reset.
+Open-loop players commit whole control paths at time zero.  The evidence
+of first-order optimality is :func:`dyngame.verify.stationarity`: one
+costate pass along the played path, which reads only the game and the
+committed controls, gives each player's largest gradient of its total
+cost in its own controls (the leader's through the followers' best
+response).  Open-loop Nash survives mid-game re-solving from an on-path
+state; the open-loop Stackelberg leader's plan generally does not once
+its commitment multipliers are reset.
 """
 
 import numpy as np
 
-from dyngame import openloop_nash, openloop_stackelberg, truncate
+from dyngame import openloop_nash, openloop_stackelberg, truncate, verify
 
 from dyngame import constant_game
 
@@ -25,10 +28,8 @@ x0 = np.array([1.0, -1.0])
 nash = openloop_nash.solve(game, x0)
 print("open-loop Nash committed controls (player 1):",
       np.round(nash.trajectory.controls[0].ravel(), 4))
-print("KKT residuals:", {k: f"{v:.1e}" for k, v in openloop_nash.kkt_residuals(nash).items()})
-
-costates = openloop_nash.costates(nash)
-print("player 1 costate path:", np.round(costates[0, :, 0], 4))
+print("stationarity per player:",
+      {i: f"{r:.1e}" for i, r in verify.stationarity(game, nash, verify.OPEN_LOOP).items()})
 
 # Weak time consistency: re-solving the tail from the on-path state x_3
 # reproduces the committed tail.
@@ -40,8 +41,8 @@ print(f"\nNash tail re-solve gap at stage {s}:",
 # Open-loop Stackelberg: the leader's plan leans on commitment.
 stack = openloop_stackelberg.solve(game, x0)
 print("\nleader's committed sequence:", np.round(stack.trajectory.controls[0].ravel(), 4))
-print("KKT residuals:",
-      {k: f"{v:.1e}" for k, v in openloop_stackelberg.kkt_residuals(stack).items()})
+print("stationarity per player:",
+      {i: f"{r:.1e}" for i, r in verify.stationarity(game, stack, verify.OPEN_LOOP).items()})
 
 inherited = openloop_stackelberg.solve(truncate(game, s), stack.trajectory.states[s],
                                        initial_mu=stack.mu[:, s])

@@ -150,7 +150,7 @@ def _parse_x0(arg: str | None, spec: GameSpec, required: str | None) -> np.ndarr
         raise InvalidGameError(f"cannot read --x0 file: {exc}") from exc
     except GameFormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise InvalidGameError(f"--x0 must be a list of numbers: {exc}") from exc
     return initial_state(spec, x0)
 

@@ -46,7 +46,9 @@ def load_game(path) -> GameSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise GameFormatError("/", f"cannot read game file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise GameFormatError("/", f"game file is not UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GameFormatError("/", f"malformed JSON: {exc}") from exc
     return game_from_dict(doc)
 

@@ -152,39 +152,3 @@ def _by_row(Rinv_Bt: np.ndarray, c: np.ndarray, owner: np.ndarray) -> np.ndarray
     (S, M) from c (S, n, p)."""
     return np.einsum("kp,skp->sk", Rinv_Bt, c[:, owner])
 
-
-def costates(sol: OpenLoopNashSolution) -> np.ndarray:
-    """Adjoint sequences p_0^i .. p_T^i reconstructed from (M, m).
-
-    p_t^i = (M_t^i - W_t^i) x_t* + m_t^i with W_t^i the state weight
-    absorbed into M_t^i; p_T^i = 0 exactly.  The backward adjoint
-    recursion holds along the trajectory (see :func:`kkt_residuals`).
-    """
-    Q = StageArrays.of(sol.spec).Q
-    W = np.concatenate([np.zeros_like(Q[:1]), Q]).swapaxes(0, 1)
-    return np.einsum("itpq,tq->itp", sol.M - W, sol.trajectory.states) + sol.m
-
-
-def kkt_residuals(sol: OpenLoopNashSolution) -> dict[str, float]:
-    """Max-norm residuals of the minimum-principle conditions on the path.
-
-    * ``adjoint``:       p_t^i = A_t'[p_{t+1}^i + Q_t^i (x_{t+1}* - xt_i)]
-    * ``stationarity``:  R^ii(u_t^i - ut_ii) + B^i'[Q^i(x_{t+1}* - xt_i) + p_{t+1}^i] = 0
-    * ``state``:         x_{t+1}* = A x_t* + sum B u + s
-    """
-    view = StageArrays.of(sol.spec)
-    x = sol.trajectory.states
-    u = np.concatenate(sol.trajectory.controls, axis=-1)
-    pvec = costates(sol).swapaxes(0, 1)  # (T+1, n, p)
-    # Every player's costate p_{t+1} + Q_t (x_{t+1} - xt), (T, n, p).
-    lam = pvec[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
-    rows = view.rows
-    grad = (np.einsum("tkl,tl->tk", view.R[:, view.owner, rows], u - view.ut[:, view.owner, rows])
-            + np.einsum("tpk,tkp->tk", view.B, lam[:, view.owner]))
-    res = {
-        "adjoint": pvec[:-1] - np.einsum("tqp,tiq->tip", view.A, lam),
-        "stationarity": grad,
-        "state": x[1:] - (np.einsum("tpq,tq->tp", view.A, x[:-1]) + view.s
-                          + np.einsum("tpk,tk->tp", view.B, u)),
-    }
-    return {key: float(np.abs(r).max(initial=0.0)) for key, r in res.items()}

@@ -248,54 +248,3 @@ def sweep(view: StageArrays, z0: np.ndarray):
     u = np.einsum("tij,tj->ti", P[:, :, :d], z[:T]) + P[:, :, d]
     return u, z, K, k, N, Xi, P
 
-
-def kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
-    """Max-norm residuals of the leader's minimum-principle system along
-    the path: stationarity of both sides, costate and multiplier
-    recursions, cocontrol consistency, and the state equation.
-
-    The multipliers are read off the stacked coefficients at the path
-    values: costates (K_t - W_t) z_t + k_t, so lambda_T and p_T^i vanish
-    exactly, and cocontrols v_t = N_t (x_{t+1}, mu_t) + nv_t.
-    """
-    view = StageArrays.of(sol.spec)
-    T, p, n = sol.spec.horizon, sol.spec.state_dim, sol.spec.n_players
-    f = slice(view.blocks[0].stop, None)
-    rows = view.rows
-    x = sol.trajectory.states
-    u = np.concatenate(sol.trajectory.controls, axis=-1)
-    mu = sol.mu.swapaxes(0, 1)  # (T+1, n-1, p)
-    z = np.hstack([x, mu.reshape(T + 1, -1)])
-    W = np.zeros_like(sol.K)
-    W[1:, :, :p] = view.Q.reshape(T, n * p, p)
-    costates = (np.einsum("tij,tj->ti", sol.K - W, z) + sol.k).reshape(T + 1, n, p)
-    v = np.einsum("tij,tj->ti", sol.N, np.hstack([x[1:], z[:T, p:]])) + sol.nv
-
-    # Every player's p_{t+1} + Q_t (x_{t+1} - xt), the multipliers as their
-    # recursion carries them, and the leader's costate with every
-    # follower's multiplier weighted in.
-    lam = costates[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
-    mu_next = (np.einsum("tpq,tlq->tlp", view.A, mu[:-1])
-               + np.einsum("tpk,tk,kl->tlp", view.B[:, :, f], v, np.eye(n - 1)[view.owner[f] - 1]))
-    c0 = lam[:, 0] + np.einsum("tlpq,tlq->tp", view.Q[:, 1:], mu_next)
-    R_own = view.R[:, view.owner, rows]
-    # Leader stationarity in its own controls, cocontrol consistency in
-    # the followers'.
-    leader = (np.einsum("tpk,tp->tk", view.B, c0)
-              + np.einsum("tkl,tl->tk", view.R[:, 0], u - view.ut[:, 0]))
-    leader[:, f] += np.einsum("tkl,tl->tk", R_own[:, f, f], v)
-    follower = (np.einsum("tkl,tl->tk", R_own[:, f, f], u[:, f] - view.ut[:, view.owner, rows][:, f])
-                + np.einsum("tpk,tkp->tk", view.B[:, :, f], lam[:, view.owner[f]]))
-    res = {
-        "leader_stationarity": leader[:, :f.start],
-        "cocontrol": leader[:, f],
-        "leader_costate": np.vstack([costates[:T, 0] - np.einsum("tqp,tq->tp", view.A, c0),
-                                     costates[T:, 0]]),
-        "multiplier": mu[1:] - mu_next,
-        "follower_stationarity": follower,
-        "follower_costate": np.concatenate([
-            costates[:T, 1:] - np.einsum("tqp,tlq->tlp", view.A, lam[:, 1:]), costates[T:, 1:]]),
-        "state": x[1:] - (np.einsum("tpq,tq->tp", view.A, x[:-1]) + view.s
-                          + np.einsum("tpk,tk->tp", view.B, u)),
-    }
-    return {key: float(np.abs(r).max(initial=0.0)) for key, r in res.items()}

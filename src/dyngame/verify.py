@@ -4,7 +4,9 @@ Every check here judges a solution only through its output object (laws or
 control sequences, and a feedback Stackelberg solution's stage reactions)
 plus the plain game machinery: the stage data, rollouts, stage costs and
 re-solves of reduced games.  None of them re-uses the internal recursion of
-the solver under test to certify itself.
+the solver under test to certify itself, but one: the open-loop Stackelberg
+``WTC`` entry replays one re-solve by :func:`dyngame.openloop_stackelberg.sweep`,
+so its "tail" half is a reproduction check of that solver, not a certificate.
 
 Randomness is reproducible across platforms: all sampling uses numpy's
 PCG64 generator (64-bit state) seeded explicitly, via
@@ -278,7 +280,10 @@ def _unit_rows(rng, samples, size):
     own dot product, as ``np.linalg.norm`` computes it for that row alone,
     so the sample set of a seed does not depend on the batching.
     """
-    d = rng.standard_normal((samples, size))
+    try:
+        d = rng.standard_normal((samples, size))
+    except ValueError as exc:
+        raise InvalidGameError(f"cannot draw {samples} samples of {size} entries: {exc}") from exc
     norm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     return d / np.where(norm == 0, 1.0, norm)[:, None]
 
@@ -598,7 +603,8 @@ def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
     # Checks draw from seed + i, so a negative seed could pass some of them.
     require_index("seed", seed, np.inf)
     is_stackelberg = _solver_row(spec, solution, pattern).stackelberg
-    # Refuse every argument an oracle would refuse before any of them runs.
+    # Refuse every argument an oracle would refuse before any of them runs;
+    # a count too large for numpy to draw is refused where it is drawn.
     _require_samples("samples", samples)
     if is_stackelberg:
         _require_samples("leader_samples", leader_samples)

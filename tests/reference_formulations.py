@@ -1,6 +1,6 @@
 """Alternate formulations kept only to cross-check the library.
 
-Fourteen kinds live here.  The per-sample loop formulations of the sampling
+Fifteen kinds live here.  The per-sample loop formulations of the sampling
 oracles draw their random directions one sample at a time and roll out one
 trajectory, or sum one tail of stage costs, per sample or finite-difference
 probe, exactly as the library did before its oracles ran over a sample
@@ -76,6 +76,14 @@ The drift-batched leader cost on the rebuilt followers' game is the
 library's form from before that selection, which the selection must equal
 bit for bit.
 
+The open-loop minimum-principle residuals rebuild an open-loop solution's
+costates from its own sweep coefficients (M and m for Nash; K, k, N and
+nv for Stackelberg) and measure the adjoint, stationarity, multiplier,
+cocontrol and state conditions along its path, as the library did beside
+:func:`dyngame.verify.stationarity` before that costate pass, which reads
+only the game and the controls, became its one first-order certificate.
+Acceptance criterion 4b runs them.
+
 The per-matrix definiteness monitor records each monitored matrix with
 its own symmetry test and ``eigvalsh`` call, and forms its symmetric part
 as 0.5 (M + M'), as the library did before it tested them as one stack
@@ -109,6 +117,7 @@ from dyngame.game import (AffineLaw, GameSpec, StageArrays, Trajectory, Validati
                           sequence_path, stage_cost, truncate)
 from dyngame.numerics import SYMMETRY_RTOL, Checks, asymmetry
 from dyngame.openloop_nash import OpenLoopNashSolution
+from dyngame.openloop_stackelberg import OpenLoopStackelbergSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, solver_of
 from dyngame.verify import DefinitenessLog, MonitorEntry
 
@@ -549,6 +558,95 @@ def openloop_stackelberg_transition_residual(sol) -> float:
     for t in range(T):
         worst = max(worst, np.abs(z[t + 1] - (sol.Xi[t] @ z[t] + sol.xi[t])).max(initial=0.0))
     return float(worst)
+
+
+def openloop_nash_costates(sol: OpenLoopNashSolution) -> np.ndarray:
+    """Adjoint sequences p_0^i .. p_T^i reconstructed from (M, m).
+
+    p_t^i = (M_t^i - W_t^i) x_t* + m_t^i with W_t^i the state weight
+    absorbed into M_t^i; p_T^i = 0 exactly.  The backward adjoint
+    recursion holds along the trajectory (see :func:`openloop_nash_kkt_residuals`).
+    """
+    Q = StageArrays.of(sol.spec).Q
+    W = np.concatenate([np.zeros_like(Q[:1]), Q]).swapaxes(0, 1)
+    return np.einsum("itpq,tq->itp", sol.M - W, sol.trajectory.states) + sol.m
+
+
+def openloop_nash_kkt_residuals(sol: OpenLoopNashSolution) -> dict[str, float]:
+    """Max-norm residuals of the minimum-principle conditions on the path.
+
+    * ``adjoint``:       p_t^i = A_t'[p_{t+1}^i + Q_t^i (x_{t+1}* - xt_i)]
+    * ``stationarity``:  R^ii(u_t^i - ut_ii) + B^i'[Q^i(x_{t+1}* - xt_i) + p_{t+1}^i] = 0
+    * ``state``:         x_{t+1}* = A x_t* + sum B u + s
+    """
+    view = StageArrays.of(sol.spec)
+    x = sol.trajectory.states
+    u = np.concatenate(sol.trajectory.controls, axis=-1)
+    pvec = openloop_nash_costates(sol).swapaxes(0, 1)  # (T+1, n, p)
+    # Every player's costate p_{t+1} + Q_t (x_{t+1} - xt), (T, n, p).
+    lam = pvec[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
+    rows = view.rows
+    grad = (np.einsum("tkl,tl->tk", view.R[:, view.owner, rows], u - view.ut[:, view.owner, rows])
+            + np.einsum("tpk,tkp->tk", view.B, lam[:, view.owner]))
+    res = {
+        "adjoint": pvec[:-1] - np.einsum("tqp,tiq->tip", view.A, lam),
+        "stationarity": grad,
+        "state": x[1:] - (np.einsum("tpq,tq->tp", view.A, x[:-1]) + view.s
+                          + np.einsum("tpk,tk->tp", view.B, u)),
+    }
+    return {key: float(np.abs(r).max(initial=0.0)) for key, r in res.items()}
+
+
+def openloop_stackelberg_kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict[str, float]:
+    """Max-norm residuals of the leader's minimum-principle system along
+    the path: stationarity of both sides, costate and multiplier
+    recursions, cocontrol consistency, and the state equation.
+
+    The multipliers are read off the stacked coefficients at the path
+    values: costates (K_t - W_t) z_t + k_t, so lambda_T and p_T^i vanish
+    exactly, and cocontrols v_t = N_t (x_{t+1}, mu_t) + nv_t.
+    """
+    view = StageArrays.of(sol.spec)
+    T, p, n = sol.spec.horizon, sol.spec.state_dim, sol.spec.n_players
+    f = slice(view.blocks[0].stop, None)
+    rows = view.rows
+    x = sol.trajectory.states
+    u = np.concatenate(sol.trajectory.controls, axis=-1)
+    mu = sol.mu.swapaxes(0, 1)  # (T+1, n-1, p)
+    z = np.hstack([x, mu.reshape(T + 1, -1)])
+    W = np.zeros_like(sol.K)
+    W[1:, :, :p] = view.Q.reshape(T, n * p, p)
+    costates = (np.einsum("tij,tj->ti", sol.K - W, z) + sol.k).reshape(T + 1, n, p)
+    v = np.einsum("tij,tj->ti", sol.N, np.hstack([x[1:], z[:T, p:]])) + sol.nv
+
+    # Every player's p_{t+1} + Q_t (x_{t+1} - xt), the multipliers as their
+    # recursion carries them, and the leader's costate with every
+    # follower's multiplier weighted in.
+    lam = costates[1:] + np.einsum("tipq,tiq->tip", view.Q, x[1:, None] - view.xt)
+    mu_next = (np.einsum("tpq,tlq->tlp", view.A, mu[:-1])
+               + np.einsum("tpk,tk,kl->tlp", view.B[:, :, f], v, np.eye(n - 1)[view.owner[f] - 1]))
+    c0 = lam[:, 0] + np.einsum("tlpq,tlq->tp", view.Q[:, 1:], mu_next)
+    R_own = view.R[:, view.owner, rows]
+    # Leader stationarity in its own controls, cocontrol consistency in
+    # the followers'.
+    leader = (np.einsum("tpk,tp->tk", view.B, c0)
+              + np.einsum("tkl,tl->tk", view.R[:, 0], u - view.ut[:, 0]))
+    leader[:, f] += np.einsum("tkl,tl->tk", R_own[:, f, f], v)
+    follower = (np.einsum("tkl,tl->tk", R_own[:, f, f], u[:, f] - view.ut[:, view.owner, rows][:, f])
+                + np.einsum("tpk,tkp->tk", view.B[:, :, f], lam[:, view.owner[f]]))
+    res = {
+        "leader_stationarity": leader[:, :f.start],
+        "cocontrol": leader[:, f],
+        "leader_costate": np.vstack([costates[:T, 0] - np.einsum("tqp,tq->tp", view.A, c0),
+                                     costates[T:, 0]]),
+        "multiplier": mu[1:] - mu_next,
+        "follower_stationarity": follower,
+        "follower_costate": np.concatenate([
+            costates[:T, 1:] - np.einsum("tqp,tlq->tlp", view.A, lam[:, 1:]), costates[T:, 1:]]),
+        "state": x[1:] - (np.einsum("tpq,tq->tp", view.A, x[:-1]) + view.s
+                          + np.einsum("tpk,tk->tp", view.B, u)),
+    }
+    return {key: float(np.abs(r).max(initial=0.0)) for key, r in res.items()}
 
 
 def feedback_nash_solve_alt(spec) -> FeedbackNashSolution:

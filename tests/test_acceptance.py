@@ -244,10 +244,10 @@ def test_criterion_4a_stationarity(announce, nash_solutions, stackelberg_solutio
 def test_criterion_4b_kkt_residuals(announce, nash_solutions, stackelberg_solutions):
     with announce("4b", "costate/KKT residual families (1e-9 Nash, 1e-8 Stackelberg)"):
         for spec, x0, _, ol in nash_solutions:
-            res = openloop_nash.kkt_residuals(ol)
+            res = ref.openloop_nash_kkt_residuals(ol)
             assert max(res.values()) <= 1e-9, res
         for spec, x0, _, ol in stackelberg_solutions:
-            res = openloop_stackelberg.kkt_residuals(ol)
+            res = ref.openloop_stackelberg_kkt_residuals(ol)
             assert max(res.values()) <= 1e-8, res
 
 

@@ -57,6 +57,18 @@ def test_malformed_json_is_input_error(tmp_path):
     assert cli.main(["validate", "--game", str(path)]) == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "error: /: game file is not UTF-8: "),
+    (b"[" * 100000 + b"]" * 100000, "error: /: malformed JSON: "),
+], ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_game_file_is_input_error(tmp_path, capsys, content, message):
+    path = tmp_path / "game.json"
+    path.write_bytes(content)
+    assert cli.main(["validate", "--game", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message) and "Traceback" not in err, err
+
+
 def test_nan_drift_is_input_error(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"horizon": 2, "state_dim": 2, "players": [{"control_dim": 1}], '
@@ -190,11 +202,16 @@ def test_solve_openloop_stackelberg_path_laws(tmp_path):
         assert np.abs(traj.controls[i] - np.array(u)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"]])
-def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, flags):
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"],
+                                   ["--samples", str(10**20)], ["--samples", str(2**60)]])
+def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, capsys, flags):
+    """The counts numpy cannot draw, 10**20 and 2**60, it refuses before it
+    allocates anything."""
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--game", unit_game_path, "--solver", "feedback-nash",
                      "--x0", "1", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
     assert not out.exists()
 
 
@@ -474,7 +491,9 @@ def test_non_finite_result_exits_2(tmp_path, capsys, command, solver, n_players,
 
 
 @pytest.mark.parametrize("x0_text,as_file", [("abc", False), ('{"a": 1}', True),
-                                              ('[true, 0.5]', True), ('["1", 2]', True)])
+                                              ('[true, 0.5]', True), ('["1", 2]', True),
+                                              pytest.param("[" * 100000 + "]" * 100000, True,
+                                                           id="nested-too-deep")])
 def test_non_numeric_x0_is_input_error(unit_game_path, tmp_path, capsys, x0_text, as_file):
     x0 = x0_text
     if as_file:

