@@ -24,7 +24,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -132,6 +133,8 @@ def constant_game(A, B, Q, R, T, s=None, x_target=None, u_target=None,
                   names=None) -> GameSpec:
     """GameSpec with one StageData broadcast to all T stages, filling
     omitted drift/targets with zeros."""
+    if not is_integer(T):
+        raise InvalidGameError(f"T must be an integer, got {T!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in B)
     p, n = A.shape[0], len(B)
@@ -144,6 +147,8 @@ def constant_game(A, B, Q, R, T, s=None, x_target=None, u_target=None,
         u_target = [[np.zeros(m) for m in dims]] * n
     if names is None:
         names = [f"P{i + 1}" for i in range(n)]
+    elif len(names) != n:
+        raise InvalidGameError(f"expected {n} names, got {len(names)}")
     stage = StageData(A=A, B=B, s=s, Q=tuple(Q), R=tuple(tuple(row) for row in R),
                       x_target=tuple(x_target), u_target=tuple(tuple(row) for row in u_target))
     players = tuple(Player(control_dim=m, name=names[i]) for i, m in enumerate(dims))
@@ -198,14 +203,11 @@ def validate(spec: GameSpec, tol: float = 1e-9, for_stackelberg: bool = False) -
     built (:class:`_Stacks`), and this returns the report it keeps; any
     other ``tol`` is tested afresh on its stacks and kept nowhere.
     """
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-        raise InvalidGameError(f"tol must be a real number, got {tol!r}")
-    if not (abs(tol) <= 1.7976931348623157e308 if isinstance(tol, int) else np.isfinite(tol)):
-        raise InvalidGameError(f"tol must be finite, got {tol}")
+    tol = require_real("tol", tol)
     stacks = spec._stacks
     if tol == VALIDATION_TOL:
         return stacks.reports[bool(for_stackelberg)]
-    found, lead = ((), ()) if stacks.header else stacks.outcome(float(tol))
+    found, lead = ((), ()) if stacks.header else stacks.outcome(tol)
     return stacks.report(found + lead if for_stackelberg else found)
 
 
@@ -229,13 +231,12 @@ class _Stacks:
     def __init__(self, spec: GameSpec):
         n, p, dims = spec.n_players, spec.state_dim, spec.control_dims
         self.dims, self.found, self.view = dims, [], None
-        self.header = [Violation(where, message) for bad, where, message in (
-            (spec.horizon < 1, "horizon", f"must be >= 1, got {spec.horizon}"),
-            (p < 1, "state_dim", f"must be >= 1, got {p}"),
-            (n < 1, "players", "at least one player is required"),
-            *((m < 1, f"players/{i}/control_dim", f"must be >= 1, got {m}") for i, m in enumerate(dims)),
-            (len(spec.stages) != spec.horizon, "stages",
-             f"expected {spec.horizon} stages, got {len(spec.stages)}")) if bad]
+        self.header = [Violation(where, message) for where, message in (
+            ("horizon", _size_fault(spec.horizon)), ("state_dim", _size_fault(p)),
+            ("players", n < 1 and "at least one player is required"),
+            *((f"players/{i}/control_dim", _size_fault(m)) for i, m in enumerate(dims)),
+            ("stages", is_integer(spec.horizon) and len(spec.stages) != spec.horizon
+             and f"expected {spec.horizon} stages, got {len(spec.stages)}")) if message]
         if self.header:
             self.reports = (self.report(),) * 2
             return
@@ -315,14 +316,17 @@ class _Stacks:
         found, lead = self.outcome(VALIDATION_TOL, symmetry)
         self.reports = self.report(found), self.report(found + lead)
 
-    def stages(self) -> tuple[StageData, ...]:
-        """The stages as read-only views of the fields, one StageData per distinct stage."""
-        F, blocks = self.fields, self.blocks
-        distinct = [StageData._of(A=F["A"][k], B=tuple(F["B"][k][:, b] for b in blocks), s=F["s"][k],
-                                  Q=tuple(F["Q"][k]), x_target=tuple(F["xt"][k]),
-                                  R=tuple(tuple(R_i[b, b] for b in blocks) for R_i in F["R"][k]),
-                                  u_target=tuple(tuple(u_i[b] for b in blocks) for u_i in F["ut"][k]))
-                    for k in range(len(F["A"]))]
+    def stages(self, players=None) -> tuple[StageData, ...]:
+        """The stages as read-only views of the fields, of ``players`` alone in that order
+        when given (:meth:`StageArrays.select`), one StageData per distinct stage."""
+        F = StageArrays._laid_out(self.blocks, **self.fields)
+        if players is not None:
+            F = F.select(players)
+        distinct = [StageData._of(A=F.A[k], B=tuple(F.B[k][:, b] for b in F.blocks), s=F.s[k],
+                                  Q=tuple(F.Q[k]), x_target=tuple(F.xt[k]),
+                                  R=tuple(tuple(R_i[b, b] for b in F.blocks) for R_i in F.R[k]),
+                                  u_target=tuple(tuple(u_i[b] for b in F.blocks) for u_i in F.ut[k]))
+                    for k in range(len(F.A))]
         return tuple(distinct[k] for k in self.at.tolist())
 
     def report(self, found=()) -> ValidationReport:
@@ -400,6 +404,13 @@ def _refuse(violations) -> None:
         messages = [str(v) for v in violations]
         raise InvalidGameError("game definition failed validation:\n  " + "\n  ".join(messages),
                                violations=messages)
+
+
+def _size_fault(size) -> str | None:
+    """What is wrong with a horizon or dimension ``size``, if anything."""
+    if not is_integer(size):
+        return f"must be an integer, got {size!r}"
+    return f"must be >= 1, got {size}" if size < 1 else None
 
 
 def _blocks(dims) -> tuple[slice, ...]:  # each player's rows of the M = sum(dims) control rows
@@ -530,11 +541,25 @@ class Trajectory:
         return self.states.shape[-2] - 1
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool, which would read as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_real(name: str, value) -> float:
+    """``value`` as a float, refused unless it is a real number, not a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidGameError(f"{name} must be a real number, got {value!r}")
+    if not (abs(value) <= sys.float_info.max if isinstance(value, int) else np.isfinite(value)):
+        raise InvalidGameError(f"{name} must be finite, got {value}")
+    return float(value)
+
+
 def require_index(name: str, value: int, last: float) -> None:
     """Refuse ``value`` unless it is an integer, not a bool, in [0, last]:
     a player or a stage of a game, where a negative index would silently
     count from the end, or a count or seed, whose ``last`` is infinite."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise InvalidGameError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value <= last:
         raise InvalidGameError(f"{name} {value} outside [0, {last}]" if last < np.inf
@@ -552,8 +577,7 @@ def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -
         raise InvalidGameError(
             f"x_next has shape {x_next.shape}, expected {(spec.state_dim,)}"
         )
-    if len(u_all) != spec.n_players:
-        raise InvalidGameError(f"expected {spec.n_players} controls, got {len(u_all)}")
+    u_all = _one_per_player(spec, u_all, "controls")
     dx = x_next - st.x_target[player]
     total = 0.5 * float(dx @ st.Q[player] @ dx)
     for j, u in enumerate(u_all):
@@ -570,6 +594,8 @@ def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -
 def total_cost(spec: GameSpec, traj: Trajectory, player: int) -> float:
     """Stage-additive total cost of one player along a trajectory."""
     require_index("player", player, spec.n_players - 1)
+    if not isinstance(traj, Trajectory):
+        raise InvalidGameError(f"traj must be a Trajectory, got {type(traj).__name__}")
     if traj.states.shape != (spec.horizon + 1, spec.state_dim):
         raise InvalidGameError(
             f"trajectory shape {traj.states.shape} inconsistent with the game"
@@ -666,10 +692,8 @@ def _stacked_rules(spec: GameSpec, laws_or_controls):
     each entry checked against the game: gains GT (..., T, p, M), zero for
     a control sequence and None for all sequences, offsets (..., T, M),
     and the common sample count (None when no array has a sample axis)."""
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    entries = list(laws_or_controls)
-    if len(entries) != n:
-        raise InvalidGameError(f"expected {n} control sequences or law sequences, got {len(entries)}")
+    T, p = spec.horizon, spec.state_dim
+    entries = _one_per_player(spec, laws_or_controls, "control sequences or law sequences")
 
     counts = set()
 
@@ -700,6 +724,17 @@ def _stacked_rules(spec: GameSpec, laws_or_controls):
         raise InvalidGameError("a sample axis must hold at least one sample")
     laws = any(isinstance(entry, AffineLaw) for entry in entries)
     return _side_by_side(GT) if laws else None, _side_by_side(g), S
+
+
+def _one_per_player(spec: GameSpec, entries, what: str) -> list:
+    """``entries`` as a list, checked to hold one entry per player; an error calls them ``what``."""
+    try:
+        entries = list(entries)
+    except TypeError:
+        raise InvalidGameError(f"expected a sequence of {spec.n_players} {what}, got {entries!r}") from None
+    if len(entries) != spec.n_players:
+        raise InvalidGameError(f"expected {spec.n_players} {what}, got {len(entries)}")
+    return entries
 
 
 def _side_by_side(arrays):
@@ -733,21 +768,6 @@ def truncate(spec: GameSpec, start: int) -> GameSpec:
                     players=spec.players, stages=spec.stages[start:])
 
 
-def _player_subgame(spec: GameSpec, keep) -> GameSpec:
-    """The game restricted to players ``keep``, in that order, every cost
-    block kept; stages that share a StageData object share its restriction."""
-    def restricted(st):
-        return replace(st, B=tuple(st.B[i] for i in keep), Q=tuple(st.Q[i] for i in keep),
-                       R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
-                       x_target=tuple(st.x_target[i] for i in keep),
-                       u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep))
-
-    built = {key: restricted(st) for key, st in {id(st): st for st in spec.stages}.items()}
-    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
-                    players=tuple(spec.players[i] for i in keep),
-                    stages=tuple(built[id(st)] for st in spec.stages))
-
-
 def folded_drifts(view: StageArrays, player: int, controls: np.ndarray) -> np.ndarray:
     """Stage drifts ``s_t + B_t^player u_t`` of a game's view with one
     player's control sequence u (T, m) folded in, (T, p); S sequences
@@ -758,11 +778,15 @@ def folded_drifts(view: StageArrays, player: int, controls: np.ndarray) -> np.nd
 
 def reorder_players(spec: GameSpec, order) -> GameSpec:
     """The same game with players permuted (Stackelberg leadership is
-    positional: player 0 leads, so reordering chooses the leader)."""
+    positional: player 0 leads, so reordering chooses the leader), selected
+    on the game's checked stacks; stages that share a StageData object share
+    the reordered one.  A misshapen game raises (:meth:`StageArrays.of`)."""
+    StageArrays.of(spec)
     order = list(order)
     for player in order:
         require_index("player", player, spec.n_players - 1)
     if sorted(order) != list(range(spec.n_players)):
         raise InvalidGameError(
             f"order must be a permutation of 0..{spec.n_players - 1}, got {order}")
-    return _player_subgame(spec, order)
+    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
+                    players=tuple(spec.players[i] for i in order), stages=spec._stacks.stages(order))

@@ -35,7 +35,8 @@ from . import openloop_nash, openloop_stackelberg, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
 from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, folded_drifts,
-                   initial_state, require_index, require_valid, rollout, sequence_path)
+                   initial_state, is_integer, require_index, require_real, require_valid, rollout,
+                   sequence_path)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -72,12 +73,12 @@ def _solver_row(spec: GameSpec, solution, pattern: str) -> solvers.Solver:
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
+    if not require_real(name, value) > 0:
         raise InvalidGameError(f"{name} must be finite and > 0, got {value}")
 
 
 def _require_samples(name: str, value: int) -> None:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value < 1:
+    if is_integer(value) and value < 1:
         raise InvalidGameError(f"{name} must be >= 1, got {value}")
     require_index(name, value, np.inf)
 

@@ -29,7 +29,13 @@ the warnings its step raised too.  The cases are:
   tolerance afresh, so the two orders must hash alike; both stay so that
   any outcome that came to depend on what ran before would show, and so
   that the lines compare with versions that kept outcomes per tolerance
-  and added leader mode's tests to plain validation's.
+  and added leader mode's tests to plain validation's;
+- ``reordered<s>-broadcast`` and ``reordered<s>-varying``: the two- and
+  three-player games of ``seed<s>`` with their players in reversed order
+  (``reorder_players``), the lines of both Stackelberg solvers and one
+  ``validation`` line, and ``reordered-malformed<s>``, one ``validation``
+  line for each multi-player game of ``malformed<s>`` with no wrong shape
+  or count, which ``reorder_players`` refuses.
 """
 
 import hashlib
@@ -48,7 +54,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,  # noqa: E402
                      openloop_stackelberg)
 from dyngame.errors import DynGameError  # noqa: E402
-from dyngame.game import StageArrays, validate  # noqa: E402
+from dyngame.game import StageArrays, reorder_players, validate  # noqa: E402
 from dyngame.solvers import SOLVERS  # noqa: E402
 from dyngame.verify import run_verification, time_consistency  # noqa: E402
 
@@ -98,6 +104,16 @@ def print_outputs(case, name, spec, x0, verify=True) -> None:
         report = digest(lambda: run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
                                                  leader_samples=10).as_dict())
         print(f"{case} {name} report {report}")
+
+
+def validation(spec) -> str:
+    """The digest of ``validate``'s messages at every tolerance and mode."""
+    return digest(lambda: [validate(spec, tol=tol, for_stackelberg=leader).messages()
+                           for tol in (1e-9, 1e-6, -1e-6) for leader in (False, True)])
+
+
+def reversed_players(spec):
+    return reorder_players(spec, range(spec.n_players)[::-1])
 
 
 def degenerate(seed, n, what):
@@ -152,6 +168,17 @@ def main() -> None:
             messages = digest(lambda: [validate(game, tol=tol, for_stackelberg=leader).messages()
                                        for tol in (1e-9, 1e-6, -1e-6) for leader in (first, not first)])
             print(f"malformed{seed} {'leader' if first else 'plain'}-first validation {messages}")
+    for seed in range(60):
+        for kind in ("broadcast", "varying"):
+            spec = random_game(seed, n_players=2 + seed % 2, time_varying=kind == "varying")
+            game = reversed_players(spec)
+            for name in ("feedback-stackelberg", "openloop-stackelberg"):
+                print_outputs(f"reordered{seed}-{kind}", name, game, random_x0(seed, spec))
+            print(f"reordered{seed}-{kind} validation {validation(game)}")
+    for seed in FAMILY:
+        spec = malformed_game(seed)
+        if spec.n_players > 1 and not any(": expected " in m for m in validate(spec).messages()):
+            print(f"reordered-malformed{seed} validation {validation(reversed_players(spec))}")
 
 
 if __name__ == "__main__":

@@ -71,7 +71,9 @@ definiteness classification and symmetrization they and the per-matrix
 validation use.  Nor does it need the central-difference gradient, the
 fold of one player's controls into the drift, or the StageData rebuilds
 of a game for some of its players, which the loop formulations and their
-own tests use; the library selects players on its stage view instead.
+own tests use; the library selects players on its stage view instead,
+and ``reorder_players`` selects them on the game's checked stacks, where
+it rebuilt every StageData before.
 The drift-batched leader cost on the rebuilt followers' game is the
 library's form from before that selection, which the selection must equal
 bit for bit.
@@ -185,17 +187,32 @@ def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> G
                        folded_drifts(StageArrays.of(spec), player, controls))
 
 
+def _player_subgame(spec: GameSpec, keep) -> GameSpec:
+    """The game restricted to players ``keep``, in that order, every cost
+    block kept; stages that share a StageData object share its restriction."""
+    def restricted(st):
+        return replace(st, B=tuple(st.B[i] for i in keep), Q=tuple(st.Q[i] for i in keep),
+                       R=tuple(tuple(st.R[i][j] for j in keep) for i in keep),
+                       x_target=tuple(st.x_target[i] for i in keep),
+                       u_target=tuple(tuple(st.u_target[i][j] for j in keep) for i in keep))
+
+    built = {key: restricted(st) for key, st in {id(st): st for st in spec.stages}.items()}
+    return GameSpec(horizon=spec.horizon, state_dim=spec.state_dim,
+                    players=tuple(spec.players[i] for i in keep),
+                    stages=tuple(built[id(st)] for st in spec.stages))
+
+
 def drop_player(spec: GameSpec, player: int) -> GameSpec:
     """The game of every player but one, rebuilt as StageData, its stage
     drifts unchanged: the followers' game of the open-loop leader checks as
     the library built it before it selected players on the stage view."""
-    return game._player_subgame(spec, [i for i in range(spec.n_players) if i != player])
+    return _player_subgame(spec, [i for i in range(spec.n_players) if i != player])
 
 
 def single_player_view(spec: GameSpec, player: int) -> GameSpec:
     """The one-player control problem a player faces when all other control
     channels are absent (B^j = 0 is the caller's responsibility to check)."""
-    return game._player_subgame(spec, [player])
+    return _player_subgame(spec, [player])
 
 
 def unit(rng, shape):
@@ -1617,19 +1634,24 @@ def validate(spec, tol=1e-9, for_stackelberg=False) -> ValidationReport:
             return False
         return True
 
+    def size(value, loc):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            add(loc, f"must be an integer, got {value!r}")
+            return False
+        if value < 1:
+            add(loc, f"must be >= 1, got {value}")
+        return True
+
     n = spec.n_players
     p = spec.state_dim
     dims = spec.control_dims
-    if spec.horizon < 1:
-        add("horizon", f"must be >= 1, got {spec.horizon}")
-    if p < 1:
-        add("state_dim", f"must be >= 1, got {p}")
+    horizon = size(spec.horizon, "horizon")
+    size(p, "state_dim")
     if n < 1:
         add("players", "at least one player is required")
     for i, m in enumerate(dims):
-        if m < 1:
-            add(f"players/{i}/control_dim", f"must be >= 1, got {m}")
-    if len(spec.stages) != spec.horizon:
+        size(m, f"players/{i}/control_dim")
+    if horizon and len(spec.stages) != spec.horizon:
         add("stages", f"expected {spec.horizon} stages, got {len(spec.stages)}")
         return ValidationReport(tuple(out))
     if out:

@@ -5,9 +5,9 @@ nothing is wrong, carries them in its report as the view the solvers read;
 ``require_valid`` returns that view.  These tests pin each solve and each
 open-loop leader cost to one validation and no second stacking, the
 report's view to the unchecked ``StageArrays.of`` field for field, the
-player selection on the view to the view of the rebuilt game, and the
-leader cost on the selection to its former form on the rebuilt followers'
-game, bit for bit.
+player selection on the view and ``reorder_players`` to the rebuilt
+game, and the leader cost on the selection to its former form on the
+rebuilt followers' game, bit for bit.
 
 A game stacks and checks itself once, when it is built, and keeps its
 stacks with its view and its reports at 1e-9 in both modes, so nothing in
@@ -38,6 +38,7 @@ from dyngame.solvers import OPEN_LOOP, SOLVERS
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
+from test_validation import FAMILY, malformed_game
 
 ENTRY = {"lqr": "lqr.solve_control", "feedback-nash": "feedback_nash.solve",
          "feedback-stackelberg": "feedback_stackelberg.solve",
@@ -56,10 +57,10 @@ def games(min_players=1):
                                   time_varying=time_varying), seed
 
 
-def assert_same_view(a, b):
+def assert_same_view(a, b, equal_nan=False):
     for f in fields(StageArrays):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        assert x == y if f.name == "blocks" else np.array_equal(x, y), f.name
+        assert x == y if f.name == "blocks" else np.array_equal(x, y, equal_nan=equal_nan), f.name
 
 
 @pytest.fixture
@@ -345,11 +346,29 @@ def test_a_game_with_violations_carries_no_view():
 
 
 def test_player_selection_equals_the_view_of_the_rebuilt_game():
-    for spec, seed in games(min_players=2):
+    """The selection on the view, and ``reorder_players`` on the stacks,
+    equal the game rebuilt from restricted StageData: the same view, the
+    same violations at either tolerance in either mode, and as many
+    distinct StageData objects, on valid games and on the malformed games
+    of ``test_validation`` that have no wrong shape or count."""
+    valid = [spec for spec, _ in games(min_players=2)]
+    malformed = [spec for spec in map(malformed_game, FAMILY) if spec.n_players > 1
+                 and not any(": expected " in m for m in validate(spec).messages())]
+    assert len(malformed) > 40
+    for spec in valid + malformed:
         view = StageArrays.of(spec)
         n = spec.n_players
         for keep in ([i for i in range(n) if i != 0], [n - 1], list(range(n))[::-1]):
-            assert_same_view(view.select(keep), StageArrays.of(game._player_subgame(spec, keep)))
+            assert_same_view(view.select(keep), StageArrays.of(ref._player_subgame(spec, keep)),
+                             equal_nan=True)
+        for order in (list(range(n))[::-1], list(range(1, n)) + [0]):
+            new, old = game.reorder_players(spec, order), ref._player_subgame(spec, order)
+            assert_same_view(StageArrays.of(new), StageArrays.of(old), equal_nan=True)
+            assert new.players == old.players
+            for tol in (1e-9, 1e-6):
+                for leader in (False, True):
+                    assert validate(new, tol, leader).messages() == validate(old, tol, leader).messages()
+            assert len(set(map(id, new.stages))) == len(set(map(id, old.stages)))
 
 
 @pytest.mark.parametrize("batched", [False, True])

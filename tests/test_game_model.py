@@ -52,6 +52,18 @@ def test_validate_rejects_degenerate_dimensions():
     assert any("horizon" in m for m in validate(zero_T).messages())
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": 2.0}, "T must be an integer, got 2.0"), ({"T": True}, "T must be an integer, got True"),
+    ({"T": "3"}, "T must be an integer, got '3'"),
+    ({"T": 2, "names": ["only"]}, "expected 2 names, got 1"),
+    ({"T": 2, "names": ["a", "b", "c"]}, "expected 2 names, got 3")])
+def test_constant_game_refuses_a_non_integer_horizon_or_a_wrong_name_count(kwargs, message):
+    # a bare TypeError or IndexError before; extra names were dropped
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        constant_game(A=np.eye(2), B=[np.ones((2, 1))] * 2, Q=[np.eye(2)] * 2,
+                      R=[[np.eye(1)] * 2] * 2, **kwargs)
+
+
 def test_validate_stackelberg_mode_checks_leader_cross_weights():
     spec = constant_game(A=[[1.0]], B=[[[1.0]], [[1.0]]], Q=[[[1.0]], [[1.0]]],
                          R=[[[[1.0]], [[-0.5]]], [[[0.0]], [[1.0]]]], T=1)
@@ -149,21 +161,44 @@ def test_stages_and_players_must_be_integers(call, message):
         call(spec, traj)
 
 
-@pytest.mark.parametrize("broken", ["state-weight-shape", "stage-count"])
+@pytest.mark.parametrize("call, message", [
+    (lambda spec, traj: rollout(spec, None, traj.states[0]),
+     "expected a sequence of 2 control sequences or law sequences, got None"),
+    (lambda spec, traj: rollout(spec, 3, traj.states[0]),
+     "expected a sequence of 2 control sequences or law sequences, got 3"),
+    (lambda spec, traj: stage_cost(spec, 0, 0, traj.states[1], None),
+     "expected a sequence of 2 controls, got None"),
+    (lambda spec, traj: stage_cost(spec, 0, 0, traj.states[1], 3),
+     "expected a sequence of 2 controls, got 3"),
+    (lambda spec, traj: total_cost(spec, traj.states, 0), "traj must be a Trajectory, got ndarray"),
+    (lambda spec, traj: total_cost(spec, None, 0), "traj must be a Trajectory, got NoneType"),
+], ids=["rollout-none", "rollout-int", "stage-cost-none", "stage-cost-int", "total-cost-array",
+        "total-cost-none"])
+def test_an_argument_that_is_not_a_sequence_is_refused(call, message):
+    # each ended in a bare TypeError or AttributeError
+    spec = load_game(GOLDEN / "two_player.json")
+    traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        call(spec, traj)
+
+
+@pytest.mark.parametrize("broken", ["state-weight-shape", "stage-count", "control-count"])
 def test_costs_and_weights_refuse_a_misshapen_game(broken):
-    """As rollout does, the costs and the previous-state weight refuse a
-    game with a (3, 3) Q^0 for p = 2, or 2 stages for horizon 3, with
-    validate's violations, not a bare numpy error or a misshapen weight."""
+    """As rollout does, the costs, the previous-state weight and the player
+    reorder refuse a game with a (3, 3) Q^0 for p = 2, 2 stages for horizon
+    3, or one control matrix for two players, with validate's violations,
+    not a bare numpy error, a misshapen weight or a reordered game."""
     spec = load_game(GOLDEN / "two_player.json")
     st = spec.stages[0]
-    stages = ((replace(st, Q=(np.eye(3), st.Q[1])),) * 3 if broken == "state-weight-shape"
-              else spec.stages[:2])
-    bad = GameSpec(spec.horizon, spec.state_dim, spec.players, stages)
+    stages = {"state-weight-shape": (replace(st, Q=(np.eye(3), st.Q[1])),) * 3,
+              "stage-count": spec.stages[:2], "control-count": (replace(st, B=st.B[:1]),) * 3}
+    bad = GameSpec(spec.horizon, spec.state_dim, spec.players, stages[broken])
     traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
     expected = validate(bad).messages()
     assert expected
     for call in (lambda: stage_cost(bad, 0, 2, traj.states[3], [u[2] for u in traj.controls]),
-                 lambda: total_cost(bad, traj, 0), lambda: bad.prev_state_weight(3, 0)):
+                 lambda: total_cost(bad, traj, 0), lambda: bad.prev_state_weight(3, 0),
+                 lambda: reorder_players(bad, [1, 0])):
         with pytest.raises(InvalidGameError) as info:
             call()
         assert info.value.violations == expected

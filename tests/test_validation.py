@@ -6,9 +6,10 @@ of the layout, with one ``eigvalsh`` call per matrix size.  These tests pin
 its violations, entry for entry and word for word, to the per-matrix loop
 in ``reference_formulations`` over a seeded family of malformed games, each
 validated afresh (``test_validation_properties`` covers both mode orders on
-one game), check that non-finite data and a tolerance that is not a finite
-real number are input errors, and guard that the eigenvalue calls are one
-per matrix size whatever the players and the horizon.
+one game), check that non-finite data, a size that is not an integer and
+a tolerance that is not a finite real number are input errors, and guard
+that the eigenvalue calls are one per matrix size whatever the players and
+the horizon.
 """
 
 import warnings
@@ -19,7 +20,7 @@ import pytest
 
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, StageArrays, constant_game, validate
+from dyngame.game import GameSpec, Player, StageArrays, constant_game, rollout, validate
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -252,6 +253,28 @@ def test_negative_tolerance_is_not_refused():
     spec = constant_game(A=np.eye(2), B=[np.ones((2, 1))], Q=[skewed], R=[[np.eye(1)]], T=1)
     assert validate(spec, tol=-1e-6).messages() == [
         "stages/0/Q/0: not symmetric (max asymmetry 1.00e-03)"]
+
+
+@pytest.mark.parametrize("where, value", [
+    ("horizon", 3.0), ("horizon", True), ("horizon", "3"), ("state_dim", 1.0),
+    ("state_dim", np.bool_(True)), ("control_dim", "1"), ("control_dim", np.float64(1.0))])
+def test_a_size_that_is_not_an_integer_is_a_violation(where, value):
+    # a horizon of 2.0 validated clean and ended in a bare TypeError in
+    # rollout, and "3" ended in one while the game was built
+    spec = scalar_unit_two_player(T=3)
+    sizes = {"horizon": spec.horizon, "state_dim": spec.state_dim}
+    players = list(spec.players)
+    if where == "control_dim":
+        players[1] = Player(value, players[1].name)
+        where = "players/1/control_dim"
+    else:
+        sizes[where] = value
+    bad = GameSpec(players=tuple(players), stages=spec.stages, **sizes)
+    expected = [f"{where}: must be an integer, got {value!r}"]
+    assert validate(bad).messages() == ref.validate(bad).messages() == expected
+    with pytest.raises(InvalidGameError) as info:
+        rollout(bad, [np.zeros((3, 1))] * 2, np.ones(1))
+    assert info.value.violations == expected
 
 
 def test_shared_stage_violations_repeat_at_every_stage():

@@ -306,6 +306,8 @@ class TestSettingsWithoutEvidence:
         ({"samples": 2.5}, "^samples must be an integer, got 2.5$"),
         ({"leader_samples": -1}, "^leader_samples must be >= 1, got -1$"),
         ({"magnitude": 0.0}, "^magnitude must be finite and > 0, got 0.0$"),
+        ({"magnitude": True}, "^magnitude must be a real number, got True$"),
+        ({"magnitude": "1e-3"}, "^magnitude must be a real number, got '1e-3'$"),
     ])
     def test_bad_arguments_are_refused_before_any_oracle_runs(self, solver, bad, message,
                                                              monkeypatch):
@@ -345,8 +347,10 @@ class TestSettingsWithoutEvidence:
                                       samples=5).as_dict()
         assert "fd_step" not in doc and doc["passed"]
 
-    @pytest.mark.parametrize("magnitude", [0.0, -1e-3])
+    @pytest.mark.parametrize("magnitude", [0.0, -1e-3, np.nan, np.inf, 10 ** 400, True, "1e-3",
+                                           None, [1e-3]])
     def test_magnitude_must_be_positive(self, magnitude):
+        # a bool read as 1.0, and a string, None or a list ended in a bare TypeError
         spec = scalar_unit_two_player()
         ol = openloop_stackelberg.solve(spec, np.array([1.0]))
         with pytest.raises(InvalidGameError, match="magnitude"):
