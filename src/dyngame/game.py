@@ -101,7 +101,11 @@ class GameSpec:
     _stacks: _Stacks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.__dict__.update(players=tuple(self.players), stages=tuple(self.stages))
+        for name in ("players", "stages"):
+            try:
+                self.__dict__[name] = tuple(getattr(self, name))
+            except TypeError:
+                raise InvalidGameError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         self.__dict__["_stacks"] = stacks = _Stacks(self)
         if not (stacks.header or stacks.found):
             self.__dict__["stages"] = stacks.stages()
@@ -572,7 +576,7 @@ def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -
     require_index("player", player, spec.n_players - 1)
     require_index("stage", t, spec.horizon - 1)
     st = spec.stages[t]
-    x_next = np.asarray(x_next, dtype=float)
+    x_next = _numeric("x_next", x_next)
     if x_next.shape != (spec.state_dim,):
         raise InvalidGameError(
             f"x_next has shape {x_next.shape}, expected {(spec.state_dim,)}"
@@ -581,7 +585,7 @@ def stage_cost(spec: GameSpec, player: int, t: int, x_next: np.ndarray, u_all) -
     dx = x_next - st.x_target[player]
     total = 0.5 * float(dx @ st.Q[player] @ dx)
     for j, u in enumerate(u_all):
-        u = np.asarray(u, dtype=float)
+        u = _numeric(f"control {j}", u)
         if u.shape != (spec.control_dims[j],):
             raise InvalidGameError(
                 f"control {j} has shape {u.shape}, expected {(spec.control_dims[j],)}"
@@ -615,15 +619,20 @@ def initial_state(spec: GameSpec, x0, name: str = "x0") -> np.ndarray:
 def require_vector(name: str, value, size: int) -> np.ndarray:
     """``value`` as a float vector of length ``size``, checked to be numeric
     and finite; an error calls it ``name``."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidGameError(f"{name} is not a numeric array: {exc}") from exc
+    v = _numeric(name, value)
     if v.shape != (size,):
         raise InvalidGameError(f"{name} has shape {v.shape}, expected {(size,)}")
     if not np.all(np.isfinite(v)):
         raise InvalidGameError(f"{name} must be finite, got {v.tolist()}")
     return v
+
+
+def _numeric(name: str, value) -> np.ndarray:
+    """``value`` as a float array, refused unless numeric; an error calls it ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidGameError(f"{name} is not a numeric array: {exc}") from exc
 
 
 def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
@@ -640,6 +649,13 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     sample plays the game's own stage drifts.  Stage costs are evaluated
     for all stages and samples in one pass after the state loop.
     """
+    view, states, u, S = _walk_rules(spec, laws_or_controls, x0)
+    return _priced(view, states, u, S is not None)
+
+
+def _walk_rules(spec: GameSpec, laws_or_controls, x0):
+    """:func:`rollout` unpriced, its arguments checked: the game's view, the states
+    (S, T+1, p), the stacked controls (S, T, M) and the sample count or None."""
     x0 = initial_state(spec, x0)
     view = StageArrays.of(spec)
     GT, g, S = _stacked_rules(spec, laws_or_controls)
@@ -653,7 +669,7 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
         if GT is not None:
             u[:, t] += (x[:, None, :] @ GT[..., t, :, :])[:, 0]
         states[:, t + 1] = x = _advance(view, t, x, view.s, u[:, t])
-    return _priced(view, states, u, S is not None)
+    return view, states, u, S
 
 
 def sequence_path(view: StageArrays, x0: np.ndarray, u: np.ndarray, s: np.ndarray,
@@ -663,12 +679,17 @@ def sequence_path(view: StageArrays, x0: np.ndarray, u: np.ndarray, s: np.ndarra
     states of :func:`rollout`'s state equation, priced as it prices them.
     Without ``batched``, S is 1 and the trajectory has no sample axis.
     """
+    return _priced(view, _walk_sequences(view, x0, u, s), u, batched)
+
+
+def _walk_sequences(view: StageArrays, x0: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The states (S, T+1, p) of :func:`sequence_path`, unpriced."""
     states = np.empty((len(u), u.shape[1] + 1, len(x0)))
     states[:, 0] = x0
     x = states[:, 0]
     for t in range(u.shape[1]):
         states[:, t + 1] = x = _advance(view, t, x, s, u[:, t])
-    return _priced(view, states, u, batched)
+    return states
 
 
 def _advance(view: StageArrays, t: int, x: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -711,10 +732,7 @@ def _stacked_rules(spec: GameSpec, laws_or_controls):
             GT.append(np.swapaxes(checked(entry.G, (T, m, p), f"law sequence {i} gains"), -1, -2))
             g.append(checked(entry.g, (T, m), f"law sequence {i} offsets"))
         else:
-            try:
-                U = np.atleast_2d(np.asarray(entry, dtype=float))
-            except (TypeError, ValueError) as exc:
-                raise InvalidGameError(f"control sequence {i} is not a numeric array: {exc}") from exc
+            U = np.atleast_2d(_numeric(f"control sequence {i}", entry))
             GT.append(np.zeros((T, p, m)))
             g.append(checked(U, (T, m), f"control sequence {i}"))
     if len(counts) > 1:
@@ -745,16 +763,17 @@ def _side_by_side(arrays):
                            for a in arrays], axis=-1)
 
 
-def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray, players=slice(None)) -> np.ndarray:
     """Every player's stage costs (S, n, T) along S trajectories, states
     (S, T+1, p) and stacked controls (S, T, M), all stages at once; the
-    formula of :func:`stage_cost`."""
+    formula of :func:`stage_cost`.  ``players``, a slice or list of the
+    player axis, prices those alone, each entry the bits of the full pricing."""
     def halved_forms(d, W):  # 1/2 d'Wd, the sample axis moved inside: one product per W
         d = np.moveaxis(d, 0, 2)
         return 0.5 * np.einsum("tisk,tisk->sit", d @ W, d)
 
-    return (halved_forms(states[:, 1:, None] - view.xt, view.Q)
-            + halved_forms(u[:, :, None] - view.ut, view.R))
+    return (halved_forms(states[:, 1:, None] - view.xt[:, players], view.Q[:, players])
+            + halved_forms(u[:, :, None] - view.ut[:, players], view.R[:, players]))
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +781,9 @@ def _stage_costs(view: StageArrays, states: np.ndarray, u: np.ndarray) -> np.nda
 
 
 def truncate(spec: GameSpec, start: int) -> GameSpec:
-    """The tail game played over stages start..T-1, with stacks of its own."""
+    """The tail game played over stages start..T-1, with stacks of its own.
+    A misshapen game raises (:meth:`StageArrays.of`)."""
+    StageArrays.of(spec)
     require_index("truncation stage", start, spec.horizon - 1)
     return GameSpec(horizon=spec.horizon - start, state_dim=spec.state_dim,
                     players=spec.players, stages=spec.stages[start:])

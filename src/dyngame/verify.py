@@ -17,10 +17,11 @@ stationarity a costate pass along the played path, for every solver, and
 feedback STC the cost-to-go recursion over all states (see
 :func:`stationarity` and :func:`time_consistency`).  The sampling checks run
 batched: every deviation and leader-gap sample of one check goes through a
-single rollout over a sample axis.  The open-loop Stackelberg leader's
-checks, whose objective re-solves the followers' game for each leader
-sequence, batch that re-solve too: the followers' games of all samples
-differ only in their drifts, so one drift-batched
+single state loop over a sample axis, and each check prices only the player
+under test, the leader checks only the leader.  The open-loop Stackelberg
+leader's checks, whose objective re-solves the followers' game for each
+leader sequence, batch that re-solve too: the followers' games of all
+samples differ only in their drifts, so one drift-batched
 :func:`dyngame.openloop_nash.sweep` answers all of them (see
 :func:`leader_cost_open_loop`).
 """
@@ -34,9 +35,9 @@ import numpy as np
 from . import openloop_nash, openloop_stackelberg, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, folded_drifts,
-                   initial_state, is_integer, require_index, require_real, require_valid, rollout,
-                   sequence_path)
+from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, _walk_rules, _walk_sequences,
+                   folded_drifts, initial_state, is_integer, require_index, require_real,
+                   require_valid)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -283,7 +284,7 @@ def _unit_rows(rng, samples, size):
     """
     try:
         d = rng.standard_normal((samples, size))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise InvalidGameError(f"cannot draw {samples} samples of {size} entries: {exc}") from exc
     norm = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     return d / np.where(norm == 0, 1.0, norm)[:, None]
@@ -300,7 +301,7 @@ def _sequence_perturbations(u, samples, magnitude, rng):
 def _law_perturbations(law, samples, magnitude, rng):
     """One player's law sequence as sample 0, then ``samples`` random
     perturbations of it, as a law sequence with a sample axis, so that one
-    rollout prices the base path and the deviations: one unit direction
+    state loop plays the base path and the deviations: one unit direction
     over all gain and offset entries per sample, scaled by ``magnitude``
     times the largest gain entry (at least 1)."""
     G, g = law.G, law.g
@@ -310,10 +311,16 @@ def _law_perturbations(law, samples, magnitude, rng):
                      np.concatenate([g[None], g + flat[:, G.size:].reshape(samples, *g.shape)]))
 
 
+def _player_costs(spec, rules, x0, player):
+    """``player``'s total costs (S,), priced alone, on the S paths :func:`dyngame.game.rollout` plays."""
+    view, states, u, _ = _walk_rules(spec, rules, x0)
+    return _stage_costs(view, states, u, [player])[:, 0].sum(axis=-1)
+
+
 def _deviation_open_loop(spec, sol, player, samples, magnitude, rng):
     controls = list(sol.trajectory.controls)
     controls[player] = _sequence_perturbations(controls[player], samples, magnitude, rng)
-    costs = rollout(spec, controls, sol.x0).total_costs[:, player]
+    costs = _player_costs(spec, controls, sol.x0, player)
     return float((costs - sol.trajectory.total_costs[player]).min())
 
 
@@ -322,7 +329,7 @@ def _deviation_feedback(spec, sol, player, samples, magnitude, rng, x0):
         raise InvalidGameError("feedback deviation sampling needs an initial state x0")
     laws = list(sol.laws)
     laws[player] = _law_perturbations(laws[player], samples, magnitude, rng)
-    costs = rollout(spec, laws, x0).total_costs[:, player]
+    costs = _player_costs(spec, laws, x0, player)
     return float((costs[1:] - costs[0]).min())
 
 
@@ -359,7 +366,7 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     s_t + B_t^0 u_t, so one drift-batched open-loop Nash sweep on the
     followers' blocks of the game's checked view answers all S of them.
     The leader's controls enter it through the drift, so its paths are the
-    full game's paths, on which the same view prices the leader.
+    full game's paths, on which the same view prices the leader alone.
     """
     view = require_valid(spec)
     if spec.n_players < 2:
@@ -378,9 +385,9 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     if not np.isfinite(s).all():
         raise InvalidGameError("leader controls must be finite and fold into finite drifts")
     followers = view.select(range(1, spec.n_players))
-    path = sequence_path(followers, x0, openloop_nash.sweep(followers, x0, s)[0], s, True)
-    controls = np.concatenate([batch, *path.controls], axis=-1)
-    costs = _stage_costs(view, path.states, controls)[:, 0].sum(axis=-1)
+    u_f = openloop_nash.sweep(followers, x0, s)[0]
+    states = _walk_sequences(followers, x0, u_f, s)
+    costs = _stage_costs(view, states, np.concatenate([batch, u_f], axis=-1), [0])[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
 
 
@@ -404,7 +411,7 @@ def _leader_gap_feedback(spec, sol, samples, magnitude, rng, x0):
     if x0 is None:
         raise InvalidGameError("feedback leader gap needs an initial state x0")
     played = _leader_played(sol.reactions, _law_perturbations(sol.laws[0], samples, magnitude, rng))
-    costs = rollout(spec, played, x0).total_costs[:, 0]
+    costs = _player_costs(spec, played, x0, 0)
     return float((costs[1:] - costs[0]).min())
 
 

@@ -35,7 +35,11 @@ the warnings its step raised too.  The cases are:
   (``reorder_players``), the lines of both Stackelberg solvers and one
   ``validation`` line, and ``reordered-malformed<s>``, one ``validation``
   line for each multi-player game of ``malformed<s>`` with no wrong shape
-  or count, which ``reorder_players`` refuses.
+  or count, which ``reorder_players`` refuses;
+- ``leadercost<s>-broadcast`` and ``leadercost<s>-varying``: the games of
+  ``seed<s>`` fit for ``openloop-stackelberg``, one ``cost`` line, the
+  ``verify.leader_cost_open_loop`` of the solution's leader sequence and
+  of a batch of 5 sequences perturbed from it by a seeded draw.
 """
 
 import hashlib
@@ -56,7 +60,7 @@ from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,  #
 from dyngame.errors import DynGameError  # noqa: E402
 from dyngame.game import StageArrays, reorder_players, validate  # noqa: E402
 from dyngame.solvers import SOLVERS  # noqa: E402
-from dyngame.verify import run_verification, time_consistency  # noqa: E402
+from dyngame.verify import leader_cost_open_loop, run_verification, time_consistency  # noqa: E402
 
 from conftest import arrays, random_game, random_x0  # noqa: E402
 from test_validation import FAMILY, malformed_game  # noqa: E402
@@ -104,6 +108,16 @@ def print_outputs(case, name, spec, x0, verify=True) -> None:
         report = digest(lambda: run_verification(spec, sol, row.pattern, name, x0=x0, samples=20,
                                                  leader_samples=10).as_dict())
         print(f"{case} {name} report {report}")
+
+
+def leader_costs(seed, spec, x0) -> str:
+    """The digest of the open-loop leader cost of the solution's leader
+    sequence and of 5 seeded perturbations of it, in one batch."""
+    def costs():
+        u = SOLVERS["openloop-stackelberg"].solve(spec, x0).trajectory.controls[0]
+        batch = u + 1e-3 * np.random.default_rng(seed).standard_normal((5, *u.shape))
+        return leader_cost_open_loop(spec, u, x0), leader_cost_open_loop(spec, batch, x0).tolist()
+    return digest(costs)
 
 
 def validation(spec) -> str:
@@ -179,6 +193,12 @@ def main() -> None:
         spec = malformed_game(seed)
         if spec.n_players > 1 and not any(": expected " in m for m in validate(spec).messages()):
             print(f"reordered-malformed{seed} validation {validation(reversed_players(spec))}")
+    for seed in range(60):
+        for kind in ("broadcast", "varying"):
+            spec = random_game(seed, n_players=players("openloop-stackelberg", seed),
+                               time_varying=kind == "varying")
+            cost = leader_costs(seed, spec, random_x0(seed, spec))
+            print(f"leadercost{seed}-{kind} openloop-stackelberg cost {cost}")
 
 
 if __name__ == "__main__":

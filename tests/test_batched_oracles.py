@@ -1,12 +1,14 @@
 """The sample axis of ``rollout`` and the batched sampling oracles.
 
 The oracles in :mod:`dyngame.verify` roll every deviation and leader-gap
-sample through one ``rollout`` call per check.  These tests pin the sample
+sample through one state loop per check, ``rollout``'s own, and price only
+the player under test.  These tests pin the sample
 axis itself, check the batched oracles against the per-sample loop
 formulations in ``reference_formulations`` (same sampled directions bit for
 bit, same gaps to fixed tolerances), check the exact stationarity
 certificates against the loop's central differences, and guard that the
-number of rollout calls does not grow with the sample count.
+number of state loops does not grow with the sample count, and that pricing
+one player gives that player's bits of the full pricing.
 """
 
 import sys
@@ -22,6 +24,7 @@ from dyngame.solvers import OPEN_LOOP, SOLVERS, solver_of
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
+from test_checked_view import games
 
 SEEDS = (3, 17, 42, 101)
 # Fixed before comparing: sampled gaps are differences of costs of size
@@ -73,6 +76,21 @@ class TestRolloutSampleAxis:
         assert one.total_costs.shape == (1, spec.n_players)
         np.testing.assert_allclose(one.states[0], plain.states, rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(one.total_costs[0], plain.total_costs, rtol=1e-13)
+
+    def test_pricing_one_player_is_that_players_column(self):
+        """The oracles price only the player under test: its stage costs
+        and their sums are those of the full pricing bit for bit, for one
+        path, as an unbatched rollout prices it, and for a batch."""
+        for spec, seed in games():
+            view, rng = game.StageArrays.of(spec), rng_for(seed)
+            for S in (1, 7):
+                states = rng.standard_normal((S, spec.horizon + 1, spec.state_dim))
+                u = rng.standard_normal((S, spec.horizon, sum(spec.control_dims)))
+                full = game._stage_costs(view, states, u)
+                for i in range(spec.n_players):
+                    one = game._stage_costs(view, states, u, [i])
+                    np.testing.assert_array_equal(one, full[:, [i]])
+                    np.testing.assert_array_equal(one[:, 0].sum(axis=-1), full.sum(axis=-1)[:, i])
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_batch_matches_separate_rollouts(self, seed):
@@ -220,10 +238,12 @@ def test_the_certificate_sees_a_shifted_feedback_law():
 
 
 def count_rollouts(monkeypatch):
-    """Count calls into ``game.rollout``, and into ``game.sequence_path``,
-    which walks an open-loop solver's path, from anywhere in the library."""
+    """Count the state loops: calls into ``game._walk_rules``, the loop of
+    ``rollout`` and of the sampling oracles, and into
+    ``game._walk_sequences``, which walks an open-loop path, from anywhere
+    in the library."""
     calls = []
-    for original in (game.rollout, game.sequence_path):
+    for original in (game._walk_rules, game._walk_sequences):
         def counted(*args, _original=original, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)

@@ -203,10 +203,13 @@ def test_solve_openloop_stackelberg_path_laws(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-5"],
-                                   ["--samples", str(10**20)], ["--samples", str(2**60)]])
+                                   ["--samples", str(10**20)], ["--samples", str(2**60)],
+                                   ["--samples", str(10**14)]])
 def test_verify_settings_without_evidence_exit_1(unit_game_path, tmp_path, capsys, flags):
     """The counts numpy cannot draw, 10**20 and 2**60, it refuses before it
-    allocates anything."""
+    allocates anything; 10**14 it can shape, but its array is larger than
+    the 128 TiB user address space, so the allocation fails before any
+    memory is touched, whatever the overcommit setting."""
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--game", unit_game_path, "--solver", "feedback-nash",
                      "--x0", "1", *flags, "--out", str(out)]) == 1

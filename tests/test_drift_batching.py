@@ -17,7 +17,7 @@ import pytest
 
 from dyngame import openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import StageArrays, folded_drifts, rollout, sequence_path
+from dyngame.game import StageArrays, _walk_rules, _walk_sequences, folded_drifts
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
@@ -174,7 +174,7 @@ def test_one_follower_solve_per_leader_check(seed, monkeypatch):
 
 def count_state_loops(monkeypatch):
     """Count the state loops of the open-loop leader checks: the paths the
-    followers' re-solve forms, and the oracles' own rollouts."""
+    followers' re-solve forms, and the oracles' own walks of sampled rules."""
     calls = []
 
     def counting(fn):
@@ -183,8 +183,8 @@ def count_state_loops(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(verify, "sequence_path", counting(sequence_path))
-    monkeypatch.setattr(verify, "rollout", counting(rollout))
+    monkeypatch.setattr(verify, "_walk_sequences", counting(_walk_sequences))
+    monkeypatch.setattr(verify, "_walk_rules", counting(_walk_rules))
     return calls
 
 

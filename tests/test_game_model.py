@@ -76,6 +76,13 @@ class TestStageCost:
         spec = scalar_unit_lqr()
         assert stage_cost(spec, 0, 0, np.zeros(1), [np.zeros(1)]) == 0.0
 
+    def test_non_finite_values_are_priced(self):
+        # numbers that are not finite are priced, as total_cost prices a
+        # path that diverged; only what is not numeric is refused
+        spec = scalar_unit_lqr()
+        assert np.isnan(stage_cost(spec, 0, 0, np.array([np.nan]), [np.zeros(1)]))
+        assert stage_cost(spec, 0, 0, np.zeros(1), [np.array([np.inf])]) == np.inf
+
     def test_hand_value(self):
         # 1/2 * 2^2 * 1 + 1/2 * 1^2 * 1 = 2.5
         spec = scalar_unit_lqr()
@@ -172,14 +179,29 @@ def test_stages_and_players_must_be_integers(call, message):
      "expected a sequence of 2 controls, got 3"),
     (lambda spec, traj: total_cost(spec, traj.states, 0), "traj must be a Trajectory, got ndarray"),
     (lambda spec, traj: total_cost(spec, None, 0), "traj must be a Trajectory, got NoneType"),
+    (lambda spec, traj: stage_cost(spec, 0, 0, "a", [u[0] for u in traj.controls]),
+     "x_next is not a numeric array: could not convert string to float: 'a'"),
+    (lambda spec, traj: stage_cost(spec, 0, 0, traj.states[1], [traj.controls[0][0], "b"]),
+     "control 1 is not a numeric array: could not convert string to float: 'b'"),
 ], ids=["rollout-none", "rollout-int", "stage-cost-none", "stage-cost-int", "total-cost-array",
-        "total-cost-none"])
+        "total-cost-none", "stage-cost-state-text", "stage-cost-control-text"])
 def test_an_argument_that_is_not_a_sequence_is_refused(call, message):
-    # each ended in a bare TypeError or AttributeError
+    # each ended in a bare TypeError, AttributeError or ValueError; the
+    # last two are sequences, of entries that are not numbers
     spec = load_game(GOLDEN / "two_player.json")
     traj = rollout(spec, [np.zeros((3, m)) for m in spec.control_dims], np.array([1.0, -0.5]))
     with pytest.raises(InvalidGameError, match=f"^{message}$"):
         call(spec, traj)
+
+
+@pytest.mark.parametrize("field", ["players", "stages"])
+def test_a_game_without_players_or_stages_is_refused(field):
+    # None ended in a bare TypeError while the game was built
+    spec = scalar_unit_two_player(T=3)
+    parts = dict(horizon=3, state_dim=1, players=spec.players, stages=spec.stages)
+    parts[field] = None
+    with pytest.raises(InvalidGameError, match=f"^{field} must be a sequence, got None$"):
+        GameSpec(**parts)
 
 
 @pytest.mark.parametrize("broken", ["state-weight-shape", "stage-count", "control-count"])

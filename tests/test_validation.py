@@ -20,7 +20,7 @@ import pytest
 
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
-from dyngame.game import GameSpec, Player, StageArrays, constant_game, rollout, validate
+from dyngame.game import GameSpec, Player, StageArrays, constant_game, rollout, truncate, validate
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -260,7 +260,7 @@ def test_negative_tolerance_is_not_refused():
     ("state_dim", np.bool_(True)), ("control_dim", "1"), ("control_dim", np.float64(1.0))])
 def test_a_size_that_is_not_an_integer_is_a_violation(where, value):
     # a horizon of 2.0 validated clean and ended in a bare TypeError in
-    # rollout, and "3" ended in one while the game was built
+    # rollout, and "3" ended in one while the game was built, and in truncate
     spec = scalar_unit_two_player(T=3)
     sizes = {"horizon": spec.horizon, "state_dim": spec.state_dim}
     players = list(spec.players)
@@ -272,9 +272,10 @@ def test_a_size_that_is_not_an_integer_is_a_violation(where, value):
     bad = GameSpec(players=tuple(players), stages=spec.stages, **sizes)
     expected = [f"{where}: must be an integer, got {value!r}"]
     assert validate(bad).messages() == ref.validate(bad).messages() == expected
-    with pytest.raises(InvalidGameError) as info:
-        rollout(bad, [np.zeros((3, 1))] * 2, np.ones(1))
-    assert info.value.violations == expected
+    for call in (lambda: rollout(bad, [np.zeros((3, 1))] * 2, np.ones(1)), lambda: truncate(bad, 1)):
+        with pytest.raises(InvalidGameError) as info:
+            call()
+        assert info.value.violations == expected
 
 
 def test_shared_stage_violations_repeat_at_every_stage():
