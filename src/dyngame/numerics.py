@@ -21,10 +21,11 @@ When the tests run: a backward sweep solves each stage's systems with the
 bare LAPACK calls of a :class:`Checks`, and tests them after the stage
 loop, one stack per call site, or earlier when a site's capped stack is
 full.  The tests are a dozen numpy calls whatever the stack's size,
-several times the LAPACK call on a stage's small system (18 of the 22 us
-of a tested 9 x 9 solve with 11 right-hand sides, on a 2-vCPU x86-64
-host), so testing each stage as it is solved cost most of a sweep's solve
-time.  The bounds are the same, every system is tested, and a failure
+several times the LAPACK call on a stage's small system (23 of the 26 us
+of a 9 x 9 solve with 11 right-hand sides tested at once, on a 2-vCPU
+Intel Xeon x86-64 host, where the recorder's call with its share of the
+test takes 7.7 us), so testing each stage as it is solved cost most of a
+sweep's solve time.  The bounds are the same, every system is tested, and a failure
 reports what testing each call at once would have: the first failing
 call in sweep order.  To solve and test at once, make a :class:`Checks`
 of one call and :meth:`Checks.check` it.
@@ -37,7 +38,6 @@ of a cold ``dyngame solve``.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import importlib.machinery
 import importlib.util
@@ -101,12 +101,13 @@ class Checks:
     far, before it takes more.  Any other call is a stack of its own.
     """
 
-    __slots__ = ("rows", "_stacks", "_calls", "_modes", "_events")
+    __slots__ = ("rows", "_stacks", "_calls", "_tested", "_modes", "_events")
 
     def __init__(self, rows: int = 0):
         self.rows = rows
-        self._stacks: dict = {}
-        self._calls: list = []  # per call: (context, site, stage, its first row)
+        self._stacks: dict = {}  # per site, or per call of no site: its stack
+        self._calls: list = []  # per call: (context, site, stage, its stack, first row, end)
+        self._tested = 0  # the calls tested so far
         self._modes: dict = {}  # np.geterr() outside the sweep
         self._events: dict = {}  # per floating-point event: the calls made before its first
 
@@ -139,47 +140,52 @@ class Checks:
         when a pivot of some A_i falls below ``PIVOT_RTOL * max|A_i|`` or
         its solution fails the residual bound ``||A_i X_i - B_i|| <=
         RESIDUAL_RTOL * (1 + ||A_i|| ||X_i||)``, which a NaN in B_i or X_i
-        fails too.  The result is kept for the tests: do not write into
-        it, and copy it before the site's next call."""
-        A, stack = _matrices(A)
-        B, rhs = _right_sides(A, B)
-        rows, j = self._record(stack, rhs, context, site, stage)
-        gesv = _lapack()
-        for i, a, b in zip(range(j, j + len(stack)), stack, rhs):
+        fails too.  A call copies A and B into the next rows of its stack
+        and solves each row there; the result stays there for the tests:
+        do not write into it, and copy it before the site's next call."""
+        A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+        if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+            raise InvalidGameError(
+                f"a solve needs a square matrix or a stack of them, got shape {A.shape}")
+        if B.ndim not in (A.ndim - 1, A.ndim) or B.shape[:A.ndim - 1] != A.shape[:-1]:
+            raise InvalidGameError(
+                f"right-hand side of shape {B.shape} does not fit a system of shape {A.shape}")
+        vector = B.ndim < A.ndim
+        n, k, r = len(A) if A.ndim == 3 else 1, A.shape[-1], 1 if vector else B.shape[-1]
+        rows = self._stacks.get(site)
+        if rows is None or rows.used + n > rows.size or rows.k != k or rows.r != r:
+            rows = self._rows(n, k, r, site)
+        j = rows.used
+        rows.used = end = j + n
+        self._calls.append((context, site, stage, rows, j, end))
+        at = slice(j, end) if A.ndim == 3 else j  # the call's rows, or its one row
+        rows.A[at] = A
+        rows.B[at] = B[..., None] if vector else B
+        gesv = _LAPACK or _lapack()
+        for i in range(j, end):
             # An empty A has no pivot, which the pivot test refuses.
-            u, _, x, _ = gesv(a, b) if a.size else (a, None, b, 0)
+            u, _, x, _ = gesv(rows.A[i], rows.B[i]) if k else (rows.A[i], None, rows.B[i], 0)
             rows.diag[i] = u.diagonal()
             rows.X[i] = x
-        return rows.X[j:j + len(stack)].reshape(B.shape)
+        return rows.X[at].reshape(B.shape) if vector else rows.X[at]
 
-    def _record(self, stack: np.ndarray, rhs: np.ndarray, context: Context, site: Site | None,
-                stage: int | None):
-        """The stack of rows that keeps this call's systems, and its first
-        row, once the matrices and right-hand sides are written there."""
-        (n, k), r = stack.shape[:2], rhs.shape[2]
-        key = site if site is not None else len(self._calls)
-        rows = self._stacks.get(key)
-        if rows is not None and (rows.A.shape[1], rows.r) != (k, r):
-            raise ValueError(f"{site}: systems of shape {stack.shape[1:]} and {r} right-hand "
-                             f"sides do not fit a stack of shape {rows.A.shape[1:]} and {rows.r}")
-        if rows is not None and rows.used + n > len(rows.A):
+    def _rows(self, n: int, k: int, r: int, site: Site | None) -> _Rows:
+        """The stack for a call of n k x k systems with r right-hand sides
+        that its site's stack cannot take now: that stack once every call
+        kept so far is tested, if it holds n; else a new one, of the
+        sweep's rows or what fits in ``_ROWS_BYTES`` for a site, else of n."""
+        rows = self._stacks.get(site)
+        if rows is not None:
+            if (rows.k, rows.r) != (k, r):
+                raise ValueError(f"{site}: systems of shape {(k, k)} and {r} right-hand sides "
+                                 f"do not fit a stack of shape {(rows.k, rows.k)} and {rows.r}")
             self._test()
-            if n > len(rows.A):
-                rows = None
-        if rows is None:
-            # A site's stack holds the sweep's rows, or as many as fit in
-            # _ROWS_BYTES; any other call is a stack of its own.
-            row_bytes = 8 * k * (k + 1 + 2 * r) or 8
-            size = n if site is None else max(n, min(self.rows, _ROWS_BYTES // row_bytes))
-            rows = self._stacks[key] = _Rows(size, k, r)
-        j = rows.used
-        rows.used = j + n
-        rows.calls.append(len(self._calls))
-        rows.starts.append(j)
-        self._calls.append((context, site, stage, j))
-        rows.A[j:j + n] = stack
-        rows.B[j:j + n] = rhs
-        return rows, j
+            if n <= rows.size:
+                return rows
+        row_bytes = 8 * k * (k + 1 + 2 * r) or 8
+        size = n if site is None else max(n, min(self.rows, _ROWS_BYTES // row_bytes))
+        rows = self._stacks[site if site is not None else len(self._calls)] = _Rows(size, k, r)
+        return rows
 
     def check(self) -> None:
         """Raise the :class:`SingularSystemError` of the first failing call,
@@ -209,28 +215,41 @@ class Checks:
         first = None
         with np.errstate(all="ignore"):
             for rows in self._stacks.values():
-                failed = rows.first_failure()
-                if failed and (first is None or failed[0] < first[0]):
-                    first = failed + (rows,)
+                tests = rows.tests()
+                if tests is not None:
+                    call = self._owner(rows, tests[0])
+                    if first is None or call < first[0]:
+                        first = (call, tests)
         if first is not None:
             self._report(first[0])
             self._raise(*first)
         self._stacks = {key: rows for key, rows in self._stacks.items() if isinstance(key, Site)}
         for rows in self._stacks.values():
             rows.used = 0
-            rows.calls, rows.starts = [], []
+        self._tested = len(self._calls)
 
-    def _raise(self, call: int, i: int, residual: tuple[float, float] | None, rows: _Rows):
-        """Raise the error of row i of ``rows``, kept by the given call."""
-        context, site, stage, j = self._calls[call]
-        cond = _condition_estimate(rows.A[i])
-        if residual is None:
-            message = f"matrix is singular to working precision (cond ~ {cond:.2e})"
+    def _owner(self, rows: _Rows, i: int) -> int:
+        """The call not tested yet that keeps row i of ``rows``."""
+        return next(c for c in range(len(self._calls) - 1, self._tested - 1, -1)
+                    if self._calls[c][3] is rows and self._calls[c][4] <= i)
+
+    def _raise(self, call: int, tests: tuple) -> None:
+        """Raise the error of the given call from its stack's ``tests``: its
+        row of largest index failing the pivot test, or, if none of its
+        rows does, its row of largest index failing the residual test."""
+        context, site, stage, rows, j, end = self._calls[call]
+        _, singular, tight, residual, bound = tests
+        if singular[j:end].any():
+            i = j + int(np.flatnonzero(singular[j:end])[-1])
+            message = "matrix is singular to working precision"
         else:
-            message = (f"solution residual {residual[0]:.2e} exceeds bound {residual[1]:.2e} "
-                       f"(cond ~ {cond:.2e})")
+            i = j + int(np.flatnonzero(~tight[j:end])[-1])
+            message = (f"solution residual {float(residual[i]):.2e} exceeds bound "
+                       f"{float(bound[i]):.2e}")
+        cond = _condition_estimate(rows.A[i])
         name = f"stage {stage} {site.name}" if site is not None else _name(context, i - j)
-        error = SingularSystemError(message, context=name, cond_estimate=cond)
+        error = SingularSystemError(f"{message} (cond ~ {cond:.2e})", context=name,
+                                    cond_estimate=cond)
         if site is None or site.reason is None:
             raise error
         raise SingularSystemError(f"{site.reason} ({error})", context=f"stage {stage}",
@@ -242,20 +261,18 @@ class _Rows:
     call: each matrix A, its right-hand side B and solution X, and the
     diagonal of U, its pivots."""
 
-    __slots__ = ("A", "B", "X", "diag", "r", "used", "calls", "starts")
+    __slots__ = ("A", "B", "X", "diag", "size", "k", "r", "used")
 
     def __init__(self, n: int, k: int, r: int):
         self.A, self.B, self.X = np.empty((n, k, k)), np.empty((n, k, r)), np.empty((n, k, r))
-        self.diag, self.r = np.empty((n, k)), r
+        self.diag, self.size, self.k, self.r = np.empty((n, k)), n, k, r
         self.used = 0
-        self.calls: list[int] = []   # the calls kept here, in order
-        self.starts: list[int] = []  # the first row of each
 
-    def first_failure(self):
-        """(call, row, residual) of the first call kept here that fails:
-        its row of largest index failing the pivot test, residual None,
-        or, if none of the call's rows does, its row of largest index
-        failing the residual test, residual (its residual, its bound)."""
+    def tests(self):
+        """None if every row used passes the pivot and the residual test,
+        else the first row that fails, and per row whether it fails the
+        pivot test, whether it passes the residual test, its residual and
+        its bound."""
         n = self.used
         A = self.A[:n]
         norm = np.maximum.reduce(np.abs(A), axis=(1, 2), initial=0.0)
@@ -263,7 +280,7 @@ class _Rows:
         # nonempty A is inf only if its norm is, which fails too.
         pivot = np.minimum.reduce(np.abs(self.diag[:n]), axis=1, initial=np.inf)
         singular = ~(PIVOT_RTOL * np.maximum(norm, 1e-300) < pivot)
-        if not A.shape[1]:
+        if not self.k:
             singular[:] = True
         X = self.X[:n]
         R = A @ X
@@ -273,33 +290,7 @@ class _Rows:
                                                                  initial=0.0))
         tight = residual <= bound
         passed = tight & ~singular
-        if passed.all():
-            return None
-        c = bisect.bisect_right(self.starts, int(passed.argmin())) - 1
-        lo, hi = self.starts[c], (self.starts[c + 1] if c + 1 < len(self.starts) else n)
-        if singular[lo:hi].any():
-            return self.calls[c], lo + int(np.flatnonzero(singular[lo:hi])[-1]), None
-        i = lo + int(np.flatnonzero(~tight[lo:hi])[-1])
-        return self.calls[c], i, (float(residual[i]), float(bound[i]))
-
-
-def _matrices(A):
-    """A as a float array, and as a stack (N, k, k)."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise InvalidGameError(
-            f"a solve needs a square matrix or a stack of them, got shape {A.shape}")
-    return A, (A if A.ndim == 3 else A[None])
-
-
-def _right_sides(A: np.ndarray, B):
-    """B as a float array, and as a stack (N, k, r) fitting the stack of A."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim not in (A.ndim - 1, A.ndim) or B.shape[:A.ndim - 1] != A.shape[:-1]:
-        raise InvalidGameError(
-            f"right-hand side of shape {B.shape} does not fit a system of shape {A.shape}")
-    rhs = B if B.ndim == A.ndim else B[..., None]
-    return B, (rhs if A.ndim == 3 else rhs[None])
+        return None if passed.all() else (int(passed.argmin()), singular, tight, residual, bound)
 
 
 def _name(context: Context, index: int) -> str | None:

@@ -94,6 +94,7 @@ def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
 
     Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
     ut_own = view.own(view.ut, lead=1)
+    I = np.eye(p)
     with Checks.sweep(T) as checks:
         Rinv_Bt = own_inputs(view, checks)
 
@@ -109,7 +110,7 @@ def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
             drift = s[:, t] - (_by_row(RB, c_next, view.owner) - ut) @ B.T
             rhs = np.empty((p, p + S))
             rhs[:, :p], rhs[:, p:] = A, drift.T
-            packed = checks.solve(np.eye(p) + B @ RBM, rhs, site=TRANSITION, stage=t)
+            packed = checks.solve(I + B @ RBM, rhs, site=TRANSITION, stage=t)
             Phi[t] = packed[:, :p]
             phi[:, t] = packed[:, p:].T
             # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,

@@ -191,6 +191,7 @@ def sweep(view: StageArrays, z0: np.ndarray):
     Xi = np.zeros((T, d, d + 1))
     P = np.zeros((T, M, d + 1))
     K[T, :, :p] = view.Q[T - 1].reshape(d, p)
+    I = np.eye(p)
 
     with Checks.sweep(T) as checks:
         terms = StageTerms.of(view, checks)
@@ -220,7 +221,7 @@ def sweep(view: StageArrays, z0: np.ndarray):
             rhs = np.empty((p, d + 1))
             rhs[:, :p], rhs[:, p:d] = A, B @ U[:, p:d]
             rhs[:, d:] = B @ U[:, d:] + view.s[t][:, None]
-            Phi = checks.solve(np.eye(p) - B @ U[:, :p], rhs, site=TRANSITION, stage=t)
+            Phi = checks.solve(I - B @ U[:, :p], rhs, site=TRANSITION, stage=t)
 
             # Controls and cocontrols as maps of (z_t, 1), then the z transition.
             UN = np.concatenate([U, N[t]], axis=0)

@@ -84,6 +84,17 @@ def _require_samples(name: str, value: int) -> None:
     require_index(name, value, np.inf)
 
 
+def _require_drawable(samples: int, spec: GameSpec, pattern: str, players) -> None:
+    """Refuse a count of samples of some player's T m_i sequence entries, or
+    T m_i (p + 1) law entries, whose draw numpy cannot shape: more bytes,
+    and so more values, than ``np.intp`` counts."""
+    size = (spec.horizon * (1 if pattern == OPEN_LOOP else spec.state_dim + 1)
+            * max(spec.control_dims[i] for i in players))
+    if int(samples) * size * 8 > np.iinfo(np.intp).max:
+        raise InvalidGameError(f"cannot draw {samples} samples of {size} entries: "
+                               "more than numpy can index")
+
+
 # ---------------------------------------------------------------------------
 # Stationarity certificates
 
@@ -607,15 +618,19 @@ def _failure(value: float, name: str, message: str) -> str:
 def run_verification(spec: GameSpec, solution, pattern: str, solver_name: str,
                      x0: np.ndarray | None = None, samples: int = 100, leader_samples: int = 50,
                      magnitude: float = 1e-3, seed: int = 0) -> VerificationReport:
-    """Run the full oracle battery on one solution and collect a report."""
+    """Run the full oracle battery on one solution and collect a report.
+
+    Every argument an oracle would refuse is refused before any oracle
+    runs, a sample count whose draw numpy cannot shape too; a count it can
+    shape but not allocate, such as 10**14, is refused where it is drawn."""
     # Checks draw from seed + i, so a negative seed could pass some of them.
     require_index("seed", seed, np.inf)
     is_stackelberg = _solver_row(spec, solution, pattern).stackelberg
-    # Refuse every argument an oracle would refuse before any of them runs;
-    # a count too large for numpy to draw is refused where it is drawn.
     _require_samples("samples", samples)
+    _require_drawable(samples, spec, pattern, range(is_stackelberg, spec.n_players))
     if is_stackelberg:
         _require_samples("leader_samples", leader_samples)
+        _require_drawable(leader_samples, spec, pattern, [0])
     _require_positive("magnitude", magnitude)
     report = VerificationReport(solver=solver_name, pattern=pattern, seed=seed,
                                 samples=samples, magnitude=magnitude)

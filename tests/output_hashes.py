@@ -20,9 +20,10 @@ the warnings its step raised too.  The cases are:
   ``lqr``, else two or three players);
 - ``degenerate<s>-<what>``: small games that skip validation and reach a
   zero stage system or a NaN drift, so that every solver refuses them;
-- ``long<s>``: (3, 10, 3, 200) time-varying games (one player for
-  ``lqr``), solution and consistency only, whose sweeps fill and test their
-  capped stacks;
+- ``long<s>``: time-varying games of (players, state, control, horizon)
+  (3, 10, 3, 200) for s = 0-2 and (2, 3, 2, 200) for s = 3-5, the shapes
+  of the ``solve-long`` benchmark (one player for ``lqr``), solution and
+  consistency only, whose sweeps fill and test their capped stacks;
 - ``malformed<s>``: the 120 malformed games of ``test_validation``, one
   ``validation`` line per mode order, ``plain-first`` or ``leader-first``.
   A game checks itself in both modes when it is built and tests any other
@@ -168,10 +169,10 @@ def main() -> None:
                 for name in SOLVERS:
                     spec, x0 = degenerate(seed, players(name, seed), what)
                     print_outputs(f"degenerate{seed}-{what}", name, spec, x0, verify=False)
-    for seed in range(3):
+    for seed, (count, p, m) in enumerate([(3, 10, 3)] * 3 + [(2, 3, 2)] * 3):
         for name in SOLVERS:
-            n = players(name, 1)
-            spec = random_game(900 + seed, n_players=n, state_dim=10, control_dims=[3] * n,
+            n = 1 if name == "lqr" else count
+            spec = random_game(900 + seed, n_players=n, state_dim=p, control_dims=[m] * n,
                                horizon=200, time_varying=True, targets=name != "lqr")
             x0 = random_x0(seed, spec)
             print_outputs(f"long{seed}", name, spec, x0, verify=False)

@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,
+from dyngame import (feedback_nash, feedback_stackelberg, lqr, numerics, openloop_nash,
                      openloop_stackelberg, verify)
 from dyngame.errors import SingularSystemError
 from dyngame.game import StageArrays, constant_game
@@ -86,6 +86,42 @@ def test_solutions_and_tails_equal_the_eager_tests_bit_for_bit(solver, T, time_v
     assert isinstance(deferred, dict), deferred  # solved, not refused
     eager()
     assert outcome(run) == deferred
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_one_lapack_call_per_stage_system_and_one_test_per_row(solver, capped, monkeypatch):
+    # one call per stage system, and for the open-loop solvers one per stage
+    # and player for the R^ii solves; capped, each site's stack holds a few
+    # rows and is tested as it fills
+    T, n = 12, PLAYERS[solver]
+    calls = {"lqr": T, "feedback-nash": T, "feedback-stackelberg": 3 * T,
+             "openloop-nash": T + n * T, "openloop-stackelberg": 2 * T + n * T}[solver]
+    spec = random_game(70, n_players=n, state_dim=2, control_dims=[2, 1, 1][:n], horizon=T,
+                       time_varying=True, targets=solver != "lqr")
+    x0 = random_x0(70, spec)
+    expected = arrays(SOLVERS[solver].solve(spec, x0))
+    gesv, tests = numerics._lapack(), numerics._Rows.tests
+    solved, tested = [], []
+
+    def counted(a, b):
+        solved.append(a.copy())
+        return gesv(a, b)
+
+    def recorded(rows):
+        tested.append((rows, rows.A[:rows.used].copy()))
+        return tests(rows)
+
+    monkeypatch.setattr(numerics, "_LAPACK", counted)
+    monkeypatch.setattr(numerics._Rows, "tests", recorded)
+    if capped:
+        monkeypatch.setattr(numerics, "_ROWS_BYTES", 1500)
+    assert arrays(SOLVERS[solver].solve(spec, x0)) == expected
+    assert len(solved) == calls
+    rows = [a.tobytes() for _, stack in tested for a in stack]
+    assert sorted(rows) == sorted(a.tobytes() for a in solved)
+    stacks = {id(stack) for stack, _ in tested}
+    assert (len(tested) > len(stacks)) == capped
 
 
 # ---------------------------------------------------------------------------

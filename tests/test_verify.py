@@ -278,16 +278,21 @@ class TestSettingsWithoutEvidence:
             verify.run_verification(spec, sol, verify.FEEDBACK, "feedback-stackelberg",
                                     x0=x0, samples=5, leader_samples=samples)
 
-    @pytest.mark.parametrize("samples", [10**20, 2**60])
+    @pytest.mark.parametrize("samples", [10**20, 2**60, np.int64(2**60)])
     @pytest.mark.parametrize("solver", list(SOLVERS))
-    def test_a_count_numpy_cannot_draw_is_refused(self, solver, samples):
-        """numpy refuses both shapes before it allocates anything; every
-        path to a draw names the count."""
+    def test_a_count_numpy_cannot_draw_is_refused(self, solver, samples, monkeypatch):
+        """numpy refuses each shape before it allocates anything; every
+        path to a draw names the count, and ``run_verification`` refuses it
+        before any oracle runs."""
         row = SOLVERS[solver]
         spec = scalar_unit_two_player() if solver != "lqr" else random_game(5, n_players=1,
                                                                             targets=False)
         x0 = np.ones(spec.state_dim)
         sol = row.solve(spec, x0)
+        ran = []
+        stationarity = verify.stationarity
+        monkeypatch.setattr(verify, "stationarity",
+                            lambda *a, **k: ran.append(a) or stationarity(*a, **k))
         calls = [lambda: verify.deviation_gap(spec, sol, row.pattern, spec.n_players - 1,
                                               samples=samples, x0=x0),
                  lambda: verify.run_verification(spec, sol, row.pattern, solver, x0=x0,
@@ -299,6 +304,7 @@ class TestSettingsWithoutEvidence:
         for call in calls:
             with pytest.raises(InvalidGameError, match=f"^cannot draw {samples} samples of "):
                 call()
+        assert ran == []
 
     @pytest.mark.parametrize("solver", list(SOLVERS))
     @pytest.mark.parametrize("bad, message", [
