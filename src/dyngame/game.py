@@ -65,14 +65,16 @@ class StageData:
     u_target: tuple[tuple[np.ndarray, ...], ...]
 
     def __post_init__(self):
-        self.__dict__.update(
-            A=_freeze(np.atleast_2d(np.asarray(self.A, dtype=float))),
-            B=tuple(_freeze(np.atleast_2d(b)) for b in self.B),
-            s=_freeze(np.atleast_1d(np.asarray(self.s, dtype=float))),
-            Q=tuple(_freeze(np.atleast_2d(np.asarray(q, dtype=float))) for q in self.Q),
-            R=tuple(tuple(_freeze(np.atleast_2d(np.asarray(r, dtype=float))) for r in row) for row in self.R),
-            x_target=tuple(_freeze(np.atleast_1d(x)) for x in self.x_target),
-            u_target=tuple(tuple(_freeze(np.atleast_1d(u)) for u in row) for row in self.u_target))
+        def arrays(name, value, lift, depth):  # an array, or one per player (depth 1) or pair (2)
+            if not depth:
+                return _freeze(lift(_numeric(name, value)))
+            return tuple([arrays(f"{name}/{i}", v, lift, depth - 1)
+                          for i, v in enumerate(_sequence(name, value))])
+
+        mat, vec = np.atleast_2d, np.atleast_1d
+        for name, lift, depth in (("A", mat, 0), ("B", mat, 1), ("s", vec, 0), ("Q", mat, 1), ("R", mat, 2),
+                                  ("x_target", vec, 1), ("u_target", vec, 2)):
+            self.__dict__[name] = arrays(name, getattr(self, name), lift, depth)
 
     @classmethod
     def _of(cls, **entries) -> StageData:
@@ -101,11 +103,11 @@ class GameSpec:
     _stacks: _Stacks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("players", "stages"):
-            try:
-                self.__dict__[name] = tuple(getattr(self, name))
-            except TypeError:
-                raise InvalidGameError(f"{name} must be a sequence, got {getattr(self, name)!r}") from None
+        for name, kind in (("players", Player), ("stages", StageData)):
+            self.__dict__[name] = items = _sequence(name, getattr(self, name))
+            for i, item in enumerate(items):
+                if not isinstance(item, kind):
+                    raise InvalidGameError(f"{name}/{i} must be a {kind.__name__}, got {item!r}")
         self.__dict__["_stacks"] = stacks = _Stacks(self)
         if not (stacks.header or stacks.found):
             self.__dict__["stages"] = stacks.stages()
@@ -139,8 +141,8 @@ def constant_game(A, B, Q, R, T, s=None, x_target=None, u_target=None,
     omitted drift/targets with zeros."""
     if not is_integer(T):
         raise InvalidGameError(f"T must be an integer, got {T!r}")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = tuple(np.atleast_2d(np.asarray(b, dtype=float)) for b in B)
+    A = np.atleast_2d(_numeric("A", A))
+    B = tuple(np.atleast_2d(_numeric(f"B/{j}", b)) for j, b in enumerate(_sequence("B", B)))
     p, n = A.shape[0], len(B)
     dims = [b.shape[1] for b in B]
     if s is None:
@@ -153,8 +155,7 @@ def constant_game(A, B, Q, R, T, s=None, x_target=None, u_target=None,
         names = [f"P{i + 1}" for i in range(n)]
     elif len(names) != n:
         raise InvalidGameError(f"expected {n} names, got {len(names)}")
-    stage = StageData(A=A, B=B, s=s, Q=tuple(Q), R=tuple(tuple(row) for row in R),
-                      x_target=tuple(x_target), u_target=tuple(tuple(row) for row in u_target))
+    stage = StageData(A=A, B=B, s=s, Q=Q, R=R, x_target=x_target, u_target=u_target)
     players = tuple(Player(control_dim=m, name=names[i]) for i, m in enumerate(dims))
     return GameSpec(horizon=T, state_dim=p, players=players, stages=(stage,) * T)
 
@@ -627,6 +628,14 @@ def require_vector(name: str, value, size: int) -> np.ndarray:
     return v
 
 
+def _sequence(name: str, value) -> tuple:
+    """``value`` as a tuple, refused unless it is a sequence; an error calls it ``name``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidGameError(f"{name} must be a sequence, got {value!r}") from None
+
+
 def _numeric(name: str, value) -> np.ndarray:
     """``value`` as a float array, refused unless numeric; an error calls it ``name``."""
     try:
@@ -647,7 +656,9 @@ def rollout(spec: GameSpec, laws_or_controls, x0: np.ndarray) -> Trajectory:
     trajectories from the same x0 are rolled out together and every field
     of the returned :class:`Trajectory` has a leading axis S.  Every
     sample plays the game's own stage drifts.  Stage costs are evaluated
-    for all stages and samples in one pass after the state loop.
+    for all stages and samples in one pass after the state loop, the
+    library's one walk of the state equation, which plays every open-loop
+    solution's path too.
     """
     view, states, u, S = _walk_rules(spec, laws_or_controls, x0)
     return _priced(view, states, u, S is not None)
@@ -659,43 +670,25 @@ def _walk_rules(spec: GameSpec, laws_or_controls, x0):
     x0 = initial_state(spec, x0)
     view = StageArrays.of(spec)
     GT, g, S = _stacked_rules(spec, laws_or_controls)
+    return (view, *_walk(view, x0, GT, g, view.s, S), S)
 
-    states = np.empty((S or 1, spec.horizon + 1, spec.state_dim))
+
+def _walk(view: StageArrays, x0: np.ndarray, GT, g: np.ndarray, s: np.ndarray, S):
+    """The one state loop: the states (S, T+1, p) and stacked controls (S, T, M)
+    of the rules u_t = x_t GT_t + g_t from x0, gains GT (..., T, p, M), C-contiguous,
+    or None for control sequences g alone, offsets g (..., T, M), under drifts s,
+    (T, p) or one sequence per sample (S, T, p); S samples, or one when None."""
+    T = len(view.A)
+    states = np.empty((S or 1, T + 1, len(x0)))
     states[:, 0] = x0
     x = states[:, 0]
-    u = np.empty((S or 1, spec.horizon, g.shape[-1]))
-    for t in range(spec.horizon):
+    u = np.empty((S or 1, T, g.shape[-1]))
+    for t in range(T):
         u[:, t] = g[..., t, :]
         if GT is not None:
             u[:, t] += (x[:, None, :] @ GT[..., t, :, :])[:, 0]
-        states[:, t + 1] = x = _advance(view, t, x, view.s, u[:, t])
-    return view, states, u, S
-
-
-def sequence_path(view: StageArrays, x0: np.ndarray, u: np.ndarray, s: np.ndarray,
-                  batched: bool) -> Trajectory:
-    """The trajectory of S stacked control sequences u (S, T, M) from x0,
-    with the drifts s, (T, p) or one sequence per sample (S, T, p): the
-    states of :func:`rollout`'s state equation, priced as it prices them.
-    Without ``batched``, S is 1 and the trajectory has no sample axis.
-    """
-    return _priced(view, _walk_sequences(view, x0, u, s), u, batched)
-
-
-def _walk_sequences(view: StageArrays, x0: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The states (S, T+1, p) of :func:`sequence_path`, unpriced."""
-    states = np.empty((len(u), u.shape[1] + 1, len(x0)))
-    states[:, 0] = x0
-    x = states[:, 0]
-    for t in range(u.shape[1]):
-        states[:, t + 1] = x = _advance(view, t, x, s, u[:, t])
-    return states
-
-
-def _advance(view: StageArrays, t: int, x: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The state equation at stage t for states x (S, p), drifts s (T, p)
-    or (S, T, p) and stacked controls u (S, M)."""
-    return x @ view.A[t].T + s[..., t, :] + u @ view.B[t].T
+        states[:, t + 1] = x = x @ view.A[t].T + s[..., t, :] + u[:, t] @ view.B[t].T
+    return states, u
 
 
 def _priced(view: StageArrays, states: np.ndarray, u: np.ndarray, batched: bool) -> Trajectory:

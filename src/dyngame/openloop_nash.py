@@ -14,7 +14,8 @@ the Z-indexing of the feedback solvers, with terminal M_T equal to the
 last stage's Q.  The path gains satisfy u_t^i = -P_t^i x_t* - alpha_t^i
 *along the equilibrium path*, and the solution's laws store them as
 G = -P, g = -alpha; off-path use of those laws is extrapolation, not an
-equilibrium law.
+equilibrium law.  The solution's path is those laws played from x0 by
+the state loop of :func:`dyngame.game.rollout`.
 
 The equilibrium is weakly time consistent: re-solving the truncated game
 from a state on the equilibrium path reproduces the tail, but the gains
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
-                   sequence_path)
+from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, _priced, _walk, initial_state,
+                   require_valid)
 from .numerics import Checks, Site
 
 #: The transition operator D = I + sum_j B^j (R^jj)^-1 B^j' M^j, one per stage.
@@ -55,31 +56,31 @@ class OpenLoopNashSolution:
 
 def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
     """Unique open-loop Nash equilibrium from the initial state x0: one
-    :func:`sweep` with the game's own drifts as its one sample, the path
-    priced as :func:`dyngame.game.rollout` prices it."""
+    :func:`sweep` with the game's own drifts as its one sample, its path
+    laws played and priced as :func:`dyngame.game.rollout` does, bit for bit."""
     view = require_valid(spec)
     x0 = initial_state(spec, x0)
-    s = view.s[None]
-    u, Mc, m, Phi, phi, G, g = sweep(view, x0, s)
-    traj = sequence_path(view, x0, u, s, False)
+    Mc, m, Phi, phi, GT, g = sweep(view, view.s[None])
+    traj = _priced(view, *_walk(view, x0, GT, g, view.s, None), False)
     return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
-                                laws=tuple(AffineLaw(G[:, b], g[0, :, b]) for b in view.blocks),
+                                laws=tuple(AffineLaw(GT[:, :, b].swapaxes(1, 2), g[0, :, b])
+                                           for b in view.blocks),
                                 M=Mc, m=m[0], Phi=Phi, phi=phi[0])
 
 
-def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
-    """The game of a validated game's view from the initial state x0,
-    under each of the S drift sequences s (S, T, p): one backward pass
-    over the stages, then the forward pass along each path.
+def sweep(view: StageArrays, s: np.ndarray):
+    """The game of a validated game's view under each of the S drift
+    sequences s (S, T, p): one backward pass over the stages, which no
+    initial state enters, so the maps from stage s on are those of the
+    tail game from s; :func:`dyngame.game._walk` plays the path laws.
 
-    Returns the controls u (S, T, M), M (n, T+1, p, p), m (S, n, T+1, p),
-    Phi (T, p, p), phi (S, T, p) and the path laws G (T, M, p), g (S, T,
-    M).  The R^jj solves of :func:`own_inputs`, one stacked solve per
-    player over the stages, are formed before the backward pass; each
-    stage's transition operator is solved once for all S drifts, and
-    every solve is tested once the backward pass is done.  Only the
-    forward pass reads x0, so the maps from stage s on are those of the
-    tail game from s, whatever state it starts from.
+    Returns M (n, T+1, p, p), m (S, n, T+1, p), Phi (T, p, p), phi (S, T,
+    p) and the path laws u_t = x_t GT_t + g_t, gains GT (T, p, M),
+    C-contiguous as :func:`dyngame.game.rollout` lays out a law's gains,
+    and offsets g (S, T, M).  The R^jj solves of :func:`own_inputs`, one
+    stacked solve per player over the stages, are formed before the
+    backward pass; each stage's transition operator is solved once for all
+    S drifts, and every solve is tested once the backward pass is done.
     """
     T, p, M = view.B.shape
     n, S = view.Q.shape[1], len(s)
@@ -89,7 +90,7 @@ def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
     m = np.zeros((S, n, T + 1, p))
     Phi = np.zeros((T, p, p))
     phi = np.zeros((S, T, p))
-    G = np.zeros((T, M, p))
+    GT = np.zeros((T, p, M))
     g = np.zeros((S, T, M))
 
     Qxt = np.einsum("tipq,tiq->tip", view.Q, view.xt)
@@ -116,7 +117,7 @@ def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
             # The costate offset on the path, M_{t+1} phi_t + m_{t+1} - Q xt,
             # feeds both m_t and the path offsets.
             c = np.einsum("ipq,sq->sip", Mc[:, t + 1], phi[:, t]) + c_next
-            G[t] = -RBM @ Phi[t]
+            GT[t] = (-RBM @ Phi[t]).T
             g[:, t] = ut - _by_row(RB, c, view.owner)
             # M is symmetric only for n = 1: the transition operator mixes
             # all players' costate matrices, so no symmetrization here.
@@ -124,14 +125,7 @@ def sweep(view: StageArrays, x0: np.ndarray, s: np.ndarray):
             if t:
                 Mc[:, t] += view.Q[t - 1]
             m[:, :, t] = c @ A
-
-    # Forward pass: the explicit controls along each path.
-    u = np.zeros((S, T, M))
-    x = np.repeat(x0[None], S, axis=0)
-    for t in range(T):
-        u[:, t] = x @ G[t].T + g[:, t]
-        x = x @ Phi[t].T + phi[:, t]
-    return u, Mc, m, Phi, phi, G, g
+    return Mc, m, Phi, phi, GT, g
 
 
 def own_inputs(view: StageArrays, checks: Checks) -> np.ndarray:

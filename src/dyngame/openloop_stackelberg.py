@@ -51,8 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidGameError
-from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, initial_state, require_valid,
-                   sequence_path)
+from .game import (AffineLaw, GameSpec, StageArrays, Trajectory, _numeric, _priced, _walk,
+                   initial_state, require_valid)
 from .numerics import Checks, Site
 from .openloop_nash import own_inputs
 
@@ -99,8 +99,8 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     ``initial_mu`` sets the followers' adjoined multipliers at stage 0;
     zero is the equilibrium condition for a whole game, while a tail
     re-solve inherits the multipliers reached at the truncation stage.
-    The path of :func:`sweep` is priced as :func:`dyngame.game.rollout`
-    prices it.
+    The controls of :func:`sweep`'s z-path are played from x0 and priced
+    as :func:`dyngame.game.rollout` plays and prices control sequences.
     """
     view = require_valid(spec)
     if spec.n_players < 2:
@@ -108,18 +108,13 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     x0 = initial_state(spec, x0)
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
     nf, d = n - 1, n * p
-    if initial_mu is None:
-        mu0 = np.zeros((nf, p))
-    else:
-        mu0 = np.atleast_2d(np.asarray(initial_mu, dtype=float))
-        if mu0.shape != (nf, p):
-            raise InvalidGameError(
-                f"initial_mu has shape {mu0.shape}, expected {(nf, p)}"
-            )
+    mu0 = np.zeros((nf, p)) if initial_mu is None else np.atleast_2d(_numeric("initial_mu", initial_mu))
+    if mu0.shape != (nf, p):
+        raise InvalidGameError(f"initial_mu has shape {mu0.shape}, expected {(nf, p)}")
     u, z, K, k, N, Xi, P = sweep(view, np.hstack([x0, mu0.ravel()]))
     g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
     laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)
-    traj = sequence_path(view, x0, u[None], view.s, False)
+    traj = _priced(view, *_walk(view, x0, None, u[None], view.s, None), False)
     return OpenLoopStackelbergSolution(
         spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, laws=laws,
         mu=z[:, p:].reshape(T + 1, nf, p).transpose(1, 0, 2),

@@ -22,8 +22,9 @@ under test, the leader checks only the leader.  The open-loop Stackelberg
 leader's checks, whose objective re-solves the followers' game for each
 leader sequence, batch that re-solve too: the followers' games of all
 samples differ only in their drifts, so one drift-batched
-:func:`dyngame.openloop_nash.sweep` answers all of them (see
-:func:`leader_cost_open_loop`).
+:func:`dyngame.openloop_nash.sweep` answers all of them, and one walk of its
+path laws plays them (see :func:`leader_cost_open_loop`).  The stationarity
+certificate replays the path in its own costate pass, apart from that walk.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np
 from . import openloop_nash, openloop_stackelberg, solvers
 from .errors import InvalidGameError
 from .feedback_nash import FeedbackNashSolution
-from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, _walk_rules, _walk_sequences,
-                   folded_drifts, initial_state, is_integer, require_index, require_real,
-                   require_valid)
+from .game import (AffineLaw, GameSpec, StageArrays, _stage_costs, _walk, _walk_rules, folded_drifts,
+                   initial_state, is_integer, require_index, require_real, require_valid)
 from .lqr import ControlSolution
 from .openloop_nash import OpenLoopNashSolution
 from .openloop_stackelberg import OpenLoopStackelbergSolution
@@ -251,13 +251,14 @@ def _leader_gradient(spec: GameSpec, x0: np.ndarray, grad0: np.ndarray) -> np.nd
     row with the followers' controls held, grad0 (T, M).  The followers'
     response is affine in the leader's controls: a change e moves it by the
     followers' open-loop Nash controls with drift B^0 e, initial state 0
-    and no targets, one drift-batched sweep for all T*m_0 entries e."""
+    and no targets, one drift-batched sweep, walked from 0, for all T*m_0 entries e."""
     view = require_valid(spec)
     T, m0 = spec.horizon, view.blocks[0].stop
     followers = view.select(range(1, spec.n_players))
     tangent = replace(followers, xt=np.zeros_like(followers.xt), ut=np.zeros_like(followers.ut))
     s = np.einsum("tpm,stm->stp", view.B[:, :, :m0], np.eye(T * m0).reshape(T * m0, T, m0))
-    du = openloop_nash.sweep(tangent, np.zeros(spec.state_dim), s)[0]
+    GT, g = openloop_nash.sweep(tangent, s)[4:]
+    du = _walk(tangent, np.zeros(spec.state_dim), GT, g, s, len(s))[1]
     return grad0[:, :m0].ravel() + np.einsum("stk,tk->s", du, grad0[:, m0:])
 
 
@@ -375,8 +376,9 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     them (S, T, m), whose costs are an (S,) array.  The followers' games of
     all S sequences share every matrix and differ only in their drifts
     s_t + B_t^0 u_t, so one drift-batched open-loop Nash sweep on the
-    followers' blocks of the game's checked view answers all S of them.
-    The leader's controls enter it through the drift, so its paths are the
+    followers' blocks of the game's checked view answers all S of them,
+    and one walk of its path laws under those drifts plays them.  The
+    leader's controls enter it through the drift, so its paths are the
     full game's paths, on which the same view prices the leader alone.
     """
     view = require_valid(spec)
@@ -396,8 +398,8 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
     if not np.isfinite(s).all():
         raise InvalidGameError("leader controls must be finite and fold into finite drifts")
     followers = view.select(range(1, spec.n_players))
-    u_f = openloop_nash.sweep(followers, x0, s)[0]
-    states = _walk_sequences(followers, x0, u_f, s)
+    GT, g = openloop_nash.sweep(followers, s)[4:]
+    states, u_f = _walk(followers, x0, GT, g, s, len(s))
     costs = _stage_costs(view, states, np.concatenate([batch, u_f], axis=-1), [0])[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
 

@@ -95,7 +95,8 @@ does not overflow.
 The drift-batched open-loop Nash solve is the ``drifts`` option that
 ``openloop_nash.solve`` had before the library kept drift batching to
 :func:`dyngame.openloop_nash.sweep` alone: one sweep over S drift
-sequences, wrapped as one solution with a sample axis.
+sequences, its path laws walked from x0 by ``game._walk``, wrapped as one
+solution with a sample axis.
 
 The eager stage checks test each stage solve of a sweep when it is made,
 through :func:`solve_dense`, and wrap its failure as the sweeps did
@@ -115,8 +116,8 @@ from dyngame.errors import DynGameError, InvalidGameError, SingularSystemError
 from dyngame.feedback_nash import FeedbackNashSolution
 from dyngame.feedback_stackelberg import FeedbackStackelbergSolution, ReactionCoefficients
 from dyngame.game import (AffineLaw, GameSpec, StageArrays, Trajectory, ValidationReport,
-                          Violation, folded_drifts, initial_state, require_valid, rollout,
-                          sequence_path, stage_cost, truncate)
+                          Violation, _priced, _walk, folded_drifts, initial_state, require_valid,
+                          rollout, stage_cost, truncate)
 from dyngame.numerics import SYMMETRY_RTOL, Checks, asymmetry
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.openloop_stackelberg import OpenLoopStackelbergSolution
@@ -158,16 +159,19 @@ def drift_batched_solve(spec: GameSpec, x0: np.ndarray,
                         drifts: np.ndarray) -> OpenLoopNashSolution:
     """The S open-loop Nash equilibria of ``spec`` with its stage drifts
     replaced by each of ``drifts`` (S, T, p) in turn, from one
-    :func:`dyngame.openloop_nash.sweep` on the game's checked view, as
+    :func:`dyngame.openloop_nash.sweep` on the game's checked view, its
+    path laws walked from x0 under those drifts by ``game._walk``, as
     ``openloop_nash.solve`` gave them before it lost its ``drifts``
     option: one solution whose drift-dependent fields (the law offsets,
     the trajectory, ``m`` and ``phi``) carry a leading sample axis S."""
     view = require_valid(spec)
     x0 = initial_state(spec, x0)
     s = np.asarray(drifts, dtype=float)
-    u, M, m, Phi, phi, G, g = openloop_nash.sweep(view, x0, s)
-    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=sequence_path(view, x0, u, s, True),
-                                laws=tuple(AffineLaw(G[:, b], g[..., b]) for b in view.blocks),
+    M, m, Phi, phi, GT, g = openloop_nash.sweep(view, s)
+    return OpenLoopNashSolution(spec=spec, x0=x0,
+                                trajectory=_priced(view, *_walk(view, x0, GT, g, s, len(s)), True),
+                                laws=tuple(AffineLaw(GT[:, :, b].swapaxes(1, 2), g[..., b])
+                                           for b in view.blocks),
                                 M=M, m=m, Phi=Phi, phi=phi)
 
 

@@ -238,21 +238,21 @@ def test_the_certificate_sees_a_shifted_feedback_law():
 
 
 def count_rollouts(monkeypatch):
-    """Count the state loops: calls into ``game._walk_rules``, the loop of
-    ``rollout`` and of the sampling oracles, and into
-    ``game._walk_sequences``, which walks an open-loop path, from anywhere
-    in the library."""
+    """Count the state loops: calls into ``game._walk``, the one loop of
+    ``rollout``, of the sampling oracles and of every open-loop path, from
+    anywhere in the library."""
     calls = []
-    for original in (game._walk_rules, game._walk_sequences):
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+    original = game._walk
 
-        for name, mod in list(sys.modules.items()):
-            if mod is not None and (name == "dyngame" or name.startswith("dyngame.")):
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, counted)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "dyngame" or name.startswith("dyngame.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 

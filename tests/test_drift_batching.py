@@ -1,7 +1,8 @@
 """The drift axis of the open-loop Nash sweep and the open-loop leader checks.
 
-``openloop_nash.sweep(view, x0, s)`` solves S games that differ only in
-their stage drifts s (S, T, p) with one matrix sweep.
+``openloop_nash.sweep(view, s)`` solves S games that differ only in
+their stage drifts s (S, T, p) with one backward matrix sweep, and
+``game._walk`` plays their path laws from x0 under those drifts.
 ``verify.leader_cost_open_loop`` runs it on the followers' blocks of the
 game's checked view to price S leader sequences with one re-solve, which
 the open-loop Stackelberg leader gap makes once.  The leader's
@@ -15,9 +16,9 @@ solves, the leader checks to the per-sample fold-and-solve loop in
 import numpy as np
 import pytest
 
-from dyngame import openloop_nash, openloop_stackelberg, verify
+from dyngame import game, openloop_nash, openloop_stackelberg, verify
 from dyngame.errors import InvalidGameError
-from dyngame.game import StageArrays, _walk_rules, _walk_sequences, folded_drifts
+from dyngame.game import StageArrays, _walk, folded_drifts
 
 import reference_formulations as ref
 from conftest import random_game, random_x0, rng_for
@@ -173,8 +174,9 @@ def test_one_follower_solve_per_leader_check(seed, monkeypatch):
 
 
 def count_state_loops(monkeypatch):
-    """Count the state loops of the open-loop leader checks: the paths the
-    followers' re-solve forms, and the oracles' own walks of sampled rules."""
+    """Count the state loops of the open-loop leader checks: calls into
+    ``game._walk``, which plays the paths of the followers' re-solve and,
+    through ``game._walk_rules``, the oracles' sampled rules."""
     calls = []
 
     def counting(fn):
@@ -183,8 +185,8 @@ def count_state_loops(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(verify, "_walk_sequences", counting(_walk_sequences))
-    monkeypatch.setattr(verify, "_walk_rules", counting(_walk_rules))
+    for module in (game, verify):
+        monkeypatch.setattr(module, "_walk", counting(_walk))
     return calls
 
 
@@ -192,8 +194,8 @@ def count_state_loops(monkeypatch):
 def test_one_state_loop_per_leader_check(seed, monkeypatch):
     """The followers' re-solve walks the full game's paths, so the leader
     is priced on them without a rollout of its own.  The stationarity
-    certificate walks the path of the controls in its costate pass, and its
-    tangent sweep prices nothing."""
+    certificate replays the path of the controls in its own costate pass,
+    and walks the tangent sweep's path laws once, pricing nothing."""
     spec, sol, x0 = stackelberg(seed)
     calls = count_state_loops(monkeypatch)
     for samples in (5, 50):
@@ -202,4 +204,4 @@ def test_one_state_loop_per_leader_check(seed, monkeypatch):
         assert len(calls) == 1, (samples, len(calls))
     calls.clear()
     verify.stationarity(spec, sol, verify.OPEN_LOOP)
-    assert len(calls) == 0
+    assert len(calls) == 1

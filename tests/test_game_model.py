@@ -204,6 +204,30 @@ def test_a_game_without_players_or_stages_is_refused(field):
         GameSpec(**parts)
 
 
+_UNIT = dict(Q=[[[1.0]], [[1.0]]], R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda spec: GameSpec(3, 1, (1, 2), spec.stages), "players/0 must be a Player, got 1"),
+    (lambda spec: GameSpec(3, 1, (spec.players[0], None), spec.stages),
+     "players/1 must be a Player, got None"),
+    (lambda spec: GameSpec(3, 1, spec.players, (1, 2, 3)), "stages/0 must be a StageData, got 1"),
+    (lambda spec: replace(spec.stages[0], A="x"),
+     "A is not a numeric array: could not convert string to float: 'x'"),
+    (lambda spec: replace(spec.stages[0], R=((spec.stages[0].R[0][0], "a"), spec.stages[0].R[1])),
+     "R/0/1 is not a numeric array: could not convert string to float: 'a'"),
+    (lambda spec: replace(spec.stages[0], B=None), "B must be a sequence, got None"),
+    (lambda spec: constant_game("x", [[[1.0]], [[1.0]]], **_UNIT),
+     "A is not a numeric array: could not convert string to float: 'x'"),
+    (lambda spec: constant_game([[1.0]], None, **_UNIT), "B must be a sequence, got None"),
+], ids=["int-players", "none-player", "int-stages", "text-A", "text-R", "none-B",
+        "constant-text-A", "constant-none-B"])
+def test_malformed_game_parts_are_refused_by_name(build, message):
+    # each ended in a bare AttributeError, ValueError or TypeError
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        build(scalar_unit_two_player(T=3))
+
+
 @pytest.mark.parametrize("broken", ["state-weight-shape", "stage-count", "control-count"])
 def test_costs_and_weights_refuse_a_misshapen_game(broken):
     """As rollout does, the costs, the previous-state weight and the player

@@ -243,3 +243,9 @@ class TestTwoPlayerLqCrossCheck:
                     - R12 @ B2.T @ Mmu @ B2)
             rhs = -(B2.T @ Lx - R12 @ B2.T @ Mx)
             assert np.abs(core @ sol.N[t][:, :p] - rhs).max() <= 1e-9
+
+
+def test_rejects_non_numeric_initial_mu():
+    # a bare ValueError before initial_mu went through game._numeric
+    with pytest.raises(InvalidGameError, match="^initial_mu is not a numeric array"):
+        openloop_stackelberg.solve(scalar_unit_two_player(), np.array([1.0]), initial_mu=[["a"]])
