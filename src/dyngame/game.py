@@ -670,15 +670,16 @@ def _walk_rules(spec: GameSpec, laws_or_controls, x0):
     x0 = initial_state(spec, x0)
     view = StageArrays.of(spec)
     GT, g, S = _stacked_rules(spec, laws_or_controls)
-    return (view, *_walk(view, x0, GT, g, view.s, S), S)
+    return (view, *_walk(view.A, view.B, x0, GT, g, view.s, S), S)
 
 
-def _walk(view: StageArrays, x0: np.ndarray, GT, g: np.ndarray, s: np.ndarray, S):
-    """The one state loop: the states (S, T+1, p) and stacked controls (S, T, M)
-    of the rules u_t = x_t GT_t + g_t from x0, gains GT (..., T, p, M), C-contiguous,
+def _walk(A: np.ndarray, B: np.ndarray, x0: np.ndarray, GT, g: np.ndarray, s: np.ndarray, S):
+    """The one state loop of x_{t+1} = A_t x_t + B_t u_t + s_t, A (T, p, p) and
+    B (T, p, M): the states (S, T+1, p) and stacked controls (S, T, M) of the
+    rules u_t = x_t GT_t + g_t from x0, gains GT (..., T, p, M), C-contiguous,
     or None for control sequences g alone, offsets g (..., T, M), under drifts s,
     (T, p) or one sequence per sample (S, T, p); S samples, or one when None."""
-    T = len(view.A)
+    T = len(A)
     states = np.empty((S or 1, T + 1, len(x0)))
     states[:, 0] = x0
     x = states[:, 0]
@@ -687,7 +688,7 @@ def _walk(view: StageArrays, x0: np.ndarray, GT, g: np.ndarray, s: np.ndarray, S
         u[:, t] = g[..., t, :]
         if GT is not None:
             u[:, t] += (x[:, None, :] @ GT[..., t, :, :])[:, 0]
-        states[:, t + 1] = x = x @ view.A[t].T + s[..., t, :] + u[:, t] @ view.B[t].T
+        states[:, t + 1] = x = x @ A[t].T + s[..., t, :] + u[:, t] @ B[t].T
     return states, u
 
 

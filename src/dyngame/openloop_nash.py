@@ -48,10 +48,7 @@ class OpenLoopNashSolution:
     x0: np.ndarray
     trajectory: Trajectory
     laws: tuple[AffineLaw, ...]         # per player path laws, G (T, m_i, p), g (T, m_i)
-    M: np.ndarray                       # (n, T+1, p, p)
-    m: np.ndarray                       # (n, T+1, p)
-    Phi: np.ndarray                     # (T, p, p)
-    phi: np.ndarray                     # (T, p)
+    M: np.ndarray                       # (n, T+1, p, p) costate coefficients
 
 
 def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
@@ -60,12 +57,11 @@ def solve(spec: GameSpec, x0: np.ndarray) -> OpenLoopNashSolution:
     laws played and priced as :func:`dyngame.game.rollout` does, bit for bit."""
     view = require_valid(spec)
     x0 = initial_state(spec, x0)
-    Mc, m, Phi, phi, GT, g = sweep(view, view.s[None])
-    traj = _priced(view, *_walk(view, x0, GT, g, view.s, None), False)
+    Mc, _, _, _, GT, g = sweep(view, view.s[None])
+    traj = _priced(view, *_walk(view.A, view.B, x0, GT, g, view.s, None), False)
     return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
                                 laws=tuple(AffineLaw(GT[:, :, b].swapaxes(1, 2), g[0, :, b])
-                                           for b in view.blocks),
-                                M=Mc, m=m[0], Phi=Phi, phi=phi[0])
+                                           for b in view.blocks), M=Mc)
 
 
 def sweep(view: StageArrays, s: np.ndarray):

@@ -12,7 +12,7 @@ Theory*, 2nd ed., SIAM 1999, section 7.2):
 
   - costates:    (lambda_t, p_t^1..p_t^{n-1}) = (K_t - W_t) z_t + k_t
   - cocontrols:  v_t = N_t (x_{t+1}, mu_t) + nv_t
-  - extended state and controls:  z_{t+1} = Xi_t z_t + xi_t,  u_t = P_t z_t + alpha_t
+  - path laws:   (u_t, v_t) = P_t z_t + alpha_t
 
 K_t (n*p, n*p) stacks the leader's costate rows first, then each
 follower's; W_t carries each player's stage-(t-1) state weight on its
@@ -20,9 +20,15 @@ x block, absorbed into K as in the other solvers.  The followers enter
 every stage as one stacked block: B_f = blockdiag(B^i), their inputs side
 by side Bh_f = [B^1 .. B^{n-1}], the leader's weights on their
 stationarity directions K_f = blockdiag(R^{0i} (R^{ii})^-1 B^i') and
-A_f = blockdiag(A).  One factorization gives all cocontrol coefficients,
-one gives the state transition, and the forward pass advances z jointly,
-which avoids ever inverting the state transition map.
+A_f = blockdiag(A).  One factorization gives all cocontrol coefficients
+and one the state transition, which is never inverted: z is walked
+forward.
+
+The multipliers follow their own state equation, mu_{t+1} = A_f mu_t +
+B_f v_t, so z is the state of an extended system, A_z = blockdiag(A, A_f),
+B_z = blockdiag(B, B_f) and drift (s, 0), played by the path laws.  The
+solution's path is those laws walked from (x0, mu_0) by the state loop of
+:func:`dyngame.game.rollout`.
 
 The equilibrium is *not* strongly time consistent: re-solving a truncated
 game with multipliers reset to zero generally changes the tail.  The tail
@@ -76,12 +82,6 @@ class OpenLoopStackelbergSolution:
     laws: tuple[AffineLaw, ...]
     mu: np.ndarray                  # (n-1, T+1, p) multiplier paths
     K: np.ndarray                   # (T+1, n*p, n*p) costate coefficients
-    k: np.ndarray                   # (T+1, n*p) costate offsets
-    N: np.ndarray                   # (T, sum of follower m_i, n*p) cocontrol maps
-    nv: np.ndarray                  # (T, sum of follower m_i) cocontrol offsets
-    Xi: np.ndarray                  # (T, n*p, n*p) extended-state transitions
-    xi: np.ndarray                  # (T, n*p)
-    alpha: np.ndarray               # (T, sum m_i) path offsets, u_t = P_t z_t + alpha_t
 
 
 def _by_owner(X: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
@@ -99,40 +99,44 @@ def solve(spec: GameSpec, x0: np.ndarray, initial_mu: np.ndarray | None = None) 
     ``initial_mu`` sets the followers' adjoined multipliers at stage 0;
     zero is the equilibrium condition for a whole game, while a tail
     re-solve inherits the multipliers reached at the truncation stage.
-    The controls of :func:`sweep`'s z-path are played from x0 and priced
-    as :func:`dyngame.game.rollout` plays and prices control sequences.
+    :func:`sweep`'s path laws are walked on the extended system from
+    (x0, initial_mu), and the walked states and controls are priced as
+    :func:`dyngame.game.rollout` prices them.
     """
     view = require_valid(spec)
     if spec.n_players < 2:
         raise InvalidGameError("a Stackelberg game needs a leader and at least one follower")
     x0 = initial_state(spec, x0)
-    T, p, n = spec.horizon, spec.state_dim, spec.n_players
-    nf, d = n - 1, n * p
+    T, p, M = view.B.shape
+    nf = spec.n_players - 1
     mu0 = np.zeros((nf, p)) if initial_mu is None else np.atleast_2d(_numeric("initial_mu", initial_mu))
     if mu0.shape != (nf, p):
         raise InvalidGameError(f"initial_mu has shape {mu0.shape}, expected {(nf, p)}")
-    u, z, K, k, N, Xi, P = sweep(view, np.hstack([x0, mu0.ravel()]))
-    g = np.einsum("tij,tj->ti", P[:, :, p:d], z[:T, p:]) + P[:, :, d]
-    laws = tuple(AffineLaw(P[:, b, :p], g[:, b]) for b in view.blocks)
-    traj = _priced(view, *_walk(view, x0, None, u[None], view.s, None), False)
+    if not np.all(np.isfinite(mu0)):
+        raise InvalidGameError(f"initial_mu must be finite, got {mu0.tolist()}")
+    K, _, _, GT, g, terms = sweep(view)
+    states, uv = _walk(terms.Az, terms.Bz, np.hstack([x0, mu0.ravel()]), GT, g, terms.sz, None)
+    mu = states[0, :, p:]
+    offsets = np.einsum("tjk,tj->tk", GT[:, p:, :M], mu[:T]) + g[:, :M]
     return OpenLoopStackelbergSolution(
-        spec=spec, x0=x0, initial_mu=mu0, trajectory=traj, laws=laws,
-        mu=z[:, p:].reshape(T + 1, nf, p).transpose(1, 0, 2),
-        K=K, k=k, N=N[:, :, :d], nv=N[:, :, d], Xi=Xi[:, :, :d], xi=Xi[:, :, d],
-        alpha=P[:, :, d],
-    )
+        spec=spec, x0=x0, initial_mu=mu0,
+        trajectory=_priced(view, states[..., :p], uv[..., :M], False),
+        laws=tuple(AffineLaw(GT[:, :p, b].swapaxes(1, 2), offsets[:, b]) for b in view.blocks),
+        mu=mu.reshape(T + 1, nf, p).transpose(1, 0, 2), K=K)
 
 
 class StageTerms(NamedTuple):
     """The terms of the open-loop Stackelberg recursion that read the stage
     data alone, stacked over stages, formed once per sweep (the R^ii
-    solves tested by ``checks`` as :func:`own_inputs` tests them).  Mf
-    counts the followers' control rows and nf the followers."""
+    solves tested by ``checks`` as :func:`own_inputs` tests them), with the
+    extended system z_{t+1} = Az_t z_t + Bz_t (u_t, v_t) + sz_t.  Mf counts
+    the followers' control rows and nf the followers."""
 
     Qf: np.ndarray      # [Q^1 .. Q^{nf}], the followers' state weights side by side, (T, p, nf p)
     Qxt: np.ndarray     # every player's Q^i xt^i, stacked, (T, n p)
-    A_f: np.ndarray     # blockdiag(A) over the followers, (T, nf p, nf p)
-    B_f: np.ndarray     # blockdiag(B^i) over the followers, (T, nf p, Mf)
+    Az: np.ndarray      # blockdiag(A, A_f), A_f = blockdiag(A) over the followers, (T, n p, n p)
+    Bz: np.ndarray      # blockdiag(B, B_f), B_f = blockdiag(B^i) over the followers, (T, n p, M + Mf)
+    sz: np.ndarray      # the drift (s, 0), (T, n p)
     J: np.ndarray       # [Bh_f' | -K_f], K_f = blockdiag(R^{0i} (R^ii)^-1 B^i'), (T, Mf, n p)
     C_own: np.ndarray   # blockdiag(R^ii) over the followers, (T, Mf, Mf)
     u_own: np.ndarray   # each control row's own target ut^ii, (T, M)
@@ -144,7 +148,6 @@ class StageTerms(NamedTuple):
         T, p, M = view.B.shape
         n = view.Q.shape[1]
         nf, m0 = n - 1, view.blocks[0].stop
-        fowner = view.owner[m0:] - 1
         RinvBt = own_inputs(view, checks)
         R0f = view.R[:, 0, m0:, m0:]  # blockdiag(R^{0i}) over the followers
         Bft = view.B[:, :, m0:].swapaxes(1, 2)
@@ -152,46 +155,47 @@ class StageTerms(NamedTuple):
         return cls(
             Qf=view.Q[:, 1:].transpose(0, 2, 1, 3).reshape(T, p, nf * p),
             Qxt=np.einsum("tipq,tiq->tip", view.Q, view.xt).reshape(T, n * p),
-            A_f=np.einsum("lm,tab->tlamb", np.eye(nf), view.A).reshape(T, nf * p, nf * p),
-            B_f=_by_owner(Bft, fowner, nf).swapaxes(1, 2),
-            J=np.concatenate([Bft, -_by_owner(R0f @ RinvBt[:, m0:], fowner, nf)], axis=2),
+            Az=_by_owner(np.tile(view.A, (1, n, 1)), np.repeat(np.arange(n), p), n),
+            Bz=_by_owner(np.concatenate([view.B.swapaxes(1, 2), Bft], axis=1),
+                         np.r_[np.zeros(M, int), view.owner[m0:]], n).swapaxes(1, 2),
+            sz=np.concatenate([view.s, np.zeros((T, nf * p))], axis=1),
+            J=np.concatenate([Bft, -_by_owner(R0f @ RinvBt[:, m0:], view.owner[m0:] - 1, nf)], axis=2),
             C_own=view.own(view.R, lead=1)[:, m0:, m0:],
             u_own=u_own,
             du=(R0f @ (u_own[:, m0:] - view.ut[:, 0, m0:])[..., None])[..., 0],
             U=-_by_owner(RinvBt, view.owner, n))
 
 
-def sweep(view: StageArrays, z0: np.ndarray):
-    """The game of a validated game's view from the initial extended state
-    z0 = (x, mu^1..mu^{n-1}): one backward pass over the stages, then the
-    forward pass along the path.
+def sweep(view: StageArrays):
+    """The game of a validated game's view: one backward pass over the
+    stages, which no initial state enters, so the maps from stage s on are
+    those of the tail game from s.
 
-    Returns the controls u (T, M), the extended path z (T+1, n*p), the
-    costate coefficients K (T+1, n*p, n*p) and k, and the maps with their
-    offsets in a last column, N | nv, Xi | xi and P | alpha.  The
-    :class:`StageTerms` (the R^ii solves, one stacked solve per player,
-    and the follower block operators) are formed once before the backward
-    pass, and every solve is tested once the backward pass is done.  Only
-    the forward pass reads z0, so the maps from stage s on are those of
-    the tail game from s, whatever extended state it starts from.
-    """
+    Returns the costate coefficients K (T+1, n*p, n*p) and k (T+1, n*p),
+    the cocontrol maps of (x_{t+1}, mu_t) with their offsets in a last
+    column, N | nv (T, Mf, n*p+1), the path laws of the controls and then
+    the cocontrols, (u_t, v_t) = z_t GT_t + g_t, gains GT (T, n*p, M+Mf),
+    C-contiguous, and offsets g (T, M+Mf), and the :class:`StageTerms`,
+    formed before the backward pass, on whose extended system
+    :func:`dyngame.game._walk` plays the path laws.  Every solve is tested
+    once the backward pass is done."""
     T, p, M = view.B.shape
     n = view.Q.shape[1]
     d, m0 = n * p, view.blocks[0].stop
 
-    # Maps carry their offsets in a last column: N | nv, Xi | xi, P | alpha.
     K = np.zeros((T + 1, d, d))
     k = np.zeros((T + 1, d))
-    N = np.zeros((T, M - m0, d + 1))
-    Xi = np.zeros((T, d, d + 1))
-    P = np.zeros((T, M, d + 1))
+    N = np.zeros((T, M - m0, d + 1))  # N | nv
+    GT = np.zeros((T, d, 2 * M - m0))
+    g = np.zeros((T, 2 * M - m0))
     K[T, :, :p] = view.Q[T - 1].reshape(d, p)
     I = np.eye(p)
 
     with Checks.sweep(T) as checks:
         terms = StageTerms.of(view, checks)
         for t in range(T - 1, -1, -1):
-            A, B, A_f, B_f, J = view.A[t], view.B[t], terms.A_f[t], terms.B_f[t], terms.J[t]
+            A, B, J = view.A[t], view.B[t], terms.J[t]
+            A_f, B_f = terms.Az[t, p:, p:], terms.Bz[t, p:, M:]
             # Kb, kb: the next costate coefficients with the leader's weights
             # on the followers' states and every player's state target folded in.
             Kb = K[t + 1].copy()
@@ -218,29 +222,21 @@ def sweep(view: StageArrays, z0: np.ndarray):
             rhs[:, d:] = B @ U[:, d:] + view.s[t][:, None]
             Phi = checks.solve(I - B @ U[:, :p], rhs, site=TRANSITION, stage=t)
 
-            # Controls and cocontrols as maps of (z_t, 1), then the z transition.
+            # Controls and cocontrols as maps of (z_t, 1): the path laws.
             UN = np.concatenate([U, N[t]], axis=0)
             path = UN[:, :p] @ Phi
             path[:, p:] += UN[:, p:]
-            P[t] = path[:M]
-            Xi[t, :p] = Phi
-            Xi[t, p:] = B_f @ path[M:]
-            Xi[t, p:, p:d] += A_f
+            GT[t], g[t] = path[:, :d].T, path[:, d]
 
             # Costates: A_all' (Kb [Xi | xi] + [0 | kb]), plus W_t on the x
-            # blocks.
-            KX = Kb @ Xi[t]
+            # blocks, with [Xi | xi] the z transition the path laws close.
+            Xi = np.concatenate([Phi, B_f @ path[M:]])
+            Xi[p:, p:d] += A_f
+            KX = Kb @ Xi
             KX[:, d] += kb
             KX = (A.T @ KX.reshape(n, p, d + 1)).reshape(d, d + 1)
             K[t], k[t] = KX[:, :d], KX[:, d]
             if t > 0:
                 K[t, :, :p] += view.Q[t - 1].reshape(d, p)
 
-    # Forward pass: the extended path from z0.
-    z = np.zeros((T + 1, d))
-    z[0] = z0
-    for t in range(T):
-        z[t + 1] = (Xi[t, :, :d] @ z[t, :, None])[..., 0] + Xi[t, :, d]
-    u = np.einsum("tij,tj->ti", P[:, :, :d], z[:T]) + P[:, :, d]
-    return u, z, K, k, N, Xi, P
-
+    return K, k, N, GT, g, terms

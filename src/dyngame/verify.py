@@ -5,8 +5,10 @@ control sequences, and a feedback Stackelberg solution's stage reactions)
 plus the plain game machinery: the stage data, rollouts, stage costs and
 re-solves of reduced games.  None of them re-uses the internal recursion of
 the solver under test to certify itself, but one: the open-loop Stackelberg
-``WTC`` entry replays one re-solve by :func:`dyngame.openloop_stackelberg.sweep`,
-so its "tail" half is a reproduction check of that solver, not a certificate.
+``WTC`` entry replays the path laws of one re-solve by
+:func:`dyngame.openloop_stackelberg.sweep` with the products of the walk
+that solver plays, so its "tail" half is a reproduction check of that
+solver, not a certificate.
 
 Randomness is reproducible across platforms: all sampling uses numpy's
 PCG64 generator (64-bit state) seeded explicitly, via
@@ -258,7 +260,7 @@ def _leader_gradient(spec: GameSpec, x0: np.ndarray, grad0: np.ndarray) -> np.nd
     tangent = replace(followers, xt=np.zeros_like(followers.xt), ut=np.zeros_like(followers.ut))
     s = np.einsum("tpm,stm->stp", view.B[:, :, :m0], np.eye(T * m0).reshape(T * m0, T, m0))
     GT, g = openloop_nash.sweep(tangent, s)[4:]
-    du = _walk(tangent, np.zeros(spec.state_dim), GT, g, s, len(s))[1]
+    du = _walk(tangent.A, tangent.B, np.zeros(spec.state_dim), GT, g, s, len(s))[1]
     return grad0[:, :m0].ravel() + np.einsum("stk,tk->s", du, grad0[:, m0:])
 
 
@@ -399,7 +401,7 @@ def leader_cost_open_loop(spec: GameSpec, u_leader: np.ndarray, x0: np.ndarray) 
         raise InvalidGameError("leader controls must be finite and fold into finite drifts")
     followers = view.select(range(1, spec.n_players))
     GT, g = openloop_nash.sweep(followers, s)[4:]
-    states, u_f = _walk(followers, x0, GT, g, s, len(s))
+    states, u_f = _walk(followers.A, followers.B, x0, GT, g, s, len(s))
     costs = _stage_costs(view, states, np.concatenate([batch, u_f], axis=-1), [0])[:, 0].sum(axis=-1)
     return costs if u.ndim == 3 else float(costs[0])
 
@@ -479,22 +481,24 @@ def time_consistency(spec: GameSpec, solution, pattern: str) -> TimeConsistency:
 def _stackelberg_replays(view: StageArrays, sol) -> dict[str, np.ndarray]:
     """The largest control gap at each stage 1..T-1 of the open-loop
     Stackelberg tails from the inherited multipliers ("tail") and from zero
-    ones ("reset"), replayed from one re-solve of the whole game with the
-    products of the sweep's own forward pass; the tail from s starts from
-    row s-1 of the states."""
-    d = sol.K.shape[1]
-    Xi, P = openloop_stackelberg.sweep(view, np.hstack([sol.x0, sol.initial_mu.ravel()]))[5:]
+    ones ("reset"), replayed from one re-solve of the whole game: its path
+    laws played on the extended system with the one-row products of
+    :func:`dyngame.game._walk`, one row per tail, the tails and the resets
+    in one batch, so each tail's controls are those of its own solve; the
+    tail from s starts from row s-1 of the states."""
+    GT, g, terms = openloop_stackelberg.sweep(view)[3:]
     controls = np.concatenate(sol.trajectory.controls, axis=-1)
+    M = controls.shape[1]
     x = sol.trajectory.states[1:-1]
     mu = sol.mu[:, 1:-1].swapaxes(0, 1).reshape(len(x), -1)
-    gaps = {}
-    for name, z in (("tail", np.hstack([x, mu])), ("reset", np.hstack([x, np.zeros_like(mu)]))):
-        gaps[name] = np.empty(len(controls) - 1)
-        for t in range(1, len(controls)):
-            u = np.einsum("ij,lj->li", P[t, :, :d], z[:t]) + P[t, :, d]
-            z[:t] = (Xi[t, :, :d] @ z[:t, :, None])[..., 0] + Xi[t, :, d]
-            gaps[name][t - 1] = np.abs(u - controls[t]).max()
-    return gaps
+    z = np.stack([np.hstack([x, mu]), np.hstack([x, np.zeros_like(mu)])])
+    gaps = np.empty((2, len(controls) - 1))
+    for t in range(1, len(controls)):
+        rows = z[:, :t, None]
+        u = rows @ GT[t] + g[t]
+        z[:, :t] = (rows @ terms.Az[t].T + terms.sz[t] + u @ terms.Bz[t].T)[:, :, 0]
+        gaps[:, t - 1] = np.abs(u[:, :, 0, :M] - controls[t]).max(axis=(1, 2))
+    return dict(zip(("tail", "reset"), gaps))
 
 
 # ---------------------------------------------------------------------------

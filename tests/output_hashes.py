@@ -9,7 +9,9 @@ line: equal lines mean bit-identical results.
 ``--against FILE``, given such a file of another version, prints after the
 hashes, for each line whose outcome differs, the largest absolute and
 relative difference of its floats, or ``text differs`` where anything but
-floats differs, then the count and the largest differences per kind:
+floats differs, then the count and the largest differences per kind.  A
+``solution`` line compares the arrays both versions hold and names the
+fields only one of them holds (``fields dropped: Xi, xi``):
 
     python3 tests/output_hashes.py --save old.pickle > old.txt   # one version
     python3 tests/output_hashes.py --against old.pickle          # the other
@@ -213,13 +215,32 @@ def difference(old, new):
     return float(gap), float(rel)
 
 
+def field_name(path):
+    """The solution field an :func:`conftest.arrays` path starts with."""
+    return path[1:].split("[")[0].split(".")[0]
+
+
+def shared_arrays(old, new):
+    """Two outcomes of one ``solution`` line cut to the arrays both hold, with
+    the fields only the old one holds and those only the new one holds;
+    other outcomes as they are, with no fields."""
+    if not (old and isinstance(old[0], dict) and isinstance(new[0], dict)):
+        return old, new, (), ()
+    both = old[0].keys() & new[0].keys()
+    cut = [({path: arrays[path] for path in arrays if path in both}, warned)
+           for arrays, warned in (old, new)]
+    only = [sorted({field_name(path) for path in arrays.keys() - both}) for arrays, _ in (old, new)]
+    return (*cut, *only)
+
+
 class Against:
     """The ``--against`` comparison: each line whose outcome differs from the
     saved one, a line the saved file lacks counting as text, and at the end
-    the count and largest differences per kind."""
+    the count and largest differences per kind, with the fields one side
+    alone holds."""
 
     def __init__(self, path):
-        self.saved, self.moved = {}, {}  # moved: per kind, (line, difference)
+        self.saved, self.moved = {}, {}  # moved: per kind, (line, difference, dropped, added)
         with open(path, "rb") as f:
             while True:
                 try:
@@ -232,17 +253,27 @@ class Against:
         old = self.saved.get(line)
         if repr(old) != repr(result):
             kind = " ".join(line.split()[1:])  # the solver and kind, or the kind alone
-            self.moved.setdefault(kind, []).append((line, difference(old, result)))
+            old, new, dropped, added = shared_arrays(old, result)
+            self.moved.setdefault(kind, []).append((line, difference(old, new), dropped, added))
 
     def summary(self) -> None:
         print("--- lines that differ from the saved ones")
         for moved in self.moved.values():
-            for line, gap in moved:
-                print(f"{line}: " + ("text differs" if gap is None else "abs %.3g rel %.3g" % gap))
+            for line, gap, *fields in moved:
+                print(f"{line}: " + ("text differs" if gap is None else "abs %.3g rel %.3g" % gap)
+                      + changed_fields(*fields))
         for kind, moved in self.moved.items():
-            gaps = [gap for _, gap in moved if gap is not None]
+            gaps = [gap for _, gap, *_ in moved if gap is not None]
             largest = " largest abs %.3g rel %.3g," % tuple(map(max, zip(*gaps))) if gaps else ""
-            print(f"{kind}: {len(moved)} lines,{largest} {len(moved) - len(gaps)} text differs")
+            fields = (sorted({name for entry in moved for name in entry[i]}) for i in (2, 3))
+            print(f"{kind}: {len(moved)} lines,{largest} {len(moved) - len(gaps)} text differs"
+                  + changed_fields(*fields))
+
+
+def changed_fields(dropped, added) -> str:
+    """The fields one side alone holds, as a suffix of a printed line."""
+    return "".join(f", fields {what}: {', '.join(names)}"
+                   for what, names in (("dropped", dropped), ("added", added)) if names)
 
 
 def main(argv=None) -> None:

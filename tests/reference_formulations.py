@@ -106,7 +106,7 @@ bit for bit and every failure word for word.
 """
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -155,8 +155,29 @@ def with_drifts(spec: GameSpec, drifts: np.ndarray) -> GameSpec:
     return replace(spec, stages=tuple(replace(st, s=d) for st, d in zip(spec.stages, drifts)))
 
 
+@dataclass(frozen=True)
+class SweptOpenLoopNash(OpenLoopNashSolution):
+    """An open-loop Nash solution with the arrays of its sweep that the
+    library's solution does not hold: the costate offsets m (n, T+1, p) and
+    the transition pair Phi (T, p, p) and phi (T, p), m and phi with a
+    leading sample axis where the solution has one."""
+
+    m: np.ndarray
+    Phi: np.ndarray
+    phi: np.ndarray
+
+
+def swept(sol: OpenLoopNashSolution) -> SweptOpenLoopNash:
+    """A library open-loop Nash solution with m, Phi and phi of the sweep
+    that solved it, one :func:`dyngame.openloop_nash.sweep` of its game."""
+    view = StageArrays.of(sol.spec)
+    _, m, Phi, phi = openloop_nash.sweep(view, view.s[None])[:4]
+    return SweptOpenLoopNash(**{f.name: getattr(sol, f.name) for f in fields(sol)},
+                             m=m[0], Phi=Phi, phi=phi[0])
+
+
 def drift_batched_solve(spec: GameSpec, x0: np.ndarray,
-                        drifts: np.ndarray) -> OpenLoopNashSolution:
+                        drifts: np.ndarray) -> SweptOpenLoopNash:
     """The S open-loop Nash equilibria of ``spec`` with its stage drifts
     replaced by each of ``drifts`` (S, T, p) in turn, from one
     :func:`dyngame.openloop_nash.sweep` on the game's checked view, its
@@ -168,11 +189,11 @@ def drift_batched_solve(spec: GameSpec, x0: np.ndarray,
     x0 = initial_state(spec, x0)
     s = np.asarray(drifts, dtype=float)
     M, m, Phi, phi, GT, g = openloop_nash.sweep(view, s)
-    return OpenLoopNashSolution(spec=spec, x0=x0,
-                                trajectory=_priced(view, *_walk(view, x0, GT, g, s, len(s)), True),
-                                laws=tuple(AffineLaw(GT[:, :, b].swapaxes(1, 2), g[..., b])
-                                           for b in view.blocks),
-                                M=M, m=m, Phi=Phi, phi=phi)
+    return SweptOpenLoopNash(spec=spec, x0=x0,
+                             trajectory=_priced(view, *_walk(view.A, view.B, x0, GT, g, s, len(s)), True),
+                             laws=tuple(AffineLaw(GT[:, :, b].swapaxes(1, 2), g[..., b])
+                                        for b in view.blocks),
+                             M=M, m=m, Phi=Phi, phi=phi)
 
 
 def fold_player_controls(spec: GameSpec, player: int, controls: np.ndarray) -> GameSpec:
@@ -561,28 +582,34 @@ def control_deviation(a, b) -> float:
 
 
 def openloop_nash_transition_residual(sol) -> float:
-    """Max gap between an open-loop Nash solution's stored states and its
-    (Phi, phi) recursion."""
-    x = sol.trajectory.states
+    """Max gap between an open-loop Nash solution's stored states and the
+    (Phi, phi) recursion of its sweep."""
+    x, sw = sol.trajectory.states, swept(sol)
     worst = 0.0
     for t in range(sol.spec.horizon):
-        worst = max(worst, np.abs(x[t + 1] - (sol.Phi[t] @ x[t] + sol.phi[t])).max(initial=0.0))
+        worst = max(worst, np.abs(x[t + 1] - (sw.Phi[t] @ x[t] + sw.phi[t])).max(initial=0.0))
     return float(worst)
 
 
 def openloop_stackelberg_transition_residual(sol) -> float:
     """Max gap of an open-loop Stackelberg solution's stored (x, mu) paths
-    against its extended-state transitions z_{t+1} = Xi_t z_t + xi_t."""
+    against the extended-state transitions z_{t+1} = Xi_t z_t + xi_t of its
+    sweep, rebuilt from the path laws on the extended system: [Xi | xi] =
+    [Az | sz] + Bz [P | alpha]."""
     T = sol.spec.horizon
+    GT, g, terms = openloop_stackelberg.sweep(StageArrays.of(sol.spec))[3:]
+    Xi = terms.Az + terms.Bz @ GT.swapaxes(1, 2)
+    xi = terms.sz + np.einsum("tij,tj->ti", terms.Bz, g)
     z = np.hstack([sol.trajectory.states, sol.mu.transpose(1, 0, 2).reshape(T + 1, -1)])
     worst = 0.0
     for t in range(T):
-        worst = max(worst, np.abs(z[t + 1] - (sol.Xi[t] @ z[t] + sol.xi[t])).max(initial=0.0))
+        worst = max(worst, np.abs(z[t + 1] - (Xi[t] @ z[t] + xi[t])).max(initial=0.0))
     return float(worst)
 
 
 def openloop_nash_costates(sol: OpenLoopNashSolution) -> np.ndarray:
-    """Adjoint sequences p_0^i .. p_T^i reconstructed from (M, m).
+    """Adjoint sequences p_0^i .. p_T^i reconstructed from the solution's M
+    and its sweep's m.
 
     p_t^i = (M_t^i - W_t^i) x_t* + m_t^i with W_t^i the state weight
     absorbed into M_t^i; p_T^i = 0 exactly.  The backward adjoint
@@ -590,7 +617,7 @@ def openloop_nash_costates(sol: OpenLoopNashSolution) -> np.ndarray:
     """
     Q = StageArrays.of(sol.spec).Q
     W = np.concatenate([np.zeros_like(Q[:1]), Q]).swapaxes(0, 1)
-    return np.einsum("itpq,tq->itp", sol.M - W, sol.trajectory.states) + sol.m
+    return np.einsum("itpq,tq->itp", sol.M - W, sol.trajectory.states) + swept(sol).m
 
 
 def openloop_nash_kkt_residuals(sol: OpenLoopNashSolution) -> dict[str, float]:
@@ -624,8 +651,9 @@ def openloop_stackelberg_kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict
     recursions, cocontrol consistency, and the state equation.
 
     The multipliers are read off the stacked coefficients at the path
-    values: costates (K_t - W_t) z_t + k_t, so lambda_T and p_T^i vanish
-    exactly, and cocontrols v_t = N_t (x_{t+1}, mu_t) + nv_t.
+    values, the solution's K and its sweep's k, N and nv: costates
+    (K_t - W_t) z_t + k_t, so lambda_T and p_T^i vanish exactly, and
+    cocontrols v_t = N_t (x_{t+1}, mu_t) + nv_t.
     """
     view = StageArrays.of(sol.spec)
     T, p, n = sol.spec.horizon, sol.spec.state_dim, sol.spec.n_players
@@ -637,8 +665,9 @@ def openloop_stackelberg_kkt_residuals(sol: OpenLoopStackelbergSolution) -> dict
     z = np.hstack([x, mu.reshape(T + 1, -1)])
     W = np.zeros_like(sol.K)
     W[1:, :, :p] = view.Q.reshape(T, n * p, p)
-    costates = (np.einsum("tij,tj->ti", sol.K - W, z) + sol.k).reshape(T + 1, n, p)
-    v = np.einsum("tij,tj->ti", sol.N, np.hstack([x[1:], z[:T, p:]])) + sol.nv
+    k, N = openloop_stackelberg.sweep(view)[1:3]
+    costates = (np.einsum("tij,tj->ti", sol.K - W, z) + k).reshape(T + 1, n, p)
+    v = np.einsum("tij,tj->ti", N[..., :-1], np.hstack([x[1:], z[:T, p:]])) + N[..., -1]
 
     # Every player's p_{t+1} + Q_t (x_{t+1} - xt), the multipliers as their
     # recursion carries them, and the leader's costate with every
@@ -735,7 +764,7 @@ def feedback_nash_solve_alt(spec) -> FeedbackNashSolution:
                                 Z=Z, zeta=zeta, n_const=n_const)
 
 
-def openloop_nash_solve_alt(spec, x0) -> OpenLoopNashSolution:
+def openloop_nash_solve_alt(spec, x0) -> SweptOpenLoopNash:
     """Open-loop Nash via the shifted costate coefficients (H, h).
 
     Rewrites m^i as h^i + Q^i xt_i and expresses the controls directly
@@ -810,8 +839,8 @@ def openloop_nash_solve_alt(spec, x0) -> OpenLoopNashSolution:
         st = spec.stages[t]
         Phi[t] = solve_dense(Lam[t], st.A, context=f"stage {t} state update")
         phi[t] = solve_dense(Lam[t], eta[t], context=f"stage {t} state update")
-    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
-                                laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
+    return SweptOpenLoopNash(spec=spec, x0=x0, trajectory=traj,
+                             laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
 
 
 def lqr_crosscheck_premultiplied(spec) -> float:
@@ -1534,7 +1563,7 @@ def feedback_stackelberg_per_player(spec: GameSpec) -> FeedbackStackelbergSoluti
 
 
 def openloop_nash_per_player(spec: GameSpec, x0: np.ndarray,
-                             drifts: np.ndarray | None = None) -> OpenLoopNashSolution:
+                             drifts: np.ndarray | None = None) -> SweptOpenLoopNash:
     """Unique open-loop Nash equilibrium from the initial state x0.
 
     ``drifts`` (S, T, p) solves S games at once: the given game with its
@@ -1614,8 +1643,8 @@ def openloop_nash_per_player(spec: GameSpec, x0: np.ndarray,
                           controls=tuple(map(np.stack, zip(*(tr.controls for tr in parts)))),
                           stage_costs=np.stack([tr.stage_costs for tr in parts]),
                           total_costs=np.stack([tr.total_costs for tr in parts]))
-    return OpenLoopNashSolution(spec=spec, x0=x0, trajectory=traj,
-                                laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
+    return SweptOpenLoopNash(spec=spec, x0=x0, trajectory=traj,
+                             laws=tuple(map(AffineLaw, G, g)), M=M, m=m, Phi=Phi, phi=phi)
 
 
 # ---------------------------------------------------------------------------

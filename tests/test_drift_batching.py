@@ -32,7 +32,9 @@ STATIONARITY_ATOL = 1e-8
 
 
 def assert_same_solution(batch, k, one):
-    """Sample k of a drift-batched solution against a separate solve."""
+    """Sample k of a drift-batched solution against a separate solve, with
+    the arrays of the sweep that solved it."""
+    one = ref.swept(one)
     close = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(batch.trajectory.states[k], one.trajectory.states, **close)
     np.testing.assert_allclose(batch.trajectory.total_costs[k], one.trajectory.total_costs,

@@ -16,7 +16,7 @@ def test_scalar_unit_instance():
     for i in range(2):
         assert sol.trajectory.controls[i][0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert sol.trajectory.states[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert sol.Phi[0][0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert ref.swept(sol).Phi[0][0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert ref.openloop_nash_transition_residual(sol) <= 1e-10
 
 
@@ -32,7 +32,7 @@ def test_pure_control_targets():
                          Q=[[[0.0]], [[0.0]]],
                          R=[[[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]], T=3,
                          u_target=[[ut[0], np.zeros(1)], [np.zeros(1), ut[1]]])
-    sol = openloop_nash.solve(spec, np.array([2.0]))
+    sol = ref.swept(openloop_nash.solve(spec, np.array([2.0])))
     for i in range(2):
         assert np.allclose(sol.trajectory.controls[i], ut[i], atol=1e-13)
         assert np.allclose(sol.M[i], 0.0)
@@ -164,7 +164,7 @@ class TestShiftedCostateRewrite:
     def test_costate_coefficients_match(self):
         spec = random_game(415, n_players=2)
         x0 = random_x0(415, spec)
-        a = openloop_nash.solve(spec, x0)
+        a = ref.swept(openloop_nash.solve(spec, x0))
         b = ref.openloop_nash_solve_alt(spec, x0)
         assert np.abs(a.M - b.M).max() <= 1e-9
         assert np.abs(a.m - b.m).max() <= 1e-9

@@ -4,7 +4,7 @@ from scipy.optimize import minimize
 
 from dyngame import feedback_stackelberg, openloop_nash, openloop_stackelberg
 from dyngame.errors import InvalidGameError
-from dyngame.game import constant_game, rollout, truncate
+from dyngame.game import StageArrays, constant_game, rollout, truncate
 from dyngame.verify import leader_cost_open_loop
 
 import reference_formulations as ref
@@ -42,11 +42,12 @@ def _assert_matches_per_follower(sol, ref_sol):
         close(u, u_ref)
     close(sol.mu, ref_sol.mu)
     K, k = _stacked_costates(ref_sol)
+    k_sol = openloop_stackelberg.sweep(StageArrays.of(sol.spec))[1]
     p = sol.spec.state_dim
     for r in range(0, K.shape[1], p):
         for c in range(0, K.shape[2], p):
             close(sol.K[:, r:r + p, c:c + p], K[:, r:r + p, c:c + p])
-        close(sol.k[:, r:r + p], k[:, r:r + p])
+        close(k_sol[:, r:r + p], k[:, r:r + p])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -69,27 +70,33 @@ def test_matches_per_follower_formulation(n, time_varying):
 def test_boundary_conditions_exact():
     spec = random_game(51, n_players=2)
     sol = openloop_stackelberg.solve(spec, random_x0(51, spec))
+    k = openloop_stackelberg.sweep(StageArrays.of(spec))[1]
     T, p = spec.horizon, spec.state_dim
     assert np.abs(sol.mu[:, 0]).max() == 0.0
-    assert np.abs(sol.k[T, p:]).max() == 0.0
-    assert np.abs(sol.k[T, :p]).max() == 0.0
+    assert np.abs(k[T, p:]).max() == 0.0
+    assert np.abs(k[T, :p]).max() == 0.0
     assert np.array_equal(sol.K[T, :p, :p], spec.stages[T - 1].Q[0])
     assert np.abs(sol.K[T, p:, p:]).max() == 0.0
 
 
 def test_linear_quadratic_zero_offsets():
     spec = random_game(501, n_players=2, affine=False, targets=False)
-    sol = openloop_stackelberg.solve(spec, random_x0(501, spec))
-    assert np.abs(sol.alpha).max(initial=0.0) <= 1e-12
-    assert np.abs(sol.xi).max(initial=0.0) <= 1e-12
-    assert np.abs(sol.nv).max(initial=0.0) <= 1e-12
+    N, _, g, terms = openloop_stackelberg.sweep(StageArrays.of(spec))[2:]
+    M = sum(spec.control_dims)
+    # the path offsets alpha, the extended-state drift xi = sz + Bz g and
+    # the cocontrol offsets nv
+    assert np.abs(g[:, :M]).max(initial=0.0) <= 1e-12
+    assert np.abs(terms.sz + np.einsum("tij,tj->ti", terms.Bz, g)).max(initial=0.0) <= 1e-12
+    assert np.abs(N[..., -1]).max(initial=0.0) <= 1e-12
 
 
 def multipliers(sol):
     """Leader costates lambda_0..lambda_T, follower costates p_0..p_T and
     cocontrols v_0..v_{T-1} along the path, read off the stacked
-    coefficients: (K_t - W_t) z_t + k_t and N_t (x_{t+1}, mu_t) + nv_t."""
+    coefficients, the solution's K and its sweep's k, N and nv:
+    (K_t - W_t) z_t + k_t and N_t (x_{t+1}, mu_t) + nv_t."""
     spec = sol.spec
+    k, N = openloop_stackelberg.sweep(StageArrays.of(spec))[1:3]
     T, p, n = spec.horizon, spec.state_dim, spec.n_players
     x = sol.trajectory.states
     z = np.hstack([x, sol.mu.transpose(1, 0, 2).reshape(T + 1, -1)])
@@ -98,8 +105,8 @@ def multipliers(sol):
         K_t = sol.K[t].copy()
         for i in range(n):
             K_t[i * p:(i + 1) * p, :p] -= spec.prev_state_weight(t, i)
-        costates[t] = (K_t @ z[t] + sol.k[t]).reshape(n, p)
-    v = np.array([sol.N[t] @ np.concatenate([x[t + 1], z[t, p:]]) + sol.nv[t]
+        costates[t] = (K_t @ z[t] + k[t]).reshape(n, p)
+    v = np.array([N[t, :, :-1] @ np.concatenate([x[t + 1], z[t, p:]]) + N[t, :, -1]
                   for t in range(T)])
     v = tuple(np.split(v, np.cumsum(spec.control_dims[1:-1]), axis=1))
     return costates[:, 0], costates[:, 1:].transpose(1, 0, 2), v
@@ -232,6 +239,7 @@ class TestTwoPlayerLqCrossCheck:
                            targets=False, identity_own_weights=True)
         x0 = random_x0(53, spec)
         sol = openloop_stackelberg.solve(spec, x0)
+        N = openloop_stackelberg.sweep(StageArrays.of(spec))[2]
         T, p = spec.horizon, spec.state_dim
         m2 = spec.control_dims[1]
         for t in range(T - 1, -1, -1):
@@ -242,10 +250,18 @@ class TestTwoPlayerLqCrossCheck:
             core = (B2.T @ (st.Q[1] + Lmu) @ B2 + np.eye(m2)
                     - R12 @ B2.T @ Mmu @ B2)
             rhs = -(B2.T @ Lx - R12 @ B2.T @ Mx)
-            assert np.abs(core @ sol.N[t][:, :p] - rhs).max() <= 1e-9
+            assert np.abs(core @ N[t][:, :p] - rhs).max() <= 1e-9
 
 
 def test_rejects_non_numeric_initial_mu():
     # a bare ValueError before initial_mu went through game._numeric
     with pytest.raises(InvalidGameError, match="^initial_mu is not a numeric array"):
         openloop_stackelberg.solve(scalar_unit_two_player(), np.array([1.0]), initial_mu=[["a"]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_initial_mu(bad):
+    # a non-finite multiplier would walk a NaN or Inf path, as a non-finite
+    # x0 would; both are refused as input errors
+    with pytest.raises(InvalidGameError, match="^initial_mu must be finite"):
+        openloop_stackelberg.solve(scalar_unit_two_player(), np.array([1.0]), initial_mu=[[bad]])

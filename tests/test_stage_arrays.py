@@ -114,7 +114,7 @@ def test_openloop_nash_matches_the_per_player_form(samples):
     for spec, seed in games():
         x0 = random_x0(seed, spec)
         if samples is None:
-            drifts, new = None, openloop_nash.solve(spec, x0)
+            drifts, new = None, ref.swept(openloop_nash.solve(spec, x0))
         else:
             drifts = rng_for(seed).standard_normal((samples, spec.horizon, spec.state_dim))
             new = ref.drift_batched_solve(spec, x0, drifts)

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyngame import cli, feedback_nash, feedback_stackelberg, verify
+from dyngame import (cli, feedback_nash, feedback_stackelberg, openloop_nash,
+                     openloop_stackelberg, verify)
 from dyngame.game import AffineLaw, StageArrays, Trajectory, truncate
 from dyngame.openloop_nash import OpenLoopNashSolution
 from dyngame.solvers import FEEDBACK, OPEN_LOOP, SOLVERS, solver_of
@@ -57,14 +58,18 @@ def stacked_rows(sol):
 def open_loop_maps(sol):
     """An open-loop solution's maps by name, stage axis first: the costate
     coefficients (M or K, to stage T), their offsets, the transition maps
+    (open-loop Nash) or the cocontrol maps and the path laws on the
+    extended state (open-loop Stackelberg), all of one sweep of its game,
     and the path gains; open-loop Nash's path offsets too, which read no
     path state."""
     G = np.concatenate([law.G for law in sol.laws], axis=1)
+    view = StageArrays.of(sol.spec)
     if isinstance(sol, OpenLoopNashSolution):
-        return {"M": sol.M.swapaxes(0, 1), "m": sol.m.swapaxes(0, 1), "Phi": sol.Phi,
-                "phi": sol.phi, "G": G, "g": np.concatenate([law.g for law in sol.laws], axis=1)}
-    return {"K": sol.K, "k": sol.k, "N": sol.N, "nv": sol.nv, "Xi": sol.Xi, "xi": sol.xi,
-            "alpha": sol.alpha, "G": G}
+        _, m, Phi, phi = openloop_nash.sweep(view, view.s[None])[:4]
+        return {"M": sol.M.swapaxes(0, 1), "m": m[0].swapaxes(0, 1), "Phi": Phi,
+                "phi": phi[0], "G": G, "g": np.concatenate([law.g for law in sol.laws], axis=1)}
+    K, k, N, GT, g = openloop_stackelberg.sweep(view)[:5]
+    return {"K": sol.K, "k": k, "N": N, "GT": GT, "g": g, "G": G}
 
 
 def values(sol):

@@ -46,8 +46,7 @@ class TestStationarity:
             states=sol.trajectory.states, controls=tuple(shifted),
             stage_costs=sol.trajectory.stage_costs,
             total_costs=sol.trajectory.total_costs)
-        bad = type(sol)(spec=spec, x0=sol.x0, trajectory=shifted_traj, laws=sol.laws,
-                        M=sol.M, m=sol.m, Phi=sol.Phi, phi=sol.phi)
+        bad = type(sol)(spec=spec, x0=sol.x0, trajectory=shifted_traj, laws=sol.laws, M=sol.M)
         res = verify.stationarity(spec, bad, verify.OPEN_LOOP)
         assert res[0] >= 0.05
         assert res[0] == pytest.approx(0.2, rel=1e-4)
@@ -60,8 +59,7 @@ class TestStationarity:
         traj = rollout(spec, [np.zeros((2, 1)), np.zeros((2, 1))], x0)
         sol = openloop_nash.OpenLoopNashSolution(
             spec=spec, x0=x0, trajectory=traj,
-            M=np.zeros((2, 3, 1, 1)), m=np.zeros((2, 3, 1)),
-            Phi=np.zeros((2, 1, 1)), phi=np.zeros((2, 1)),
+            M=np.zeros((2, 3, 1, 1)),
             laws=(AffineLaw(np.zeros((2, 1, 1)), np.zeros((2, 1))),) * 2)
         res = verify.stationarity(spec, sol, verify.OPEN_LOOP)
         assert max(res.values()) == 0.0
@@ -183,8 +181,7 @@ class TestDeviationGap:
         traj = rollout(spec, [np.zeros((2, 1)), np.zeros((2, 1))], x0)
         sol = openloop_nash.OpenLoopNashSolution(
             spec=spec, x0=x0, trajectory=traj,
-            M=np.zeros((2, 3, 1, 1)), m=np.zeros((2, 3, 1)),
-            Phi=np.zeros((2, 1, 1)), phi=np.zeros((2, 1)),
+            M=np.zeros((2, 3, 1, 1)),
             laws=(AffineLaw(np.zeros((2, 1, 1)), np.zeros((2, 1))),) * 2)
         gap = verify.deviation_gap(spec, sol, verify.OPEN_LOOP, player=0,
                                    samples=25, magnitude=1e-2, seed=0)
