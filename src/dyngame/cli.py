@@ -227,7 +227,7 @@ def cmd_verify(args) -> int:
     if x0 is None:
         x0 = np.ones(spec.state_dim)
         log.info("no --x0 given; verifying feedback solution from all-ones state")
-    sol, _ = _solve(spec, args.solver, x0)
+    sol = SOLVERS[args.solver].solve(spec, x0)
     report = verify.run_verification(
         spec, sol, pattern, solver_name=args.solver, x0=x0,
         samples=args.samples, seed=args.seed)

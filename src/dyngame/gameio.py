@@ -18,8 +18,14 @@ Document layout (matrices are row-major nested arrays)::
       "u_target": [ [ [...] per column-player ] per row-player ]
     }
 
-Omitted ``s``, ``x_target`` and ``u_target`` default to zero.  Errors are
-reported with JSON-pointer paths into the offending field.
+Omitted ``s``, ``x_target`` and ``u_target`` default to zero.  The loader
+refuses only what a document alone can get wrong, each with a JSON-pointer
+path to the offending field: its structure (objects, arrays, required keys,
+``stage`` xor ``stages``), the header integers, and entries that are not
+finite numbers.  Shapes, per-player counts and the stage count are the game
+model's to judge: a misshapen file loads into a :class:`GameSpec` whose
+:func:`~dyngame.game.validate` lists every fault, as for the same game built
+in code.
 """
 
 from __future__ import annotations
@@ -99,24 +105,19 @@ def game_from_dict(doc) -> GameSpec:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise GameFormatError(f"/players/{i}/control_dim", "must be a positive integer")
         players.append(Player(control_dim=m, name=str(item.get("name", f"P{i + 1}"))))
-    n = len(players)
     dims = [pl.control_dim for pl in players]
 
     if "stage" in doc and "stages" in doc:
         raise GameFormatError("/", "give either 'stage' (broadcast) or 'stages', not both")
     if "stage" in doc:
-        stage = _parse_stage(doc["stage"], "/stage", state_dim, n, dims)
+        stage = _parse_stage(doc["stage"], "/stage", state_dim, dims)
         stages = tuple(stage for _ in range(horizon))
     elif "stages" in doc:
         raw_stages = doc["stages"]
         if not isinstance(raw_stages, list):
             raise GameFormatError("/stages", "must be an array")
-        if len(raw_stages) != horizon:
-            raise GameFormatError("/stages", f"expected {horizon} entries, got {len(raw_stages)}")
-        stages = tuple(
-            _parse_stage(raw, f"/stages/{t}", state_dim, n, dims)
-            for t, raw in enumerate(raw_stages)
-        )
+        stages = tuple(_parse_stage(raw, f"/stages/{t}", state_dim, dims)
+                       for t, raw in enumerate(raw_stages))
     else:
         raise GameFormatError("/", "missing 'stage' or 'stages'")
 
@@ -130,63 +131,53 @@ def _require_int(doc, key, minimum):
     return value
 
 
-def _parse_stage(raw, pointer, p, n, dims) -> StageData:
+def _parse_stage(raw, pointer, p, dims) -> StageData:
+    """The stage ``raw`` as given, its shapes and counts left to the game model."""
     if not isinstance(raw, dict):
         raise GameFormatError(pointer, "must be an object")
+    n = len(dims)
 
     if "A" not in raw:
         raise GameFormatError(f"{pointer}/A", "is required")
-    A = _as_matrix(raw["A"], f"{pointer}/A", p, p, square=True)
-    B = _per_player(raw, "B", pointer, n)
-    Bs = [_as_matrix(B[j], f"{pointer}/B/{j}", p, dims[j]) for j in range(n)]
-    Q = _per_player(raw, "Q", pointer, n)
-    Qs = [_as_matrix(Q[i], f"{pointer}/Q/{i}", p, p, square=True) for i in range(n)]
-    R = _per_player(raw, "R", pointer, n)
-    Rs = []
-    for i in range(n):
-        if not isinstance(R[i], list) or len(R[i]) != n:
+    A = _as_finite(raw["A"], f"{pointer}/A", "matrix")
+    B, Q = (_arrays(_required(raw, key, pointer), f"{pointer}/{key}", n) for key in "BQ")
+    R = []
+    for i, row in enumerate(_check_list(_required(raw, "R", pointer), f"{pointer}/R", n)):
+        if not isinstance(row, list):
             raise GameFormatError(f"{pointer}/R/{i}", f"must be an array of {n} matrices")
-        Rs.append([_as_matrix(R[i][j], f"{pointer}/R/{i}/{j}", dims[j], dims[j], square=True)
-                   for j in range(n)])
+        R.append(_arrays(row, f"{pointer}/R/{i}", n))
 
     s = raw.get("s")
-    s_vec = np.zeros(p) if s is None else _as_vector(s, f"{pointer}/s", p)
+    s = np.zeros(p) if s is None else _as_finite(s, f"{pointer}/s", "vector")
 
     xt = raw.get("x_target")
-    if xt is None:
-        x_targets = [np.zeros(p) for _ in range(n)]
-    else:
-        xt = _check_list(xt, f"{pointer}/x_target", n)
-        x_targets = [_as_vector(xt[i], f"{pointer}/x_target/{i}", p) for i in range(n)]
+    xt = ([np.zeros(p) for _ in range(n)] if xt is None
+          else _arrays(xt, f"{pointer}/x_target", n, "vector"))
 
     ut = raw.get("u_target")
-    if ut is None:
-        u_targets = [[np.zeros(dims[j]) for j in range(n)] for _ in range(n)]
-    else:
-        ut = _check_list(ut, f"{pointer}/u_target", n)
-        u_targets = []
-        for i in range(n):
-            row = _check_list(ut[i], f"{pointer}/u_target/{i}", n)
-            u_targets.append([_as_vector(row[j], f"{pointer}/u_target/{i}/{j}", dims[j])
-                              for j in range(n)])
+    ut = ([[np.zeros(m) for m in dims] for _ in range(n)] if ut is None
+          else [_arrays(row, f"{pointer}/u_target/{i}", n, "vector")
+                for i, row in enumerate(_check_list(ut, f"{pointer}/u_target", n))])
 
-    return StageData(A=A, B=tuple(Bs), s=s_vec, Q=tuple(Qs),
-                     R=tuple(tuple(row) for row in Rs),
-                     x_target=tuple(x_targets),
-                     u_target=tuple(tuple(row) for row in u_targets))
+    return StageData(A=A, B=B, s=s, Q=Q, R=R, x_target=xt, u_target=ut)
 
 
-def _per_player(raw, key, pointer, n):
+def _required(raw, key, pointer):
     value = raw.get(key)
     if value is None:
         raise GameFormatError(f"{pointer}/{key}", "is required")
-    return _check_list(value, f"{pointer}/{key}", n)
+    return value
 
 
 def _check_list(value, pointer, n):
-    if not isinstance(value, list) or len(value) != n:
+    if not isinstance(value, list):
         raise GameFormatError(pointer, f"must be an array with one entry per player ({n})")
     return value
+
+
+def _arrays(value, pointer, n, kind="matrix"):
+    """``value``, an array, its entry j as :func:`_as_finite` reads it, at ``pointer/j``."""
+    return [_as_finite(v, f"{pointer}/{j}", kind) for j, v in enumerate(_check_list(value, pointer, n))]
 
 
 def _as_finite(value, pointer, kind):
@@ -210,25 +201,3 @@ def _require_numbers(value, pointer):
             _require_numbers(item, pointer)
     elif isinstance(value, (bool, str)):
         raise GameFormatError(pointer, f"entries must be numbers, got {json.dumps(value)}")
-
-
-def _as_matrix(value, pointer, rows, cols, square=False):
-    arr = _as_finite(value, pointer, "matrix")
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2:
-        raise GameFormatError(pointer, f"must be a matrix (nested array), got ndim={arr.ndim}")
-    if square and arr.shape[0] != arr.shape[1]:
-        raise GameFormatError(pointer, f"must be square, got shape {arr.shape}")
-    if arr.shape != (rows, cols):
-        raise GameFormatError(pointer, f"expected shape ({rows}, {cols}), got {arr.shape}")
-    return arr
-
-
-def _as_vector(value, pointer, length):
-    arr = _as_finite(value, pointer, "vector")
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise GameFormatError(pointer, f"expected a vector of length {length}, got shape {arr.shape}")
-    return arr

@@ -48,6 +48,11 @@ the warnings its step raised too.  The cases are:
   ``validation`` line, and ``reordered-malformed<s>``, one ``validation``
   line for each multi-player game of ``malformed<s>`` with no wrong shape
   or count, which ``reorder_players`` refuses;
+- ``reloaded-malformed<s>``: each game of ``malformed<s>`` written by
+  ``game_to_dict`` as JSON text and read back by ``game_from_dict``: one
+  ``validation`` line, whose hash is its ``malformed<s> plain-first``
+  line's when the file validates as the game it was written from, or one
+  ``refusal`` line for a document the loader refuses;
 - ``leadercost<s>-broadcast`` and ``leadercost<s>-varying``: the games of
   ``seed<s>`` fit for ``openloop-stackelberg``, one ``cost`` line, the
   ``verify.leader_cost_open_loop`` of the solution's leader sequence and
@@ -56,6 +61,7 @@ the warnings its step raised too.  The cases are:
 
 import argparse
 import hashlib
+import json
 import pickle
 import sys
 import warnings
@@ -72,7 +78,8 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from dyngame import (feedback_nash, feedback_stackelberg, lqr, openloop_nash,  # noqa: E402
                      openloop_stackelberg)
 from dyngame.errors import DynGameError  # noqa: E402
-from dyngame.game import StageArrays, reorder_players, validate  # noqa: E402
+from dyngame.game import GameSpec, StageArrays, reorder_players, validate  # noqa: E402
+from dyngame.gameio import game_from_dict, game_to_dict  # noqa: E402
 from dyngame.solvers import SOLVERS  # noqa: E402
 from dyngame.verify import leader_cost_open_loop, run_verification, time_consistency  # noqa: E402
 
@@ -334,6 +341,13 @@ def lines() -> None:
         spec = malformed_game(seed)
         if spec.n_players > 1 and not any(": expected " in m for m in validate(spec).messages()):
             emit(f"reordered-malformed{seed} validation", validation(reversed_players(spec)))
+    for seed in FAMILY:
+        text = json.dumps(game_to_dict(malformed_game(seed)))
+        loaded = outcome(lambda: game_from_dict(json.loads(text)))
+        if isinstance(loaded[0], GameSpec):
+            emit(f"reloaded-malformed{seed} validation", validation(loaded[0]))
+        else:
+            emit(f"reloaded-malformed{seed} refusal", loaded)
     for seed in range(60):
         for kind in ("broadcast", "varying"):
             spec = random_game(seed, n_players=players("openloop-stackelberg", seed),

@@ -115,6 +115,122 @@ def test_boolean_or_string_matrix_entry_is_input_error(tmp_path, capsys, entry, 
     assert "Traceback" not in err
 
 
+def _golden_with(change):
+    """The two-player golden document, as ``change`` leaves it."""
+    doc = json.loads((GOLDEN / "two_player.json").read_text())
+    return change(doc) or doc
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _without(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
+
+
+@pytest.mark.parametrize("change, line", [
+    (lambda d: [d], "/: top level must be an object"),
+    (lambda d: _set(d, ["players"], []), "/players: must be a non-empty array"),
+    (lambda d: _set(d, ["players"], {"control_dim": 1}), "/players: must be a non-empty array"),
+    (lambda d: _set(d, ["players", 1], 2), "/players/1: must be an object"),
+    (lambda d: _set(d, ["stage"], d["stages"][0]),
+     "/: give either 'stage' (broadcast) or 'stages', not both"),
+    (lambda d: _without(d, ["stages"]), "/: missing 'stage' or 'stages'"),
+    (lambda d: _set(d, ["stages"], d["stages"][0]), "/stages: must be an array"),
+    (lambda d: _set(d, ["stages", 1], []), "/stages/1: must be an object"),
+    *((lambda d, key=key: _without(d, ["stages", 2, key]), f"/stages/2/{key}: is required")
+      for key in "ABQR"),
+    *((lambda d, key=key: _set(d, ["stages", 2, key], {}),
+       f"/stages/2/{key}: must be an array with one entry per player (2)")
+      for key in ("B", "Q", "R", "x_target", "u_target")),
+    (lambda d: _set(d, ["stages", 2, "u_target", 1], 0.0),
+     "/stages/2/u_target/1: must be an array with one entry per player (2)"),
+    (lambda d: _set(d, ["stages", 2, "R", 1], {}), "/stages/2/R/1: must be an array of 2 matrices"),
+], ids=["top-level", "players-empty", "players-object", "player-number", "stage-and-stages",
+        "no-stages", "stages-object", "stage-array", "no-A", "no-B", "no-Q", "no-R", "B-object",
+        "Q-object", "R-object", "x_target-object", "u_target-object", "u_target-row-number",
+        "R-row-object"])
+def test_a_document_fault_is_one_error_line_with_its_pointer(tmp_path, capsys, change, line):
+    """What a JSON document alone can get wrong, the loader refuses with a
+    JSON pointer: one ``error:`` line, exit 1."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_golden_with(change)))
+    assert cli.main(["validate", "--game", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {line}"] and captured.out == ""
+
+
+def three_misshapen_stages(tmp_path):
+    """A (2, 3, 2, 10) game file whose stages 3, 7 and 9 hold a (2, 2) B^1,
+    and the violations ``validate`` reports for them."""
+    from dyngame.gameio import game_to_dict
+
+    spec = random_game(41, n_players=2, state_dim=3, control_dims=[2, 2], horizon=10,
+                       time_varying=True)
+    doc = game_to_dict(spec)
+    for t in (3, 7, 9):
+        doc["stages"][t]["B"][1] = [[1.0, 0.0], [0.0, 1.0]]
+    path = tmp_path / "misshapen.json"
+    path.write_text(json.dumps(doc))
+    return str(path), [f"stages/{t}/B/1: expected shape (3, 2), got (2, 2)" for t in (3, 7, 9)]
+
+
+def test_validate_lists_every_misshapen_entry_of_a_file(tmp_path, capsys):
+    path, violations = three_misshapen_stages(tmp_path)
+    assert cli.main(["validate", "--game", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"violation: {v}" for v in violations]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("leader", [[], ["--leader", "2"]], ids=["", "leader"])
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify", "compare"])
+def test_every_command_refuses_a_misshapen_file_listing_all_faults(tmp_path, capsys, command,
+                                                                   leader):
+    path, violations = three_misshapen_stages(tmp_path)
+    assert cli.main([command, "--game", path, "--x0", "1,0,-1", *leader]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: game definition failed validation:",
+                                *(f"  {v}" for v in violations)], err
+
+
+def test_no_misshapen_family_file_ends_a_command_in_a_traceback(tmp_path, capsys):
+    """Each family game with a wrong shape or count and only finite
+    entries, written as a file: ``validate`` lists its violations, and every
+    other command refuses it, exit 1, ``--leader`` included."""
+    from dyngame.game import validate
+    from dyngame.gameio import game_to_dict
+    from test_validation import FAMILY, malformed_game
+
+    path, files = tmp_path / "malformed.json", 0
+    for seed in FAMILY:
+        spec = malformed_game(seed)
+        messages = validate(spec).messages()
+        try:
+            text = json.dumps(game_to_dict(spec), allow_nan=False)
+        except ValueError:  # the loader refuses it
+            continue
+        if not any(": expected " in m for m in messages):
+            continue
+        files += 1
+        path.write_text(text)
+        assert cli.main(["validate", "--game", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [f"violation: {m}" for m in messages]
+        x0 = ",".join(["1"] * spec.state_dim)
+        for command in ("solve", "simulate", "verify", "compare"):
+            for leader in ([], ["--leader", str(spec.n_players)]):
+                assert cli.main([command, "--game", str(path), "--x0", x0, *leader]) == 1, seed
+                err = capsys.readouterr().err.splitlines()
+                assert err[0] == "error: game definition failed validation:", err
+                assert leader or err[1:] == [f"  {m}" for m in messages]
+    assert files > 20
+
+
 def test_solve_feedback_nash_values(unit_game_path, tmp_path):
     out = tmp_path / "solution.json"
     code = cli.main(["solve", "--game", unit_game_path, "--solver", "feedback-nash",
@@ -168,6 +284,26 @@ def test_simulate_csv_layout(unit_game_path, tmp_path):
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert float(fields[2]) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver", ["feedback-nash", "openloop-stackelberg"])
+def test_solve_csv_is_the_simulated_trajectory(tmp_path, solver):
+    game = str(GOLDEN / "two_player.json")
+    outs = [tmp_path / f"{command}.csv" for command in ("solve", "simulate")]
+    for command, out in zip(("solve", "simulate"), outs):
+        assert cli.main([command, "--game", game, "--solver", solver, "--x0", "1,-0.5",
+                         "--format", "csv", "--out", str(out)]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+    assert outs[0].read_text().startswith("t,x0,x1,u1_0,u2_0,u2_1,cost1,cost2\n0,1.0,-0.5,")
+
+
+def test_solve_csv_without_x0_is_input_error(tmp_path, capsys):
+    # a feedback solver solves without x0, but a CSV trajectory starts from it
+    out = tmp_path / "traj.csv"
+    assert cli.main(["solve", "--game", str(GOLDEN / "two_player.json"), "--format", "csv",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: csv output needs a trajectory; pass --x0\n"
+    assert not out.exists()
 
 
 def test_x0_from_file(unit_game_path, tmp_path):
@@ -365,6 +501,51 @@ def test_verify_failure_exits_3(unit_game_path, tmp_path, monkeypatch):
                      "--solver", "feedback-nash", "--x0", "1",
                      "--samples", "5", "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def test_verify_rolls_out_no_trajectory_of_its_own(monkeypatch, tmp_path):
+    """``verify`` solves and hands the solution to the oracles; the report
+    needs no trajectory of the laws from the command line."""
+    calls = []
+    real = cli.rollout
+    monkeypatch.setattr(cli, "rollout", lambda *args: calls.append(args) or real(*args))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--game", str(GOLDEN / "two_player.json"), "--x0", "1,-0.5",
+                     "--samples", "5", "--out", str(out)]) == 0
+    assert calls == [] and strict_json(out.read_text())["passed"] is True
+
+
+def test_an_indefinite_value_coefficient_fails_verification_alone(monkeypatch, tmp_path, capsys):
+    """The definiteness gate is the one check that reads the value
+    coefficients: with player 1's Z at stage 1 made -I and the laws kept,
+    it alone fails."""
+    from dataclasses import replace
+
+    from dyngame import feedback_nash, verify
+
+    real = feedback_nash.solve
+
+    def indefinite(spec):
+        sol = real(spec)
+        Z = sol.Z.copy()
+        Z[1, 1] = -np.eye(Z.shape[-1])
+        return replace(sol, Z=Z)
+
+    monkeypatch.setattr(feedback_nash, "solve", indefinite)
+    spec = random_game(5, n_players=2, state_dim=2, horizon=3, time_varying=True)
+    report = verify.run_verification(spec, feedback_nash.solve(spec), verify.FEEDBACK,
+                                     "feedback-nash", x0=np.ones(2), samples=10)
+    assert report.failures == ["Z[1] at stage 1 has min eigenvalue -1.000e+00"]
+    assert report.time_consistency.verdict == "STC" and not report.definiteness.ok
+
+    path = tmp_path / "game.json"
+    save_game(spec, path)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--game", str(path), "--x0", "1,1", "--samples", "10",
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failure: Z[1] at stage 1 has min eigenvalue -1.000e+00"]
+    assert strict_json(out.read_text())["failures"] == report.failures
 
 
 def test_reports_are_deterministic(unit_game_path, tmp_path):

@@ -118,6 +118,20 @@ class TestStageCost:
         with pytest.raises(InvalidGameError):
             stage_cost(spec, 0, 5, np.zeros(1), [np.zeros(1)])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec, traj: stage_cost(spec, 0, 0, traj.states[1], [np.zeros(2)]),
+         r"control 0 has shape \(2,\), expected \(1,\)"),
+        (lambda spec, traj: stage_cost(spec, 0, 0, traj.states[1], [np.zeros((1, 1))]),
+         r"control 0 has shape \(1, 1\), expected \(1,\)"),
+        (lambda spec, traj: total_cost(scalar_unit_lqr(T=2), traj, 0),
+         r"trajectory shape \(4, 1\) inconsistent with the game"),
+    ], ids=["control-length", "control-matrix", "trajectory-horizon"])
+    def test_a_misshapen_control_or_trajectory_is_refused(self, call, message):
+        spec = scalar_unit_lqr(T=3)
+        traj = rollout(spec, [np.zeros((3, 1))], np.ones(1))
+        with pytest.raises(InvalidGameError, match=f"^{message}$"):
+            call(spec, traj)
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda spec, traj: stage_cost(spec, -1, 0, traj.states[1], [u[0] for u in traj.controls]),
@@ -388,8 +402,9 @@ class TestJsonRoundTrip:
             "stage": {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[[1.0], [0.0]]],
                       "Q": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], "R": [[[[1.0]]]]},
         }
-        with pytest.raises(GameFormatError, match="/stage/Q/0"):
-            game_from_dict(doc)
+        # shapes are validate's to judge, for a file as for a game built in code
+        assert validate(game_from_dict(doc)).messages() == [
+            "stages/0/Q/0: expected shape (2, 2), got (2, 3)"]
 
     @pytest.mark.parametrize("field, text", [
         ("s", '[NaN, 0]'), ("s", '[0, -Infinity]'), ("A", '[[1e999, 0], [0, 1]]'),

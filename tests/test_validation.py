@@ -12,6 +12,7 @@ that the eigenvalue calls are one per matrix size whatever the players and
 the horizon.
 """
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ import pytest
 from dyngame import feedback_nash
 from dyngame.errors import InvalidGameError
 from dyngame.game import GameSpec, Player, StageArrays, constant_game, rollout, truncate, validate
+from dyngame.gameio import GameFormatError, game_from_dict, game_to_dict
 
 import reference_formulations as ref
 from conftest import psd_matrix, random_game, rng_for, scalar_unit_two_player
@@ -208,6 +210,30 @@ def test_the_unchecked_view_raises_the_shape_violations():
         else:
             assert StageArrays.of(spec).A.shape == (spec.horizon, spec.state_dim, spec.state_dim)
     assert 0 < refused < len(FAMILY)
+
+
+def test_a_game_file_validates_as_the_game_it_was_written_from():
+    """Each game of the family, written as a JSON document and read back,
+    is refused by the loader with a pointer when an entry is not finite;
+    any other loads, however misshapen, and ``validate`` reports exactly
+    the written game's violations, at every tolerance in both modes."""
+    loaded = 0
+    for seed in FAMILY:
+        spec = malformed_game(seed)
+        doc = game_to_dict(spec)
+        try:
+            json.dumps(doc, allow_nan=False)
+        except ValueError:  # an entry that is not finite
+            with pytest.raises(GameFormatError, match=r"^/stages/\d+/\S+: entries must be finite"):
+                game_from_dict(json.loads(json.dumps(doc)))
+            continue
+        game = game_from_dict(json.loads(json.dumps(doc)))
+        loaded += 1
+        for tol in (1e-9, 1e-6, -1e-6):
+            for for_stackelberg in (False, True):
+                assert (validate(game, tol=tol, for_stackelberg=for_stackelberg).violations
+                        == validate(spec, tol=tol, for_stackelberg=for_stackelberg).violations), seed
+    assert loaded == 75
 
 
 def test_tolerance_and_leader_mode_change_the_family_verdicts():

@@ -154,6 +154,19 @@ def test_every_oracle_refuses_a_solution_of_another_game(oracle, differs):
                                    f"control_dims) {theirs}, the game's {ours}"), name
 
 
+@pytest.mark.parametrize("oracle, message", [
+    ("stationarity", "feedback stationarity needs an initial state x0"),
+    ("deviation_gap", "feedback deviation sampling needs an initial state x0"),
+    ("leader_gap", "feedback leader gap needs an initial state x0"),
+])
+def test_a_feedback_oracle_without_x0_is_refused(oracle, message):
+    # a feedback solution holds laws, not a path: the path starts from x0
+    spec = random_game(63, n_players=2)
+    sol = feedback_stackelberg.solve(spec)
+    with pytest.raises(InvalidGameError, match=f"^{message}$"):
+        ORACLES[oracle](spec, sol, verify.FEEDBACK, None)
+
+
 class TestDeviationGap:
     def test_feedback_nash_gap_nonnegative(self):
         spec = scalar_unit_two_player()
